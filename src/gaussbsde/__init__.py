@@ -14,15 +14,11 @@ from .drivers import (
     sample_paths,
 )
 from .measures import (
-    EmpiricalMeasure,
     GaussianLaw1D,
     LawFeatures,
-    LawFunctional,
     entropy_functional,
     gaussian_kl,
     gaussian_w2,
-    lions_directional_check,
-    wasserstein_1d,
 )
 from .scenario import (
     GeneratorSpec,
@@ -39,7 +35,6 @@ from .solver import (
     ParticleCloud,
     SolutionField,
     SolverConfig,
-    regress_conditional,
     representation_solve,
     solve_auxiliary,
     transfer_evaluate,

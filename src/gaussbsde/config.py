@@ -1,5 +1,9 @@
 """Experiment configuration: a single JSON tree, validated with messages that
-name the offending key, and a canonical emitted form that round-trips."""
+name the offending key, and a canonical emitted form that round-trips.
+
+The keys accepted at each level are those the emitted form writes, plus
+``covariance_file``, ``solver.seed`` and ``out_dir``; any other key is
+rejected by name."""
 
 from __future__ import annotations
 
@@ -16,24 +20,20 @@ from .reporting import canonical_json, digest_payload
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
 from .solver import SolverConfig, Z_ESTIMATORS
 
-KINDS = (
-    "solve",
-    "wick_validate",
-    "comparison",
-    "representation",
-    "converse",
-    "stability",
-    "t2",
-    "lsi",
-    "zbound",
-    "full_suite",
-)
-
-_TWO_SCENARIO_KINDS = ("comparison", "converse", "stability")
+_DRIVER_KEYS = ("kind", "T", "hurst", "cov_grid", "cov_matrix", "covariance_file")
 
 
 def _fail(key: str, message: str):
     raise ConfigInvalid(f"{key}: {message}")
+
+
+def _check_keys(tree: dict, allowed, path: str):
+    for key in sorted(set(tree) - set(allowed)):
+        _fail(f"{path}.{key}" if path else key, "unknown key")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _get(tree: dict, key: str, path: str, required: bool = True, default=None):
@@ -48,9 +48,9 @@ def _number(tree: dict, key: str, path: str, required: bool = True, default=None
     value = _get(tree, key, path, required, default)
     if value is None:
         return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         _fail(f"{path}.{key}" if path else key, "must be a number")
-    return float(value)
+    return float(value) + 0.0  # -0.0 is emitted as "-0", which reads back as 0
 
 
 def _integer(tree: dict, key: str, path: str, required: bool = True, default=None) -> int:
@@ -82,6 +82,7 @@ def _load_covariance_file(path: Path, T: float) -> GaussianDriverSpec:
 def parse_driver(tree, path: str = "driver", base_dir: Path | None = None) -> GaussianDriverSpec:
     if not isinstance(tree, dict):
         _fail(path, "must be an object")
+    _check_keys(tree, _DRIVER_KEYS, path)
     kind = _get(tree, "kind", path)
     if kind not in ("brownian", "fbm", "custom"):
         _fail(f"{path}.kind", "must be one of 'brownian', 'fbm', 'custom'")
@@ -115,6 +116,7 @@ def parse_driver(tree, path: str = "driver", base_dir: Path | None = None) -> Ga
 def _parse_terminal(tree, path: str) -> TerminalSpec:
     if not isinstance(tree, dict):
         _fail(path, "must be an object")
+    _check_keys(tree, TerminalSpec().payload(), path)
     phi = _get(tree, "phi", path, required=False, default="none")
     if phi not in NONLINEARITIES:
         _fail(f"{path}.phi", f"must be one of {sorted(NONLINEARITIES)}")
@@ -133,6 +135,7 @@ def _parse_terminal(tree, path: str) -> TerminalSpec:
 def _parse_generator(tree, path: str) -> GeneratorSpec:
     if not isinstance(tree, dict):
         _fail(path, "must be an object")
+    _check_keys(tree, (*GeneratorSpec().payload(), "rho_table"), path)
     phi = _get(tree, "phi", path, required=False, default="none")
     if phi not in NONLINEARITIES:
         _fail(f"{path}.phi", f"must be one of {sorted(NONLINEARITIES)}")
@@ -143,10 +146,13 @@ def _parse_generator(tree, path: str) -> GeneratorSpec:
     rho = _get(tree, "rho_table", path, required=False)
     breaks = values = None
     if rho is not None:
-        if not isinstance(rho, dict) or "breaks" not in rho or "values" not in rho:
-            _fail(f"{path}.rho_table", "must be an object with 'breaks' and 'values'")
-        breaks = tuple(float(v) for v in rho["breaks"])
-        values = tuple(float(v) for v in rho["values"])
+        if not isinstance(rho, dict) or set(rho) != {"breaks", "values"}:
+            _fail(f"{path}.rho_table", "must be an object with exactly 'breaks' and 'values'")
+        try:
+            breaks = tuple(float(v) + 0.0 for v in rho["breaks"])
+            values = tuple(float(v) + 0.0 for v in rho["values"])
+        except (TypeError, ValueError):
+            _fail(f"{path}.rho_table", "'breaks' and 'values' must be lists of numbers")
     try:
         return GeneratorSpec(phi=phi, rho_breaks=breaks, rho_values=values, **kwargs)
     except ValueError as exc:
@@ -156,6 +162,7 @@ def _parse_generator(tree, path: str) -> GeneratorSpec:
 def parse_scenario(tree, driver: GaussianDriverSpec, path: str = "scenario") -> ScenarioSpec:
     if not isinstance(tree, dict):
         _fail(path, "must be an object")
+    _check_keys(tree, ("terminal", "generator"), path)
     return ScenarioSpec(
         terminal=_parse_terminal(_get(tree, "terminal", path), f"{path}.terminal"),
         generator=_parse_generator(_get(tree, "generator", path), f"{path}.generator"),
@@ -167,6 +174,7 @@ def parse_solver(tree, path: str = "solver") -> SolverConfig:
     tree = tree if tree is not None else {}
     if not isinstance(tree, dict):
         _fail(path, "must be an object")
+    _check_keys(tree, SolverConfig().payload(), path)
     z_estimator = _get(tree, "z_estimator", path, required=False, default="derivative")
     if z_estimator not in Z_ESTIMATORS:
         _fail(f"{path}.z_estimator", f"must be one of {Z_ESTIMATORS}")
@@ -203,16 +211,9 @@ class ExperimentConfig:
             "solver": self.solver.payload(),
             "params": self.params,
         }
-        if self.scenario is not None:
-            out["scenario"] = {
-                "terminal": self.scenario.terminal.payload(),
-                "generator": self.scenario.generator.payload(),
-            }
-        if self.scenario_2 is not None:
-            out["scenario_2"] = {
-                "terminal": self.scenario_2.terminal.payload(),
-                "generator": self.scenario_2.generator.payload(),
-            }
+        for key, scn in (("scenario", self.scenario), ("scenario_2", self.scenario_2)):
+            if scn is not None:
+                out[key] = {"terminal": scn.terminal.payload(), "generator": scn.generator.payload()}
         if self.out_dir is not None:
             out["out_dir"] = self.out_dir
         return out
@@ -222,21 +223,17 @@ class ExperimentConfig:
         return digest_payload(self.payload())
 
 
-_PARAM_REQUIREMENTS = {
-    "comparison": ("t_list",),
-    "representation": ("t", "y", "z", "eps_list"),
-    "converse": ("probe_grid", "eps"),
-    "t2": ("t", "shift_list"),
-    "lsi": ("t", "lambda_list"),
-}
-
-
 def parse_config_payload(tree: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    from .experiments import KINDS  # experiments imports this module
+
     if not isinstance(tree, dict):
         _fail("config", "top level must be an object")
-    kind = _get(tree, "kind", "")
-    if kind not in KINDS:
-        _fail("kind", f"must be one of {KINDS}")
+    kind_name = _get(tree, "kind", "")
+    if kind_name not in KINDS:
+        _fail("kind", f"must be one of {tuple(KINDS)}")
+    kind = KINDS[kind_name]
+    scenario_keys = ("scenario", "scenario_2")[: kind.scenarios]
+    _check_keys(tree, ("kind", "seed", "driver", "solver", "params", "out_dir", *scenario_keys), "")
     solver_tree = tree.get("solver")
     seed = tree.get("seed")
     if seed is None and isinstance(solver_tree, dict):
@@ -252,26 +249,25 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
     params = tree.get("params", {})
     if not isinstance(params, dict):
         _fail("params", "must be an object")
-    for key in _PARAM_REQUIREMENTS.get(kind, ()):
+    _check_keys(params, kind.required + kind.optional, "params")
+    for key in kind.required:
         if key not in params:
-            _fail(f"params.{key}", f"required for kind={kind}")
+            _fail(f"params.{key}", f"required for kind={kind_name}")
+    quantiles = params.get("quantiles", [])
+    if not isinstance(quantiles, list) or not all(_is_number(q) and 0.0 < q < 1.0 for q in quantiles):
+        _fail("params.quantiles", "must be a list of numbers in (0,1)")
 
-    scenario = scenario_2 = None
-    driver = None
-    if kind != "full_suite":
-        driver = parse_driver(_get(tree, "driver", ""), base_dir=base_dir)
-        if kind != "wick_validate":
-            scenario = parse_scenario(_get(tree, "scenario", ""), driver)
-        if kind in _TWO_SCENARIO_KINDS:
-            scenario_2 = parse_scenario(_get(tree, "scenario_2", ""), driver, path="scenario_2")
-    else:
-        driver = parse_driver(tree.get("driver", {"kind": "brownian", "T": 1.0}), base_dir=base_dir)
+    # the suite's entries bring their own drivers; the suite's own is only recorded
+    driver_tree = _get(tree, "driver", "", required=kind.run is not None, default={"kind": "brownian", "T": 1.0})
+    driver = parse_driver(driver_tree, base_dir=base_dir)
+    scenarios = [parse_scenario(_get(tree, key, ""), driver, path=key) for key in scenario_keys]
+    scenario, scenario_2 = (scenarios + [None, None])[:2]
 
     out_dir = tree.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         _fail("out_dir", "must be a string path")
     return ExperimentConfig(
-        kind=kind,
+        kind=kind_name,
         seed=int(seed),
         driver=driver,
         solver=solver,

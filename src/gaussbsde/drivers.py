@@ -213,10 +213,15 @@ class PathBatch:
     def n_paths(self) -> int:
         return self.samples.shape[0]
 
+    @property
+    def with_origin(self) -> tuple[np.ndarray, np.ndarray]:
+        """(grid, samples) with the origin prepended: t = 0 and X(0) = 0."""
+        grid = np.concatenate(([0.0], self.grid_t))
+        return grid, np.concatenate([np.zeros((self.n_paths, 1)), self.samples], axis=1)
+
     def increments(self) -> np.ndarray:
-        """Per-path increments, with X(0) = 0 prepended."""
-        padded = np.concatenate([np.zeros((self.n_paths, 1)), self.samples], axis=1)
-        return np.diff(padded, axis=1)
+        """Per-path increments over the cells of the grid with the origin."""
+        return np.diff(self.with_origin[1], axis=1)
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:

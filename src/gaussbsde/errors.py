@@ -21,16 +21,8 @@ class OutOfRange(GaussBsdeError):
 
 # --- measures ---------------------------------------------------------------
 
-class EmptyMeasure(GaussBsdeError):
-    """Empirical measure with no atoms."""
-
-
 class NonpositiveMass(GaussBsdeError):
     """Entropy functional of a test function with nonpositive total mass."""
-
-
-class UnsupportedFunctional(GaussBsdeError):
-    """Law functional outside the supported family."""
 
 
 # --- scenario DSL -----------------------------------------------------------

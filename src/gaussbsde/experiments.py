@@ -18,9 +18,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import __version__
 from .config import ExperimentConfig
@@ -37,7 +38,7 @@ from .pack import (
     shift_terminal,
 )
 from .reporting import canonical_json, digest_payload, emit_report, write_series_csv
-from .rng import derive_key
+from .rng import derived_seed
 from .scenario import eval_terminal, law_features
 from .solver import SolverConfig, solve_auxiliary, transfer_evaluate
 from .theorems import (
@@ -76,16 +77,16 @@ class ExperimentOutcome:
         return all(r.passed is not False for r in self.reports)
 
 
-def _derived_seed(seed: int, *tags) -> int:
-    return derive_key(seed, *tags) % (2 ** 63)
-
-
 # ---------------------------------------------------------------------------
 # individual experiments
+#
+# A runner takes (cfg, out_dir, name) and returns its report and the series
+# paths it wrote; run_single emits the report.  Runners look the theorem
+# functions up by module-global name at call time, so a wrapper installed on
+# this module, such as a tracer, sees every call.
 
 
-def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str) -> ExperimentOutcome:
-    t0 = time.perf_counter()
+def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
     scn = cfg.scenario
     clock = build_clock(scn.driver, cfg.solver.n_time + 1)
     field, cloud = solve_auxiliary(scn, clock, cfg.solver, cfg.seed)
@@ -100,7 +101,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str) -> ExperimentOut
     for i, t in enumerate(field.grid_t):
         v = field.grid_s[i]
         for q in quantiles:
-            x = float(sstats.norm.ppf(q)) * np.sqrt(v) if v > 0 else 0.0
+            x = NormalDist().inv_cdf(q) * np.sqrt(v) if v > 0 else 0.0
             y_val, z_val = transfer_evaluate(field, float(t), x)
             rows.append((float(t), float(v), f"q{int(round(q * 100)):02d}", float(y_val), float(z_val)))
     series_path = out_dir / "series" / f"{name}__solution.csv"
@@ -125,11 +126,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str) -> ExperimentOut
         std_errors={},
         seed=cfg.seed,
     )
-    paths = emit_report([report], out_dir / "reports", prefix=f"{name}__")
-    return ExperimentOutcome(
-        name=name, kind="solve", reports=[report], report_paths=paths,
-        series_paths=[series_path], wall_clock_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return report, [series_path]
 
 
 def _default_h_functions(T: float) -> list[StepFunctionH]:
@@ -140,12 +137,11 @@ def _default_h_functions(T: float) -> list[StepFunctionH]:
     ]
 
 
-def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str) -> ExperimentOutcome:
-    t0 = time.perf_counter()
+def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
     driver = cfg.driver
     clock = build_clock(driver, cfg.solver.n_time + 1)
     n_paths = int(cfg.params.get("n_paths", 20000))
-    paths = sample_paths(driver, clock.grid_t[1:], n_paths, _derived_seed(cfg.seed, "wick-paths"))
+    paths = sample_paths(driver, clock.grid_t[1:], n_paths, derived_seed(cfg.seed, "wick-paths"))
     h_list = _default_h_functions(driver.T)
     ones = np.ones(n_paths)
     measurements: dict = {}
@@ -220,63 +216,92 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str) -> Exper
 
     report = TheoremReport(
         theorem="wick_validate",
-        scenario_digest=(
-            digest_payload(cfg.driver.payload()) if cfg.scenario is None else scenario_digest(cfg.scenario)
-        ),
+        scenario_digest=digest_payload(driver.payload()),
         passed=ok,
         measurements=measurements,
         tolerances={"statistic_over_se": 3.0, "variance_rel": 0.05},
         std_errors={},
         seed=cfg.seed,
     )
-    paths_out = emit_report([report], out_dir / "reports", prefix=f"{name}__")
-    return ExperimentOutcome(
-        name=name, kind="wick_validate", reports=[report], report_paths=paths_out,
-        series_paths=[], wall_clock_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return report, []
 
 
-def _run_check(cfg: ExperimentConfig, out_dir: Path, name: str) -> ExperimentOutcome:
-    t0 = time.perf_counter()
-    kind = cfg.kind
+def _run_comparison(cfg: ExperimentConfig, out_dir: Path, name: str):
     p = cfg.params
-    if kind == "comparison":
-        report = comparison_check(cfg.scenario, cfg.scenario_2, cfg.solver, p["t_list"], cfg.seed)
-    elif kind == "representation":
-        report = representation_limit_check(
-            cfg.scenario, float(p["t"]), float(p["y"]), float(p["z"]), p["eps_list"], cfg.solver, cfg.seed
-        )
-    elif kind == "converse":
-        probe_grid = [tuple(float(v) for v in row) for row in p["probe_grid"]]
-        report = converse_comparison_check(
-            cfg.scenario, cfg.scenario_2, cfg.solver, probe_grid, float(p["eps"]), cfg.seed
-        )
-    elif kind == "stability":
-        report = stability_check(cfg.scenario, cfg.scenario_2, cfg.solver, cfg.seed)
-    elif kind == "t2":
-        report = t2_check(cfg.scenario, float(p["t"]), p["shift_list"], cfg.solver, cfg.seed)
-    elif kind == "lsi":
-        report = lsi_check(cfg.scenario, float(p["t"]), p["lambda_list"], cfg.solver, cfg.seed)
-    elif kind == "zbound":
-        clock = build_clock(cfg.scenario.driver, cfg.solver.n_time + 1)
-        field, cloud = solve_auxiliary(cfg.scenario, clock, cfg.solver, cfg.seed)
-        report = z_bound_check(field, cfg.scenario, clock, cloud, seed=cfg.seed)
-    else:
-        raise ConfigInvalid(f"kind: unknown experiment kind {kind!r}")
-    paths = emit_report([report], out_dir / "reports", prefix=f"{name}__")
-    return ExperimentOutcome(
-        name=name, kind=kind, reports=[report], report_paths=paths,
-        series_paths=[], wall_clock_ms=(time.perf_counter() - t0) * 1e3,
+    return comparison_check(cfg.scenario, cfg.scenario_2, cfg.solver, p["t_list"], cfg.seed), []
+
+
+def _run_representation(cfg: ExperimentConfig, out_dir: Path, name: str):
+    p = cfg.params
+    report = representation_limit_check(
+        cfg.scenario, float(p["t"]), float(p["y"]), float(p["z"]), p["eps_list"], cfg.solver, cfg.seed
     )
+    return report, []
+
+
+def _run_converse(cfg: ExperimentConfig, out_dir: Path, name: str):
+    probe_grid = [tuple(float(v) for v in row) for row in cfg.params["probe_grid"]]
+    report = converse_comparison_check(
+        cfg.scenario, cfg.scenario_2, cfg.solver, probe_grid, float(cfg.params["eps"]), cfg.seed
+    )
+    return report, []
+
+
+def _run_stability(cfg: ExperimentConfig, out_dir: Path, name: str):
+    return stability_check(cfg.scenario, cfg.scenario_2, cfg.solver, cfg.seed), []
+
+
+def _run_t2(cfg: ExperimentConfig, out_dir: Path, name: str):
+    p = cfg.params
+    return t2_check(cfg.scenario, float(p["t"]), p["shift_list"], cfg.solver, cfg.seed), []
+
+
+def _run_lsi(cfg: ExperimentConfig, out_dir: Path, name: str):
+    p = cfg.params
+    return lsi_check(cfg.scenario, float(p["t"]), p["lambda_list"], cfg.solver, cfg.seed), []
+
+
+def _run_zbound(cfg: ExperimentConfig, out_dir: Path, name: str):
+    clock = build_clock(cfg.scenario.driver, cfg.solver.n_time + 1)
+    field, cloud = solve_auxiliary(cfg.scenario, clock, cfg.solver, cfg.seed)
+    return z_bound_check(field, cfg.scenario, clock, cloud, seed=cfg.seed), []
+
+
+@dataclass(frozen=True)
+class Kind:
+    """An experiment kind: how many scenarios its config carries, the
+    ``params`` it requires and accepts, and its runner.  The suite has no
+    runner: it runs the entries of ``_suite_entries``."""
+
+    scenarios: int
+    run: Callable | None
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+
+
+KINDS = {
+    "solve": Kind(1, _run_solve, optional=("quantiles",)),
+    "wick_validate": Kind(0, _run_wick_validate, optional=("n_paths",)),
+    "comparison": Kind(2, _run_comparison, ("t_list",)),
+    "representation": Kind(1, _run_representation, ("t", "y", "z", "eps_list")),
+    "converse": Kind(2, _run_converse, ("probe_grid", "eps")),
+    "stability": Kind(2, _run_stability),
+    "t2": Kind(1, _run_t2, ("t", "shift_list")),
+    "lsi": Kind(1, _run_lsi, ("t", "lambda_list")),
+    "zbound": Kind(1, _run_zbound),
+    "full_suite": Kind(0, None),
+}
 
 
 def run_single(cfg: ExperimentConfig, out_dir: Path, name: str | None = None) -> ExperimentOutcome:
     name = name or cfg.kind
-    if cfg.kind == "solve":
-        return _run_solve(cfg, out_dir, name)
-    if cfg.kind == "wick_validate":
-        return _run_wick_validate(cfg, out_dir, name)
-    return _run_check(cfg, out_dir, name)
+    t0 = time.perf_counter()
+    report, series_paths = KINDS[cfg.kind].run(cfg, out_dir, name)
+    paths = emit_report([report], out_dir / "reports", prefix=f"{name}__")
+    return ExperimentOutcome(
+        name=name, kind=cfg.kind, reports=[report], report_paths=paths,
+        series_paths=series_paths, wall_clock_ms=(time.perf_counter() - t0) * 1e3,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +320,7 @@ def _suite_entries(seed: int) -> list[ExperimentConfig]:
                 name,
                 ExperimentConfig(
                     kind=kind,
-                    seed=_derived_seed(seed, name),
+                    seed=derived_seed(seed, name),
                     driver=driver,
                     solver=solver,
                     scenario=scenario,
@@ -342,9 +367,12 @@ def _suite_entries(seed: int) -> list[ExperimentConfig]:
 def _thread_count() -> int:
     raw = os.environ.get("GAUSSBSDE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigInvalid(f"GAUSSBSDE_THREADS: must be a positive integer, got {raw!r}")
+    return threads
 
 
 def run_config(cfg: ExperimentConfig, out_root, quiet: bool = False) -> tuple[Path, bool]:
@@ -357,7 +385,7 @@ def run_config(cfg: ExperimentConfig, out_root, quiet: bool = False) -> tuple[Pa
     out_root.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
-    if cfg.kind == "full_suite":
+    if KINDS[cfg.kind].run is None:
         entries = _suite_entries(cfg.seed)
         threads = _thread_count()
         if threads > 1:

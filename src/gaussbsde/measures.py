@@ -1,6 +1,5 @@
-"""Measure arithmetic: empirical and Gaussian Wasserstein distances, relative
-entropy, entropy functionals, and the directional-derivative check for
-mean-type law functionals."""
+"""Measure arithmetic: the sorted-sample and Gaussian W2 distances, relative
+entropy between Gaussians, and the entropy functional of a Gaussian law."""
 
 from __future__ import annotations
 
@@ -11,27 +10,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .errors import EmptyMeasure, NonpositiveMass, UnsupportedFunctional
-from .rng import generator
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalMeasure:
-    """Equal-weight atoms of a scalar law."""
-
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float).ravel()
-        if atoms.size == 0:
-            raise EmptyMeasure("empirical measure needs at least one atom")
-        if not np.all(np.isfinite(atoms)):
-            raise ValueError("atoms must be finite")
-        object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def size(self) -> int:
-        return self.atoms.size
+from .errors import NonpositiveMass
 
 
 @dataclass(frozen=True)
@@ -50,7 +29,7 @@ class GaussianLaw1D:
 
 @dataclass(frozen=True)
 class LawFeatures:
-    """First moments (optionally second) of a joint (x, y, z) law.
+    """First moments of a joint (x, y, z) law.
 
     This is the computable reduction of the measure argument consumed by the
     scenario DSL: generators and terminals only read componentwise means.
@@ -59,29 +38,6 @@ class LawFeatures:
     mean_x: float = 0.0
     mean_y: float = 0.0
     mean_z: float = 0.0
-    m2_x: float | None = None
-    m2_y: float | None = None
-    m2_z: float | None = None
-
-
-def wasserstein_1d(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float = 1.0, seed: int = 0) -> float:
-    """W_p between scalar empirical measures via the sorted quantile coupling.
-
-    Unequal-size clouds are subsampled (without replacement) to the smaller
-    size with a stream derived from ``seed``.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    x = np.sort(a.atoms)
-    y = np.sort(b.atoms)
-    if x.size != y.size:
-        m = min(x.size, y.size)
-        rng = generator(seed, "wasserstein-subsample", x.size, y.size)
-        if x.size > m:
-            x = np.sort(rng.choice(x, size=m, replace=False))
-        if y.size > m:
-            y = np.sort(rng.choice(y, size=m, replace=False))
-    return float(np.mean(np.abs(x - y) ** p) ** (1.0 / p))
 
 
 def sorted_w2(a: np.ndarray, b: np.ndarray) -> float:
@@ -120,119 +76,29 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def entropy_functional(mu, F: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Ent_mu(F) = int F log F dmu - int F dmu * log int F dmu, for F >= 0.
+def entropy_functional(mu: GaussianLaw1D, F: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Ent_mu(F) = int F log F dmu - int F dmu * log int F dmu, for F >= 0,
+    by adaptive quadrature against the Gaussian law ``mu``."""
+    if mu.variance == 0.0:
+        return 0.0  # Dirac mass: F is constant mu-a.s.
+    m, s = mu.mean, mu.std
+    # 40 standardized units: the Gaussian weight is ~1e-350 there, which
+    # truncates the tails before a growing test function can overflow
+    u_max = 40.0
 
-    ``mu`` is a GaussianLaw1D (adaptive quadrature) or an EmpiricalMeasure
-    (plain averages over atoms).
-    """
-    if isinstance(mu, EmpiricalMeasure):
-        vals = np.asarray(F(mu.atoms), dtype=float)
-        if np.any(vals < 0):
-            raise ValueError("test function must be nonnegative")
-        mass = float(np.mean(vals))
-        if mass <= 0:
-            raise NonpositiveMass("integral of the test function is nonpositive")
-        return float(np.mean(_xlogx(vals)) - mass * math.log(mass))
-    if isinstance(mu, GaussianLaw1D):
-        if mu.variance == 0.0:
-            return 0.0  # Dirac mass: F is constant mu-a.s.
-        m, s = mu.mean, mu.std
-        # 40 standardized units: the Gaussian weight is ~1e-350 there, which
-        # truncates the tails before a growing test function can overflow
-        u_max = 40.0
+    def density(u):
+        return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
-        def density(u):
-            return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    def f_at(u):
+        return float(F(np.asarray([m + s * u]))[0])
 
-        def f_at(u):
-            return float(F(np.asarray([m + s * u]))[0])
-
-        mass, _ = integrate.quad(lambda u: f_at(u) * density(u), -u_max, u_max, limit=200)
-        if mass <= 0:
-            raise NonpositiveMass("integral of the test function is nonpositive")
-        ent_part, _ = integrate.quad(
-            lambda u: float(_xlogx(np.asarray([f_at(u)]))[0]) * density(u),
-            -u_max,
-            u_max,
-            limit=200,
-        )
-        return float(ent_part - mass * math.log(mass))
-    raise TypeError(f"unsupported measure type {type(mu).__name__}")
-
-
-@dataclass(frozen=True)
-class LawFunctional:
-    """Member of the supported family of functionals of a scalar law.
-
-    kind:
-      "mean"      mu -> int y dmu
-      "mean_sq"   mu -> (int y dmu)^2
-      "phi_mean"  mu -> int phi dmu, with callables phi and its derivative
-    """
-
-    kind: str
-    phi: Callable[[np.ndarray], np.ndarray] | None = None
-    dphi: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("mean", "mean_sq", "phi_mean"):
-            raise UnsupportedFunctional(f"unsupported law functional {self.kind!r}")
-        if self.kind == "phi_mean" and (self.phi is None or self.dphi is None):
-            raise UnsupportedFunctional("phi_mean needs phi and dphi callables")
-
-    def value(self, samples: np.ndarray) -> float:
-        samples = np.asarray(samples, dtype=float)
-        if self.kind == "mean":
-            return float(np.mean(samples))
-        if self.kind == "mean_sq":
-            return float(np.mean(samples) ** 2)
-        return float(np.mean(self.phi(samples)))
-
-    def directional_derivative(self, xi: np.ndarray, eta: np.ndarray) -> float:
-        """E < D F(L_xi)(xi), eta > for the supported family."""
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        if self.kind == "mean":
-            return float(np.mean(eta))
-        if self.kind == "mean_sq":
-            return float(2.0 * np.mean(xi) * np.mean(eta))
-        return float(np.mean(self.dphi(xi) * eta))
-
-
-@dataclass(frozen=True)
-class LionsCheckReport:
-    eps_list: tuple[float, ...]
-    quotients: tuple[float, ...]
-    analytic: float
-    errors: tuple[float, ...]
-    converged: bool
-
-
-def lions_directional_check(
-    functional: LawFunctional,
-    xi: np.ndarray,
-    eta: np.ndarray,
-    eps_list,
-    tol: float = 1e-6,
-) -> LionsCheckReport:
-    """Finite-difference quotients of eps -> F(L_{xi + eps eta}) against the
-    analytic directional derivative; flags non-convergence."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if xi.shape != eta.shape or xi.size == 0:
-        raise ValueError("xi and eta must be nonempty paired samples")
-    eps_list = tuple(float(e) for e in eps_list)
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps values must be positive")
-    base = functional.value(xi)
-    quotients = tuple((functional.value(xi + e * eta) - base) / e for e in eps_list)
-    analytic = functional.directional_derivative(xi, eta)
-    errors = tuple(abs(q - analytic) for q in quotients)
-    return LionsCheckReport(
-        eps_list=eps_list,
-        quotients=quotients,
-        analytic=analytic,
-        errors=errors,
-        converged=errors[-1] <= tol,
+    mass, _ = integrate.quad(lambda u: f_at(u) * density(u), -u_max, u_max, limit=200)
+    if mass <= 0:
+        raise NonpositiveMass("integral of the test function is nonpositive")
+    ent_part, _ = integrate.quad(
+        lambda u: float(_xlogx(np.asarray([f_at(u)]))[0]) * density(u),
+        -u_max,
+        u_max,
+        limit=200,
     )
+    return float(ent_part - mass * math.log(mass))

@@ -20,6 +20,11 @@ def derive_key(seed: int, *tags: object) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:16], "big")
 
 
+def derived_seed(seed: int, *tags: object) -> int:
+    """Integer seed of a sub-experiment or sub-check, derived from its tags."""
+    return derive_key(seed, *tags) % (2 ** 63)
+
+
 def generator(seed: int, *tags: object) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *tags)))
 

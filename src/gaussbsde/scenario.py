@@ -154,8 +154,7 @@ class GeneratorSpec:
             "kappa_x": self.kappa_x, "kappa_y": self.kappa_y, "kappa_z": self.kappa_z,
         }
         if self.rho_values is not None:
-            out["rho_breaks"] = list(self.rho_breaks)
-            out["rho_values"] = list(self.rho_values)
+            out["rho_table"] = {"breaks": list(self.rho_breaks), "values": list(self.rho_values)}
         return out
 
 
@@ -216,25 +215,14 @@ def generator_partials(spec: GeneratorSpec, t: float, x, y, z):
     return df_dx, df_dy, df_dz
 
 
-def law_features(x, y, z, second_moments: bool = False) -> LawFeatures:
-    """Componentwise sample means (optionally second moments) of a cloud slice."""
+def law_features(x, y, z) -> LawFeatures:
+    """Componentwise sample means of a cloud slice."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.size == 0 or y.size == 0 or z.size == 0:
         raise EmptyCloud("law features need a nonempty cloud")
-    feats = {
-        "mean_x": float(np.mean(x)),
-        "mean_y": float(np.mean(y)),
-        "mean_z": float(np.mean(z)),
-    }
-    if second_moments:
-        feats.update(
-            m2_x=float(np.mean(x ** 2)),
-            m2_y=float(np.mean(y ** 2)),
-            m2_z=float(np.mean(z ** 2)),
-        )
-    return LawFeatures(**feats)
+    return LawFeatures(mean_x=float(np.mean(x)), mean_y=float(np.mean(y)), mean_z=float(np.mean(z)))
 
 
 def _two_atom_w2_3d(cloud_a: np.ndarray, cloud_b: np.ndarray) -> float:
@@ -257,7 +245,6 @@ class AuditReport:
     max_ratio_f: float
     max_ratio_g: float
     n_probes: int
-    bound_at_zero: float
 
 
 def lipschitz_audit(scn: ScenarioSpec, n_probes: int = 256, seed: int = 0) -> AuditReport:
@@ -312,8 +299,6 @@ def lipschitz_audit(scn: ScenarioSpec, n_probes: int = 256, seed: int = 0) -> Au
         max_ratio_f=max_ratio_f,
         max_ratio_g=max_ratio_g,
         n_probes=n_probes,
-        bound_at_zero=abs(eval_terminal(term, 0.0, LawFeatures()))
-        + gen.sup_abs_rho * abs(gen.c0),
     )
 
 

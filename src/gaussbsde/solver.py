@@ -32,7 +32,7 @@ from .errors import (
     PicardDivergence,
     RegressionIllConditioned,
 )
-from .measures import LawFeatures, sorted_w2
+from .measures import sorted_w2
 from .rng import standard_normals
 from .scenario import (
     ScenarioSpec,
@@ -57,7 +57,6 @@ class SolverConfig:
     ridge: float = 1e-8
     picard_max_iter: int = 10
     picard_tol: float = 1e-3
-    scheme: str = "explicit"
     z_estimator: str = "derivative"
 
     def __post_init__(self):
@@ -71,8 +70,6 @@ class SolverConfig:
             raise ValueError("picard_tol must be positive")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
-        if self.scheme != "explicit":
-            raise ValueError("only the explicit scheme is implemented")
         if self.z_estimator not in Z_ESTIMATORS:
             raise ValueError(f"z_estimator must be one of {Z_ESTIMATORS}")
 
@@ -84,7 +81,6 @@ class SolverConfig:
             "ridge": self.ridge,
             "picard_max_iter": self.picard_max_iter,
             "picard_tol": self.picard_tol,
-            "scheme": self.scheme,
             "z_estimator": self.z_estimator,
         }
 
@@ -93,8 +89,6 @@ class SolverConfig:
 class ParticleCloud:
     """Joint samples of (W, Y, Z) per grid time on the Brownian clock."""
 
-    grid_s: np.ndarray
-    grid_t: np.ndarray
     w: np.ndarray  # n_particles x (N+1)
     y: np.ndarray
     z: np.ndarray
@@ -102,9 +96,6 @@ class ParticleCloud:
     @property
     def n_particles(self) -> int:
         return self.w.shape[0]
-
-    def at(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.w[:, i], self.y[:, i], self.z[:, i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +113,8 @@ class SolutionField:
     scales: np.ndarray
     u_coeffs: np.ndarray  # (N+1) x (degree+1)
     v_coeffs: np.ndarray  # N x (degree+1)
-    basis_degree: int
     convergence: tuple[float, ...]
     n_iterations: int
-    features: tuple[LawFeatures, ...]
 
     @property
     def n_steps(self) -> int:
@@ -140,20 +129,12 @@ class SolutionField:
         out = npoly.polyval(np.asarray(x, dtype=float) / self.scales[i], self.v_coeffs[i])
         return float(out) if np.ndim(out) == 0 else out
 
-
-def regress_conditional(basis_degree: int, ridge: float, x_samples, targets) -> np.ndarray:
-    """Least-squares fit of targets on the monomial basis of x, with ridge.
-
-    Returns coefficients in ascending monomial order of the raw variable.
-    """
-    x = np.asarray(x_samples, dtype=float).ravel()
-    y = np.asarray(targets, dtype=float).ravel()
-    if x.size != y.size:
-        raise ValueError("x_samples and targets must have equal length")
-    if x.size < 10 * (basis_degree + 1):
-        raise ValueError("need at least 10 * (degree + 1) samples")
-    phi = npoly.polyvander(x, basis_degree)
-    return _fit(phi, y, ridge)
+    def on_paths(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Y, Z) on an (n, N+1) array of states at the grid nodes; Z has one
+        column per cell."""
+        y = np.column_stack([self.eval_u(i, x[:, i]) for i in range(self.n_steps + 1)])
+        z = np.column_stack([self.eval_v(i, x[:, i]) for i in range(self.n_steps)])
+        return y, z
 
 
 def _fit(phi: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
@@ -310,7 +291,6 @@ def _picard_solve(gen, grid_s, grid_t, w, dw, terminal_values, cfg, law_free, x_
             change = max(sorted_w2(y[:, i], prev_y[:, i]) for i in range(y.shape[1]))
             log.append(change)
             if change < cfg.picard_tol:
-                feats = [law_features(x_states[:, i], y[:, i], z[:, i]) for i in range(y.shape[1])]
                 break
         prev_y = y
         feats = [law_features(x_states[:, i], y[:, i], z[:, i]) for i in range(y.shape[1])]
@@ -319,7 +299,7 @@ def _picard_solve(gen, grid_s, grid_t, w, dw, terminal_values, cfg, law_free, x_
             f"law iteration did not reach tol {cfg.picard_tol} in "
             f"{cfg.picard_max_iter} sweeps; last changes {log[-2:]}"
         )
-    return result, tuple(log), passes, tuple(feats)
+    return result, tuple(log), passes
 
 
 def _brownian_increments(grid_s, n_particles, seed, tag):
@@ -354,7 +334,7 @@ def solve_auxiliary(
     terminal_values = np.asarray(eval_terminal(scn.terminal, w[:, -1], terminal_feats))
 
     law_free = scn.generator.is_law_free
-    (u_c, v_c, y, z, _), log, n_iter, feats = _picard_solve(
+    (u_c, v_c, y, z, _), log, n_iter = _picard_solve(
         scn.generator, grid_s, grid_t, w, dw, terminal_values, cfg, law_free
     )
 
@@ -366,12 +346,10 @@ def solve_auxiliary(
         scales=scales,
         u_coeffs=u_c,
         v_coeffs=v_c,
-        basis_degree=cfg.basis_degree,
         convergence=log,
         n_iterations=n_iter,
-        features=feats,
     )
-    cloud = ParticleCloud(grid_s=grid_s, grid_t=grid_t, w=w, y=y, z=z)
+    cloud = ParticleCloud(w=w, y=y, z=z)
     return field, cloud
 
 
@@ -454,7 +432,7 @@ def representation_solve(
 
     terminal_values = y + z * increments[:, -1]
     law_free = scn.generator.is_law_free
-    (_, _, y_cloud, _, candidates), log, n_iter, _ = _picard_solve(
+    (_, _, y_cloud, _, candidates), log, n_iter = _picard_solve(
         scn.generator, grid_s, grid_t_sub, increments, dw, terminal_values, cfg,
         law_free, x_states=positions,
     )

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .measures import GaussianLaw1D, LawFeatures, entropy_functional, gaussian_kl, gaussian_w2
 from .reporting import digest_payload
-from .rng import derive_key
+from .rng import derived_seed
 from .scenario import (
     ScenarioSpec,
     eval_generator,
@@ -74,10 +74,6 @@ def scenario_digest(*scns: ScenarioSpec) -> str:
     return digest_payload([s.payload() for s in scns])
 
 
-def _derived_seed(seed: int, *tags) -> int:
-    return derive_key(seed, *tags) % (2 ** 63)
-
-
 def _require_same_driver(scn1: ScenarioSpec, scn2: ScenarioSpec):
     if scn1.driver.payload() != scn2.driver.payload():
         raise HypothesisUnsatisfied("both scenarios must share the driver")
@@ -127,10 +123,10 @@ def comparison_check(
         raise HypothesisUnsatisfied(
             "comparison requires a nonnegative mean-coupling in Y for one generator"
         )
-    probe_f = generator_order_probe(g1, g2, n_order_probes, _derived_seed(seed, "cmp-f"), T=scn1.driver.T)
+    probe_f = generator_order_probe(g1, g2, n_order_probes, derived_seed(seed, "cmp-f"), T=scn1.driver.T)
     if not probe_f.ordered:
         raise HypothesisUnsatisfied(f"generator ordering fails at probe {probe_f.counterexample}")
-    probe_g = terminal_order_probe(scn1.terminal, scn2.terminal, n_order_probes, _derived_seed(seed, "cmp-g"))
+    probe_g = terminal_order_probe(scn1.terminal, scn2.terminal, n_order_probes, derived_seed(seed, "cmp-g"))
     if not probe_g.ordered:
         raise HypothesisUnsatisfied(f"terminal ordering fails at probe {probe_g.counterexample}")
 
@@ -143,7 +139,7 @@ def comparison_check(
         fields[tag + "fine"], _ = solve_auxiliary(scn, clock2, cfg, seed)
 
     pos_t = sorted({t for t in t_list if t > 0})
-    paths = sample_paths(scn1.driver, np.asarray(pos_t), cfg.n_particles, _derived_seed(seed, "cmp-eval")) if pos_t else None
+    paths = sample_paths(scn1.driver, np.asarray(pos_t), cfg.n_particles, derived_seed(seed, "cmp-eval")) if pos_t else None
 
     def states_at(t):
         if t <= 0:
@@ -232,7 +228,7 @@ def representation_limit_check(
 
     a_vals, b_vals, gaps, ses, sigmas = [], [], [], [], []
     for k, eps in enumerate(eps_list):
-        rep = representation_solve(scn, clock, t, eps, y, z, cfg, _derived_seed(seed, "repr", k))
+        rep = representation_solve(scn, clock, t, eps, y, z, cfg, derived_seed(seed, "repr", k))
         a_vals.append((rep.value - y) / eps)
         b_vals.append(_integrate_f_dv(scn, clock, t, t + eps, frozen, y, z) / eps)
         gaps.append(abs(a_vals[-1] - b_vals[-1]))
@@ -299,7 +295,7 @@ def converse_comparison_check(
     ordering_ok = True
     for k, (t, y, z) in enumerate(probe_grid):
         _require_clock_differentiable(scn1.driver, t)
-        probe_seed = _derived_seed(seed, "converse", k)
+        probe_seed = derived_seed(seed, "converse", k)
         rep1 = representation_solve(scn1, clock, t, eps, y, z, cfg, probe_seed)
         rep2 = representation_solve(scn2, clock, t, eps, y, z, cfg, probe_seed)
         mc_tol = 3.0 * (rep1.std_error + rep2.std_error)
@@ -340,23 +336,16 @@ def converse_comparison_check(
 # stability
 
 
-def _field_on_paths(field: SolutionField, x_full: np.ndarray):
-    n_nodes = x_full.shape[1]
-    y = np.column_stack([field.eval_u(i, x_full[:, i]) for i in range(n_nodes)])
-    z = np.column_stack([field.eval_v(i, x_full[:, i]) for i in range(n_nodes - 1)])
-    return y, z
-
-
 def _stability_ratio(scn1, scn2, cfg, n_time, seed):
     clock = build_clock(scn1.driver, n_time + 1)
     f1, _ = solve_auxiliary(scn1, clock, cfg, seed)
     f2, _ = solve_auxiliary(scn2, clock, cfg, seed)
     paths = sample_paths(
-        scn1.driver, clock.grid_t[1:], cfg.n_particles, _derived_seed(seed, "stability-eval", n_time)
+        scn1.driver, clock.grid_t[1:], cfg.n_particles, derived_seed(seed, "stability-eval", n_time)
     )
-    x_full = np.concatenate([np.zeros((paths.n_paths, 1)), paths.samples], axis=1)
-    y1, z1 = _field_on_paths(f1, x_full)
-    y2, z2 = _field_on_paths(f2, x_full)
+    _, x_full = paths.with_origin
+    y1, z1 = f1.on_paths(x_full)
+    y2, z2 = f2.on_paths(x_full)
     dv = np.diff(clock.grid_V)
 
     lhs = float(np.mean(np.max((y1 - y2) ** 2, axis=1) + ((z1 - z2) ** 2 * dv).sum(axis=1)))
@@ -618,6 +607,7 @@ def z_bound_check(
     |Z(s)| <= (1 + slack) * exp(L_f (V_T - s)) (L_g + L_f (V_T - s))."""
     audit = lipschitz_audit(scn, n_probes=64, seed=seed)
     v_total = clock.V_T
+    _, z = field.on_paths(cloud.w)
     margins, observed, bounds = [], [], []
     ok = True
     atol = 1e-8  # absolute floor so a bound of exactly 0 tolerates roundoff
@@ -625,8 +615,7 @@ def z_bound_check(
         s = field.grid_s[i]
         lam = v_total - s
         bound = math.exp(audit.l_f * lam) * (audit.l_g + audit.l_f * lam)
-        z_vals = np.abs(field.eval_v(i, cloud.w[:, i]))
-        obs = float(np.max(z_vals))
+        obs = float(np.max(np.abs(z[:, i])))
         margin = (1.0 + slack) * bound + atol - obs
         ok = ok and margin >= 0.0
         observed.append(obs)

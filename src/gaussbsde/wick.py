@@ -66,14 +66,6 @@ class StepFunctionH:
             total += self.values[k] * (clock.value(b) - clock.value(a))
         return total
 
-    def squared_norm(self, clock: VarianceClock) -> float:
-        """int_0^T hdot^2 dV (finite by construction)."""
-        total = 0.0
-        for k in range(self.values.size):
-            a, b = self.edges[k], self.edges[k + 1]
-            total += self.values[k] ** 2 * (clock.value(b) - clock.value(a))
-        return total
-
 
 @dataclass(frozen=True, eq=False)
 class FirstChaosIntegrand:
@@ -111,9 +103,6 @@ class FirstChaosIntegrand:
             rows[i] = field.v_coeffs[i] / field.scales[i] ** powers
         return cls.from_rows(field.grid_t, rows)
 
-    def eval(self, i: int, x):
-        return npoly.polyval(np.asarray(x, dtype=float), self.coeffs[i])
-
 
 def wick_product_first_chaos(
     poly_coeffs, x_samples, increment_samples, cov_cross: float, var_ti: float
@@ -135,6 +124,12 @@ def wick_product_first_chaos(
     return p_vals * dx - dp_vals * (cov_cross - var_ti)
 
 
+def _cell_covariances(driver: GaussianDriverSpec, grid: np.ndarray, i: int) -> tuple[float, float]:
+    """(E[X_{t_i} X_{t_{i+1}}], Var X_{t_i}) of cell i; their difference is
+    the coefficient of the Wick correction."""
+    return covariance(driver, grid[i], grid[i + 1]), covariance(driver, grid[i], grid[i])
+
+
 def _check_grid_alignment(grid_a: np.ndarray, grid_b: np.ndarray):
     if grid_a.size != grid_b.size or np.max(np.abs(grid_a - grid_b)) > _GRID_TOL:
         raise GridMismatch("integrand, paths and clock must share one grid")
@@ -144,20 +139,17 @@ def riemann_wick_integral(
     integrand: FirstChaosIntegrand, paths: PathBatch, clock: VarianceClock
 ) -> np.ndarray:
     """Per-path Riemann-Wick sum of v(t_i, X_{t_i}) <> dX over all grid cells."""
-    _check_grid_alignment(np.concatenate(([0.0], paths.grid_t)), integrand.grid_t)
+    path_grid, x_full = paths.with_origin
+    _check_grid_alignment(path_grid, integrand.grid_t)
     _check_grid_alignment(integrand.grid_t, clock.grid_t)
-    x_full = np.concatenate([np.zeros((paths.n_paths, 1)), paths.samples], axis=1)
     out = np.zeros(paths.n_paths)
     grid = integrand.grid_t
     for i in range(grid.size - 1):
-        cov_cross = covariance(paths.driver, grid[i], grid[i + 1])
-        var_ti = covariance(paths.driver, grid[i], grid[i])
         out += wick_product_first_chaos(
             integrand.coeffs[i],
             x_full[:, i],
             x_full[:, i + 1] - x_full[:, i],
-            cov_cross,
-            var_ti,
+            *_cell_covariances(paths.driver, grid, i),
         )
     return out
 
@@ -176,16 +168,15 @@ def bsde_residual(
     field: SolutionField, scn: ScenarioSpec, paths: PathBatch, clock: VarianceClock
 ) -> ResidualStats:
     """R_t = u(t, X_t) - g(X_T, .) - sum f dV + RiemannWick(v) over [t, T]."""
-    _check_grid_alignment(np.concatenate(([0.0], paths.grid_t)), clock.grid_t)
+    path_grid, x = paths.with_origin
+    _check_grid_alignment(path_grid, clock.grid_t)
     _check_grid_alignment(clock.grid_t, field.grid_t)
     n = paths.n_paths
     grid_t = clock.grid_t
     grid_v = clock.grid_V
     N = grid_t.size - 1
-    x = np.concatenate([np.zeros((n, 1)), paths.samples], axis=1)
-
-    u_vals = np.column_stack([field.eval_u(i, x[:, i]) for i in range(N + 1)])
-    v_vals = np.column_stack([field.eval_v(i, x[:, i]) for i in range(N)])
+    u_vals, v_vals = field.on_paths(x)
+    raw_coeffs = FirstChaosIntegrand.from_field(field).coeffs
 
     term_feats = law_features(x[:, N], np.zeros(n), np.zeros(n))
     g_vals = np.asarray(eval_terminal(scn.terminal, x[:, N], term_feats))
@@ -198,11 +189,8 @@ def bsde_residual(
             eval_generator(scn.generator, float(grid_t[i]), x[:, i], u_vals[:, i], v_vals[:, i], feats)
         )
         f_cells[:, i] = f_vals * (grid_v[i + 1] - grid_v[i])
-        cov_cross = covariance(paths.driver, grid_t[i], grid_t[i + 1])
-        var_ti = covariance(paths.driver, grid_t[i], grid_t[i])
-        raw_coeffs = field.v_coeffs[i] / field.scales[i] ** np.arange(field.v_coeffs.shape[1])
         wick_cells[:, i] = wick_product_first_chaos(
-            raw_coeffs, x[:, i], x[:, i + 1] - x[:, i], cov_cross, var_ti
+            raw_coeffs[i], x[:, i], x[:, i + 1] - x[:, i], *_cell_covariances(paths.driver, grid_t, i)
         )
 
     f_suffix = np.concatenate([np.cumsum(f_cells[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))], axis=1)
@@ -234,9 +222,9 @@ def wick_exponential_weights(h: StepFunctionH, paths: PathBatch) -> np.ndarray:
     a valid first-chaos test direction whose induced h may differ from the
     nominal density.
     """
-    grid = np.concatenate(([0.0], paths.grid_t))
+    grid, x_full = paths.with_origin
     hdot_left = np.asarray(h.hdot(grid[:-1]))
-    dx = paths.increments()
+    dx = np.diff(x_full, axis=1)
     i_h = dx @ hdot_left
     inc_cov = _increment_covariance(paths.driver, paths.grid_t)
     var_exact = float(hdot_left @ inc_cov @ hdot_left)
@@ -281,16 +269,13 @@ def s_transform_factorization_check(
     """Compare S(p(X_i) <> dX_i) with S(p(X_i)) * S(dX_i) under one Wick
     exponential; the standard error of the gap uses the delta method on the
     joint samples."""
-    grid = np.concatenate(([0.0], paths.grid_t))
+    grid, x_full = paths.with_origin
     i = cell_index
     if not 0 <= i < grid.size - 1:
         raise ValueError("cell_index outside the grid")
-    x_full = np.concatenate([np.zeros((paths.n_paths, 1)), paths.samples], axis=1)
     x_i = x_full[:, i]
     dx_i = x_full[:, i + 1] - x_full[:, i]
-    cov_cross = covariance(paths.driver, grid[i], grid[i + 1])
-    var_ti = covariance(paths.driver, grid[i], grid[i])
-    wick_samples = wick_product_first_chaos(poly_coeffs, x_i, dx_i, cov_cross, var_ti)
+    wick_samples = wick_product_first_chaos(poly_coeffs, x_i, dx_i, *_cell_covariances(paths.driver, grid, i))
     weights = wick_exponential_weights(h, paths)
 
     a = wick_samples * weights

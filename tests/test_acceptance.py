@@ -233,10 +233,13 @@ class TestAcceptance:
         ok = ok and exact
         announce(8, ok, "; ".join(details) + f"; constants exact (C_Tr_Y, C_LS) = ({consts.c_tr_y}, {consts.c_ls_y})")
 
-    def test_09_full_suite_determinism(self, tmp_path):
+    def test_09_full_suite_determinism(self, tmp_path, monkeypatch):
         cfg = parse_config_payload({"kind": "full_suite", "seed": SEED})
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        monkeypatch.setenv("GAUSSBSDE_THREADS", "1")
         _, passed1 = run_config(cfg, out1, quiet=True)
+        # the second pass runs the suite's thread pool: outputs must not depend on it
+        monkeypatch.setenv("GAUSSBSDE_THREADS", "2")
         _, passed2 = run_config(cfg, out2, quiet=True)
         files = sorted(
             p.relative_to(out1) for p in out1.rglob("*") if p.is_file() and p.name != "run.log"

@@ -7,6 +7,7 @@ import pytest
 from gaussbsde.cli import main
 from gaussbsde.config import emit_config, load_config, parse_config_payload
 from gaussbsde.errors import ConfigInvalid
+from gaussbsde.experiments import run_config
 from gaussbsde.reporting import canonical_json, emit_report
 from gaussbsde.theorems import TheoremReport
 
@@ -28,10 +29,45 @@ def write_config(tmp_path, tree, name="config.json"):
 
 class TestConfigParsing:
     def test_round_trip(self):
-        cfg = parse_config_payload(BASE_CONFIG)
-        again = parse_config_payload(json.loads(emit_config(cfg)))
-        assert cfg.payload() == again.payload()
-        assert cfg.digest == again.digest
+        timed = {"c2": 0.5, "rho_table": {"breaks": [0.5], "values": [1.0, 2.0]}}
+        for generator in ({}, timed):
+            cfg = parse_config_payload(dict(BASE_CONFIG, scenario={"terminal": {"b": 1.0}, "generator": generator}))
+            again = parse_config_payload(json.loads(emit_config(cfg)))
+            assert cfg.payload() == again.payload()
+            assert cfg.digest == again.digest
+        assert again.scenario.generator.rho_values == (1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "section, update, key",
+        [
+            ("driver", {"kind": "fbm", "hurst": 0.7, "hurts": 0.3}, "driver.hurts"),
+            ("scenario", {"terminal": {"b": 1.0}, "generator": {"kapa_y": 0.3}}, "scenario.generator.kapa_y"),
+            ("solver", {"n_tme": 8}, "solver.n_tme"),
+            ("solver", {"scheme": "theta"}, "solver.scheme"),
+            ("paramz", {}, "paramz"),
+            ("params", {"t_list": [0.0]}, "params.t_list"),
+        ],
+    )
+    def test_unknown_key_named(self, section, update, key):
+        with pytest.raises(ConfigInvalid, match=rf"^{key}: unknown key"):
+            parse_config_payload(dict(BASE_CONFIG, **{section: update}))
+
+    def test_typo_config_fails_validate(self, tmp_path, capsys):
+        tree = dict(
+            BASE_CONFIG,
+            driver={"kind": "fbm", "hurst": 0.7, "hurts": 0.3},
+            scenario={"terminal": {"b": 1.0}, "generator": {"kapa_y": 0.3}},
+            solver={"n_tme": 8, "scheme": "theta"},
+            paramz={"quantiles": [0.5]},
+        )
+        assert main(["validate", str(write_config(tmp_path, tree))]) == 1
+        assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantiles", [[0.0, 1.5], [0.5, 1.0], ["0.5"], [True], 0.5])
+    def test_quantiles_in_unit_interval(self, quantiles):
+        tree = dict(BASE_CONFIG, params={"quantiles": quantiles})
+        with pytest.raises(ConfigInvalid, match="params.quantiles"):
+            parse_config_payload(tree)
 
     def test_missing_seed(self, tmp_path):
         tree = {k: v for k, v in BASE_CONFIG.items() if k != "seed"}
@@ -145,6 +181,13 @@ class TestCliRun:
         monkeypatch.setattr(experiments, "run_single", fake_run_single)
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("threads", ["two", "0", "-3", ""])
+    def test_bad_thread_count(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("GAUSSBSDE_THREADS", threads)
+        cfg = parse_config_payload({"kind": "full_suite", "seed": 1})
+        with pytest.raises(ConfigInvalid, match="GAUSSBSDE_THREADS"):
+            run_config(cfg, tmp_path / "out", quiet=True)
 
     def test_seed_override_changes_digest(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)

@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats as sstats
 
-from gaussbsde.errors import EmptyMeasure, NonpositiveMass, UnsupportedFunctional
+from gaussbsde.errors import NonpositiveMass
 from gaussbsde.measures import (
-    EmpiricalMeasure,
     GaussianLaw1D,
-    LawFunctional,
     entropy_functional,
     gaussian_kl,
     gaussian_w2,
-    lions_directional_check,
-    wasserstein_1d,
+    sorted_w2,
 )
 
 
@@ -41,51 +38,26 @@ def kl_by_quadrature(nu: GaussianLaw1D, mu: GaussianLaw1D) -> float:
 
 
 class TestWasserstein1D:
+    """``sorted_w2``: W2 between equal-size samples, the Picard stop metric."""
+
     def test_shift_by_one(self):
-        a = EmpiricalMeasure(np.array([0.0, 1.0]))
-        b = EmpiricalMeasure(np.array([1.0, 2.0]))
-        assert wasserstein_1d(a, b, p=1) == pytest.approx(1.0, abs=1e-14)
+        assert sorted_w2(np.array([0.0, 1.0]), np.array([1.0, 2.0])) == pytest.approx(1.0, abs=1e-14)
 
     def test_two_atom_case_against_brute_force(self):
         a, b = np.array([0.0, 2.0]), np.array([1.0, 1.0])
-        got = wasserstein_1d(EmpiricalMeasure(a), EmpiricalMeasure(b), p=2)
+        got = sorted_w2(a, b)
         assert got == pytest.approx(brute_force_w2_two_atoms(a, b), abs=1e-14)
         assert got == pytest.approx(1.0, abs=1e-14)
 
     def test_identity(self):
-        a = EmpiricalMeasure(np.array([3.0, -1.0, 0.5]))
-        assert wasserstein_1d(a, a, p=2) == 0.0
-
-    def test_monotone_in_p(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = EmpiricalMeasure(rng.normal(size=16))
-            b = EmpiricalMeasure(rng.normal(size=16))
-            w1 = wasserstein_1d(a, b, p=1)
-            w2 = wasserstein_1d(a, b, p=2)
-            w4 = wasserstein_1d(a, b, p=4)
-            assert w1 <= w2 + 1e-12 <= w4 + 2e-12
+        a = np.array([3.0, -1.0, 0.5])
+        assert sorted_w2(a, a) == 0.0
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
-            a, b, c = (EmpiricalMeasure(rng.normal(size=32)) for _ in range(3))
-            for p in (1, 2):
-                ab = wasserstein_1d(a, b, p=p)
-                bc = wasserstein_1d(b, c, p=p)
-                ac = wasserstein_1d(a, c, p=p)
-                assert ac <= ab + bc + 1e-12
-
-    def test_unequal_sizes_deterministic(self):
-        a = EmpiricalMeasure(np.arange(100, dtype=float))
-        b = EmpiricalMeasure(np.arange(40, dtype=float))
-        d1 = wasserstein_1d(a, b, p=2, seed=9)
-        d2 = wasserstein_1d(a, b, p=2, seed=9)
-        assert d1 == d2
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyMeasure):
-            EmpiricalMeasure(np.array([]))
+            a, b, c = (rng.normal(size=32) for _ in range(3))
+            assert sorted_w2(a, c) <= sorted_w2(a, b) + sorted_w2(b, c) + 1e-12
 
 
 class TestGaussianW2:
@@ -107,9 +79,9 @@ class TestGaussianW2:
     def test_agrees_with_empirical(self):
         a, b = GaussianLaw1D(0.3, 1.0), GaussianLaw1D(-0.2, 2.5)
         rng = np.random.default_rng(12)
-        xa = EmpiricalMeasure(rng.normal(a.mean, a.std, size=100_000))
-        xb = EmpiricalMeasure(rng.normal(b.mean, b.std, size=100_000))
-        emp = wasserstein_1d(xa, xb, p=2)
+        xa = rng.normal(a.mean, a.std, size=100_000)
+        xb = rng.normal(b.mean, b.std, size=100_000)
+        emp = sorted_w2(xa, xb)
         assert emp == pytest.approx(gaussian_w2(a, b), rel=0.02)
 
 
@@ -154,56 +126,11 @@ class TestEntropyFunctional:
         assert got == pytest.approx(0.5 * math.exp(0.5), abs=1e-9)
         assert got == pytest.approx(0.8244, abs=1e-4)
 
-    def test_empirical_constant(self):
-        mu = EmpiricalMeasure(np.array([1.0, 1.0, 1.0, 1.0]))
-        assert entropy_functional(mu, lambda x: 3.0 * np.ones_like(x)) == pytest.approx(0.0, abs=1e-12)
-
     def test_nonnegative(self):
-        rng = np.random.default_rng(8)
-        mu = EmpiricalMeasure(rng.normal(size=500))
-        for f in (np.abs, lambda x: x ** 2 + 0.1, lambda x: np.exp(0.3 * x)):
-            assert entropy_functional(mu, f) >= -1e-10
+        for mu in (GaussianLaw1D(0.0, 1.0), GaussianLaw1D(-0.4, 2.5)):
+            for f in (np.abs, lambda x: x ** 2 + 0.1, lambda x: np.exp(0.3 * x)):
+                assert entropy_functional(mu, f) >= -1e-10
 
     def test_nonpositive_mass(self):
         with pytest.raises(NonpositiveMass):
-            entropy_functional(EmpiricalMeasure(np.array([1.0, 2.0])), lambda x: np.zeros_like(x))
-
-
-class TestLionsDirectional:
-    def test_linear_functional_exact(self):
-        rng = np.random.default_rng(3)
-        xi, eta = rng.normal(size=1000), rng.normal(size=1000)
-        rep = lions_directional_check(LawFunctional("mean"), xi, eta, [0.1, 0.01, 0.001])
-        assert rep.analytic == pytest.approx(np.mean(eta))
-        assert max(rep.errors) < 1e-12
-        assert rep.converged
-
-    def test_squared_mean(self):
-        rng = np.random.default_rng(5)
-        xi, eta = rng.normal(1.0, 1.0, size=2000), rng.normal(0.5, 1.0, size=2000)
-        rep = lions_directional_check(LawFunctional("mean_sq"), xi, eta, [0.1, 0.01, 1e-4], tol=1e-4)
-        assert rep.analytic == pytest.approx(2 * np.mean(xi) * np.mean(eta))
-        # quotient error is eps * mean(eta)^2 up to finite-difference roundoff
-        for eps, err in zip(rep.eps_list, rep.errors):
-            assert err == pytest.approx(eps * np.mean(eta) ** 2, rel=1e-6, abs=1e-11)
-        assert rep.converged
-
-    def test_zero_direction(self):
-        xi = np.random.default_rng(6).normal(size=100)
-        rep = lions_directional_check(LawFunctional("mean"), xi, np.zeros(100), [0.1, 0.01])
-        assert rep.analytic == 0.0
-        assert max(abs(q) for q in rep.quotients) < 1e-14
-
-    def test_phi_mean(self):
-        rng = np.random.default_rng(7)
-        xi, eta = rng.normal(size=4000), rng.normal(size=4000)
-        func = LawFunctional("phi_mean", phi=np.sin, dphi=np.cos)
-        rep = lions_directional_check(func, xi, eta, [1e-2, 1e-3, 1e-4], tol=1e-3)
-        assert rep.analytic == pytest.approx(np.mean(np.cos(xi) * eta))
-        assert rep.errors[-1] < 1e-3
-
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedFunctional):
-            LawFunctional("median")
-        with pytest.raises(UnsupportedFunctional):
-            LawFunctional("phi_mean")
+            entropy_functional(GaussianLaw1D(1.0, 2.0), lambda x: np.zeros_like(x))

@@ -138,12 +138,6 @@ class TestLawFeatures:
         with pytest.raises(EmptyCloud):
             law_features(np.array([]), np.array([]), np.array([]))
 
-    def test_second_moments(self):
-        feats = law_features(np.array([1.0, -1.0]), np.array([2.0, 2.0]), np.array([0.0, 2.0]), second_moments=True)
-        assert feats.m2_x == pytest.approx(1.0)
-        assert feats.m2_y == pytest.approx(4.0)
-        assert feats.m2_z == pytest.approx(2.0)
-
 
 class TestLawTermDerivative:
     def test_mean_coupling_is_exact_lions_derivative(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from gaussbsde.drivers import GaussianDriverSpec, VarianceClock, build_clock
 from gaussbsde.errors import (
@@ -20,7 +21,7 @@ from gaussbsde.pack import (
 from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec
 from gaussbsde.solver import (
     SolverConfig,
-    regress_conditional,
+    _fit,
     representation_solve,
     solve_auxiliary,
     transfer_evaluate,
@@ -36,36 +37,38 @@ def normal_equations_oracle(x, y, degree):
     return coef
 
 
+def regress(degree, x, y):
+    """The solver's least-squares fit on the raw monomial basis, no ridge."""
+    return _fit(npoly.polyvander(x, degree), y, 0.0)
+
+
 class TestRegressConditional:
     def test_affine_data_interpolated(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=200)
-        beta = regress_conditional(3, 0.0, x, 2 * x + 1)
+        beta = regress(3, x, 2 * x + 1)
         np.testing.assert_allclose(beta, [1.0, 2.0, 0.0, 0.0], atol=1e-10)
 
     def test_independent_targets_give_mean(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=5000)
         y = rng.normal(loc=3.0, size=5000)
-        beta = regress_conditional(2, 0.0, x, y)
+        beta = regress(2, x, y)
         assert beta[0] == pytest.approx(np.mean(y), abs=0.1)
         assert abs(beta[1]) < 0.1 and abs(beta[2]) < 0.1
 
     def test_quadratic_against_dense_solver(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=300)
-        beta = regress_conditional(2, 0.0, x, x ** 2)
+        beta = regress(2, x, x ** 2)
         np.testing.assert_allclose(beta, [0.0, 0.0, 1.0], atol=1e-10)
         np.testing.assert_allclose(beta, normal_equations_oracle(x, x ** 2, 2), atol=1e-10)
 
-    def test_sample_count_guard(self):
-        with pytest.raises(ValueError):
-            regress_conditional(4, 0.0, np.zeros(10), np.zeros(10))
-
     def test_ill_conditioned(self):
-        x = np.ones(100)
+        # degree 14 on N(0,1) states: Gram condition of order 1e16, over the 1e12 limit
+        cfg = SolverConfig(n_time=4, n_particles=2000, basis_degree=14)
         with pytest.raises(RegressionIllConditioned):
-            regress_conditional(3, 0.0, x, x)
+            solve_auxiliary(identity_scenario(BROWNIAN), build_clock(BROWNIAN, 5), cfg, seed=3)
 
 
 class TestSolveOracles:
