@@ -18,7 +18,7 @@ from .drivers import GaussianDriverSpec
 from .errors import ConfigInvalid
 from .reporting import canonical_json, digest_payload
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
-from .solver import SolverConfig, Z_ESTIMATORS
+from .solver import SolverConfig
 
 _DRIVER_KEYS = ("kind", "T", "hurst", "cov_grid", "cov_matrix", "covariance_file")
 
@@ -33,7 +33,35 @@ def _check_keys(tree: dict, allowed, path: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float: JSON's NaN and Infinity fail the comparison."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < np.inf
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
+def _plus_zero(value):
+    """A params value with -0.0 stored as 0.0 (see ``_number``)."""
+    if isinstance(value, list):
+        return [_plus_zero(v) for v in value]
+    return value + 0.0 if isinstance(value, float) else value
+
+
+_NUMBER = (_is_number, "must be a finite number")
+_NUMBER_LIST = (_numbers, "must be a list of finite numbers")
+
+#: params key -> (check of its value, what the check asks for)
+_PARAM_CHECKS = {
+    "t": _NUMBER, "y": _NUMBER, "z": _NUMBER, "eps": _NUMBER,
+    "t_list": _NUMBER_LIST, "eps_list": _NUMBER_LIST, "shift_list": _NUMBER_LIST, "lambda_list": _NUMBER_LIST,
+    "probe_grid": (
+        lambda v: isinstance(v, list) and all(_numbers(row) and len(row) == 3 for row in v),
+        "must be a list of [t, y, z] rows of 3 finite numbers",
+    ),
+    "n_paths": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0, "must be a positive integer"),
+    "quantiles": (lambda v: _numbers(v) and all(0.0 < q < 1.0 for q in v), "must be a list of numbers in (0,1)"),
+}
 
 
 def _get(tree: dict, key: str, path: str, required: bool = True, default=None):
@@ -49,7 +77,7 @@ def _number(tree: dict, key: str, path: str, required: bool = True, default=None
     if value is None:
         return default
     if not _is_number(value):
-        _fail(f"{path}.{key}" if path else key, "must be a number")
+        _fail(f"{path}.{key}" if path else key, "must be a finite number")
     return float(value) + 0.0  # -0.0 is emitted as "-0", which reads back as 0
 
 
@@ -148,11 +176,10 @@ def _parse_generator(tree, path: str) -> GeneratorSpec:
     if rho is not None:
         if not isinstance(rho, dict) or set(rho) != {"breaks", "values"}:
             _fail(f"{path}.rho_table", "must be an object with exactly 'breaks' and 'values'")
-        try:
-            breaks = tuple(float(v) + 0.0 for v in rho["breaks"])
-            values = tuple(float(v) + 0.0 for v in rho["values"])
-        except (TypeError, ValueError):
-            _fail(f"{path}.rho_table", "'breaks' and 'values' must be lists of numbers")
+        if not (_numbers(rho["breaks"]) and _numbers(rho["values"])):
+            _fail(f"{path}.rho_table", "'breaks' and 'values' must be lists of finite numbers")
+        breaks = tuple(float(v) + 0.0 for v in rho["breaks"])
+        values = tuple(float(v) + 0.0 for v in rho["values"])
     try:
         return GeneratorSpec(phi=phi, rho_breaks=breaks, rho_values=values, **kwargs)
     except ValueError as exc:
@@ -175,9 +202,6 @@ def parse_solver(tree, path: str = "solver") -> SolverConfig:
     if not isinstance(tree, dict):
         _fail(path, "must be an object")
     _check_keys(tree, SolverConfig().payload(), path)
-    z_estimator = _get(tree, "z_estimator", path, required=False, default="derivative")
-    if z_estimator not in Z_ESTIMATORS:
-        _fail(f"{path}.z_estimator", f"must be one of {Z_ESTIMATORS}")
     try:
         return SolverConfig(
             n_time=_integer(tree, "n_time", path, required=False, default=64),
@@ -186,7 +210,6 @@ def parse_solver(tree, path: str = "solver") -> SolverConfig:
             ridge=_number(tree, "ridge", path, required=False, default=1e-8),
             picard_max_iter=_integer(tree, "picard_max_iter", path, required=False, default=10),
             picard_tol=_number(tree, "picard_tol", path, required=False, default=1e-3),
-            z_estimator=z_estimator,
         )
     except ValueError as exc:
         _fail(path, str(exc))
@@ -253,9 +276,11 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
     for key in kind.required:
         if key not in params:
             _fail(f"params.{key}", f"required for kind={kind_name}")
-    quantiles = params.get("quantiles", [])
-    if not isinstance(quantiles, list) or not all(_is_number(q) and 0.0 < q < 1.0 for q in quantiles):
-        _fail("params.quantiles", "must be a list of numbers in (0,1)")
+    for key, value in params.items():
+        check, requirement = _PARAM_CHECKS[key]
+        if not check(value):
+            _fail(f"params.{key}", requirement)
+    params = {key: _plus_zero(value) for key, value in params.items()}
 
     # the suite's entries bring their own drivers; the suite's own is only recorded
     driver_tree = _get(tree, "driver", "", required=kind.run is not None, default={"kind": "brownian", "T": 1.0})

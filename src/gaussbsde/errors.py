@@ -49,6 +49,10 @@ class DegenerateInterval(GaussBsdeError):
     """Variance clock does not move on the requested interval."""
 
 
+class NonFiniteSolution(GaussBsdeError):
+    """A backward sweep produced a non-finite value or regression coefficient."""
+
+
 # --- Wick layer -------------------------------------------------------------
 
 class DegenerateIncrement(GaussBsdeError):

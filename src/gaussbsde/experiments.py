@@ -58,6 +58,7 @@ from .wick import (
     riemann_wick_integral,
     s_transform_factorization_check,
     s_transform_mc,
+    wick_exponential_weights,
 )
 
 _DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
@@ -143,13 +144,14 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
     n_paths = int(cfg.params.get("n_paths", 20000))
     paths = sample_paths(driver, clock.grid_t[1:], n_paths, derived_seed(cfg.seed, "wick-paths"))
     h_list = _default_h_functions(driver.T)
+    weights = [wick_exponential_weights(h, paths) for h in h_list]
     ones = np.ones(n_paths)
     measurements: dict = {}
     ok = True
 
     norm_rows = []
-    for k, h in enumerate(h_list):
-        res = s_transform_mc(ones, h, paths)
+    for k, h_weights in enumerate(weights):
+        res = s_transform_mc(ones, h_weights)
         within = abs(res.value - 1.0) <= 3.0 * res.std_error
         ok = ok and within
         norm_rows.append({"h": k, "value": res.value, "std_error": res.std_error, "within_3se": within})
@@ -157,10 +159,10 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
 
     if driver.kind == "brownian":
         sxt_rows = []
-        for k, h in enumerate(h_list):
+        for k, (h, h_weights) in enumerate(zip(h_list, weights)):
             for node in (clock.grid_t.size // 2, clock.grid_t.size - 1):
                 t_node = float(clock.grid_t[node])
-                res = s_transform_mc(paths.samples[:, node - 1], h, paths)
+                res = s_transform_mc(paths.samples[:, node - 1], h_weights)
                 expected = h.value(t_node, clock)
                 within = abs(res.value - expected) <= 3.0 * res.std_error
                 ok = ok and within
@@ -175,8 +177,8 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
     for degree in range(5):
         poly = np.zeros(degree + 1)
         poly[degree] = 1.0
-        for k, h in enumerate(h_list):
-            chk = s_transform_factorization_check(poly, cell, h, paths)
+        for k, h_weights in enumerate(weights):
+            chk = s_transform_factorization_check(poly, cell, h_weights, paths)
             within = chk.within <= 3.0
             ok = ok and within
             fact_rows.append(

@@ -8,13 +8,17 @@ Scheme (explicit, one regression sweep per Picard iterate):
     for i = N-1 .. 0:
         P_i   = regression of [Y_{i+1} - martingale control variate]
                 on a polynomial basis of W_i / sqrt(s_i)
-        Z_i   = spatial derivative of the one-step value P_i + f ds
-                (default; or the increment regression
-                 E[(Y_{i+1} - P_i) dW_i]/ds with z_estimator="increment")
+        Z_i   = regression of the spatial derivative of the one-step value
+                P_i + f ds
         Y_i   = P_i + f(U(s_i), W_i, P_i, Z_i, features_i) * ds_i
 
+The paths are fixed for a solve, so each node has one regression system: its
+normal matrix is built once and serves the P, Z and u fits of every sweep.
 Law features are frozen during a backward sweep and updated between sweeps
-until the flow of laws is a fixed point (sup-W2 change below tolerance).
+until the flow of laws is a fixed point (sup-W2 change below tolerance).  The
+first iterate is the flow of the f = 0, Z = 0 sweep, which has a closed form:
+a projection with an intercept keeps the particle mean, so its features are
+(mean x, mean g, 0) at every node.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from numpy.polynomial import polynomial as npoly
 from .drivers import VarianceClock
 from .errors import (
     DegenerateInterval,
+    NonFiniteSolution,
     OutOfRange,
     PicardDivergence,
     RegressionIllConditioned,
 )
-from .measures import sorted_w2
+from .measures import LawFeatures, sorted_w2
 from .rng import standard_normals
 from .scenario import (
     ScenarioSpec,
@@ -46,8 +51,6 @@ from .scenario import (
 _COND_LIMIT = 1e12
 _MAX_STEP_LIPSCHITZ = 0.5
 
-Z_ESTIMATORS = ("derivative", "increment")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -57,7 +60,6 @@ class SolverConfig:
     ridge: float = 1e-8
     picard_max_iter: int = 10
     picard_tol: float = 1e-3
-    z_estimator: str = "derivative"
 
     def __post_init__(self):
         if self.n_time < 2:
@@ -70,8 +72,6 @@ class SolverConfig:
             raise ValueError("picard_tol must be positive")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
-        if self.z_estimator not in Z_ESTIMATORS:
-            raise ValueError(f"z_estimator must be one of {Z_ESTIMATORS}")
 
     def payload(self) -> dict:
         return {
@@ -81,7 +81,6 @@ class SolverConfig:
             "ridge": self.ridge,
             "picard_max_iter": self.picard_max_iter,
             "picard_tol": self.picard_tol,
-            "z_estimator": self.z_estimator,
         }
 
 
@@ -137,13 +136,19 @@ class SolutionField:
         return y, z
 
 
-def _fit(phi: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
+def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
+    """Ridge-regularized normal matrix of a basis matrix, refused when its
+    condition estimate is above the limit."""
     gram = phi.T @ phi + ridge * np.eye(phi.shape[1])
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise RegressionIllConditioned(
             f"normal-equations condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}"
         )
+    return gram
+
+
+def _fit(phi: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, phi.T @ targets)
 
 
@@ -159,23 +164,27 @@ def _basis_scales(grid_s) -> np.ndarray:
     return np.where(spread > 0, np.sqrt(np.maximum(spread, 0.0)), 1.0)
 
 
-def _backward_pass(gen, grid_s, grid_t, w, dw, terminal_values, features, cfg, x_states=None):
+def _basis(w: np.ndarray, scales: np.ndarray, i: int, degree: int) -> np.ndarray:
+    """Monomials of the scaled state at node i.  The grid increases strictly,
+    so node 0 is the only node whose state is identically zero; it gets the
+    constant alone."""
+    return npoly.polyvander(w[:, i] / scales[i], degree if i > 0 else 0)
+
+
+def _backward_pass(gen, grid_s, grid_t, w, dw, x_states, terminal_values, features, scales, grams, degree):
     """One backward sweep with frozen law features.
 
     ``w`` is the regression state (zero at the first node, variance
-    s_i - s_0); ``x_states`` optionally carries the driver positions fed to
-    the generator's state slot (defaults to ``w``).  Returns
-    (u_coeffs, v_coeffs, y, z, bottom_candidates) where bottom_candidates are
-    the unprojected one-step values at the first node (their mean equals the
-    mean of the projected values exactly).
+    s_i - s_0); ``x_states`` carries the driver positions fed to the
+    generator's state slot; ``grams[i]`` is the normal matrix of node i's
+    basis at ``scales``.  Returns (u_coeffs, v_coeffs, y, z,
+    bottom_candidates) where bottom_candidates are the unprojected one-step
+    values at the first node (their mean equals the mean of the projected
+    values exactly).
     """
-    if x_states is None:
-        x_states = w
     n, _ = w.shape
     N = len(grid_s) - 1
-    d = cfg.basis_degree
-    width = d + 1
-    scales = _basis_scales(grid_s)
+    width = degree + 1
 
     y = np.empty((n, N + 1))
     z = np.empty((n, N + 1))
@@ -183,17 +192,11 @@ def _backward_pass(gen, grid_s, grid_t, w, dw, terminal_values, features, cfg, x
     v_coeffs = np.zeros((N, width))
 
     y[:, N] = terminal_values
-    deg_N = d if grid_s[N] > grid_s[0] else 0
-    phi_N = npoly.polyvander(w[:, N] / scales[N], deg_N)
-    u_coeffs[N] = _pad(_fit(phi_N, y[:, N], cfg.ridge), width)
+    u_coeffs[N] = _pad(_fit(_basis(w, scales, N, degree), grams[N], y[:, N]), width)
 
-    bottom_candidates = None
     for i in range(N - 1, -1, -1):
         ds = grid_s[i + 1] - grid_s[i]
-        degenerate = grid_s[i] <= grid_s[0]
-        deg_i = 0 if degenerate else d
-        xi = w[:, i] / scales[i]
-        phi = npoly.polyvander(xi, deg_i)
+        phi = _basis(w, scales, i, degree)
         target = y[:, i + 1]
         if i + 1 < N:
             # martingale control variate: subtracting z(W_i) dW_i leaves the
@@ -202,47 +205,36 @@ def _backward_pass(gen, grid_s, grid_t, w, dw, terminal_values, features, cfg, x
             # keeps the particle mean of the fit exactly equal to the target's
             cv = npoly.polyval(w[:, i] / scales[i + 1], v_coeffs[i + 1]) * dw[:, i]
             target = target - (cv - cv.mean())
-        beta = _fit(phi, target, cfg.ridge)
+        beta = _fit(phi, grams[i], target)
         p = phi @ beta
 
-        if cfg.z_estimator == "derivative":
-            if degenerate:
-                if i + 1 < N:
-                    # slope of w -> E[Y_{i+1} | W_i = w] at the collapsed
-                    # node: smoothing the next field gives E[dY_{i+1}/dw]
-                    dp = np.full(n, float(np.mean(z[:, i + 1])))
-                else:
-                    dp = np.full(n, float(np.mean((y[:, i + 1] - p) * dw[:, i]) / ds))
-            else:
-                dp = npoly.polyval(xi, npoly.polyder(beta) / scales[i])
-            # the control field is the derivative of the full one-step value
-            # P + f ds; the first-order generator correction keeps Z accurate
-            # to O(ds^2) instead of O(ds)
-            df_dx, df_dy, df_dz = generator_partials(gen, float(grid_t[i]), x_states[:, i], p, dp)
-            z_i = dp + ds * (df_dx + (df_dy + df_dz) * dp)
-            if degenerate:
-                vb = np.array([float(np.mean(z_i))])
-                z_i = np.full(n, vb[0])
-            else:
-                vb = _fit(phi, z_i, cfg.ridge)
-                z_i = phi @ vb
-            v_coeffs[i] = _pad(vb, width)
+        if i == 0 and i + 1 < N:
+            # slope of w -> E[Y_{i+1} | W_i = w] at the collapsed node:
+            # smoothing the next field gives E[dY_{i+1}/dw]
+            dp = np.full(n, float(np.mean(z[:, i + 1])))
+        elif i == 0:
+            dp = np.full(n, float(np.mean((y[:, i + 1] - p) * dw[:, i]) / ds))
         else:
-            if degenerate:
-                vb = np.array([float(np.mean((y[:, i + 1] - p) * dw[:, i]) / ds)])
-                z_i = np.full(n, vb[0])
-            else:
-                target = (y[:, i + 1] - p) * dw[:, i] / ds
-                vb = _fit(phi, target, cfg.ridge)
-                z_i = phi @ vb
-            v_coeffs[i] = _pad(vb, width)
+            dp = npoly.polyval(w[:, i] / scales[i], npoly.polyder(beta) / scales[i])
+        # the control field is the derivative of the full one-step value
+        # P + f ds; the first-order generator correction keeps Z accurate
+        # to O(ds^2) instead of O(ds)
+        df_dx, df_dy, df_dz = generator_partials(gen, float(grid_t[i]), x_states[:, i], p, dp)
+        z_i = dp + ds * (df_dx + (df_dy + df_dz) * dp)
+        if i == 0:
+            vb = np.array([float(np.mean(z_i))])
+            z_i = np.full(n, vb[0])
+        else:
+            vb = _fit(phi, grams[i], z_i)
+            z_i = phi @ vb
+        v_coeffs[i] = _pad(vb, width)
 
         f_vals = np.asarray(
             eval_generator(gen, float(grid_t[i]), x_states[:, i], p, z_i, features[i])
         )
         y[:, i] = p + f_vals * ds
         z[:, i] = z_i
-        u_coeffs[i] = _pad(_fit(phi, y[:, i], cfg.ridge), width)
+        u_coeffs[i] = _pad(_fit(phi, grams[i], y[:, i]), width)
         if i == 0:
             bottom_candidates = y[:, 1] + f_vals * ds
 
@@ -250,41 +242,23 @@ def _backward_pass(gen, grid_s, grid_t, w, dw, terminal_values, features, cfg, x
     return u_coeffs, v_coeffs, y, z, bottom_candidates
 
 
-def _init_features(grid_s, w, terminal_values, cfg, x_states=None):
-    """Feature flow of the terminal propagated backward with f == 0, Z == 0."""
-    if x_states is None:
-        x_states = w
-    n, _ = w.shape
-    N = len(grid_s) - 1
-    d = cfg.basis_degree
+def _picard_solve(gen, grid_s, grid_t, w, dw, terminal_values, cfg, x_states):
     scales = _basis_scales(grid_s)
-    zeros = np.zeros(n)
-    feats = [None] * (N + 1)
-    y_hat = np.asarray(terminal_values, dtype=float)
-    feats[N] = law_features(x_states[:, N], y_hat, zeros)
-    for i in range(N - 1, -1, -1):
-        deg_i = 0 if grid_s[i] <= grid_s[0] else d
-        phi = npoly.polyvander(w[:, i] / scales[i], deg_i)
-        y_hat = phi @ _fit(phi, y_hat, cfg.ridge)
-        feats[i] = law_features(x_states[:, i], y_hat, zeros)
-    return feats
-
-
-def _picard_solve(gen, grid_s, grid_t, w, dw, terminal_values, cfg, law_free, x_states=None):
-    if x_states is None:
-        x_states = w
-    feats = _init_features(grid_s, w, terminal_values, cfg, x_states)
+    grams = [_gram(_basis(w, scales, i, cfg.basis_degree), cfg.ridge) for i in range(len(grid_s))]
+    # the first iterate is the f = 0, Z = 0 sweep, whose projections keep
+    # the particle mean of g at every node
+    mean_g = float(np.mean(terminal_values))
+    feats = [LawFeatures(float(np.mean(x_states[:, i])), mean_g, 0.0) for i in range(len(grid_s))]
     log: list[float] = []
     prev_y = None
-    result = None
-    passes = 0
-    for _ in range(cfg.picard_max_iter):
+    for sweep in range(1, cfg.picard_max_iter + 1):
         result = _backward_pass(
-            gen, grid_s, grid_t, w, dw, terminal_values, feats, cfg, x_states
+            gen, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, cfg.basis_degree
         )
-        passes += 1
         y, z = result[2], result[3]
-        if law_free:
+        if not all(np.isfinite(a).all() for a in result[:3]):
+            raise NonFiniteSolution(f"backward sweep {sweep} left coefficients or Y non-finite")
+        if gen.is_law_free:
             log.append(0.0)
             break
         if prev_y is not None:
@@ -299,7 +273,7 @@ def _picard_solve(gen, grid_s, grid_t, w, dw, terminal_values, cfg, law_free, x_
             f"law iteration did not reach tol {cfg.picard_tol} in "
             f"{cfg.picard_max_iter} sweeps; last changes {log[-2:]}"
         )
-    return result, tuple(log), passes
+    return result, tuple(log), sweep
 
 
 def _brownian_increments(grid_s, n_particles, seed, tag):
@@ -333,9 +307,8 @@ def solve_auxiliary(
     terminal_feats = law_features(w[:, -1], np.zeros(n), np.zeros(n))
     terminal_values = np.asarray(eval_terminal(scn.terminal, w[:, -1], terminal_feats))
 
-    law_free = scn.generator.is_law_free
     (u_c, v_c, y, z, _), log, n_iter = _picard_solve(
-        scn.generator, grid_s, grid_t, w, dw, terminal_values, cfg, law_free
+        scn.generator, grid_s, grid_t, w, dw, terminal_values, cfg, x_states=w
     )
 
     scales = _basis_scales(grid_s)
@@ -431,10 +404,8 @@ def representation_solve(
     positions = w0[:, None] + increments
 
     terminal_values = y + z * increments[:, -1]
-    law_free = scn.generator.is_law_free
     (_, _, y_cloud, _, candidates), log, n_iter = _picard_solve(
-        scn.generator, grid_s, grid_t_sub, increments, dw, terminal_values, cfg,
-        law_free, x_states=positions,
+        scn.generator, grid_s, grid_t_sub, increments, dw, terminal_values, cfg, x_states=positions
     )
 
     value = float(np.mean(y_cloud[:, 0]))
@@ -443,7 +414,7 @@ def representation_solve(
         # slope/curvature probe: degree 2 keeps the pure-noise spread well
         # below the 3-standard-error gate while catching genuine dependence
         phi0 = npoly.polyvander(w0 / math.sqrt(v_a), 2)
-        fitted = phi0 @ _fit(phi0, candidates, cfg.ridge)
+        fitted = phi0 @ _fit(phi0, _gram(phi0, cfg.ridge), candidates)
         particle_sigma = float(np.std(fitted))
     else:
         particle_sigma = 0.0

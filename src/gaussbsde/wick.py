@@ -237,12 +237,11 @@ class STransformResult:
     std_error: float
 
 
-def s_transform_mc(variable_samples, h: StepFunctionH, paths: PathBatch) -> STransformResult:
-    """Monte Carlo S-transform E[eta * exp(I_h - Var(I_h)/2)] with standard error."""
+def s_transform_mc(variable_samples, weights: np.ndarray) -> STransformResult:
+    """Monte Carlo S-transform, with standard error, under given ``wick_exponential_weights``."""
     eta = np.asarray(variable_samples, dtype=float)
-    if eta.shape[0] != paths.n_paths:
-        raise ValueError("variable_samples must be paired with the path batch")
-    weights = wick_exponential_weights(h, paths)
+    if eta.shape[0] != weights.shape[0]:
+        raise ValueError("variable_samples must be paired with the weights")
     prod = eta * weights
     return STransformResult(
         value=float(np.mean(prod)),
@@ -264,11 +263,11 @@ class FactorizationCheck:
 
 
 def s_transform_factorization_check(
-    poly_coeffs, cell_index: int, h: StepFunctionH, paths: PathBatch
+    poly_coeffs, cell_index: int, weights: np.ndarray, paths: PathBatch
 ) -> FactorizationCheck:
     """Compare S(p(X_i) <> dX_i) with S(p(X_i)) * S(dX_i) under one Wick
-    exponential; the standard error of the gap uses the delta method on the
-    joint samples."""
+    exponential, given by its ``wick_exponential_weights`` on ``paths``; the
+    standard error of the gap uses the delta method on the joint samples."""
     grid, x_full = paths.with_origin
     i = cell_index
     if not 0 <= i < grid.size - 1:
@@ -276,7 +275,6 @@ def s_transform_factorization_check(
     x_i = x_full[:, i]
     dx_i = x_full[:, i + 1] - x_full[:, i]
     wick_samples = wick_product_first_chaos(poly_coeffs, x_i, dx_i, *_cell_covariances(paths.driver, grid, i))
-    weights = wick_exponential_weights(h, paths)
 
     a = wick_samples * weights
     b = npoly.polyval(x_i, np.asarray(poly_coeffs, dtype=float)) * weights

@@ -39,6 +39,7 @@ from gaussbsde.wick import (
     bsde_residual,
     riemann_wick_integral,
     s_transform_factorization_check,
+    wick_exponential_weights,
 )
 
 SEED = 20260809
@@ -115,12 +116,13 @@ class TestAcceptance:
             StepFunctionH(edges=np.array([0.0, 0.5, 1.0]), values=np.array([1.0, -1.0])),
             StepFunctionH(edges=np.array([0.0, 1 / 3, 2 / 3, 1.0]), values=np.array([0.5, 1.5, -0.5])),
         ]
+        weights = [wick_exponential_weights(h, paths_f) for h in h_list]
         worst_fact = 0.0
         for degree in range(5):
             poly = np.zeros(degree + 1)
             poly[degree] = 1.0
-            for h in h_list:
-                chk = s_transform_factorization_check(poly, 16, h, paths_f)
+            for h_weights in weights:
+                chk = s_transform_factorization_check(poly, 16, h_weights, paths_f)
                 worst_fact = max(worst_fact, chk.within)
         fact_ok = worst_fact <= 3.0
 

@@ -7,7 +7,7 @@ import pytest
 from gaussbsde.cli import main
 from gaussbsde.config import emit_config, load_config, parse_config_payload
 from gaussbsde.errors import ConfigInvalid
-from gaussbsde.experiments import run_config
+from gaussbsde.experiments import KINDS, run_config
 from gaussbsde.reporting import canonical_json, emit_report
 from gaussbsde.theorems import TheoremReport
 
@@ -19,6 +19,14 @@ BASE_CONFIG = {
     "scenario": {"terminal": {"b": 1.0}, "generator": {}},
     "solver": {"n_time": 8, "n_particles": 1200, "basis_degree": 2},
 }
+
+
+def kind_config(kind, params):
+    """BASE_CONFIG turned into a config of ``kind`` with the given params."""
+    tree = {k: v for k, v in BASE_CONFIG.items() if k != "scenario"}
+    for key in ("scenario", "scenario_2")[: KINDS[kind].scenarios]:
+        tree[key] = BASE_CONFIG["scenario"]
+    return dict(tree, kind=kind, params=params)
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -46,6 +54,7 @@ class TestConfigParsing:
             ("solver", {"scheme": "theta"}, "solver.scheme"),
             ("paramz", {}, "paramz"),
             ("params", {"t_list": [0.0]}, "params.t_list"),
+            ("solver", {"z_estimator": "increment"}, "solver.z_estimator"),
         ],
     )
     def test_unknown_key_named(self, section, update, key):
@@ -68,6 +77,48 @@ class TestConfigParsing:
         tree = dict(BASE_CONFIG, params={"quantiles": quantiles})
         with pytest.raises(ConfigInvalid, match="params.quantiles"):
             parse_config_payload(tree)
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("comparison", {"t_list": 5}, "t_list"),
+            ("comparison", {"t_list": [0.0, "0.5"]}, "t_list"),
+            ("representation", {"t": "0.25", "y": 1.0, "z": 0.5, "eps_list": [0.1]}, "t"),
+            ("representation", {"t": 0.25, "y": None, "z": 0.5, "eps_list": [0.1]}, "y"),
+            ("representation", {"t": 0.25, "y": 1.0, "z": [0.5], "eps_list": [0.1]}, "z"),
+            ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [True]}, "eps_list"),
+            ("converse", {"probe_grid": [[0.1, 1.0]], "eps": 0.1}, "probe_grid"),
+            ("converse", {"probe_grid": [0.1, 1.0, 0.5], "eps": 0.1}, "probe_grid"),
+            ("converse", {"probe_grid": [[0.1, 1.0, 0.5]], "eps": "0.1"}, "eps"),
+            ("t2", {"t": 1.0, "shift_list": [[1.0]]}, "shift_list"),
+            ("t2", {"t": float("nan"), "shift_list": [1.0]}, "t"),
+            ("t2", {"t": 1.0, "shift_list": [0.0, float("inf")]}, "shift_list"),
+            ("lsi", {"t": 1.0, "lambda_list": {"0": 1.0}}, "lambda_list"),
+            ("wick_validate", {"n_paths": 0}, "n_paths"),
+            ("wick_validate", {"n_paths": 2.5}, "n_paths"),
+        ],
+    )
+    def test_param_values_checked(self, kind, params, key):
+        with pytest.raises(ConfigInvalid, match=rf"^params\.{key}: must be"):
+            parse_config_payload(kind_config(kind, params))
+
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [
+            ({"terminal": {"b": float("nan")}, "generator": {}}, "scenario.terminal.b"),
+            ({"terminal": {}, "generator": {"c0": float("-inf")}}, "scenario.generator.c0"),
+            ({"terminal": {}, "generator": {"rho_table": {"breaks": ["0.5"], "values": [1, 2]}}}, "scenario.generator.rho_table"),
+            ({"terminal": {}, "generator": {"rho_table": {"breaks": [0.5], "values": [1, float("nan")]}}}, "scenario.generator.rho_table"),
+        ],
+    )
+    def test_scenario_numbers_finite(self, scenario, key):
+        with pytest.raises(ConfigInvalid, match=rf"^{key}: .*finite number"):
+            parse_config_payload(dict(BASE_CONFIG, scenario=scenario))
+
+    def test_bad_param_value_fails_validate(self, tmp_path, capsys):
+        path = write_config(tmp_path, kind_config("comparison", {"t_list": 5}))
+        assert main(["validate", str(path)]) == 1
+        assert "params.t_list: must be a list of finite numbers" in capsys.readouterr().err
 
     def test_missing_seed(self, tmp_path):
         tree = {k: v for k, v in BASE_CONFIG.items() if k != "seed"}
@@ -161,6 +212,18 @@ class TestCliRun:
         path = write_config(tmp_path, tree)
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+        assert not (out / "manifest.json").exists()
+
+    def test_non_finite_solution_exit_one_no_manifest(self, tmp_path, capsys):
+        tree = dict(
+            BASE_CONFIG,
+            seed=1,
+            scenario={"terminal": {"a": 1e308}, "generator": {"c0": 1e308}},
+            solver={"n_time": 8, "n_particles": 2000},
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, tree)), "--out", str(out), "--quiet"]) == 1
+        assert "non-finite" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_check_failure_exit_two(self, tmp_path, monkeypatch):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from gaussbsde import solver
 from gaussbsde.drivers import GaussianDriverSpec, VarianceClock, build_clock
 from gaussbsde.errors import (
     DegenerateInterval,
+    NonFiniteSolution,
     OutOfRange,
     PicardDivergence,
     RegressionIllConditioned,
@@ -22,6 +24,7 @@ from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec
 from gaussbsde.solver import (
     SolverConfig,
     _fit,
+    _gram,
     representation_solve,
     solve_auxiliary,
     transfer_evaluate,
@@ -39,7 +42,8 @@ def normal_equations_oracle(x, y, degree):
 
 def regress(degree, x, y):
     """The solver's least-squares fit on the raw monomial basis, no ridge."""
-    return _fit(npoly.polyvander(x, degree), y, 0.0)
+    phi = npoly.polyvander(x, degree)
+    return _fit(phi, _gram(phi, 0.0), y)
 
 
 class TestRegressConditional:
@@ -132,17 +136,6 @@ class TestSolveOracles:
             se = np.std(cloud.z[:, i] * dw[:, i]) / math.sqrt(cloud.n_particles)
             assert abs(np.mean(resid)) <= 3 * se + 1e-12
 
-    def test_increment_z_estimator_agrees(self):
-        scn = identity_scenario(BROWNIAN)
-        clock = build_clock(BROWNIAN, 17)
-        f1, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=16, n_particles=30000), seed=5)
-        f2, _ = solve_auxiliary(
-            scn, clock, SolverConfig(n_time=16, n_particles=30000, z_estimator="increment"), seed=5
-        )
-        mid = 8
-        assert f1.eval_v(mid, 0.0) == pytest.approx(1.0, abs=0.02)
-        assert f2.eval_v(mid, 0.0) == pytest.approx(1.0, abs=0.05)
-
     def test_terminal_reproduced(self):
         scn = ScenarioSpec(
             terminal=TerminalSpec(b=2.0, phi="sin", c=1.0), generator=GeneratorSpec(), driver=BROWNIAN
@@ -175,6 +168,30 @@ class TestSolveOracles:
         cfg = SolverConfig(n_time=32, n_particles=2000, picard_max_iter=3, picard_tol=1e-12)
         with pytest.raises(PicardDivergence):
             solve_auxiliary(scn, clock, cfg, seed=1)
+
+    def test_non_finite_solution(self):
+        # terminal and generator at the edge of float64: the sums of the fits overflow
+        scn = ScenarioSpec(terminal=TerminalSpec(a=1e308), generator=GeneratorSpec(c0=1e308), driver=BROWNIAN)
+        clock = build_clock(BROWNIAN, 9)
+        cfg = SolverConfig(n_time=8, n_particles=2000)
+        with pytest.raises(NonFiniteSolution):
+            solve_auxiliary(scn, clock, cfg, seed=1)
+        with pytest.raises(NonFiniteSolution):
+            representation_solve(scn, clock, 0.25, 0.1, 1e308, 0.0, cfg, seed=1)
+
+    def test_one_normal_matrix_per_node(self, monkeypatch):
+        built = []
+
+        def counting_gram(phi, ridge):
+            built.append(phi.shape)
+            return _gram(phi, ridge)
+
+        monkeypatch.setattr(solver, "_gram", counting_gram)
+        clock = build_clock(BROWNIAN, 17)
+        cfg = SolverConfig(n_time=16, n_particles=2000)
+        field, _ = solve_auxiliary(mean_field_scenario(BROWNIAN), clock, cfg, seed=5)
+        assert field.n_iterations >= 2
+        assert len(built) == field.n_steps + 1
 
     def test_step_stability_guard(self):
         scn = linear_scenario(BROWNIAN, beta=5.0)  # L_f = 5, max step 1/4
@@ -264,10 +281,6 @@ class TestSolverConfigValidation:
     def test_particle_minimum(self):
         with pytest.raises(ValueError):
             SolverConfig(n_particles=30, basis_degree=4)
-
-    def test_estimator_name(self):
-        with pytest.raises(ValueError):
-            SolverConfig(z_estimator="wrong")
 
     def test_tolerances(self):
         with pytest.raises(ValueError):

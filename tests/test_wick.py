@@ -16,6 +16,7 @@ from gaussbsde.wick import (
     riemann_wick_integral,
     s_transform_factorization_check,
     s_transform_mc,
+    wick_exponential_weights,
     wick_product_first_chaos,
 )
 
@@ -122,15 +123,19 @@ class TestRiemannWick:
 class TestSTransform:
     def test_normalization(self):
         _, paths = make_paths(FBM07, 32, 50_000, seed=8)
-        res = s_transform_mc(np.ones(paths.n_paths), full_h(), paths)
+        weights = wick_exponential_weights(full_h(), paths)
+        res = s_transform_mc(np.ones(paths.n_paths), weights)
         assert abs(res.value - 1.0) <= 3 * res.std_error
+        with pytest.raises(ValueError, match="paired"):
+            s_transform_mc(np.ones(paths.n_paths - 1), weights)
 
     def test_driver_transform_matches_clock_integral(self):
         # Brownian driver: (S X_t)(h) = int_0^t hdot dV
         clock, paths = make_paths(BROWNIAN, 32, 100_000, seed=9)
         for h in (full_h(), StepFunctionH(edges=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, -1.0]))):
+            weights = wick_exponential_weights(h, paths)
             for node in (16, 32):
-                res = s_transform_mc(paths.samples[:, node - 1], h, paths)
+                res = s_transform_mc(paths.samples[:, node - 1], weights)
                 expected = h.value(float(clock.grid_t[node]), clock)
                 assert abs(res.value - expected) <= 3 * res.std_error
 
@@ -141,11 +146,12 @@ class TestSTransform:
             StepFunctionH(edges=np.array([0.0, 0.5, 1.0]), values=np.array([1.0, -1.0])),
             StepFunctionH(edges=np.array([0.0, 1 / 3, 2 / 3, 1.0]), values=np.array([0.5, 1.5, -0.5])),
         ]
+        weights = [wick_exponential_weights(h, paths) for h in h_list]
         for degree in range(5):
             poly = np.zeros(degree + 1)
             poly[degree] = 1.0
-            for h in h_list:
-                chk = s_transform_factorization_check(poly, 16, h, paths)
+            for h_weights in weights:
+                chk = s_transform_factorization_check(poly, 16, h_weights, paths)
                 assert chk.within <= 3.0, (degree, chk)
 
     def test_factorization_fails_without_correction(self):
@@ -156,8 +162,6 @@ class TestSTransform:
         grid = np.concatenate(([0.0], paths.grid_t))
         x_i = paths.samples[:, i - 1]
         dx_i = paths.samples[:, i] - x_i
-        from gaussbsde.wick import wick_exponential_weights
-
         weights = wick_exponential_weights(h, paths)
         a = (x_i * dx_i) * weights  # no correction term
         b = x_i * weights
