@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NonpositiveMass
 
@@ -41,10 +40,18 @@ class LawFeatures:
 
 
 def sorted_w2(a: np.ndarray, b: np.ndarray) -> float:
-    """W_2 between equal-size sample arrays (sorted coupling), no wrappers."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    """W_2 between equal-size sample arrays (sorted coupling), no wrappers.
+
+    For 2-D input each row is one sample and the largest of the per-row
+    distances is returned.
+    """
+    diff = np.sort(np.asarray(a, dtype=float), axis=-1)
+    # b is sorted one row at a time, so diff is the only full-size temporary
+    rows = diff.reshape(-1, diff.shape[-1])
+    for row, b_row in zip(rows, np.asarray(b, dtype=float).reshape(rows.shape)):
+        row -= np.sort(b_row)
+    diff *= diff
+    return float(np.max(np.sqrt(np.mean(diff, axis=-1))))
 
 
 def gaussian_w2(a: GaussianLaw1D, b: GaussianLaw1D) -> float:
@@ -79,6 +86,10 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
 def entropy_functional(mu: GaussianLaw1D, F: Callable[[np.ndarray], np.ndarray]) -> float:
     """Ent_mu(F) = int F log F dmu - int F dmu * log int F dmu, for F >= 0,
     by adaptive quadrature against the Gaussian law ``mu``."""
+    # imported here: scipy.integrate is slow to import and only this
+    # function, reached by the LSI check alone, needs it
+    from scipy import integrate
+
     if mu.variance == 0.0:
         return 0.0  # Dirac mass: F is constant mu-a.s.
     m, s = mu.mean, mu.std

@@ -12,12 +12,22 @@ Scheme (explicit, one regression sweep per Picard iterate):
                 P_i + f ds
         Y_i   = P_i + f(U(s_i), W_i, P_i, Z_i, features_i) * ds_i
 
+Particle arrays are stored time-major: W, its increments, the generator's
+states, Y and Z are (N+1, n) arrays (n for the increments) whose row i holds
+every particle at node i, so each node reads and writes one contiguous row.
+At each node of a sweep the basis is built once from that row, as a
+(degree+1, n) block phi; the normal matrix, the P, Z and u fits, the fitted
+values, the control variate (the next node's Z field, rescaled to this
+node's variable) and the derivative of the P fit are all products with it.
+``ParticleCloud`` exposes the rows as transposed, n x (N+1), views.
+
 The paths are fixed for a solve, so each node has one regression system: its
 normal matrix is built once and serves the P, Z and u fits of every sweep.
 Law features are frozen during a backward sweep and updated between sweeps
-until the flow of laws is a fixed point (sup-W2 change below tolerance).  The
-first iterate is the flow of the f = 0, Z = 0 sweep, which has a closed form:
-a projection with an intercept keeps the particle mean, so its features are
+until the flow of laws is a fixed point (sup-W2 change below tolerance); the
+features and the W2 test read whole matrices, one row per node.  The first
+iterate is the flow of the f = 0, Z = 0 sweep, which has a closed form: a
+projection with an intercept keeps the particle mean, so its features are
 (mean x, mean g, 0) at every node.
 """
 
@@ -86,7 +96,8 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class ParticleCloud:
-    """Joint samples of (W, Y, Z) per grid time on the Brownian clock."""
+    """Joint samples of (W, Y, Z) per grid time on the Brownian clock, as
+    n_particles x (N+1) views of the solver's time-major arrays."""
 
     w: np.ndarray  # n_particles x (N+1)
     y: np.ndarray
@@ -137,9 +148,9 @@ class SolutionField:
 
 
 def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
-    """Ridge-regularized normal matrix of a basis matrix, refused when its
-    condition estimate is above the limit."""
-    gram = phi.T @ phi + ridge * np.eye(phi.shape[1])
+    """Ridge-regularized normal matrix of a (degree+1, n) basis block,
+    refused when its condition estimate is above the limit."""
+    gram = phi @ phi.T + ridge * np.eye(phi.shape[0])
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise RegressionIllConditioned(
@@ -149,7 +160,7 @@ def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
 
 
 def _fit(phi: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(gram, phi.T @ targets)
+    return np.linalg.solve(gram, phi @ targets)
 
 
 def _pad(coeffs: np.ndarray, width: int) -> np.ndarray:
@@ -164,123 +175,160 @@ def _basis_scales(grid_s) -> np.ndarray:
     return np.where(spread > 0, np.sqrt(np.maximum(spread, 0.0)), 1.0)
 
 
+def _monomials(x: np.ndarray, degree: int) -> np.ndarray:
+    """(degree+1, n) block whose row k is x**k."""
+    phi = np.empty((degree + 1, x.size))
+    phi[0] = 1.0
+    if degree:
+        phi[1] = x
+        for k in range(2, degree + 1):
+            np.multiply(phi[k - 1], x, out=phi[k])
+    return phi
+
+
 def _basis(w: np.ndarray, scales: np.ndarray, i: int, degree: int) -> np.ndarray:
-    """Monomials of the scaled state at node i.  The grid increases strictly,
-    so node 0 is the only node whose state is identically zero; it gets the
-    constant alone."""
-    return npoly.polyvander(w[:, i] / scales[i], degree if i > 0 else 0)
+    """Monomial block of the scaled state at node i.  The grid increases
+    strictly, so node 0 is the only node whose state is identically zero; it
+    gets the constant alone."""
+    return _monomials(w[i] / scales[i], degree if i > 0 else 0)
+
+
+def _rescaled(coeffs: np.ndarray, ratio: float) -> np.ndarray:
+    """Coefficients of x -> c(ratio * x): a field fitted in w / b, read in the
+    variable w / a of another node, with ratio = a / b."""
+    return coeffs * ratio ** np.arange(coeffs.size)
+
+
+def _derivative(coeffs: np.ndarray, scale: float) -> np.ndarray:
+    """Coefficients of the w-derivative of w -> c(w / scale), in w / scale
+    (one degree lower)."""
+    return np.arange(1, coeffs.size) * coeffs[1:] / scale
 
 
 def _backward_pass(gen, grid_s, grid_t, w, dw, x_states, terminal_values, features, scales, grams, degree):
     """One backward sweep with frozen law features.
 
-    ``w`` is the regression state (zero at the first node, variance
-    s_i - s_0); ``x_states`` carries the driver positions fed to the
-    generator's state slot; ``grams[i]`` is the normal matrix of node i's
-    basis at ``scales``.  Returns (u_coeffs, v_coeffs, y, z,
-    bottom_candidates) where bottom_candidates are the unprojected one-step
-    values at the first node (their mean equals the mean of the projected
-    values exactly).
+    ``w`` is the (N+1, n) regression state (zero at the first node, variance
+    s_i - s_0), ``dw`` its (N, n) increments; ``x_states`` carries the driver
+    positions fed to the generator's state slot; ``grams[i]`` is the normal
+    matrix of node i's basis at ``scales``.  Returns (u_coeffs, v_coeffs, y,
+    z, bottom_candidates) with y and z time-major, where bottom_candidates
+    are the unprojected one-step values at the first node (their mean equals
+    the mean of the projected values exactly).
     """
-    n, _ = w.shape
     N = len(grid_s) - 1
+    n = w.shape[1]
     width = degree + 1
 
-    y = np.empty((n, N + 1))
-    z = np.empty((n, N + 1))
+    y = np.empty((N + 1, n))
+    z = np.empty((N + 1, n))
     u_coeffs = np.zeros((N + 1, width))
     v_coeffs = np.zeros((N, width))
 
-    y[:, N] = terminal_values
-    u_coeffs[N] = _pad(_fit(_basis(w, scales, N, degree), grams[N], y[:, N]), width)
+    y[N] = terminal_values
+    u_coeffs[N] = _pad(_fit(_basis(w, scales, N, degree), grams[N], y[N]), width)
 
     for i in range(N - 1, -1, -1):
         ds = grid_s[i + 1] - grid_s[i]
         phi = _basis(w, scales, i, degree)
-        target = y[:, i + 1]
+        target = y[i + 1]
         if i + 1 < N:
             # martingale control variate: subtracting z(W_i) dW_i leaves the
             # conditional expectation unchanged and shrinks the regression
             # residual from O(sqrt(ds)) to O((Z - z_hat) sqrt(ds)); centering
-            # keeps the particle mean of the fit exactly equal to the target's
-            cv = npoly.polyval(w[:, i] / scales[i + 1], v_coeffs[i + 1]) * dw[:, i]
+            # keeps the particle mean of the fit exactly equal to the target's.
+            # z(W_i) is the next node's Z field, read in this node's variable
+            cv = (_rescaled(v_coeffs[i + 1, : phi.shape[0]], scales[i] / scales[i + 1]) @ phi) * dw[i]
             target = target - (cv - cv.mean())
         beta = _fit(phi, grams[i], target)
-        p = phi @ beta
+        p = beta @ phi
 
         if i == 0 and i + 1 < N:
             # slope of w -> E[Y_{i+1} | W_i = w] at the collapsed node:
             # smoothing the next field gives E[dY_{i+1}/dw]
-            dp = np.full(n, float(np.mean(z[:, i + 1])))
+            dp = np.full(n, float(np.mean(z[i + 1])))
         elif i == 0:
-            dp = np.full(n, float(np.mean((y[:, i + 1] - p) * dw[:, i]) / ds))
+            dp = np.full(n, float(np.mean((y[i + 1] - p) * dw[i]) / ds))
         else:
-            dp = npoly.polyval(w[:, i] / scales[i], npoly.polyder(beta) / scales[i])
+            dp = _derivative(beta, scales[i]) @ phi[:-1]
         # the control field is the derivative of the full one-step value
         # P + f ds; the first-order generator correction keeps Z accurate
         # to O(ds^2) instead of O(ds)
-        df_dx, df_dy, df_dz = generator_partials(gen, float(grid_t[i]), x_states[:, i], p, dp)
+        df_dx, df_dy, df_dz = generator_partials(gen, float(grid_t[i]), x_states[i], p, dp)
         z_i = dp + ds * (df_dx + (df_dy + df_dz) * dp)
         if i == 0:
             vb = np.array([float(np.mean(z_i))])
             z_i = np.full(n, vb[0])
         else:
             vb = _fit(phi, grams[i], z_i)
-            z_i = phi @ vb
+            z_i = vb @ phi
         v_coeffs[i] = _pad(vb, width)
 
         f_vals = np.asarray(
-            eval_generator(gen, float(grid_t[i]), x_states[:, i], p, z_i, features[i])
+            eval_generator(gen, float(grid_t[i]), x_states[i], p, z_i, features[i])
         )
-        y[:, i] = p + f_vals * ds
-        z[:, i] = z_i
-        u_coeffs[i] = _pad(_fit(phi, grams[i], y[:, i]), width)
+        y[i] = p + f_vals * ds
+        z[i] = z_i
+        u_coeffs[i] = _pad(_fit(phi, grams[i], y[i]), width)
         if i == 0:
-            bottom_candidates = y[:, 1] + f_vals * ds
+            bottom_candidates = y[1] + f_vals * ds
 
-    z[:, N] = z[:, N - 1]
+    z[N] = z[N - 1]
     return u_coeffs, v_coeffs, y, z, bottom_candidates
 
 
 def _picard_solve(gen, grid_s, grid_t, w, dw, terminal_values, cfg, x_states):
     scales = _basis_scales(grid_s)
     grams = [_gram(_basis(w, scales, i, cfg.basis_degree), cfg.ridge) for i in range(len(grid_s))]
-    # the first iterate is the f = 0, Z = 0 sweep, whose projections keep
-    # the particle mean of g at every node
-    mean_g = float(np.mean(terminal_values))
-    feats = [LawFeatures(float(np.mean(x_states[:, i])), mean_g, 0.0) for i in range(len(grid_s))]
+    mean_x = x_states.mean(axis=1).tolist()
     log: list[float] = []
     prev_y = None
-    for sweep in range(1, cfg.picard_max_iter + 1):
-        result = _backward_pass(
-            gen, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, cfg.basis_degree
-        )
-        y, z = result[2], result[3]
-        if not all(np.isfinite(a).all() for a in result[:3]):
-            raise NonFiniteSolution(f"backward sweep {sweep} left coefficients or Y non-finite")
-        if gen.is_law_free:
-            log.append(0.0)
-            break
-        if prev_y is not None:
-            change = max(sorted_w2(y[:, i], prev_y[:, i]) for i in range(y.shape[1]))
-            log.append(change)
-            if change < cfg.picard_tol:
+    # an overflowing solve is reported once, by the finiteness check after
+    # each sweep, not by numpy warnings along the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the first iterate is the f = 0, Z = 0 sweep, whose projections keep
+        # the particle mean of g at every node
+        mean_g = float(np.mean(terminal_values))
+        feats = [LawFeatures(m, mean_g, 0.0) for m in mean_x]
+        for sweep in range(1, cfg.picard_max_iter + 1):
+            result = _backward_pass(
+                gen, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, cfg.basis_degree
+            )
+            y, z = result[2], result[3]
+            if not all(np.isfinite(a).all() for a in result[:3]):
+                raise NonFiniteSolution(f"backward sweep {sweep} left coefficients or Y non-finite")
+            if gen.is_law_free:
+                log.append(0.0)
                 break
-        prev_y = y
-        feats = [law_features(x_states[:, i], y[:, i], z[:, i]) for i in range(y.shape[1])]
-    else:
-        raise PicardDivergence(
-            f"law iteration did not reach tol {cfg.picard_tol} in "
-            f"{cfg.picard_max_iter} sweeps; last changes {log[-2:]}"
-        )
+            if prev_y is not None:
+                change = sorted_w2(y, prev_y)
+                log.append(change)
+                if change < cfg.picard_tol:
+                    break
+            prev_y = y
+            feats = [LawFeatures(*m) for m in zip(mean_x, y.mean(axis=1).tolist(), z.mean(axis=1).tolist())]
+        else:
+            raise PicardDivergence(
+                f"law iteration did not reach tol {cfg.picard_tol} in "
+                f"{cfg.picard_max_iter} sweeps; last changes {log[-2:]}"
+            )
     return result, tuple(log), sweep
 
 
 def _brownian_increments(grid_s, n_particles, seed, tag):
+    """(N, n) centred Brownian increments; row i is the step from s_i to
+    s_{i+1} of every particle."""
     ds = np.diff(grid_s)
     z = standard_normals(seed, (n_particles, ds.size), tag)
-    z = z - z.mean(axis=0)  # exact zero-mean increments
-    return z * np.sqrt(ds)
+    z -= z.mean(axis=0)  # exact zero-mean increments
+    return np.multiply(z.T, np.sqrt(ds)[:, None], order="C")
+
+
+def _paths(dw: np.ndarray) -> np.ndarray:
+    """(N+1, n) partial sums of the increments, starting from 0."""
+    w = np.zeros((dw.shape[0] + 1, dw.shape[1]))
+    np.cumsum(dw, axis=0, out=w[1:])
+    return w
 
 
 def solve_auxiliary(
@@ -302,10 +350,10 @@ def solve_auxiliary(
         )
     n = cfg.n_particles
     dw = _brownian_increments(grid_s, n, seed, "solver-increments")
-    w = np.concatenate([np.zeros((n, 1)), np.cumsum(dw, axis=1)], axis=1)
+    w = _paths(dw)
 
-    terminal_feats = law_features(w[:, -1], np.zeros(n), np.zeros(n))
-    terminal_values = np.asarray(eval_terminal(scn.terminal, w[:, -1], terminal_feats))
+    terminal_feats = law_features(w[-1], np.zeros(n), np.zeros(n))
+    terminal_values = np.asarray(eval_terminal(scn.terminal, w[-1], terminal_feats))
 
     (u_c, v_c, y, z, _), log, n_iter = _picard_solve(
         scn.generator, grid_s, grid_t, w, dw, terminal_values, cfg, x_states=w
@@ -322,7 +370,7 @@ def solve_auxiliary(
         convergence=log,
         n_iterations=n_iter,
     )
-    cloud = ParticleCloud(w=w, y=y, z=z)
+    cloud = ParticleCloud(w=w.T, y=y.T, z=z.T)
     return field, cloud
 
 
@@ -399,22 +447,22 @@ def representation_solve(
     n = cfg.n_particles
 
     dw = _brownian_increments(grid_s, n, seed, "repr-increments")
-    increments = np.concatenate([np.zeros((n, 1)), np.cumsum(dw, axis=1)], axis=1)
+    increments = _paths(dw)
     w0 = math.sqrt(v_a) * standard_normals(seed, (n,), "repr-start")
-    positions = w0[:, None] + increments
+    positions = w0 + increments
 
-    terminal_values = y + z * increments[:, -1]
+    terminal_values = y + z * increments[-1]
     (_, _, y_cloud, _, candidates), log, n_iter = _picard_solve(
         scn.generator, grid_s, grid_t_sub, increments, dw, terminal_values, cfg, x_states=positions
     )
 
-    value = float(np.mean(y_cloud[:, 0]))
+    value = float(np.mean(y_cloud[0]))
     std_error = float(np.std(candidates) / math.sqrt(n))
     if v_a > 0:
         # slope/curvature probe: degree 2 keeps the pure-noise spread well
         # below the 3-standard-error gate while catching genuine dependence
-        phi0 = npoly.polyvander(w0 / math.sqrt(v_a), 2)
-        fitted = phi0 @ _fit(phi0, _gram(phi0, cfg.ridge), candidates)
+        phi0 = _monomials(w0 / math.sqrt(v_a), 2)
+        fitted = _fit(phi0, _gram(phi0, cfg.ridge), candidates) @ phi0
         particle_sigma = float(np.std(fitted))
     else:
         particle_sigma = 0.0

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaussbsde
 from gaussbsde.cli import main
 from gaussbsde.config import emit_config, load_config, parse_config_payload
 from gaussbsde.errors import ConfigInvalid
@@ -33,6 +37,13 @@ def write_config(tmp_path, tree, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(tree))
     return path
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this copy of the package."""
+    src = str(Path(gaussbsde.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
 
 
 class TestConfigParsing:
@@ -186,6 +197,19 @@ class TestCliRun:
         assert main(["validate", str(path)]) == 0
         assert "ok:" in capsys.readouterr().out
 
+    def test_start_leaves_scipy_unloaded(self, tmp_path):
+        # scipy is slow to import; only the LSI check's quadrature needs it
+        path = write_config(tmp_path, BASE_CONFIG)
+        probe = (
+            "import sys, gaussbsde.cli, gaussbsde.experiments\n"
+            "from gaussbsde.config import load_config\n"
+            f"load_config({str(path)!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = run_python("-c", probe)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_run_solve_exit_zero(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)
         out = tmp_path / "out"
@@ -225,6 +249,11 @@ class TestCliRun:
         assert main(["run", str(write_config(tmp_path, tree)), "--out", str(out), "--quiet"]) == 1
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+        # the named error is the only report: no numpy warning on the console
+        cli = run_python("-m", "gaussbsde.cli", "run", str(write_config(tmp_path, tree)), "--out", str(out), "--quiet")
+        assert cli.returncode == 1
+        assert "non-finite" in cli.stderr
+        assert "RuntimeWarning" not in cli.stderr
 
     def test_check_failure_exit_two(self, tmp_path, monkeypatch):
         import gaussbsde.experiments as experiments

@@ -1,5 +1,6 @@
 """Property tests: the variance clock, the config round trip, the regression
-fit and the Lipschitz audit."""
+fit and its basis-block products, the sorted W2 distance and the Lipschitz
+audit."""
 
 import json
 
@@ -10,6 +11,7 @@ from numpy.polynomial import polynomial as npoly
 from gaussbsde.config import emit_config, parse_config_payload
 from gaussbsde.drivers import GaussianDriverSpec, build_clock
 from gaussbsde.experiments import KINDS
+from gaussbsde.measures import sorted_w2
 from gaussbsde.scenario import (
     NONLINEARITIES,
     GeneratorSpec,
@@ -17,7 +19,7 @@ from gaussbsde.scenario import (
     TerminalSpec,
     lipschitz_audit,
 )
-from gaussbsde.solver import _fit, _gram
+from gaussbsde.solver import _basis, _derivative, _fit, _gram, _rescaled
 
 FEW = settings(deadline=None, max_examples=25)
 coefficient = st.floats(-3.0, 3.0, allow_nan=False)
@@ -108,10 +110,48 @@ def test_intercept_fit_keeps_mean(n, degree, a, b, c, phi, seed):
     # basis holds the constant keeps the particle mean of its target
     x = np.random.default_rng(seed).normal(size=n)
     y = a + b * x + c * NONLINEARITIES[phi][0](x)
-    phi = npoly.polyvander(x, degree)
+    phi = npoly.polyvander(x, degree).T
     for ridge in (0.0, 1e-8):
-        fitted = phi @ _fit(phi, _gram(phi, ridge), y)
+        fitted = _fit(phi, _gram(phi, ridge), y) @ phi
         assert abs(np.mean(fitted) - np.mean(y)) <= 1e-10
+
+
+@FEW
+@given(
+    degree=st.integers(1, 6),
+    coeffs=st.lists(coefficient, min_size=7, max_size=7),
+    ratio=st.floats(0.0, 1.0, exclude_min=True),
+    scale=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_basis_block_products_match_polyval(degree, coeffs, ratio, scale, seed):
+    # the sweep reads the next node's Z field and the derivative of the P fit
+    # off the node's basis block instead of evaluating polynomials on
+    # rescaled states
+    c = np.array(coeffs[: degree + 1])
+    w = np.zeros((2, 500))
+    w[1] = scale * np.random.default_rng(seed).normal(size=500)
+    scales = np.array([1.0, scale])
+    phi = _basis(w, scales, 1, degree)
+    magnitude = np.abs(c) @ np.abs(phi)  # sum of |terms|, the rounding scale
+    next_field = npoly.polyval(w[1] / (scale / ratio), c)
+    np.testing.assert_allclose(_rescaled(c, ratio) @ phi, next_field, rtol=1e-12, atol=1e-12 * magnitude.max())
+    slope = npoly.polyval(w[1] / scale, npoly.polyder(c) / scale)
+    np.testing.assert_allclose(
+        _derivative(c, scale) @ phi[:-1], slope, rtol=1e-12, atol=1e-12 * degree * magnitude.max() / scale
+    )
+
+
+@FEW
+@given(
+    rows=st.integers(1, 6),
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2 ** 32 - 1),
+    spread=st.floats(0.0, 100.0),
+)
+def test_sorted_w2_rows_is_largest_row_distance(rows, n, seed, spread):
+    a, b = spread * np.random.default_rng(seed).normal(size=(2, rows, n))
+    assert sorted_w2(a, b) == max(sorted_w2(a[i], b[i]) for i in range(rows))
 
 
 @FEW

@@ -41,8 +41,9 @@ def normal_equations_oracle(x, y, degree):
 
 
 def regress(degree, x, y):
-    """The solver's least-squares fit on the raw monomial basis, no ridge."""
-    phi = npoly.polyvander(x, degree)
+    """The solver's least-squares fit on the raw monomial basis, no ridge,
+    given as the solver's (degree+1, n) basis block."""
+    phi = npoly.polyvander(x, degree).T
     return _fit(phi, _gram(phi, 0.0), y)
 
 
@@ -161,6 +162,18 @@ class TestSolveOracles:
         f2, c2 = solve_auxiliary(scn, clock, cfg, seed=33)
         assert np.array_equal(f1.u_coeffs, f2.u_coeffs)
         assert np.array_equal(c1.y, c2.y)
+
+    def test_pinned_mean_field_values(self):
+        # values of the particle-major solver this layout replaced; the
+        # arithmetic is reordered, so they agree to rounding, not bit for bit
+        field, _ = solve_auxiliary(
+            mean_field_scenario(BROWNIAN), build_clock(BROWNIAN, 17), SolverConfig(n_time=16, n_particles=2000), seed=1
+        )
+        np.testing.assert_allclose(field.u_coeffs[0], [1.3536704649730054, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(field.v_coeffs[0], [1.0007854656014852, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            field.convergence, [0.04781249998489034, 0.0053789062482689776, 0.0004790588377339145], rtol=0, atol=1e-10
+        )
 
     def test_picard_divergence(self):
         scn = mean_field_scenario(BROWNIAN, alpha=3.0)
