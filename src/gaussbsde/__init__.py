@@ -36,7 +36,9 @@ from .solver import (
     SolutionField,
     SolverConfig,
     representation_solve,
+    representation_solve_stack,
     solve_auxiliary,
+    solve_auxiliary_stack,
     transfer_evaluate,
 )
 from .theorems import (

@@ -25,10 +25,21 @@ The paths are fixed for a solve, so each node has one regression system: its
 normal matrix is built once and serves the P, Z and u fits of every sweep.
 Law features are frozen during a backward sweep and updated between sweeps
 until the flow of laws is a fixed point (sup-W2 change below tolerance); the
-features and the W2 test read whole matrices, one row per node.  The first
-iterate is the flow of the f = 0, Z = 0 sweep, which has a closed form: a
-projection with an intercept keeps the particle mean, so its features are
-(mean x, mean g, 0) at every node.
+features and the W2 test read whole matrices, one row per node, and each Y
+matrix is sorted once (its sorted rows are kept for the next sweep's test).
+The first iterate is the flow of the f = 0, Z = 0 sweep, which has a closed
+form: a projection with an intercept keeps the particle mean, so its
+features are (mean x, mean g, 0) at every node.
+
+One solve path serves every entry point: ``_solve_on_grid`` draws the
+increments once and solves K scenarios on them as a stack.  Y and Z are
+(K, N+1, n) buffers allocated once per solve; each node fits the P, Z and u
+targets of all K scenarios with one product with phi and one linear solve on
+a (degree+1, K) right-hand side.  Each scenario keeps its own Picard stop: a
+converged scenario leaves the stack and its rows stop changing.  A single
+solve is the stack of one; the paired checks (comparison, converse,
+stability) solve both scenarios of a pair as one stack, on common random
+numbers.
 """
 
 from __future__ import annotations
@@ -160,13 +171,10 @@ def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
 
 
 def _fit(phi: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(gram, phi @ targets)
-
-
-def _pad(coeffs: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros(width)
-    out[: coeffs.size] = coeffs
-    return out
+    """Least-squares coefficients of each target row on the block phi: one
+    (degree+1, K) right-hand side for K rows, returned as (K, degree+1)
+    (a 1-D target gives 1-D coefficients)."""
+    return np.linalg.solve(gram, phi @ targets.T).T
 
 
 def _basis_scales(grid_s) -> np.ndarray:
@@ -195,124 +203,171 @@ def _basis(w: np.ndarray, scales: np.ndarray, i: int, degree: int) -> np.ndarray
 
 def _rescaled(coeffs: np.ndarray, ratio: float) -> np.ndarray:
     """Coefficients of x -> c(ratio * x): a field fitted in w / b, read in the
-    variable w / a of another node, with ratio = a / b."""
-    return coeffs * ratio ** np.arange(coeffs.size)
+    variable w / a of another node, with ratio = a / b.  Coefficients run
+    along the last axis, so a (K, degree+1) stack is rescaled row by row."""
+    return coeffs * ratio ** np.arange(coeffs.shape[-1])
 
 
 def _derivative(coeffs: np.ndarray, scale: float) -> np.ndarray:
     """Coefficients of the w-derivative of w -> c(w / scale), in w / scale
-    (one degree lower)."""
-    return np.arange(1, coeffs.size) * coeffs[1:] / scale
+    (one degree lower), along the last axis."""
+    return np.arange(1, coeffs.shape[-1]) * coeffs[..., 1:] / scale
 
 
-def _backward_pass(gen, grid_s, grid_t, w, dw, x_states, terminal_values, features, scales, grams, degree):
-    """One backward sweep with frozen law features.
+@dataclass(eq=False)
+class _Stack:
+    """Buffers of a K-scenario solve, allocated once and rewritten by every
+    sweep of the scenarios still iterating: scenario k's coefficients are
+    u[k], v[k], its particle values y[k], z[k] ((N+1, n) each) and its
+    unprojected one-step values at the first node candidates[k]."""
+
+    u: np.ndarray  # K x (N+1) x (degree+1)
+    v: np.ndarray  # K x N x (degree+1)
+    y: np.ndarray  # K x (N+1) x n
+    z: np.ndarray
+    candidates: np.ndarray  # K x n
+    logs: list
+    n_iterations: list
+
+    @classmethod
+    def empty(cls, K: int, N: int, n: int, degree: int) -> "_Stack":
+        return cls(
+            u=np.zeros((K, N + 1, degree + 1)),
+            v=np.zeros((K, N, degree + 1)),
+            y=np.empty((K, N + 1, n)),
+            z=np.empty((K, N + 1, n)),
+            candidates=np.empty((K, n)),
+            logs=[[] for _ in range(K)],
+            n_iterations=[0] * K,
+        )
+
+
+def _backward_pass(gens, act, grid_s, grid_t, w, dw, x_states, terminal_values, features, scales, grams, out):
+    """One backward sweep with frozen law features, for the scenarios ``act``
+    (indices into ``gens``) of the stack ``out``, written in place.
 
     ``w`` is the (N+1, n) regression state (zero at the first node, variance
     s_i - s_0), ``dw`` its (N, n) increments; ``x_states`` carries the driver
     positions fed to the generator's state slot; ``grams[i]`` is the normal
-    matrix of node i's basis at ``scales``.  Returns (u_coeffs, v_coeffs, y,
-    z, bottom_candidates) with y and z time-major, where bottom_candidates
-    are the unprojected one-step values at the first node (their mean equals
-    the mean of the projected values exactly).
+    matrix of node i's basis at ``scales``.  Every node fits the targets of
+    all scenarios in ``act`` at once, one row each.  The first-node
+    candidates have the same particle mean as the projected values exactly.
     """
     N = len(grid_s) - 1
     n = w.shape[1]
-    width = degree + 1
+    degree = out.u.shape[-1] - 1
+    y, z = out.y, out.z
 
-    y = np.empty((N + 1, n))
-    z = np.empty((N + 1, n))
-    u_coeffs = np.zeros((N + 1, width))
-    v_coeffs = np.zeros((N, width))
-
-    y[N] = terminal_values
-    u_coeffs[N] = _pad(_fit(_basis(w, scales, N, degree), grams[N], y[N]), width)
+    y[act, N] = terminal_values[act]
+    phi = _basis(w, scales, N, degree)
+    out.u[act, N, : phi.shape[0]] = _fit(phi, grams[N], terminal_values[act])
 
     for i in range(N - 1, -1, -1):
         ds = grid_s[i + 1] - grid_s[i]
+        t_i = float(grid_t[i])
         phi = _basis(w, scales, i, degree)
-        target = y[i + 1]
+        width = phi.shape[0]
+        target = y[act, i + 1]
         if i + 1 < N:
             # martingale control variate: subtracting z(W_i) dW_i leaves the
             # conditional expectation unchanged and shrinks the regression
             # residual from O(sqrt(ds)) to O((Z - z_hat) sqrt(ds)); centering
             # keeps the particle mean of the fit exactly equal to the target's.
             # z(W_i) is the next node's Z field, read in this node's variable
-            cv = (_rescaled(v_coeffs[i + 1, : phi.shape[0]], scales[i] / scales[i + 1]) @ phi) * dw[i]
-            target = target - (cv - cv.mean())
+            cv = (_rescaled(out.v[act, i + 1, :width], scales[i] / scales[i + 1]) @ phi) * dw[i]
+            target = target - (cv - cv.mean(axis=1, keepdims=True))
         beta = _fit(phi, grams[i], target)
         p = beta @ phi
 
-        if i == 0 and i + 1 < N:
+        if i > 0:
+            dp = _derivative(beta, scales[i]) @ phi[:-1]
+        else:
             # slope of w -> E[Y_{i+1} | W_i = w] at the collapsed node:
             # smoothing the next field gives E[dY_{i+1}/dw]
-            dp = np.full(n, float(np.mean(z[i + 1])))
-        elif i == 0:
-            dp = np.full(n, float(np.mean((y[i + 1] - p) * dw[i]) / ds))
-        else:
-            dp = _derivative(beta, scales[i]) @ phi[:-1]
+            if i + 1 < N:
+                slope = z[act, i + 1].mean(axis=1, keepdims=True)
+            else:
+                slope = ((y[act, i + 1] - p) * dw[i]).mean(axis=1, keepdims=True) / ds
+            dp = np.repeat(slope, n, axis=1)
         # the control field is the derivative of the full one-step value
         # P + f ds; the first-order generator correction keeps Z accurate
         # to O(ds^2) instead of O(ds)
-        df_dx, df_dy, df_dz = generator_partials(gen, float(grid_t[i]), x_states[i], p, dp)
-        z_i = dp + ds * (df_dx + (df_dy + df_dz) * dp)
+        z_i = np.empty_like(p)
+        for j, k in enumerate(act):
+            df_dx, df_dy, df_dz = generator_partials(gens[k], t_i, x_states[i], p[j], dp[j])
+            z_i[j] = dp[j] + ds * (df_dx + (df_dy + df_dz) * dp[j])
         if i == 0:
-            vb = np.array([float(np.mean(z_i))])
-            z_i = np.full(n, vb[0])
+            vb = z_i.mean(axis=1, keepdims=True)
+            z_i[:] = vb
         else:
             vb = _fit(phi, grams[i], z_i)
             z_i = vb @ phi
-        v_coeffs[i] = _pad(vb, width)
+        out.v[act, i, :width] = vb
 
-        f_vals = np.asarray(
-            eval_generator(gen, float(grid_t[i]), x_states[i], p, z_i, features[i])
-        )
-        y[i] = p + f_vals * ds
-        z[i] = z_i
-        u_coeffs[i] = _pad(_fit(phi, grams[i], y[i]), width)
+        f_vals = np.empty_like(p)
+        for j, k in enumerate(act):
+            f_vals[j] = eval_generator(gens[k], t_i, x_states[i], p[j], z_i[j], features[k][i])
+        y_i = p + f_vals * ds
+        y[act, i] = y_i
+        z[act, i] = z_i
+        out.u[act, i, :width] = _fit(phi, grams[i], y_i)
         if i == 0:
-            bottom_candidates = y[1] + f_vals * ds
+            out.candidates[act] = y[act, 1] + f_vals * ds
 
-    z[N] = z[N - 1]
-    return u_coeffs, v_coeffs, y, z, bottom_candidates
+    z[act, N] = z[act, N - 1]
 
 
-def _picard_solve(gen, grid_s, grid_t, w, dw, terminal_values, cfg, x_states):
+def _picard_solve(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states) -> _Stack:
+    """Picard iteration on the flow of laws for K generators on one set of
+    paths; ``terminal_values`` is (K, n).  Each scenario keeps its own stop:
+    one that has converged leaves the stack, and its rows stop changing."""
+    K = len(gens)
     scales = _basis_scales(grid_s)
     grams = [_gram(_basis(w, scales, i, cfg.basis_degree), cfg.ridge) for i in range(len(grid_s))]
     mean_x = x_states.mean(axis=1).tolist()
-    log: list[float] = []
-    prev_y = None
+    out = _Stack.empty(K, len(grid_s) - 1, w.shape[1], cfg.basis_degree)
+    # the sorted rows of each law-dependent scenario's previous Y, overwritten
+    # by every W2 test, so each Y matrix is sorted once
+    sorted_prev: dict[int, np.ndarray] = {}
+    act = np.arange(K)
     # an overflowing solve is reported once, by the finiteness check after
     # each sweep, not by numpy warnings along the way
     with np.errstate(over="ignore", invalid="ignore"):
         # the first iterate is the f = 0, Z = 0 sweep, whose projections keep
         # the particle mean of g at every node
-        mean_g = float(np.mean(terminal_values))
-        feats = [LawFeatures(m, mean_g, 0.0) for m in mean_x]
+        feats = [[LawFeatures(m, g, 0.0) for m in mean_x] for g in terminal_values.mean(axis=1).tolist()]
         for sweep in range(1, cfg.picard_max_iter + 1):
-            result = _backward_pass(
-                gen, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, cfg.basis_degree
-            )
-            y, z = result[2], result[3]
-            if not all(np.isfinite(a).all() for a in result[:3]):
-                raise NonFiniteSolution(f"backward sweep {sweep} left coefficients or Y non-finite")
-            if gen.is_law_free:
-                log.append(0.0)
+            _backward_pass(gens, act, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, out)
+            still = []
+            for k in act.tolist():
+                out.n_iterations[k] = sweep
+                if not all(np.isfinite(a[k]).all() for a in (out.u, out.v, out.y)):
+                    raise NonFiniteSolution(f"backward sweep {sweep} left coefficients or Y non-finite")
+                log = out.logs[k]
+                if gens[k].is_law_free:
+                    log.append(0.0)
+                    continue
+                y = out.y[k]
+                if k in sorted_prev:
+                    change = sorted_w2(y, sorted_prev[k], b_sorted=True)
+                    log.append(change)
+                    if change < cfg.picard_tol:
+                        continue
+                else:
+                    sorted_prev[k] = np.sort(y, axis=-1)
+                means = zip(mean_x, y.mean(axis=1).tolist(), out.z[k].mean(axis=1).tolist())
+                feats[k] = [LawFeatures(*m) for m in means]
+                still.append(k)
+            if not still:
                 break
-            if prev_y is not None:
-                change = sorted_w2(y, prev_y)
-                log.append(change)
-                if change < cfg.picard_tol:
-                    break
-            prev_y = y
-            feats = [LawFeatures(*m) for m in zip(mean_x, y.mean(axis=1).tolist(), z.mean(axis=1).tolist())]
+            act = np.array(still)
         else:
+            log = out.logs[int(act[0])]
             raise PicardDivergence(
                 f"law iteration did not reach tol {cfg.picard_tol} in "
                 f"{cfg.picard_max_iter} sweeps; last changes {log[-2:]}"
             )
-    return result, tuple(log), sweep
+    return out
 
 
 def _brownian_increments(grid_s, n_particles, seed, tag):
@@ -331,47 +386,70 @@ def _paths(dw: np.ndarray) -> np.ndarray:
     return w
 
 
-def solve_auxiliary(
-    scn: ScenarioSpec, clock: VarianceClock, cfg: SolverConfig, seed: int
-) -> tuple[SolutionField, ParticleCloud]:
-    """Solve the auxiliary Brownian equation on the clock's grid.
+def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, seed, tag, x_start=None):
+    """The one solve path: draw the increments of every particle once, build
+    the paths from 0, and run the Picard iteration of the K generators on
+    them.  ``terminal(w_end)`` gives the K rows of terminal values at the
+    last node's state; the generators read ``x_start + w`` in their state
+    slot (``w`` itself when None).  Returns (w, stack)."""
+    dw = _brownian_increments(grid_s, cfg.n_particles, seed, tag)
+    w = _paths(dw)
+    terminal_values = np.array(terminal(w[-1]), dtype=float)
+    x_states = w if x_start is None else x_start + w
+    return w, _picard_solve(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
+
+
+def solve_auxiliary_stack(
+    scns, clock: VarianceClock, cfg: SolverConfig, seed: int
+) -> list[tuple[SolutionField, ParticleCloud]]:
+    """Solve the auxiliary Brownian equations of several scenarios on the
+    clock's grid as one stack, on one shared draw (common random numbers):
+    each scenario's (field, cloud) is the one ``solve_auxiliary`` gives alone.
 
     The time grid is taken from the clock (its image of [0, T]); ``cfg.n_time``
     governs clock construction in the orchestration layer, not here.
     """
-    audit = lipschitz_audit(scn, n_probes=64, seed=seed)
     grid_s = clock.grid_V
     grid_t = clock.grid_t
-    ds = np.diff(grid_s)
-    if ds.max() * audit.l_f > _MAX_STEP_LIPSCHITZ:
-        raise ValueError(
-            f"explicit scheme needs max step * L_f <= {_MAX_STEP_LIPSCHITZ}; "
-            f"got {ds.max() * audit.l_f:.3g} (refine the grid)"
-        )
-    n = cfg.n_particles
-    dw = _brownian_increments(grid_s, n, seed, "solver-increments")
-    w = _paths(dw)
+    max_ds = np.diff(grid_s).max()
+    for scn in scns:
+        audit = lipschitz_audit(scn, n_probes=64, seed=seed)
+        if max_ds * audit.l_f > _MAX_STEP_LIPSCHITZ:
+            raise ValueError(
+                f"explicit scheme needs max step * L_f <= {_MAX_STEP_LIPSCHITZ}; "
+                f"got {max_ds * audit.l_f:.3g} (refine the grid)"
+            )
 
-    terminal_feats = law_features(w[-1], np.zeros(n), np.zeros(n))
-    terminal_values = np.asarray(eval_terminal(scn.terminal, w[-1], terminal_feats))
+    def terminal(w_end):
+        feats = law_features(w_end, np.zeros(w_end.size), np.zeros(w_end.size))
+        return [eval_terminal(scn.terminal, w_end, feats) for scn in scns]
 
-    (u_c, v_c, y, z, _), log, n_iter = _picard_solve(
-        scn.generator, grid_s, grid_t, w, dw, terminal_values, cfg, x_states=w
-    )
-
+    w, out = _solve_on_grid([scn.generator for scn in scns], terminal, grid_s, grid_t, cfg, seed, "solver-increments")
     scales = _basis_scales(grid_s)
-    field = SolutionField(
-        clock=clock,
-        grid_s=grid_s,
-        grid_t=grid_t,
-        scales=scales,
-        u_coeffs=u_c,
-        v_coeffs=v_c,
-        convergence=log,
-        n_iterations=n_iter,
-    )
-    cloud = ParticleCloud(w=w.T, y=y.T, z=z.T)
-    return field, cloud
+    return [
+        (
+            SolutionField(
+                clock=clock,
+                grid_s=grid_s,
+                grid_t=grid_t,
+                scales=scales,
+                u_coeffs=out.u[k],
+                v_coeffs=out.v[k],
+                convergence=tuple(out.logs[k]),
+                n_iterations=out.n_iterations[k],
+            ),
+            ParticleCloud(w=w.T, y=out.y[k].T, z=out.z[k].T),
+        )
+        for k in range(len(scns))
+    ]
+
+
+def solve_auxiliary(
+    scn: ScenarioSpec, clock: VarianceClock, cfg: SolverConfig, seed: int
+) -> tuple[SolutionField, ParticleCloud]:
+    """Solve the auxiliary Brownian equation on the clock's grid: the stack
+    of one scenario."""
+    return solve_auxiliary_stack([scn], clock, cfg, seed)[0]
 
 
 def transfer_evaluate(field: SolutionField, t: float, x) -> tuple:
@@ -416,8 +494,8 @@ class RepresentationValue:
     n_iterations: int
 
 
-def representation_solve(
-    scn: ScenarioSpec,
+def representation_solve_stack(
+    scns,
     clock: VarianceClock,
     t: float,
     eps: float,
@@ -425,8 +503,10 @@ def representation_solve(
     z: float,
     cfg: SolverConfig,
     seed: int,
-) -> RepresentationValue:
-    """Solve on [V_t, V_{t+eps}] with terminal y + z * (W_{V_{t+eps}} - W_{V_t}).
+) -> list[RepresentationValue]:
+    """Solve each scenario on [V_t, V_{t+eps}] with terminal
+    y + z * (W_{V_{t+eps}} - W_{V_t}), as one stack on one shared draw
+    (common random numbers).
 
     Regressions run on the Brownian increment from V_t (the Markov state of
     this problem), so the time-t node is degenerate and collapses to its
@@ -445,33 +525,47 @@ def representation_solve(
     grid_s = np.linspace(v_a, v_b, N + 1)
     grid_t_sub = np.asarray(clock.invert(grid_s))
     n = cfg.n_particles
-
-    dw = _brownian_increments(grid_s, n, seed, "repr-increments")
-    increments = _paths(dw)
     w0 = math.sqrt(v_a) * standard_normals(seed, (n,), "repr-start")
-    positions = w0 + increments
 
-    terminal_values = y + z * increments[-1]
-    (_, _, y_cloud, _, candidates), log, n_iter = _picard_solve(
-        scn.generator, grid_s, grid_t_sub, increments, dw, terminal_values, cfg, x_states=positions
+    def terminal(w_end):
+        return [y + z * w_end] * len(scns)
+
+    _, out = _solve_on_grid(
+        [scn.generator for scn in scns], terminal, grid_s, grid_t_sub, cfg, seed, "repr-increments", x_start=w0
     )
 
-    value = float(np.mean(y_cloud[0]))
-    std_error = float(np.std(candidates) / math.sqrt(n))
     if v_a > 0:
         # slope/curvature probe: degree 2 keeps the pure-noise spread well
         # below the 3-standard-error gate while catching genuine dependence
         phi0 = _monomials(w0 / math.sqrt(v_a), 2)
-        fitted = _fit(phi0, _gram(phi0, cfg.ridge), candidates) @ phi0
-        particle_sigma = float(np.std(fitted))
+        fitted = _fit(phi0, _gram(phi0, cfg.ridge), out.candidates) @ phi0
+        sigmas = fitted.std(axis=1).tolist()
     else:
-        particle_sigma = 0.0
-    return RepresentationValue(
-        value=value,
-        std_error=std_error,
-        particle_sigma=particle_sigma,
-        n_particles=n,
-        v_start=float(v_a),
-        v_end=float(v_b),
-        n_iterations=n_iter,
-    )
+        sigmas = [0.0] * len(scns)
+    return [
+        RepresentationValue(
+            value=float(np.mean(out.y[k, 0])),
+            std_error=float(np.std(out.candidates[k]) / math.sqrt(n)),
+            particle_sigma=sigmas[k],
+            n_particles=n,
+            v_start=float(v_a),
+            v_end=float(v_b),
+            n_iterations=out.n_iterations[k],
+        )
+        for k in range(len(scns))
+    ]
+
+
+def representation_solve(
+    scn: ScenarioSpec,
+    clock: VarianceClock,
+    t: float,
+    eps: float,
+    y: float,
+    z: float,
+    cfg: SolverConfig,
+    seed: int,
+) -> RepresentationValue:
+    """Solve on [V_t, V_{t+eps}] with terminal y + z * (W_{V_{t+eps}} - W_{V_t}):
+    ``representation_solve_stack`` of one scenario."""
+    return representation_solve_stack([scn], clock, t, eps, y, z, cfg, seed)[0]

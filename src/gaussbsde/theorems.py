@@ -36,7 +36,8 @@ from .solver import (
     SolutionField,
     ParticleCloud,
     representation_solve,
-    solve_auxiliary,
+    representation_solve_stack,
+    solve_auxiliary_stack,
     transfer_evaluate,
 )
 
@@ -134,9 +135,9 @@ def comparison_check(
     clock = build_clock(scn1.driver, cfg.n_time + 1)
     clock2 = build_clock(scn1.driver, 2 * cfg.n_time + 1)
     fields = {}
-    for tag, scn in (("1", scn1), ("2", scn2)):
-        fields[tag], _ = solve_auxiliary(scn, clock, cfg, seed)
-        fields[tag + "fine"], _ = solve_auxiliary(scn, clock2, cfg, seed)
+    for suffix, grid in (("", clock), ("fine", clock2)):
+        for tag, (field, _) in zip("12", solve_auxiliary_stack([scn1, scn2], grid, cfg, seed)):
+            fields[tag + suffix] = field
 
     pos_t = sorted({t for t in t_list if t > 0})
     paths = sample_paths(scn1.driver, np.asarray(pos_t), cfg.n_particles, derived_seed(seed, "cmp-eval")) if pos_t else None
@@ -296,8 +297,7 @@ def converse_comparison_check(
     for k, (t, y, z) in enumerate(probe_grid):
         _require_clock_differentiable(scn1.driver, t)
         probe_seed = derived_seed(seed, "converse", k)
-        rep1 = representation_solve(scn1, clock, t, eps, y, z, cfg, probe_seed)
-        rep2 = representation_solve(scn2, clock, t, eps, y, z, cfg, probe_seed)
+        rep1, rep2 = representation_solve_stack([scn1, scn2], clock, t, eps, y, z, cfg, probe_seed)
         mc_tol = 3.0 * (rep1.std_error + rep2.std_error)
         frozen = LawFeatures(mean_x=0.0, mean_y=y, mean_z=z)
         f1 = eval_generator(scn1.generator, t, 0.0, y, z, frozen)
@@ -338,8 +338,7 @@ def converse_comparison_check(
 
 def _stability_ratio(scn1, scn2, cfg, n_time, seed):
     clock = build_clock(scn1.driver, n_time + 1)
-    f1, _ = solve_auxiliary(scn1, clock, cfg, seed)
-    f2, _ = solve_auxiliary(scn2, clock, cfg, seed)
+    (f1, _), (f2, _) = solve_auxiliary_stack([scn1, scn2], clock, cfg, seed)
     paths = sample_paths(
         scn1.driver, clock.grid_t[1:], cfg.n_particles, derived_seed(seed, "stability-eval", n_time)
     )

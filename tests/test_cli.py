@@ -198,7 +198,7 @@ class TestCliRun:
         assert "ok:" in capsys.readouterr().out
 
     def test_start_leaves_scipy_unloaded(self, tmp_path):
-        # scipy is slow to import; only the LSI check's quadrature needs it
+        # scipy is slow to import and the package does not depend on it
         path = write_config(tmp_path, BASE_CONFIG)
         probe = (
             "import sys, gaussbsde.cli, gaussbsde.experiments\n"
@@ -209,6 +209,22 @@ class TestCliRun:
         result = run_python("-c", probe)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_lsi_run_leaves_scipy_unloaded(self, tmp_path):
+        # the LSI check's entropies are Gauss-Hermite sums, not scipy quadrature
+        tree = kind_config("lsi", {"t": 1.0, "lambda_list": [0.0, 0.5, 1.0]})
+        path = write_config(tmp_path, tree)
+        probe = (
+            "import sys\n"
+            "from gaussbsde.cli import main\n"
+            f"code = main(['run', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}, '--quiet'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = run_python("-c", probe)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0 []"
+        report = json.loads(next((tmp_path / "out" / "reports").glob("*_lsi.json")).read_text())
+        assert report["measurements"]["max_quadrature_error"] <= 1e-6
 
     def test_run_solve_exit_zero(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)

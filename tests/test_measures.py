@@ -59,6 +59,16 @@ class TestWasserstein1D:
             a, b, c = (rng.normal(size=32) for _ in range(3))
             assert sorted_w2(a, c) <= sorted_w2(a, b) + sorted_w2(b, c) + 1e-12
 
+    def test_sorted_b_kept_for_the_next_call(self):
+        # a sequence of (rows, n) samples, each sorted once: the kept rows of
+        # one call are the sorted b of the next
+        rng = np.random.default_rng(2)
+        samples = [rng.normal(size=(5, 64)) for _ in range(4)]
+        kept = np.sort(samples[0], axis=-1)
+        for prev, cur in zip(samples, samples[1:]):
+            assert sorted_w2(cur, kept, b_sorted=True) == sorted_w2(cur, prev)
+            assert np.array_equal(kept, np.sort(cur, axis=-1))
+
 
 class TestGaussianW2:
     def test_mean_shift(self):

@@ -100,6 +100,23 @@ class TestAudit:
         with pytest.raises(ProbeViolation):
             lipschitz_audit(bad, n_probes=64, seed=0)
 
+    @pytest.mark.parametrize(
+        "part, spec, message",
+        [
+            ("generator", GeneratorSpec(c2=1.0, phi="sin", c4=0.5), "generator ratio"),
+            ("generator", GeneratorSpec(kappa_y=1.0, rho_breaks=(0.5,), rho_values=(1.0, -2.0)), "generator ratio"),
+            ("terminal", TerminalSpec(b=1.0, phi="tanh", c=0.5), "terminal ratio"),
+            ("terminal", TerminalSpec(lambda_mean=1.0), "terminal ratio"),
+        ],
+    )
+    def test_understated_constant_raises(self, monkeypatch, part, spec, message):
+        # the probes, drawn and evaluated as arrays, still find a ratio above
+        # a symbolic constant stated at a tenth of its value
+        true_constant = spec.lipschitz
+        monkeypatch.setattr(type(spec), "lipschitz", property(lambda self: 0.1 * true_constant))
+        with pytest.raises(ProbeViolation, match=message):
+            lipschitz_audit(scn(**{part: spec}), n_probes=64, seed=3)
+
 
 class TestOrderProbes:
     def test_constant_gap(self):

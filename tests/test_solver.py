@@ -19,6 +19,8 @@ from gaussbsde.pack import (
     identity_scenario,
     linear_scenario,
     mean_field_scenario,
+    shift_generator,
+    shift_terminal,
 )
 from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec
 from gaussbsde.solver import (
@@ -26,7 +28,9 @@ from gaussbsde.solver import (
     _fit,
     _gram,
     representation_solve,
+    representation_solve_stack,
     solve_auxiliary,
+    solve_auxiliary_stack,
     transfer_evaluate,
 )
 
@@ -205,12 +209,88 @@ class TestSolveOracles:
         field, _ = solve_auxiliary(mean_field_scenario(BROWNIAN), clock, cfg, seed=5)
         assert field.n_iterations >= 2
         assert len(built) == field.n_steps + 1
+        # a stack of two scenarios shares the normal matrices of its one draw
+        built.clear()
+        scn = mean_field_scenario(BROWNIAN)
+        (field, _), _ = solve_auxiliary_stack([scn, shift_terminal(scn, 1.0)], clock, cfg, seed=5)
+        assert field.n_iterations >= 2
+        assert len(built) == field.n_steps + 1
 
     def test_step_stability_guard(self):
         scn = linear_scenario(BROWNIAN, beta=5.0)  # L_f = 5, max step 1/4
         clock = build_clock(BROWNIAN, 5)
         with pytest.raises(ValueError, match="max step"):
             solve_auxiliary(scn, clock, SolverConfig(n_time=4, n_particles=2000), seed=1)
+
+
+def _pairs():
+    mf = mean_field_scenario(BROWNIAN)
+    return {
+        "mean_field_terminal_shift": (mf, shift_terminal(mf, 1.0)),
+        "mean_field_generator_shift": (mf, shift_generator(mf, 0.1)),
+        "linear_constant": (linear_scenario(BROWNIAN, 0.5), constant_generator_scenario(BROWNIAN, 2.0)),
+        "law_free_and_mean_field": (identity_scenario(BROWNIAN), mf),
+    }
+
+
+class TestStackedSolves:
+    """A stack of scenarios on one draw gives each scenario its own solve."""
+
+    @pytest.mark.parametrize("pair", sorted(_pairs()))
+    def test_stack_equals_separate_solves(self, pair):
+        scns = _pairs()[pair]
+        clock = build_clock(BROWNIAN, 17)
+        cfg = SolverConfig(n_time=16, n_particles=2000)
+        stacked = solve_auxiliary_stack(scns, clock, cfg, seed=11)
+        for scn, (field, cloud) in zip(scns, stacked):
+            alone, alone_cloud = solve_auxiliary(scn, clock, cfg, seed=11)
+            assert field.n_iterations == alone.n_iterations
+            assert len(field.convergence) == len(alone.convergence)
+            np.testing.assert_allclose(field.convergence, alone.convergence, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(field.u_coeffs, alone.u_coeffs, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(field.v_coeffs, alone.v_coeffs, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(cloud.y, alone_cloud.y, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(cloud.z, alone_cloud.z, rtol=0, atol=1e-11)
+            assert np.array_equal(cloud.w, alone_cloud.w)
+
+    @pytest.mark.parametrize("pair", sorted(_pairs()))
+    def test_representation_stack_equals_separate_solves(self, pair):
+        scns = _pairs()[pair]
+        clock = build_clock(BROWNIAN, 33)
+        cfg = SolverConfig(n_time=8, n_particles=2000)
+        stacked = representation_solve_stack(scns, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
+        for scn, rep in zip(scns, stacked):
+            alone = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
+            assert rep.n_iterations == alone.n_iterations
+            for name in ("value", "std_error", "particle_sigma"):
+                assert getattr(rep, name) == pytest.approx(getattr(alone, name), rel=0, abs=1e-11)
+            assert (rep.n_particles, rep.v_start, rep.v_end) == (alone.n_particles, alone.v_start, alone.v_end)
+
+    def test_stopped_scenario_rows_freeze(self, monkeypatch):
+        # a law-free scenario stops after its first sweep; the mean-field
+        # scenario of the same stack sweeps on without touching its rows
+        snapshots = []
+        backward_pass = solver._backward_pass
+
+        def recording_pass(gens, act, *args):
+            backward_pass(gens, act, *args)
+            out = args[-1]
+            snapshots.append((act.tolist(), out.u[0].copy(), out.v[0].copy(), out.y[0].copy(), out.z[0].copy()))
+
+        monkeypatch.setattr(solver, "_backward_pass", recording_pass)
+        clock = build_clock(BROWNIAN, 17)
+        cfg = SolverConfig(n_time=16, n_particles=2000)
+        (free, _), (mf, _) = solve_auxiliary_stack(
+            [identity_scenario(BROWNIAN), mean_field_scenario(BROWNIAN)], clock, cfg, seed=5
+        )
+        assert (free.n_iterations, free.convergence) == (1, (0.0,))
+        assert mf.n_iterations == len(snapshots) == 4
+        assert snapshots[0][0] == [0, 1]
+        first = snapshots[0][1:]
+        for act, *rows in snapshots[1:]:
+            assert act == [1]
+            for before, after in zip(first, rows):
+                assert np.array_equal(before, after)
 
 
 class TestTransferEvaluate:
