@@ -10,7 +10,6 @@ from .drivers import (
     VarianceClock,
     build_clock,
     covariance,
-    covariance_matrix,
     sample_paths,
 )
 from .measures import (
@@ -42,7 +41,6 @@ from .solver import (
     transfer_evaluate,
 )
 from .theorems import (
-    InequalityConstants,
     TheoremReport,
     comparison_check,
     converse_comparison_check,

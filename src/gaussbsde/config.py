@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,22 +72,37 @@ def _get(tree: dict, key: str, path: str, required: bool = True, default=None):
     return tree[key]
 
 
-def _number(tree: dict, key: str, path: str, required: bool = True, default=None) -> float:
-    value = _get(tree, key, path, required, default)
-    if value is None:
-        return default
+def _number(tree: dict, key: str, path: str) -> float:
+    value = _get(tree, key, path)
     if not _is_number(value):
         _fail(f"{path}.{key}" if path else key, "must be a finite number")
     return float(value) + 0.0  # -0.0 is emitted as "-0", which reads back as 0
 
 
-def _integer(tree: dict, key: str, path: str, required: bool = True, default=None) -> int:
-    value = _get(tree, key, path, required, default)
-    if value is None:
-        return default
+def _integer(tree: dict, key: str, path: str) -> int:
+    value = _get(tree, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(f"{path}.{key}" if path else key, "must be an integer")
-    return int(value)
+    return value
+
+
+def _nonlinearity(tree: dict, key: str, path: str) -> str:
+    value = _get(tree, key, path)
+    if not isinstance(value, str) or value not in NONLINEARITIES:
+        _fail(f"{path}.{key}", f"must be one of {sorted(NONLINEARITIES)}")
+    return value
+
+
+def _spec_fields(tree: dict, spec_class, path: str) -> dict:
+    """The fields of the dataclass ``spec_class`` that ``tree`` sets, each
+    read as the type of its default: an int, a float, or (for a string) a
+    nonlinearity tag.  The keys ``tree`` leaves out keep the defaults."""
+    read = {int: _integer, float: _number, str: _nonlinearity}
+    return {
+        f.name: read[type(f.default)](tree, f.name, path)
+        for f in fields(spec_class)
+        if type(f.default) in read and f.name in tree
+    }
 
 
 def _load_covariance_file(path: Path, T: float) -> GaussianDriverSpec:
@@ -114,7 +129,7 @@ def parse_driver(tree, path: str = "driver", base_dir: Path | None = None) -> Ga
     kind = _get(tree, "kind", path)
     if kind not in ("brownian", "fbm", "custom"):
         _fail(f"{path}.kind", "must be one of 'brownian', 'fbm', 'custom'")
-    T = _number(tree, "T", path, required=False, default=1.0)
+    T = _number(tree, "T", path) if "T" in tree else 1.0
     if T <= 0:
         _fail(f"{path}.T", "horizon must be positive")
     if kind == "brownian":
@@ -145,17 +160,8 @@ def _parse_terminal(tree, path: str) -> TerminalSpec:
     if not isinstance(tree, dict):
         _fail(path, "must be an object")
     _check_keys(tree, TerminalSpec().payload(), path)
-    phi = _get(tree, "phi", path, required=False, default="none")
-    if phi not in NONLINEARITIES:
-        _fail(f"{path}.phi", f"must be one of {sorted(NONLINEARITIES)}")
     try:
-        return TerminalSpec(
-            a=_number(tree, "a", path, required=False, default=0.0),
-            b=_number(tree, "b", path, required=False, default=0.0),
-            phi=phi,
-            c=_number(tree, "c", path, required=False, default=0.0),
-            lambda_mean=_number(tree, "lambda_mean", path, required=False, default=0.0),
-        )
+        return TerminalSpec(**_spec_fields(tree, TerminalSpec, path))
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -164,24 +170,17 @@ def _parse_generator(tree, path: str) -> GeneratorSpec:
     if not isinstance(tree, dict):
         _fail(path, "must be an object")
     _check_keys(tree, (*GeneratorSpec().payload(), "rho_table"), path)
-    phi = _get(tree, "phi", path, required=False, default="none")
-    if phi not in NONLINEARITIES:
-        _fail(f"{path}.phi", f"must be one of {sorted(NONLINEARITIES)}")
-    kwargs = {
-        key: _number(tree, key, path, required=False, default=0.0)
-        for key in ("c0", "c1", "c2", "c3", "c4", "kappa_x", "kappa_y", "kappa_z")
-    }
+    kwargs = _spec_fields(tree, GeneratorSpec, path)
     rho = _get(tree, "rho_table", path, required=False)
-    breaks = values = None
     if rho is not None:
         if not isinstance(rho, dict) or set(rho) != {"breaks", "values"}:
             _fail(f"{path}.rho_table", "must be an object with exactly 'breaks' and 'values'")
         if not (_numbers(rho["breaks"]) and _numbers(rho["values"])):
             _fail(f"{path}.rho_table", "'breaks' and 'values' must be lists of finite numbers")
-        breaks = tuple(float(v) + 0.0 for v in rho["breaks"])
-        values = tuple(float(v) + 0.0 for v in rho["values"])
+        kwargs["rho_breaks"] = tuple(float(v) + 0.0 for v in rho["breaks"])
+        kwargs["rho_values"] = tuple(float(v) + 0.0 for v in rho["values"])
     try:
-        return GeneratorSpec(phi=phi, rho_breaks=breaks, rho_values=values, **kwargs)
+        return GeneratorSpec(**kwargs)
     except ValueError as exc:
         _fail(path, str(exc))
 
@@ -203,14 +202,7 @@ def parse_solver(tree, path: str = "solver") -> SolverConfig:
         _fail(path, "must be an object")
     _check_keys(tree, SolverConfig().payload(), path)
     try:
-        return SolverConfig(
-            n_time=_integer(tree, "n_time", path, required=False, default=64),
-            n_particles=_integer(tree, "n_particles", path, required=False, default=20000),
-            basis_degree=_integer(tree, "basis_degree", path, required=False, default=4),
-            ridge=_number(tree, "ridge", path, required=False, default=1e-8),
-            picard_max_iter=_integer(tree, "picard_max_iter", path, required=False, default=10),
-            picard_tol=_number(tree, "picard_tol", path, required=False, default=1e-3),
-        )
+        return SolverConfig(**_spec_fields(tree, SolverConfig, path))
     except ValueError as exc:
         _fail(path, str(exc))
 

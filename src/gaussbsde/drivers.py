@@ -1,5 +1,5 @@
-"""Gaussian driver models: covariance kernels, the variance clock, and exact
-joint path sampling on a time grid.
+"""Gaussian driver models: the covariance kernel, the variance clock, and
+exact joint path sampling on a time grid.
 
 A driver is a centered one-dimensional Gaussian process on [0, T] whose
 variance function is strictly increasing with value 0 at time 0.  The clock
@@ -107,32 +107,31 @@ def _custom_indices(spec: GaussianDriverSpec, times: np.ndarray) -> np.ndarray:
     return idx
 
 
-def covariance(spec: GaussianDriverSpec, s: float, t: float) -> float:
-    """E[X_s X_t] for the driver.  Custom drivers are defined on their grid only."""
-    if min(s, t) < -_DOMAIN_TOL or max(s, t) > spec.T + _DOMAIN_TOL:
+def covariance(spec: GaussianDriverSpec, s, t):
+    """E[X_s X_t] for the driver, broadcast over arrays of times (a float for
+    two scalars).  It is 0 when either time is 0; custom drivers are defined
+    on their grid only.  This is the one covariance formula of each driver
+    kind: the clock, the path sampler and the Wick layer all read it."""
+    scalar = np.ndim(s) == 0 and np.ndim(t) == 0
+    # scalars too are computed as arrays: numpy's scalar power can differ
+    # from its array power in the last bit
+    s, t = np.atleast_1d(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    lo = np.minimum(s, t)
+    if np.any(lo < -_DOMAIN_TOL) or np.any(np.maximum(s, t) > spec.T + _DOMAIN_TOL):
         raise OutOfRange(f"times ({s}, {t}) outside [0, {spec.T}]")
-    if s <= 0 or t <= 0:
-        return 0.0
+    pos = lo > 0
     if spec.kind == "brownian":
-        return float(min(s, t))
-    if spec.kind == "fbm":
+        cov = lo
+    elif spec.kind == "fbm":
+        s, t = np.maximum(s, 0.0), np.maximum(t, 0.0)
         h2 = 2.0 * spec.hurst
-        return 0.5 * float(s ** h2 + t ** h2 - abs(t - s) ** h2)
-    i, j = _custom_indices(spec, np.array([s, t], dtype=float))
-    return float(spec.cov_matrix[i, j])
-
-
-def covariance_matrix(spec: GaussianDriverSpec, grid_t: np.ndarray) -> np.ndarray:
-    """Dense covariance matrix on a grid of positive times."""
-    grid_t = np.asarray(grid_t, dtype=float)
-    if spec.kind == "brownian":
-        return np.minimum.outer(grid_t, grid_t)
-    if spec.kind == "fbm":
-        h2 = 2.0 * spec.hurst
-        a = grid_t ** h2
-        return 0.5 * (a[:, None] + a[None, :] - np.abs(grid_t[:, None] - grid_t[None, :]) ** h2)
-    idx = _custom_indices(spec, grid_t)
-    return spec.cov_matrix[np.ix_(idx, idx)]
+        cov = 0.5 * (s ** h2 + t ** h2 - np.abs(t - s) ** h2)
+    else:
+        s, t = np.broadcast_arrays(s, t)
+        cov = np.zeros(pos.shape)
+        cov[pos] = spec.cov_matrix[_custom_indices(spec, s[pos]), _custom_indices(spec, t[pos])]
+    cov = np.where(pos, cov, 0.0)
+    return float(cov[0]) if scalar else cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,12 +188,11 @@ def build_clock(spec: GaussianDriverSpec, n_nodes: int) -> VarianceClock:
     """
     if spec.kind == "custom":
         grid_t = np.concatenate(([0.0], spec.cov_grid))
-        grid_V = np.concatenate(([0.0], np.diag(spec.cov_matrix)))
     else:
         if n_nodes < 2:
             raise ValueError("n_nodes must be at least 2")
         grid_t = np.linspace(0.0, spec.T, n_nodes)
-        grid_V = np.array([covariance(spec, t, t) for t in grid_t])
+    grid_V = covariance(spec, grid_t, grid_t)
     if not np.all(np.diff(grid_V) > 0):
         raise NonMonotoneVariance("covariance diagonal is not strictly increasing")
     return VarianceClock(grid_t=grid_t, grid_V=grid_V)
@@ -218,10 +216,6 @@ class PathBatch:
         """(grid, samples) with the origin prepended: t = 0 and X(0) = 0."""
         grid = np.concatenate(([0.0], self.grid_t))
         return grid, np.concatenate([np.zeros((self.n_paths, 1)), self.samples], axis=1)
-
-    def increments(self) -> np.ndarray:
-        """Per-path increments over the cells of the grid with the origin."""
-        return np.diff(self.with_origin[1], axis=1)
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -250,7 +244,7 @@ def sample_paths(spec: GaussianDriverSpec, grid_t: np.ndarray, n_paths: int, see
         raise ValueError("grid must be strictly increasing inside (0, T]")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    cov = covariance_matrix(spec, grid_t)
+    cov = covariance(spec, grid_t[:, None], grid_t[None, :])
     chol = _cholesky_with_jitter(cov)
     z = standard_normals(seed, (n_paths, grid_t.size), "driver-paths")
     return PathBatch(grid_t=grid_t, samples=z @ chol.T, seed=seed, driver=spec)

@@ -39,7 +39,7 @@ from .pack import (
 )
 from .reporting import canonical_json, digest_payload, emit_report, write_series_csv
 from .rng import derived_seed
-from .scenario import eval_terminal, law_features
+from .scenario import terminal_on_paths
 from .solver import SolverConfig, solve_auxiliary, transfer_evaluate
 from .theorems import (
     TheoremReport,
@@ -92,19 +92,18 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
     clock = build_clock(scn.driver, cfg.solver.n_time + 1)
     field, cloud = solve_auxiliary(scn, clock, cfg.solver, cfg.seed)
 
-    n = cloud.n_particles
-    term_feats = law_features(cloud.w[:, -1], np.zeros(n), np.zeros(n))
-    g_vals = np.asarray(eval_terminal(scn.terminal, cloud.w[:, -1], term_feats))
+    g_vals = terminal_on_paths(scn.terminal, cloud.w[:, -1])
     terminal_residual = float(np.max(np.abs(field.eval_u(field.n_steps, cloud.w[:, -1]) - g_vals)))
 
     quantiles = tuple(cfg.params.get("quantiles", _DEFAULT_QUANTILES))
+    tags = [f"q{int(round(q * 100)):02d}" for q in quantiles]
+    normal_quantiles = np.array([NormalDist().inv_cdf(q) for q in quantiles])
     rows = []
-    for i, t in enumerate(field.grid_t):
-        v = field.grid_s[i]
-        for q in quantiles:
-            x = NormalDist().inv_cdf(q) * np.sqrt(v) if v > 0 else 0.0
-            y_val, z_val = transfer_evaluate(field, float(t), x)
-            rows.append((float(t), float(v), f"q{int(round(q * 100)):02d}", float(y_val), float(z_val)))
+    for t, v in zip(field.grid_t, field.grid_s):
+        # the states at the quantiles of the time-t law N(0, V_t), all at once
+        x = normal_quantiles * np.sqrt(v) if v > 0 else np.zeros(len(quantiles))
+        y_vals, z_vals = transfer_evaluate(field, float(t), x)
+        rows.extend((float(t), float(v), tag, y, z) for tag, y, z in zip(tags, y_vals.tolist(), z_vals.tolist()))
     series_path = out_dir / "series" / f"{name}__solution.csv"
     series_path.parent.mkdir(parents=True, exist_ok=True)
     write_series_csv(series_path, ["t", "V_t", "x_quantile_tag", "Y", "Z"], rows)

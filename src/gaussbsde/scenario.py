@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drivers import GaussianDriverSpec
+from .drivers import GaussianDriverSpec, VarianceClock
 from .errors import EmptyCloud, ProbeViolation
 from .measures import LawFeatures
 from .rng import generator
@@ -231,6 +231,22 @@ def law_features(x, y, z) -> LawFeatures:
     return LawFeatures(mean_x=float(np.mean(x)), mean_y=float(np.mean(y)), mean_z=float(np.mean(z)))
 
 
+def terminal_on_paths(spec: TerminalSpec, x_end) -> np.ndarray:
+    """g at the terminal states of a batch of paths, under the law of those
+    states."""
+    return eval_terminal(spec, x_end, law_features(x_end, 0.0, 0.0))
+
+
+def generator_dv_on_paths(spec: GeneratorSpec, clock: VarianceClock, x, y, z) -> np.ndarray:
+    """(n, N) left-point terms f(t_i, X_i, Y_i, Z_i, law_i) (V_{i+1} - V_i)
+    along n paths, with law_i the law of (X_i, Y_i, Z_i) across the paths:
+    x and y are (n, N+1) states at the clock's nodes, z has one column per
+    cell."""
+    x, y = x[:, :-1], y[:, :-1]
+    feats = LawFeatures(*(a.mean(axis=0) for a in (x, y, z)))
+    return eval_generator(spec, clock.grid_t[:-1], x, y, z, feats) * np.diff(clock.grid_V)
+
+
 def _two_atom_w2_3d(cloud_a: np.ndarray, cloud_b: np.ndarray) -> np.ndarray:
     """Exact W2 between 2-atom equal-weight clouds in R^3 (both couplings),
     for clouds of shape (2 atoms, 3, probes)."""
@@ -318,29 +334,33 @@ class OrderProbeResult:
 def generator_order_probe(
     f1: GeneratorSpec, f2: GeneratorSpec, n_probes: int = 256, seed: int = 0, T: float = 1.0
 ) -> OrderProbeResult:
-    """Samples (t, x, y, z, nu) points and checks f1 <= f2 + 1e-12 at all of them."""
+    """Samples (t, x, y, z, nu) points, nu a 4-atom cloud, and checks
+    f1 <= f2 + 1e-12 at all of them.  The probes are drawn at once and
+    evaluated as arrays; the first violating probe is the counterexample."""
     rng = generator(seed, "generator-order-probe")
-    for _ in range(n_probes):
-        t = float(rng.uniform(0.0, T))
-        x, y, z = rng.normal(0.0, 2.0, size=3)
-        cloud = rng.normal(0.0, 2.0, size=(4, 3))
-        feats = law_features(cloud[:, 0], cloud[:, 1], cloud[:, 2])
-        v1 = eval_generator(f1, t, x, y, z, feats)
-        v2 = eval_generator(f2, t, x, y, z, feats)
-        if v1 > v2 + 1e-12:
-            return OrderProbeResult(ordered=False, counterexample=(t, x, y, z, feats))
-    return OrderProbeResult(ordered=True)
+    t = rng.uniform(0.0, T, size=n_probes)
+    xyz = rng.normal(0.0, 2.0, size=(3, n_probes))
+    means = rng.normal(0.0, 2.0, size=(4, 3, n_probes)).mean(axis=0)
+    feats = LawFeatures(*means)
+    bad = np.flatnonzero(eval_generator(f1, t, *xyz, feats) > eval_generator(f2, t, *xyz, feats) + 1e-12)
+    if bad.size == 0:
+        return OrderProbeResult(ordered=True)
+    k = bad[0]
+    return OrderProbeResult(
+        ordered=False, counterexample=(float(t[k]), *xyz[:, k].tolist(), LawFeatures(*means[:, k].tolist()))
+    )
 
 
 def terminal_order_probe(
     g1: TerminalSpec, g2: TerminalSpec, n_probes: int = 256, seed: int = 0
 ) -> OrderProbeResult:
+    """Samples (x, mu) points and checks g1 <= g2 + 1e-12 at all of them, as
+    ``generator_order_probe`` does."""
     rng = generator(seed, "terminal-order-probe")
-    for _ in range(n_probes):
-        x = float(rng.normal(0.0, 2.0))
-        feats = LawFeatures(mean_x=float(rng.normal(0.0, 2.0)))
-        v1 = eval_terminal(g1, x, feats)
-        v2 = eval_terminal(g2, x, feats)
-        if v1 > v2 + 1e-12:
-            return OrderProbeResult(ordered=False, counterexample=(x, feats))
-    return OrderProbeResult(ordered=True)
+    x, mean_x = rng.normal(0.0, 2.0, size=(2, n_probes))
+    feats = LawFeatures(mean_x=mean_x)
+    bad = np.flatnonzero(eval_terminal(g1, x, feats) > eval_terminal(g2, x, feats) + 1e-12)
+    if bad.size == 0:
+        return OrderProbeResult(ordered=True)
+    k = bad[0]
+    return OrderProbeResult(ordered=False, counterexample=(float(x[k]), LawFeatures(mean_x=float(mean_x[k]))))

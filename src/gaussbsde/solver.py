@@ -63,10 +63,9 @@ from .rng import standard_normals
 from .scenario import (
     ScenarioSpec,
     eval_generator,
-    eval_terminal,
     generator_partials,
-    law_features,
     lipschitz_audit,
+    terminal_on_paths,
 )
 
 _COND_LIMIT = 1e12
@@ -421,8 +420,7 @@ def solve_auxiliary_stack(
             )
 
     def terminal(w_end):
-        feats = law_features(w_end, np.zeros(w_end.size), np.zeros(w_end.size))
-        return [eval_terminal(scn.terminal, w_end, feats) for scn in scns]
+        return [terminal_on_paths(scn.terminal, w_end) for scn in scns]
 
     w, out = _solve_on_grid([scn.generator for scn in scns], terminal, grid_s, grid_t, cfg, seed, "solver-increments")
     scales = _basis_scales(grid_s)
@@ -489,8 +487,6 @@ class RepresentationValue:
     std_error: float
     particle_sigma: float
     n_particles: int
-    v_start: float
-    v_end: float
     n_iterations: int
 
 
@@ -548,8 +544,6 @@ def representation_solve_stack(
             std_error=float(np.std(out.candidates[k]) / math.sqrt(n)),
             particle_sigma=sigmas[k],
             n_particles=n,
-            v_start=float(v_a),
-            v_end=float(v_b),
             n_iterations=out.n_iterations[k],
         )
         for k in range(len(scns))

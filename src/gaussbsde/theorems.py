@@ -25,10 +25,10 @@ from .rng import derived_seed
 from .scenario import (
     ScenarioSpec,
     eval_generator,
-    eval_terminal,
+    generator_dv_on_paths,
     generator_order_probe,
-    law_features,
     lipschitz_audit,
+    terminal_on_paths,
     terminal_order_probe,
 )
 from .solver import (
@@ -105,7 +105,6 @@ def comparison_check(
     cfg: SolverConfig,
     t_list,
     seed: int,
-    n_order_probes: int = 256,
 ) -> TheoremReport:
     """Pointwise ordering of the two solutions under the ordering hypotheses.
 
@@ -124,10 +123,10 @@ def comparison_check(
         raise HypothesisUnsatisfied(
             "comparison requires a nonnegative mean-coupling in Y for one generator"
         )
-    probe_f = generator_order_probe(g1, g2, n_order_probes, derived_seed(seed, "cmp-f"), T=scn1.driver.T)
+    probe_f = generator_order_probe(g1, g2, seed=derived_seed(seed, "cmp-f"), T=scn1.driver.T)
     if not probe_f.ordered:
         raise HypothesisUnsatisfied(f"generator ordering fails at probe {probe_f.counterexample}")
-    probe_g = terminal_order_probe(scn1.terminal, scn2.terminal, n_order_probes, derived_seed(seed, "cmp-g"))
+    probe_g = terminal_order_probe(scn1.terminal, scn2.terminal, seed=derived_seed(seed, "cmp-g"))
     if not probe_g.ordered:
         raise HypothesisUnsatisfied(f"terminal ordering fails at probe {probe_g.counterexample}")
 
@@ -349,17 +348,10 @@ def _stability_ratio(scn1, scn2, cfg, n_time, seed):
 
     lhs = float(np.mean(np.max((y1 - y2) ** 2, axis=1) + ((z1 - z2) ** 2 * dv).sum(axis=1)))
 
-    term_feats = law_features(x_full[:, -1], np.zeros(paths.n_paths), np.zeros(paths.n_paths))
-    dg = np.asarray(eval_terminal(scn1.terminal, x_full[:, -1], term_feats)) - np.asarray(
-        eval_terminal(scn2.terminal, x_full[:, -1], term_feats)
-    )
-    df_sum = np.zeros(paths.n_paths)
-    for i in range(dv.size):
-        feats = law_features(x_full[:, i], y1[:, i], z1[:, i])
-        fa = np.asarray(eval_generator(scn1.generator, float(clock.grid_t[i]), x_full[:, i], y1[:, i], z1[:, i], feats))
-        fb = np.asarray(eval_generator(scn2.generator, float(clock.grid_t[i]), x_full[:, i], y1[:, i], z1[:, i], feats))
-        df_sum += np.abs(fa - fb) * dv[i]
-    rhs = float(np.mean(dg ** 2 + df_sum ** 2))
+    g1, g2 = (terminal_on_paths(scn.terminal, x_full[:, -1]) for scn in (scn1, scn2))
+    # both generators along the first solution
+    fdv1, fdv2 = (generator_dv_on_paths(scn.generator, clock, x_full, y1, z1) for scn in (scn1, scn2))
+    rhs = float(np.mean((g1 - g2) ** 2 + np.abs(fdv1 - fdv2).sum(axis=1) ** 2))
     return lhs, rhs
 
 
@@ -406,55 +398,22 @@ def stability_check(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, s
 # functional inequalities
 
 
-@dataclass(frozen=True)
-class InequalityConstants:
-    """Constants of the transportation and log-Sobolev bounds at one time."""
-
-    c_tr_y: float
-    c_tr_z_grid: float
-    c_tr_z_limit: float
-    c_ls_y: float
-    alpha_at_min: float
-    p: float
-    v_t: float
-    v_total: float
-
-
-def transport_constants(
-    l_g: float, l_f: float, clock: VarianceClock, t: float, p: float = 2.0
-) -> InequalityConstants:
-    """Exact constants; the alpha-infimum for the Z constant is evaluated on a
-    log-spaced grid (used in assertions) alongside its analytic limit c/2
-    (not attained, approached as alpha grows)."""
-    if min(l_g, l_f) < 0 or p < 1:
-        raise ValueError("need l_g, l_f >= 0 and p >= 1")
-    v_t = clock.value(t)
-    lam = clock.V_T - v_t
+def transport_constants(l_g: float, l_f: float, clock: VarianceClock, t: float) -> tuple[float, float]:
+    """(C_Tr, C_LS): the exact constants of the quadratic transportation and
+    log-Sobolev bounds for the law of Y_t."""
+    if min(l_g, l_f) < 0:
+        raise ValueError("need l_g, l_f >= 0")
+    lam = clock.V_T - clock.value(t)
     base = l_g + l_f * lam
     growth = math.exp(2.0 * l_f * lam)
-    c_tr_y = 2.0 * base ** 2 * growth
-    c_ls_y = 2.0 * clock.V_T * base ** 2 * growth
-
-    c = math.exp(2.0 * p * l_f * lam) * base ** (2.0 * p)
-    alphas = np.logspace(-6.0, 8.0, 281)
-    brackets = (1.0 + alphas * c) / (2.0 * alphas)
-    k = int(np.argmin(brackets))
-    c_tr_z_grid = 2.0 * brackets[k] ** (1.0 / (2.0 * p))
-    c_tr_z_limit = 2.0 * (c / 2.0) ** (1.0 / (2.0 * p)) if c > 0 else 0.0
-    return InequalityConstants(
-        c_tr_y=c_tr_y,
-        c_tr_z_grid=float(c_tr_z_grid),
-        c_tr_z_limit=c_tr_z_limit,
-        c_ls_y=c_ls_y,
-        alpha_at_min=float(alphas[k]),
-        p=p,
-        v_t=v_t,
-        v_total=clock.V_T,
-    )
+    return 2.0 * base ** 2 * growth, 2.0 * clock.V_T * base ** 2 * growth
 
 
-def _gaussian_family_law(scn: ScenarioSpec, clock: VarianceClock, t: float) -> GaussianLaw1D:
-    """Closed-form marginal law of Y_t for law-free affine scenarios."""
+def _gaussian_family(scn: ScenarioSpec, t: float, cfg: SolverConfig, seed: int):
+    """(clock, law, C_Tr, C_LS) of the T2 and LSI checks: the closed-form
+    marginal law of Y_t for law-free affine scenarios, and the constants at
+    the audited Lipschitz constants."""
+    clock = build_clock(scn.driver, max(cfg.n_time, 64) + 1)
     gen, term = scn.generator, scn.terminal
     if not (
         gen.is_law_free
@@ -475,9 +434,9 @@ def _gaussian_family_law(scn: ScenarioSpec, clock: VarianceClock, t: float) -> G
         shift = gen.c0 * (factor - 1.0) / gen.c2
     else:
         shift = gen.c0 * lam
-    mean = factor * term.a + shift
-    variance = (term.b * factor) ** 2 * v_t
-    return GaussianLaw1D(mean=mean, variance=variance)
+    law = GaussianLaw1D(mean=factor * term.a + shift, variance=(term.b * factor) ** 2 * v_t)
+    audit = lipschitz_audit(scn, n_probes=32, seed=seed)
+    return (clock, law, *transport_constants(audit.l_g, audit.l_f, clock, t))
 
 
 def t2_check(scn: ScenarioSpec, t: float, shift_list, cfg: SolverConfig, seed: int = 0) -> TheoremReport:
@@ -488,10 +447,7 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, cfg: SolverConfig, seed: i
     report-only mode (the stated constant can then fall below the sharp
     Gaussian one).
     """
-    clock = build_clock(scn.driver, max(cfg.n_time, 64) + 1)
-    law = _gaussian_family_law(scn, clock, t)
-    audit = lipschitz_audit(scn, n_probes=32, seed=seed)
-    consts = transport_constants(audit.l_g, audit.l_f, clock, t)
+    clock, law, c_tr, _ = _gaussian_family(scn, t, cfg, seed)
 
     rows = []
     ok = True
@@ -499,7 +455,7 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, cfg: SolverConfig, seed: i
         shifted = GaussianLaw1D(mean=law.mean + float(m), variance=law.variance)
         w2 = gaussian_w2(law, shifted)
         h = gaussian_kl(shifted, law)
-        satisfied = w2 ** 2 <= consts.c_tr_y * h + _EXACT_TOL
+        satisfied = w2 ** 2 <= c_tr * h + _EXACT_TOL
         ok = ok and satisfied
         rows.append(
             {
@@ -521,9 +477,9 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, cfg: SolverConfig, seed: i
         measurements={
             "t": t,
             "sigma_sq": law.variance,
-            "c_tr_y": consts.c_tr_y,
+            "c_tr_y": c_tr,
             "sharp_constant": sharp,
-            "slack": consts.c_tr_y - sharp,
+            "slack": c_tr - sharp,
             "shifts": rows,
         },
         tolerances={"w2_squared_vs_c_times_h": _EXACT_TOL},
@@ -541,10 +497,7 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, cfg: SolverConfig, seed:
     """Log-Sobolev inequality on the Gaussian family with the exponential test
     family f_lam(x) = exp(lam x / 2); entropies are cross-checked by
     quadrature."""
-    clock = build_clock(scn.driver, max(cfg.n_time, 64) + 1)
-    law = _gaussian_family_law(scn, clock, t)
-    audit = lipschitz_audit(scn, n_probes=32, seed=seed)
-    consts = transport_constants(audit.l_g, audit.l_f, clock, t)
+    _, law, _, c_ls = _gaussian_family(scn, t, cfg, seed)
 
     m, s2 = law.mean, law.variance
     rows = []
@@ -559,7 +512,7 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, cfg: SolverConfig, seed:
         quad_err = abs(ent_quad - ent_exact)
         max_quad_error = max(max_quad_error, quad_err)
         ratio = ent_exact / dirichlet if dirichlet > 0 else 0.0
-        satisfied = ent_exact <= consts.c_ls_y * dirichlet + _EXACT_TOL
+        satisfied = ent_exact <= c_ls * dirichlet + _EXACT_TOL
         ok = ok and satisfied and quad_err <= 1e-6
         rows.append(
             {
@@ -579,7 +532,7 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, cfg: SolverConfig, seed:
         measurements={
             "t": t,
             "sigma_sq": s2,
-            "c_ls_y": consts.c_ls_y,
+            "c_ls_y": c_ls,
             "sharp_ratio": 2.0 * s2,
             "max_quadrature_error": max_quad_error,
             "lambdas": rows,

@@ -10,6 +10,12 @@ is licensed by the S-transform factorization property; the package ships an
 explicit Monte Carlo gate for it (`s_transform_factorization_check`) rather
 than treating the rule as an axiom.  A Monte Carlo check over finitely many
 step functions is evidence, not proof; reports label it as such.
+
+Every product goes through `wick_product_first_chaos`, one cell or all cells
+of a grid at once.  The corrections E[X_{t_i} (X_{t_{i+1}} - X_{t_i})] of the
+cells come from one array call of the driver's covariance kernel, and
+`_wick_cells` gives the (n, N) products of an integrand along a path batch:
+the Riemann-Wick integral sums them and the residual suffix-sums them.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .drivers import GaussianDriverSpec, PathBatch, VarianceClock, covariance, covariance_matrix
+from .drivers import GaussianDriverSpec, PathBatch, VarianceClock, covariance
 from .errors import DegenerateIncrement, GridMismatch
-from .scenario import ScenarioSpec, eval_generator, eval_terminal, law_features
+from .scenario import ScenarioSpec, generator_dv_on_paths, terminal_on_paths
 from .solver import SolutionField
 
 _GRID_TOL = 1e-9
@@ -72,12 +78,11 @@ class FirstChaosIntegrand:
     """Per-grid-node polynomial representation of an integrand v(t_i, x).
 
     ``coeffs[i]`` are raw-x monomial coefficients at node i (one row per cell,
-    nodes 0 .. N-1); derivative rows are precomputed for the Wick correction.
+    nodes 0 .. N-1).
     """
 
     grid_t: np.ndarray
     coeffs: np.ndarray
-    dcoeffs: np.ndarray
 
     def __post_init__(self):
         if self.coeffs.shape[0] != self.grid_t.size - 1:
@@ -85,49 +90,48 @@ class FirstChaosIntegrand:
 
     @classmethod
     def from_rows(cls, grid_t, rows) -> "FirstChaosIntegrand":
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        dc = np.zeros_like(rows)
-        for i, row in enumerate(rows):
-            der = npoly.polyder(row)
-            dc[i, : der.size] = der
-        return cls(grid_t=np.asarray(grid_t, dtype=float), coeffs=rows, dcoeffs=dc)
+        return cls(grid_t=np.asarray(grid_t, dtype=float), coeffs=np.atleast_2d(np.asarray(rows, dtype=float)))
 
     @classmethod
     def from_field(cls, field: SolutionField) -> "FirstChaosIntegrand":
         """Convert the solver's scaled-basis Z representation to raw-x rows."""
-        n_cells = field.n_steps
-        width = field.v_coeffs.shape[1]
-        rows = np.zeros((n_cells, width))
-        powers = np.arange(width)
-        for i in range(n_cells):
-            rows[i] = field.v_coeffs[i] / field.scales[i] ** powers
-        return cls.from_rows(field.grid_t, rows)
+        powers = np.arange(field.v_coeffs.shape[1])
+        return cls.from_rows(field.grid_t, field.v_coeffs / field.scales[: field.n_steps, None] ** powers)
 
 
-def wick_product_first_chaos(
-    poly_coeffs, x_samples, increment_samples, cov_cross: float, var_ti: float
-) -> np.ndarray:
-    """Pathwise p(X_{t_i}) <> (X_{t_{i+1}} - X_{t_i}).
+def wick_product_first_chaos(poly_coeffs, x_samples, increment_samples, correction) -> np.ndarray:
+    """Pathwise p(X_{t_i}) <> (X_{t_{i+1}} - X_{t_i}), where ``correction`` is
+    E[X_{t_i} (X_{t_{i+1}} - X_{t_i})].
 
-    ``cov_cross`` is E[X_{t_i} X_{t_{i+1}}] and ``var_ti`` is Var X_{t_i}; the
-    correction coefficient E[X_{t_i} dX] equals their difference.
+    One cell: ``poly_coeffs`` is a coefficient vector, the samples are
+    n-vectors and the correction is a number.  N cells at once:
+    ``poly_coeffs`` has one row per cell, the samples are (n, N) with one
+    column per cell, and the correction is an N-vector.
     """
     x = np.asarray(x_samples, dtype=float)
     dx = np.asarray(increment_samples, dtype=float)
     if x.shape != dx.shape:
         raise ValueError("x_samples and increment_samples must be paired")
-    if dx.size and float(np.var(dx)) == 0.0:
+    if dx.size and np.any(np.var(dx, axis=0) == 0.0):
         raise DegenerateIncrement("driver increment has zero variance")
-    coeffs = np.asarray(poly_coeffs, dtype=float)
-    p_vals = npoly.polyval(x, coeffs)
-    dp_vals = npoly.polyval(x, npoly.polyder(coeffs)) if coeffs.size > 1 else np.zeros_like(x)
-    return p_vals * dx - dp_vals * (cov_cross - var_ti)
+    coeffs = np.asarray(poly_coeffs, dtype=float).T  # degree along the first axis
+    p_vals = npoly.polyval(x, coeffs, tensor=False)
+    dp_vals = npoly.polyval(x, npoly.polyder(coeffs), tensor=False) if coeffs.shape[0] > 1 else np.zeros_like(x)
+    return p_vals * dx - dp_vals * correction
 
 
-def _cell_covariances(driver: GaussianDriverSpec, grid: np.ndarray, i: int) -> tuple[float, float]:
-    """(E[X_{t_i} X_{t_{i+1}}], Var X_{t_i}) of cell i; their difference is
-    the coefficient of the Wick correction."""
-    return covariance(driver, grid[i], grid[i + 1]), covariance(driver, grid[i], grid[i])
+def _wick_corrections(driver: GaussianDriverSpec, grid: np.ndarray) -> np.ndarray:
+    """E[X_{t_i} (X_{t_{i+1}} - X_{t_i})] of every cell of ``grid``, from one
+    call of the covariance kernel."""
+    cov = covariance(driver, grid[:-1], np.stack([grid[1:], grid[:-1]]))
+    return cov[0] - cov[1]
+
+
+def _wick_cells(coeffs: np.ndarray, paths: PathBatch) -> np.ndarray:
+    """(n, N) products v(t_i, X_{t_i}) <> (X_{t_{i+1}} - X_{t_i}) along the
+    paths, for raw-x coefficient rows ``coeffs`` (one per cell)."""
+    grid, x = paths.with_origin
+    return wick_product_first_chaos(coeffs, x[:, :-1], np.diff(x, axis=1), _wick_corrections(paths.driver, grid))
 
 
 def _check_grid_alignment(grid_a: np.ndarray, grid_b: np.ndarray):
@@ -139,19 +143,9 @@ def riemann_wick_integral(
     integrand: FirstChaosIntegrand, paths: PathBatch, clock: VarianceClock
 ) -> np.ndarray:
     """Per-path Riemann-Wick sum of v(t_i, X_{t_i}) <> dX over all grid cells."""
-    path_grid, x_full = paths.with_origin
-    _check_grid_alignment(path_grid, integrand.grid_t)
+    _check_grid_alignment(paths.with_origin[0], integrand.grid_t)
     _check_grid_alignment(integrand.grid_t, clock.grid_t)
-    out = np.zeros(paths.n_paths)
-    grid = integrand.grid_t
-    for i in range(grid.size - 1):
-        out += wick_product_first_chaos(
-            integrand.coeffs[i],
-            x_full[:, i],
-            x_full[:, i + 1] - x_full[:, i],
-            *_cell_covariances(paths.driver, grid, i),
-        )
-    return out
+    return _wick_cells(integrand.coeffs, paths).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +158,12 @@ class ResidualStats:
     mean_std_error: np.ndarray
 
 
+def _suffix_sums(cells: np.ndarray) -> np.ndarray:
+    """(n, N+1) sums of each row's cells from column i to the last (0 at N)."""
+    suffix = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([suffix, np.zeros((cells.shape[0], 1))], axis=1)
+
+
 def bsde_residual(
     field: SolutionField, scn: ScenarioSpec, paths: PathBatch, clock: VarianceClock
 ) -> ResidualStats:
@@ -171,46 +171,24 @@ def bsde_residual(
     path_grid, x = paths.with_origin
     _check_grid_alignment(path_grid, clock.grid_t)
     _check_grid_alignment(clock.grid_t, field.grid_t)
-    n = paths.n_paths
-    grid_t = clock.grid_t
-    grid_v = clock.grid_V
-    N = grid_t.size - 1
     u_vals, v_vals = field.on_paths(x)
-    raw_coeffs = FirstChaosIntegrand.from_field(field).coeffs
+    g_vals = terminal_on_paths(scn.terminal, x[:, -1])
+    f_cells = generator_dv_on_paths(scn.generator, clock, x, u_vals, v_vals)
+    wick_cells = _wick_cells(FirstChaosIntegrand.from_field(field).coeffs, paths)
 
-    term_feats = law_features(x[:, N], np.zeros(n), np.zeros(n))
-    g_vals = np.asarray(eval_terminal(scn.terminal, x[:, N], term_feats))
-
-    f_cells = np.zeros((n, N))
-    wick_cells = np.zeros((n, N))
-    for i in range(N):
-        feats = law_features(x[:, i], u_vals[:, i], v_vals[:, i])
-        f_vals = np.asarray(
-            eval_generator(scn.generator, float(grid_t[i]), x[:, i], u_vals[:, i], v_vals[:, i], feats)
-        )
-        f_cells[:, i] = f_vals * (grid_v[i + 1] - grid_v[i])
-        wick_cells[:, i] = wick_product_first_chaos(
-            raw_coeffs[i], x[:, i], x[:, i + 1] - x[:, i], *_cell_covariances(paths.driver, grid_t, i)
-        )
-
-    f_suffix = np.concatenate([np.cumsum(f_cells[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))], axis=1)
-    w_suffix = np.concatenate([np.cumsum(wick_cells[:, ::-1], axis=1)[:, ::-1], np.zeros((n, 1))], axis=1)
-
-    residual = u_vals - g_vals[:, None] - f_suffix + w_suffix
+    residual = u_vals - g_vals[:, None] - _suffix_sums(f_cells) + _suffix_sums(wick_cells)
     return ResidualStats(
-        grid_t=grid_t,
+        grid_t=clock.grid_t,
         mean=residual.mean(axis=0),
         rms=np.sqrt(np.mean(residual ** 2, axis=0)),
-        mean_std_error=residual.std(axis=0) / math.sqrt(n),
+        mean_std_error=residual.std(axis=0) / math.sqrt(paths.n_paths),
     )
 
 
-def _increment_covariance(driver: GaussianDriverSpec, grid_t: np.ndarray) -> np.ndarray:
-    """Exact covariance of the increments over cells of [0, t_1, ..., t_N]."""
-    cov = covariance_matrix(driver, grid_t)
-    padded = np.zeros((grid_t.size + 1, grid_t.size + 1))
-    padded[1:, 1:] = cov
-    return padded[1:, 1:] - padded[1:, :-1] - padded[:-1, 1:] + padded[:-1, :-1]
+def _increment_covariance(driver: GaussianDriverSpec, grid: np.ndarray) -> np.ndarray:
+    """Exact covariance of the increments over the cells of ``grid`` (which starts at 0)."""
+    cov = covariance(driver, grid[:, None], grid[None, :])
+    return cov[1:, 1:] - cov[1:, :-1] - cov[:-1, 1:] + cov[:-1, :-1]
 
 
 def wick_exponential_weights(h: StepFunctionH, paths: PathBatch) -> np.ndarray:
@@ -226,7 +204,7 @@ def wick_exponential_weights(h: StepFunctionH, paths: PathBatch) -> np.ndarray:
     hdot_left = np.asarray(h.hdot(grid[:-1]))
     dx = np.diff(x_full, axis=1)
     i_h = dx @ hdot_left
-    inc_cov = _increment_covariance(paths.driver, paths.grid_t)
+    inc_cov = _increment_covariance(paths.driver, grid)
     var_exact = float(hdot_left @ inc_cov @ hdot_left)
     return np.exp(i_h - 0.5 * var_exact)
 
@@ -274,7 +252,8 @@ def s_transform_factorization_check(
         raise ValueError("cell_index outside the grid")
     x_i = x_full[:, i]
     dx_i = x_full[:, i + 1] - x_full[:, i]
-    wick_samples = wick_product_first_chaos(poly_coeffs, x_i, dx_i, *_cell_covariances(paths.driver, grid, i))
+    correction = _wick_corrections(paths.driver, grid[i : i + 2])[0]
+    wick_samples = wick_product_first_chaos(poly_coeffs, x_i, dx_i, correction)
 
     a = wick_samples * weights
     b = npoly.polyval(x_i, np.asarray(poly_coeffs, dtype=float)) * weights

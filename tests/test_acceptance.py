@@ -230,10 +230,10 @@ class TestAcceptance:
             lsi = lsi_check(scn, 1.0, [0.0, 0.5, 1.0], cfg, SEED)
             ok = ok and lsi.passed and lsi.measurements["max_quadrature_error"] <= 1e-6
             details.append(f"lsi quad err {lsi.measurements['max_quadrature_error']:.1e}")
-        consts = transport_constants(1.0, 0.0, clock, t=0.0)
-        exact = consts.c_tr_y == 2.0 and consts.c_ls_y == 2.0
+        c_tr, c_ls = transport_constants(1.0, 0.0, clock, t=0.0)
+        exact = c_tr == 2.0 and c_ls == 2.0
         ok = ok and exact
-        announce(8, ok, "; ".join(details) + f"; constants exact (C_Tr_Y, C_LS) = ({consts.c_tr_y}, {consts.c_ls_y})")
+        announce(8, ok, "; ".join(details) + f"; constants exact (C_Tr_Y, C_LS) = ({c_tr}, {c_ls})")
 
     def test_09_full_suite_determinism(self, tmp_path, monkeypatch):
         cfg = parse_config_payload({"kind": "full_suite", "seed": SEED})

@@ -13,6 +13,8 @@ from gaussbsde.config import emit_config, load_config, parse_config_payload
 from gaussbsde.errors import ConfigInvalid
 from gaussbsde.experiments import KINDS, run_config
 from gaussbsde.reporting import canonical_json, emit_report
+from gaussbsde.scenario import GeneratorSpec, TerminalSpec
+from gaussbsde.solver import SolverConfig
 from gaussbsde.theorems import TheoremReport
 
 
@@ -125,6 +127,26 @@ class TestConfigParsing:
     def test_scenario_numbers_finite(self, scenario, key):
         with pytest.raises(ConfigInvalid, match=rf"^{key}: .*finite number"):
             parse_config_payload(dict(BASE_CONFIG, scenario=scenario))
+
+    def test_absent_keys_keep_the_dataclass_defaults(self):
+        cfg = parse_config_payload(dict(BASE_CONFIG, solver={}, scenario={"terminal": {}, "generator": {}}))
+        assert cfg.solver == SolverConfig()
+        assert cfg.scenario.terminal == TerminalSpec()
+        assert cfg.scenario.generator == GeneratorSpec()
+
+    @pytest.mark.parametrize(
+        "section, update, message",
+        [
+            ("solver", {"n_time": 8.0}, "solver.n_time: must be an integer"),
+            ("solver", {"ridge": "1e-8"}, "solver.ridge: must be a finite number"),
+            ("scenario", {"terminal": {"phi": ["sin"]}, "generator": {}}, "scenario.terminal.phi: must be one of"),
+            ("scenario", {"terminal": {}, "generator": {"phi": "cos"}}, "scenario.generator.phi: must be one of"),
+        ],
+    )
+    def test_spec_value_types_named(self, section, update, message):
+        # each key is read as the type of its dataclass default
+        with pytest.raises(ConfigInvalid, match=rf"^{message}"):
+            parse_config_payload(dict(BASE_CONFIG, **{section: update}))
 
     def test_bad_param_value_fails_validate(self, tmp_path, capsys):
         path = write_config(tmp_path, kind_config("comparison", {"t_list": 5}))

@@ -7,7 +7,6 @@ from gaussbsde.drivers import (
     VarianceClock,
     build_clock,
     covariance,
-    covariance_matrix,
     sample_paths,
 )
 from gaussbsde.errors import CholeskyFailure, NonMonotoneVariance, OutOfRange
@@ -101,6 +100,23 @@ class TestCovariance:
         spec = GaussianDriverSpec.fbm(0.6, 1.0)
         assert covariance(spec, 0.2, 0.9) == covariance(spec, 0.9, 0.2)
 
+    def test_clock_is_the_sampled_variance(self):
+        # the clock's V(t_i) is bit for bit the diagonal of the covariance
+        # matrix that sample_paths factors, built by the same kernel
+        spec = GaussianDriverSpec.fbm(0.7, 1.0)
+        clock = build_clock(spec, 17)
+        grid = clock.grid_t[1:]
+        assert np.array_equal(clock.grid_V[1:], np.diag(covariance(spec, grid[:, None], grid[None, :])))
+
+    def test_broadcast_shapes_and_scalars(self):
+        spec = GaussianDriverSpec.fbm(0.3, 1.0)
+        grid = np.linspace(0.0, 1.0, 5)
+        assert isinstance(covariance(spec, 0.5, 0.5), float)
+        assert covariance(spec, grid[:, None], grid[None, :]).shape == (5, 5)
+        assert covariance(spec, grid, 1.0).shape == (5,)
+        with pytest.raises(OutOfRange):
+            covariance(spec, grid, 1.5)
+
 
 class TestSamplePaths:
     def test_brownian_terminal_variance(self):
@@ -111,7 +127,7 @@ class TestSamplePaths:
     def test_brownian_increments_independent(self):
         spec = GaussianDriverSpec.brownian(1.0)
         paths = sample_paths(spec, np.linspace(0, 1, 17)[1:], 50_000, seed=5)
-        inc = paths.increments()
+        inc = np.diff(paths.with_origin[1], axis=1)
         corr = np.corrcoef(inc[:, 3], inc[:, 9])[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(paths.n_paths)
 
@@ -133,7 +149,7 @@ class TestSamplePaths:
         grid = np.linspace(0, 1, 9)[1:]
         paths = sample_paths(spec, grid, 100_000, seed=2)
         emp = np.cov(paths.samples.T)
-        target = covariance_matrix(spec, grid)
+        target = covariance(spec, grid[:, None], grid[None, :])
         # MC standard error of a covariance entry ~ sqrt((C_ii C_jj + C_ij^2)/n)
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target ** 2) / paths.n_paths)
         assert np.all(np.abs(emp - target) < 3 * se)

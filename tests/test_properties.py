@@ -1,4 +1,4 @@
-"""Property tests: the variance clock, the config round trip, the regression
+"""Property tests: the covariance kernel, the variance clock, the config round trip, the regression
 fit and its basis-block products, the sorted W2 distance and the Lipschitz
 audit."""
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from gaussbsde.config import emit_config, parse_config_payload
-from gaussbsde.drivers import GaussianDriverSpec, build_clock
+from gaussbsde.drivers import GaussianDriverSpec, build_clock, covariance
 from gaussbsde.experiments import KINDS
 from gaussbsde.measures import sorted_w2
 from gaussbsde.scenario import (
@@ -29,6 +29,35 @@ param_values = {
     **dict.fromkeys(("t_list", "eps_list", "shift_list", "lambda_list"), coefficients),
     "probe_grid": st.lists(st.lists(coefficient, min_size=3, max_size=3), max_size=3),
 }
+
+
+@st.composite
+def drivers_and_times(draw):
+    """A driver of any kind and a list of times of its domain that starts at 0."""
+    kind = draw(st.sampled_from(("brownian", "fbm", "custom")))
+    T = draw(st.floats(0.1, 10.0))
+    if kind == "custom":
+        n = draw(st.integers(1, 6))
+        grid = T * np.arange(1, n + 1) / n
+        rows = [[draw(coefficient) for _ in range(i + 1)] for i in range(n)]
+        spec = GaussianDriverSpec.custom(grid, rows, T)
+        times = st.sampled_from([0.0, *grid.tolist()])
+    else:
+        spec = GaussianDriverSpec.fbm(draw(st.floats(0.01, 0.99)), T) if kind == "fbm" else GaussianDriverSpec.brownian(T)
+        times = st.floats(0.0, T)
+    return spec, [0.0, *draw(st.lists(times, min_size=1, max_size=8))]
+
+
+@FEW
+@given(case=drivers_and_times())
+def test_covariance_broadcast_matches_scalar_calls(case):
+    spec, times = case
+    t = np.asarray(times)
+    cov = covariance(spec, t[:, None], t[None, :])
+    scalar = np.array([[covariance(spec, a, b) for b in times] for a in times])
+    assert np.array_equal(cov, scalar)
+    assert np.array_equal(cov, cov.T)
+    assert np.all(cov[0] == 0.0)
 
 
 @FEW

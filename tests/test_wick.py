@@ -38,7 +38,7 @@ class TestWickProduct:
         rng = np.random.default_rng(0)
         x = rng.normal(size=100)
         dx = rng.normal(size=100)
-        out = wick_product_first_chaos(np.array([1.0]), x, dx, cov_cross=0.7, var_ti=0.5)
+        out = wick_product_first_chaos(np.array([1.0]), x, dx, correction=0.2)
         np.testing.assert_allclose(out, dx)
 
     def test_brownian_linear_no_correction(self):
@@ -47,10 +47,11 @@ class TestWickProduct:
         i = 8
         x = paths.samples[:, i - 1]
         dx = paths.samples[:, i] - paths.samples[:, i - 1]
-        cov_cross = covariance(BROWNIAN, clock.grid_t[i], clock.grid_t[i + 1])
-        var_ti = covariance(BROWNIAN, clock.grid_t[i], clock.grid_t[i])
-        assert cov_cross - var_ti == pytest.approx(0.0, abs=1e-14)
-        out = wick_product_first_chaos(np.array([0.0, 1.0]), x, dx, cov_cross, var_ti)
+        correction = covariance(BROWNIAN, clock.grid_t[i], clock.grid_t[i + 1]) - covariance(
+            BROWNIAN, clock.grid_t[i], clock.grid_t[i]
+        )
+        assert correction == pytest.approx(0.0, abs=1e-14)
+        out = wick_product_first_chaos(np.array([0.0, 1.0]), x, dx, correction)
         np.testing.assert_allclose(out, x * dx)
 
     def test_fbm_linear_centered(self):
@@ -60,15 +61,26 @@ class TestWickProduct:
         x = paths.samples[:, i - 1]
         dx = paths.samples[:, i] - x
         out = wick_product_first_chaos(
-            np.array([0.0, 1.0]), x, dx,
-            covariance(FBM07, t_i, t_next), covariance(FBM07, t_i, t_i),
+            np.array([0.0, 1.0]), x, dx, covariance(FBM07, t_i, t_next) - covariance(FBM07, t_i, t_i)
         )
         se = np.std(out) / math.sqrt(out.size)
         assert abs(np.mean(out)) <= 3 * se
 
     def test_degenerate_increment(self):
         with pytest.raises(DegenerateIncrement):
-            wick_product_first_chaos(np.array([1.0]), np.ones(10), np.ones(10), 1.0, 1.0)
+            wick_product_first_chaos(np.array([1.0]), np.ones(10), np.ones(10), 0.0)
+
+    def test_all_cells_at_once_match_each_cell(self):
+        # one row of coefficients and one correction per column
+        rng = np.random.default_rng(3)
+        x, dx = rng.normal(size=(2, 50, 4))
+        coeffs = rng.normal(size=(4, 3))
+        corrections = rng.normal(size=4)
+        out = wick_product_first_chaos(coeffs, x, dx, corrections)
+        for i in range(4):
+            np.testing.assert_array_equal(
+                out[:, i], wick_product_first_chaos(coeffs[i], x[:, i], dx[:, i], corrections[i])
+            )
 
 
 class TestRiemannWick:
@@ -110,6 +122,21 @@ class TestRiemannWick:
             rows = np.tile(np.array([1.0, 0.0]), (n, 1))
             out = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, rows), paths, clock)
             np.testing.assert_allclose(out, paths.samples[:, -1], atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [BROWNIAN, FBM07], ids=["brownian", "fbm"])
+    def test_matches_per_cell_reference_loop(self, spec):
+        # reference: p(X_i) dX_i - p'(X_i) E[X_i dX_i] cell by cell, with the
+        # correction from scalar kernel calls
+        clock, paths = make_paths(spec, 16, 500, seed=19)
+        rows = np.random.default_rng(20).normal(size=(16, 4))
+        out = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, rows), paths, clock)
+        grid, x = paths.with_origin
+        reference = np.zeros(paths.n_paths)
+        for i in range(16):
+            correction = covariance(spec, grid[i], grid[i + 1]) - covariance(spec, grid[i], grid[i])
+            dx = x[:, i + 1] - x[:, i]
+            reference += npoly.polyval(x[:, i], rows[i]) * dx - npoly.polyval(x[:, i], npoly.polyder(rows[i])) * correction
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
 
     def test_grid_mismatch(self):
         clock, paths = make_paths(BROWNIAN, 16, 100, seed=7)
@@ -205,6 +232,25 @@ class TestBsdeResidual:
         paths = sample_paths(FBM07, clock.grid_t[1:], 50_000, seed=17)
         stats = bsde_residual(field, scn, paths, clock)
         assert abs(stats.mean[0]) <= 3 * stats.mean_std_error[0] + 5e-3
+
+    def test_rms_pinned(self):
+        # a law-dependent nonlinear scenario on fBm, pinned to the values of a
+        # cell-by-cell evaluation of every term
+        scn = ScenarioSpec(
+            terminal=TerminalSpec(a=0.5, b=1.0, phi="sin", c=0.5, lambda_mean=0.2),
+            generator=GeneratorSpec(c0=0.1, c1=0.2, c2=0.3, c3=0.1, phi="tanh", c4=0.2, kappa_y=0.2),
+            driver=FBM07,
+        )
+        clock = build_clock(FBM07, 9)
+        field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=8, n_particles=2000), seed=41)
+        stats = bsde_residual(field, scn, sample_paths(FBM07, clock.grid_t[1:], 1000, seed=42), clock)
+        np.testing.assert_allclose(
+            stats.rms,
+            [0.12571976875138746, 0.11996570706793531, 0.1125498195346853, 0.10167390031049374,
+             0.0915179248803869, 0.08266124852838928, 0.07025450277720387, 0.06037611284119673,
+             0.05070286083500641],
+            rtol=0, atol=1e-12,
+        )
 
 
 class TestIntegrandConversion:
