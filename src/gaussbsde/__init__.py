@@ -21,6 +21,7 @@ from .measures import (
 )
 from .scenario import (
     GeneratorSpec,
+    GeneratorStack,
     ScenarioSpec,
     TerminalSpec,
     eval_generator,

@@ -35,11 +35,15 @@ One solve path serves every entry point: ``_solve_on_grid`` draws the
 increments once and solves K scenarios on them as a stack.  Y and Z are
 (K, N+1, n) buffers allocated once per solve; each node fits the P, Z and u
 targets of all K scenarios with one product with phi and one linear solve on
-a (degree+1, K) right-hand side.  Each scenario keeps its own Picard stop: a
-converged scenario leaves the stack and its rows stop changing.  A single
-solve is the stack of one; the paired checks (comparison, converse,
-stability) solve both scenarios of a pair as one stack, on common random
-numbers.
+a (degree+1, K) right-hand side, and evaluates f and its partials once for
+the (K, n) block through the solve's ``GeneratorStack``.  The law features
+are one (N+1,) array of x means and (K, N+1) arrays of y and z means,
+updated in place between sweeps.  Each scenario keeps its own Picard stop: a
+converged scenario leaves the stack and its rows stop changing; a contiguous
+set of active scenarios is a slice, so its rows are read and written as
+views.  A single solve is the stack of one; the paired checks (comparison,
+converse, stability) solve both scenarios of a pair as one stack, on common
+random numbers.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .errors import (
 from .measures import LawFeatures, sorted_w2
 from .rng import standard_normals
 from .scenario import (
+    GeneratorStack,
     ScenarioSpec,
     eval_generator,
     generator_partials,
@@ -243,37 +248,44 @@ class _Stack:
 
 def _backward_pass(gens, act, grid_s, grid_t, w, dw, x_states, terminal_values, features, scales, grams, out):
     """One backward sweep with frozen law features, for the scenarios ``act``
-    (indices into ``gens``) of the stack ``out``, written in place.
+    (increasing indices into the ``GeneratorStack`` ``gens``) of the stack
+    ``out``, written in place.
 
     ``w`` is the (N+1, n) regression state (zero at the first node, variance
     s_i - s_0), ``dw`` its (N, n) increments; ``x_states`` carries the driver
-    positions fed to the generator's state slot; ``grams[i]`` is the normal
-    matrix of node i's basis at ``scales``.  Every node fits the targets of
-    all scenarios in ``act`` at once, one row each.  The first-node
+    positions fed to the generator's state slot; ``features`` holds the
+    (N+1,) particle means of x and the (K, N+1) means of y and z per node;
+    ``grams[i]`` is the normal matrix of node i's basis at ``scales``.  Every
+    node fits the targets of all scenarios in ``act`` at once, one row each,
+    and evaluates f and its partials once for them all.  The first-node
     candidates have the same particle mean as the projected values exactly.
     """
     N = len(grid_s) - 1
     n = w.shape[1]
     degree = out.u.shape[-1] - 1
     y, z = out.y, out.z
+    # a contiguous active set (always so for a full stack or a stack of one)
+    # is a slice, so every row read and write below is a view
+    rows = slice(act[0], act[-1] + 1) if act[-1] - act[0] + 1 == len(act) else act
+    gen = gens if len(act) == len(gens) else gens[rows]
 
-    y[act, N] = terminal_values[act]
+    y[rows, N] = terminal_values[rows]
     phi = _basis(w, scales, N, degree)
-    out.u[act, N, : phi.shape[0]] = _fit(phi, grams[N], terminal_values[act])
+    out.u[rows, N, : phi.shape[0]] = _fit(phi, grams[N], terminal_values[rows])
 
     for i in range(N - 1, -1, -1):
         ds = grid_s[i + 1] - grid_s[i]
         t_i = float(grid_t[i])
         phi = _basis(w, scales, i, degree)
         width = phi.shape[0]
-        target = y[act, i + 1]
+        target = y[rows, i + 1]
         if i + 1 < N:
             # martingale control variate: subtracting z(W_i) dW_i leaves the
             # conditional expectation unchanged and shrinks the regression
             # residual from O(sqrt(ds)) to O((Z - z_hat) sqrt(ds)); centering
             # keeps the particle mean of the fit exactly equal to the target's.
             # z(W_i) is the next node's Z field, read in this node's variable
-            cv = (_rescaled(out.v[act, i + 1, :width], scales[i] / scales[i + 1]) @ phi) * dw[i]
+            cv = (_rescaled(out.v[rows, i + 1, :width], scales[i] / scales[i + 1]) @ phi) * dw[i]
             target = target - (cv - cv.mean(axis=1, keepdims=True))
         beta = _fit(phi, grams[i], target)
         p = beta @ phi
@@ -284,36 +296,36 @@ def _backward_pass(gens, act, grid_s, grid_t, w, dw, x_states, terminal_values, 
             # slope of w -> E[Y_{i+1} | W_i = w] at the collapsed node:
             # smoothing the next field gives E[dY_{i+1}/dw]
             if i + 1 < N:
-                slope = z[act, i + 1].mean(axis=1, keepdims=True)
+                slope = z[rows, i + 1].mean(axis=1, keepdims=True)
             else:
-                slope = ((y[act, i + 1] - p) * dw[i]).mean(axis=1, keepdims=True) / ds
+                slope = ((y[rows, i + 1] - p) * dw[i]).mean(axis=1, keepdims=True) / ds
             dp = np.repeat(slope, n, axis=1)
         # the control field is the derivative of the full one-step value
         # P + f ds; the first-order generator correction keeps Z accurate
-        # to O(ds^2) instead of O(ds)
-        z_i = np.empty_like(p)
-        for j, k in enumerate(act):
-            df_dx, df_dy, df_dz = generator_partials(gens[k], t_i, x_states[i], p[j], dp[j])
-            z_i[j] = dp[j] + ds * (df_dx + (df_dy + df_dz) * dp[j])
+        # to O(ds^2) instead of O(ds), and is 0 for a state-free generator
+        if gen.is_state_free:
+            z_i = dp
+        else:
+            df_dx, df_dy, df_dz = generator_partials(gen, t_i, x_states[i], p, dp)
+            z_i = dp + ds * (df_dx + (df_dy + df_dz) * dp)
         if i == 0:
             vb = z_i.mean(axis=1, keepdims=True)
             z_i[:] = vb
         else:
             vb = _fit(phi, grams[i], z_i)
             z_i = vb @ phi
-        out.v[act, i, :width] = vb
+        out.v[rows, i, :width] = vb
 
-        f_vals = np.empty_like(p)
-        for j, k in enumerate(act):
-            f_vals[j] = eval_generator(gens[k], t_i, x_states[i], p[j], z_i[j], features[k][i])
+        law = LawFeatures(features.mean_x[i], features.mean_y[rows, i, None], features.mean_z[rows, i, None])
+        f_vals = eval_generator(gen, t_i, x_states[i], p, z_i, law)
         y_i = p + f_vals * ds
-        y[act, i] = y_i
-        z[act, i] = z_i
-        out.u[act, i, :width] = _fit(phi, grams[i], y_i)
+        y[rows, i] = y_i
+        z[rows, i] = z_i
+        out.u[rows, i, :width] = _fit(phi, grams[i], y_i)
         if i == 0:
-            out.candidates[act] = y[act, 1] + f_vals * ds
+            out.candidates[rows] = y[rows, 1] + f_vals * ds
 
-    z[act, N] = z[act, N - 1]
+    z[rows, N] = z[rows, N - 1]
 
 
 def _picard_solve(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states) -> _Stack:
@@ -321,9 +333,9 @@ def _picard_solve(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states) -
     paths; ``terminal_values`` is (K, n).  Each scenario keeps its own stop:
     one that has converged leaves the stack, and its rows stop changing."""
     K = len(gens)
+    stack = GeneratorStack(gens)
     scales = _basis_scales(grid_s)
     grams = [_gram(_basis(w, scales, i, cfg.basis_degree), cfg.ridge) for i in range(len(grid_s))]
-    mean_x = x_states.mean(axis=1).tolist()
     out = _Stack.empty(K, len(grid_s) - 1, w.shape[1], cfg.basis_degree)
     # the sorted rows of each law-dependent scenario's previous Y, overwritten
     # by every W2 test, so each Y matrix is sorted once
@@ -333,10 +345,15 @@ def _picard_solve(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states) -
     # each sweep, not by numpy warnings along the way
     with np.errstate(over="ignore", invalid="ignore"):
         # the first iterate is the f = 0, Z = 0 sweep, whose projections keep
-        # the particle mean of g at every node
-        feats = [[LawFeatures(m, g, 0.0) for m in mean_x] for g in terminal_values.mean(axis=1).tolist()]
+        # the particle mean of g at every node; each later sweep reads the
+        # particle means of its predecessor, written in place
+        feats = LawFeatures(
+            mean_x=x_states.mean(axis=1),
+            mean_y=np.repeat(terminal_values.mean(axis=1)[:, None], len(grid_s), axis=1),
+            mean_z=np.zeros((K, len(grid_s))),
+        )
         for sweep in range(1, cfg.picard_max_iter + 1):
-            _backward_pass(gens, act, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, out)
+            _backward_pass(stack, act, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, out)
             still = []
             for k in act.tolist():
                 out.n_iterations[k] = sweep
@@ -354,8 +371,8 @@ def _picard_solve(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states) -
                         continue
                 else:
                     sorted_prev[k] = np.sort(y, axis=-1)
-                means = zip(mean_x, y.mean(axis=1).tolist(), out.z[k].mean(axis=1).tolist())
-                feats[k] = [LawFeatures(*m) for m in means]
+                y.mean(axis=1, out=feats.mean_y[k])
+                out.z[k].mean(axis=1, out=feats.mean_z[k])
                 still.append(k)
             if not still:
                 break
@@ -381,7 +398,10 @@ def _brownian_increments(grid_s, n_particles, seed, tag):
 def _paths(dw: np.ndarray) -> np.ndarray:
     """(N+1, n) partial sums of the increments, starting from 0."""
     w = np.zeros((dw.shape[0] + 1, dw.shape[1]))
-    np.cumsum(dw, axis=0, out=w[1:])
+    # a running sum over contiguous rows adds in the order np.cumsum does
+    # along axis 0, without its strided walk over a time-major block
+    for i, step in enumerate(dw):
+        np.add(w[i], step, out=w[i + 1])
     return w
 
 

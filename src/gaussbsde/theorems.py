@@ -146,21 +146,19 @@ def comparison_check(
             return np.zeros(cfg.n_particles)
         return paths.samples[:, pos_t.index(t)]
 
+    # Y of every field at every time, evaluated once for both loops below
+    y_at = {
+        (name, t): np.asarray(transfer_evaluate(field, t, states_at(t))[0])
+        for name, field in fields.items()
+        for t in t_list
+    }
     scheme_err = 0.0
     for tag in ("1", "2"):
         for t in t_list:
-            x = states_at(t)
-            y_a, _ = transfer_evaluate(fields[tag], t, x)
-            y_b, _ = transfer_evaluate(fields[tag + "fine"], t, x)
-            scheme_err = max(scheme_err, float(np.max(np.abs(np.asarray(y_a) - np.asarray(y_b)))))
+            scheme_err = max(scheme_err, float(np.max(np.abs(y_at[tag, t] - y_at[tag + "fine", t]))))
     delta = 3.0 * scheme_err
 
-    fractions = []
-    for t in t_list:
-        x = states_at(t)
-        y1, _ = transfer_evaluate(fields["1"], t, x)
-        y2, _ = transfer_evaluate(fields["2"], t, x)
-        fractions.append(float(np.mean(np.asarray(y1) > np.asarray(y2) + delta)))
+    fractions = [float(np.mean(y_at["1", t] > y_at["2", t] + delta)) for t in t_list]
     max_fraction = max(fractions)
 
     return TheoremReport(

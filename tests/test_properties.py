@@ -1,6 +1,6 @@
 """Property tests: the covariance kernel, the variance clock, the config round trip, the regression
-fit and its basis-block products, the sorted W2 distance and the Lipschitz
-audit."""
+fit and its basis-block products, the sorted W2 distance, the Lipschitz
+audit and the generator stack."""
 
 import json
 
@@ -11,12 +11,15 @@ from numpy.polynomial import polynomial as npoly
 from gaussbsde.config import emit_config, parse_config_payload
 from gaussbsde.drivers import GaussianDriverSpec, build_clock, covariance
 from gaussbsde.experiments import KINDS
-from gaussbsde.measures import sorted_w2
+from gaussbsde.measures import LawFeatures, sorted_w2
 from gaussbsde.scenario import (
     NONLINEARITIES,
     GeneratorSpec,
+    GeneratorStack,
     ScenarioSpec,
     TerminalSpec,
+    eval_generator,
+    generator_partials,
     lipschitz_audit,
 )
 from gaussbsde.solver import _basis, _derivative, _fit, _gram, _rescaled
@@ -86,6 +89,14 @@ def generators(draw, coefficient=coefficient):
         values = [draw(coefficient) for _ in range(len(breaks) + 1)]
         tree["rho_table"] = {"breaks": [b / 100 for b in breaks], "values": values}
     return tree
+
+
+def generator_spec(tree) -> GeneratorSpec:
+    tree = dict(tree)
+    rho = tree.pop("rho_table", None)
+    if rho is not None:
+        tree.update(rho_breaks=rho["breaks"], rho_values=rho["values"])
+    return GeneratorSpec(**tree)
 
 
 @st.composite
@@ -186,11 +197,32 @@ def test_sorted_w2_rows_is_largest_row_distance(rows, n, seed, spread):
 @FEW
 @given(tree=scenarios(st.floats(-10.0, 10.0, allow_nan=False)), seed=st.integers(0, 2 ** 32 - 1))
 def test_lipschitz_audit_within_symbolic_constants(tree, seed):
-    generator = dict(tree["generator"])
-    rho = generator.pop("rho_table", None)
-    if rho is not None:
-        generator.update(rho_breaks=rho["breaks"], rho_values=rho["values"])
-    scn = ScenarioSpec(TerminalSpec(**tree["terminal"]), GeneratorSpec(**generator), GaussianDriverSpec.brownian(1.0))
+    driver = GaussianDriverSpec.brownian(1.0)
+    scn = ScenarioSpec(TerminalSpec(**tree["terminal"]), generator_spec(tree["generator"]), driver)
     audit = lipschitz_audit(scn, n_probes=64, seed=seed)  # raises ProbeViolation on a breach
     assert audit.max_ratio_f <= audit.l_f + 1e-9
     assert audit.max_ratio_g <= audit.l_g + 1e-9
+
+
+@FEW
+@given(
+    trees=st.lists(generators(st.just(0.0) | coefficient), min_size=1, max_size=5),
+    t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_generator_stack_matches_single_specs(trees, t, seed):
+    # mixed tags, time factors and zero coefficients across the rows; the
+    # law features are (K, 1) columns, one mean per scenario
+    specs = [generator_spec(tree) for tree in trees]
+    stack = GeneratorStack(specs)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=40)
+    y, z = 2.0 * rng.normal(size=(2, len(specs), 40))
+    means = rng.normal(size=(2, len(specs), 1))
+    out = eval_generator(stack, t, x, y, z, LawFeatures(0.7, *means))
+    partials = [np.broadcast_to(p, y.shape) for p in generator_partials(stack, t, x, y, z)]
+    for k, spec in enumerate(specs):
+        row = eval_generator(spec, t, x, y[k], z[k], LawFeatures(0.7, *means[:, k, 0]))
+        np.testing.assert_array_equal(out[k], row)
+        for got, want in zip(partials, generator_partials(spec, t, x, y[k], z[k])):
+            np.testing.assert_array_equal(got[k], np.broadcast_to(want, x.shape))

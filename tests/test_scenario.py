@@ -5,12 +5,15 @@ from gaussbsde.drivers import GaussianDriverSpec
 from gaussbsde.errors import EmptyCloud, ProbeViolation
 from gaussbsde.measures import LawFeatures
 from gaussbsde.scenario import (
+    NONLINEARITIES,
     GeneratorSpec,
+    GeneratorStack,
     ScenarioSpec,
     TerminalSpec,
     eval_generator,
     eval_terminal,
     generator_order_probe,
+    generator_partials,
     law_features,
     lipschitz_audit,
     terminal_order_probe,
@@ -59,6 +62,71 @@ class TestEval:
         f = GeneratorSpec(c0=1.0, rho_breaks=(0.5,), rho_values=(2.0, -1.0))
         assert eval_generator(f, 0.25, 0, 0, 0, LawFeatures()) == 2.0
         assert eval_generator(f, 0.75, 0, 0, 0, LawFeatures()) == -1.0
+
+
+STACK = (
+    GeneratorSpec(c0=0.5, c2=-1.0, phi="tanh", c4=0.3, kappa_y=0.2),
+    GeneratorSpec(c1=0.4, c3=0.1, phi="sin", c4=-0.5, rho_breaks=(0.3, 0.6), rho_values=(1.0, 2.0, -1.5)),
+    GeneratorSpec(kappa_x=0.7, kappa_z=-0.2),
+    GeneratorSpec(c2=0.25, phi="clip", c4=1.0),
+)
+
+
+def full_formula(f, t, x, y, z, feats):
+    """f with every term evaluated, zero coefficients included."""
+    phi = NONLINEARITIES[f.phi][0]
+    core = f.c0 + f.c1 * x + f.c2 * y + f.c3 * z + f.c4 * phi(y)
+    core = core + f.kappa_x * feats.mean_x + f.kappa_y * feats.mean_y + f.kappa_z * feats.mean_z
+    return f.rho(t) * core
+
+
+class TestGeneratorStack:
+    """A stack evaluates f and its partials row by row as the single specs do."""
+
+    @pytest.mark.parametrize("t", [0.1, 0.45, 0.9])
+    def test_stack_equals_row_by_row(self, t):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=50)
+        y, z = 2.0 * rng.normal(size=(2, len(STACK), 50))
+        means = rng.normal(size=(2, len(STACK), 1))
+        stacked = eval_generator(GeneratorStack(STACK), t, x, y, z, LawFeatures(0.3, *means))
+        partials = generator_partials(GeneratorStack(STACK), t, x, y, z)
+        for k, f in enumerate(STACK):
+            row = eval_generator(f, t, x, y[k], z[k], LawFeatures(0.3, *means[:, k, 0]))
+            np.testing.assert_array_equal(stacked[k], row)
+            for got, want in zip(partials, generator_partials(f, t, x, y[k], z[k])):
+                np.testing.assert_array_equal(np.broadcast_to(got, y.shape)[k], np.broadcast_to(want, x.shape))
+
+    def test_rows_of_a_stack(self):
+        stack = GeneratorStack(STACK)
+        assert stack[1:3].specs == STACK[1:3]
+        assert stack[np.array([0, 3])].phi == ("tanh", "clip")
+        assert len(stack[2:3]) == 1 and stack[2:3].nonlinear_terms == ()
+        np.testing.assert_array_equal(stack.rho(0.45), [[1.0], [2.0], [1.0], [1.0]])
+
+    @pytest.mark.parametrize("f", STACK + (GeneratorSpec(), GeneratorSpec(c0=2.0)))
+    def test_zero_skip_is_exact_on_finite_inputs(self, f):
+        rng = np.random.default_rng(7)
+        t = rng.uniform(0.0, 1.0, size=200)
+        x, y, z, *means = 3.0 * rng.normal(size=(6, 200))
+        feats = LawFeatures(*means)
+        np.testing.assert_array_equal(eval_generator(f, t, x, y, z, feats), full_formula(f, t, x, y, z, feats))
+
+    def test_zero_coefficient_ignores_non_finite_argument(self):
+        # a skipped term is never evaluated, so 0 * inf adds 0, not NaN
+        f = GeneratorSpec(c2=1.0)
+        out = eval_generator(f, 0.0, np.array([np.inf, 1.0]), 2.0, np.nan, LawFeatures())
+        np.testing.assert_array_equal(out, [2.0, 2.0])
+
+    def test_result_has_the_shape_of_the_formula(self):
+        # a law-only generator keeps no term of the (n,) arguments, and a
+        # constant generator none at all, yet both are evaluated per particle
+        x = np.zeros(5)
+        law_only = eval_generator(GeneratorSpec(kappa_y=0.5), 0.0, x, x, x, LawFeatures(mean_y=2.0))
+        np.testing.assert_array_equal(law_only, np.ones(5))
+        assert eval_generator(GeneratorSpec(), 0.0, x, x, x, LawFeatures()).shape == (5,)
+        stack = GeneratorStack([GeneratorSpec(c0=1.0), GeneratorSpec()])
+        np.testing.assert_array_equal(eval_generator(stack, 0.0, x, x, x, LawFeatures()), [[1.0] * 5, [0.0] * 5])
 
 
 class TestAudit:

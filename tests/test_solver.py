@@ -225,11 +225,21 @@ class TestSolveOracles:
 
 def _pairs():
     mf = mean_field_scenario(BROWNIAN)
+    # nonlinear pairs: a stack adds each nonlinearity to the rows that carry it
+    tanh = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
+    sin_rho = ScenarioSpec(
+        TerminalSpec(a=0.5, b=1.0, phi="sin", c=0.3),
+        GeneratorSpec(c0=0.2, c3=0.3, phi="sin", c4=0.5, rho_breaks=(0.5,), rho_values=(1.0, 2.0)),
+        BROWNIAN,
+    )
+    clip = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c1=0.4, phi="clip", c4=0.6), BROWNIAN)
     return {
         "mean_field_terminal_shift": (mf, shift_terminal(mf, 1.0)),
         "mean_field_generator_shift": (mf, shift_generator(mf, 0.1)),
         "linear_constant": (linear_scenario(BROWNIAN, 0.5), constant_generator_scenario(BROWNIAN, 2.0)),
         "law_free_and_mean_field": (identity_scenario(BROWNIAN), mf),
+        "tanh_and_sin_with_rho_table": (tanh, sin_rho),
+        "clip_and_linear": (clip, linear_scenario(BROWNIAN, 0.5)),
     }
 
 
@@ -266,6 +276,30 @@ class TestStackedSolves:
                 assert getattr(rep, name) == pytest.approx(getattr(alone, name), rel=0, abs=1e-11)
             assert rep.n_particles == alone.n_particles
 
+    def test_non_contiguous_active_rows(self, monkeypatch):
+        # the law-free middle scenario stops first, so the later sweeps run
+        # on rows [0, 2]: fancy-indexed rows instead of a slice
+        acts = []
+        backward_pass = solver._backward_pass
+
+        def recording_pass(gens, act, *args):
+            acts.append(act.tolist())
+            backward_pass(gens, act, *args)
+
+        monkeypatch.setattr(solver, "_backward_pass", recording_pass)
+        mf = mean_field_scenario(BROWNIAN)
+        scns = (mf, identity_scenario(BROWNIAN), shift_terminal(mf, 1.0))
+        clock = build_clock(BROWNIAN, 17)
+        cfg = SolverConfig(n_time=16, n_particles=2000)
+        stacked = solve_auxiliary_stack(scns, clock, cfg, seed=11)
+        assert acts[:2] == [[0, 1, 2], [0, 2]]
+        for scn, (field, cloud) in zip(scns, stacked):
+            alone, alone_cloud = solve_auxiliary(scn, clock, cfg, seed=11)
+            assert field.n_iterations == alone.n_iterations
+            np.testing.assert_allclose(field.u_coeffs, alone.u_coeffs, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(cloud.y, alone_cloud.y, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(cloud.z, alone_cloud.z, rtol=0, atol=1e-11)
+
     def test_stopped_scenario_rows_freeze(self, monkeypatch):
         # a law-free scenario stops after its first sweep; the mean-field
         # scenario of the same stack sweeps on without touching its rows
@@ -291,6 +325,13 @@ class TestStackedSolves:
             assert act == [1]
             for before, after in zip(first, rows):
                 assert np.array_equal(before, after)
+
+
+def test_paths_running_sum_is_cumsum():
+    dw = np.random.default_rng(12).normal(size=(24, 500))
+    w = solver._paths(dw)
+    assert np.array_equal(w[0], np.zeros(500))
+    assert np.array_equal(w[1:], np.cumsum(dw, axis=0))
 
 
 class TestTransferEvaluate:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaussbsde import theorems
 from gaussbsde.drivers import GaussianDriverSpec, build_clock
 from gaussbsde.errors import HypothesisUnobserved, HypothesisUnsatisfied, UnsupportedScenario
 from gaussbsde.pack import (
@@ -86,6 +87,16 @@ class TestComparison:
         scn2 = shift_terminal(scn1, 1.0)
         report = comparison_check(scn1, scn2, SMALL, [0.0, 0.5, 1.0], seed=3)
         assert report.passed
+
+    def test_each_field_evaluated_once_per_time(self, monkeypatch):
+        # 2 scenarios x 2 grids x 3 times; the scheme-error and violation
+        # loops share the evaluations
+        calls = []
+        evaluate = theorems.transfer_evaluate
+        monkeypatch.setattr(theorems, "transfer_evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        scn = mean_field_scenario(BROWNIAN)
+        comparison_check(scn, shift_terminal(scn, 1.0), SMALL, [0.0, 0.5, 1.0], seed=3)
+        assert len(calls) == 12
 
     def test_refuses_z_law_dependence(self):
         scn1 = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(kappa_z=0.5), BROWNIAN)
