@@ -14,10 +14,11 @@ so all constants are computable symbolically:
 
 and the derivative of f in the y-marginal of the law equals rho(t) * ky.
 
-``eval_generator`` and ``generator_partials`` are the one spelling of f and
-its partials; they take one ``GeneratorSpec`` or a ``GeneratorStack`` of K,
-whose coefficients are (K, 1) columns, so a solver evaluates K scenarios'
-generators on a (K, n) block in one call.
+``eval_generator``, ``generator_partials`` and ``generator_remainder`` are
+the one spelling of f, its partials and its nonlinear remainder; they take
+one ``GeneratorSpec`` or a ``GeneratorStack`` of K, whose coefficients are
+(K, 1) columns, so a solver evaluates K scenarios' generators on a (K, n)
+block, or at every node of a grid, in one call.
 """
 
 from __future__ import annotations
@@ -215,9 +216,11 @@ class GeneratorStack:
             return GeneratorStack(self.specs[rows])
         return GeneratorStack([self.specs[k] for k in rows])
 
-    def rho(self, t: float) -> np.ndarray:
-        """The (K, 1) column of time factors at a scalar t."""
-        return np.array([[spec.rho(t)] for spec in self.specs], dtype=float)
+    def rho(self, t) -> np.ndarray:
+        """The time factors: a (K, 1) column at a scalar t, a (K, m) block at
+        an array of m times."""
+        shape = np.shape(t) or (1,)
+        return np.array([np.broadcast_to(spec.rho(t), shape) for spec in self.specs], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,6 +316,26 @@ def generator_partials(spec: GeneratorSpec | GeneratorStack, t: float, x, y, z):
         return spec.c1, df_dy, spec.c3
     rho = spec.rho(t)
     return rho * spec.c1, rho * df_dy, rho * spec.c3
+
+
+def generator_remainder(spec: GeneratorSpec | GeneratorStack, t, y):
+    """(r, dr/dy): f minus its first-order expansion in (x, y, z) at 0, which
+    is a function of y alone, and its derivative; both are 0 for an affine f.
+
+    With the value of f at (0, 0, 0, nu) and the partials of
+    ``generator_partials`` at 0, this is the coefficient form of f:
+    f = f(0, 0, 0, nu) + f_x x + f_y y + f_z z + r(y).
+    """
+    y = np.asarray(y, dtype=float)
+    r = dr = 0.0
+    for tag, c4 in spec.nonlinear_terms:
+        phi, dphi = NONLINEARITIES[tag]
+        r = r + c4 * (phi(y) - phi(0.0) - dphi(0.0) * y)
+        dr = dr + c4 * (dphi(y) - dphi(0.0))
+    if "rho" not in spec.live:
+        return r, dr
+    rho = spec.rho(t)
+    return rho * r, rho * dr
 
 
 def law_features(x, y, z) -> LawFeatures:

@@ -12,38 +12,57 @@ Scheme (explicit, one regression sweep per Picard iterate):
                 P_i + f ds
         Y_i   = P_i + f(U(s_i), W_i, P_i, Z_i, features_i) * ds_i
 
-Particle arrays are stored time-major: W, its increments, the generator's
-states, Y and Z are (N+1, n) arrays (n for the increments) whose row i holds
-every particle at node i, so each node reads and writes one contiguous row.
-At each node of a sweep the basis is built once from that row, as a
-(degree+1, n) block phi; the normal matrix, the P, Z and u fits, the fitted
-values, the control variate (the next node's Z field, rescaled to this
-node's variable) and the derivative of the P fit are all products with it.
-``ParticleCloud`` exposes the rows as transposed, n x (N+1), views.
+Moment form.  The paths are fixed for a solve, so are the sufficient
+statistics of every regression (Bender & Denk 2007).  Let phi_i be node i's
+(W, n) basis block (W = degree + 1; 1 at the first node, whose state is 0),
+G_i = phi_i phi_i^T + ridge I its normal matrix, and fit_i(r) = G_i^-1 phi_i r
+the least-squares coefficients of a particle row r.  Each node's moments
 
-The paths are fixed for a solve, so each node has one regression system: its
-normal matrix is built once and serves the P, Z and u fits of every sweep.
+    A_i = phi_i phi_i^T    C_i = phi_i phi_{i+1}^T    M_i = phi_i diag(dW_i) phi_i^T
+    s_i = phi_i 1          q_i = phi_i dW_i
+
+are built once per solve and kept as fit operators G_i^-1 A_i, G_i^-1 C_i and
+G_i^-1 M_i, beside the fits of the solve's fixed particle rows: g(W_N) on the
+last two nodes and, when a generator reads x, the states x_i on nodes i and
+i - 1.  A generator is its first-order expansion at (x, y, z) = 0 plus a
+remainder r(y) of its nonlinear terms, so scenario k's Y row at node i < N is
+
+    Y_i = yc_i . phi_i + xc_i x_i + ds_i r(P_i)        (r = 0 for an affine f)
+
+and a sweep runs on coefficients, for the K active scenarios at once:
+
+    beta_i = fit_i(Y_{i+1}) - [G_i^-1 M_i rv - G_i^-1 s_i (q_i . rv) / n]
+             fit_i(Y_{i+1}) = G_i^-1 C_i yc_{i+1} + xc_{i+1} fit_i(x_{i+1})
+                              + fit_i(ds r(P_{i+1}))
+             rv: the next node's Z coefficients read in this node's variable
+    zc_i   = beta_i' (1 + ds (f_y + f_z)) + ds f_x          P_i = beta_i . phi_i
+    vb_i   = G_i^-1 A_i zc_i + fit_i(ds r'(P_i) beta_i' . phi_i)
+    yc_i   = beta_i + ds (f(0, 0, 0, law_i) e_0 + f_y beta_i + f_z vb_i)
+    xc_i   = ds f_x
+    u_i    = G_i^-1 A_i yc_i + xc_i fit_i(x_i) + fit_i(ds r(P_i))
+
+with f(0, 0, 0, law) and the partials (f_x, f_y, f_z) from ``scenario``, and
+every particle mean read off a coefficient row as c . s_i / n.  The first
+node's fields are constants: its Z is the mean of the one-step value's slope.
+Particle work is left where the result depends on the particles: the Picard
+law test of a law-dependent scenario builds its Y rows from the coefficients
+and compares them with ``sorted_w2``; a nonlinear term evaluates P_i at the
+particles and fits its remainder rows (an affine stack never does); and the
+representation candidates are built once, after the last sweep.
+
 Law features are frozen during a backward sweep and updated between sweeps
 until the flow of laws is a fixed point (sup-W2 change below tolerance); the
-features and the W2 test read whole matrices, one row per node, and each Y
-matrix is sorted once (its sorted rows are kept for the next sweep's test).
-The first iterate is the flow of the f = 0, Z = 0 sweep, which has a closed
-form: a projection with an intercept keeps the particle mean, so its
-features are (mean x, mean g, 0) at every node.
+sorted Y rows of each test are kept for the next sweep's test.  The first
+iterate is the flow of the f = 0, Z = 0 sweep, which has a closed form: a
+projection with an intercept keeps the particle mean, so its features are
+(mean x, mean g, 0) at every node.
 
 One solve path serves every entry point: ``_solve_on_grid`` draws the
-increments once and solves K scenarios on them as a stack.  Y and Z are
-(K, N+1, n) buffers allocated once per solve; each node fits the P, Z and u
-targets of all K scenarios with one product with phi and one linear solve on
-a (degree+1, K) right-hand side, and evaluates f and its partials once for
-the (K, n) block through the solve's ``GeneratorStack``.  The law features
-are one (N+1,) array of x means and (K, N+1) arrays of y and z means,
-updated in place between sweeps.  Each scenario keeps its own Picard stop: a
-converged scenario leaves the stack and its rows stop changing; a contiguous
-set of active scenarios is a slice, so its rows are read and written as
-views.  A single solve is the stack of one; the paired checks (comparison,
-converse, stability) solve both scenarios of a pair as one stack, on common
-random numbers.
+increments once, builds the moments and solves K scenarios on them as a
+stack.  Each scenario keeps its own Picard stop: a converged scenario leaves
+the stack and its coefficients stop changing.  A single solve is the stack of
+one; the paired checks (comparison, converse, stability) solve both
+scenarios of a pair as one stack, on common random numbers.
 """
 
 from __future__ import annotations
@@ -69,12 +88,15 @@ from .scenario import (
     ScenarioSpec,
     eval_generator,
     generator_partials,
+    generator_remainder,
     lipschitz_audit,
     terminal_on_paths,
 )
 
 _COND_LIMIT = 1e12
 _MAX_STEP_LIPSCHITZ = 0.5
+# particle values per block of Y rows built for a law test (256 kB)
+_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -111,16 +133,28 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class ParticleCloud:
-    """Joint samples of (W, Y, Z) per grid time on the Brownian clock, as
-    n_particles x (N+1) views of the solver's time-major arrays."""
+    """The Brownian samples W of a solve at the grid times, as an
+    n_particles x (N+1) view of the solver's time-major paths; the solution
+    along them is ``SolutionField.on_paths(cloud.w)``."""
 
     w: np.ndarray  # n_particles x (N+1)
-    y: np.ndarray
-    z: np.ndarray
 
     @property
     def n_particles(self) -> int:
         return self.w.shape[0]
+
+
+def _polyval(x: np.ndarray, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_k coeffs[k] x**k by Horner's rule, each coeffs[k] broadcasting
+    against x: the multiply-adds of ``npoly.polyval``, so its values bit for
+    bit, for any number of polynomials at once; written into ``out`` if given."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(coeffs[0])))
+    out[...] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,22 +190,27 @@ class SolutionField:
 
     def on_paths(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Y, Z) on an (n, N+1) array of states at the grid nodes; Z has one
-        column per cell."""
-        y = np.column_stack([self.eval_u(i, x[:, i]) for i in range(self.n_steps + 1)])
-        z = np.column_stack([self.eval_v(i, x[:, i]) for i in range(self.n_steps)])
-        return y, z
+        column per cell.  Every node is evaluated in one Horner pass, column
+        i with node i's coefficients: the values of ``eval_u``/``eval_v``."""
+        scaled = np.asarray(x, dtype=float) / self.scales
+        return _polyval(scaled, self.u_coeffs.T), _polyval(scaled[:, :-1], self.v_coeffs.T)
 
 
-def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
-    """Ridge-regularized normal matrix of a (degree+1, n) basis block,
-    refused when its condition estimate is above the limit."""
-    gram = phi @ phi.T + ridge * np.eye(phi.shape[0])
+def _regularized(a: np.ndarray, ridge: float) -> np.ndarray:
+    """a + ridge I, refused when its condition estimate is above the limit."""
+    gram = a + ridge * np.eye(len(a))
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise RegressionIllConditioned(
             f"normal-equations condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}"
         )
     return gram
+
+
+def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
+    """Ridge-regularized normal matrix of a (degree+1, n) basis block,
+    refused when its condition estimate is above the limit."""
+    return _regularized(phi @ phi.T, ridge)
 
 
 def _fit(phi: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -218,171 +257,315 @@ def _derivative(coeffs: np.ndarray, scale: float) -> np.ndarray:
     return np.arange(1, coeffs.shape[-1]) * coeffs[..., 1:] / scale
 
 
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """Node i's regression statistics, fixed for a solve.  With phi the
+    node's (W, n) basis block and G its normal matrix, a fit on the node is
+    G^-1 phi r for a particle row r; the next node's fields are absent at the
+    last node."""
+
+    gram: np.ndarray  # G
+    fit_self: np.ndarray  # G^-1 phi phi^T: the fit of c . phi is fit_self @ c
+    fit_next: np.ndarray | None  # G^-1 phi phi_{i+1}^T: the fit of c . phi_{i+1}
+    fit_cv: np.ndarray | None  # G^-1 phi diag(dW_i) phi^T: the fit of (c . phi) dW_i
+    sums: np.ndarray  # phi 1: the particle mean of c . phi is c @ sums / n
+    dw_sums: np.ndarray | None  # phi dW_i
+
+
+def _node_moments(powers: np.ndarray, phi_next, dw, ridge: float) -> _Node:
+    """The moments of node i's basis block phi with itself, with node i+1's
+    block and with the increments dW_i, as fits on node i.  ``powers`` holds
+    the node's scaled state to the powers 0 .. 2 degree, phi being its first
+    degree + 1 rows, so A and M are Hankel matrices of its sums: their (j, k)
+    entries are the sums of x**(j+k) and of x**(j+k) dW_i."""
+    width = len(powers) // 2 + 1
+    hankel = np.add.outer(np.arange(width), np.arange(width))
+    a = powers.sum(axis=1)[hankel]
+    gram = _regularized(a, ridge)
+    if phi_next is None:
+        return _Node(gram, np.linalg.solve(gram, a), None, None, a[:, 0], None)
+    m = (powers @ dw)[hankel]
+    fits = np.linalg.solve(gram, np.hstack([a, powers[:width] @ phi_next.T, m]))
+    fit_self, fit_next, fit_cv = np.split(fits, [width, width + len(phi_next)], axis=1)
+    return _Node(gram, fit_self, fit_next, fit_cv, a[:, 0], m[:, 0])
+
+
+@dataclass(frozen=True, eq=False)
+class _Moments:
+    """What the sweeps of one solve read: the grid, the (N+1, n) paths w and
+    generator states x, the K terminal rows g, each node's statistics, and
+    the fits of the fixed rows: g on the last node (g_fit) and the one before
+    (g_fit_prev), and x_i on node i (x_fit) and on node i - 1 (x_fit_next,
+    row i - 1), which are None when no generator reads x.  g_dw holds the
+    sums g dW_{N-1}, the slope at the first node of a one-step grid."""
+
+    grid_s: np.ndarray
+    grid_t: np.ndarray
+    scales: np.ndarray
+    degree: int
+    w: np.ndarray
+    x_states: np.ndarray
+    terminal: np.ndarray
+    nodes: list
+    g_fit: np.ndarray
+    g_fit_prev: np.ndarray
+    g_dw: np.ndarray
+    x_fit: np.ndarray | None
+    x_fit_next: np.ndarray | None
+
+    @property
+    def ds(self) -> np.ndarray:
+        return np.diff(self.grid_s)
+
+
+def _moments(grid_s, grid_t, w, dw, x_states, terminal, degree: int, ridge: float, with_x: bool) -> _Moments:
+    """Every node's moments and fixed-row fits, from one basis block per node."""
+    n_nodes = len(grid_s)
+    scales = _basis_scales(grid_s)
+    x_fit = np.zeros((n_nodes, degree + 1)) if with_x else None
+    x_fit_next = np.zeros((n_nodes - 1, degree + 1)) if with_x else None
+    nodes = [None] * n_nodes
+    phi_next = None
+    for i in range(n_nodes - 1, -1, -1):
+        powers = _basis(w, scales, i, 2 * degree)
+        phi = powers[: len(powers) // 2 + 1]
+        last = phi_next is None
+        node = nodes[i] = _node_moments(powers, phi_next, None if last else dw[i], ridge)
+        if with_x:
+            x_fit[i, : len(phi)] = _fit(phi, node.gram, x_states[i])
+            if not last:
+                x_fit_next[i, : len(phi)] = _fit(phi, node.gram, x_states[i + 1])
+        if last:
+            g_fit = _fit(phi, node.gram, terminal)
+        elif i == n_nodes - 2:
+            g_fit_prev = _fit(phi, node.gram, terminal)
+        phi_next = phi
+    return _Moments(
+        grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree,
+        w=w, x_states=x_states, terminal=terminal, nodes=nodes,
+        g_fit=g_fit, g_fit_prev=g_fit_prev, g_dw=terminal @ dw[-1],
+        x_fit=x_fit, x_fit_next=x_fit_next,
+    )
+
+
 @dataclass(eq=False)
 class _Stack:
-    """Buffers of a K-scenario solve, allocated once and rewritten by every
-    sweep of the scenarios still iterating: scenario k's coefficients are
-    u[k], v[k], its particle values y[k], z[k] ((N+1, n) each) and its
-    unprojected one-step values at the first node candidates[k]."""
+    """Coefficient arrays of a K-scenario solve, rewritten by every sweep of
+    the scenarios still iterating.  Scenario k's fields are u[k] and v[k];
+    its Y row at a node i < N is yc[k, i] . phi_i + xc[k, i] x_i, plus
+    ds_i r(beta[k, i] . phi_i) when its generator has nonlinear terms (the
+    row at the last node is g).  step0[k] is the constant of its first-node
+    f ds (whose x part is xc[k, 0] x_0), and mean_y[k], mean_z[k] are the
+    particle means of its Y and Z rows at every node."""
 
     u: np.ndarray  # K x (N+1) x (degree+1)
     v: np.ndarray  # K x N x (degree+1)
-    y: np.ndarray  # K x (N+1) x n
-    z: np.ndarray
-    candidates: np.ndarray  # K x n
+    yc: np.ndarray  # K x (N+1) x (degree+1)
+    xc: np.ndarray  # K x (N+1)
+    beta: np.ndarray  # K x (N+1) x (degree+1)
+    step0: np.ndarray  # K
+    mean_y: np.ndarray  # K x (N+1)
+    mean_z: np.ndarray
     logs: list
     n_iterations: list
 
     @classmethod
-    def empty(cls, K: int, N: int, n: int, degree: int) -> "_Stack":
+    def empty(cls, K: int, N: int, degree: int) -> "_Stack":
         return cls(
             u=np.zeros((K, N + 1, degree + 1)),
             v=np.zeros((K, N, degree + 1)),
-            y=np.empty((K, N + 1, n)),
-            z=np.empty((K, N + 1, n)),
-            candidates=np.empty((K, n)),
+            yc=np.zeros((K, N + 1, degree + 1)),
+            xc=np.zeros((K, N + 1)),
+            beta=np.zeros((K, N + 1, degree + 1)),
+            step0=np.zeros(K),
+            mean_y=np.zeros((K, N + 1)),
+            mean_z=np.zeros((K, N + 1)),
             logs=[[] for _ in range(K)],
             n_iterations=[0] * K,
         )
 
 
-def _backward_pass(gens, act, grid_s, grid_t, w, dw, x_states, terminal_values, features, scales, grams, out):
-    """One backward sweep with frozen law features, for the scenarios ``act``
-    (increasing indices into the ``GeneratorStack`` ``gens``) of the stack
-    ``out``, written in place.
+def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
+    """One backward sweep with frozen law features, in moment form, for the
+    scenarios ``act`` (increasing indices into the ``GeneratorStack``
+    ``gens``) of the stack ``out``, written in place.
 
-    ``w`` is the (N+1, n) regression state (zero at the first node, variance
-    s_i - s_0), ``dw`` its (N, n) increments; ``x_states`` carries the driver
-    positions fed to the generator's state slot; ``features`` holds the
-    (N+1,) particle means of x and the (K, N+1) means of y and z per node;
-    ``grams[i]`` is the normal matrix of node i's basis at ``scales``.  Every
-    node fits the targets of all scenarios in ``act`` at once, one row each,
-    and evaluates f and its partials once for them all.  The first-node
-    candidates have the same particle mean as the projected values exactly.
+    ``features`` holds the (N+1,) particle means of x and the (K, N+1) means
+    of y and z per node.  Every node runs on the (K, W) coefficient rows of
+    all scenarios in ``act`` at once; f enters through its value at
+    (0, 0, 0, law) and its partials, evaluated for every node at once, and
+    through the particle rows of its nonlinear remainder, if any.
     """
-    N = len(grid_s) - 1
-    n = w.shape[1]
-    degree = out.u.shape[-1] - 1
-    y, z = out.y, out.z
-    # a contiguous active set (always so for a full stack or a stack of one)
-    # is a slice, so every row read and write below is a view
-    rows = slice(act[0], act[-1] + 1) if act[-1] - act[0] + 1 == len(act) else act
-    gen = gens if len(act) == len(gens) else gens[rows]
+    N = len(mom.nodes) - 1
+    n = mom.w.shape[1]
+    K, W = len(act), mom.degree + 1
+    gen = gens if K == len(gens) else gens[act]
+    nonlinear = bool(gen.nonlinear_terms)
+    ds_all = mom.ds
+    law = LawFeatures(features.mean_x, features.mean_y[act], features.mean_z[act])
+    f0 = eval_generator(gen, mom.grid_t, 0.0, 0.0, 0.0, law)
+    f_x, f_y, f_z = (np.broadcast_to(d, (K, N + 1)) for d in generator_partials(gen, mom.grid_t, 0.0, 0.0, 0.0))
 
-    y[rows, N] = terminal_values[rows]
-    phi = _basis(w, scales, N, degree)
-    out.u[rows, N, : phi.shape[0]] = _fit(phi, grams[N], terminal_values[rows])
-
+    u, yc, beta = (np.zeros((K, N + 1, W)) for _ in range(3))
+    v = np.zeros((K, N, W))
+    xc = np.zeros((K, N + 1))
+    mean_y, mean_z = np.empty((K, N + 1)), np.empty((K, N + 1))
+    u[:, N] = mom.g_fit[act]
+    mean_y[:, N] = features.mean_y[act, N]  # the mean of g, set by the first iterate
+    target = mom.g_fit_prev[act]  # the fit on node N-1 of Y_N = g
+    carry = None  # the nonlinear-remainder rows of the next node's Y
     for i in range(N - 1, -1, -1):
-        ds = grid_s[i + 1] - grid_s[i]
-        t_i = float(grid_t[i])
-        phi = _basis(w, scales, i, degree)
-        width = phi.shape[0]
-        target = y[rows, i + 1]
+        node = mom.nodes[i]
+        width = len(node.sums)
+        ds = ds_all[i]
+        if nonlinear:
+            phi = _basis(mom.w, mom.scales, i, mom.degree)
+            if carry is not None:
+                target = target + _fit(phi, node.gram, carry)
+        b = target
         if i + 1 < N:
             # martingale control variate: subtracting z(W_i) dW_i leaves the
             # conditional expectation unchanged and shrinks the regression
             # residual from O(sqrt(ds)) to O((Z - z_hat) sqrt(ds)); centering
             # keeps the particle mean of the fit exactly equal to the target's.
             # z(W_i) is the next node's Z field, read in this node's variable
-            cv = (_rescaled(out.v[rows, i + 1, :width], scales[i] / scales[i + 1]) @ phi) * dw[i]
-            target = target - (cv - cv.mean(axis=1, keepdims=True))
-        beta = _fit(phi, grams[i], target)
-        p = beta @ phi
+            rv = _rescaled(v[:, i + 1, :width], mom.scales[i] / mom.scales[i + 1])
+            b = b - (rv @ node.fit_cv.T - np.outer(rv @ node.dw_sums / n, node.fit_self[:, 0]))
 
-        if i > 0:
-            dp = _derivative(beta, scales[i]) @ phi[:-1]
-        else:
-            # slope of w -> E[Y_{i+1} | W_i = w] at the collapsed node:
-            # smoothing the next field gives E[dY_{i+1}/dw]
-            if i + 1 < N:
-                slope = z[rows, i + 1].mean(axis=1, keepdims=True)
-            else:
-                slope = ((y[rows, i + 1] - p) * dw[i]).mean(axis=1, keepdims=True) / ds
-            dp = np.repeat(slope, n, axis=1)
         # the control field is the derivative of the full one-step value
         # P + f ds; the first-order generator correction keeps Z accurate
         # to O(ds^2) instead of O(ds), and is 0 for a state-free generator
-        if gen.is_state_free:
-            z_i = dp
+        if i > 0:
+            dz = np.zeros((K, width))
+            dz[:, :-1] = _derivative(b, mom.scales[i])
+        elif N > 1:
+            # slope of w -> E[Y_{i+1} | W_i = w] at the collapsed node:
+            # smoothing the next field gives E[dY_{i+1}/dw]
+            dz = mean_z[:, 1:2].copy()
         else:
-            df_dx, df_dy, df_dz = generator_partials(gen, t_i, x_states[i], p, dp)
-            z_i = dp + ds * (df_dx + (df_dy + df_dz) * dp)
-        if i == 0:
-            vb = z_i.mean(axis=1, keepdims=True)
-            z_i[:] = vb
-        else:
-            vb = _fit(phi, grams[i], z_i)
-            z_i = vb @ phi
-        out.v[rows, i, :width] = vb
+            dz = ((mom.g_dw[act] - b[:, 0] * node.dw_sums[0]) / (n * ds))[:, None]
+        zc = dz
+        if not gen.is_state_free:
+            zc = dz + ds * (f_y[:, i, None] + f_z[:, i, None]) * dz
+            zc[:, 0] += ds * f_x[:, i]
+        # the first node's Z is the particle mean of its (constant) field
+        vb = zc @ node.fit_self.T if i > 0 else zc
+        if nonlinear:
+            r, dr = generator_remainder(gen, mom.grid_t[i], b @ phi)
+            z_rows = ds * dr * (dz @ phi)
+            vb = vb + (_fit(phi, node.gram, z_rows) if i > 0 else z_rows.mean(axis=1, keepdims=True))
 
-        law = LawFeatures(features.mean_x[i], features.mean_y[rows, i, None], features.mean_z[rows, i, None])
-        f_vals = eval_generator(gen, t_i, x_states[i], p, z_i, law)
-        y_i = p + f_vals * ds
-        y[rows, i] = y_i
-        z[rows, i] = z_i
-        out.u[rows, i, :width] = _fit(phi, grams[i], y_i)
-        if i == 0:
-            out.candidates[rows] = y[rows, 1] + f_vals * ds
+        step = np.zeros((K, width))
+        step[:, 0] = f0[:, i]
+        if not gen.is_state_free:
+            step += f_y[:, i, None] * b + f_z[:, i, None] * vb
+        step *= ds
+        y_c = b + step
+        fitted = y_c @ node.fit_self.T
+        mean = y_c @ node.sums / n
+        if mom.x_fit is not None:
+            xc[:, i] = ds * f_x[:, i]
+            fitted += xc[:, i, None] * mom.x_fit[i, :width]
+            mean += xc[:, i] * features.mean_x[i]
+        if nonlinear:
+            carry = ds * r
+            fitted += _fit(phi, node.gram, carry)
+            mean += carry.mean(axis=1)
+        u[:, i, :width], v[:, i, :width], yc[:, i, :width], beta[:, i, :width] = fitted, vb, y_c, b
+        mean_y[:, i] = mean
+        mean_z[:, i] = vb @ node.sums / n
+        if i > 0:
+            prev = mom.nodes[i - 1]
+            target = y_c @ prev.fit_next.T  # the fit on node i-1 of yc . phi_i
+            if mom.x_fit is not None:
+                target += xc[:, i, None] * mom.x_fit_next[i - 1, : len(prev.sums)]
 
-    z[rows, N] = z[rows, N - 1]
+    mean_z[:, N] = mean_z[:, N - 1]  # Z_N is the last cell's field
+    out.step0[act] = step[:, 0] + (carry[:, 0] if nonlinear else 0.0)
+    out.u[act], out.v[act], out.yc[act], out.xc[act], out.beta[act] = u, v, yc, xc, beta
+    out.mean_y[act], out.mean_z[act] = mean_y, mean_z
 
 
-def _picard_solve(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states) -> _Stack:
-    """Picard iteration on the flow of laws for K generators on one set of
-    paths; ``terminal_values`` is (K, n).  Each scenario keeps its own stop:
-    one that has converged leaves the stack, and its rows stop changing."""
+def _y_rows(mom: _Moments, spec, out: _Stack, k: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Scenario k's Y rows at nodes lo .. hi-1 (all nodes by default), built
+    from the coefficients the last sweep left, with the generator ``spec``
+    for its nonlinear remainder; the row of the last node is g.  The rows are
+    built a few at a time, so each Horner pass runs in cache."""
+    N = len(mom.nodes) - 1
+    hi = N + 1 if hi is None else hi
+    y = np.empty((hi - lo, mom.w.shape[1]))
+    step = max(1, _BLOCK_VALUES // mom.w.shape[1])
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        rows = y[a - lo : b - lo]
+        scaled = mom.w[a:b] / mom.scales[a:b, None]
+        _polyval(scaled, out.yc[k, a:b].T[..., None], out=rows)
+        if mom.x_fit is not None:
+            rows += out.xc[k, a:b, None] * mom.x_states[a:b]
+        inner = min(b, N) - a
+        if spec.nonlinear_terms and inner > 0:
+            p = _polyval(scaled[:inner], out.beta[k, a : a + inner].T[..., None])
+            r, _ = generator_remainder(spec, mom.grid_t[a : a + inner, None], p)
+            rows[:inner] += mom.ds[a : a + inner, None] * r
+    if hi == N + 1:
+        y[-1] = mom.terminal[k]
+    return y
+
+
+def _picard_solve(gens, mom: _Moments, cfg) -> _Stack:
+    """Picard iteration on the flow of laws for K generators on the paths of
+    ``mom``.  Each scenario keeps its own stop: one that has converged leaves
+    the stack, and its coefficients stop changing."""
     K = len(gens)
+    N = len(mom.nodes) - 1
     stack = GeneratorStack(gens)
-    scales = _basis_scales(grid_s)
-    grams = [_gram(_basis(w, scales, i, cfg.basis_degree), cfg.ridge) for i in range(len(grid_s))]
-    out = _Stack.empty(K, len(grid_s) - 1, w.shape[1], cfg.basis_degree)
-    # the sorted rows of each law-dependent scenario's previous Y, overwritten
-    # by every W2 test, so each Y matrix is sorted once
+    out = _Stack.empty(K, N, cfg.basis_degree)
+    # the sorted Y rows of each law-dependent scenario's previous sweep,
+    # overwritten by every W2 test, so each Y matrix is sorted once
     sorted_prev: dict[int, np.ndarray] = {}
     act = np.arange(K)
-    # an overflowing solve is reported once, by the finiteness check after
-    # each sweep, not by numpy warnings along the way
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the first iterate is the f = 0, Z = 0 sweep, whose projections keep
-        # the particle mean of g at every node; each later sweep reads the
-        # particle means of its predecessor, written in place
-        feats = LawFeatures(
-            mean_x=x_states.mean(axis=1),
-            mean_y=np.repeat(terminal_values.mean(axis=1)[:, None], len(grid_s), axis=1),
-            mean_z=np.zeros((K, len(grid_s))),
-        )
-        for sweep in range(1, cfg.picard_max_iter + 1):
-            _backward_pass(stack, act, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, out)
-            still = []
-            for k in act.tolist():
-                out.n_iterations[k] = sweep
-                if not all(np.isfinite(a[k]).all() for a in (out.u, out.v, out.y)):
-                    raise NonFiniteSolution(f"backward sweep {sweep} left coefficients or Y non-finite")
-                log = out.logs[k]
-                if gens[k].is_law_free:
-                    log.append(0.0)
+    # the first iterate is the f = 0, Z = 0 sweep, whose projections keep the
+    # particle mean of g at every node; each later sweep reads the particle
+    # means of its predecessor, written in place
+    feats = LawFeatures(
+        mean_x=mom.x_states.mean(axis=1),
+        mean_y=np.repeat(mom.terminal.mean(axis=1)[:, None], N + 1, axis=1),
+        mean_z=np.zeros((K, N + 1)),
+    )
+    for sweep in range(1, cfg.picard_max_iter + 1):
+        _backward_pass(stack, act, feats, mom, out)
+        still = []
+        for k in act.tolist():
+            out.n_iterations[k] = sweep
+            if not all(np.isfinite(a[k]).all() for a in (out.u, out.v, out.yc)):
+                raise NonFiniteSolution(f"backward sweep {sweep} left coefficients non-finite")
+            log = out.logs[k]
+            if gens[k].is_law_free:
+                log.append(0.0)
+                continue
+            y = _y_rows(mom, gens[k], out, k)
+            change = sorted_w2(y, sorted_prev[k], b_sorted=True) if k in sorted_prev else None
+            if change is None:
+                sorted_prev[k] = np.sort(y, axis=-1)
+            # a NaN sorts last and an infinity first or last
+            if not np.isfinite(sorted_prev[k][:, [0, -1]]).all():
+                raise NonFiniteSolution(f"backward sweep {sweep} left Y non-finite")
+            if change is not None:
+                log.append(change)
+                if change < cfg.picard_tol:
                     continue
-                y = out.y[k]
-                if k in sorted_prev:
-                    change = sorted_w2(y, sorted_prev[k], b_sorted=True)
-                    log.append(change)
-                    if change < cfg.picard_tol:
-                        continue
-                else:
-                    sorted_prev[k] = np.sort(y, axis=-1)
-                y.mean(axis=1, out=feats.mean_y[k])
-                out.z[k].mean(axis=1, out=feats.mean_z[k])
-                still.append(k)
-            if not still:
-                break
-            act = np.array(still)
-        else:
-            log = out.logs[int(act[0])]
-            raise PicardDivergence(
-                f"law iteration did not reach tol {cfg.picard_tol} in "
-                f"{cfg.picard_max_iter} sweeps; last changes {log[-2:]}"
-            )
+            feats.mean_y[k] = out.mean_y[k]
+            feats.mean_z[k] = out.mean_z[k]
+            still.append(k)
+        if not still:
+            break
+        act = np.array(still)
+    else:
+        log = out.logs[int(act[0])]
+        raise PicardDivergence(
+            f"law iteration did not reach tol {cfg.picard_tol} in "
+            f"{cfg.picard_max_iter} sweeps; last changes {log[-2:]}"
+        )
     return out
 
 
@@ -407,15 +590,21 @@ def _paths(dw: np.ndarray) -> np.ndarray:
 
 def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, seed, tag, x_start=None):
     """The one solve path: draw the increments of every particle once, build
-    the paths from 0, and run the Picard iteration of the K generators on
-    them.  ``terminal(w_end)`` gives the K rows of terminal values at the
-    last node's state; the generators read ``x_start + w`` in their state
-    slot (``w`` itself when None).  Returns (w, stack)."""
+    the paths from 0 and their moments, and run the Picard iteration of the
+    K generators on them.  ``terminal(w_end)`` gives the K rows of terminal
+    values at the last node's state; the generators read ``x_start + w`` in
+    their state slot (``w`` itself when None).  Returns (moments, stack)."""
     dw = _brownian_increments(grid_s, cfg.n_particles, seed, tag)
     w = _paths(dw)
     terminal_values = np.array(terminal(w[-1]), dtype=float)
     x_states = w if x_start is None else x_start + w
-    return w, _picard_solve(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
+    with_x = any(gen.c1 != 0.0 for gen in gens)
+    # an overflowing solve is reported once, by the finiteness checks after
+    # each sweep, not by numpy warnings along the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom = _moments(grid_s, grid_t, w, dw, x_states, terminal_values, cfg.basis_degree, cfg.ridge, with_x)
+        del dw  # the sweeps read the moments, not the increments
+        return mom, _picard_solve(gens, mom, cfg)
 
 
 def solve_auxiliary_stack(
@@ -442,21 +631,21 @@ def solve_auxiliary_stack(
     def terminal(w_end):
         return [terminal_on_paths(scn.terminal, w_end) for scn in scns]
 
-    w, out = _solve_on_grid([scn.generator for scn in scns], terminal, grid_s, grid_t, cfg, seed, "solver-increments")
-    scales = _basis_scales(grid_s)
+    mom, out = _solve_on_grid([scn.generator for scn in scns], terminal, grid_s, grid_t, cfg, seed, "solver-increments")
+    cloud = ParticleCloud(w=mom.w.T)
     return [
         (
             SolutionField(
                 clock=clock,
                 grid_s=grid_s,
                 grid_t=grid_t,
-                scales=scales,
+                scales=mom.scales,
                 u_coeffs=out.u[k],
                 v_coeffs=out.v[k],
                 convergence=tuple(out.logs[k]),
                 n_iterations=out.n_iterations[k],
             ),
-            ParticleCloud(w=w.T, y=out.y[k].T, z=out.z[k].T),
+            cloud,
         )
         for k in range(len(scns))
     ]
@@ -510,6 +699,13 @@ class RepresentationValue:
     n_iterations: int
 
 
+def _candidates(gens, mom: _Moments, out: _Stack) -> np.ndarray:
+    """(K, n) unprojected first-node values Y_1 + f ds of every scenario; they
+    have the same particle mean as the first node's Y."""
+    y1 = np.array([_y_rows(mom, gen, out, k, 1, 2)[0] for k, gen in enumerate(gens)])
+    return y1 + out.step0[:, None] + out.xc[:, :1] * mom.x_states[0]
+
+
 def representation_solve_stack(
     scns,
     clock: VarianceClock,
@@ -546,22 +742,22 @@ def representation_solve_stack(
     def terminal(w_end):
         return [y + z * w_end] * len(scns)
 
-    _, out = _solve_on_grid(
-        [scn.generator for scn in scns], terminal, grid_s, grid_t_sub, cfg, seed, "repr-increments", x_start=w0
-    )
+    gens = [scn.generator for scn in scns]
+    mom, out = _solve_on_grid(gens, terminal, grid_s, grid_t_sub, cfg, seed, "repr-increments", x_start=w0)
+    candidates = _candidates(gens, mom, out)
 
     if v_a > 0:
         # slope/curvature probe: degree 2 keeps the pure-noise spread well
         # below the 3-standard-error gate while catching genuine dependence
         phi0 = _monomials(w0 / math.sqrt(v_a), 2)
-        fitted = _fit(phi0, _gram(phi0, cfg.ridge), out.candidates) @ phi0
+        fitted = _fit(phi0, _gram(phi0, cfg.ridge), candidates) @ phi0
         sigmas = fitted.std(axis=1).tolist()
     else:
         sigmas = [0.0] * len(scns)
     return [
         RepresentationValue(
-            value=float(np.mean(out.y[k, 0])),
-            std_error=float(np.std(out.candidates[k]) / math.sqrt(n)),
+            value=float(out.mean_y[k, 0]),
+            std_error=float(np.std(candidates[k]) / math.sqrt(n)),
             particle_sigma=sigmas[k],
             n_particles=n,
             n_iterations=out.n_iterations[k],

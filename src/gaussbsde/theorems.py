@@ -133,10 +133,12 @@ def comparison_check(
     t_list = [float(t) for t in t_list]
     clock = build_clock(scn1.driver, cfg.n_time + 1)
     clock2 = build_clock(scn1.driver, 2 * cfg.n_time + 1)
+    # keep the fields only, so a solve's paths are released before the next one
     fields = {}
     for suffix, grid in (("", clock), ("fine", clock2)):
-        for tag, (field, _) in zip("12", solve_auxiliary_stack([scn1, scn2], grid, cfg, seed)):
-            fields[tag + suffix] = field
+        fields["1" + suffix], fields["2" + suffix] = (
+            field for field, _ in solve_auxiliary_stack([scn1, scn2], grid, cfg, seed)
+        )
 
     pos_t = sorted({t for t in t_list if t > 0})
     paths = sample_paths(scn1.driver, np.asarray(pos_t), cfg.n_particles, derived_seed(seed, "cmp-eval")) if pos_t else None
@@ -335,7 +337,7 @@ def converse_comparison_check(
 
 def _stability_ratio(scn1, scn2, cfg, n_time, seed):
     clock = build_clock(scn1.driver, n_time + 1)
-    (f1, _), (f2, _) = solve_auxiliary_stack([scn1, scn2], clock, cfg, seed)
+    f1, f2 = (field for field, _ in solve_auxiliary_stack([scn1, scn2], clock, cfg, seed))
     paths = sample_paths(
         scn1.driver, clock.grid_t[1:], cfg.n_particles, derived_seed(seed, "stability-eval", n_time)
     )

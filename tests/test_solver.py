@@ -97,8 +97,9 @@ class TestSolveOracles:
         scn = ScenarioSpec(terminal=TerminalSpec(a=3.0), generator=GeneratorSpec(), driver=BROWNIAN)
         clock = build_clock(BROWNIAN, 17)
         field, cloud = solve_auxiliary(scn, clock, SolverConfig(n_time=16, n_particles=4000), seed=2)
-        assert np.allclose(cloud.y, 3.0, atol=1e-8)
-        assert np.max(np.abs(cloud.z)) < 1e-8
+        y, z = field.on_paths(cloud.w)
+        assert np.allclose(y, 3.0, atol=1e-8)
+        assert np.max(np.abs(z)) < 1e-8
 
     def test_linear_generator_coefficients(self):
         # u(s, w) = exp(beta (V_T - s)) w, checked via the raw linear coefficient
@@ -121,10 +122,11 @@ class TestSolveOracles:
         field, cloud = solve_auxiliary(scn, clock, cfg, seed=14)
         assert field.n_iterations <= 10
         assert field.convergence[-1] < 1e-3
+        y, _ = field.on_paths(cloud.w)
         for i in range(field.n_steps + 1):
             target = math.exp(0.3 * (clock.V_T - field.grid_s[i]))
-            mean = float(np.mean(cloud.y[:, i]))
-            se = float(np.std(cloud.y[:, i]) / math.sqrt(cloud.n_particles))
+            mean = float(np.mean(y[:, i]))
+            se = float(np.std(y[:, i]) / math.sqrt(cloud.n_particles))
             assert abs(mean - target) <= 3 * se + 0.3 / cfg.n_time
 
     def test_martingale_residual(self):
@@ -136,9 +138,10 @@ class TestSolveOracles:
         clock = build_clock(BROWNIAN, 17)
         field, cloud = solve_auxiliary(scn, clock, SolverConfig(n_time=16, n_particles=20000), seed=4)
         dw = np.diff(cloud.w, axis=1)
+        y, z = field.on_paths(cloud.w)
         for i in range(field.n_steps):
-            resid = cloud.y[:, i] - cloud.y[:, i + 1] + cloud.z[:, i] * dw[:, i]
-            se = np.std(cloud.z[:, i] * dw[:, i]) / math.sqrt(cloud.n_particles)
+            resid = y[:, i] - y[:, i + 1] + z[:, i] * dw[:, i]
+            se = np.std(z[:, i] * dw[:, i]) / math.sqrt(cloud.n_particles)
             assert abs(np.mean(resid)) <= 3 * se + 1e-12
 
     def test_terminal_reproduced(self):
@@ -165,7 +168,8 @@ class TestSolveOracles:
         f1, c1 = solve_auxiliary(scn, clock, cfg, seed=33)
         f2, c2 = solve_auxiliary(scn, clock, cfg, seed=33)
         assert np.array_equal(f1.u_coeffs, f2.u_coeffs)
-        assert np.array_equal(c1.y, c2.y)
+        assert np.array_equal(f1.v_coeffs, f2.v_coeffs)
+        assert np.array_equal(f1.on_paths(c1.w)[0], f2.on_paths(c2.w)[0])
 
     def test_pinned_mean_field_values(self):
         # values of the particle-major solver this layout replaced; the
@@ -197,13 +201,15 @@ class TestSolveOracles:
             representation_solve(scn, clock, 0.25, 0.1, 1e308, 0.0, cfg, seed=1)
 
     def test_one_normal_matrix_per_node(self, monkeypatch):
+        # the moments of each node are built once per solve and serve every sweep
         built = []
+        node_moments = solver._node_moments
 
-        def counting_gram(phi, ridge):
+        def counting_moments(phi, *args):
             built.append(phi.shape)
-            return _gram(phi, ridge)
+            return node_moments(phi, *args)
 
-        monkeypatch.setattr(solver, "_gram", counting_gram)
+        monkeypatch.setattr(solver, "_node_moments", counting_moments)
         clock = build_clock(BROWNIAN, 17)
         cfg = SolverConfig(n_time=16, n_particles=2000)
         field, _ = solve_auxiliary(mean_field_scenario(BROWNIAN), clock, cfg, seed=5)
@@ -259,8 +265,8 @@ class TestStackedSolves:
             np.testing.assert_allclose(field.convergence, alone.convergence, rtol=0, atol=1e-11)
             np.testing.assert_allclose(field.u_coeffs, alone.u_coeffs, rtol=0, atol=1e-11)
             np.testing.assert_allclose(field.v_coeffs, alone.v_coeffs, rtol=0, atol=1e-11)
-            np.testing.assert_allclose(cloud.y, alone_cloud.y, rtol=0, atol=1e-11)
-            np.testing.assert_allclose(cloud.z, alone_cloud.z, rtol=0, atol=1e-11)
+            for stacked_rows, alone_rows in zip(field.on_paths(cloud.w), alone.on_paths(alone_cloud.w)):
+                np.testing.assert_allclose(stacked_rows, alone_rows, rtol=0, atol=1e-11)
             assert np.array_equal(cloud.w, alone_cloud.w)
 
     @pytest.mark.parametrize("pair", sorted(_pairs()))
@@ -278,7 +284,7 @@ class TestStackedSolves:
 
     def test_non_contiguous_active_rows(self, monkeypatch):
         # the law-free middle scenario stops first, so the later sweeps run
-        # on rows [0, 2]: fancy-indexed rows instead of a slice
+        # on rows [0, 2] of the coefficient arrays
         acts = []
         backward_pass = solver._backward_pass
 
@@ -297,19 +303,22 @@ class TestStackedSolves:
             alone, alone_cloud = solve_auxiliary(scn, clock, cfg, seed=11)
             assert field.n_iterations == alone.n_iterations
             np.testing.assert_allclose(field.u_coeffs, alone.u_coeffs, rtol=0, atol=1e-11)
-            np.testing.assert_allclose(cloud.y, alone_cloud.y, rtol=0, atol=1e-11)
-            np.testing.assert_allclose(cloud.z, alone_cloud.z, rtol=0, atol=1e-11)
+            np.testing.assert_allclose(field.v_coeffs, alone.v_coeffs, rtol=0, atol=1e-11)
+            for stacked_rows, alone_rows in zip(field.on_paths(cloud.w), alone.on_paths(alone_cloud.w)):
+                np.testing.assert_allclose(stacked_rows, alone_rows, rtol=0, atol=1e-11)
 
     def test_stopped_scenario_rows_freeze(self, monkeypatch):
         # a law-free scenario stops after its first sweep; the mean-field
-        # scenario of the same stack sweeps on without touching its rows
+        # scenario of the same stack sweeps on without touching its
+        # coefficient arrays
         snapshots = []
         backward_pass = solver._backward_pass
 
         def recording_pass(gens, act, *args):
             backward_pass(gens, act, *args)
             out = args[-1]
-            snapshots.append((act.tolist(), out.u[0].copy(), out.v[0].copy(), out.y[0].copy(), out.z[0].copy()))
+            arrays = (out.u, out.v, out.yc, out.xc, out.beta, out.step0, out.mean_y, out.mean_z)
+            snapshots.append((act.tolist(), *(a[0].copy() for a in arrays)))
 
         monkeypatch.setattr(solver, "_backward_pass", recording_pass)
         clock = build_clock(BROWNIAN, 17)
@@ -325,6 +334,15 @@ class TestStackedSolves:
             assert act == [1]
             for before, after in zip(first, rows):
                 assert np.array_equal(before, after)
+
+
+def test_on_paths_is_per_node_polyval():
+    # one Horner pass over every node makes the multiply-adds of polyval
+    scn = ScenarioSpec(TerminalSpec(b=2.0, phi="sin", c=1.0), GeneratorSpec(c2=0.3, kappa_y=0.2), BROWNIAN)
+    field, cloud = solve_auxiliary(scn, build_clock(BROWNIAN, 17), SolverConfig(n_time=16, n_particles=2000), seed=6)
+    y, z = field.on_paths(cloud.w)
+    assert np.array_equal(y, np.column_stack([field.eval_u(i, cloud.w[:, i]) for i in range(field.n_steps + 1)]))
+    assert np.array_equal(z, np.column_stack([field.eval_v(i, cloud.w[:, i]) for i in range(field.n_steps)]))
 
 
 def test_paths_running_sum_is_cumsum():
