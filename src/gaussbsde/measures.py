@@ -45,29 +45,23 @@ class LawFeatures:
     mean_z: float = 0.0
 
 
-def sorted_w2(a: np.ndarray, b: np.ndarray, *, b_sorted: bool = False) -> float:
+def sorted_w2(a: np.ndarray, b: np.ndarray) -> float:
     """W_2 between equal-size sample arrays (sorted coupling), no wrappers.
 
     For 2-D input each row is one sample and the largest of the per-row
-    distances is returned.  ``b_sorted`` says that the rows of b are sorted
-    already; b is then overwritten, row by row, with the sorted rows of a, so
-    a sequence of samples compared each with the one before is sorted once.
+    distances is returned; NaN when any row distance is NaN.
     """
     a = np.asarray(a, dtype=float)
     rows_a = a.reshape(-1, a.shape[-1])
     rows_b = np.asarray(b, dtype=float).reshape(rows_a.shape)
-    dist = 0.0
+    dist = []
     # one row at a time, so no full-size temporary is made
     for a_row, b_row in zip(rows_a, rows_b):
-        a_row = np.sort(a_row)
-        if b_sorted:
-            diff = a_row - b_row
-            b_row[:] = a_row
-        else:
-            diff = a_row - np.sort(b_row)
+        diff = np.sort(a_row) - np.sort(b_row)
         diff *= diff
-        dist = max(dist, math.sqrt(np.mean(diff)))
-    return float(dist)
+        dist.append(math.sqrt(np.mean(diff)))
+    # np.max, unlike max(), keeps a NaN row distance
+    return float(np.max(dist, initial=0.0))
 
 
 def gaussian_w2(a: GaussianLaw1D, b: GaussianLaw1D) -> float:

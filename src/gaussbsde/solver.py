@@ -44,18 +44,20 @@ and a sweep runs on coefficients, for the K active scenarios at once:
 with f(0, 0, 0, law) and the partials (f_x, f_y, f_z) from ``scenario``, and
 every particle mean read off a coefficient row as c . s_i / n.  The first
 node's fields are constants: its Z is the mean of the one-step value's slope.
-Particle work is left where the result depends on the particles: the Picard
-law test of a law-dependent scenario builds its Y rows from the coefficients
-and compares them with ``sorted_w2``; a nonlinear term evaluates P_i at the
-particles and fits its remainder rows (an affine stack never does); and the
-representation candidates are built once, after the last sweep.
+Particle work is left where the result depends on the particles: a nonlinear
+term evaluates P_i at the particles and fits its remainder rows (an affine
+stack never does), and the representation candidates are built once, after
+the last sweep.
 
 Law features are frozen during a backward sweep and updated between sweeps
-until the flow of laws is a fixed point (sup-W2 change below tolerance); the
-sorted Y rows of each test are kept for the next sweep's test.  The first
-iterate is the flow of the f = 0, Z = 0 sweep, which has a closed form: a
-projection with an intercept keeps the particle mean, so its features are
-(mean x, mean g, 0) at every node.
+until the flow of laws is a fixed point.  The generators read the law only
+through its means, so the stop test is the sup over nodes of the change in
+E[Y_i], read off the sweep's means: equal to the sorted-sample W2 between
+the two sweeps' Y rows for affine generators (the rows then differ by one
+constant per node), a lower bound otherwise (|E X - E Y| <= W2(X, Y)).  The
+first iterate is the flow of the f = 0, Z = 0 sweep, which has a closed
+form: a projection with an intercept keeps the particle mean, so its
+features are (mean x, mean g, 0) at every node.
 
 One solve path serves every entry point: ``_solve_on_grid`` draws the
 increments once, builds the moments and solves K scenarios on them as a
@@ -81,7 +83,7 @@ from .errors import (
     PicardDivergence,
     RegressionIllConditioned,
 )
-from .measures import LawFeatures, sorted_w2
+from .measures import LawFeatures
 from .rng import standard_normals
 from .scenario import (
     GeneratorStack,
@@ -95,8 +97,6 @@ from .scenario import (
 
 _COND_LIMIT = 1e12
 _MAX_STEP_LIPSCHITZ = 0.5
-# particle values per block of Y rows built for a law test (256 kB)
-_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,11 @@ class ParticleCloud:
         return self.w.shape[0]
 
 
-def _polyval(x: np.ndarray, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _polyval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] x**k by Horner's rule, each coeffs[k] broadcasting
     against x: the multiply-adds of ``npoly.polyval``, so its values bit for
-    bit, for any number of polynomials at once; written into ``out`` if given."""
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(coeffs[0])))
+    bit, for any number of polynomials at once."""
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(coeffs[0])))
     out[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
         out *= x
@@ -356,7 +355,10 @@ class _Stack:
     ds_i r(beta[k, i] . phi_i) when its generator has nonlinear terms (the
     row at the last node is g).  step0[k] is the constant of its first-node
     f ds (whose x part is xc[k, 0] x_0), and mean_y[k], mean_z[k] are the
-    particle means of its Y and Z rows at every node."""
+    particle means of its Y and Z rows at every node: the law features of the
+    next sweep, and the Picard stop reads the sup over nodes of the change in
+    mean_y (equal to the sorted-sample W2 of the Y rows for affine
+    generators, a lower bound otherwise)."""
 
     u: np.ndarray  # K x (N+1) x (degree+1)
     v: np.ndarray  # K x N x (degree+1)
@@ -486,29 +488,16 @@ def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
     out.mean_y[act], out.mean_z[act] = mean_y, mean_z
 
 
-def _y_rows(mom: _Moments, spec, out: _Stack, k: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Scenario k's Y rows at nodes lo .. hi-1 (all nodes by default), built
-    from the coefficients the last sweep left, with the generator ``spec``
-    for its nonlinear remainder; the row of the last node is g.  The rows are
-    built a few at a time, so each Horner pass runs in cache."""
-    N = len(mom.nodes) - 1
-    hi = N + 1 if hi is None else hi
-    y = np.empty((hi - lo, mom.w.shape[1]))
-    step = max(1, _BLOCK_VALUES // mom.w.shape[1])
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        rows = y[a - lo : b - lo]
-        scaled = mom.w[a:b] / mom.scales[a:b, None]
-        _polyval(scaled, out.yc[k, a:b].T[..., None], out=rows)
-        if mom.x_fit is not None:
-            rows += out.xc[k, a:b, None] * mom.x_states[a:b]
-        inner = min(b, N) - a
-        if spec.nonlinear_terms and inner > 0:
-            p = _polyval(scaled[:inner], out.beta[k, a : a + inner].T[..., None])
-            r, _ = generator_remainder(spec, mom.grid_t[a : a + inner, None], p)
-            rows[:inner] += mom.ds[a : a + inner, None] * r
-    if hi == N + 1:
-        y[-1] = mom.terminal[k]
+def _y_row(mom: _Moments, spec, out: _Stack, k: int, i: int) -> np.ndarray:
+    """Scenario k's Y row at a node i < N, built from the coefficients the
+    last sweep left, with the generator ``spec`` for its nonlinear remainder."""
+    scaled = mom.w[i] / mom.scales[i]
+    y = _polyval(scaled, out.yc[k, i])
+    if mom.x_fit is not None:
+        y += out.xc[k, i] * mom.x_states[i]
+    if spec.nonlinear_terms:
+        r, _ = generator_remainder(spec, mom.grid_t[i], _polyval(scaled, out.beta[k, i]))
+        y += mom.ds[i] * r
     return y
 
 
@@ -520,9 +509,6 @@ def _picard_solve(gens, mom: _Moments, cfg) -> _Stack:
     N = len(mom.nodes) - 1
     stack = GeneratorStack(gens)
     out = _Stack.empty(K, N, cfg.basis_degree)
-    # the sorted Y rows of each law-dependent scenario's previous sweep,
-    # overwritten by every W2 test, so each Y matrix is sorted once
-    sorted_prev: dict[int, np.ndarray] = {}
     act = np.arange(K)
     # the first iterate is the f = 0, Z = 0 sweep, whose projections keep the
     # particle mean of g at every node; each later sweep reads the particle
@@ -537,20 +523,15 @@ def _picard_solve(gens, mom: _Moments, cfg) -> _Stack:
         still = []
         for k in act.tolist():
             out.n_iterations[k] = sweep
-            if not all(np.isfinite(a[k]).all() for a in (out.u, out.v, out.yc)):
-                raise NonFiniteSolution(f"backward sweep {sweep} left coefficients non-finite")
+            if not all(np.isfinite(a[k]).all() for a in (out.u, out.v, out.yc, out.mean_y)):
+                raise NonFiniteSolution(f"backward sweep {sweep} left coefficients or means non-finite")
             log = out.logs[k]
             if gens[k].is_law_free:
                 log.append(0.0)
                 continue
-            y = _y_rows(mom, gens[k], out, k)
-            change = sorted_w2(y, sorted_prev[k], b_sorted=True) if k in sorted_prev else None
-            if change is None:
-                sorted_prev[k] = np.sort(y, axis=-1)
-            # a NaN sorts last and an infinity first or last
-            if not np.isfinite(sorted_prev[k][:, [0, -1]]).all():
-                raise NonFiniteSolution(f"backward sweep {sweep} left Y non-finite")
-            if change is not None:
+            if sweep > 1:
+                # feats holds the previous sweep's means
+                change = float(np.abs(out.mean_y[k] - feats.mean_y[k]).max())
                 log.append(change)
                 if change < cfg.picard_tol:
                     continue
@@ -702,7 +683,7 @@ class RepresentationValue:
 def _candidates(gens, mom: _Moments, out: _Stack) -> np.ndarray:
     """(K, n) unprojected first-node values Y_1 + f ds of every scenario; they
     have the same particle mean as the first node's Y."""
-    y1 = np.array([_y_rows(mom, gen, out, k, 1, 2)[0] for k, gen in enumerate(gens)])
+    y1 = np.array([_y_row(mom, gen, out, k, 1) for k, gen in enumerate(gens)])
     return y1 + out.step0[:, None] + out.xc[:, :1] * mom.x_states[0]
 
 

@@ -38,7 +38,7 @@ def kl_by_quadrature(nu: GaussianLaw1D, mu: GaussianLaw1D) -> float:
 
 
 class TestWasserstein1D:
-    """``sorted_w2``: W2 between equal-size samples, the Picard stop metric."""
+    """``sorted_w2``: W2 between equal-size samples, the oracle of the Picard stop statistic."""
 
     def test_shift_by_one(self):
         assert sorted_w2(np.array([0.0, 1.0]), np.array([1.0, 2.0])) == pytest.approx(1.0, abs=1e-14)
@@ -59,15 +59,12 @@ class TestWasserstein1D:
             a, b, c = (rng.normal(size=32) for _ in range(3))
             assert sorted_w2(a, c) <= sorted_w2(a, b) + sorted_w2(b, c) + 1e-12
 
-    def test_sorted_b_kept_for_the_next_call(self):
-        # a sequence of (rows, n) samples, each sorted once: the kept rows of
-        # one call are the sorted b of the next
-        rng = np.random.default_rng(2)
-        samples = [rng.normal(size=(5, 64)) for _ in range(4)]
-        kept = np.sort(samples[0], axis=-1)
-        for prev, cur in zip(samples, samples[1:]):
-            assert sorted_w2(cur, kept, b_sorted=True) == sorted_w2(cur, prev)
-            assert np.array_equal(kept, np.sort(cur, axis=-1))
+    def test_nan_row_is_not_dropped(self):
+        # a NaN row distance makes the largest row distance NaN, so NaN input
+        # never reads as a small change
+        assert math.isnan(sorted_w2(np.array([[np.nan, 1.0]]), np.array([[0.0, 1.0]])))
+        a = np.array([[0.0, 1.0], [np.nan, 1.0], [0.0, 3.0]])
+        assert math.isnan(sorted_w2(a, np.array([[0.0, 1.0]] * 3)))
 
 
 class TestGaussianW2:

@@ -4,7 +4,9 @@
 its targets on the basis block of that node's particles, and Y and Z are
 (K, N+1, n) matrices.  The solver's sweep runs on per-node moment matrices
 instead; both must give the same coefficients, Picard logs and
-representation values to rounding.
+representation values to rounding.  The reference also records the
+sorted-sample W2 between consecutive Y matrices, the oracle of the Picard
+stop statistic.
 """
 
 import math
@@ -94,9 +96,9 @@ def particle_picard(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
     out = {
         "u": np.zeros((K, N + 1, W)), "v": np.zeros((K, N, W)),
         "y": np.empty((K, N + 1, n)), "z": np.empty((K, N + 1, n)), "candidates": np.empty((K, n)),
-        "logs": [[] for _ in range(K)], "n_iterations": [0] * K,
+        "logs": [[] for _ in range(K)], "w2": [[] for _ in range(K)], "n_iterations": [0] * K,
     }
-    sorted_prev = {}
+    prev_y = {}
     act = np.arange(K)
     feats = LawFeatures(
         mean_x=x_states.mean(axis=1),
@@ -112,13 +114,14 @@ def particle_picard(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
                 out["logs"][k].append(0.0)
                 continue
             y = out["y"][k]
-            if k in sorted_prev:
-                change = sorted_w2(y, sorted_prev[k], b_sorted=True)
+            if k in prev_y:
+                # the solver's statistic: the sup change of the Y rows' means
+                change = np.abs(y.mean(axis=1) - feats.mean_y[k]).max()
                 out["logs"][k].append(change)
+                out["w2"][k].append(sorted_w2(y, prev_y[k]))
                 if change < cfg.picard_tol:
                     continue
-            else:
-                sorted_prev[k] = np.sort(y, axis=-1)
+            prev_y[k] = y.copy()
             y.mean(axis=1, out=feats.mean_y[k])
             out["z"][k].mean(axis=1, out=feats.mean_z[k])
             still.append(k)
@@ -146,9 +149,10 @@ def assert_sweeps_agree(out, mom, ref, gens):
     np.testing.assert_allclose(out.u, ref["u"], rtol=0, atol=TOL)
     np.testing.assert_allclose(out.v, ref["v"], rtol=0, atol=TOL)
     np.testing.assert_allclose(out.mean_y, ref["y"].mean(axis=2), rtol=0, atol=TOL)
-    # the Y rows the law test builds are the reference's Y
+    # the Y rows built from the coefficients are the reference's Y
     for k, gen in enumerate(gens):
-        np.testing.assert_allclose(solver._y_rows(mom, gen, out, k), ref["y"][k], rtol=0, atol=TOL)
+        for i in range(1, len(mom.nodes) - 1):
+            np.testing.assert_allclose(solver._y_row(mom, gen, out, k, i), ref["y"][k, i], rtol=0, atol=TOL)
 
 
 def auxiliary(scns, n_nodes, cfg, seed=11):
@@ -160,6 +164,7 @@ def auxiliary(scns, n_nodes, cfg, seed=11):
 
     out, mom, ref = both_sweeps(gens, clock.grid_V, clock.grid_t, terminal, cfg, seed)
     assert_sweeps_agree(out, mom, ref, gens)
+    return ref
 
 
 def representation(scns, cfg, seed=3, t=0.25, eps=0.1):
@@ -248,7 +253,19 @@ def scenarios(draw):
 )
 def test_random_stacks_match_particle_sweep(scns, degree, n_nodes, seed):
     cfg = SolverConfig(n_time=n_nodes, n_particles=500, basis_degree=degree, picard_max_iter=20)
-    auxiliary(scns, n_nodes, cfg, seed=seed)
+    ref = auxiliary(scns, n_nodes, cfg, seed=seed)
+    # the logged change of the means against the W2 of consecutive Y rows: an
+    # affine generator's rows differ by one constant per node, so the two are
+    # equal; otherwise |E X - E Y| <= W2(X, Y)
+    affine = not any(scn.generator.nonlinear_terms for scn in scns)
+    for log, w2 in zip(ref["logs"], ref["w2"]):
+        if not w2:
+            continue  # law-free: one sweep, no W2
+        assert len(log) == len(w2)
+        if affine:
+            np.testing.assert_allclose(log, w2, rtol=0, atol=1e-12)
+        else:
+            assert all(change <= dist + 1e-12 for change, dist in zip(log, w2))
 
 
 def test_law_free_stack_keeps_no_particle_matrix():

@@ -199,6 +199,21 @@ class TestSolveOracles:
             solve_auxiliary(scn, clock, cfg, seed=1)
         with pytest.raises(NonFiniteSolution):
             representation_solve(scn, clock, 0.25, 0.1, 1e308, 0.0, cfg, seed=1)
+        # a law-dependent scenario stops on its means, and they overflow too
+        law = ScenarioSpec(terminal=TerminalSpec(a=1e308), generator=GeneratorSpec(kappa_y=0.3), driver=BROWNIAN)
+        with pytest.raises(NonFiniteSolution):
+            solve_auxiliary(law, clock, cfg, seed=1)
+
+    def test_affine_law_test_builds_no_particle_row(self, monkeypatch):
+        # the Picard stop of an affine law-dependent solve reads the node
+        # means the sweep already holds: no Y row is evaluated at the particles
+        calls = []
+        polyval = solver._polyval
+        monkeypatch.setattr(solver, "_polyval", lambda *args: calls.append(1) or polyval(*args))
+        clock = build_clock(BROWNIAN, 17)
+        field, _ = solve_auxiliary(mean_field_scenario(BROWNIAN), clock, SolverConfig(n_time=16, n_particles=2000), seed=5)
+        assert field.n_iterations >= 2
+        assert calls == []
 
     def test_one_normal_matrix_per_node(self, monkeypatch):
         # the moments of each node are built once per solve and serve every sweep
