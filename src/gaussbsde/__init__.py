@@ -21,7 +21,6 @@ from .measures import (
 )
 from .scenario import (
     GeneratorSpec,
-    GeneratorStack,
     ScenarioSpec,
     TerminalSpec,
     eval_generator,

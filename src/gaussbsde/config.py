@@ -49,18 +49,21 @@ def _plus_zero(value):
 
 
 _NUMBER = (_is_number, "must be a finite number")
-_NUMBER_LIST = (_numbers, "must be a list of finite numbers")
+_NUMBER_LIST = (lambda v: _numbers(v) and len(v) > 0, "must be a nonempty list of finite numbers")
 
 #: params key -> (check of its value, what the check asks for)
 _PARAM_CHECKS = {
     "t": _NUMBER, "y": _NUMBER, "z": _NUMBER, "eps": _NUMBER,
     "t_list": _NUMBER_LIST, "eps_list": _NUMBER_LIST, "shift_list": _NUMBER_LIST, "lambda_list": _NUMBER_LIST,
     "probe_grid": (
-        lambda v: isinstance(v, list) and all(_numbers(row) and len(row) == 3 for row in v),
-        "must be a list of [t, y, z] rows of 3 finite numbers",
+        lambda v: isinstance(v, list) and len(v) > 0 and all(_numbers(row) and len(row) == 3 for row in v),
+        "must be a nonempty list of [t, y, z] rows of 3 finite numbers",
     ),
     "n_paths": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0, "must be a positive integer"),
-    "quantiles": (lambda v: _numbers(v) and all(0.0 < q < 1.0 for q in v), "must be a list of numbers in (0,1)"),
+    "quantiles": (
+        lambda v: _numbers(v) and len(v) > 0 and all(0.0 < q < 1.0 for q in v),
+        "must be a nonempty list of numbers in (0,1)",
+    ),
 }
 
 

@@ -15,17 +15,15 @@ so all constants are computable symbolically:
 and the derivative of f in the y-marginal of the law equals rho(t) * ky.
 
 ``eval_generator``, ``generator_partials`` and ``generator_remainder`` are
-the one spelling of f, its partials and its nonlinear remainder; they take
-one ``GeneratorSpec`` or a ``GeneratorStack`` of K, whose coefficients are
-(K, 1) columns, so a solver evaluates K scenarios' generators on a (K, n)
-block, or at every node of a grid, in one call.
+the one spelling of f, its partials and its nonlinear remainder, for one
+``GeneratorSpec``; each is vectorized over its arguments, so a solver
+evaluates a generator at every node of a grid in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -155,22 +153,6 @@ class GeneratorSpec:
     def is_law_free(self) -> bool:
         return self.kappa_x == 0.0 and self.kappa_y == 0.0 and self.kappa_z == 0.0
 
-    @property
-    def is_state_free(self) -> bool:
-        """f depends on (x, y, z) only through the law: its partials are 0."""
-        return self.c1 == 0.0 and self.c2 == 0.0 and self.c3 == 0.0 and self.c4 == 0.0
-
-    @cached_property
-    def live(self) -> frozenset:
-        """Names of the terms ``eval_generator`` evaluates: the coefficients
-        that are not 0, and "rho" when there is a time factor."""
-        return _live_terms(self, self.rho_values is not None)
-
-    @property
-    def nonlinear_terms(self) -> tuple:
-        """(tag, c4) of the nonlinearity, or () when c4 is 0."""
-        return ((self.phi, self.c4),) if self.c4 != 0.0 else ()
-
     def payload(self) -> dict:
         out = {
             "c0": self.c0, "c1": self.c1, "c2": self.c2, "c3": self.c3,
@@ -180,47 +162,6 @@ class GeneratorSpec:
         if self.rho_values is not None:
             out["rho_table"] = {"breaks": list(self.rho_breaks), "values": list(self.rho_values)}
         return out
-
-
-_COEFFICIENTS = ("c0", "c1", "c2", "c3", "c4", "kappa_x", "kappa_y", "kappa_z")
-
-
-def _live_terms(spec, has_rho: bool) -> frozenset:
-    live = {name for name in _COEFFICIENTS if np.any(getattr(spec, name))}
-    return frozenset(live | {"rho"} if has_rho else live)
-
-
-class GeneratorStack:
-    """K generators evaluated as one by ``eval_generator`` and
-    ``generator_partials``: each coefficient is a (K, 1) column, ``rho(t)``
-    is the (K, 1) column of time factors and ``phi`` holds the per-row tags.
-    Indexing by a slice or an array of rows gives the stack of those rows."""
-
-    def __init__(self, specs):
-        self.specs = tuple(specs)
-        for name in _COEFFICIENTS:
-            setattr(self, name, np.array([[getattr(spec, name)] for spec in self.specs]))
-        self.phi = tuple(spec.phi for spec in self.specs)
-        self.is_state_free = all(spec.is_state_free for spec in self.specs)
-        self.live = _live_terms(self, any(spec.rho_values is not None for spec in self.specs))
-        # one term per tag, its c4 column masked to the rows that carry it
-        tags = np.array(self.phi)[:, None]
-        masked = ((tag, np.where(tags == tag, self.c4, 0.0)) for tag in NONLINEARITIES if tag != "none")
-        self.nonlinear_terms = tuple((tag, c4) for tag, c4 in masked if np.any(c4))
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __getitem__(self, rows) -> "GeneratorStack":
-        if isinstance(rows, slice):
-            return GeneratorStack(self.specs[rows])
-        return GeneratorStack([self.specs[k] for k in rows])
-
-    def rho(self, t) -> np.ndarray:
-        """The time factors: a (K, 1) column at a scalar t, a (K, m) block at
-        an array of m times."""
-        shape = np.shape(t) or (1,)
-        return np.array([np.broadcast_to(spec.rho(t), shape) for spec in self.specs], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,74 +192,36 @@ def eval_terminal(spec: TerminalSpec, x, features: LawFeatures):
     return float(out) if out.ndim == 0 else out
 
 
-def _plus(total, term):
-    """total + term, where a total of None is the empty sum."""
-    return term if total is None else total + term
-
-
-def _sum_live(spec, total, terms):
-    """total plus coefficient * argument for each (name, argument) of
-    ``terms``, left to right, skipping a coefficient that is 0 in every row."""
-    for name, arg in terms:
-        if name in spec.live:
-            total = _plus(total, getattr(spec, name) * arg)
-    return total
-
-
-def eval_generator(spec: GeneratorSpec | GeneratorStack, t: float, x, y, z, features: LawFeatures):
-    """f(t, x, y, z, nu) with nu reduced to its means; vectorized over x, y, z.
-
-    ``spec`` is a ``GeneratorSpec`` or a ``GeneratorStack``; a stack of K
-    generators is evaluated at once, its (K, 1) coefficient columns
-    broadcasting against the arguments (a (K, n) block gives row k to
-    generator k).  A coefficient that is 0 in every row is skipped, and so
-    is the factor rho when no row has a time table (rho = 1): the terms kept
-    are added in the order of the formula and a skipped term is an exact 0,
-    so the result is unchanged for finite arguments.  A 0 coefficient times
-    a non-finite argument therefore gives 0, not NaN; a solve that overflows
-    still raises ``NonFiniteSolution`` from the sweep's finiteness check.
-    The result has the broadcast shape of all the arguments, also when the
-    terms kept are narrower.
-    """
+def eval_generator(spec: GeneratorSpec, t: float, x, y, z, features: LawFeatures):
+    """f(t, x, y, z, nu) with nu reduced to its means; vectorized over t, x,
+    y, z and the means.  The phi term is left out when c4 is 0 (phi "none"
+    would only cost an array of zeros)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    core = _sum_live(spec, None, (("c0", 1.0), ("c1", x), ("c2", y), ("c3", z)))
-    for tag, c4 in spec.nonlinear_terms:
-        core = _plus(core, c4 * NONLINEARITIES[tag][0](y))
-    law = (("kappa_x", features.mean_x), ("kappa_y", features.mean_y), ("kappa_z", features.mean_z))
-    core = _sum_live(spec, core, law)
-    out = 0.0 if core is None else core
-    rho = 1.0
-    if "rho" in spec.live:
-        rho = spec.rho(t)
-        out = rho * out
-    shape = np.broadcast(x, y, z, spec.c0, *(arg for _, arg in law), rho).shape
-    if np.shape(out) != shape:
-        full = np.empty(shape)
-        full[...] = out
-        out = full
+    core = spec.c0 + spec.c1 * x + spec.c2 * y + spec.c3 * z
+    if spec.c4 != 0.0:
+        core = core + spec.c4 * NONLINEARITIES[spec.phi][0](y)
+    core = core + spec.kappa_x * features.mean_x + spec.kappa_y * features.mean_y + spec.kappa_z * features.mean_z
+    out = spec.rho(t) * core
     return float(out) if np.ndim(out) == 0 else out
 
 
-def generator_partials(spec: GeneratorSpec | GeneratorStack, t: float, x, y, z):
-    """(df/dx, df/dy, df/dz) of the generator at the given arguments, for a
-    ``GeneratorSpec`` or a ``GeneratorStack``; each broadcasts against the
-    arguments.
+def generator_partials(spec: GeneratorSpec, t: float, x, y, z):
+    """(df/dx, df/dy, df/dz) of the generator at the given arguments; each
+    broadcasts against them.
 
     Exact for the DSL: the law term has no pointwise derivative and the
     nonlinearity library carries its derivatives.
     """
     df_dy = spec.c2
-    for tag, c4 in spec.nonlinear_terms:
-        df_dy = df_dy + c4 * NONLINEARITIES[tag][1](np.asarray(y, dtype=float))
-    if "rho" not in spec.live:
-        return spec.c1, df_dy, spec.c3
+    if spec.c4 != 0.0:
+        df_dy = df_dy + spec.c4 * NONLINEARITIES[spec.phi][1](np.asarray(y, dtype=float))
     rho = spec.rho(t)
     return rho * spec.c1, rho * df_dy, rho * spec.c3
 
 
-def generator_remainder(spec: GeneratorSpec | GeneratorStack, t, y):
+def generator_remainder(spec: GeneratorSpec, t, y):
     """(r, dr/dy): f minus its first-order expansion in (x, y, z) at 0, which
     is a function of y alone, and its derivative; both are 0 for an affine f.
 
@@ -327,15 +230,12 @@ def generator_remainder(spec: GeneratorSpec | GeneratorStack, t, y):
     f = f(0, 0, 0, nu) + f_x x + f_y y + f_z z + r(y).
     """
     y = np.asarray(y, dtype=float)
-    r = dr = 0.0
-    for tag, c4 in spec.nonlinear_terms:
-        phi, dphi = NONLINEARITIES[tag]
-        r = r + c4 * (phi(y) - phi(0.0) - dphi(0.0) * y)
-        dr = dr + c4 * (dphi(y) - dphi(0.0))
-    if "rho" not in spec.live:
-        return r, dr
+    phi, dphi = NONLINEARITIES[spec.phi]
     rho = spec.rho(t)
-    return rho * r, rho * dr
+    return (
+        rho * (spec.c4 * (phi(y) - phi(0.0) - dphi(0.0) * y)),
+        rho * (spec.c4 * (dphi(y) - dphi(0.0))),
+    )
 
 
 def law_features(x, y, z) -> LawFeatures:

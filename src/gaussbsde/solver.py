@@ -86,7 +86,6 @@ from .errors import (
 from .measures import LawFeatures
 from .rng import standard_normals
 from .scenario import (
-    GeneratorStack,
     ScenarioSpec,
     eval_generator,
     generator_partials,
@@ -111,6 +110,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_time < 2:
             raise ValueError("n_time must be at least 2")
+        if self.basis_degree < 0:
+            raise ValueError("basis_degree must be nonnegative")
         if self.n_particles < 10 * (self.basis_degree + 1):
             raise ValueError("n_particles must be at least 10 * (basis_degree + 1)")
         if self.ridge < 0:
@@ -389,24 +390,27 @@ class _Stack:
 
 def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
     """One backward sweep with frozen law features, in moment form, for the
-    scenarios ``act`` (increasing indices into the ``GeneratorStack``
+    scenarios ``act`` (increasing indices into the list of generators
     ``gens``) of the stack ``out``, written in place.
 
     ``features`` holds the (N+1,) particle means of x and the (K, N+1) means
     of y and z per node.  Every node runs on the (K, W) coefficient rows of
     all scenarios in ``act`` at once; f enters through its value at
-    (0, 0, 0, law) and its partials, evaluated for every node at once, and
-    through the particle rows of its nonlinear remainder, if any.
+    (0, 0, 0, law) and its partials, evaluated once per scenario for every
+    node at once, and through the particle rows of its nonlinear remainder,
+    if any.
     """
     N = len(mom.nodes) - 1
     n = mom.w.shape[1]
     K, W = len(act), mom.degree + 1
-    gen = gens if K == len(gens) else gens[act]
-    nonlinear = bool(gen.nonlinear_terms)
+    gen = [gens[k] for k in act]
+    nonlinear = any(g.c4 != 0.0 for g in gen)
     ds_all = mom.ds
-    law = LawFeatures(features.mean_x, features.mean_y[act], features.mean_z[act])
-    f0 = eval_generator(gen, mom.grid_t, 0.0, 0.0, 0.0, law)
-    f_x, f_y, f_z = (np.broadcast_to(d, (K, N + 1)) for d in generator_partials(gen, mom.grid_t, 0.0, 0.0, 0.0))
+    f0, f_x, f_y, f_z = (np.empty((K, N + 1)) for _ in range(4))
+    for j, (g, k) in enumerate(zip(gen, act)):
+        law = LawFeatures(features.mean_x, features.mean_y[k], features.mean_z[k])
+        f0[j] = eval_generator(g, mom.grid_t, 0.0, 0.0, 0.0, law)
+        f_x[j], f_y[j], f_z[j] = generator_partials(g, mom.grid_t, 0.0, 0.0, 0.0)
 
     u, yc, beta = (np.zeros((K, N + 1, W)) for _ in range(3))
     v = np.zeros((K, N, W))
@@ -446,21 +450,20 @@ def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
             dz = mean_z[:, 1:2].copy()
         else:
             dz = ((mom.g_dw[act] - b[:, 0] * node.dw_sums[0]) / (n * ds))[:, None]
-        zc = dz
-        if not gen.is_state_free:
-            zc = dz + ds * (f_y[:, i, None] + f_z[:, i, None]) * dz
-            zc[:, 0] += ds * f_x[:, i]
+        zc = dz + ds * (f_y[:, i, None] + f_z[:, i, None]) * dz
+        zc[:, 0] += ds * f_x[:, i]
         # the first node's Z is the particle mean of its (constant) field
         vb = zc @ node.fit_self.T if i > 0 else zc
         if nonlinear:
-            r, dr = generator_remainder(gen, mom.grid_t[i], b @ phi)
+            r, dr = np.empty((K, n)), np.empty((K, n))
+            for j, (g, p) in enumerate(zip(gen, b @ phi)):
+                r[j], dr[j] = generator_remainder(g, mom.grid_t[i], p)
             z_rows = ds * dr * (dz @ phi)
             vb = vb + (_fit(phi, node.gram, z_rows) if i > 0 else z_rows.mean(axis=1, keepdims=True))
 
         step = np.zeros((K, width))
         step[:, 0] = f0[:, i]
-        if not gen.is_state_free:
-            step += f_y[:, i, None] * b + f_z[:, i, None] * vb
+        step += f_y[:, i, None] * b + f_z[:, i, None] * vb
         step *= ds
         y_c = b + step
         fitted = y_c @ node.fit_self.T
@@ -495,7 +498,7 @@ def _y_row(mom: _Moments, spec, out: _Stack, k: int, i: int) -> np.ndarray:
     y = _polyval(scaled, out.yc[k, i])
     if mom.x_fit is not None:
         y += out.xc[k, i] * mom.x_states[i]
-    if spec.nonlinear_terms:
+    if spec.c4 != 0.0:
         r, _ = generator_remainder(spec, mom.grid_t[i], _polyval(scaled, out.beta[k, i]))
         y += mom.ds[i] * r
     return y
@@ -507,7 +510,6 @@ def _picard_solve(gens, mom: _Moments, cfg) -> _Stack:
     the stack, and its coefficients stop changing."""
     K = len(gens)
     N = len(mom.nodes) - 1
-    stack = GeneratorStack(gens)
     out = _Stack.empty(K, N, cfg.basis_degree)
     act = np.arange(K)
     # the first iterate is the f = 0, Z = 0 sweep, whose projections keep the
@@ -519,7 +521,7 @@ def _picard_solve(gens, mom: _Moments, cfg) -> _Stack:
         mean_z=np.zeros((K, N + 1)),
     )
     for sweep in range(1, cfg.picard_max_iter + 1):
-        _backward_pass(stack, act, feats, mom, out)
+        _backward_pass(gens, act, feats, mom, out)
         still = []
         for k in act.tolist():
             out.n_iterations[k] = sweep
@@ -569,6 +571,16 @@ def _paths(dw: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_step(scns, grid_s):
+    """Refuse a grid on which the explicit scheme is unstable: every scenario
+    needs max ds * L_f <= 0.5."""
+    worst = np.diff(grid_s).max() * max(scn.generator.lipschitz for scn in scns)
+    if worst > _MAX_STEP_LIPSCHITZ:
+        raise ValueError(
+            f"explicit scheme needs max step * L_f <= {_MAX_STEP_LIPSCHITZ}; got {worst:.3g} (refine the grid)"
+        )
+
+
 def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, seed, tag, x_start=None):
     """The one solve path: draw the increments of every particle once, build
     the paths from 0 and their moments, and run the Picard iteration of the
@@ -600,14 +612,9 @@ def solve_auxiliary_stack(
     """
     grid_s = clock.grid_V
     grid_t = clock.grid_t
-    max_ds = np.diff(grid_s).max()
-    for scn in scns:
-        audit = lipschitz_audit(scn, n_probes=64, seed=seed)
-        if max_ds * audit.l_f > _MAX_STEP_LIPSCHITZ:
-            raise ValueError(
-                f"explicit scheme needs max step * L_f <= {_MAX_STEP_LIPSCHITZ}; "
-                f"got {max_ds * audit.l_f:.3g} (refine the grid)"
-            )
+    for scn in scns:  # probes the symbolic constants the step guard reads
+        lipschitz_audit(scn, n_probes=64, seed=seed)
+    _check_step(scns, grid_s)
 
     def terminal(w_end):
         return [terminal_on_paths(scn.terminal, w_end) for scn in scns]
@@ -716,6 +723,7 @@ def representation_solve_stack(
 
     N = cfg.n_time
     grid_s = np.linspace(v_a, v_b, N + 1)
+    _check_step(scns, grid_s)
     grid_t_sub = np.asarray(clock.invert(grid_s))
     n = cfg.n_particles
     w0 = math.sqrt(v_a) * standard_normals(seed, (n,), "repr-start")

@@ -35,6 +35,9 @@ def kind_config(kind, params):
     return dict(tree, kind=kind, params=params)
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
 def write_config(tmp_path, tree, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(tree))
@@ -85,7 +88,7 @@ class TestConfigParsing:
         assert main(["validate", str(write_config(tmp_path, tree))]) == 1
         assert "unknown key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("quantiles", [[0.0, 1.5], [0.5, 1.0], ["0.5"], [True], 0.5])
+    @pytest.mark.parametrize("quantiles", [[0.0, 1.5], [0.5, 1.0], ["0.5"], [True], 0.5, []])
     def test_quantiles_in_unit_interval(self, quantiles):
         tree = dict(BASE_CONFIG, params={"quantiles": quantiles})
         with pytest.raises(ConfigInvalid, match="params.quantiles"):
@@ -109,6 +112,12 @@ class TestConfigParsing:
             ("lsi", {"t": 1.0, "lambda_list": {"0": 1.0}}, "lambda_list"),
             ("wick_validate", {"n_paths": 0}, "n_paths"),
             ("wick_validate", {"n_paths": 2.5}, "n_paths"),
+            # an empty list would fail at run time, or measure nothing
+            ("comparison", {"t_list": []}, "t_list"),
+            ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": []}, "eps_list"),
+            ("converse", {"probe_grid": [], "eps": 0.1}, "probe_grid"),
+            ("t2", {"t": 1.0, "shift_list": []}, "shift_list"),
+            ("lsi", {"t": 1.0, "lambda_list": []}, "lambda_list"),
         ],
     )
     def test_param_values_checked(self, kind, params, key):
@@ -141,17 +150,27 @@ class TestConfigParsing:
             ("solver", {"ridge": "1e-8"}, "solver.ridge: must be a finite number"),
             ("scenario", {"terminal": {"phi": ["sin"]}, "generator": {}}, "scenario.terminal.phi: must be one of"),
             ("scenario", {"terminal": {}, "generator": {"phi": "cos"}}, "scenario.generator.phi: must be one of"),
+            ("solver", {"basis_degree": -1}, "solver: basis_degree must be nonnegative"),
         ],
     )
     def test_spec_value_types_named(self, section, update, message):
-        # each key is read as the type of its dataclass default
+        # each key is read as the type of its dataclass default, and its
+        # value is checked by the dataclass
         with pytest.raises(ConfigInvalid, match=rf"^{message}"):
             parse_config_payload(dict(BASE_CONFIG, **{section: update}))
 
     def test_bad_param_value_fails_validate(self, tmp_path, capsys):
         path = write_config(tmp_path, kind_config("comparison", {"t_list": 5}))
         assert main(["validate", str(path)]) == 1
-        assert "params.t_list: must be a list of finite numbers" in capsys.readouterr().err
+        assert "params.t_list: must be a nonempty list of finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_config_validates_and_round_trips(self, path, capsys):
+        assert main(["validate", str(path)]) == 0
+        cfg = load_config(path)
+        assert f"digest={cfg.digest}" in capsys.readouterr().out
+        again = parse_config_payload(json.loads(emit_config(cfg)), base_dir=path.parent)
+        assert again.digest == cfg.digest
 
     def test_missing_seed(self, tmp_path):
         tree = {k: v for k, v in BASE_CONFIG.items() if k != "seed"}

@@ -1,6 +1,6 @@
 """Property tests: the covariance kernel, the variance clock, the config round trip, the regression
 fit and its basis-block products, the sorted W2 distance, the Lipschitz
-audit and the generator stack."""
+audit and the generator's coefficient form."""
 
 import json
 
@@ -15,22 +15,22 @@ from gaussbsde.measures import LawFeatures, sorted_w2
 from gaussbsde.scenario import (
     NONLINEARITIES,
     GeneratorSpec,
-    GeneratorStack,
     ScenarioSpec,
     TerminalSpec,
     eval_generator,
     generator_partials,
+    generator_remainder,
     lipschitz_audit,
 )
 from gaussbsde.solver import _basis, _derivative, _fit, _gram, _rescaled
 
 FEW = settings(deadline=None, max_examples=25)
 coefficient = st.floats(-3.0, 3.0, allow_nan=False)
-coefficients = st.lists(coefficient, max_size=4)
+coefficients = st.lists(coefficient, min_size=1, max_size=4)
 param_values = {
     **dict.fromkeys(("t", "y", "z", "eps"), coefficient),
     **dict.fromkeys(("t_list", "eps_list", "shift_list", "lambda_list"), coefficients),
-    "probe_grid": st.lists(st.lists(coefficient, min_size=3, max_size=3), max_size=3),
+    "probe_grid": st.lists(st.lists(coefficient, min_size=3, max_size=3), min_size=1, max_size=3),
 }
 
 
@@ -205,24 +205,17 @@ def test_lipschitz_audit_within_symbolic_constants(tree, seed):
 
 
 @FEW
-@given(
-    trees=st.lists(generators(st.just(0.0) | coefficient), min_size=1, max_size=5),
-    t=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_generator_stack_matches_single_specs(trees, t, seed):
-    # mixed tags, time factors and zero coefficients across the rows; the
-    # law features are (K, 1) columns, one mean per scenario
-    specs = [generator_spec(tree) for tree in trees]
-    stack = GeneratorStack(specs)
+@given(tree=generators(st.just(0.0) | coefficient), seed=st.integers(0, 2 ** 32 - 1))
+def test_generator_is_its_coefficient_form(tree, seed):
+    # the form the backward sweep reads: f and its partials at (x, y, z) = 0
+    # plus the remainder r(y), whose derivative completes df/dy
+    spec = generator_spec(tree)
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=40)
-    y, z = 2.0 * rng.normal(size=(2, len(specs), 40))
-    means = rng.normal(size=(2, len(specs), 1))
-    out = eval_generator(stack, t, x, y, z, LawFeatures(0.7, *means))
-    partials = [np.broadcast_to(p, y.shape) for p in generator_partials(stack, t, x, y, z)]
-    for k, spec in enumerate(specs):
-        row = eval_generator(spec, t, x, y[k], z[k], LawFeatures(0.7, *means[:, k, 0]))
-        np.testing.assert_array_equal(out[k], row)
-        for got, want in zip(partials, generator_partials(spec, t, x, y[k], z[k])):
-            np.testing.assert_array_equal(got[k], np.broadcast_to(want, x.shape))
+    t = rng.uniform(0.0, 1.0, size=40)
+    x, y, z, *means = 2.0 * rng.normal(size=(6, 40))
+    feats = LawFeatures(*means)
+    f_x, f_y, f_z = generator_partials(spec, t, 0.0, 0.0, 0.0)
+    r, dr = generator_remainder(spec, t, y)
+    expansion = eval_generator(spec, t, 0.0, 0.0, 0.0, feats) + f_x * x + f_y * y + f_z * z + r
+    np.testing.assert_allclose(eval_generator(spec, t, x, y, z, feats), expansion, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(generator_partials(spec, t, x, y, z)[1], f_y + dr, rtol=0.0, atol=1e-12)

@@ -7,13 +7,11 @@ from gaussbsde.measures import LawFeatures
 from gaussbsde.scenario import (
     NONLINEARITIES,
     GeneratorSpec,
-    GeneratorStack,
     ScenarioSpec,
     TerminalSpec,
     eval_generator,
     eval_terminal,
     generator_order_probe,
-    generator_partials,
     law_features,
     lipschitz_audit,
     terminal_order_probe,
@@ -81,52 +79,24 @@ def full_formula(f, t, x, y, z, feats):
 
 
 class TestGeneratorStack:
-    """A stack evaluates f and its partials row by row as the single specs do."""
-
-    @pytest.mark.parametrize("t", [0.1, 0.45, 0.9])
-    def test_stack_equals_row_by_row(self, t):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=50)
-        y, z = 2.0 * rng.normal(size=(2, len(STACK), 50))
-        means = rng.normal(size=(2, len(STACK), 1))
-        stacked = eval_generator(GeneratorStack(STACK), t, x, y, z, LawFeatures(0.3, *means))
-        partials = generator_partials(GeneratorStack(STACK), t, x, y, z)
-        for k, f in enumerate(STACK):
-            row = eval_generator(f, t, x, y[k], z[k], LawFeatures(0.3, *means[:, k, 0]))
-            np.testing.assert_array_equal(stacked[k], row)
-            for got, want in zip(partials, generator_partials(f, t, x, y[k], z[k])):
-                np.testing.assert_array_equal(np.broadcast_to(got, y.shape)[k], np.broadcast_to(want, x.shape))
-
-    def test_rows_of_a_stack(self):
-        stack = GeneratorStack(STACK)
-        assert stack[1:3].specs == STACK[1:3]
-        assert stack[np.array([0, 3])].phi == ("tanh", "clip")
-        assert len(stack[2:3]) == 1 and stack[2:3].nonlinear_terms == ()
-        np.testing.assert_array_equal(stack.rho(0.45), [[1.0], [2.0], [1.0], [1.0]])
+    """Each generator of a mixed set is the plain formula."""
 
     @pytest.mark.parametrize("f", STACK + (GeneratorSpec(), GeneratorSpec(c0=2.0)))
     def test_zero_skip_is_exact_on_finite_inputs(self, f):
+        # the phi term is left out when c4 is 0, which adds nothing on
+        # finite inputs
         rng = np.random.default_rng(7)
         t = rng.uniform(0.0, 1.0, size=200)
         x, y, z, *means = 3.0 * rng.normal(size=(6, 200))
         feats = LawFeatures(*means)
         np.testing.assert_array_equal(eval_generator(f, t, x, y, z, feats), full_formula(f, t, x, y, z, feats))
 
-    def test_zero_coefficient_ignores_non_finite_argument(self):
-        # a skipped term is never evaluated, so 0 * inf adds 0, not NaN
-        f = GeneratorSpec(c2=1.0)
-        out = eval_generator(f, 0.0, np.array([np.inf, 1.0]), 2.0, np.nan, LawFeatures())
-        np.testing.assert_array_equal(out, [2.0, 2.0])
-
     def test_result_has_the_shape_of_the_formula(self):
-        # a law-only generator keeps no term of the (n,) arguments, and a
-        # constant generator none at all, yet both are evaluated per particle
+        # a law-only generator and a constant one are still evaluated per particle
         x = np.zeros(5)
         law_only = eval_generator(GeneratorSpec(kappa_y=0.5), 0.0, x, x, x, LawFeatures(mean_y=2.0))
         np.testing.assert_array_equal(law_only, np.ones(5))
         assert eval_generator(GeneratorSpec(), 0.0, x, x, x, LawFeatures()).shape == (5,)
-        stack = GeneratorStack([GeneratorSpec(c0=1.0), GeneratorSpec()])
-        np.testing.assert_array_equal(eval_generator(stack, 0.0, x, x, x, LawFeatures()), [[1.0] * 5, [0.0] * 5])
 
 
 class TestAudit:

@@ -242,11 +242,17 @@ class TestSolveOracles:
         clock = build_clock(BROWNIAN, 5)
         with pytest.raises(ValueError, match="max step"):
             solve_auxiliary(scn, clock, SolverConfig(n_time=4, n_particles=2000), seed=1)
+        # a representation solve has its own grid: on [V_0.25, V_0.75] in 2
+        # steps of 1/4, L_f = 40 would return 81 against the exact e^-20
+        decay = ScenarioSpec(TerminalSpec(), GeneratorSpec(c2=-40.0), BROWNIAN)
+        with pytest.raises(ValueError, match="max step"):
+            representation_solve(decay, clock, 0.25, 0.5, 1.0, 0.5, SolverConfig(n_time=2, n_particles=2000), seed=1)
 
 
 def _pairs():
     mf = mean_field_scenario(BROWNIAN)
-    # nonlinear pairs: a stack adds each nonlinearity to the rows that carry it
+    # nonlinear pairs: each scenario's remainder rows come from its own
+    # nonlinearity and time factor
     tanh = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
     sin_rho = ScenarioSpec(
         TerminalSpec(a=0.5, b=1.0, phi="sin", c=0.3),
@@ -448,6 +454,10 @@ class TestSolverConfigValidation:
     def test_particle_minimum(self):
         with pytest.raises(ValueError):
             SolverConfig(n_particles=30, basis_degree=4)
+
+    def test_negative_basis_degree(self):
+        with pytest.raises(ValueError, match="basis_degree"):
+            SolverConfig(basis_degree=-1)
 
     def test_tolerances(self):
         with pytest.raises(ValueError):
