@@ -2,8 +2,7 @@
 name the offending key, and a canonical emitted form that round-trips.
 
 The keys accepted at each level are those the emitted form writes, plus
-``covariance_file``, ``solver.seed`` and ``out_dir``; any other key is
-rejected by name."""
+``covariance_file`` and ``out_dir``; any other key is rejected by name."""
 
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .drivers import GaussianDriverSpec
+from .drivers import _DOMAIN_TOL, GaussianDriverSpec
 from .errors import ConfigInvalid
 from .reporting import canonical_json, digest_payload
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
@@ -53,25 +52,38 @@ _NUMBER_LIST = (lambda v: _numbers(v) and len(v) > 0, "must be a nonempty list o
 
 #: params key -> (check of its value, what the check asks for)
 _PARAM_CHECKS = {
-    "t": _NUMBER, "y": _NUMBER, "z": _NUMBER, "eps": _NUMBER,
-    "t_list": _NUMBER_LIST, "eps_list": _NUMBER_LIST, "shift_list": _NUMBER_LIST, "lambda_list": _NUMBER_LIST,
+    "t": _NUMBER, "y": _NUMBER, "z": _NUMBER,
+    "eps": (lambda v: _is_number(v) and v > 0, "must be a positive finite number"),
+    "t_list": _NUMBER_LIST, "shift_list": _NUMBER_LIST, "lambda_list": _NUMBER_LIST,
+    "eps_list": (
+        lambda v: _numbers(v) and len(v) > 0 and v[-1] > 0 and all(b < a for a, b in zip(v, v[1:])),
+        "must be a nonempty, strictly decreasing list of positive finite numbers",
+    ),
     "probe_grid": (
         lambda v: isinstance(v, list) and len(v) > 0 and all(_numbers(row) and len(row) == 3 for row in v),
         "must be a nonempty list of [t, y, z] rows of 3 finite numbers",
     ),
     "n_paths": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0, "must be a positive integer"),
-    "quantiles": (
-        lambda v: _numbers(v) and len(v) > 0 and all(0.0 < q < 1.0 for q in v),
-        "must be a nonempty list of numbers in (0,1)",
-    ),
 }
 
 
-def _get(tree: dict, key: str, path: str, required: bool = True, default=None):
+def _check_horizon(params: dict, T: float):
+    """Refuse a time outside [0, T], and a short horizon t + eps past T."""
+    times = [("t", params["t"])] if "t" in params else []
+    times += [("t_list", t) for t in params.get("t_list", ())]
+    times += [("probe_grid", row[0]) for row in params.get("probe_grid", ())]
+    eps_key = "eps" if "eps" in params else "eps_list"
+    eps = np.max(params.get(eps_key, 0.0))  # the longest horizon
+    for key, t in times:
+        if not 0.0 <= t <= T + _DOMAIN_TOL:
+            _fail(f"params.{key}", f"time {t} is outside [0, T], T = {T}")
+        if t + eps > T + _DOMAIN_TOL:
+            _fail(f"params.{eps_key}", f"t + eps = {t} + {eps} is past T = {T}")
+
+
+def _get(tree: dict, key: str, path: str):
     if key not in tree:
-        if required:
-            _fail(f"{path}.{key}" if path else key, "required key is missing")
-        return default
+        _fail(f"{path}.{key}" if path else key, "required key is missing")
     return tree[key]
 
 
@@ -174,7 +186,7 @@ def _parse_generator(tree, path: str) -> GeneratorSpec:
         _fail(path, "must be an object")
     _check_keys(tree, (*GeneratorSpec().payload(), "rho_table"), path)
     kwargs = _spec_fields(tree, GeneratorSpec, path)
-    rho = _get(tree, "rho_table", path, required=False)
+    rho = tree.get("rho_table")
     if rho is not None:
         if not isinstance(rho, dict) or set(rho) != {"breaks", "values"}:
             _fail(f"{path}.rho_table", "must be an object with exactly 'breaks' and 'values'")
@@ -214,21 +226,18 @@ def parse_solver(tree, path: str = "solver") -> SolverConfig:
 class ExperimentConfig:
     kind: str
     seed: int
-    driver: GaussianDriverSpec
-    solver: SolverConfig
+    driver: GaussianDriverSpec | None  # None for the suite, whose entries bring their own
+    solver: SolverConfig | None
     scenario: ScenarioSpec | None = None
     scenario_2: ScenarioSpec | None = None
     params: dict = field(default_factory=dict)
     out_dir: str | None = None
 
     def payload(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "driver": self.driver.payload(),
-            "solver": self.solver.payload(),
-            "params": self.params,
-        }
+        out = {"kind": self.kind, "seed": self.seed, "params": self.params}
+        if self.driver is not None:
+            out["driver"] = self.driver.payload()
+            out["solver"] = self.solver.payload()
         for key, scn in (("scenario", self.scenario), ("scenario_2", self.scenario_2)):
             if scn is not None:
                 out[key] = {"terminal": scn.terminal.payload(), "generator": scn.generator.payload()}
@@ -251,18 +260,10 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
         _fail("kind", f"must be one of {tuple(KINDS)}")
     kind = KINDS[kind_name]
     scenario_keys = ("scenario", "scenario_2")[: kind.scenarios]
-    _check_keys(tree, ("kind", "seed", "driver", "solver", "params", "out_dir", *scenario_keys), "")
-    solver_tree = tree.get("solver")
-    seed = tree.get("seed")
-    if seed is None and isinstance(solver_tree, dict):
-        seed = solver_tree.get("seed")
-    if seed is None:
-        _fail("seed", "required key is missing")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail("seed", "must be an integer")
-    if isinstance(solver_tree, dict):
-        solver_tree = {k: v for k, v in solver_tree.items() if k != "seed"}
-    solver = parse_solver(solver_tree)
+    # the suite's entries bring their own drivers and solvers
+    settings = ("driver", "solver") if kind.run is not None else ()
+    _check_keys(tree, ("kind", "seed", "params", "out_dir", *settings, *scenario_keys), "")
+    seed = _integer(tree, "seed", "")
 
     params = tree.get("params", {})
     if not isinstance(params, dict):
@@ -277,22 +278,22 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
             _fail(f"params.{key}", requirement)
     params = {key: _plus_zero(value) for key, value in params.items()}
 
-    # the suite's entries bring their own drivers; the suite's own is only recorded
-    driver_tree = _get(tree, "driver", "", required=kind.run is not None, default={"kind": "brownian", "T": 1.0})
-    driver = parse_driver(driver_tree, base_dir=base_dir)
-    scenarios = [parse_scenario(_get(tree, key, ""), driver, path=key) for key in scenario_keys]
-    scenario, scenario_2 = (scenarios + [None, None])[:2]
+    driver = solver = None
+    if settings:
+        driver = parse_driver(_get(tree, "driver", ""), base_dir=base_dir)
+        solver = parse_solver(tree.get("solver"))
+        _check_horizon(params, driver.T)
+    scenarios = {key: parse_scenario(_get(tree, key, ""), driver, path=key) for key in scenario_keys}
 
     out_dir = tree.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         _fail("out_dir", "must be a string path")
     return ExperimentConfig(
         kind=kind_name,
-        seed=int(seed),
+        seed=seed,
         driver=driver,
         solver=solver,
-        scenario=scenario,
-        scenario_2=scenario_2,
+        **scenarios,
         params=params,
         out_dir=out_dir,
     )

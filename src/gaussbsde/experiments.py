@@ -61,7 +61,7 @@ from .wick import (
     wick_exponential_weights,
 )
 
-_DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
+_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)  # of the solution series
 
 
 @dataclass
@@ -95,13 +95,12 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
     g_vals = terminal_on_paths(scn.terminal, cloud.w[:, -1])
     terminal_residual = float(np.max(np.abs(field.eval_u(field.n_steps, cloud.w[:, -1]) - g_vals)))
 
-    quantiles = tuple(cfg.params.get("quantiles", _DEFAULT_QUANTILES))
-    tags = [f"q{int(round(q * 100)):02d}" for q in quantiles]
-    normal_quantiles = np.array([NormalDist().inv_cdf(q) for q in quantiles])
+    tags = [f"q{int(round(q * 100)):02d}" for q in _QUANTILES]
+    normal_quantiles = np.array([NormalDist().inv_cdf(q) for q in _QUANTILES])
     rows = []
     for t, v in zip(field.grid_t, field.grid_s):
         # the states at the quantiles of the time-t law N(0, V_t), all at once
-        x = normal_quantiles * np.sqrt(v) if v > 0 else np.zeros(len(quantiles))
+        x = normal_quantiles * np.sqrt(v) if v > 0 else np.zeros(len(_QUANTILES))
         y_vals, z_vals = transfer_evaluate(field, float(t), x)
         rows.extend((float(t), float(v), tag, y, z) for tag, y, z in zip(tags, y_vals.tolist(), z_vals.tolist()))
     series_path = out_dir / "series" / f"{name}__solution.csv"
@@ -281,7 +280,7 @@ class Kind:
 
 
 KINDS = {
-    "solve": Kind(1, _run_solve, optional=("quantiles",)),
+    "solve": Kind(1, _run_solve),
     "wick_validate": Kind(0, _run_wick_validate, optional=("n_paths",)),
     "comparison": Kind(2, _run_comparison, ("t_list",)),
     "representation": Kind(1, _run_representation, ("t", "y", "z", "eps_list")),

@@ -34,6 +34,7 @@ from .measures import LawFeatures
 from .rng import generator
 
 _PROBE_SLACK = 1e-9
+_ORDER_PROBES = 256  # points drawn by each order probe
 
 
 def _zero(x):
@@ -349,15 +350,15 @@ class OrderProbeResult:
 
 
 def generator_order_probe(
-    f1: GeneratorSpec, f2: GeneratorSpec, n_probes: int = 256, seed: int = 0, T: float = 1.0
+    f1: GeneratorSpec, f2: GeneratorSpec, seed: int = 0, T: float = 1.0
 ) -> OrderProbeResult:
     """Samples (t, x, y, z, nu) points, nu a 4-atom cloud, and checks
     f1 <= f2 + 1e-12 at all of them.  The probes are drawn at once and
     evaluated as arrays; the first violating probe is the counterexample."""
     rng = generator(seed, "generator-order-probe")
-    t = rng.uniform(0.0, T, size=n_probes)
-    xyz = rng.normal(0.0, 2.0, size=(3, n_probes))
-    means = rng.normal(0.0, 2.0, size=(4, 3, n_probes)).mean(axis=0)
+    t = rng.uniform(0.0, T, size=_ORDER_PROBES)
+    xyz = rng.normal(0.0, 2.0, size=(3, _ORDER_PROBES))
+    means = rng.normal(0.0, 2.0, size=(4, 3, _ORDER_PROBES)).mean(axis=0)
     feats = LawFeatures(*means)
     bad = np.flatnonzero(eval_generator(f1, t, *xyz, feats) > eval_generator(f2, t, *xyz, feats) + 1e-12)
     if bad.size == 0:
@@ -369,12 +370,12 @@ def generator_order_probe(
 
 
 def terminal_order_probe(
-    g1: TerminalSpec, g2: TerminalSpec, n_probes: int = 256, seed: int = 0
+    g1: TerminalSpec, g2: TerminalSpec, seed: int = 0
 ) -> OrderProbeResult:
     """Samples (x, mu) points and checks g1 <= g2 + 1e-12 at all of them, as
     ``generator_order_probe`` does."""
     rng = generator(seed, "terminal-order-probe")
-    x, mean_x = rng.normal(0.0, 2.0, size=(2, n_probes))
+    x, mean_x = rng.normal(0.0, 2.0, size=(2, _ORDER_PROBES))
     feats = LawFeatures(mean_x=mean_x)
     bad = np.flatnonzero(eval_terminal(g1, x, feats) > eval_terminal(g2, x, feats) + 1e-12)
     if bad.size == 0:

@@ -15,8 +15,9 @@ Scheme (explicit, one regression sweep per Picard iterate):
 Moment form.  The paths are fixed for a solve, so are the sufficient
 statistics of every regression (Bender & Denk 2007).  Let phi_i be node i's
 (W, n) basis block (W = degree + 1; 1 at the first node, whose state is 0),
-G_i = phi_i phi_i^T + ridge I its normal matrix, and fit_i(r) = G_i^-1 phi_i r
-the least-squares coefficients of a particle row r.  Each node's moments
+G_i = phi_i phi_i^T + 1e-8 I its ridge-regularized normal matrix, and
+fit_i(r) = G_i^-1 phi_i r the least-squares coefficients of a particle row
+r.  Each node's moments
 
     A_i = phi_i phi_i^T    C_i = phi_i phi_{i+1}^T    M_i = phi_i diag(dW_i) phi_i^T
     s_i = phi_i 1          q_i = phi_i dW_i
@@ -70,7 +71,7 @@ scenarios of a pair as one stack, on common random numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -96,6 +97,9 @@ from .scenario import (
 
 _COND_LIMIT = 1e12
 _MAX_STEP_LIPSCHITZ = 0.5
+_RIDGE = 1e-8
+_PICARD_MAX_ITER = 10
+_PICARD_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,6 @@ class SolverConfig:
     n_time: int = 64
     n_particles: int = 20000
     basis_degree: int = 4
-    ridge: float = 1e-8
-    picard_max_iter: int = 10
-    picard_tol: float = 1e-3
 
     def __post_init__(self):
         if self.n_time < 2:
@@ -114,22 +115,9 @@ class SolverConfig:
             raise ValueError("basis_degree must be nonnegative")
         if self.n_particles < 10 * (self.basis_degree + 1):
             raise ValueError("n_particles must be at least 10 * (basis_degree + 1)")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be at least 1")
 
     def payload(self) -> dict:
-        return {
-            "n_time": self.n_time,
-            "n_particles": self.n_particles,
-            "basis_degree": self.basis_degree,
-            "ridge": self.ridge,
-            "picard_max_iter": self.picard_max_iter,
-            "picard_tol": self.picard_tol,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +260,7 @@ class _Node:
     dw_sums: np.ndarray | None  # phi dW_i
 
 
-def _node_moments(powers: np.ndarray, phi_next, dw, ridge: float) -> _Node:
+def _node_moments(powers: np.ndarray, phi_next, dw) -> _Node:
     """The moments of node i's basis block phi with itself, with node i+1's
     block and with the increments dW_i, as fits on node i.  ``powers`` holds
     the node's scaled state to the powers 0 .. 2 degree, phi being its first
@@ -281,7 +269,7 @@ def _node_moments(powers: np.ndarray, phi_next, dw, ridge: float) -> _Node:
     width = len(powers) // 2 + 1
     hankel = np.add.outer(np.arange(width), np.arange(width))
     a = powers.sum(axis=1)[hankel]
-    gram = _regularized(a, ridge)
+    gram = _regularized(a, _RIDGE)
     if phi_next is None:
         return _Node(gram, np.linalg.solve(gram, a), None, None, a[:, 0], None)
     m = (powers @ dw)[hankel]
@@ -318,7 +306,7 @@ class _Moments:
         return np.diff(self.grid_s)
 
 
-def _moments(grid_s, grid_t, w, dw, x_states, terminal, degree: int, ridge: float, with_x: bool) -> _Moments:
+def _moments(grid_s, grid_t, w, dw, x_states, terminal, degree: int, with_x: bool) -> _Moments:
     """Every node's moments and fixed-row fits, from one basis block per node."""
     n_nodes = len(grid_s)
     scales = _basis_scales(grid_s)
@@ -330,7 +318,7 @@ def _moments(grid_s, grid_t, w, dw, x_states, terminal, degree: int, ridge: floa
         powers = _basis(w, scales, i, 2 * degree)
         phi = powers[: len(powers) // 2 + 1]
         last = phi_next is None
-        node = nodes[i] = _node_moments(powers, phi_next, None if last else dw[i], ridge)
+        node = nodes[i] = _node_moments(powers, phi_next, None if last else dw[i])
         if with_x:
             x_fit[i, : len(phi)] = _fit(phi, node.gram, x_states[i])
             if not last:
@@ -504,13 +492,13 @@ def _y_row(mom: _Moments, spec, out: _Stack, k: int, i: int) -> np.ndarray:
     return y
 
 
-def _picard_solve(gens, mom: _Moments, cfg) -> _Stack:
+def _picard_solve(gens, mom: _Moments) -> _Stack:
     """Picard iteration on the flow of laws for K generators on the paths of
     ``mom``.  Each scenario keeps its own stop: one that has converged leaves
     the stack, and its coefficients stop changing."""
     K = len(gens)
     N = len(mom.nodes) - 1
-    out = _Stack.empty(K, N, cfg.basis_degree)
+    out = _Stack.empty(K, N, mom.degree)
     act = np.arange(K)
     # the first iterate is the f = 0, Z = 0 sweep, whose projections keep the
     # particle mean of g at every node; each later sweep reads the particle
@@ -520,7 +508,7 @@ def _picard_solve(gens, mom: _Moments, cfg) -> _Stack:
         mean_y=np.repeat(mom.terminal.mean(axis=1)[:, None], N + 1, axis=1),
         mean_z=np.zeros((K, N + 1)),
     )
-    for sweep in range(1, cfg.picard_max_iter + 1):
+    for sweep in range(1, _PICARD_MAX_ITER + 1):
         _backward_pass(gens, act, feats, mom, out)
         still = []
         for k in act.tolist():
@@ -535,7 +523,7 @@ def _picard_solve(gens, mom: _Moments, cfg) -> _Stack:
                 # feats holds the previous sweep's means
                 change = float(np.abs(out.mean_y[k] - feats.mean_y[k]).max())
                 log.append(change)
-                if change < cfg.picard_tol:
+                if change < _PICARD_TOL:
                     continue
             feats.mean_y[k] = out.mean_y[k]
             feats.mean_z[k] = out.mean_z[k]
@@ -546,8 +534,8 @@ def _picard_solve(gens, mom: _Moments, cfg) -> _Stack:
     else:
         log = out.logs[int(act[0])]
         raise PicardDivergence(
-            f"law iteration did not reach tol {cfg.picard_tol} in "
-            f"{cfg.picard_max_iter} sweeps; last changes {log[-2:]}"
+            f"law iteration did not reach tol {_PICARD_TOL} in "
+            f"{_PICARD_MAX_ITER} sweeps; last changes {log[-2:]}"
         )
     return out
 
@@ -595,9 +583,9 @@ def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, seed, tag, x_start=None)
     # an overflowing solve is reported once, by the finiteness checks after
     # each sweep, not by numpy warnings along the way
     with np.errstate(over="ignore", invalid="ignore"):
-        mom = _moments(grid_s, grid_t, w, dw, x_states, terminal_values, cfg.basis_degree, cfg.ridge, with_x)
+        mom = _moments(grid_s, grid_t, w, dw, x_states, terminal_values, cfg.basis_degree, with_x)
         del dw  # the sweeps read the moments, not the increments
-        return mom, _picard_solve(gens, mom, cfg)
+        return mom, _picard_solve(gens, mom)
 
 
 def solve_auxiliary_stack(
@@ -739,7 +727,7 @@ def representation_solve_stack(
         # slope/curvature probe: degree 2 keeps the pure-noise spread well
         # below the 3-standard-error gate while catching genuine dependence
         phi0 = _monomials(w0 / math.sqrt(v_a), 2)
-        fitted = _fit(phi0, _gram(phi0, cfg.ridge), candidates) @ phi0
+        fitted = _fit(phi0, _gram(phi0, _RIDGE), candidates) @ phi0
         sigmas = fitted.std(axis=1).tolist()
     else:
         sigmas = [0.0] * len(scns)

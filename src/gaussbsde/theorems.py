@@ -42,6 +42,8 @@ from .solver import (
 )
 
 _EXACT_TOL = 1e-12
+_REPRESENTATION_REL_TOL = 0.05  # final |A - f| allowed, relative to 1 + |f|
+_Z_BOUND_SLACK = 0.05  # the Z bound's relative slack
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,11 @@ def _require_clock_differentiable(driver: GaussianDriverSpec, t: float):
     )
 
 
+def _require_refinable(driver: GaussianDriverSpec):
+    if driver.kind == "custom":
+        raise UnsupportedScenario("a custom driver's clock is its table's grid: a refined solve would repeat it")
+
+
 def _require_x_free(scn: ScenarioSpec):
     if scn.generator.c1 != 0.0:
         raise UnsupportedScenario("representation checks need a state-free generator (c1 = 0)")
@@ -114,6 +121,7 @@ def comparison_check(
     conclusion is known to fail in general.
     """
     _require_same_driver(scn1, scn2)
+    _require_refinable(scn1.driver)
     g1, g2 = scn1.generator, scn2.generator
     if g1.kappa_z != 0.0 or g2.kappa_z != 0.0:
         raise HypothesisUnsatisfied("comparison requires no dependence on the law of Z (kappa_z = 0)")
@@ -208,7 +216,6 @@ def representation_limit_check(
     eps_list,
     cfg: SolverConfig,
     seed: int,
-    rel_tol: float = 0.05,
 ) -> TheoremReport:
     """Short-horizon difference quotients A(eps) = (Y^eps_t - y)/eps against
     the clock integral B(eps) of the generator at the frozen law.
@@ -241,7 +248,7 @@ def representation_limit_check(
         g2 < g1 + 1e-9 + se1 + se2
         for g1, g2, se1, se2 in zip(gaps, gaps[1:], ses, ses[1:])
     )
-    final_tol = rel_tol * (1.0 + abs(f_target)) + 3.0 * ses[-1]
+    final_tol = _REPRESENTATION_REL_TOL * (1.0 + abs(f_target)) + 3.0 * ses[-1]
     final_ok = abs(a_vals[-1] - f_target) <= final_tol
     determinism_ok = all(
         sig <= 3.0 * se * eps + 1e-15 for sig, se, eps in zip(sigmas, ses, eps_list)
@@ -349,9 +356,12 @@ def _stability_ratio(scn1, scn2, cfg, n_time, seed):
     lhs = float(np.mean(np.max((y1 - y2) ** 2, axis=1) + ((z1 - z2) ** 2 * dv).sum(axis=1)))
 
     g1, g2 = (terminal_on_paths(scn.terminal, x_full[:, -1]) for scn in (scn1, scn2))
-    # both generators along the first solution
-    fdv1, fdv2 = (generator_dv_on_paths(scn.generator, clock, x_full, y1, z1) for scn in (scn1, scn2))
-    rhs = float(np.mean((g1 - g2) ** 2 + np.abs(fdv1 - fdv2).sum(axis=1) ** 2))
+    f_gap = 0.0  # exactly, for equal generators
+    if scn1.generator != scn2.generator:
+        # both generators along the first solution
+        fdv1, fdv2 = (generator_dv_on_paths(scn.generator, clock, x_full, y1, z1) for scn in (scn1, scn2))
+        f_gap = np.abs(fdv1 - fdv2).sum(axis=1) ** 2
+    rhs = float(np.mean((g1 - g2) ** 2 + f_gap))
     return lhs, rhs
 
 
@@ -359,6 +369,7 @@ def stability_check(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, s
     """Empirical ratio of the two sides of the coefficient-stability estimate,
     required finite and stable (within 20%) under time-grid refinement."""
     _require_same_driver(scn1, scn2)
+    _require_refinable(scn1.driver)
     lhs1, rhs1 = _stability_ratio(scn1, scn2, cfg, cfg.n_time, seed)
     lhs2, rhs2 = _stability_ratio(scn1, scn2, cfg, 2 * cfg.n_time, seed)
 
@@ -553,10 +564,9 @@ def z_bound_check(
     clock: VarianceClock,
     cloud: ParticleCloud,
     seed: int = 0,
-    slack: float = 0.05,
 ) -> TheoremReport:
     """Pathwise bound on the control field with audited constants:
-    |Z(s)| <= (1 + slack) * exp(L_f (V_T - s)) (L_g + L_f (V_T - s))."""
+    |Z(s)| <= (1 + slack) * exp(L_f (V_T - s)) (L_g + L_f (V_T - s)), slack 5%."""
     audit = lipschitz_audit(scn, n_probes=64, seed=seed)
     v_total = clock.V_T
     _, z = field.on_paths(cloud.w)
@@ -568,7 +578,7 @@ def z_bound_check(
         lam = v_total - s
         bound = math.exp(audit.l_f * lam) * (audit.l_g + audit.l_f * lam)
         obs = float(np.max(np.abs(z[:, i])))
-        margin = (1.0 + slack) * bound + atol - obs
+        margin = (1.0 + _Z_BOUND_SLACK) * bound + atol - obs
         ok = ok and margin >= 0.0
         observed.append(obs)
         bounds.append(bound)
@@ -584,7 +594,7 @@ def z_bound_check(
             "margin": margins,
             "min_margin": min(margins),
         },
-        tolerances={"slack": slack},
+        tolerances={"slack": _Z_BOUND_SLACK},
         std_errors={},
         seed=seed,
     )

@@ -87,7 +87,7 @@ class TestAcceptance:
 
     def test_03_mean_field_oracle(self):
         scn = mean_field_scenario(BROWNIAN, alpha=0.3, c=1.0)
-        cfg = SolverConfig(n_time=64, n_particles=20000, picard_tol=1e-3, picard_max_iter=10)
+        cfg = SolverConfig(n_time=64, n_particles=20000)
         clock = build_clock(BROWNIAN, cfg.n_time + 1)
         field, cloud = solve_auxiliary(scn, clock, cfg, SEED)
         n = cloud.n_particles
@@ -193,7 +193,7 @@ class TestAcceptance:
     def test_06_representation(self):
         scn = contraction_mean_field_scenario(BROWNIAN)
         cfg = SolverConfig(n_time=32, n_particles=32768)
-        report = representation_limit_check(scn, 0.25, 1.0, 0.5, [0.2, 0.1, 0.05], cfg, SEED, rel_tol=0.05)
+        report = representation_limit_check(scn, 0.25, 1.0, 0.5, [0.2, 0.1, 0.05], cfg, SEED)
         gaps = report.measurements["abs_gap"]
         final_err = report.measurements["final_error"]
         sigma_ok = report.measurements["determinism_ok"]

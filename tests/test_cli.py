@@ -71,11 +71,27 @@ class TestConfigParsing:
             ("paramz", {}, "paramz"),
             ("params", {"t_list": [0.0]}, "params.t_list"),
             ("solver", {"z_estimator": "increment"}, "solver.z_estimator"),
+            # constants, not settings: the ridge, the Picard stop and the series
+            # quantiles; the seed is a top-level key only
+            ("solver", {"ridge": 1e-8}, "solver.ridge"),
+            ("solver", {"picard_tol": 1e-3}, "solver.picard_tol"),
+            ("solver", {"seed": 7}, "solver.seed"),
+            ("params", {"quantiles": [0.5]}, "params.quantiles"),
         ],
     )
     def test_unknown_key_named(self, section, update, key):
         with pytest.raises(ConfigInvalid, match=rf"^{key}: unknown key"):
             parse_config_payload(dict(BASE_CONFIG, **{section: update}))
+
+    @pytest.mark.parametrize("key", ["driver", "solver"])
+    def test_suite_takes_no_driver_or_solver(self, key):
+        # the suite's entries bring their own drivers and solvers, so the
+        # suite's config takes neither and its payload records neither
+        with pytest.raises(ConfigInvalid, match=rf"^{key}: unknown key"):
+            parse_config_payload({"kind": "full_suite", "seed": 1, key: BASE_CONFIG[key]})
+        cfg = parse_config_payload({"kind": "full_suite", "seed": 1})
+        assert cfg.driver is None and cfg.solver is None
+        assert set(cfg.payload()) == {"kind", "seed", "params"}
 
     def test_typo_config_fails_validate(self, tmp_path, capsys):
         tree = dict(
@@ -87,12 +103,6 @@ class TestConfigParsing:
         )
         assert main(["validate", str(write_config(tmp_path, tree))]) == 1
         assert "unknown key" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("quantiles", [[0.0, 1.5], [0.5, 1.0], ["0.5"], [True], 0.5, []])
-    def test_quantiles_in_unit_interval(self, quantiles):
-        tree = dict(BASE_CONFIG, params={"quantiles": quantiles})
-        with pytest.raises(ConfigInvalid, match="params.quantiles"):
-            parse_config_payload(tree)
 
     @pytest.mark.parametrize(
         "kind, params, key",
@@ -118,10 +128,32 @@ class TestConfigParsing:
             ("converse", {"probe_grid": [], "eps": 0.1}, "probe_grid"),
             ("t2", {"t": 1.0, "shift_list": []}, "shift_list"),
             ("lsi", {"t": 1.0, "lambda_list": []}, "lambda_list"),
+            # a short horizon is positive, and eps_list refines it
+            ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.1, 0.2]}, "eps_list"),
+            ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.1, 0.1]}, "eps_list"),
+            ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.1, 0.0]}, "eps_list"),
+            ("converse", {"probe_grid": [[0.1, 1.0, 0.5]], "eps": -0.1}, "eps"),
         ],
     )
     def test_param_values_checked(self, kind, params, key):
         with pytest.raises(ConfigInvalid, match=rf"^params\.{key}: must be"):
+            parse_config_payload(kind_config(kind, params))
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("t2", {"t": 2.0, "shift_list": [1.0]}, "t"),
+            ("lsi", {"t": -0.5, "lambda_list": [1.0]}, "t"),
+            ("comparison", {"t_list": [0.0, 1.5]}, "t_list"),
+            ("converse", {"probe_grid": [[0.1, 1.0, 0.5], [1.2, 1.0, 0.5]], "eps": 0.1}, "probe_grid"),
+            ("converse", {"probe_grid": [[0.95, 1.0, 0.5]], "eps": 0.1}, "eps"),
+            ("representation", {"t": 0.9, "y": 1.0, "z": 0.5, "eps_list": [0.2, 0.1]}, "eps_list"),
+        ],
+    )
+    def test_params_inside_the_horizon(self, kind, params, key):
+        # times lie in [0, T] and t + eps <= T, for the driver's T = 1; a
+        # config outside fails at parse time, not after its solves
+        with pytest.raises(ConfigInvalid, match=rf"^params\.{key}: .* T = 1\.0$"):
             parse_config_payload(kind_config(kind, params))
 
     @pytest.mark.parametrize(
@@ -147,7 +179,7 @@ class TestConfigParsing:
         "section, update, message",
         [
             ("solver", {"n_time": 8.0}, "solver.n_time: must be an integer"),
-            ("solver", {"ridge": "1e-8"}, "solver.ridge: must be a finite number"),
+            ("scenario", {"terminal": {}, "generator": {"c0": "1.0"}}, "scenario.generator.c0: must be a finite number"),
             ("scenario", {"terminal": {"phi": ["sin"]}, "generator": {}}, "scenario.terminal.phi: must be one of"),
             ("scenario", {"terminal": {}, "generator": {"phi": "cos"}}, "scenario.generator.phi: must be one of"),
             ("solver", {"basis_degree": -1}, "solver: basis_degree must be nonnegative"),
@@ -176,11 +208,6 @@ class TestConfigParsing:
         tree = {k: v for k, v in BASE_CONFIG.items() if k != "seed"}
         with pytest.raises(ConfigInvalid, match="seed"):
             parse_config_payload(tree)
-
-    def test_seed_in_solver_section_accepted(self):
-        tree = {k: v for k, v in BASE_CONFIG.items() if k != "seed"}
-        tree["solver"] = dict(tree["solver"], seed=7)
-        assert parse_config_payload(tree).seed == 7
 
     def test_bad_hurst_message(self, tmp_path):
         tree = dict(BASE_CONFIG, driver={"kind": "fbm", "hurst": 1.5, "T": 1.0})

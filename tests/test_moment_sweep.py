@@ -96,7 +96,7 @@ def particle_picard(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
     K, N, n = len(gens), len(grid_s) - 1, w.shape[1]
     W = cfg.basis_degree + 1
     scales = _basis_scales(grid_s)
-    grams = [_gram(_basis(w, scales, i, cfg.basis_degree), cfg.ridge) for i in range(N + 1)]
+    grams = [_gram(_basis(w, scales, i, cfg.basis_degree), solver._RIDGE) for i in range(N + 1)]
     out = {
         "u": np.zeros((K, N + 1, W)), "v": np.zeros((K, N, W)),
         "y": np.empty((K, N + 1, n)), "z": np.empty((K, N + 1, n)), "candidates": np.empty((K, n)),
@@ -109,7 +109,7 @@ def particle_picard(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
         mean_y=np.repeat(terminal_values.mean(axis=1)[:, None], N + 1, axis=1),
         mean_z=np.zeros((K, N + 1)),
     )
-    for sweep in range(1, cfg.picard_max_iter + 1):
+    for sweep in range(1, solver._PICARD_MAX_ITER + 1):
         particle_sweep(gens, act, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, out)
         still = []
         for k in act.tolist():
@@ -123,7 +123,7 @@ def particle_picard(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
                 change = np.abs(y.mean(axis=1) - feats.mean_y[k]).max()
                 out["logs"][k].append(change)
                 out["w2"][k].append(sorted_w2(y, prev_y[k]))
-                if change < cfg.picard_tol:
+                if change < solver._PICARD_TOL:
                     continue
             prev_y[k] = y.copy()
             y.mean(axis=1, out=feats.mean_y[k])
@@ -256,7 +256,7 @@ def scenarios(draw):
     seed=st.integers(0, 2**16),
 )
 def test_random_stacks_match_particle_sweep(scns, degree, n_nodes, seed):
-    cfg = SolverConfig(n_time=n_nodes, n_particles=500, basis_degree=degree, picard_max_iter=20)
+    cfg = SolverConfig(n_time=n_nodes, n_particles=500, basis_degree=degree)
     ref = auxiliary(scns, n_nodes, cfg, seed=seed)
     # the logged change of the means against the W2 of consecutive Y rows: an
     # affine generator's rows differ by one constant per node, so the two are

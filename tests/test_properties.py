@@ -27,11 +27,25 @@ from gaussbsde.solver import _basis, _derivative, _fit, _gram, _rescaled
 FEW = settings(deadline=None, max_examples=25)
 coefficient = st.floats(-3.0, 3.0, allow_nan=False)
 coefficients = st.lists(coefficient, min_size=1, max_size=4)
-param_values = {
-    **dict.fromkeys(("t", "y", "z", "eps"), coefficient),
-    **dict.fromkeys(("t_list", "eps_list", "shift_list", "lambda_list"), coefficients),
-    "probe_grid": st.lists(st.lists(coefficient, min_size=3, max_size=3), min_size=1, max_size=3),
-}
+
+
+def param_values(T):
+    """A strategy per params key, for a driver of horizon T: every time in
+    [0, T / 2] (the whole horizon for ``t_list``) and every eps a multiple of
+    T / 100 up to 0.4 T.  So t + eps stays below T by more than the rounding
+    of the emitted form's 12 digits, and eps_list stays strictly decreasing
+    in it."""
+    time = st.floats(0.0, T / 2)
+    steps = st.integers(1, 40)
+    return {
+        **dict.fromkeys(("y", "z"), coefficient),
+        **dict.fromkeys(("shift_list", "lambda_list"), coefficients),
+        "t": time,
+        "eps": steps.map(lambda k: k * T / 100),
+        "t_list": st.lists(st.floats(0.0, T), min_size=1, max_size=4),
+        "eps_list": st.sets(steps, min_size=1, max_size=4).map(lambda ks: [k * T / 100 for k in sorted(ks, reverse=True)]),
+        "probe_grid": st.lists(st.tuples(time, coefficient, coefficient).map(list), min_size=1, max_size=3),
+    }
 
 
 @st.composite
@@ -110,16 +124,19 @@ def scenarios(draw, coefficient=coefficient):
 @st.composite
 def configs(draw, kind):
     spec = KINDS[kind]
+    tree = {"kind": kind, "seed": draw(st.integers(0, 2 ** 62))}
+    if spec.run is None:
+        return tree  # the suite's entries bring their own drivers and solvers
     driver = draw(
         st.sampled_from([{"kind": "brownian"}, {"kind": "fbm", "hurst": draw(st.floats(0.01, 0.99))}])
     )
-    tree = {
-        "kind": kind,
-        "seed": draw(st.integers(0, 2 ** 62)),
-        "driver": dict(driver, T=draw(st.floats(0.1, 5.0))),
-        "solver": {"n_time": draw(st.integers(2, 128)), "ridge": draw(st.floats(0.0, 1e-3))},
-        "params": {key: draw(param_values[key]) for key in spec.required},
-    }
+    T = draw(st.floats(0.1, 5.0))
+    values = param_values(T)
+    tree.update(
+        driver=dict(driver, T=T),
+        solver={"n_time": draw(st.integers(2, 128))},
+        params={key: draw(values[key]) for key in spec.required},
+    )
     for key in ("scenario", "scenario_2")[: spec.scenarios]:
         tree[key] = draw(scenarios())
     return tree

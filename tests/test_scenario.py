@@ -158,20 +158,20 @@ class TestAudit:
 
 class TestOrderProbes:
     def test_constant_gap(self):
-        assert generator_order_probe(GeneratorSpec(c0=0.0), GeneratorSpec(c0=1.0), 64, 0).ordered
+        assert generator_order_probe(GeneratorSpec(c0=0.0), GeneratorSpec(c0=1.0), seed=0).ordered
 
     def test_equality(self):
         f = GeneratorSpec(c2=1.0)
-        assert generator_order_probe(f, f, 64, 0).ordered
+        assert generator_order_probe(f, f, seed=0).ordered
 
     def test_counterexample(self):
-        probe = generator_order_probe(GeneratorSpec(c0=1.0), GeneratorSpec(c0=0.0), 64, 0)
+        probe = generator_order_probe(GeneratorSpec(c0=1.0), GeneratorSpec(c0=0.0), seed=0)
         assert not probe.ordered
         assert probe.counterexample is not None
 
     def test_terminal_probe(self):
-        assert terminal_order_probe(TerminalSpec(b=1.0), TerminalSpec(a=1.0, b=1.0), 64, 0).ordered
-        assert not terminal_order_probe(TerminalSpec(a=2.0), TerminalSpec(a=1.0), 64, 0).ordered
+        assert terminal_order_probe(TerminalSpec(b=1.0), TerminalSpec(a=1.0, b=1.0), seed=0).ordered
+        assert not terminal_order_probe(TerminalSpec(a=2.0), TerminalSpec(a=1.0), seed=0).ordered
 
 
 class TestLawFeatures:

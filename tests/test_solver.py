@@ -118,7 +118,7 @@ class TestSolveOracles:
         # particle mean of Y at clock time s is exp(alpha (V_T - s))
         scn = mean_field_scenario(BROWNIAN, alpha=0.3, c=1.0)
         clock = build_clock(BROWNIAN, 33)
-        cfg = SolverConfig(n_time=32, n_particles=20000, picard_tol=1e-3)
+        cfg = SolverConfig(n_time=32, n_particles=20000)
         field, cloud = solve_auxiliary(scn, clock, cfg, seed=14)
         assert field.n_iterations <= 10
         assert field.convergence[-1] < 1e-3
@@ -186,7 +186,9 @@ class TestSolveOracles:
     def test_picard_divergence(self):
         scn = mean_field_scenario(BROWNIAN, alpha=3.0)
         clock = build_clock(BROWNIAN, 33)
-        cfg = SolverConfig(n_time=32, n_particles=2000, picard_max_iter=3, picard_tol=1e-12)
+        # a contraction too weak for the Picard stop's 10 sweeps: the
+        # sweeps' changes shrink by a factor of about 0.4 a sweep
+        cfg = SolverConfig(n_time=32, n_particles=2000)
         with pytest.raises(PicardDivergence):
             solve_auxiliary(scn, clock, cfg, seed=1)
 
@@ -458,9 +460,3 @@ class TestSolverConfigValidation:
     def test_negative_basis_degree(self):
         with pytest.raises(ValueError, match="basis_degree"):
             SolverConfig(basis_degree=-1)
-
-    def test_tolerances(self):
-        with pytest.raises(ValueError):
-            SolverConfig(picard_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(ridge=-1.0)

@@ -29,6 +29,11 @@ from gaussbsde.theorems import (
 
 BROWNIAN = GaussianDriverSpec.brownian(1.0)
 SMALL = SolverConfig(n_time=16, n_particles=4000)
+# the Brownian covariance min(s, t) as a table: a clock the node count cannot refine
+_GRID = [0.125 * (i + 1) for i in range(8)]
+CUSTOM = GaussianDriverSpec.custom(
+    np.array(_GRID), [[min(t, s) for s in _GRID[: i + 1]] for i, t in enumerate(_GRID)], 1.0
+)
 
 
 class TestTransportConstants:
@@ -130,6 +135,12 @@ class TestComparison:
         with pytest.raises(HypothesisUnsatisfied):
             comparison_check(scn1, scn2, SMALL, [0.5], seed=8)
 
+    def test_refuses_custom_driver(self):
+        # the 2N-node solve would repeat the N-node one: a scheme error of 0
+        scn = mean_field_scenario(CUSTOM)
+        with pytest.raises(UnsupportedScenario):
+            comparison_check(scn, shift_terminal(scn, 1.0), SMALL, [0.0, 0.5], seed=8)
+
 
 class TestRepresentationLimit:
     def test_constant_generator_exact(self):
@@ -220,6 +231,23 @@ class TestStability:
         rhs = report.measurements["rhs"][0]
         assert lhs == pytest.approx(delta ** 2, rel=0.05)   # sup at t=0
         assert rhs == pytest.approx(delta ** 2, rel=0.05)   # (int delta dV)^2
+
+    @pytest.mark.parametrize("shift, calls", [(shift_terminal, 0), (shift_generator, 4)])
+    def test_generator_gap_evaluated_only_for_different_generators(self, monkeypatch, shift, calls):
+        # equal generators have a gap of exactly 0; different ones are
+        # evaluated for both scenarios on both grids
+        seen = []
+        evaluate = theorems.generator_dv_on_paths
+        monkeypatch.setattr(theorems, "generator_dv_on_paths", lambda *args: seen.append(args) or evaluate(*args))
+        scn = linear_scenario(BROWNIAN, 0.5)
+        assert stability_check(scn, shift(scn, 0.5), SMALL, seed=19).passed
+        assert len(seen) == calls
+
+    def test_refuses_custom_driver(self):
+        # the refined grid would be the coarse one again: a ratio drift of 0
+        scn = linear_scenario(CUSTOM, 0.5)
+        with pytest.raises(UnsupportedScenario):
+            stability_check(scn, shift_terminal(scn, 0.5), SMALL, seed=19)
 
 
 class TestGaussianFamilyChecks:
