@@ -1,7 +1,7 @@
 """Experiment configuration: a single JSON tree, validated with messages that
-name the offending key, and a canonical emitted form that round-trips.
-
-The keys accepted at each level are those the emitted form writes, plus
+name the offending key, and a canonical emitted form that round-trips: every
+number is read at its 12 significant digits before it is checked.  The keys
+accepted at each level are those the emitted form writes, plus
 ``covariance_file`` and ``out_dir``; any other key is rejected by name."""
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .drivers import _DOMAIN_TOL, GaussianDriverSpec
 from .errors import ConfigInvalid
-from .reporting import canonical_json, digest_payload
+from .reporting import canonical_json, digest_payload, fmt_float
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
 from .solver import SolverConfig
 
@@ -40,11 +40,11 @@ def _numbers(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
-def _plus_zero(value):
-    """A params value with -0.0 stored as 0.0 (see ``_number``)."""
+def _emitted(value):
+    """A value, or each of a list, as ``fmt_float`` writes it and JSON reads it back."""
     if isinstance(value, list):
-        return [_plus_zero(v) for v in value]
-    return value + 0.0 if isinstance(value, float) else value
+        return [_emitted(v) for v in value]
+    return float(fmt_float(value)) + 0.0 if isinstance(value, float) and _is_number(value) else value
 
 
 _NUMBER = (_is_number, "must be a finite number")
@@ -91,7 +91,7 @@ def _number(tree: dict, key: str, path: str) -> float:
     value = _get(tree, key, path)
     if not _is_number(value):
         _fail(f"{path}.{key}" if path else key, "must be a finite number")
-    return float(value) + 0.0  # -0.0 is emitted as "-0", which reads back as 0
+    return _emitted(float(value))  # -0.0 too: it is emitted as "-0", which reads back as 0
 
 
 def _integer(tree: dict, key: str, path: str) -> int:
@@ -192,8 +192,8 @@ def _parse_generator(tree, path: str) -> GeneratorSpec:
             _fail(f"{path}.rho_table", "must be an object with exactly 'breaks' and 'values'")
         if not (_numbers(rho["breaks"]) and _numbers(rho["values"])):
             _fail(f"{path}.rho_table", "'breaks' and 'values' must be lists of finite numbers")
-        kwargs["rho_breaks"] = tuple(float(v) + 0.0 for v in rho["breaks"])
-        kwargs["rho_values"] = tuple(float(v) + 0.0 for v in rho["values"])
+        kwargs["rho_breaks"] = tuple(_emitted(float(v)) for v in rho["breaks"])
+        kwargs["rho_values"] = tuple(_emitted(float(v)) for v in rho["values"])
     try:
         return GeneratorSpec(**kwargs)
     except ValueError as exc:
@@ -272,11 +272,11 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
     for key in kind.required:
         if key not in params:
             _fail(f"params.{key}", f"required for kind={kind_name}")
+    params = {key: _emitted(value) for key, value in params.items()}
     for key, value in params.items():
         check, requirement = _PARAM_CHECKS[key]
         if not check(value):
             _fail(f"params.{key}", requirement)
-    params = {key: _plus_zero(value) for key, value in params.items()}
 
     driver = solver = None
     if settings:

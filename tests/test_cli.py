@@ -61,6 +61,18 @@ class TestConfigParsing:
             assert cfg.digest == again.digest
         assert again.scenario.generator.rho_values == (1.0, 2.0)
 
+    def test_numbers_read_as_emitted(self):
+        # the parsed config holds the 12-digit numbers its emitted form writes
+        # and its digest names, and its checks ran on those
+        tree = kind_config("representation", {"t": 0.1 + 0.2, "y": 1.0, "z": 0.5, "eps_list": [2 / 3]})
+        tree.update(
+            driver={"kind": "fbm", "hurst": 1 / 3, "T": 1 + 3e-13},
+            scenario={"terminal": {"b": 1 / 3}, "generator": {}},
+        )
+        cfg = parse_config_payload(tree)
+        assert (cfg.driver.T, cfg.driver.hurst, cfg.scenario.terminal.b) == (1.0, 0.333333333333, 0.333333333333)
+        assert (cfg.params["t"], cfg.params["eps_list"]) == (0.3, [0.666666666667])
+
     @pytest.mark.parametrize(
         "section, update, key",
         [
@@ -133,27 +145,20 @@ class TestConfigParsing:
             ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.1, 0.1]}, "eps_list"),
             ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.1, 0.0]}, "eps_list"),
             ("converse", {"probe_grid": [[0.1, 1.0, 0.5]], "eps": -0.1}, "eps"),
-        ],
-    )
-    def test_param_values_checked(self, kind, params, key):
-        with pytest.raises(ConfigInvalid, match=rf"^params\.{key}: must be"):
-            parse_config_payload(kind_config(kind, params))
-
-    @pytest.mark.parametrize(
-        "kind, params, key",
-        [
+            # times lie in [0, T] and t + eps <= T, for the driver's T = 1; a
+            # config outside fails at parse time, not after its solves
             ("t2", {"t": 2.0, "shift_list": [1.0]}, "t"),
             ("lsi", {"t": -0.5, "lambda_list": [1.0]}, "t"),
             ("comparison", {"t_list": [0.0, 1.5]}, "t_list"),
             ("converse", {"probe_grid": [[0.1, 1.0, 0.5], [1.2, 1.0, 0.5]], "eps": 0.1}, "probe_grid"),
             ("converse", {"probe_grid": [[0.95, 1.0, 0.5]], "eps": 0.1}, "eps"),
             ("representation", {"t": 0.9, "y": 1.0, "z": 0.5, "eps_list": [0.2, 0.1]}, "eps_list"),
+            # checked as emitted: at 12 digits this eps_list reads [0.2, 0.2]
+            ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.2000000000001, 0.2]}, "eps_list"),
         ],
     )
-    def test_params_inside_the_horizon(self, kind, params, key):
-        # times lie in [0, T] and t + eps <= T, for the driver's T = 1; a
-        # config outside fails at parse time, not after its solves
-        with pytest.raises(ConfigInvalid, match=rf"^params\.{key}: .* T = 1\.0$"):
+    def test_param_values_checked(self, kind, params, key):
+        with pytest.raises(ConfigInvalid, match=rf"^params\.{key}: "):
             parse_config_payload(kind_config(kind, params))
 
     @pytest.mark.parametrize(
