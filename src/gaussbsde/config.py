@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .drivers import _DOMAIN_TOL, GaussianDriverSpec
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, UnsupportedScenario
 from .reporting import canonical_json, digest_payload, fmt_float
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
 from .solver import SolverConfig
@@ -288,7 +288,7 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
     out_dir = tree.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         _fail("out_dir", "must be a string path")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         kind=kind_name,
         seed=seed,
         driver=driver,
@@ -297,6 +297,13 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
         params=params,
         out_dir=out_dir,
     )
+    # the runner's own refusals, named by key, so `validate` agrees with `run`
+    for key, gate in kind.gates:
+        try:
+            gate(cfg)
+        except UnsupportedScenario as exc:
+            _fail(key, str(exc))
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

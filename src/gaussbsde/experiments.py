@@ -40,9 +40,11 @@ from .pack import (
 from .reporting import canonical_json, digest_payload, emit_report, write_series_csv
 from .rng import derived_seed
 from .scenario import terminal_on_paths
-from .solver import SolverConfig, solve_auxiliary, transfer_evaluate
+from .solver import SolverConfig, _require_x_free, solve_auxiliary, transfer_evaluate
 from .theorems import (
     TheoremReport,
+    _require_clock_differentiable,
+    _require_refinable,
     comparison_check,
     converse_comparison_check,
     lsi_check,
@@ -270,22 +272,47 @@ def _run_zbound(cfg: ExperimentConfig, out_dir: Path, name: str):
 @dataclass(frozen=True)
 class Kind:
     """An experiment kind: how many scenarios its config carries, the
-    ``params`` it requires and accepts, and its runner.  The suite has no
-    runner: it runs the entries of ``_suite_entries``."""
+    ``params`` it requires and accepts, its runner, and its gates: (config
+    key, check) pairs, each check raising ``UnsupportedScenario`` on a
+    parsed config that its runner would refuse.  The suite has no runner: it
+    runs the entries of ``_suite_entries``."""
 
     scenarios: int
     run: Callable | None
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
+    gates: tuple[tuple[str, Callable], ...] = ()
 
+
+def _x_free(key: str):
+    return f"{key}.generator.c1", lambda cfg: _require_x_free(getattr(cfg, key))
+
+
+_REFINABLE = ("driver.kind", lambda cfg: _require_refinable(cfg.driver))
 
 KINDS = {
     "solve": Kind(1, _run_solve),
     "wick_validate": Kind(0, _run_wick_validate, optional=("n_paths",)),
-    "comparison": Kind(2, _run_comparison, ("t_list",)),
-    "representation": Kind(1, _run_representation, ("t", "y", "z", "eps_list")),
-    "converse": Kind(2, _run_converse, ("probe_grid", "eps")),
-    "stability": Kind(2, _run_stability),
+    "comparison": Kind(2, _run_comparison, ("t_list",), gates=(_REFINABLE,)),
+    "representation": Kind(
+        1, _run_representation, ("t", "y", "z", "eps_list"),
+        gates=(
+            ("params.t", lambda cfg: _require_clock_differentiable(cfg.driver, cfg.params["t"])),
+            _x_free("scenario"),
+        ),
+    ),
+    "converse": Kind(
+        2, _run_converse, ("probe_grid", "eps"),
+        gates=(
+            (
+                "params.probe_grid",
+                lambda cfg: [_require_clock_differentiable(cfg.driver, row[0]) for row in cfg.params["probe_grid"]],
+            ),
+            _x_free("scenario"),
+            _x_free("scenario_2"),
+        ),
+    ),
+    "stability": Kind(2, _run_stability, gates=(_REFINABLE,)),
     "t2": Kind(1, _run_t2, ("t", "shift_list")),
     "lsi": Kind(1, _run_lsi, ("t", "lambda_list")),
     "zbound": Kind(1, _run_zbound),

@@ -35,6 +35,7 @@ from .rng import generator
 
 _PROBE_SLACK = 1e-9
 _ORDER_PROBES = 256  # points drawn by each order probe
+_AUDIT_PROBES = 64  # argument and cloud pairs drawn by the Lipschitz audit
 
 
 def _zero(x):
@@ -291,10 +292,9 @@ class AuditReport:
     k_max: float
     max_ratio_f: float
     max_ratio_g: float
-    n_probes: int
 
 
-def lipschitz_audit(scn: ScenarioSpec, n_probes: int = 256, seed: int = 0) -> AuditReport:
+def lipschitz_audit(scn: ScenarioSpec, seed: int = 0) -> AuditReport:
     """Symbolic constants plus an empirical probe of the Lipschitz ratios.
 
     Probes pairs of arguments and 2-atom joint clouds (exact W2 by brute
@@ -306,17 +306,17 @@ def lipschitz_audit(scn: ScenarioSpec, n_probes: int = 256, seed: int = 0) -> Au
     # every probe is drawn at once and evaluated as one array: probes run
     # along the last axis, and the law features of a probe's cloud are its
     # atom means
-    t = rng.uniform(0.0, scn.driver.T, size=n_probes)
-    p1, p2 = rng.normal(0.0, 2.0, size=(2, 3, n_probes))
-    cloud1, cloud2 = rng.normal(0.0, 2.0, size=(2, 2, 3, n_probes))
+    t = rng.uniform(0.0, scn.driver.T, size=_AUDIT_PROBES)
+    p1, p2 = rng.normal(0.0, 2.0, size=(2, 3, _AUDIT_PROBES))
+    cloud1, cloud2 = rng.normal(0.0, 2.0, size=(2, 2, 3, _AUDIT_PROBES))
     df = np.abs(
         eval_generator(gen, t, *p1, LawFeatures(*cloud1.mean(axis=0)))
         - eval_generator(gen, t, *p2, LawFeatures(*cloud2.mean(axis=0)))
     )
     max_ratio_f = _max_ratio(df, np.abs(p1 - p2).sum(axis=0) + _two_atom_w2_3d(cloud1, cloud2))
 
-    xa, xb = rng.normal(0.0, 2.0, size=(2, n_probes))
-    ca, cb = rng.normal(0.0, 2.0, size=(2, 2, n_probes))
+    xa, xb = rng.normal(0.0, 2.0, size=(2, _AUDIT_PROBES))
+    ca, cb = rng.normal(0.0, 2.0, size=(2, 2, _AUDIT_PROBES))
     dg = np.abs(
         eval_terminal(term, xa, LawFeatures(mean_x=ca.mean(axis=0)))
         - eval_terminal(term, xb, LawFeatures(mean_x=cb.mean(axis=0)))
@@ -339,7 +339,6 @@ def lipschitz_audit(scn: ScenarioSpec, n_probes: int = 256, seed: int = 0) -> Au
         k_max=k_max,
         max_ratio_f=max_ratio_f,
         max_ratio_g=max_ratio_g,
-        n_probes=n_probes,
     )
 
 

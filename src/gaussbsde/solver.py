@@ -23,24 +23,25 @@ r.  Each node's moments
     s_i = phi_i 1          q_i = phi_i dW_i
 
 are built once per solve and kept as fit operators G_i^-1 A_i, G_i^-1 C_i and
-G_i^-1 M_i, beside the fits of the solve's fixed particle rows: g(W_N) on the
-last two nodes and, when a generator reads x, the states x_i on nodes i and
-i - 1.  A generator is its first-order expansion at (x, y, z) = 0 plus a
-remainder r(y) of its nonlinear terms, so scenario k's Y row at node i < N is
+G_i^-1 M_i, beside the fits of the solve's one fixed particle row, g(W_N), on
+the last two nodes.  A generator is its first-order expansion at
+(x, y, z) = 0 plus a remainder r(y) of its nonlinear terms.  Its state is the
+node's Brownian state, x_i = W_i = sqrt(s_i - s_0) phi_i[1] (0 at the first
+node), so the state term ds f_x x_i is a multiple of the basis' linear term,
+and scenario k's Y row at node i < N is
 
-    Y_i = yc_i . phi_i + xc_i x_i + ds_i r(P_i)        (r = 0 for an affine f)
+    Y_i = yc_i . phi_i + ds_i r(P_i)        (r = 0 for an affine f)
 
 and a sweep runs on coefficients, for the K active scenarios at once:
 
     beta_i = fit_i(Y_{i+1}) - [G_i^-1 M_i rv - G_i^-1 s_i (q_i . rv) / n]
-             fit_i(Y_{i+1}) = G_i^-1 C_i yc_{i+1} + xc_{i+1} fit_i(x_{i+1})
-                              + fit_i(ds r(P_{i+1}))
+             fit_i(Y_{i+1}) = G_i^-1 C_i yc_{i+1} + fit_i(ds r(P_{i+1}))
              rv: the next node's Z coefficients read in this node's variable
     zc_i   = beta_i' (1 + ds (f_y + f_z)) + ds f_x          P_i = beta_i . phi_i
     vb_i   = G_i^-1 A_i zc_i + fit_i(ds r'(P_i) beta_i' . phi_i)
-    yc_i   = beta_i + ds (f(0, 0, 0, law_i) e_0 + f_y beta_i + f_z vb_i)
-    xc_i   = ds f_x
-    u_i    = G_i^-1 A_i yc_i + xc_i fit_i(x_i) + fit_i(ds r(P_i))
+    yc_i   = beta_i + ds (f(0, 0, 0, law_i) e_0 + f_y beta_i + f_z vb_i
+                          + f_x sqrt(s_i - s_0) e_1)
+    u_i    = G_i^-1 A_i yc_i + fit_i(ds r(P_i))
 
 with f(0, 0, 0, law) and the partials (f_x, f_y, f_z) from ``scenario``, and
 every particle mean read off a coefficient row as c . s_i / n.  The first
@@ -58,7 +59,7 @@ the two sweeps' Y rows for affine generators (the rows then differ by one
 constant per node), a lower bound otherwise (|E X - E Y| <= W2(X, Y)).  The
 first iterate is the flow of the f = 0, Z = 0 sweep, which has a closed
 form: a projection with an intercept keeps the particle mean, so its
-features are (mean x, mean g, 0) at every node.
+features are (mean W, mean g, 0) at every node.
 
 One solve path serves every entry point: ``_solve_on_grid`` draws the
 increments once, builds the moments and solves K scenarios on them as a
@@ -83,6 +84,7 @@ from .errors import (
     OutOfRange,
     PicardDivergence,
     RegressionIllConditioned,
+    UnsupportedScenario,
 )
 from .measures import LawFeatures
 from .rng import standard_normals
@@ -111,8 +113,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_time < 2:
             raise ValueError("n_time must be at least 2")
-        if self.basis_degree < 0:
-            raise ValueError("basis_degree must be nonnegative")
+        if self.basis_degree < 1:  # the linear term holds the generator's state
+            raise ValueError("basis_degree must be at least 1")
         if self.n_particles < 10 * (self.basis_degree + 1):
             raise ValueError("n_particles must be at least 10 * (basis_degree + 1)")
 
@@ -195,12 +197,6 @@ def _regularized(a: np.ndarray, ridge: float) -> np.ndarray:
     return gram
 
 
-def _gram(phi: np.ndarray, ridge: float) -> np.ndarray:
-    """Ridge-regularized normal matrix of a (degree+1, n) basis block,
-    refused when its condition estimate is above the limit."""
-    return _regularized(phi @ phi.T, ridge)
-
-
 def _fit(phi: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of each target row on the block phi: one
     (degree+1, K) right-hand side for K rows, returned as (K, degree+1)
@@ -214,22 +210,16 @@ def _basis_scales(grid_s) -> np.ndarray:
     return np.where(spread > 0, np.sqrt(np.maximum(spread, 0.0)), 1.0)
 
 
-def _monomials(x: np.ndarray, degree: int) -> np.ndarray:
-    """(degree+1, n) block whose row k is x**k."""
-    phi = np.empty((degree + 1, x.size))
-    phi[0] = 1.0
-    if degree:
-        phi[1] = x
-        for k in range(2, degree + 1):
-            np.multiply(phi[k - 1], x, out=phi[k])
-    return phi
-
-
 def _basis(w: np.ndarray, scales: np.ndarray, i: int, degree: int) -> np.ndarray:
-    """Monomial block of the scaled state at node i.  The grid increases
-    strictly, so node 0 is the only node whose state is identically zero; it
-    gets the constant alone."""
-    return _monomials(w[i] / scales[i], degree if i > 0 else 0)
+    """(degree+1, n) block whose row k is the scaled state at node i to the
+    power k.  The grid increases strictly, so node 0 is the only node whose
+    state is identically zero; it gets the constant alone."""
+    phi = np.ones((degree + 1 if i > 0 else 1, w.shape[1]))
+    if i > 0:
+        np.divide(w[i], scales[i], out=phi[1])
+        for k in range(2, degree + 1):
+            np.multiply(phi[k - 1], phi[1], out=phi[k])
+    return phi
 
 
 def _rescaled(coeffs: np.ndarray, ratio: float) -> np.ndarray:
@@ -280,38 +270,32 @@ def _node_moments(powers: np.ndarray, phi_next, dw) -> _Node:
 
 @dataclass(frozen=True, eq=False)
 class _Moments:
-    """What the sweeps of one solve read: the grid, the (N+1, n) paths w and
-    generator states x, the K terminal rows g, each node's statistics, and
-    the fits of the fixed rows: g on the last node (g_fit) and the one before
-    (g_fit_prev), and x_i on node i (x_fit) and on node i - 1 (x_fit_next,
-    row i - 1), which are None when no generator reads x.  g_dw holds the
-    sums g dW_{N-1}, the slope at the first node of a one-step grid."""
+    """What the sweeps of one solve read: the grid, the (N+1, n) paths w
+    (the generators' states), the K terminal rows g, each node's statistics,
+    and the fits of g on the last node (g_fit) and the one before
+    (g_fit_prev).  g_dw holds the sums g dW_{N-1}, the slope at the first
+    node of a one-step grid."""
 
     grid_s: np.ndarray
     grid_t: np.ndarray
     scales: np.ndarray
     degree: int
     w: np.ndarray
-    x_states: np.ndarray
     terminal: np.ndarray
     nodes: list
     g_fit: np.ndarray
     g_fit_prev: np.ndarray
     g_dw: np.ndarray
-    x_fit: np.ndarray | None
-    x_fit_next: np.ndarray | None
 
     @property
     def ds(self) -> np.ndarray:
         return np.diff(self.grid_s)
 
 
-def _moments(grid_s, grid_t, w, dw, x_states, terminal, degree: int, with_x: bool) -> _Moments:
-    """Every node's moments and fixed-row fits, from one basis block per node."""
+def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
+    """Every node's moments and terminal fits, from one basis block per node."""
     n_nodes = len(grid_s)
     scales = _basis_scales(grid_s)
-    x_fit = np.zeros((n_nodes, degree + 1)) if with_x else None
-    x_fit_next = np.zeros((n_nodes - 1, degree + 1)) if with_x else None
     nodes = [None] * n_nodes
     phi_next = None
     for i in range(n_nodes - 1, -1, -1):
@@ -319,10 +303,6 @@ def _moments(grid_s, grid_t, w, dw, x_states, terminal, degree: int, with_x: boo
         phi = powers[: len(powers) // 2 + 1]
         last = phi_next is None
         node = nodes[i] = _node_moments(powers, phi_next, None if last else dw[i])
-        if with_x:
-            x_fit[i, : len(phi)] = _fit(phi, node.gram, x_states[i])
-            if not last:
-                x_fit_next[i, : len(phi)] = _fit(phi, node.gram, x_states[i + 1])
         if last:
             g_fit = _fit(phi, node.gram, terminal)
         elif i == n_nodes - 2:
@@ -330,9 +310,8 @@ def _moments(grid_s, grid_t, w, dw, x_states, terminal, degree: int, with_x: boo
         phi_next = phi
     return _Moments(
         grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree,
-        w=w, x_states=x_states, terminal=terminal, nodes=nodes,
+        w=w, terminal=terminal, nodes=nodes,
         g_fit=g_fit, g_fit_prev=g_fit_prev, g_dw=terminal @ dw[-1],
-        x_fit=x_fit, x_fit_next=x_fit_next,
     )
 
 
@@ -340,19 +319,17 @@ def _moments(grid_s, grid_t, w, dw, x_states, terminal, degree: int, with_x: boo
 class _Stack:
     """Coefficient arrays of a K-scenario solve, rewritten by every sweep of
     the scenarios still iterating.  Scenario k's fields are u[k] and v[k];
-    its Y row at a node i < N is yc[k, i] . phi_i + xc[k, i] x_i, plus
-    ds_i r(beta[k, i] . phi_i) when its generator has nonlinear terms (the
-    row at the last node is g).  step0[k] is the constant of its first-node
-    f ds (whose x part is xc[k, 0] x_0), and mean_y[k], mean_z[k] are the
-    particle means of its Y and Z rows at every node: the law features of the
-    next sweep, and the Picard stop reads the sup over nodes of the change in
-    mean_y (equal to the sorted-sample W2 of the Y rows for affine
-    generators, a lower bound otherwise)."""
+    its Y row at a node i < N is yc[k, i] . phi_i, plus ds_i r(beta[k, i] .
+    phi_i) when its generator has nonlinear terms (the row at the last node
+    is g).  step0[k] is the constant of its first-node f ds, and mean_y[k],
+    mean_z[k] are the particle means of its Y and Z rows at every node: the
+    law features of the next sweep, and the Picard stop reads the sup over
+    nodes of the change in mean_y (equal to the sorted-sample W2 of the Y rows
+    for affine generators, a lower bound otherwise)."""
 
     u: np.ndarray  # K x (N+1) x (degree+1)
     v: np.ndarray  # K x N x (degree+1)
     yc: np.ndarray  # K x (N+1) x (degree+1)
-    xc: np.ndarray  # K x (N+1)
     beta: np.ndarray  # K x (N+1) x (degree+1)
     step0: np.ndarray  # K
     mean_y: np.ndarray  # K x (N+1)
@@ -366,7 +343,6 @@ class _Stack:
             u=np.zeros((K, N + 1, degree + 1)),
             v=np.zeros((K, N, degree + 1)),
             yc=np.zeros((K, N + 1, degree + 1)),
-            xc=np.zeros((K, N + 1)),
             beta=np.zeros((K, N + 1, degree + 1)),
             step0=np.zeros(K),
             mean_y=np.zeros((K, N + 1)),
@@ -386,13 +362,15 @@ def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
     all scenarios in ``act`` at once; f enters through its value at
     (0, 0, 0, law) and its partials, evaluated once per scenario for every
     node at once, and through the particle rows of its nonlinear remainder,
-    if any.
+    if any.  The state x_i = W_i is scales[i] times the basis' linear term,
+    so the state term ds f_x x_i is a coefficient of the Y row.
     """
     N = len(mom.nodes) - 1
     n = mom.w.shape[1]
     K, W = len(act), mom.degree + 1
     gen = [gens[k] for k in act]
     nonlinear = any(g.c4 != 0.0 for g in gen)
+    with_x = any(g.c1 != 0.0 for g in gen)
     ds_all = mom.ds
     f0, f_x, f_y, f_z = (np.empty((K, N + 1)) for _ in range(4))
     for j, (g, k) in enumerate(zip(gen, act)):
@@ -402,7 +380,6 @@ def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
 
     u, yc, beta = (np.zeros((K, N + 1, W)) for _ in range(3))
     v = np.zeros((K, N, W))
-    xc = np.zeros((K, N + 1))
     mean_y, mean_z = np.empty((K, N + 1)), np.empty((K, N + 1))
     u[:, N] = mom.g_fit[act]
     mean_y[:, N] = features.mean_y[act, N]  # the mean of g, set by the first iterate
@@ -454,12 +431,10 @@ def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
         step += f_y[:, i, None] * b + f_z[:, i, None] * vb
         step *= ds
         y_c = b + step
+        if with_x and i > 0:  # the first node's state is 0
+            y_c[:, 1] += ds * f_x[:, i] * mom.scales[i]
         fitted = y_c @ node.fit_self.T
         mean = y_c @ node.sums / n
-        if mom.x_fit is not None:
-            xc[:, i] = ds * f_x[:, i]
-            fitted += xc[:, i, None] * mom.x_fit[i, :width]
-            mean += xc[:, i] * features.mean_x[i]
         if nonlinear:
             carry = ds * r
             fitted += _fit(phi, node.gram, carry)
@@ -470,12 +445,10 @@ def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
         if i > 0:
             prev = mom.nodes[i - 1]
             target = y_c @ prev.fit_next.T  # the fit on node i-1 of yc . phi_i
-            if mom.x_fit is not None:
-                target += xc[:, i, None] * mom.x_fit_next[i - 1, : len(prev.sums)]
 
     mean_z[:, N] = mean_z[:, N - 1]  # Z_N is the last cell's field
     out.step0[act] = step[:, 0] + (carry[:, 0] if nonlinear else 0.0)
-    out.u[act], out.v[act], out.yc[act], out.xc[act], out.beta[act] = u, v, yc, xc, beta
+    out.u[act], out.v[act], out.yc[act], out.beta[act] = u, v, yc, beta
     out.mean_y[act], out.mean_z[act] = mean_y, mean_z
 
 
@@ -484,8 +457,6 @@ def _y_row(mom: _Moments, spec, out: _Stack, k: int, i: int) -> np.ndarray:
     last sweep left, with the generator ``spec`` for its nonlinear remainder."""
     scaled = mom.w[i] / mom.scales[i]
     y = _polyval(scaled, out.yc[k, i])
-    if mom.x_fit is not None:
-        y += out.xc[k, i] * mom.x_states[i]
     if spec.c4 != 0.0:
         r, _ = generator_remainder(spec, mom.grid_t[i], _polyval(scaled, out.beta[k, i]))
         y += mom.ds[i] * r
@@ -504,7 +475,7 @@ def _picard_solve(gens, mom: _Moments) -> _Stack:
     # particle mean of g at every node; each later sweep reads the particle
     # means of its predecessor, written in place
     feats = LawFeatures(
-        mean_x=mom.x_states.mean(axis=1),
+        mean_x=mom.w.mean(axis=1),
         mean_y=np.repeat(mom.terminal.mean(axis=1)[:, None], N + 1, axis=1),
         mean_z=np.zeros((K, N + 1)),
     )
@@ -569,21 +540,19 @@ def _check_step(scns, grid_s):
         )
 
 
-def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, seed, tag, x_start=None):
+def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, seed, tag):
     """The one solve path: draw the increments of every particle once, build
     the paths from 0 and their moments, and run the Picard iteration of the
     K generators on them.  ``terminal(w_end)`` gives the K rows of terminal
-    values at the last node's state; the generators read ``x_start + w`` in
-    their state slot (``w`` itself when None).  Returns (moments, stack)."""
+    values at the last node's state; the generators read ``w`` in their
+    state slot.  Returns (moments, stack)."""
     dw = _brownian_increments(grid_s, cfg.n_particles, seed, tag)
     w = _paths(dw)
     terminal_values = np.array(terminal(w[-1]), dtype=float)
-    x_states = w if x_start is None else x_start + w
-    with_x = any(gen.c1 != 0.0 for gen in gens)
     # an overflowing solve is reported once, by the finiteness checks after
     # each sweep, not by numpy warnings along the way
     with np.errstate(over="ignore", invalid="ignore"):
-        mom = _moments(grid_s, grid_t, w, dw, x_states, terminal_values, cfg.basis_degree, with_x)
+        mom = _moments(grid_s, grid_t, w, dw, terminal_values, cfg.basis_degree)
         del dw  # the sweeps read the moments, not the increments
         return mom, _picard_solve(gens, mom)
 
@@ -601,7 +570,7 @@ def solve_auxiliary_stack(
     grid_s = clock.grid_V
     grid_t = clock.grid_t
     for scn in scns:  # probes the symbolic constants the step guard reads
-        lipschitz_audit(scn, n_probes=64, seed=seed)
+        lipschitz_audit(scn, seed=seed)
     _check_step(scns, grid_s)
 
     def terminal(w_end):
@@ -661,16 +630,12 @@ def transfer_evaluate(field: SolutionField, t: float, x) -> tuple:
 class RepresentationValue:
     """Short-horizon solution value started from (y, z) at time t.
 
-    value           cross-particle mean of the time-t values
-    std_error       Monte Carlo standard error of that mean
-    particle_sigma  spread of the time-t candidates regressed on the time-t
-                    Brownian position (0 for a truly deterministic value, up
-                    to regression noise)
+    value      cross-particle mean of the time-t values
+    std_error  Monte Carlo standard error of that mean
     """
 
     value: float
     std_error: float
-    particle_sigma: float
     n_particles: int
     n_iterations: int
 
@@ -679,7 +644,12 @@ def _candidates(gens, mom: _Moments, out: _Stack) -> np.ndarray:
     """(K, n) unprojected first-node values Y_1 + f ds of every scenario; they
     have the same particle mean as the first node's Y."""
     y1 = np.array([_y_row(mom, gen, out, k, 1) for k, gen in enumerate(gens)])
-    return y1 + out.step0[:, None] + out.xc[:, :1] * mom.x_states[0]
+    return y1 + out.step0[:, None]
+
+
+def _require_x_free(scn: ScenarioSpec):
+    if scn.generator.c1 != 0.0:
+        raise UnsupportedScenario("representation solves need a state-free generator (c1 = 0)")
 
 
 def representation_solve_stack(
@@ -696,12 +666,14 @@ def representation_solve_stack(
     y + z * (W_{V_{t+eps}} - W_{V_t}), as one stack on one shared draw
     (common random numbers).
 
-    Regressions run on the Brownian increment from V_t (the Markov state of
-    this problem), so the time-t node is degenerate and collapses to its
-    mean.  Determinism of the time-t value is probed separately: the time-t
-    candidates are regressed on the (random) Brownian position at V_t, whose
-    fitted spread ``particle_sigma`` should be pure regression noise.
+    Every particle starts from the same (y, z) at time t, and regressions
+    run on the Brownian increment from V_t (the Markov state of this
+    problem), so the time-t node is degenerate and collapses to its mean: the
+    time-t value is deterministic by construction.  The generators must not
+    read the state (c1 = 0; ``UnsupportedScenario`` otherwise).
     """
+    for scn in scns:
+        _require_x_free(scn)
     if not (0.0 <= t and eps > 0.0 and t + eps <= clock.T + 1e-12):
         raise ValueError("need 0 <= t < t + eps <= T")
     v_a = clock.value(t)
@@ -713,29 +685,18 @@ def representation_solve_stack(
     grid_s = np.linspace(v_a, v_b, N + 1)
     _check_step(scns, grid_s)
     grid_t_sub = np.asarray(clock.invert(grid_s))
-    n = cfg.n_particles
-    w0 = math.sqrt(v_a) * standard_normals(seed, (n,), "repr-start")
 
     def terminal(w_end):
         return [y + z * w_end] * len(scns)
 
     gens = [scn.generator for scn in scns]
-    mom, out = _solve_on_grid(gens, terminal, grid_s, grid_t_sub, cfg, seed, "repr-increments", x_start=w0)
+    mom, out = _solve_on_grid(gens, terminal, grid_s, grid_t_sub, cfg, seed, "repr-increments")
     candidates = _candidates(gens, mom, out)
-
-    if v_a > 0:
-        # slope/curvature probe: degree 2 keeps the pure-noise spread well
-        # below the 3-standard-error gate while catching genuine dependence
-        phi0 = _monomials(w0 / math.sqrt(v_a), 2)
-        fitted = _fit(phi0, _gram(phi0, _RIDGE), candidates) @ phi0
-        sigmas = fitted.std(axis=1).tolist()
-    else:
-        sigmas = [0.0] * len(scns)
+    n = cfg.n_particles
     return [
         RepresentationValue(
             value=float(out.mean_y[k, 0]),
             std_error=float(np.std(candidates[k]) / math.sqrt(n)),
-            particle_sigma=sigmas[k],
             n_particles=n,
             n_iterations=out.n_iterations[k],
         )

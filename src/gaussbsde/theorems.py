@@ -97,11 +97,6 @@ def _require_refinable(driver: GaussianDriverSpec):
         raise UnsupportedScenario("a custom driver's clock is its table's grid: a refined solve would repeat it")
 
 
-def _require_x_free(scn: ScenarioSpec):
-    if scn.generator.c1 != 0.0:
-        raise UnsupportedScenario("representation checks need a state-free generator (c1 = 0)")
-
-
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -220,11 +215,11 @@ def representation_limit_check(
     """Short-horizon difference quotients A(eps) = (Y^eps_t - y)/eps against
     the clock integral B(eps) of the generator at the frozen law.
 
-    Asserts |A - B| decreasing (the proof-level quantity), the final closeness
-    of A to the generator value, and the determinism of the time-t value.
+    Asserts |A - B| decreasing (the proof-level quantity) and the final
+    closeness of A to the generator value.  The solves refuse a generator
+    that reads the state (c1 != 0).
     """
     _require_clock_differentiable(scn.driver, t)
-    _require_x_free(scn)
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
@@ -233,14 +228,13 @@ def representation_limit_check(
     frozen = LawFeatures(mean_x=0.0, mean_y=y, mean_z=z)
     f_target = eval_generator(scn.generator, t, 0.0, y, z, frozen)
 
-    a_vals, b_vals, gaps, ses, sigmas = [], [], [], [], []
+    a_vals, b_vals, gaps, ses = [], [], [], []
     for k, eps in enumerate(eps_list):
         rep = representation_solve(scn, clock, t, eps, y, z, cfg, derived_seed(seed, "repr", k))
         a_vals.append((rep.value - y) / eps)
         b_vals.append(_integrate_f_dv(scn, clock, t, t + eps, frozen, y, z) / eps)
         gaps.append(abs(a_vals[-1] - b_vals[-1]))
         ses.append(rep.std_error / eps)
-        sigmas.append(rep.particle_sigma)
 
     # the decrease is asserted up to the Monte Carlo noise of both quotients
     # plus an absolute floor for scheme-exact cases where every gap is roundoff
@@ -250,14 +244,11 @@ def representation_limit_check(
     )
     final_tol = _REPRESENTATION_REL_TOL * (1.0 + abs(f_target)) + 3.0 * ses[-1]
     final_ok = abs(a_vals[-1] - f_target) <= final_tol
-    determinism_ok = all(
-        sig <= 3.0 * se * eps + 1e-15 for sig, se, eps in zip(sigmas, ses, eps_list)
-    )
 
     return TheoremReport(
         theorem="representation",
         scenario_digest=scenario_digest(scn),
-        passed=decreasing and final_ok and determinism_ok,
+        passed=decreasing and final_ok,
         measurements={
             "eps_list": eps_list,
             "A": a_vals,
@@ -265,11 +256,9 @@ def representation_limit_check(
             "abs_gap": gaps,
             "f_at_frozen_law": f_target,
             "final_error": abs(a_vals[-1] - f_target),
-            "particle_sigma": sigmas,
             "gap_decreasing": decreasing,
-            "determinism_ok": determinism_ok,
         },
-        tolerances={"final_error": final_tol, "particle_sigma_factor": 3.0},
+        tolerances={"final_error": final_tol},
         std_errors={"A": ses},
         seed=seed,
         notes=(
@@ -291,11 +280,10 @@ def converse_comparison_check(
     generators must be ordered there too; reports both directions.
 
     Raises HypothesisUnobserved (with the partial report attached) when the
-    solution ordering fails at some probe.
+    solution ordering fails at some probe.  The solves refuse a generator
+    that reads the state (c1 != 0).
     """
     _require_same_driver(scn1, scn2)
-    _require_x_free(scn1)
-    _require_x_free(scn2)
     clock = build_clock(scn1.driver, max(4 * cfg.n_time, 256) + 1)
 
     rows = []
@@ -446,7 +434,7 @@ def _gaussian_family(scn: ScenarioSpec, t: float, cfg: SolverConfig, seed: int):
     else:
         shift = gen.c0 * lam
     law = GaussianLaw1D(mean=factor * term.a + shift, variance=(term.b * factor) ** 2 * v_t)
-    audit = lipschitz_audit(scn, n_probes=32, seed=seed)
+    audit = lipschitz_audit(scn, seed=seed)
     return (clock, law, *transport_constants(audit.l_g, audit.l_f, clock, t))
 
 
@@ -567,7 +555,7 @@ def z_bound_check(
 ) -> TheoremReport:
     """Pathwise bound on the control field with audited constants:
     |Z(s)| <= (1 + slack) * exp(L_f (V_T - s)) (L_g + L_f (V_T - s)), slack 5%."""
-    audit = lipschitz_audit(scn, n_probes=64, seed=seed)
+    audit = lipschitz_audit(scn, seed=seed)
     v_total = clock.V_T
     _, z = field.on_paths(cloud.w)
     margins, observed, bounds = [], [], []

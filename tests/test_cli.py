@@ -35,6 +35,12 @@ def kind_config(kind, params):
     return dict(tree, kind=kind, params=params)
 
 
+FBM = {"kind": "fbm", "hurst": 0.7, "T": 1.0}
+CUSTOM = {"kind": "custom", "T": 1.0, "cov_grid": [0.5, 1.0], "cov_matrix": [[0.5, 0.5], [0.5, 1.0]]}
+STATE_DEPENDENT = {"terminal": {"b": 1.0}, "generator": {"c1": 0.4}}
+REPRESENTATION = {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.2, 0.1]}
+CONVERSE = {"probe_grid": [[0.5, 1.0, 0.5]], "eps": 0.1}
+
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
@@ -187,7 +193,8 @@ class TestConfigParsing:
             ("scenario", {"terminal": {}, "generator": {"c0": "1.0"}}, "scenario.generator.c0: must be a finite number"),
             ("scenario", {"terminal": {"phi": ["sin"]}, "generator": {}}, "scenario.terminal.phi: must be one of"),
             ("scenario", {"terminal": {}, "generator": {"phi": "cos"}}, "scenario.generator.phi: must be one of"),
-            ("solver", {"basis_degree": -1}, "solver: basis_degree must be nonnegative"),
+            ("solver", {"basis_degree": -1}, "solver: basis_degree must be at least 1"),
+            ("solver", {"basis_degree": 0}, "solver: basis_degree must be at least 1"),
         ],
     )
     def test_spec_value_types_named(self, section, update, message):
@@ -195,6 +202,28 @@ class TestConfigParsing:
         # value is checked by the dataclass
         with pytest.raises(ConfigInvalid, match=rf"^{message}"):
             parse_config_payload(dict(BASE_CONFIG, **{section: update}))
+
+    @pytest.mark.parametrize(
+        "kind, params, update, key",
+        [
+            # an fBm clock has no derivative at t = 0
+            ("representation", {"t": 0.0, "y": 1.0, "z": 0.5, "eps_list": [0.2, 0.1]}, {"driver": FBM}, "params.t"),
+            ("converse", {"probe_grid": [[0.5, 1.0, 0.5], [0.0, 1.0, 0.5]], "eps": 0.1}, {"driver": FBM}, "params.probe_grid"),
+            # a short-horizon solve refuses a generator that reads the state
+            ("representation", REPRESENTATION, {"scenario": STATE_DEPENDENT}, "scenario.generator.c1"),
+            ("converse", CONVERSE, {"scenario_2": STATE_DEPENDENT}, "scenario_2.generator.c1"),
+            # a custom clock is its table's grid: a refined solve would repeat it
+            ("comparison", {"t_list": [0.5]}, {"driver": CUSTOM}, "driver.kind"),
+            ("stability", {}, {"driver": CUSTOM}, "driver.kind"),
+        ],
+    )
+    def test_run_time_refusals_named_at_parse(self, tmp_path, capsys, kind, params, update, key):
+        # validate refuses what run would refuse, with the key of the gate
+        path = write_config(tmp_path, dict(kind_config(kind, params), **update))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+        # the same config, gate aside, is valid
+        parse_config_payload(kind_config(kind, params))
 
     def test_bad_param_value_fails_validate(self, tmp_path, capsys):
         path = write_config(tmp_path, kind_config("comparison", {"t_list": 5}))

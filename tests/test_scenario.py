@@ -101,19 +101,19 @@ class TestGeneratorStack:
 
 class TestAudit:
     def test_linear_y_generator(self):
-        report = lipschitz_audit(scn(generator=GeneratorSpec(c2=-1.0)), n_probes=128, seed=0)
+        report = lipschitz_audit(scn(generator=GeneratorSpec(c2=-1.0)), seed=0)
         assert report.l_f == 1.0
         assert report.k_min == report.k_max == 0.0
         assert report.max_ratio_f <= 1.0 + 1e-9
 
     def test_mean_field_generator(self):
-        report = lipschitz_audit(scn(generator=GeneratorSpec(kappa_y=0.3)), n_probes=128, seed=0)
+        report = lipschitz_audit(scn(generator=GeneratorSpec(kappa_y=0.3)), seed=0)
         assert report.l_f == pytest.approx(0.3)
         assert report.k_max == pytest.approx(0.3)
         assert report.max_ratio_f <= 0.3 + 1e-9
 
     def test_identity_terminal_constant(self):
-        report = lipschitz_audit(scn(terminal=TerminalSpec(b=1.0)), n_probes=128, seed=0)
+        report = lipschitz_audit(scn(terminal=TerminalSpec(b=1.0)), seed=0)
         assert report.l_g == 1.0
         assert report.max_ratio_g <= 1.0 + 1e-9
 
@@ -136,7 +136,7 @@ class TestAudit:
         bad = scn(generator=GeneratorSpec(c2=1.0))
         monkeypatch.setattr(type(bad.generator), "lipschitz", property(lambda self: 0.1))
         with pytest.raises(ProbeViolation):
-            lipschitz_audit(bad, n_probes=64, seed=0)
+            lipschitz_audit(bad, seed=0)
 
     @pytest.mark.parametrize(
         "part, spec, message",
@@ -153,7 +153,7 @@ class TestAudit:
         true_constant = spec.lipschitz
         monkeypatch.setattr(type(spec), "lipschitz", property(lambda self: 0.1 * true_constant))
         with pytest.raises(ProbeViolation, match=message):
-            lipschitz_audit(scn(**{part: spec}), n_probes=64, seed=3)
+            lipschitz_audit(scn(**{part: spec}), seed=3)
 
 
 class TestOrderProbes:

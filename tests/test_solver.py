@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from gaussbsde.errors import (
     OutOfRange,
     PicardDivergence,
     RegressionIllConditioned,
+    UnsupportedScenario,
 )
 from gaussbsde.pack import (
     constant_generator_scenario,
-    contraction_mean_field_scenario,
     identity_scenario,
     linear_scenario,
     mean_field_scenario,
@@ -26,7 +27,7 @@ from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec
 from gaussbsde.solver import (
     SolverConfig,
     _fit,
-    _gram,
+    _regularized,
     representation_solve,
     representation_solve_stack,
     solve_auxiliary,
@@ -48,7 +49,7 @@ def regress(degree, x, y):
     """The solver's least-squares fit on the raw monomial basis, no ridge,
     given as the solver's (degree+1, n) basis block."""
     phi = npoly.polyvander(x, degree).T
-    return _fit(phi, _gram(phi, 0.0), y)
+    return _fit(phi, _regularized(phi @ phi.T, 0.0), y)
 
 
 class TestRegressConditional:
@@ -272,6 +273,11 @@ def _pairs():
     }
 
 
+def _state_free(scns):
+    """The scenarios with c1 = 0: a representation solve refuses any other."""
+    return [replace(scn, generator=replace(scn.generator, c1=0.0)) for scn in scns]
+
+
 class TestStackedSolves:
     """A stack of scenarios on one draw gives each scenario its own solve."""
 
@@ -297,11 +303,15 @@ class TestStackedSolves:
         scns = _pairs()[pair]
         clock = build_clock(BROWNIAN, 33)
         cfg = SolverConfig(n_time=8, n_particles=2000)
+        if any(scn.generator.c1 != 0.0 for scn in scns):
+            with pytest.raises(UnsupportedScenario):
+                representation_solve_stack(scns, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
+            scns = _state_free(scns)
         stacked = representation_solve_stack(scns, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
         for scn, rep in zip(scns, stacked):
             alone = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
             assert rep.n_iterations == alone.n_iterations
-            for name in ("value", "std_error", "particle_sigma"):
+            for name in ("value", "std_error"):
                 assert getattr(rep, name) == pytest.approx(getattr(alone, name), rel=0, abs=1e-11)
             assert rep.n_particles == alone.n_particles
 
@@ -340,7 +350,7 @@ class TestStackedSolves:
         def recording_pass(gens, act, *args):
             backward_pass(gens, act, *args)
             out = args[-1]
-            arrays = (out.u, out.v, out.yc, out.xc, out.beta, out.step0, out.mean_y, out.mean_z)
+            arrays = (out.u, out.v, out.yc, out.beta, out.step0, out.mean_y, out.mean_z)
             snapshots.append((act.tolist(), *(a[0].copy() for a in arrays)))
 
         monkeypatch.setattr(solver, "_backward_pass", recording_pass)
@@ -413,12 +423,12 @@ class TestRepresentationSolve:
         rep = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, SolverConfig(n_time=8, n_particles=2000), seed=3)
         assert rep.value == pytest.approx(1.0 + 2.0 * 0.1, abs=1e-9)
 
-    def test_determinism_statistic(self):
-        scn = contraction_mean_field_scenario(BROWNIAN)
+    def test_refuses_state_dependent_generator(self):
+        # the time-t value is deterministic only when f does not read the state
+        scn = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c1=0.4), BROWNIAN)
         clock = build_clock(BROWNIAN, 33)
-        cfg = SolverConfig(n_time=16, n_particles=16000)
-        rep = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=19)
-        assert rep.particle_sigma <= 3 * rep.std_error
+        with pytest.raises(UnsupportedScenario, match="c1 = 0"):
+            representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, SolverConfig(n_time=8, n_particles=2000), seed=3)
 
     def test_degenerate_interval(self):
         grid_t = np.array([0.0, 0.25, 0.5, 1.0])
@@ -458,5 +468,7 @@ class TestSolverConfigValidation:
             SolverConfig(n_particles=30, basis_degree=4)
 
     def test_negative_basis_degree(self):
-        with pytest.raises(ValueError, match="basis_degree"):
-            SolverConfig(basis_degree=-1)
+        # a degree-0 basis cannot hold the generator's state, and its Z is 0
+        for degree in (-1, 0):
+            with pytest.raises(ValueError, match="basis_degree must be at least 1"):
+                SolverConfig(basis_degree=degree)
