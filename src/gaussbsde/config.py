@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .drivers import _DOMAIN_TOL, GaussianDriverSpec
-from .errors import ConfigInvalid, UnsupportedScenario
+from .errors import ConfigInvalid, HypothesisUnsatisfied, UnsupportedScenario
 from .reporting import canonical_json, digest_payload, fmt_float
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
 from .solver import SolverConfig
@@ -301,7 +301,7 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
     for key, gate in kind.gates:
         try:
             gate(cfg)
-        except UnsupportedScenario as exc:
+        except (UnsupportedScenario, HypothesisUnsatisfied) as exc:
             _fail(key, str(exc))
     return cfg
 

@@ -44,7 +44,10 @@ from .solver import SolverConfig, _require_x_free, solve_auxiliary, transfer_eva
 from .theorems import (
     TheoremReport,
     _require_clock_differentiable,
+    _require_gaussian_family,
+    _require_mean_coupling,
     _require_refinable,
+    _require_z_law_free,
     comparison_check,
     converse_comparison_check,
     lsi_check,
@@ -119,6 +122,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
             "u_coeffs": field.u_coeffs.tolist(),
             "v_coeffs": field.v_coeffs.tolist(),
             "basis_scales": [float(v) for v in field.scales],
+            "gram_cond_max": field.gram_cond_max,
             "picard_changes": list(field.convergence),
             "picard_iterations": field.n_iterations,
             "terminal_residual_max": terminal_residual,
@@ -273,9 +277,10 @@ def _run_zbound(cfg: ExperimentConfig, out_dir: Path, name: str):
 class Kind:
     """An experiment kind: how many scenarios its config carries, the
     ``params`` it requires and accepts, its runner, and its gates: (config
-    key, check) pairs, each check raising ``UnsupportedScenario`` on a
-    parsed config that its runner would refuse.  The suite has no runner: it
-    runs the entries of ``_suite_entries``."""
+    key, check) pairs, each check raising ``UnsupportedScenario`` or
+    ``HypothesisUnsatisfied`` on a parsed config that its runner would
+    refuse.  The suite has no runner: it runs the entries of
+    ``_suite_entries``."""
 
     scenarios: int
     run: Callable | None
@@ -284,21 +289,31 @@ class Kind:
     gates: tuple[tuple[str, Callable], ...] = ()
 
 
-def _x_free(key: str):
-    return f"{key}.generator.c1", lambda cfg: _require_x_free(getattr(cfg, key))
+def _generator_gate(key: str, coefficient: str, check: Callable):
+    """The gate of ``check`` on one scenario, named by its generator's key."""
+    return f"{key}.generator.{coefficient}", lambda cfg: check(getattr(cfg, key))
 
 
 _REFINABLE = ("driver.kind", lambda cfg: _require_refinable(cfg.driver))
+_GAUSSIAN_FAMILY = ("scenario", lambda cfg: _require_gaussian_family(cfg.scenario))
 
 KINDS = {
     "solve": Kind(1, _run_solve),
     "wick_validate": Kind(0, _run_wick_validate, optional=("n_paths",)),
-    "comparison": Kind(2, _run_comparison, ("t_list",), gates=(_REFINABLE,)),
+    "comparison": Kind(
+        2, _run_comparison, ("t_list",),
+        gates=(
+            _REFINABLE,
+            _generator_gate("scenario", "kappa_z", _require_z_law_free),
+            _generator_gate("scenario_2", "kappa_z", _require_z_law_free),
+            ("scenario.generator.kappa_y", lambda cfg: _require_mean_coupling(cfg.scenario, cfg.scenario_2)),
+        ),
+    ),
     "representation": Kind(
         1, _run_representation, ("t", "y", "z", "eps_list"),
         gates=(
             ("params.t", lambda cfg: _require_clock_differentiable(cfg.driver, cfg.params["t"])),
-            _x_free("scenario"),
+            _generator_gate("scenario", "c1", _require_x_free),
         ),
     ),
     "converse": Kind(
@@ -308,13 +323,13 @@ KINDS = {
                 "params.probe_grid",
                 lambda cfg: [_require_clock_differentiable(cfg.driver, row[0]) for row in cfg.params["probe_grid"]],
             ),
-            _x_free("scenario"),
-            _x_free("scenario_2"),
+            _generator_gate("scenario", "c1", _require_x_free),
+            _generator_gate("scenario_2", "c1", _require_x_free),
         ),
     ),
     "stability": Kind(2, _run_stability, gates=(_REFINABLE,)),
-    "t2": Kind(1, _run_t2, ("t", "shift_list")),
-    "lsi": Kind(1, _run_lsi, ("t", "lambda_list")),
+    "t2": Kind(1, _run_t2, ("t", "shift_list"), gates=(_GAUSSIAN_FAMILY,)),
+    "lsi": Kind(1, _run_lsi, ("t", "lambda_list"), gates=(_GAUSSIAN_FAMILY,)),
     "zbound": Kind(1, _run_zbound),
     "full_suite": Kind(0, None),
 }

@@ -22,9 +22,13 @@ r.  Each node's moments
     A_i = phi_i phi_i^T    C_i = phi_i phi_{i+1}^T    M_i = phi_i diag(dW_i) phi_i^T
     s_i = phi_i 1          q_i = phi_i dW_i
 
-are built once per solve and kept as fit operators G_i^-1 A_i, G_i^-1 C_i and
-G_i^-1 M_i, beside the fits of the solve's one fixed particle row, g(W_N), on
-the last two nodes.  A generator is its first-order expansion at
+are built once per solve, from one BLAS product per node: A_i and M_i are
+Hankel matrices of the sums of x_i**k and x_i**k dW_i, k <= 2 degree, and
+the product of the node's powers with [dW_i; phi_{i+1}] gives those sums and
+C_i at once.  Every G_i is then checked and every node's normal equations
+solved in one batched call, and the moments are kept as fit operators
+G_i^-1 A_i, G_i^-1 C_i and G_i^-1 M_i, beside the fits of the solve's one
+fixed particle row, g(W_N), on the last two nodes.  A generator is its first-order expansion at
 (x, y, z) = 0 plus a remainder r(y) of its nonlinear terms.  Its state is the
 node's Brownian state, x_i = W_i = sqrt(s_i - s_0) phi_i[1] (0 at the first
 node), so the state term ds f_x x_i is a multiple of the basis' linear term,
@@ -100,6 +104,7 @@ from .scenario import (
 _COND_LIMIT = 1e12
 _MAX_STEP_LIPSCHITZ = 0.5
 _RIDGE = 1e-8
+_PARTICLE_BLOCK = 8192
 _PICARD_MAX_ITER = 10
 _PICARD_TOL = 1e-3
 
@@ -164,6 +169,7 @@ class SolutionField:
     v_coeffs: np.ndarray  # N x (degree+1)
     convergence: tuple[float, ...]
     n_iterations: int
+    gram_cond_max: float  # the largest condition estimate of the solve's normal matrices
 
     @property
     def n_steps(self) -> int:
@@ -186,15 +192,18 @@ class SolutionField:
         return _polyval(scaled, self.u_coeffs.T), _polyval(scaled[:, :-1], self.v_coeffs.T)
 
 
-def _regularized(a: np.ndarray, ridge: float) -> np.ndarray:
-    """a + ridge I, refused when its condition estimate is above the limit."""
-    gram = a + ridge * np.eye(len(a))
+def _regularized(a: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a + ridge I, its condition estimates) for one matrix or a stack of
+    them, refused when an estimate is above the limit.  The message quotes
+    the failing matrix of highest index: the first a backward sweep meets."""
+    gram = a + ridge * np.eye(a.shape[-1])
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    bad = ~(cond <= _COND_LIMIT)  # NaN fails too
+    if bad.any():
         raise RegressionIllConditioned(
-            f"normal-equations condition estimate {cond:.3e} exceeds {_COND_LIMIT:.0e}"
+            f"normal-equations condition estimate {np.asarray(cond)[bad][-1]:.3e} exceeds {_COND_LIMIT:.0e}"
         )
-    return gram
+    return gram, cond
 
 
 def _fit(phi: np.ndarray, gram: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -250,31 +259,14 @@ class _Node:
     dw_sums: np.ndarray | None  # phi dW_i
 
 
-def _node_moments(powers: np.ndarray, phi_next, dw) -> _Node:
-    """The moments of node i's basis block phi with itself, with node i+1's
-    block and with the increments dW_i, as fits on node i.  ``powers`` holds
-    the node's scaled state to the powers 0 .. 2 degree, phi being its first
-    degree + 1 rows, so A and M are Hankel matrices of its sums: their (j, k)
-    entries are the sums of x**(j+k) and of x**(j+k) dW_i."""
-    width = len(powers) // 2 + 1
-    hankel = np.add.outer(np.arange(width), np.arange(width))
-    a = powers.sum(axis=1)[hankel]
-    gram = _regularized(a, _RIDGE)
-    if phi_next is None:
-        return _Node(gram, np.linalg.solve(gram, a), None, None, a[:, 0], None)
-    m = (powers @ dw)[hankel]
-    fits = np.linalg.solve(gram, np.hstack([a, powers[:width] @ phi_next.T, m]))
-    fit_self, fit_next, fit_cv = np.split(fits, [width, width + len(phi_next)], axis=1)
-    return _Node(gram, fit_self, fit_next, fit_cv, a[:, 0], m[:, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class _Moments:
     """What the sweeps of one solve read: the grid, the (N+1, n) paths w
     (the generators' states), the K terminal rows g, each node's statistics,
     and the fits of g on the last node (g_fit) and the one before
     (g_fit_prev).  g_dw holds the sums g dW_{N-1}, the slope at the first
-    node of a one-step grid."""
+    node of a one-step grid; gram_cond_max the largest condition estimate of
+    the nodes' normal matrices."""
 
     grid_s: np.ndarray
     grid_t: np.ndarray
@@ -286,32 +278,93 @@ class _Moments:
     g_fit: np.ndarray
     g_fit_prev: np.ndarray
     g_dw: np.ndarray
+    gram_cond_max: float
 
     @property
     def ds(self) -> np.ndarray:
         return np.diff(self.grid_s)
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b.T for two blocks of particle rows, summed over blocks of
+    ``_PARTICLE_BLOCK`` particles: one OpenBLAS product of a few rows runs
+    2-3 times slower from about 19000 particles on."""
+    out = a[:, :_PARTICLE_BLOCK] @ b[:, :_PARTICLE_BLOCK].T
+    for start in range(_PARTICLE_BLOCK, a.shape[1], _PARTICLE_BLOCK):
+        out += a[:, start : start + _PARTICLE_BLOCK] @ b[:, start : start + _PARTICLE_BLOCK].T
+    return out
+
+
 def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
-    """Every node's moments and terminal fits, from one basis block per node."""
-    n_nodes = len(grid_s)
+    """Every node's moments and terminal fits: one product per node, then one
+    batched condition guard and one batched solve over the nodes.
+
+    Node i > 0 fills a (2 degree + 2, n) block: the increment dW_{i-1} into
+    the node, then its scaled state x_i to the powers 0 .. 2 degree (the
+    first degree + 1 of them are phi_i).  Walking back with two blocks,
+    block_i[1:] @ block_{i+1}[:W + 1].T holds in column 0 the sums of
+    x_i**k dW_i and in column 1 the sums of x_i**k, the Hankel sums of M_i
+    and A_i, and C_i in columns 1 .. W of its first W rows.  The last node
+    has no C or M, and the first node, whose basis is the constant, reads
+    its moments off node 1's sums."""
+    N = len(grid_s) - 1
+    W, K, n = degree + 1, len(terminal), w.shape[1]
     scales = _basis_scales(grid_s)
-    nodes = [None] * n_nodes
-    phi_next = None
-    for i in range(n_nodes - 1, -1, -1):
-        powers = _basis(w, scales, i, 2 * degree)
-        phi = powers[: len(powers) // 2 + 1]
-        last = phi_next is None
-        node = nodes[i] = _node_moments(powers, phi_next, None if last else dw[i])
-        if last:
-            g_fit = _fit(phi, node.gram, terminal)
-        elif i == n_nodes - 2:
-            g_fit_prev = _fit(phi, node.gram, terminal)
-        phi_next = phi
+    hankel = np.add.outer(np.arange(W), np.arange(W))
+    # nodes 1 .. N as rows 0 .. N-1; the right-hand sides [A | C | M | phi g]
+    # hold phi g, the terminal rows' moments, on the last two nodes only
+    sums, dw_sums = np.empty((N, 2 * W - 1)), np.zeros((N, 2 * W - 1))
+    rhs = np.zeros((N, W, 3 * W + K))
+    block, following = np.empty((2 * W, n)), np.empty((2 * W, n))
+    for i in range(N, 0, -1):
+        block[0] = dw[i - 1]
+        block[1] = 1.0
+        np.divide(w[i], scales[i], out=block[2])
+        for k in range(3, 2 * W):
+            np.multiply(block[k - 1], block[2], out=block[k])
+        j = i - 1
+        if i == N:
+            sums[j] = block[1:].sum(axis=1)
+            terminal_moments = _product(block[: W + 1], terminal)
+            g_dw = terminal_moments[0]  # the sums g dW_{N-1}
+            rhs[j, :, 3 * W :] = terminal_moments[1:]
+        else:
+            prod = _product(block[1:], following[: W + 1])
+            dw_sums[j], sums[j] = prod[:, 0], prod[:, 1]
+            rhs[j, :, W : 2 * W] = prod[:W, 1:]
+            if i == N - 1:
+                rhs[j, :, 3 * W :] = _product(block[1 : W + 1], terminal)
+        block, following = following, block
+    rhs[:, :, :W] = sums[:, hankel]
+    rhs[:, :, 2 * W : 3 * W] = dw_sums[:, hankel]
+    grams, cond = _regularized(rhs[:, :, :W], _RIDGE)
+    fits = np.linalg.solve(grams, rhs)
+
+    # the first node's basis is the constant: A_0 = n, C_0 holds node 1's
+    # sums of its basis and M_0 the sum of dW_0; its 1 x 1 normal matrix has
+    # condition 1
+    a0, m0 = np.array([float(n)]), np.array([dw[0].sum()])
+    gram0 = np.array([[n + _RIDGE]])
+    fit0 = np.linalg.solve(gram0, np.concatenate([a0, sums[0, :W], m0, terminal.sum(axis=1)])[None, :])
+    nodes = [_Node(gram0, fit0[:, :1], fit0[:, 1 : W + 1], fit0[:, W + 1 : W + 2], a0, m0)]
+    for j in range(N):
+        last = j == N - 1
+        nodes.append(
+            _Node(
+                gram=grams[j],
+                fit_self=fits[j, :, :W],
+                fit_next=None if last else fits[j, :, W : 2 * W],
+                fit_cv=None if last else fits[j, :, 2 * W : 3 * W],
+                sums=sums[j, :W],
+                dw_sums=None if last else dw_sums[j, :W],
+            )
+        )
     return _Moments(
         grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree,
         w=w, terminal=terminal, nodes=nodes,
-        g_fit=g_fit, g_fit_prev=g_fit_prev, g_dw=terminal @ dw[-1],
+        g_fit=fits[-1, :, 3 * W :].T,
+        g_fit_prev=fits[-2, :, 3 * W :].T if N > 1 else fit0[:, W + 2 :].T,
+        g_dw=g_dw, gram_cond_max=float(cond.max()),
     )
 
 
@@ -589,6 +642,7 @@ def solve_auxiliary_stack(
                 v_coeffs=out.v[k],
                 convergence=tuple(out.logs[k]),
                 n_iterations=out.n_iterations[k],
+                gram_cond_max=mom.gram_cond_max,
             ),
             cloud,
         )

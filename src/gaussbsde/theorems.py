@@ -9,7 +9,7 @@ are byte-identical across reruns with the same configuration and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,6 +97,32 @@ def _require_refinable(driver: GaussianDriverSpec):
         raise UnsupportedScenario("a custom driver's clock is its table's grid: a refined solve would repeat it")
 
 
+def _require_z_law_free(scn: ScenarioSpec):
+    if scn.generator.kappa_z != 0.0:
+        raise HypothesisUnsatisfied("comparison requires no dependence on the law of Z (kappa_z = 0)")
+
+
+def _require_mean_coupling(scn1: ScenarioSpec, scn2: ScenarioSpec):
+    if scn1.generator.mean_y_sensitivity[0] < 0.0 and scn2.generator.mean_y_sensitivity[0] < 0.0:
+        raise HypothesisUnsatisfied("comparison requires a nonnegative mean-coupling in Y for one generator")
+
+
+def _require_gaussian_family(scn: ScenarioSpec):
+    gen, term = scn.generator, scn.terminal
+    if not (
+        gen.is_law_free
+        and gen.c1 == 0.0
+        and gen.c3 == 0.0
+        and gen.phi == "none"
+        and gen.rho_values is None
+        and term.phi == "none"
+        and term.lambda_mean == 0.0
+    ):
+        raise UnsupportedScenario(
+            "closed-form Gaussian family needs affine law-free f(t,y) and affine g(x)"
+        )
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -117,16 +143,10 @@ def comparison_check(
     """
     _require_same_driver(scn1, scn2)
     _require_refinable(scn1.driver)
-    g1, g2 = scn1.generator, scn2.generator
-    if g1.kappa_z != 0.0 or g2.kappa_z != 0.0:
-        raise HypothesisUnsatisfied("comparison requires no dependence on the law of Z (kappa_z = 0)")
-    ok1 = g1.mean_y_sensitivity[0] >= 0.0
-    ok2 = g2.mean_y_sensitivity[0] >= 0.0
-    if not (ok1 or ok2):
-        raise HypothesisUnsatisfied(
-            "comparison requires a nonnegative mean-coupling in Y for one generator"
-        )
-    probe_f = generator_order_probe(g1, g2, seed=derived_seed(seed, "cmp-f"), T=scn1.driver.T)
+    _require_z_law_free(scn1)
+    _require_z_law_free(scn2)
+    _require_mean_coupling(scn1, scn2)
+    probe_f = generator_order_probe(scn1.generator, scn2.generator, seed=derived_seed(seed, "cmp-f"), T=scn1.driver.T)
     if not probe_f.ordered:
         raise HypothesisUnsatisfied(f"generator ordering fails at probe {probe_f.counterexample}")
     probe_g = terminal_order_probe(scn1.terminal, scn2.terminal, seed=derived_seed(seed, "cmp-g"))
@@ -337,16 +357,18 @@ def _stability_ratio(scn1, scn2, cfg, n_time, seed):
         scn1.driver, clock.grid_t[1:], cfg.n_particles, derived_seed(seed, "stability-eval", n_time)
     )
     _, x_full = paths.with_origin
-    y1, z1 = f1.on_paths(x_full)
-    y2, z2 = f2.on_paths(x_full)
+    # both fields share the grid, so their gap is the field of the coefficient gaps
+    gap = replace(f1, u_coeffs=f1.u_coeffs - f2.u_coeffs, v_coeffs=f1.v_coeffs - f2.v_coeffs)
+    dy, dz = gap.on_paths(x_full)
     dv = np.diff(clock.grid_V)
 
-    lhs = float(np.mean(np.max((y1 - y2) ** 2, axis=1) + ((z1 - z2) ** 2 * dv).sum(axis=1)))
+    lhs = float(np.mean(np.max(dy ** 2, axis=1) + (dz ** 2 * dv).sum(axis=1)))
 
     g1, g2 = (terminal_on_paths(scn.terminal, x_full[:, -1]) for scn in (scn1, scn2))
     f_gap = 0.0  # exactly, for equal generators
     if scn1.generator != scn2.generator:
         # both generators along the first solution
+        y1, z1 = f1.on_paths(x_full)
         fdv1, fdv2 = (generator_dv_on_paths(scn.generator, clock, x_full, y1, z1) for scn in (scn1, scn2))
         f_gap = np.abs(fdv1 - fdv2).sum(axis=1) ** 2
     rhs = float(np.mean((g1 - g2) ** 2 + f_gap))
@@ -412,20 +434,9 @@ def _gaussian_family(scn: ScenarioSpec, t: float, cfg: SolverConfig, seed: int):
     """(clock, law, C_Tr, C_LS) of the T2 and LSI checks: the closed-form
     marginal law of Y_t for law-free affine scenarios, and the constants at
     the audited Lipschitz constants."""
+    _require_gaussian_family(scn)
     clock = build_clock(scn.driver, max(cfg.n_time, 64) + 1)
     gen, term = scn.generator, scn.terminal
-    if not (
-        gen.is_law_free
-        and gen.c1 == 0.0
-        and gen.c3 == 0.0
-        and gen.phi == "none"
-        and gen.rho_values is None
-        and term.phi == "none"
-        and term.lambda_mean == 0.0
-    ):
-        raise UnsupportedScenario(
-            "closed-form Gaussian family needs affine law-free f(t,y) and affine g(x)"
-        )
     v_t = clock.value(t)
     lam = clock.V_T - v_t
     factor = math.exp(gen.c2 * lam)

@@ -38,6 +38,9 @@ def kind_config(kind, params):
 FBM = {"kind": "fbm", "hurst": 0.7, "T": 1.0}
 CUSTOM = {"kind": "custom", "T": 1.0, "cov_grid": [0.5, 1.0], "cov_matrix": [[0.5, 0.5], [0.5, 1.0]]}
 STATE_DEPENDENT = {"terminal": {"b": 1.0}, "generator": {"c1": 0.4}}
+LAW_DEPENDENT = {"terminal": {"b": 1.0}, "generator": {"kappa_y": 0.3}}
+Z_LAW_DEPENDENT = {"terminal": {"b": 1.0}, "generator": {"kappa_z": 0.5}}
+NEGATIVE_COUPLING = {"terminal": {"b": 1.0}, "generator": {"kappa_y": -0.5}}
 REPRESENTATION = {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.2, 0.1]}
 CONVERSE = {"probe_grid": [[0.5, 1.0, 0.5]], "eps": 0.1}
 
@@ -215,6 +218,15 @@ class TestConfigParsing:
             # a custom clock is its table's grid: a refined solve would repeat it
             ("comparison", {"t_list": [0.5]}, {"driver": CUSTOM}, "driver.kind"),
             ("stability", {}, {"driver": CUSTOM}, "driver.kind"),
+            # the closed-form T2 and LSI laws need an affine law-free scenario
+            ("t2", {"t": 0.5, "shift_list": [1.0]}, {"scenario": LAW_DEPENDENT}, "scenario"),
+            ("lsi", {"t": 0.5, "lambda_list": [1.0]}, {"scenario": LAW_DEPENDENT}, "scenario"),
+            # comparison's hypotheses: no law of Z, one nonnegative mean coupling
+            ("comparison", {"t_list": [0.5]}, {"scenario_2": Z_LAW_DEPENDENT}, "scenario_2.generator.kappa_z"),
+            (
+                "comparison", {"t_list": [0.5]},
+                {"scenario": NEGATIVE_COUPLING, "scenario_2": NEGATIVE_COUPLING}, "scenario.generator.kappa_y",
+            ),
         ],
     )
     def test_run_time_refusals_named_at_parse(self, tmp_path, capsys, kind, params, update, key):

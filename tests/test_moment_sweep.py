@@ -97,7 +97,7 @@ def particle_picard(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
     W = cfg.basis_degree + 1
     scales = _basis_scales(grid_s)
     phis = [_basis(w, scales, i, cfg.basis_degree) for i in range(N + 1)]
-    grams = [_regularized(phi @ phi.T, solver._RIDGE) for phi in phis]
+    grams = [_regularized(phi @ phi.T, solver._RIDGE)[0] for phi in phis]
     out = {
         "u": np.zeros((K, N + 1, W)), "v": np.zeros((K, N, W)),
         "y": np.empty((K, N + 1, n)), "z": np.empty((K, N + 1, n)), "candidates": np.empty((K, n)),
@@ -293,3 +293,46 @@ def test_law_free_stack_keeps_no_particle_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 3 * (N + 1) * n * 8
+
+
+@pytest.mark.parametrize("degree", [1, 4, 6])
+@pytest.mark.parametrize("n_steps", [1, 2, 17])
+def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
+    # each node's statistics, built from one product per node and one batched
+    # solve, against the explicit basis products phi phi^T, phi phi_{i+1}^T
+    # and phi diag(dW) phi^T; the products are summed over particle blocks
+    monkeypatch.setattr(solver, "_PARTICLE_BLOCK", 768)
+    grid_s = build_clock(BROWNIAN, n_steps + 1).grid_V
+    dw = solver._brownian_increments(grid_s, 2000, 7, "nodes")
+    w = solver._paths(dw)
+    terminal = np.array([1.0 + w[-1], np.sin(w[-1])])
+    mom = solver._moments(grid_s, grid_s, w, dw, terminal, degree)
+    scales = _basis_scales(grid_s)
+    phis = [_basis(w, scales, i, degree) for i in range(n_steps + 1)]
+
+    def close(actual, expected, scale=None, cond=1.0):
+        # sums in another order differ in the last bits, and a solve scales a
+        # relative change of its data by up to the condition of its matrix
+        scale = np.abs(expected).max() if scale is None else scale
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=max(1e-12, 1e-16 * cond) * scale)
+
+    conds = []
+    for i, (node, phi) in enumerate(zip(mom.nodes, phis)):
+        gram, cond = _regularized(phi @ phi.T, solver._RIDGE)
+        conds.append(cond)
+        close(node.gram, gram)
+        close(node.sums, phi.sum(axis=1))
+        close(node.fit_self, np.linalg.solve(gram, phi @ phi.T), cond=cond)
+        if i == n_steps:
+            assert node.fit_next is None and node.fit_cv is None and node.dw_sums is None
+            continue
+        close(node.fit_next, np.linalg.solve(gram, phi @ phis[i + 1].T), cond=cond)
+        # relative to the sums of |x**k dW|: at the first node, whose basis
+        # is the constant, the centred increments sum to 0
+        dw_scale = (np.abs(phi) @ np.abs(dw[i])).max()
+        close(node.dw_sums, phi @ dw[i], dw_scale)
+        close(node.fit_cv, np.linalg.solve(gram, (phi * dw[i]) @ phi.T), dw_scale / len(dw[i]), cond)
+    close(mom.g_fit, _fit(phis[-1], mom.nodes[-1].gram, terminal), cond=conds[-1])
+    close(mom.g_fit_prev, _fit(phis[-2], mom.nodes[-2].gram, terminal), cond=conds[-2])
+    close(mom.g_dw, terminal @ dw[-1])
+    np.testing.assert_allclose(mom.gram_cond_max, max(conds), rtol=1e-9)

@@ -139,9 +139,18 @@ def configs(draw, kind):
         params=draw(param_values(spec.required, T)),
     )
     for key in ("scenario", "scenario_2")[: spec.scenarios]:
-        tree[key] = draw(scenarios())
+        tree[key] = scn = draw(scenarios())
         if kind in ("representation", "converse"):
-            tree[key]["generator"]["c1"] = 0.0  # their solves refuse a state-dependent f
+            scn["generator"]["c1"] = 0.0  # their solves refuse a state-dependent f
+        if kind == "comparison":
+            # its hypotheses: no law of Z, and one nonnegative mean coupling
+            scn["generator"]["kappa_z"] = 0.0
+            if key == "scenario":
+                scn["generator"]["kappa_y"] = 0.0
+        if kind in ("t2", "lsi"):
+            # their closed-form law needs affine law-free f(t, y) and affine g(x)
+            scn["generator"] = {k: scn["generator"][k] for k in ("c0", "c2")}
+            scn["terminal"] = {k: scn["terminal"][k] for k in ("a", "b")}
     return tree
 
 
@@ -179,7 +188,7 @@ def test_intercept_fit_keeps_mean(n, degree, a, b, c, phi, seed):
     y = a + b * x + c * NONLINEARITIES[phi][0](x)
     phi = npoly.polyvander(x, degree).T
     for ridge in (0.0, 1e-8):
-        fitted = _fit(phi, _regularized(phi @ phi.T, ridge), y) @ phi
+        fitted = _fit(phi, _regularized(phi @ phi.T, ridge)[0], y) @ phi
         assert abs(np.mean(fitted) - np.mean(y)) <= 1e-10
 
 

@@ -49,7 +49,7 @@ def regress(degree, x, y):
     """The solver's least-squares fit on the raw monomial basis, no ridge,
     given as the solver's (degree+1, n) basis block."""
     phi = npoly.polyvander(x, degree).T
-    return _fit(phi, _regularized(phi @ phi.T, 0.0), y)
+    return _fit(phi, _regularized(phi @ phi.T, 0.0)[0], y)
 
 
 class TestRegressConditional:
@@ -219,26 +219,27 @@ class TestSolveOracles:
         assert calls == []
 
     def test_one_normal_matrix_per_node(self, monkeypatch):
-        # the moments of each node are built once per solve and serve every sweep
+        # the moments of every node are built once per solve and serve every sweep
         built = []
-        node_moments = solver._node_moments
+        moments = solver._moments
 
-        def counting_moments(phi, *args):
-            built.append(phi.shape)
-            return node_moments(phi, *args)
+        def counting_moments(*args):
+            mom = moments(*args)
+            built.append(len(mom.nodes))
+            return mom
 
-        monkeypatch.setattr(solver, "_node_moments", counting_moments)
+        monkeypatch.setattr(solver, "_moments", counting_moments)
         clock = build_clock(BROWNIAN, 17)
         cfg = SolverConfig(n_time=16, n_particles=2000)
         field, _ = solve_auxiliary(mean_field_scenario(BROWNIAN), clock, cfg, seed=5)
         assert field.n_iterations >= 2
-        assert len(built) == field.n_steps + 1
+        assert built == [field.n_steps + 1]
         # a stack of two scenarios shares the normal matrices of its one draw
         built.clear()
         scn = mean_field_scenario(BROWNIAN)
         (field, _), _ = solve_auxiliary_stack([scn, shift_terminal(scn, 1.0)], clock, cfg, seed=5)
         assert field.n_iterations >= 2
-        assert len(built) == field.n_steps + 1
+        assert built == [field.n_steps + 1]
 
     def test_step_stability_guard(self):
         scn = linear_scenario(BROWNIAN, beta=5.0)  # L_f = 5, max step 1/4
