@@ -37,8 +37,9 @@ class EmptyCloud(GaussBsdeError):
 
 # --- solver -----------------------------------------------------------------
 
-class PicardDivergence(GaussBsdeError):
-    """Picard iteration on the flow of laws did not reach tolerance."""
+class StepTooCoarse(GaussBsdeError, ValueError):
+    """A grid step too coarse for the explicit scheme: max ds * L_f above 0.5,
+    or ds * rho * kappa_y at 1 or more, where a node's law has no solution."""
 
 
 class RegressionIllConditioned(GaussBsdeError):

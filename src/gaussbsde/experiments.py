@@ -123,8 +123,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
             "v_coeffs": field.v_coeffs.tolist(),
             "basis_scales": [float(v) for v in field.scales],
             "gram_cond_max": field.gram_cond_max,
-            "picard_changes": list(field.convergence),
-            "picard_iterations": field.n_iterations,
+            "step_lipschitz": field.step_lipschitz,
             "terminal_residual_max": terminal_residual,
         },
         tolerances={},

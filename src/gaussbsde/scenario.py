@@ -14,8 +14,9 @@ so all constants are computable symbolically:
 
 and the derivative of f in the y-marginal of the law equals rho(t) * ky.
 
-``eval_generator``, ``generator_partials`` and ``generator_remainder`` are
-the one spelling of f, its partials and its nonlinear remainder, for one
+``eval_generator``, ``generator_partials``, ``generator_law_partials`` and
+``generator_remainder`` are the one spelling of f, its partials in (x, y, z)
+and in the law's means, and its nonlinear remainder, for one
 ``GeneratorSpec``; each is vectorized over its arguments, so a solver
 evaluates a generator at every node of a grid in one call.
 """
@@ -221,6 +222,14 @@ def generator_partials(spec: GeneratorSpec, t: float, x, y, z):
         df_dy = df_dy + spec.c4 * NONLINEARITIES[spec.phi][1](np.asarray(y, dtype=float))
     rho = spec.rho(t)
     return rho * spec.c1, rho * df_dy, rho * spec.c3
+
+
+def generator_law_partials(spec: GeneratorSpec, t):
+    """(df/dmean_y, df/dmean_z) = (rho(t) kappa_y, rho(t) kappa_z) at t or at
+    each entry of an array of times.  f is affine in the means, so f at a law
+    is its value at mean_y = mean_z = 0 plus these times the law's means."""
+    rho = spec.rho(t)
+    return rho * spec.kappa_y, rho * spec.kappa_z
 
 
 def generator_remainder(spec: GeneratorSpec, t, y):

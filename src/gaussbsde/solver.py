@@ -1,16 +1,16 @@
 """Backward least-squares Monte Carlo solver for the auxiliary Brownian
-equation on [0, V_T], with Picard iteration on the flow of laws, and transfer
-of the solution back through the variance clock.
+equation on [0, V_T], in one backward sweep that solves each node's law in
+place, and transfer of the solution back through the variance clock.
 
-Scheme (explicit, one regression sweep per Picard iterate):
+Scheme (explicit, one regression sweep per solve):
 
-    Y_N = g(W_N, features_N)
+    Y_N = g(W_N, law_N)
     for i = N-1 .. 0:
         P_i   = regression of [Y_{i+1} - martingale control variate]
                 on a polynomial basis of W_i / sqrt(s_i)
         Z_i   = regression of the spatial derivative of the one-step value
                 P_i + f ds
-        Y_i   = P_i + f(U(s_i), W_i, P_i, Z_i, features_i) * ds_i
+        Y_i   = P_i + f(U(s_i), W_i, P_i, Z_i, law_i) * ds_i
 
 Moment form.  The paths are fixed for a solve, so are the sufficient
 statistics of every regression (Bender & Denk 2007).  Let phi_i be node i's
@@ -36,7 +36,7 @@ and scenario k's Y row at node i < N is
 
     Y_i = yc_i . phi_i + ds_i r(P_i)        (r = 0 for an affine f)
 
-and a sweep runs on coefficients, for the K active scenarios at once:
+and the sweep runs on coefficients, for the K scenarios at once:
 
     beta_i = fit_i(Y_{i+1}) - [G_i^-1 M_i rv - G_i^-1 s_i (q_i . rv) / n]
              fit_i(Y_{i+1}) = G_i^-1 C_i yc_{i+1} + fit_i(ds r(P_{i+1}))
@@ -45,6 +45,7 @@ and a sweep runs on coefficients, for the K active scenarios at once:
     vb_i   = G_i^-1 A_i zc_i + fit_i(ds r'(P_i) beta_i' . phi_i)
     yc_i   = beta_i + ds (f(0, 0, 0, law_i) e_0 + f_y beta_i + f_z vb_i
                           + f_x sqrt(s_i - s_0) e_1)
+             (law_i: the node's means, solved in place as below)
     u_i    = G_i^-1 A_i yc_i + fit_i(ds r(P_i))
 
 with f(0, 0, 0, law) and the partials (f_x, f_y, f_z) from ``scenario``, and
@@ -53,30 +54,37 @@ node's fields are constants: its Z is the mean of the one-step value's slope.
 Particle work is left where the result depends on the particles: a nonlinear
 term evaluates P_i at the particles and fits its remainder rows (an affine
 stack never does), and the representation candidates are built once, after
-the last sweep.
+the sweep.
 
-Law features are frozen during a backward sweep and updated between sweeps
-until the flow of laws is a fixed point.  The generators read the law only
-through its means, so the stop test is the sup over nodes of the change in
-E[Y_i], read off the sweep's means: equal to the sorted-sample W2 between
-the two sweeps' Y rows for affine generators (the rows then differ by one
-constant per node), a lower bound otherwise (|E X - E Y| <= W2(X, Y)).  The
-first iterate is the flow of the f = 0, Z = 0 sweep, which has a closed
-form: a projection with an intercept keeps the particle mean, so its
-features are (mean W, mean g, 0) at every node.
+The law in place.  The generators read the law only through the node's own
+means: f(0, 0, 0, law_i) is its value at the law (mean x_i, 0, 0) plus
+rho_i (kappa_y mean_y_i + kappa_z mean_z_i), with the law partials rho kappa
+from ``scenario``.  mean x_i is the paths' mean, and mean_z_i = vb_i . s_i / n
+is known before the Y step.  mean_y_i enters Y_i only through the constant
+ds_i rho_i kappa_y mean_y_i, so with m_i the mean of Y_i without that term
+
+    mean_y_i = m_i / (1 - ds_i rho_i kappa_y)
+
+and the term is added to yc_i[0] and to u_i through G_i^-1 A_i e_0.  Y_{i+1}
+is at the fixed point of the flow of laws when node i is reached, so the one
+sweep returns that fixed point exactly: the limit of the Picard iteration on
+laws through which the equation is proved well posed.  The step guard
+(max ds L_f <= 0.5, and L_f counts |rho kappa_y|) keeps the divisor at 0.5 or
+more; ``_solve_on_grid``, which skips the guard, refuses a node where
+ds rho kappa_y reaches 1 (``StepTooCoarse``).
 
 One solve path serves every entry point: ``_solve_on_grid`` draws the
 increments once, builds the moments and solves K scenarios on them as a
-stack.  Each scenario keeps its own Picard stop: a converged scenario leaves
-the stack and its coefficients stop changing.  A single solve is the stack of
-one; the paired checks (comparison, converse, stability) solve both
-scenarios of a pair as one stack, on common random numbers.
+stack, in one sweep.  A single solve is the stack of one; the paired checks
+(comparison, converse, stability) solve both scenarios of a pair as one
+stack, on common random numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -86,8 +94,8 @@ from .errors import (
     DegenerateInterval,
     NonFiniteSolution,
     OutOfRange,
-    PicardDivergence,
     RegressionIllConditioned,
+    StepTooCoarse,
     UnsupportedScenario,
 )
 from .measures import LawFeatures
@@ -95,6 +103,7 @@ from .rng import standard_normals
 from .scenario import (
     ScenarioSpec,
     eval_generator,
+    generator_law_partials,
     generator_partials,
     generator_remainder,
     lipschitz_audit,
@@ -105,8 +114,6 @@ _COND_LIMIT = 1e12
 _MAX_STEP_LIPSCHITZ = 0.5
 _RIDGE = 1e-8
 _PARTICLE_BLOCK = 8192
-_PICARD_MAX_ITER = 10
-_PICARD_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -167,9 +174,9 @@ class SolutionField:
     scales: np.ndarray
     u_coeffs: np.ndarray  # (N+1) x (degree+1)
     v_coeffs: np.ndarray  # N x (degree+1)
-    convergence: tuple[float, ...]
-    n_iterations: int
     gram_cond_max: float  # the largest condition estimate of the solve's normal matrices
+    step_lipschitz: float  # max ds * L_f: the margin to the step guard's 0.5
+    n_iterations: ClassVar[int] = 1  # backward sweeps run: a solve runs one
 
     @property
     def n_steps(self) -> int:
@@ -368,17 +375,14 @@ def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Stack:
-    """Coefficient arrays of a K-scenario solve, rewritten by every sweep of
-    the scenarios still iterating.  Scenario k's fields are u[k] and v[k];
-    its Y row at a node i < N is yc[k, i] . phi_i, plus ds_i r(beta[k, i] .
-    phi_i) when its generator has nonlinear terms (the row at the last node
-    is g).  step0[k] is the constant of its first-node f ds, and mean_y[k],
-    mean_z[k] are the particle means of its Y and Z rows at every node: the
-    law features of the next sweep, and the Picard stop reads the sup over
-    nodes of the change in mean_y (equal to the sorted-sample W2 of the Y rows
-    for affine generators, a lower bound otherwise)."""
+    """Coefficient arrays of a K-scenario solve.  Scenario k's fields are
+    u[k] and v[k]; its Y row at a node i < N is yc[k, i] . phi_i, plus
+    ds_i r(beta[k, i] . phi_i) when its generator has nonlinear terms (the
+    row at the last node is g).  step0[k] is the constant of its first-node
+    f ds, and mean_y[k], mean_z[k] are the particle means of its Y and Z rows
+    at every node: the means of its law."""
 
     u: np.ndarray  # K x (N+1) x (degree+1)
     v: np.ndarray  # K x N x (degree+1)
@@ -387,56 +391,45 @@ class _Stack:
     step0: np.ndarray  # K
     mean_y: np.ndarray  # K x (N+1)
     mean_z: np.ndarray
-    logs: list
-    n_iterations: list
-
-    @classmethod
-    def empty(cls, K: int, N: int, degree: int) -> "_Stack":
-        return cls(
-            u=np.zeros((K, N + 1, degree + 1)),
-            v=np.zeros((K, N, degree + 1)),
-            yc=np.zeros((K, N + 1, degree + 1)),
-            beta=np.zeros((K, N + 1, degree + 1)),
-            step0=np.zeros(K),
-            mean_y=np.zeros((K, N + 1)),
-            mean_z=np.zeros((K, N + 1)),
-            logs=[[] for _ in range(K)],
-            n_iterations=[0] * K,
-        )
 
 
-def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
-    """One backward sweep with frozen law features, in moment form, for the
-    scenarios ``act`` (increasing indices into the list of generators
-    ``gens``) of the stack ``out``, written in place.
+def _backward_pass(gens, mom: _Moments) -> _Stack:
+    """The backward sweep of the generators ``gens`` in moment form, with
+    each node's law solved in place.
 
-    ``features`` holds the (N+1,) particle means of x and the (K, N+1) means
-    of y and z per node.  Every node runs on the (K, W) coefficient rows of
-    all scenarios in ``act`` at once; f enters through its value at
-    (0, 0, 0, law) and its partials, evaluated once per scenario for every
-    node at once, and through the particle rows of its nonlinear remainder,
-    if any.  The state x_i = W_i is scales[i] times the basis' linear term,
-    so the state term ds f_x x_i is a coefficient of the Y row.
+    Every node runs on the (K, W) coefficient rows of all K scenarios at
+    once; f enters through its value at (0, 0, 0) and the law (mean x, 0, 0),
+    its partials in (x, y, z) and in the means of y and z, each evaluated
+    once per scenario for every node at once, and through the particle rows
+    of its nonlinear remainder, if any.  The state x_i = W_i is scales[i]
+    times the basis' linear term, so the state term ds f_x x_i is a
+    coefficient of the Y row.
     """
     N = len(mom.nodes) - 1
     n = mom.w.shape[1]
-    K, W = len(act), mom.degree + 1
-    gen = [gens[k] for k in act]
-    nonlinear = any(g.c4 != 0.0 for g in gen)
-    with_x = any(g.c1 != 0.0 for g in gen)
+    K, W = len(gens), mom.degree + 1
+    nonlinear = any(g.c4 != 0.0 for g in gens)
+    with_x = any(g.c1 != 0.0 for g in gens)
+    with_law = not all(g.is_law_free for g in gens)
     ds_all = mom.ds
-    f0, f_x, f_y, f_z = (np.empty((K, N + 1)) for _ in range(4))
-    for j, (g, k) in enumerate(zip(gen, act)):
-        law = LawFeatures(features.mean_x, features.mean_y[k], features.mean_z[k])
-        f0[j] = eval_generator(g, mom.grid_t, 0.0, 0.0, 0.0, law)
+    base = LawFeatures(mean_x=mom.w.mean(axis=1)) if with_law else LawFeatures()
+    f0, f_x, f_y, f_z, law_y, law_z = (np.empty((K, N + 1)) for _ in range(6))
+    for j, g in enumerate(gens):
+        f0[j] = eval_generator(g, mom.grid_t, 0.0, 0.0, 0.0, base)
         f_x[j], f_y[j], f_z[j] = generator_partials(g, mom.grid_t, 0.0, 0.0, 0.0)
+        law_y[j], law_z[j] = generator_law_partials(g, mom.grid_t)
+    implicit = ds_all * law_y[:, :-1]  # ds rho kappa_y: a node's weight on its own mean Y
+    if not (implicit < 1.0).all():
+        raise StepTooCoarse(
+            f"a node's law needs ds * rho * kappa_y < 1; got {implicit.max():.3g} (refine the grid)"
+        )
 
     u, yc, beta = (np.zeros((K, N + 1, W)) for _ in range(3))
     v = np.zeros((K, N, W))
     mean_y, mean_z = np.empty((K, N + 1)), np.empty((K, N + 1))
-    u[:, N] = mom.g_fit[act]
-    mean_y[:, N] = features.mean_y[act, N]  # the mean of g, set by the first iterate
-    target = mom.g_fit_prev[act]  # the fit on node N-1 of Y_N = g
+    u[:, N] = mom.g_fit
+    mean_y[:, N] = mom.terminal.mean(axis=1)
+    target = mom.g_fit_prev  # the fit on node N-1 of Y_N = g
     carry = None  # the nonlinear-remainder rows of the next node's Y
     for i in range(N - 1, -1, -1):
         node = mom.nodes[i]
@@ -467,20 +460,24 @@ def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
             # smoothing the next field gives E[dY_{i+1}/dw]
             dz = mean_z[:, 1:2].copy()
         else:
-            dz = ((mom.g_dw[act] - b[:, 0] * node.dw_sums[0]) / (n * ds))[:, None]
+            dz = ((mom.g_dw - b[:, 0] * node.dw_sums[0]) / (n * ds))[:, None]
         zc = dz + ds * (f_y[:, i, None] + f_z[:, i, None]) * dz
         zc[:, 0] += ds * f_x[:, i]
         # the first node's Z is the particle mean of its (constant) field
         vb = zc @ node.fit_self.T if i > 0 else zc
         if nonlinear:
             r, dr = np.empty((K, n)), np.empty((K, n))
-            for j, (g, p) in enumerate(zip(gen, b @ phi)):
+            for j, (g, p) in enumerate(zip(gens, b @ phi)):
                 r[j], dr[j] = generator_remainder(g, mom.grid_t[i], p)
             z_rows = ds * dr * (dz @ phi)
             vb = vb + (_fit(phi, node.gram, z_rows) if i > 0 else z_rows.mean(axis=1, keepdims=True))
 
+        mean_z[:, i] = vb @ node.sums / n
+
         step = np.zeros((K, width))
         step[:, 0] = f0[:, i]
+        if with_law:
+            step[:, 0] += law_z[:, i] * mean_z[:, i]
         step += f_y[:, i, None] * b + f_z[:, i, None] * vb
         step *= ds
         y_c = b + step
@@ -492,76 +489,37 @@ def _backward_pass(gens, act, features, mom: _Moments, out: _Stack):
             carry = ds * r
             fitted += _fit(phi, node.gram, carry)
             mean += carry.mean(axis=1)
+        if with_law:
+            # the node's own mean Y enters its Y row as the constant
+            # ds rho kappa_y mean_y, which adds itself to the row's mean
+            mean_y[:, i] = mean / (1.0 - implicit[:, i])
+            own = implicit[:, i] * mean_y[:, i]
+            step[:, 0] += own
+            y_c[:, 0] += own
+            fitted += own[:, None] * node.fit_self[:, 0]
+        else:
+            mean_y[:, i] = mean
         u[:, i, :width], v[:, i, :width], yc[:, i, :width], beta[:, i, :width] = fitted, vb, y_c, b
-        mean_y[:, i] = mean
-        mean_z[:, i] = vb @ node.sums / n
         if i > 0:
             prev = mom.nodes[i - 1]
             target = y_c @ prev.fit_next.T  # the fit on node i-1 of yc . phi_i
 
     mean_z[:, N] = mean_z[:, N - 1]  # Z_N is the last cell's field
-    out.step0[act] = step[:, 0] + (carry[:, 0] if nonlinear else 0.0)
-    out.u[act], out.v[act], out.yc[act], out.beta[act] = u, v, yc, beta
-    out.mean_y[act], out.mean_z[act] = mean_y, mean_z
+    if not all(np.isfinite(a).all() for a in (u, v, yc, mean_y)):
+        raise NonFiniteSolution("the backward sweep left coefficients or means non-finite")
+    step0 = step[:, 0] + (carry[:, 0] if nonlinear else 0.0)
+    return _Stack(u=u, v=v, yc=yc, beta=beta, step0=step0, mean_y=mean_y, mean_z=mean_z)
 
 
 def _y_row(mom: _Moments, spec, out: _Stack, k: int, i: int) -> np.ndarray:
-    """Scenario k's Y row at a node i < N, built from the coefficients the
-    last sweep left, with the generator ``spec`` for its nonlinear remainder."""
+    """Scenario k's Y row at a node i < N, built from the coefficients of the
+    sweep, with the generator ``spec`` for its nonlinear remainder."""
     scaled = mom.w[i] / mom.scales[i]
     y = _polyval(scaled, out.yc[k, i])
     if spec.c4 != 0.0:
         r, _ = generator_remainder(spec, mom.grid_t[i], _polyval(scaled, out.beta[k, i]))
         y += mom.ds[i] * r
     return y
-
-
-def _picard_solve(gens, mom: _Moments) -> _Stack:
-    """Picard iteration on the flow of laws for K generators on the paths of
-    ``mom``.  Each scenario keeps its own stop: one that has converged leaves
-    the stack, and its coefficients stop changing."""
-    K = len(gens)
-    N = len(mom.nodes) - 1
-    out = _Stack.empty(K, N, mom.degree)
-    act = np.arange(K)
-    # the first iterate is the f = 0, Z = 0 sweep, whose projections keep the
-    # particle mean of g at every node; each later sweep reads the particle
-    # means of its predecessor, written in place
-    feats = LawFeatures(
-        mean_x=mom.w.mean(axis=1),
-        mean_y=np.repeat(mom.terminal.mean(axis=1)[:, None], N + 1, axis=1),
-        mean_z=np.zeros((K, N + 1)),
-    )
-    for sweep in range(1, _PICARD_MAX_ITER + 1):
-        _backward_pass(gens, act, feats, mom, out)
-        still = []
-        for k in act.tolist():
-            out.n_iterations[k] = sweep
-            if not all(np.isfinite(a[k]).all() for a in (out.u, out.v, out.yc, out.mean_y)):
-                raise NonFiniteSolution(f"backward sweep {sweep} left coefficients or means non-finite")
-            log = out.logs[k]
-            if gens[k].is_law_free:
-                log.append(0.0)
-                continue
-            if sweep > 1:
-                # feats holds the previous sweep's means
-                change = float(np.abs(out.mean_y[k] - feats.mean_y[k]).max())
-                log.append(change)
-                if change < _PICARD_TOL:
-                    continue
-            feats.mean_y[k] = out.mean_y[k]
-            feats.mean_z[k] = out.mean_z[k]
-            still.append(k)
-        if not still:
-            break
-        act = np.array(still)
-    else:
-        log = out.logs[int(act[0])]
-        raise PicardDivergence(
-            f"law iteration did not reach tol {_PICARD_TOL} in "
-            f"{_PICARD_MAX_ITER} sweeps; last changes {log[-2:]}"
-        )
-    return out
 
 
 def _brownian_increments(grid_s, n_particles, seed, tag):
@@ -583,31 +541,33 @@ def _paths(dw: np.ndarray) -> np.ndarray:
     return w
 
 
-def _check_step(scns, grid_s):
+def _check_step(scns, grid_s) -> np.ndarray:
     """Refuse a grid on which the explicit scheme is unstable: every scenario
-    needs max ds * L_f <= 0.5."""
-    worst = np.diff(grid_s).max() * max(scn.generator.lipschitz for scn in scns)
+    needs max ds * L_f <= 0.5.  Returns each scenario's max ds * L_f."""
+    margins = np.diff(grid_s).max() * np.array([scn.generator.lipschitz for scn in scns])
+    worst = margins.max()
     if worst > _MAX_STEP_LIPSCHITZ:
-        raise ValueError(
+        raise StepTooCoarse(
             f"explicit scheme needs max step * L_f <= {_MAX_STEP_LIPSCHITZ}; got {worst:.3g} (refine the grid)"
         )
+    return margins
 
 
 def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, seed, tag):
     """The one solve path: draw the increments of every particle once, build
-    the paths from 0 and their moments, and run the Picard iteration of the
-    K generators on them.  ``terminal(w_end)`` gives the K rows of terminal
-    values at the last node's state; the generators read ``w`` in their
-    state slot.  Returns (moments, stack)."""
+    the paths from 0 and their moments, and run the one backward sweep of
+    the K generators on them.  ``terminal(w_end)`` gives the K rows of
+    terminal values at the last node's state; the generators read ``w`` in
+    their state slot.  Returns (moments, stack)."""
     dw = _brownian_increments(grid_s, cfg.n_particles, seed, tag)
     w = _paths(dw)
     terminal_values = np.array(terminal(w[-1]), dtype=float)
-    # an overflowing solve is reported once, by the finiteness checks after
-    # each sweep, not by numpy warnings along the way
+    # an overflowing solve is reported once, by the finiteness check after
+    # the sweep, not by numpy warnings along the way
     with np.errstate(over="ignore", invalid="ignore"):
         mom = _moments(grid_s, grid_t, w, dw, terminal_values, cfg.basis_degree)
-        del dw  # the sweeps read the moments, not the increments
-        return mom, _picard_solve(gens, mom)
+        del dw  # the sweep reads the moments, not the increments
+        return mom, _backward_pass(gens, mom)
 
 
 def solve_auxiliary_stack(
@@ -624,7 +584,7 @@ def solve_auxiliary_stack(
     grid_t = clock.grid_t
     for scn in scns:  # probes the symbolic constants the step guard reads
         lipschitz_audit(scn, seed=seed)
-    _check_step(scns, grid_s)
+    margins = _check_step(scns, grid_s)
 
     def terminal(w_end):
         return [terminal_on_paths(scn.terminal, w_end) for scn in scns]
@@ -640,9 +600,8 @@ def solve_auxiliary_stack(
                 scales=mom.scales,
                 u_coeffs=out.u[k],
                 v_coeffs=out.v[k],
-                convergence=tuple(out.logs[k]),
-                n_iterations=out.n_iterations[k],
                 gram_cond_max=mom.gram_cond_max,
+                step_lipschitz=float(margins[k]),
             ),
             cloud,
         )
@@ -691,7 +650,7 @@ class RepresentationValue:
     value: float
     std_error: float
     n_particles: int
-    n_iterations: int
+    n_iterations: ClassVar[int] = 1  # backward sweeps run: a solve runs one
 
 
 def _candidates(gens, mom: _Moments, out: _Stack) -> np.ndarray:
@@ -752,7 +711,6 @@ def representation_solve_stack(
             value=float(out.mean_y[k, 0]),
             std_error=float(np.std(candidates[k]) / math.sqrt(n)),
             n_particles=n,
-            n_iterations=out.n_iterations[k],
         )
         for k in range(len(scns))
     ]

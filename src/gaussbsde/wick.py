@@ -143,7 +143,8 @@ def riemann_wick_integral(
     integrand: FirstChaosIntegrand, paths: PathBatch, clock: VarianceClock
 ) -> np.ndarray:
     """Per-path Riemann-Wick sum of v(t_i, X_{t_i}) <> dX over all grid cells."""
-    _check_grid_alignment(paths.with_origin[0], integrand.grid_t)
+    # the grid alone: ``with_origin`` would copy every path to build it
+    _check_grid_alignment(np.concatenate(([0.0], paths.grid_t)), integrand.grid_t)
     _check_grid_alignment(integrand.grid_t, clock.grid_t)
     return _wick_cells(integrand.coeffs, paths).sum(axis=1)
 

@@ -92,8 +92,9 @@ class TestConfigParsing:
             ("paramz", {}, "paramz"),
             ("params", {"t_list": [0.0]}, "params.t_list"),
             ("solver", {"z_estimator": "increment"}, "solver.z_estimator"),
-            # constants, not settings: the ridge, the Picard stop and the series
-            # quantiles; the seed is a top-level key only
+            # constants, not settings: the ridge and the series quantiles; a
+            # solve runs one sweep, so it has no Picard stop to set; the seed is
+            # a top-level key only
             ("solver", {"ridge": 1e-8}, "solver.ridge"),
             ("solver", {"picard_tol": 1e-3}, "solver.picard_tol"),
             ("solver", {"seed": 7}, "solver.seed"),
@@ -351,6 +352,16 @@ class TestCliRun:
             assert (out / rel).exists()
         assert manifest["wall_clock_ms"] is None
 
+    def test_solve_report_step_margin(self, tmp_path):
+        # the report carries the grid's max ds * L_f, the margin to the
+        # step guard's 0.5, and no sweep log: a solve runs one sweep
+        tree = dict(BASE_CONFIG, scenario={"terminal": {"b": 1.0}, "generator": {"c2": 0.5, "kappa_y": 0.3}})
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, tree)), "--out", str(out), "--quiet"]) == 0
+        measurements = json.loads(next((out / "reports").glob("*.json")).read_text())["measurements"]
+        assert measurements["step_lipschitz"] == pytest.approx(0.8 / 8, rel=1e-12)
+        assert not any(key.startswith("picard") for key in measurements)
+
     def test_invalid_config_exit_one(self, tmp_path, capsys):
         tree = dict(BASE_CONFIG, driver={"kind": "fbm", "hurst": 1.5, "T": 1.0})
         path = write_config(tmp_path, tree)
@@ -367,6 +378,8 @@ class TestCliRun:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
         assert not (out / "manifest.json").exists()
+        # a named error, not a stray ValueError
+        assert capsys.readouterr().err.startswith("error: explicit scheme needs max step * L_f <= 0.5")
 
     def test_non_finite_solution_exit_one_no_manifest(self, tmp_path, capsys):
         tree = dict(

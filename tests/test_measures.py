@@ -38,7 +38,7 @@ def kl_by_quadrature(nu: GaussianLaw1D, mu: GaussianLaw1D) -> float:
 
 
 class TestWasserstein1D:
-    """``sorted_w2``: W2 between equal-size samples, the oracle of the Picard stop statistic."""
+    """``sorted_w2``: W2 between equal-size samples, by the sorted coupling."""
 
     def test_shift_by_one(self):
         assert sorted_w2(np.array([0.0, 1.0]), np.array([1.0, 2.0])) == pytest.approx(1.0, abs=1e-14)

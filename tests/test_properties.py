@@ -182,8 +182,9 @@ def test_emit_parse_keeps_digest(data):
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_intercept_fit_keeps_mean(n, degree, a, b, c, phi, seed):
-    # the closed-form first Picard iterate rests on this: a projection whose
-    # basis holds the constant keeps the particle mean of its target
+    # the node means the sweep reads off its coefficients rest on this: a
+    # projection whose basis holds the constant keeps the particle mean of
+    # its target
     x = np.random.default_rng(seed).normal(size=n)
     y = a + b * x + c * NONLINEARITIES[phi][0](x)
     phi = npoly.polyvander(x, degree).T

@@ -11,8 +11,8 @@ from gaussbsde.errors import (
     DegenerateInterval,
     NonFiniteSolution,
     OutOfRange,
-    PicardDivergence,
     RegressionIllConditioned,
+    StepTooCoarse,
     UnsupportedScenario,
 )
 from gaussbsde.pack import (
@@ -121,8 +121,6 @@ class TestSolveOracles:
         clock = build_clock(BROWNIAN, 33)
         cfg = SolverConfig(n_time=32, n_particles=20000)
         field, cloud = solve_auxiliary(scn, clock, cfg, seed=14)
-        assert field.n_iterations <= 10
-        assert field.convergence[-1] < 1e-3
         y, _ = field.on_paths(cloud.w)
         for i in range(field.n_steps + 1):
             target = math.exp(0.3 * (clock.V_T - field.grid_s[i]))
@@ -173,25 +171,26 @@ class TestSolveOracles:
         assert np.array_equal(f1.on_paths(c1.w)[0], f2.on_paths(c2.w)[0])
 
     def test_pinned_mean_field_values(self):
-        # values of the particle-major solver this layout replaced; the
-        # arithmetic is reordered, so they agree to rounding, not bit for bit
+        # values of the Picard iteration on the flow of laws run until the
+        # node means change by less than 1e-13, the fixed point the one sweep
+        # solves for; the arithmetic differs, so they agree to rounding
         field, _ = solve_auxiliary(
             mean_field_scenario(BROWNIAN), build_clock(BROWNIAN, 17), SolverConfig(n_time=16, n_particles=2000), seed=1
         )
-        np.testing.assert_allclose(field.u_coeffs[0], [1.3536704649730054, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(field.v_coeffs[0], [1.0007854656014852, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(
-            field.convergence, [0.04781249998489034, 0.0053789062482689776, 0.0004790588377339145], rtol=0, atol=1e-10
-        )
+        np.testing.assert_allclose(field.u_coeffs[0], [1.353708899082239, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(field.v_coeffs[0], [1.0007854656014838, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
 
-    def test_picard_divergence(self):
+    def test_strong_law_coupling_in_one_sweep(self):
+        # f = 3 E[Y]: each node's mean Y is the next node's over 1 - 3 ds,
+        # which the sweep solves for exactly; a Picard iteration on the flow
+        # of laws closes the gap by a factor of about 0.4 a sweep here
         scn = mean_field_scenario(BROWNIAN, alpha=3.0)
         clock = build_clock(BROWNIAN, 33)
-        # a contraction too weak for the Picard stop's 10 sweeps: the
-        # sweeps' changes shrink by a factor of about 0.4 a sweep
-        cfg = SolverConfig(n_time=32, n_particles=2000)
-        with pytest.raises(PicardDivergence):
-            solve_auxiliary(scn, clock, cfg, seed=1)
+        field, cloud = solve_auxiliary(scn, clock, SolverConfig(n_time=32, n_particles=2000), seed=1)
+        mean_g = float(np.mean(1.0 + cloud.w[:, -1]))
+        factors = np.cumprod(1.0 / (1.0 - 3.0 * np.diff(field.grid_s))[::-1])[::-1]
+        y, _ = field.on_paths(cloud.w)
+        np.testing.assert_allclose(y[:, :-1].mean(axis=0), mean_g * factors, rtol=1e-9, atol=0)
 
     def test_non_finite_solution(self):
         # terminal and generator at the edge of float64: the sums of the fits overflow
@@ -202,24 +201,24 @@ class TestSolveOracles:
             solve_auxiliary(scn, clock, cfg, seed=1)
         with pytest.raises(NonFiniteSolution):
             representation_solve(scn, clock, 0.25, 0.1, 1e308, 0.0, cfg, seed=1)
-        # a law-dependent scenario stops on its means, and they overflow too
+        # a law-dependent scenario's node means overflow too
         law = ScenarioSpec(terminal=TerminalSpec(a=1e308), generator=GeneratorSpec(kappa_y=0.3), driver=BROWNIAN)
         with pytest.raises(NonFiniteSolution):
             solve_auxiliary(law, clock, cfg, seed=1)
 
     def test_affine_law_test_builds_no_particle_row(self, monkeypatch):
-        # the Picard stop of an affine law-dependent solve reads the node
-        # means the sweep already holds: no Y row is evaluated at the particles
+        # an affine law-dependent solve reads each node's law off the
+        # coefficients the sweep already holds: no Y row is evaluated at the
+        # particles
         calls = []
         polyval = solver._polyval
         monkeypatch.setattr(solver, "_polyval", lambda *args: calls.append(1) or polyval(*args))
         clock = build_clock(BROWNIAN, 17)
-        field, _ = solve_auxiliary(mean_field_scenario(BROWNIAN), clock, SolverConfig(n_time=16, n_particles=2000), seed=5)
-        assert field.n_iterations >= 2
+        solve_auxiliary(mean_field_scenario(BROWNIAN), clock, SolverConfig(n_time=16, n_particles=2000), seed=5)
         assert calls == []
 
     def test_one_normal_matrix_per_node(self, monkeypatch):
-        # the moments of every node are built once per solve and serve every sweep
+        # the moments of every node are built once per solve
         built = []
         moments = solver._moments
 
@@ -232,13 +231,11 @@ class TestSolveOracles:
         clock = build_clock(BROWNIAN, 17)
         cfg = SolverConfig(n_time=16, n_particles=2000)
         field, _ = solve_auxiliary(mean_field_scenario(BROWNIAN), clock, cfg, seed=5)
-        assert field.n_iterations >= 2
         assert built == [field.n_steps + 1]
         # a stack of two scenarios shares the normal matrices of its one draw
         built.clear()
         scn = mean_field_scenario(BROWNIAN)
         (field, _), _ = solve_auxiliary_stack([scn, shift_terminal(scn, 1.0)], clock, cfg, seed=5)
-        assert field.n_iterations >= 2
         assert built == [field.n_steps + 1]
 
     def test_step_stability_guard(self):
@@ -251,6 +248,32 @@ class TestSolveOracles:
         decay = ScenarioSpec(TerminalSpec(), GeneratorSpec(c2=-40.0), BROWNIAN)
         with pytest.raises(ValueError, match="max step"):
             representation_solve(decay, clock, 0.25, 0.5, 1.0, 0.5, SolverConfig(n_time=2, n_particles=2000), seed=1)
+
+    def test_law_divisor_guard(self):
+        # the step guard's error is named, and solve reports its margin
+        clock = build_clock(BROWNIAN, 5)
+        cfg = SolverConfig(n_time=4, n_particles=2000)
+        with pytest.raises(StepTooCoarse, match="max step"):
+            solve_auxiliary(linear_scenario(BROWNIAN, beta=5.0), clock, cfg, seed=1)
+        field, _ = solve_auxiliary(mean_field_scenario(BROWNIAN, alpha=0.3), clock, cfg, seed=1)
+        assert field.step_lipschitz == 0.25 * 0.3
+        # _solve_on_grid skips that guard, and refuses a node whose own mean
+        # Y would weigh ds * rho * kappa_y >= 1 in its Y row: its law has no
+        # solution there
+        grid_s = np.linspace(0.0, 1.0, 3)  # ds = 0.5
+
+        def solve(gen):
+            return solver._solve_on_grid([gen], lambda w_end: [1.0 + w_end], grid_s, grid_s, cfg, 1, "guard")
+
+        with pytest.raises(StepTooCoarse, match="kappa_y"):
+            solve(GeneratorSpec(kappa_y=2.0))
+        # rho = 3 from t = 0.5 on: only the second node is refused
+        with pytest.raises(StepTooCoarse, match="kappa_y"):
+            solve(GeneratorSpec(kappa_y=1.0, rho_breaks=(0.5,), rho_values=(1.0, 3.0)))
+        _, out = solve(GeneratorSpec(kappa_y=1.0, rho_breaks=(0.5,), rho_values=(1.0, 1.9)))
+        assert np.isfinite(out.mean_y).all()
+        _, out = solve(GeneratorSpec(kappa_y=-4.0))  # a negative weight leaves the divisor above 1
+        assert np.isfinite(out.mean_y).all()
 
 
 def _pairs():
@@ -290,9 +313,6 @@ class TestStackedSolves:
         stacked = solve_auxiliary_stack(scns, clock, cfg, seed=11)
         for scn, (field, cloud) in zip(scns, stacked):
             alone, alone_cloud = solve_auxiliary(scn, clock, cfg, seed=11)
-            assert field.n_iterations == alone.n_iterations
-            assert len(field.convergence) == len(alone.convergence)
-            np.testing.assert_allclose(field.convergence, alone.convergence, rtol=0, atol=1e-11)
             np.testing.assert_allclose(field.u_coeffs, alone.u_coeffs, rtol=0, atol=1e-11)
             np.testing.assert_allclose(field.v_coeffs, alone.v_coeffs, rtol=0, atol=1e-11)
             for stacked_rows, alone_rows in zip(field.on_paths(cloud.w), alone.on_paths(alone_cloud.w)):
@@ -311,20 +331,19 @@ class TestStackedSolves:
         stacked = representation_solve_stack(scns, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
         for scn, rep in zip(scns, stacked):
             alone = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
-            assert rep.n_iterations == alone.n_iterations
             for name in ("value", "std_error"):
                 assert getattr(rep, name) == pytest.approx(getattr(alone, name), rel=0, abs=1e-11)
             assert rep.n_particles == alone.n_particles
 
-    def test_non_contiguous_active_rows(self, monkeypatch):
-        # the law-free middle scenario stops first, so the later sweeps run
-        # on rows [0, 2] of the coefficient arrays
-        acts = []
+    def test_one_sweep_per_stack(self, monkeypatch):
+        # a stack runs one backward sweep for all its scenarios, law-free
+        # and law-dependent alike, and each keeps the fields of its own solve
+        passes = []
         backward_pass = solver._backward_pass
 
-        def recording_pass(gens, act, *args):
-            acts.append(act.tolist())
-            backward_pass(gens, act, *args)
+        def recording_pass(gens, mom):
+            passes.append(len(gens))
+            return backward_pass(gens, mom)
 
         monkeypatch.setattr(solver, "_backward_pass", recording_pass)
         mf = mean_field_scenario(BROWNIAN)
@@ -332,42 +351,14 @@ class TestStackedSolves:
         clock = build_clock(BROWNIAN, 17)
         cfg = SolverConfig(n_time=16, n_particles=2000)
         stacked = solve_auxiliary_stack(scns, clock, cfg, seed=11)
-        assert acts[:2] == [[0, 1, 2], [0, 2]]
+        assert passes == [3]
         for scn, (field, cloud) in zip(scns, stacked):
             alone, alone_cloud = solve_auxiliary(scn, clock, cfg, seed=11)
-            assert field.n_iterations == alone.n_iterations
             np.testing.assert_allclose(field.u_coeffs, alone.u_coeffs, rtol=0, atol=1e-11)
             np.testing.assert_allclose(field.v_coeffs, alone.v_coeffs, rtol=0, atol=1e-11)
             for stacked_rows, alone_rows in zip(field.on_paths(cloud.w), alone.on_paths(alone_cloud.w)):
                 np.testing.assert_allclose(stacked_rows, alone_rows, rtol=0, atol=1e-11)
-
-    def test_stopped_scenario_rows_freeze(self, monkeypatch):
-        # a law-free scenario stops after its first sweep; the mean-field
-        # scenario of the same stack sweeps on without touching its
-        # coefficient arrays
-        snapshots = []
-        backward_pass = solver._backward_pass
-
-        def recording_pass(gens, act, *args):
-            backward_pass(gens, act, *args)
-            out = args[-1]
-            arrays = (out.u, out.v, out.yc, out.beta, out.step0, out.mean_y, out.mean_z)
-            snapshots.append((act.tolist(), *(a[0].copy() for a in arrays)))
-
-        monkeypatch.setattr(solver, "_backward_pass", recording_pass)
-        clock = build_clock(BROWNIAN, 17)
-        cfg = SolverConfig(n_time=16, n_particles=2000)
-        (free, _), (mf, _) = solve_auxiliary_stack(
-            [identity_scenario(BROWNIAN), mean_field_scenario(BROWNIAN)], clock, cfg, seed=5
-        )
-        assert (free.n_iterations, free.convergence) == (1, (0.0,))
-        assert mf.n_iterations == len(snapshots) == 4
-        assert snapshots[0][0] == [0, 1]
-        first = snapshots[0][1:]
-        for act, *rows in snapshots[1:]:
-            assert act == [1]
-            for before, after in zip(first, rows):
-                assert np.array_equal(before, after)
+        assert passes == [3, 1, 1, 1]
 
 
 def test_on_paths_is_per_node_polyval():
