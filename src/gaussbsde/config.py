@@ -19,7 +19,9 @@ from .reporting import canonical_json, digest_payload, fmt_float
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
 from .solver import SolverConfig
 
-_DRIVER_KEYS = ("kind", "T", "hurst", "cov_grid", "cov_matrix", "covariance_file")
+_TABLE_KEYS = ("cov_grid", "cov_matrix")
+#: driver kind -> the keys it reads besides kind and T (custom: its table, or else its file)
+_DRIVER_KEYS = {"brownian": (), "fbm": ("hurst",), "custom": (*_TABLE_KEYS, "covariance_file")}
 
 
 def _fail(key: str, message: str):
@@ -140,10 +142,16 @@ def _load_covariance_file(path: Path, T: float) -> GaussianDriverSpec:
 def parse_driver(tree, path: str = "driver", base_dir: Path | None = None) -> GaussianDriverSpec:
     if not isinstance(tree, dict):
         _fail(path, "must be an object")
-    _check_keys(tree, _DRIVER_KEYS, path)
+    _check_keys(tree, ("kind", "T", *{key for keys in _DRIVER_KEYS.values() for key in keys}), path)
     kind = _get(tree, "kind", path)
-    if kind not in ("brownian", "fbm", "custom"):
+    if kind not in _DRIVER_KEYS:
         _fail(f"{path}.kind", "must be one of 'brownian', 'fbm', 'custom'")
+    # a key the kind does not read would be dropped without a trace
+    table = kind == "custom" and any(key in tree for key in _TABLE_KEYS)
+    reads = {"kind", "T", *_DRIVER_KEYS[kind]} - ({"covariance_file"} if table else set())
+    for key in sorted(set(tree) - reads):
+        where = " with an inline cov_grid/cov_matrix table" if table else ""
+        _fail(f"{path}.{key}", f"not read by a driver of kind {kind!r}{where}")
     T = _number(tree, "T", path) if "T" in tree else 1.0
     if T <= 0:
         _fail(f"{path}.T", "horizon must be positive")
@@ -154,13 +162,11 @@ def parse_driver(tree, path: str = "driver", base_dir: Path | None = None) -> Ga
         if not 0.0 < hurst < 1.0:
             _fail(f"{path}.hurst", "hurst must be in (0,1)")
         return GaussianDriverSpec.fbm(hurst, T)
-    if "cov_grid" in tree and "cov_matrix" in tree:
+    if table:
+        grid, matrix = (_get(tree, key, path) for key in _TABLE_KEYS)
         try:
             return GaussianDriverSpec(
-                kind="custom",
-                T=T,
-                cov_grid=np.asarray(tree["cov_grid"], dtype=float),
-                cov_matrix=np.asarray(tree["cov_matrix"], dtype=float),
+                kind="custom", T=T, cov_grid=np.asarray(grid, dtype=float), cov_matrix=np.asarray(matrix, dtype=float)
             )
         except (ValueError, TypeError) as exc:
             _fail(f"{path}.cov_matrix", str(exc))

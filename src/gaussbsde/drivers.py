@@ -200,7 +200,8 @@ def build_clock(spec: GaussianDriverSpec, n_nodes: int) -> VarianceClock:
 
 @dataclass(frozen=True, eq=False)
 class PathBatch:
-    """Ensemble of exact joint samples of the driver on a grid of positive times."""
+    """Ensemble of exact joint samples of the driver on a grid that starts at
+    0: column 0 is the origin, X(0) = 0."""
 
     grid_t: np.ndarray
     samples: np.ndarray  # n_paths x n_times
@@ -210,12 +211,6 @@ class PathBatch:
     @property
     def n_paths(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def with_origin(self) -> tuple[np.ndarray, np.ndarray]:
-        """(grid, samples) with the origin prepended: t = 0 and X(0) = 0."""
-        grid = np.concatenate(([0.0], self.grid_t))
-        return grid, np.concatenate([np.zeros((self.n_paths, 1)), self.samples], axis=1)
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
@@ -232,7 +227,9 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
 
 
 def sample_paths(spec: GaussianDriverSpec, grid_t: np.ndarray, n_paths: int, seed: int) -> PathBatch:
-    """Exact Gaussian sampling by Cholesky factorization of the covariance matrix.
+    """Exact Gaussian sampling by Cholesky factorization of the covariance
+    matrix at the positive times of ``grid_t``, a grid that starts at 0 (a
+    clock's ``grid_t`` as it is); column 0 of the samples is the origin.
 
     Deterministic given the seed; independent of path ordering (one
     counter-based stream keyed by the seed).
@@ -240,11 +237,13 @@ def sample_paths(spec: GaussianDriverSpec, grid_t: np.ndarray, n_paths: int, see
     grid_t = np.asarray(grid_t, dtype=float)
     if grid_t.ndim != 1 or grid_t.size == 0:
         raise ValueError("grid_t must be a nonempty 1-d array")
-    if not (np.all(np.diff(grid_t) > 0) and grid_t[0] > 0 and grid_t[-1] <= spec.T + _DOMAIN_TOL):
-        raise ValueError("grid must be strictly increasing inside (0, T]")
+    if not (abs(grid_t[0]) <= _DOMAIN_TOL and np.all(np.diff(grid_t) > 0) and grid_t[-1] <= spec.T + _DOMAIN_TOL):
+        raise ValueError("grid must start at 0 and be strictly increasing inside [0, T]")
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    cov = covariance(spec, grid_t[:, None], grid_t[None, :])
-    chol = _cholesky_with_jitter(cov)
-    z = standard_normals(seed, (n_paths, grid_t.size), "driver-paths")
-    return PathBatch(grid_t=grid_t, samples=z @ chol.T, seed=seed, driver=spec)
+    times = grid_t[1:]
+    chol = _cholesky_with_jitter(covariance(spec, times[:, None], times[None, :]))
+    z = standard_normals(seed, (n_paths, times.size), "driver-paths")
+    samples = np.zeros((n_paths, grid_t.size))
+    np.matmul(z, chol.T, out=samples[:, 1:])
+    return PathBatch(grid_t=grid_t, samples=samples, seed=seed, driver=spec)

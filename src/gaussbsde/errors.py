@@ -51,7 +51,8 @@ class DegenerateInterval(GaussBsdeError):
 
 
 class NonFiniteSolution(GaussBsdeError):
-    """A backward sweep produced a non-finite value or regression coefficient."""
+    """A backward sweep produced a non-finite value or regression coefficient,
+    or a check's own arithmetic overflowed (a closed form, an entropy)."""
 
 
 # --- Wick layer -------------------------------------------------------------

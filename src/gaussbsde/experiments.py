@@ -98,16 +98,17 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
     field, cloud = solve_auxiliary(scn, clock, cfg.solver, cfg.seed)
 
     g_vals = terminal_on_paths(scn.terminal, cloud.w[:, -1])
-    terminal_residual = float(np.max(np.abs(field.eval_u(field.n_steps, cloud.w[:, -1]) - g_vals)))
+    terminal_residual = float(np.max(np.abs(transfer_evaluate(field, clock.T, cloud.w[:, -1])[0] - g_vals)))
 
     tags = [f"q{int(round(q * 100)):02d}" for q in _QUANTILES]
     normal_quantiles = np.array([NormalDist().inv_cdf(q) for q in _QUANTILES])
+    # the states at the quantiles of N(0, V_t) at every node (+ 0.0: no -0.0 at t = 0)
+    x = np.outer(normal_quantiles, np.sqrt(field.grid_s)) + 0.0
+    y_vals, z_vals = field.on_paths(x)
+    z_vals = np.column_stack([z_vals, transfer_evaluate(field, clock.T, x[:, -1])[1]])  # Z at T: the last cell's
     rows = []
-    for t, v in zip(field.grid_t, field.grid_s):
-        # the states at the quantiles of the time-t law N(0, V_t), all at once
-        x = normal_quantiles * np.sqrt(v) if v > 0 else np.zeros(len(_QUANTILES))
-        y_vals, z_vals = transfer_evaluate(field, float(t), x)
-        rows.extend((float(t), float(v), tag, y, z) for tag, y, z in zip(tags, y_vals.tolist(), z_vals.tolist()))
+    for i, (t, v) in enumerate(zip(field.grid_t.tolist(), field.grid_s.tolist())):
+        rows.extend((t, v, tag, y, z) for tag, y, z in zip(tags, y_vals[:, i].tolist(), z_vals[:, i].tolist()))
     series_path = out_dir / "series" / f"{name}__solution.csv"
     series_path.parent.mkdir(parents=True, exist_ok=True)
     write_series_csv(series_path, ["t", "V_t", "x_quantile_tag", "Y", "Z"], rows)
@@ -145,7 +146,7 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
     driver = cfg.driver
     clock = build_clock(driver, cfg.solver.n_time + 1)
     n_paths = int(cfg.params.get("n_paths", 20000))
-    paths = sample_paths(driver, clock.grid_t[1:], n_paths, derived_seed(cfg.seed, "wick-paths"))
+    paths = sample_paths(driver, clock.grid_t, n_paths, derived_seed(cfg.seed, "wick-paths"))
     h_list = _default_h_functions(driver.T)
     weights = [wick_exponential_weights(h, paths) for h in h_list]
     ones = np.ones(n_paths)
@@ -165,7 +166,7 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
         for k, (h, h_weights) in enumerate(zip(h_list, weights)):
             for node in (clock.grid_t.size // 2, clock.grid_t.size - 1):
                 t_node = float(clock.grid_t[node])
-                res = s_transform_mc(paths.samples[:, node - 1], h_weights)
+                res = s_transform_mc(paths.samples[:, node], h_weights)
                 expected = h.value(t_node, clock)
                 within = abs(res.value - expected) <= 3.0 * res.std_error
                 ok = ok and within

@@ -87,7 +87,6 @@ from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .drivers import VarianceClock
 from .errors import (
@@ -149,8 +148,8 @@ class ParticleCloud:
 
 def _polyval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] x**k by Horner's rule, each coeffs[k] broadcasting
-    against x: the multiply-adds of ``npoly.polyval``, so its values bit for
-    bit, for any number of polynomials at once."""
+    against x, for any number of polynomials at once: numpy's ``polyval`` bit
+    for bit, and the one evaluator of a solution field."""
     out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(coeffs[0])))
     out[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
@@ -182,19 +181,10 @@ class SolutionField:
     def n_steps(self) -> int:
         return len(self.grid_s) - 1
 
-    def eval_u(self, i: int, x):
-        out = npoly.polyval(np.asarray(x, dtype=float) / self.scales[i], self.u_coeffs[i])
-        return float(out) if np.ndim(out) == 0 else out
-
-    def eval_v(self, i: int, x):
-        i = min(i, self.n_steps - 1)
-        out = npoly.polyval(np.asarray(x, dtype=float) / self.scales[i], self.v_coeffs[i])
-        return float(out) if np.ndim(out) == 0 else out
-
     def on_paths(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Y, Z) on an (n, N+1) array of states at the grid nodes; Z has one
         column per cell.  Every node is evaluated in one Horner pass, column
-        i with node i's coefficients: the values of ``eval_u``/``eval_v``."""
+        i with node i's coefficients, as ``transfer_evaluate`` reads a node."""
         scaled = np.asarray(x, dtype=float) / self.scales
         return _polyval(scaled, self.u_coeffs.T), _polyval(scaled[:, :-1], self.v_coeffs.T)
 
@@ -618,25 +608,24 @@ def solve_auxiliary(
 
 
 def transfer_evaluate(field: SolutionField, t: float, x) -> tuple:
-    """(Y, Z) at original time t and state x: Y from the clock-time field with
-    linear blending between nodes, Z from the left node (dV-a.e. convention)."""
+    """(Y, Z) at original time t and state x (floats for a scalar x): Y blended
+    linearly between nodes, Z from the left node (dV-a.e. convention)."""
     s = field.clock.value(t)
     grid_s = field.grid_s
     if s < grid_s[0] - 1e-12 or s > grid_s[-1] + 1e-12:
         raise OutOfRange(f"clock value {s} outside [{grid_s[0]}, {grid_s[-1]}]")
     j = int(np.searchsorted(grid_s, s, side="right")) - 1
     j = max(0, min(j, field.n_steps))
+    x = np.asarray(x, dtype=float)
     if j == field.n_steps or abs(s - grid_s[j]) <= 1e-12:
-        y_val = field.eval_u(j, x)
+        y_val = _polyval(x / field.scales[j], field.u_coeffs[j])
     else:
         lam = (s - grid_s[j]) / (grid_s[j + 1] - grid_s[j])
-        y_val = (1.0 - lam) * np.asarray(field.eval_u(j, x)) + lam * np.asarray(
-            field.eval_u(j + 1, x)
-        )
-        if np.ndim(y_val) == 0:
-            y_val = float(y_val)
-    z_val = field.eval_v(min(j, field.n_steps - 1), x)
-    return y_val, z_val
+        y_j, y_next = (_polyval(x / field.scales[i], field.u_coeffs[i]) for i in (j, j + 1))
+        y_val = (1.0 - lam) * y_j + lam * y_next
+    i = min(j, field.n_steps - 1)  # at T, the last cell's field
+    z_val = _polyval(x / field.scales[i], field.v_coeffs[i])
+    return (float(y_val), float(z_val)) if x.ndim == 0 else (y_val, z_val)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ are byte-identical across reruns with the same configuration and seed.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from .drivers import GaussianDriverSpec, VarianceClock, build_clock, sample_path
 from .errors import (
     HypothesisUnobserved,
     HypothesisUnsatisfied,
+    NonFiniteSolution,
     UnsupportedScenario,
 )
 from .measures import GaussianLaw1D, LawFeatures, entropy_functional, gaussian_kl, gaussian_w2
@@ -44,6 +46,7 @@ from .solver import (
 _EXACT_TOL = 1e-12
 _REPRESENTATION_REL_TOL = 0.05  # final |A - f| allowed, relative to 1 + |f|
 _Z_BOUND_SLACK = 0.05  # the Z bound's relative slack
+_QUADRATURE_TOL = 1e-6  # the LSI entropies' quadrature error, relative to max(1, |entropy|)
 
 
 @dataclass(frozen=True)
@@ -163,17 +166,11 @@ def comparison_check(
             field for field, _ in solve_auxiliary_stack([scn1, scn2], grid, cfg, seed)
         )
 
-    pos_t = sorted({t for t in t_list if t > 0})
-    paths = sample_paths(scn1.driver, np.asarray(pos_t), cfg.n_particles, derived_seed(seed, "cmp-eval")) if pos_t else None
-
-    def states_at(t):
-        if t <= 0:
-            return np.zeros(cfg.n_particles)
-        return paths.samples[:, pos_t.index(t)]
-
+    grid_t = sorted({0.0, *t_list})
+    paths = sample_paths(scn1.driver, grid_t, cfg.n_particles, derived_seed(seed, "cmp-eval"))
     # Y of every field at every time, evaluated once for both loops below
     y_at = {
-        (name, t): np.asarray(transfer_evaluate(field, t, states_at(t))[0])
+        (name, t): transfer_evaluate(field, t, paths.samples[:, grid_t.index(t)])[0]
         for name, field in fields.items()
         for t in t_list
     }
@@ -353,23 +350,20 @@ def converse_comparison_check(
 def _stability_ratio(scn1, scn2, cfg, n_time, seed):
     clock = build_clock(scn1.driver, n_time + 1)
     f1, f2 = (field for field, _ in solve_auxiliary_stack([scn1, scn2], clock, cfg, seed))
-    paths = sample_paths(
-        scn1.driver, clock.grid_t[1:], cfg.n_particles, derived_seed(seed, "stability-eval", n_time)
-    )
-    _, x_full = paths.with_origin
+    x = sample_paths(scn1.driver, clock.grid_t, cfg.n_particles, derived_seed(seed, "stability-eval", n_time)).samples
     # both fields share the grid, so their gap is the field of the coefficient gaps
     gap = replace(f1, u_coeffs=f1.u_coeffs - f2.u_coeffs, v_coeffs=f1.v_coeffs - f2.v_coeffs)
-    dy, dz = gap.on_paths(x_full)
+    dy, dz = gap.on_paths(x)
     dv = np.diff(clock.grid_V)
 
     lhs = float(np.mean(np.max(dy ** 2, axis=1) + (dz ** 2 * dv).sum(axis=1)))
 
-    g1, g2 = (terminal_on_paths(scn.terminal, x_full[:, -1]) for scn in (scn1, scn2))
+    g1, g2 = (terminal_on_paths(scn.terminal, x[:, -1]) for scn in (scn1, scn2))
     f_gap = 0.0  # exactly, for equal generators
     if scn1.generator != scn2.generator:
         # both generators along the first solution
-        y1, z1 = f1.on_paths(x_full)
-        fdv1, fdv2 = (generator_dv_on_paths(scn.generator, clock, x_full, y1, z1) for scn in (scn1, scn2))
+        y1, z1 = f1.on_paths(x)
+        fdv1, fdv2 = (generator_dv_on_paths(scn.generator, clock, x, y1, z1) for scn in (scn1, scn2))
         f_gap = np.abs(fdv1 - fdv2).sum(axis=1) ** 2
     rhs = float(np.mean((g1 - g2) ** 2 + f_gap))
     return lhs, rhs
@@ -449,6 +443,16 @@ def _gaussian_family(scn: ScenarioSpec, t: float, cfg: SolverConfig, seed: int):
     return (clock, law, *transport_constants(audit.l_g, audit.l_f, clock, t))
 
 
+@contextmanager
+def _overflow_named(what: str):
+    """An overflow in a check's own arithmetic, raised as ``NonFiniteSolution``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise NonFiniteSolution(f"non-finite value in {what}: {exc.args[-1]}") from None
+
+
 def t2_check(scn: ScenarioSpec, t: float, shift_list, cfg: SolverConfig, seed: int = 0) -> TheoremReport:
     """Quadratic transportation inequality on the closed-form Gaussian family.
 
@@ -462,21 +466,22 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, cfg: SolverConfig, seed: i
     rows = []
     ok = True
     for m in shift_list:
-        shifted = GaussianLaw1D(mean=law.mean + float(m), variance=law.variance)
-        w2 = gaussian_w2(law, shifted)
-        h = gaussian_kl(shifted, law)
-        satisfied = w2 ** 2 <= c_tr * h + _EXACT_TOL
+        with _overflow_named(f"t2 at shift {float(m)!r}"):
+            shifted = GaussianLaw1D(mean=law.mean + float(m), variance=law.variance)
+            w2 = gaussian_w2(law, shifted)
+            h = gaussian_kl(shifted, law)
+            satisfied = w2 ** 2 <= c_tr * h + _EXACT_TOL
+            rows.append(
+                {
+                    "shift": float(m),
+                    "w2_squared": w2 ** 2,
+                    "relative_entropy": h,
+                    "ratio_quadratic": (w2 ** 2 / h) if h > 0 else 0.0,
+                    "ratio_definitional": (w2 / math.sqrt(h)) if h > 0 else 0.0,
+                    "satisfied": satisfied,
+                }
+            )
         ok = ok and satisfied
-        rows.append(
-            {
-                "shift": float(m),
-                "w2_squared": w2 ** 2,
-                "relative_entropy": h,
-                "ratio_quadratic": (w2 ** 2 / h) if h > 0 else 0.0,
-                "ratio_definitional": (w2 / math.sqrt(h)) if h > 0 else 0.0,
-                "satisfied": satisfied,
-            }
-        )
 
     report_only = clock.V_T > 1.0 + _EXACT_TOL
     sharp = 2.0 * law.variance
@@ -506,7 +511,7 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, cfg: SolverConfig, seed: i
 def lsi_check(scn: ScenarioSpec, t: float, lambda_list, cfg: SolverConfig, seed: int = 0) -> TheoremReport:
     """Log-Sobolev inequality on the Gaussian family with the exponential test
     family f_lam(x) = exp(lam x / 2); entropies are cross-checked by
-    quadrature."""
+    quadrature, to a relative error of 1e-6 (absolute below an entropy of 1)."""
     _, law, _, c_ls = _gaussian_family(scn, t, cfg, seed)
 
     m, s2 = law.mean, law.variance
@@ -515,15 +520,16 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, cfg: SolverConfig, seed:
     max_quad_error = 0.0
     for lam in lambda_list:
         lam = float(lam)
-        mgf = math.exp(lam * m + 0.5 * lam ** 2 * s2)
-        ent_exact = 0.5 * lam ** 2 * s2 * mgf
-        dirichlet = 0.25 * lam ** 2 * mgf
-        ent_quad = entropy_functional(law, lambda x, _l=lam: np.exp(_l * x))
+        with _overflow_named(f"lsi at lambda {lam!r}"):
+            mgf = math.exp(lam * m + 0.5 * lam ** 2 * s2)
+            ent_exact = 0.5 * lam ** 2 * s2 * mgf
+            dirichlet = 0.25 * lam ** 2 * mgf
+            ent_quad = entropy_functional(law, lambda x, _l=lam: np.exp(_l * x))
         quad_err = abs(ent_quad - ent_exact)
         max_quad_error = max(max_quad_error, quad_err)
         ratio = ent_exact / dirichlet if dirichlet > 0 else 0.0
         satisfied = ent_exact <= c_ls * dirichlet + _EXACT_TOL
-        ok = ok and satisfied and quad_err <= 1e-6
+        ok = ok and satisfied and quad_err <= _QUADRATURE_TOL * max(1.0, abs(ent_exact))
         rows.append(
             {
                 "lambda": lam,
@@ -547,7 +553,7 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, cfg: SolverConfig, seed:
             "max_quadrature_error": max_quad_error,
             "lambdas": rows,
         },
-        tolerances={"quadrature_error": 1e-6, "ratio_vs_c": _EXACT_TOL},
+        tolerances={"quadrature_error": _QUADRATURE_TOL, "ratio_vs_c": _EXACT_TOL},
         std_errors={},
         seed=seed,
     )

@@ -130,8 +130,8 @@ def _wick_corrections(driver: GaussianDriverSpec, grid: np.ndarray) -> np.ndarra
 def _wick_cells(coeffs: np.ndarray, paths: PathBatch) -> np.ndarray:
     """(n, N) products v(t_i, X_{t_i}) <> (X_{t_{i+1}} - X_{t_i}) along the
     paths, for raw-x coefficient rows ``coeffs`` (one per cell)."""
-    grid, x = paths.with_origin
-    return wick_product_first_chaos(coeffs, x[:, :-1], np.diff(x, axis=1), _wick_corrections(paths.driver, grid))
+    x = paths.samples
+    return wick_product_first_chaos(coeffs, x[:, :-1], np.diff(x, axis=1), _wick_corrections(paths.driver, paths.grid_t))
 
 
 def _check_grid_alignment(grid_a: np.ndarray, grid_b: np.ndarray):
@@ -143,8 +143,7 @@ def riemann_wick_integral(
     integrand: FirstChaosIntegrand, paths: PathBatch, clock: VarianceClock
 ) -> np.ndarray:
     """Per-path Riemann-Wick sum of v(t_i, X_{t_i}) <> dX over all grid cells."""
-    # the grid alone: ``with_origin`` would copy every path to build it
-    _check_grid_alignment(np.concatenate(([0.0], paths.grid_t)), integrand.grid_t)
+    _check_grid_alignment(paths.grid_t, integrand.grid_t)
     _check_grid_alignment(integrand.grid_t, clock.grid_t)
     return _wick_cells(integrand.coeffs, paths).sum(axis=1)
 
@@ -169,8 +168,8 @@ def bsde_residual(
     field: SolutionField, scn: ScenarioSpec, paths: PathBatch, clock: VarianceClock
 ) -> ResidualStats:
     """R_t = u(t, X_t) - g(X_T, .) - sum f dV + RiemannWick(v) over [t, T]."""
-    path_grid, x = paths.with_origin
-    _check_grid_alignment(path_grid, clock.grid_t)
+    x = paths.samples
+    _check_grid_alignment(paths.grid_t, clock.grid_t)
     _check_grid_alignment(clock.grid_t, field.grid_t)
     u_vals, v_vals = field.on_paths(x)
     g_vals = terminal_on_paths(scn.terminal, x[:, -1])
@@ -201,12 +200,10 @@ def wick_exponential_weights(h: StepFunctionH, paths: PathBatch) -> np.ndarray:
     a valid first-chaos test direction whose induced h may differ from the
     nominal density.
     """
-    grid, x_full = paths.with_origin
+    grid = paths.grid_t
     hdot_left = np.asarray(h.hdot(grid[:-1]))
-    dx = np.diff(x_full, axis=1)
-    i_h = dx @ hdot_left
-    inc_cov = _increment_covariance(paths.driver, grid)
-    var_exact = float(hdot_left @ inc_cov @ hdot_left)
+    i_h = np.diff(paths.samples, axis=1) @ hdot_left
+    var_exact = float(hdot_left @ _increment_covariance(paths.driver, grid) @ hdot_left)
     return np.exp(i_h - 0.5 * var_exact)
 
 
@@ -247,12 +244,12 @@ def s_transform_factorization_check(
     """Compare S(p(X_i) <> dX_i) with S(p(X_i)) * S(dX_i) under one Wick
     exponential, given by its ``wick_exponential_weights`` on ``paths``; the
     standard error of the gap uses the delta method on the joint samples."""
-    grid, x_full = paths.with_origin
+    grid, x = paths.grid_t, paths.samples
     i = cell_index
     if not 0 <= i < grid.size - 1:
         raise ValueError("cell_index outside the grid")
-    x_i = x_full[:, i]
-    dx_i = x_full[:, i + 1] - x_full[:, i]
+    x_i = x[:, i]
+    dx_i = x[:, i + 1] - x[:, i]
     correction = _wick_corrections(paths.driver, grid[i : i + 2])[0]
     wick_samples = wick_product_first_chaos(poly_coeffs, x_i, dx_i, correction)
 

@@ -107,7 +107,7 @@ class TestAcceptance:
         # (a) factorization gate on the fbm driver, degrees <= 4, three h's
         fbm = GaussianDriverSpec.fbm(0.7, 1.0)
         clock_f = build_clock(fbm, 33)
-        paths_f = sample_paths(fbm, clock_f.grid_t[1:], 100_000, SEED)
+        paths_f = sample_paths(fbm, clock_f.grid_t, 100_000, SEED)
         h_list = [
             StepFunctionH(edges=np.array([0.0, 1.0]), values=np.array([1.0])),
             StepFunctionH(edges=np.array([0.0, 0.5, 1.0]), values=np.array([1.0, -1.0])),
@@ -125,7 +125,7 @@ class TestAcceptance:
 
         # (b) int X dX on the Brownian driver: mean (3 sigma) and variance (5%)
         clock_b = build_clock(BROWNIAN, 129)
-        paths_b = sample_paths(BROWNIAN, clock_b.grid_t[1:], 100_000, SEED + 1)
+        paths_b = sample_paths(BROWNIAN, clock_b.grid_t, 100_000, SEED + 1)
         rows = np.tile(np.array([0.0, 1.0]), (128, 1))
         integral = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock_b.grid_t, rows), paths_b, clock_b)
         closed = 0.5 * (paths_b.samples[:, -1] ** 2 - 1.0)
@@ -144,7 +144,7 @@ class TestAcceptance:
         for n_time in (32, 64, 128):
             clock = build_clock(BROWNIAN, n_time + 1)
             field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=n_time, n_particles=20000), SEED)
-            paths = sample_paths(BROWNIAN, clock.grid_t[1:], n_paths, SEED + 2)
+            paths = sample_paths(BROWNIAN, clock.grid_t, n_paths, SEED + 2)
             stats = bsde_residual(field, scn, paths, clock)
             rms.append(stats.rms)
             # delta method on the mean of R^2 with Gaussian-scale fourth moment

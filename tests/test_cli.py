@@ -251,6 +251,24 @@ class TestConfigParsing:
         again = parse_config_payload(json.loads(emit_config(cfg)), base_dir=path.parent)
         assert again.digest == cfg.digest
 
+    @pytest.mark.parametrize(
+        "driver, key",
+        [
+            # a key the driver's kind does not read is refused, not dropped
+            ({"kind": "brownian", "T": 1.0, "hurst": 0.3}, "driver.hurst"),
+            (dict(FBM, cov_grid=[0.5, 1.0]), "driver.cov_grid"),
+            (dict(CUSTOM, covariance_file="cov.csv"), "driver.covariance_file"),
+            ({"kind": "custom", "T": 1.0, "hurst": 0.7, "covariance_file": "cov.csv"}, "driver.hurst"),
+            # half an inline table names its missing half
+            ({"kind": "custom", "T": 1.0, "cov_grid": [0.5, 1.0]}, "driver.cov_matrix"),
+            ({"kind": "custom", "T": 1.0, "cov_matrix": [[0.5, 0.5], [0.5, 1.0]]}, "driver.cov_grid"),
+        ],
+    )
+    def test_driver_keys_its_kind_does_not_read(self, tmp_path, capsys, driver, key):
+        path = write_config(tmp_path, dict(BASE_CONFIG, driver=driver))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
     def test_missing_seed(self, tmp_path):
         tree = {k: v for k, v in BASE_CONFIG.items() if k != "seed"}
         with pytest.raises(ConfigInvalid, match="seed"):
@@ -397,6 +415,47 @@ class TestCliRun:
         assert cli.returncode == 1
         assert "non-finite" in cli.stderr
         assert "RuntimeWarning" not in cli.stderr
+
+    @pytest.mark.parametrize(
+        "kind, params, where",
+        [
+            # exp(lambda^2 / 2) past float64, and a shift whose square is
+            ("lsi", {"t": 1.0, "lambda_list": [100.0]}, "lsi at lambda 100.0"),
+            ("t2", {"t": 1.0, "shift_list": [1e155]}, "t2 at shift 1e+155"),
+        ],
+    )
+    def test_check_overflow_exit_one_no_manifest(self, tmp_path, capsys, kind, params, where):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, kind_config(kind, params))
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: non-finite value in {where}: ")
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "t_list, measurements",
+        [
+            # the origin alone, where every path starts
+            (
+                [0.0],
+                '{"delta":2.00322425314e-10,"max_violation_fraction":0,'
+                '"scheme_error_estimate":6.67741417715e-11,"t_list":[0],"violation_fraction":[0]}',
+            ),
+            (
+                [1.0, 0.5],
+                '{"delta":0.104551238734,"max_violation_fraction":0,'
+                '"scheme_error_estimate":0.0348504129115,"t_list":[1,0.5],"violation_fraction":[0,0]}',
+            ),
+        ],
+    )
+    def test_comparison_report_pinned(self, tmp_path, t_list, measurements):
+        tree = dict(
+            kind_config("comparison", {"t_list": t_list}),
+            scenario_2={"terminal": {"a": 0.5, "b": 1.0}, "generator": {"c0": 1.0}},
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, tree)), "--out", str(out), "--quiet"]) == 0
+        report = json.loads(next((out / "reports").glob("*_comparison.json")).read_text())
+        assert canonical_json(report["measurements"]) == measurements
 
     def test_check_failure_exit_two(self, tmp_path, monkeypatch):
         import gaussbsde.experiments as experiments

@@ -1,7 +1,7 @@
-"""The README's configuration schema against the code it documents: the kind
-table against ``experiments.KINDS``, the param value table against
-``config._PARAM_CHECKS`` and the schema's solver section against
-``SolverConfig``."""
+"""The README against the code it documents: the kind table against
+``experiments.KINDS``, the param value table against
+``config._PARAM_CHECKS``, the schema's solver section against
+``SolverConfig``, and the library example, which is run."""
 
 import json
 import re
@@ -36,6 +36,16 @@ def test_param_table_matches_param_checks():
     assert set(rows) == set(_PARAM_CHECKS)
     for key, (_, message) in _PARAM_CHECKS.items():
         assert rows[key] == message.removeprefix("must be "), key
+
+
+def test_library_entry_points_run():
+    block = README.split("## Library entry points\n")[1].split("```python\n")[1].split("```")[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    clock, paths = namespace["clock"], namespace["paths"]
+    assert paths.samples.shape == (100_000, clock.grid_t.size)
+    assert isinstance(namespace["y"], float) and isinstance(namespace["z"], float)
+    assert namespace["report"].passed
 
 
 def test_schema_solver_section_matches_solver_config():

@@ -151,7 +151,7 @@ class TestSolveOracles:
         field, cloud = solve_auxiliary(scn, clock, SolverConfig(n_time=16, n_particles=8000), seed=6)
         w = cloud.w[:, -1]
         central = np.abs(w) <= 2.33 * np.std(w)
-        fitted = field.eval_u(field.n_steps, w[central])
+        fitted, _ = transfer_evaluate(field, 1.0, w[central])
         exact = 2 * w[central] + np.sin(w[central])
         # degree-4 weighted-L2 fit of the sin part truncates its Hermite tail:
         # RMS ~ 0.04, edge error under 0.15 on the central support
@@ -361,13 +361,40 @@ class TestStackedSolves:
         assert passes == [3, 1, 1, 1]
 
 
+def _node_field(coeffs, scales, w, i):
+    """Row i of a field at the states w, in node i's variable, by numpy's polyval."""
+    return npoly.polyval(w / scales[i], coeffs[i])
+
+
 def test_on_paths_is_per_node_polyval():
     # one Horner pass over every node makes the multiply-adds of polyval
     scn = ScenarioSpec(TerminalSpec(b=2.0, phi="sin", c=1.0), GeneratorSpec(c2=0.3, kappa_y=0.2), BROWNIAN)
     field, cloud = solve_auxiliary(scn, build_clock(BROWNIAN, 17), SolverConfig(n_time=16, n_particles=2000), seed=6)
     y, z = field.on_paths(cloud.w)
-    assert np.array_equal(y, np.column_stack([field.eval_u(i, cloud.w[:, i]) for i in range(field.n_steps + 1)]))
-    assert np.array_equal(z, np.column_stack([field.eval_v(i, cloud.w[:, i]) for i in range(field.n_steps)]))
+    nodes = range(field.n_steps + 1)
+    assert np.array_equal(y, np.column_stack([_node_field(field.u_coeffs, field.scales, cloud.w[:, i], i) for i in nodes]))
+    assert np.array_equal(z, np.column_stack([_node_field(field.v_coeffs, field.scales, cloud.w[:, i], i) for i in nodes[:-1]]))
+
+
+@pytest.mark.parametrize("driver", [BROWNIAN, GaussianDriverSpec.fbm(0.3, 1.0)], ids=["brownian", "fbm"])
+def test_transfer_evaluate_at_the_nodes_is_on_paths(driver):
+    # at a node, the transfer reads the node's own field with no blending:
+    # bit for bit the column of on_paths, Z at T being the last cell's field
+    scn = ScenarioSpec(TerminalSpec(b=2.0, phi="sin", c=1.0), GeneratorSpec(c2=0.3, kappa_y=0.2), driver)
+    clock = build_clock(driver, 17)
+    field, cloud = solve_auxiliary(scn, clock, SolverConfig(n_time=16, n_particles=2000), seed=6)
+    y, z = field.on_paths(cloud.w)
+    for i, t in enumerate(clock.grid_t):
+        y_i, z_i = transfer_evaluate(field, float(t), cloud.w[:, i])
+        assert np.array_equal(y_i, y[:, i])
+        if i < field.n_steps:
+            assert np.array_equal(z_i, z[:, i])
+        else:
+            assert np.array_equal(z_i, _node_field(field.v_coeffs, field.scales, cloud.w[:, i], i - 1))
+        # a scalar state gives floats, the same values
+        y0, z0 = transfer_evaluate(field, float(t), cloud.w[0, i])
+        assert (type(y0), type(z0)) == (float, float)
+        assert (y0, z0) == (y_i[0], z_i[0])
 
 
 def test_paths_running_sum_is_cumsum():

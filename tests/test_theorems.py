@@ -300,6 +300,17 @@ class TestGaussianFamilyChecks:
         assert report.passed
         assert report.measurements["lambdas"][0]["ratio"] == pytest.approx(0.5, abs=1e-10)
 
+    def test_lsi_quadrature_error_relative_to_the_entropy(self):
+        # at lambda = 10 the entropy is 50 e^50 = 2.6e23 and the quadrature
+        # agrees to 1e-15 relative, an absolute error far above 1e-6
+        scn = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(), BROWNIAN)
+        report = lsi_check(scn, 1.0, [10.0], SMALL, seed=29)
+        row = report.measurements["lambdas"][0]
+        assert row["entropy_exact"] == pytest.approx(50.0 * np.exp(50.0), rel=1e-12)
+        assert report.measurements["max_quadrature_error"] > 1.0
+        assert report.measurements["max_quadrature_error"] <= 1e-6 * row["entropy_exact"]
+        assert report.passed
+
     def test_lsi_with_drifted_family(self):
         scn = ScenarioSpec(TerminalSpec(a=0.5, b=2.0), GeneratorSpec(c0=0.3, c2=-0.4), BROWNIAN)
         report = lsi_check(scn, 0.5, [0.5, 1.0], SMALL, seed=28)

@@ -26,7 +26,7 @@ FBM07 = GaussianDriverSpec.fbm(0.7, 1.0)
 
 def make_paths(spec, n_time, n_paths, seed):
     clock = build_clock(spec, n_time + 1)
-    return clock, sample_paths(spec, clock.grid_t[1:], n_paths, seed)
+    return clock, sample_paths(spec, clock.grid_t, n_paths, seed)
 
 
 def full_h(T=1.0):
@@ -45,8 +45,8 @@ class TestWickProduct:
         # independent increments: E[X_t dX] = 0, so the product is plain
         clock, paths = make_paths(BROWNIAN, 16, 1000, seed=1)
         i = 8
-        x = paths.samples[:, i - 1]
-        dx = paths.samples[:, i] - paths.samples[:, i - 1]
+        x = paths.samples[:, i]
+        dx = paths.samples[:, i + 1] - paths.samples[:, i]
         correction = covariance(BROWNIAN, clock.grid_t[i], clock.grid_t[i + 1]) - covariance(
             BROWNIAN, clock.grid_t[i], clock.grid_t[i]
         )
@@ -58,8 +58,8 @@ class TestWickProduct:
         clock, paths = make_paths(FBM07, 16, 100_000, seed=2)
         i = 8
         t_i, t_next = clock.grid_t[i], clock.grid_t[i + 1]
-        x = paths.samples[:, i - 1]
-        dx = paths.samples[:, i] - x
+        x = paths.samples[:, i]
+        dx = paths.samples[:, i + 1] - x
         out = wick_product_first_chaos(
             np.array([0.0, 1.0]), x, dx, covariance(FBM07, t_i, t_next) - covariance(FBM07, t_i, t_i)
         )
@@ -111,8 +111,8 @@ class TestRiemannWick:
         rows = np.tile(np.array([0.0, 1.0]), (32, 1))
         integrand = FirstChaosIntegrand.from_rows(clock.grid_t, rows)
         out = riemann_wick_integral(integrand, paths, clock)
-        x_full = np.concatenate([np.zeros((2000, 1)), paths.samples], axis=1)
-        forward = np.sum(x_full[:, :-1] * np.diff(x_full, axis=1), axis=1)
+        x = paths.samples
+        forward = np.sum(x[:, :-1] * np.diff(x, axis=1), axis=1)
         np.testing.assert_allclose(out, forward, atol=1e-12)
 
     def test_constant_integrand_grid_invariance(self):
@@ -130,7 +130,7 @@ class TestRiemannWick:
         clock, paths = make_paths(spec, 16, 500, seed=19)
         rows = np.random.default_rng(20).normal(size=(16, 4))
         out = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, rows), paths, clock)
-        grid, x = paths.with_origin
+        grid, x = paths.grid_t, paths.samples
         reference = np.zeros(paths.n_paths)
         for i in range(16):
             correction = covariance(spec, grid[i], grid[i + 1]) - covariance(spec, grid[i], grid[i])
@@ -162,7 +162,7 @@ class TestSTransform:
         for h in (full_h(), StepFunctionH(edges=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, -1.0]))):
             weights = wick_exponential_weights(h, paths)
             for node in (16, 32):
-                res = s_transform_mc(paths.samples[:, node - 1], weights)
+                res = s_transform_mc(paths.samples[:, node], weights)
                 expected = h.value(float(clock.grid_t[node]), clock)
                 assert abs(res.value - expected) <= 3 * res.std_error
 
@@ -186,9 +186,8 @@ class TestSTransform:
         _, paths = make_paths(FBM07, 32, 100_000, seed=11)
         h = full_h()
         i = 16
-        grid = np.concatenate(([0.0], paths.grid_t))
-        x_i = paths.samples[:, i - 1]
-        dx_i = paths.samples[:, i] - x_i
+        x_i = paths.samples[:, i]
+        dx_i = paths.samples[:, i + 1] - x_i
         weights = wick_exponential_weights(h, paths)
         a = (x_i * dx_i) * weights  # no correction term
         b = x_i * weights
@@ -203,7 +202,7 @@ class TestBsdeResidual:
         scn = identity_scenario(BROWNIAN)
         clock = build_clock(BROWNIAN, 17)
         field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=16, n_particles=4000), seed=12)
-        paths = sample_paths(BROWNIAN, clock.grid_t[1:], 2000, seed=13)
+        paths = sample_paths(BROWNIAN, clock.grid_t, 2000, seed=13)
         stats = bsde_residual(field, scn, paths, clock)
         assert np.max(stats.rms) < 0.01
 
@@ -215,7 +214,7 @@ class TestBsdeResidual:
             field, _ = solve_auxiliary(
                 scn_base, clock, SolverConfig(n_time=n_time, n_particles=20000), seed=14
             )
-            paths = sample_paths(BROWNIAN, clock.grid_t[1:], 20000, seed=15)
+            paths = sample_paths(BROWNIAN, clock.grid_t, 20000, seed=15)
             stats = bsde_residual(field, scn_base, paths, clock)
             rms_at_0.append(float(stats.rms[0]))
         assert rms_at_0[1] <= rms_at_0[0] + 2 * 1e-3
@@ -229,7 +228,7 @@ class TestBsdeResidual:
         )
         clock = build_clock(FBM07, 33)
         field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=32, n_particles=20000), seed=16)
-        paths = sample_paths(FBM07, clock.grid_t[1:], 50_000, seed=17)
+        paths = sample_paths(FBM07, clock.grid_t, 50_000, seed=17)
         stats = bsde_residual(field, scn, paths, clock)
         assert abs(stats.mean[0]) <= 3 * stats.mean_std_error[0] + 5e-3
 
@@ -245,7 +244,7 @@ class TestBsdeResidual:
         )
         clock = build_clock(FBM07, 9)
         field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=8, n_particles=2000), seed=41)
-        stats = bsde_residual(field, scn, sample_paths(FBM07, clock.grid_t[1:], 1000, seed=42), clock)
+        stats = bsde_residual(field, scn, sample_paths(FBM07, clock.grid_t, 1000, seed=42), clock)
         np.testing.assert_allclose(
             stats.rms,
             [0.12571318536686082, 0.11996033789029437, 0.11254627866677146, 0.10167207734174723,
@@ -261,6 +260,7 @@ class TestIntegrandConversion:
         clock = build_clock(BROWNIAN, 17)
         field, cloud = solve_auxiliary(scn, clock, SolverConfig(n_time=16, n_particles=4000), seed=18)
         integrand = FirstChaosIntegrand.from_field(field)
+        _, z = field.on_paths(cloud.w[:100])
         for i in (1, 8, 15):
             x = cloud.w[:100, i]
-            np.testing.assert_allclose(npoly.polyval(x, integrand.coeffs[i]), field.eval_v(i, x), atol=1e-10)
+            np.testing.assert_allclose(npoly.polyval(x, integrand.coeffs[i]), z[:, i], atol=1e-10)
