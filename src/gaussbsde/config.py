@@ -253,7 +253,8 @@ class ExperimentConfig:
 
     @property
     def digest(self) -> str:
-        return digest_payload(self.payload())
+        # where a run writes (out_dir, or --out in its place) is not what it computes
+        return digest_payload({k: v for k, v in self.payload().items() if k != "out_dir"})
 
 
 def parse_config_payload(tree: dict, base_dir: Path | None = None) -> ExperimentConfig:

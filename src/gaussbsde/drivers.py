@@ -205,7 +205,6 @@ class PathBatch:
 
     grid_t: np.ndarray
     samples: np.ndarray  # n_paths x n_times
-    seed: int
     driver: GaussianDriverSpec
 
     @property
@@ -246,4 +245,4 @@ def sample_paths(spec: GaussianDriverSpec, grid_t: np.ndarray, n_paths: int, see
     z = standard_normals(seed, (n_paths, times.size), "driver-paths")
     samples = np.zeros((n_paths, grid_t.size))
     np.matmul(z, chol.T, out=samples[:, 1:])
-    return PathBatch(grid_t=grid_t, samples=samples, seed=seed, driver=spec)
+    return PathBatch(grid_t=grid_t, samples=samples, driver=spec)

@@ -47,6 +47,8 @@ from .theorems import (
     _require_gaussian_family,
     _require_mean_coupling,
     _require_refinable,
+    _require_t2_spread,
+    _require_t2_time,
     _require_z_law_free,
     comparison_check,
     converse_comparison_check,
@@ -328,7 +330,14 @@ KINDS = {
         ),
     ),
     "stability": Kind(2, _run_stability, gates=(_REFINABLE,)),
-    "t2": Kind(1, _run_t2, ("t", "shift_list"), gates=(_GAUSSIAN_FAMILY,)),
+    "t2": Kind(
+        1, _run_t2, ("t", "shift_list"),
+        gates=(
+            _GAUSSIAN_FAMILY,
+            ("params.t", lambda cfg: _require_t2_time(cfg.params["t"])),
+            ("scenario.terminal.b", lambda cfg: _require_t2_spread(cfg.scenario)),
+        ),
+    ),
     "lsi": Kind(1, _run_lsi, ("t", "lambda_list"), gates=(_GAUSSIAN_FAMILY,)),
     "zbound": Kind(1, _run_zbound),
     "full_suite": Kind(0, None),

@@ -173,10 +173,6 @@ class ScenarioSpec:
     generator: GeneratorSpec
     driver: GaussianDriverSpec
 
-    @property
-    def is_law_free(self) -> bool:
-        return self.generator.is_law_free and self.terminal.lambda_mean == 0.0
-
     def payload(self) -> dict:
         return {
             "terminal": self.terminal.payload(),

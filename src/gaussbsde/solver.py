@@ -14,10 +14,9 @@ Scheme (explicit, one regression sweep per solve):
 
 Moment form.  The paths are fixed for a solve, so are the sufficient
 statistics of every regression (Bender & Denk 2007).  Let phi_i be node i's
-(W, n) basis block (W = degree + 1; 1 at the first node, whose state is 0),
-G_i = phi_i phi_i^T + 1e-8 I its ridge-regularized normal matrix, and
-fit_i(r) = G_i^-1 phi_i r the least-squares coefficients of a particle row
-r.  Each node's moments
+(W, n) basis block (W = degree + 1), G_i = phi_i phi_i^T + 1e-8 I its
+ridge-regularized normal matrix, and fit_i(r) = G_i^-1 phi_i r the
+least-squares coefficients of a particle row r.  Each node's moments
 
     A_i = phi_i phi_i^T    C_i = phi_i phi_{i+1}^T    M_i = phi_i diag(dW_i) phi_i^T
     s_i = phi_i 1          q_i = phi_i dW_i
@@ -25,14 +24,17 @@ r.  Each node's moments
 are built once per solve, from one BLAS product per node: A_i and M_i are
 Hankel matrices of the sums of x_i**k and x_i**k dW_i, k <= 2 degree, and
 the product of the node's powers with [dW_i; phi_{i+1}] gives those sums and
-C_i at once.  Every G_i is then checked and every node's normal equations
-solved in one batched call, and the moments are kept as fit operators
-G_i^-1 A_i, G_i^-1 C_i and G_i^-1 M_i, beside the fits of the solve's one
-fixed particle row, g(W_N), on the last two nodes.  A generator is its first-order expansion at
-(x, y, z) = 0 plus a remainder r(y) of its nonlinear terms.  Its state is the
-node's Brownian state, x_i = W_i = sqrt(s_i - s_0) phi_i[1] (0 at the first
-node), so the state term ds f_x x_i is a multiple of the basis' linear term,
-and scenario k's Y row at node i < N is
+C_i at once.  They fill one table with a row for every node, 0 to N.  The
+first node's state is 0, so its basis rows past the constant are 0 and G_0
+is the identity but for n + 1e-8 at (0, 0).  Every other G_i is checked,
+every node's normal equations are solved in one batched call, and the table
+keeps the fit operators G_i^-1 A_i, G_i^-1 C_i and G_i^-1 M_i, beside the
+fits of the solve's one fixed particle row, g(W_N), on the last two nodes.
+A generator is its first-order expansion at (x, y, z) = 0 plus a remainder
+r(y) of its nonlinear terms.  Its state is the node's Brownian state,
+x_i = W_i = sqrt(s_i - s_0) phi_i[1] (0 at the first node), so the state
+term ds f_x x_i is a multiple of the basis' linear term, and scenario k's Y
+row at node i < N is
 
     Y_i = yc_i . phi_i + ds_i r(P_i)        (r = 0 for an affine f)
 
@@ -149,7 +151,8 @@ class ParticleCloud:
 def _polyval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] x**k by Horner's rule, each coeffs[k] broadcasting
     against x, for any number of polynomials at once: numpy's ``polyval`` bit
-    for bit, and the one evaluator of a solution field."""
+    for bit, and the package's one Horner routine (a solution field's and the
+    Wick layer's)."""
     out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(coeffs[0])))
     out[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
@@ -218,13 +221,12 @@ def _basis_scales(grid_s) -> np.ndarray:
 
 def _basis(w: np.ndarray, scales: np.ndarray, i: int, degree: int) -> np.ndarray:
     """(degree+1, n) block whose row k is the scaled state at node i to the
-    power k.  The grid increases strictly, so node 0 is the only node whose
-    state is identically zero; it gets the constant alone."""
-    phi = np.ones((degree + 1 if i > 0 else 1, w.shape[1]))
-    if i > 0:
-        np.divide(w[i], scales[i], out=phi[1])
-        for k in range(2, degree + 1):
-            np.multiply(phi[k - 1], phi[1], out=phi[k])
+    power k.  The paths start at 0, so node 0's rows past the constant are 0,
+    as in the moment table."""
+    phi = np.ones((degree + 1, w.shape[1]))
+    np.divide(w[i], scales[i], out=phi[1])
+    for k in range(2, degree + 1):
+        np.multiply(phi[k - 1], phi[1], out=phi[k])
     return phi
 
 
@@ -242,28 +244,16 @@ def _derivative(coeffs: np.ndarray, scale: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _Node:
-    """Node i's regression statistics, fixed for a solve.  With phi the
-    node's (W, n) basis block and G its normal matrix, a fit on the node is
-    G^-1 phi r for a particle row r; the next node's fields are absent at the
-    last node."""
-
-    gram: np.ndarray  # G
-    fit_self: np.ndarray  # G^-1 phi phi^T: the fit of c . phi is fit_self @ c
-    fit_next: np.ndarray | None  # G^-1 phi phi_{i+1}^T: the fit of c . phi_{i+1}
-    fit_cv: np.ndarray | None  # G^-1 phi diag(dW_i) phi^T: the fit of (c . phi) dW_i
-    sums: np.ndarray  # phi 1: the particle mean of c . phi is c @ sums / n
-    dw_sums: np.ndarray | None  # phi dW_i
-
-
-@dataclass(frozen=True, eq=False)
 class _Moments:
-    """What the sweeps of one solve read: the grid, the (N+1, n) paths w
-    (the generators' states), the K terminal rows g, each node's statistics,
-    and the fits of g on the last node (g_fit) and the one before
-    (g_fit_prev).  g_dw holds the sums g dW_{N-1}, the slope at the first
-    node of a one-step grid; gram_cond_max the largest condition estimate of
-    the nodes' normal matrices."""
+    """What the sweep of one solve reads: the grid, the (N+1, n) paths w
+    (the generators' states), the K terminal rows g, and the moment table,
+    one row per node i = 0 .. N.  fits[i] holds node i's fit operators: the
+    fit of c . phi_i is fits[i, :, :W] @ c, of c . phi_{i+1} and of
+    (c . phi_i) dW_i the next two W-column blocks, and the fits of g sit on
+    the last two nodes.  The first node's rows and columns past the constant
+    are 0, and so are the last node's C and M.  g_dw holds the sums
+    g dW_{N-1}, the slope at the first node of a one-step grid;
+    gram_cond_max the largest condition estimate of G_1 .. G_N."""
 
     grid_s: np.ndarray
     grid_t: np.ndarray
@@ -271,9 +261,10 @@ class _Moments:
     degree: int
     w: np.ndarray
     terminal: np.ndarray
-    nodes: list
-    g_fit: np.ndarray
-    g_fit_prev: np.ndarray
+    grams: np.ndarray  # (N+1, W, W): G_i
+    fits: np.ndarray  # (N+1, W, 3W+K): G_i^-1 [A_i | C_i | M_i | phi_i g]
+    sums: np.ndarray  # (N+1, W): phi_i 1
+    dw_sums: np.ndarray  # (N+1, W): phi_i dW_i
     g_dw: np.ndarray
     gram_cond_max: float
 
@@ -302,16 +293,17 @@ def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
     block_i[1:] @ block_{i+1}[:W + 1].T holds in column 0 the sums of
     x_i**k dW_i and in column 1 the sums of x_i**k, the Hankel sums of M_i
     and A_i, and C_i in columns 1 .. W of its first W rows.  The last node
-    has no C or M, and the first node, whose basis is the constant, reads
-    its moments off node 1's sums."""
+    has no C or M.  The first node, whose basis is the constant, reads its
+    moments off node 1's sums; its normal matrix is the identity but for
+    G_0[0, 0] = n + ridge, which has no condition to guard."""
     N = len(grid_s) - 1
     W, K, n = degree + 1, len(terminal), w.shape[1]
     scales = _basis_scales(grid_s)
     hankel = np.add.outer(np.arange(W), np.arange(W))
-    # nodes 1 .. N as rows 0 .. N-1; the right-hand sides [A | C | M | phi g]
-    # hold phi g, the terminal rows' moments, on the last two nodes only
-    sums, dw_sums = np.empty((N, 2 * W - 1)), np.zeros((N, 2 * W - 1))
-    rhs = np.zeros((N, W, 3 * W + K))
+    # row i is node i; the right-hand sides [A | C | M | phi g] hold phi g,
+    # the terminal rows' moments, on the last two nodes only
+    sums, dw_sums = np.zeros((N + 1, 2 * W - 1)), np.zeros((N + 1, 2 * W - 1))
+    rhs = np.zeros((N + 1, W, 3 * W + K))
     block, following = np.empty((2 * W, n)), np.empty((2 * W, n))
     for i in range(N, 0, -1):
         block[0] = dw[i - 1]
@@ -319,49 +311,33 @@ def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
         np.divide(w[i], scales[i], out=block[2])
         for k in range(3, 2 * W):
             np.multiply(block[k - 1], block[2], out=block[k])
-        j = i - 1
         if i == N:
-            sums[j] = block[1:].sum(axis=1)
+            sums[i] = block[1:].sum(axis=1)
             terminal_moments = _product(block[: W + 1], terminal)
             g_dw = terminal_moments[0]  # the sums g dW_{N-1}
-            rhs[j, :, 3 * W :] = terminal_moments[1:]
+            rhs[i, :, 3 * W :] = terminal_moments[1:]
         else:
             prod = _product(block[1:], following[: W + 1])
-            dw_sums[j], sums[j] = prod[:, 0], prod[:, 1]
-            rhs[j, :, W : 2 * W] = prod[:W, 1:]
+            dw_sums[i], sums[i] = prod[:, 0], prod[:, 1]
+            rhs[i, :, W : 2 * W] = prod[:W, 1:]
             if i == N - 1:
-                rhs[j, :, 3 * W :] = _product(block[1 : W + 1], terminal)
+                rhs[i, :, 3 * W :] = _product(block[1 : W + 1], terminal)
         block, following = following, block
+    # the first node: A_0 = n e_0 e_0^T, C_0 holds node 1's sums of its basis
+    # in its first row and M_0 the sum of dW_0
+    sums[0, 0], dw_sums[0, 0] = n, dw[0].sum()
+    rhs[0, 0, W : 2 * W] = sums[1, :W]
+    if N == 1:
+        rhs[0, 0, 3 * W :] = terminal.sum(axis=1)
     rhs[:, :, :W] = sums[:, hankel]
     rhs[:, :, 2 * W : 3 * W] = dw_sums[:, hankel]
-    grams, cond = _regularized(rhs[:, :, :W], _RIDGE)
-    fits = np.linalg.solve(grams, rhs)
-
-    # the first node's basis is the constant: A_0 = n, C_0 holds node 1's
-    # sums of its basis and M_0 the sum of dW_0; its 1 x 1 normal matrix has
-    # condition 1
-    a0, m0 = np.array([float(n)]), np.array([dw[0].sum()])
-    gram0 = np.array([[n + _RIDGE]])
-    fit0 = np.linalg.solve(gram0, np.concatenate([a0, sums[0, :W], m0, terminal.sum(axis=1)])[None, :])
-    nodes = [_Node(gram0, fit0[:, :1], fit0[:, 1 : W + 1], fit0[:, W + 1 : W + 2], a0, m0)]
-    for j in range(N):
-        last = j == N - 1
-        nodes.append(
-            _Node(
-                gram=grams[j],
-                fit_self=fits[j, :, :W],
-                fit_next=None if last else fits[j, :, W : 2 * W],
-                fit_cv=None if last else fits[j, :, 2 * W : 3 * W],
-                sums=sums[j, :W],
-                dw_sums=None if last else dw_sums[j, :W],
-            )
-        )
+    grams = np.empty((N + 1, W, W))
+    grams[0] = np.diag([n + _RIDGE] + [1.0] * degree)
+    grams[1:], cond = _regularized(rhs[1:, :, :W], _RIDGE)
     return _Moments(
         grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree,
-        w=w, terminal=terminal, nodes=nodes,
-        g_fit=fits[-1, :, 3 * W :].T,
-        g_fit_prev=fits[-2, :, 3 * W :].T if N > 1 else fit0[:, W + 2 :].T,
-        g_dw=g_dw, gram_cond_max=float(cond.max()),
+        w=w, terminal=terminal, grams=grams, fits=np.linalg.solve(grams, rhs),
+        sums=sums[:, :W], dw_sums=dw_sums[:, :W], g_dw=g_dw, gram_cond_max=float(cond.max()),
     )
 
 
@@ -395,7 +371,7 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
     times the basis' linear term, so the state term ds f_x x_i is a
     coefficient of the Y row.
     """
-    N = len(mom.nodes) - 1
+    N = len(mom.grid_s) - 1
     n = mom.w.shape[1]
     K, W = len(gens), mom.degree + 1
     nonlinear = any(g.c4 != 0.0 for g in gens)
@@ -417,18 +393,17 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
     u, yc, beta = (np.zeros((K, N + 1, W)) for _ in range(3))
     v = np.zeros((K, N, W))
     mean_y, mean_z = np.empty((K, N + 1)), np.empty((K, N + 1))
-    u[:, N] = mom.g_fit
+    fit_self, fit_next, fit_cv = (mom.fits[:, :, k * W : (k + 1) * W] for k in range(3))
+    u[:, N] = mom.fits[N, :, 3 * W :].T
     mean_y[:, N] = mom.terminal.mean(axis=1)
-    target = mom.g_fit_prev  # the fit on node N-1 of Y_N = g
+    target = mom.fits[N - 1, :, 3 * W :].T  # the fit on node N-1 of Y_N = g
     carry = None  # the nonlinear-remainder rows of the next node's Y
     for i in range(N - 1, -1, -1):
-        node = mom.nodes[i]
-        width = len(node.sums)
         ds = ds_all[i]
         if nonlinear:
             phi = _basis(mom.w, mom.scales, i, mom.degree)
             if carry is not None:
-                target = target + _fit(phi, node.gram, carry)
+                target = target + _fit(phi, mom.grams[i], carry)
         b = target
         if i + 1 < N:
             # martingale control variate: subtracting z(W_i) dW_i leaves the
@@ -436,35 +411,38 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
             # residual from O(sqrt(ds)) to O((Z - z_hat) sqrt(ds)); centering
             # keeps the particle mean of the fit exactly equal to the target's.
             # z(W_i) is the next node's Z field, read in this node's variable
-            rv = _rescaled(v[:, i + 1, :width], mom.scales[i] / mom.scales[i + 1])
-            b = b - (rv @ node.fit_cv.T - np.outer(rv @ node.dw_sums / n, node.fit_self[:, 0]))
+            rv = _rescaled(v[:, i + 1], mom.scales[i] / mom.scales[i + 1])
+            b = b - (rv @ fit_cv[i].T - np.outer(rv @ mom.dw_sums[i] / n, fit_self[i, :, 0]))
 
         # the control field is the derivative of the full one-step value
         # P + f ds; the first-order generator correction keeps Z accurate
         # to O(ds^2) instead of O(ds), and is 0 for a state-free generator
+        dz = np.zeros((K, W))
         if i > 0:
-            dz = np.zeros((K, width))
             dz[:, :-1] = _derivative(b, mom.scales[i])
         elif N > 1:
             # slope of w -> E[Y_{i+1} | W_i = w] at the collapsed node:
             # smoothing the next field gives E[dY_{i+1}/dw]
-            dz = mean_z[:, 1:2].copy()
+            dz[:, 0] = mean_z[:, 1]
         else:
-            dz = ((mom.g_dw - b[:, 0] * node.dw_sums[0]) / (n * ds))[:, None]
+            dz[:, 0] = (mom.g_dw - b[:, 0] * mom.dw_sums[0, 0]) / (n * ds)
         zc = dz + ds * (f_y[:, i, None] + f_z[:, i, None]) * dz
         zc[:, 0] += ds * f_x[:, i]
         # the first node's Z is the particle mean of its (constant) field
-        vb = zc @ node.fit_self.T if i > 0 else zc
+        vb = zc @ fit_self[i].T if i > 0 else zc
         if nonlinear:
             r, dr = np.empty((K, n)), np.empty((K, n))
             for j, (g, p) in enumerate(zip(gens, b @ phi)):
                 r[j], dr[j] = generator_remainder(g, mom.grid_t[i], p)
             z_rows = ds * dr * (dz @ phi)
-            vb = vb + (_fit(phi, node.gram, z_rows) if i > 0 else z_rows.mean(axis=1, keepdims=True))
+            if i > 0:
+                vb = vb + _fit(phi, mom.grams[i], z_rows)
+            else:
+                vb[:, 0] += z_rows.mean(axis=1)
 
-        mean_z[:, i] = vb @ node.sums / n
+        mean_z[:, i] = vb @ mom.sums[i] / n
 
-        step = np.zeros((K, width))
+        step = np.zeros((K, W))
         step[:, 0] = f0[:, i]
         if with_law:
             step[:, 0] += law_z[:, i] * mean_z[:, i]
@@ -473,11 +451,11 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
         y_c = b + step
         if with_x and i > 0:  # the first node's state is 0
             y_c[:, 1] += ds * f_x[:, i] * mom.scales[i]
-        fitted = y_c @ node.fit_self.T
-        mean = y_c @ node.sums / n
+        fitted = y_c @ fit_self[i].T
+        mean = y_c @ mom.sums[i] / n
         if nonlinear:
             carry = ds * r
-            fitted += _fit(phi, node.gram, carry)
+            fitted += _fit(phi, mom.grams[i], carry)
             mean += carry.mean(axis=1)
         if with_law:
             # the node's own mean Y enters its Y row as the constant
@@ -486,13 +464,17 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
             own = implicit[:, i] * mean_y[:, i]
             step[:, 0] += own
             y_c[:, 0] += own
-            fitted += own[:, None] * node.fit_self[:, 0]
+            fitted += own[:, None] * fit_self[i, :, 0]
         else:
             mean_y[:, i] = mean
-        u[:, i, :width], v[:, i, :width], yc[:, i, :width], beta[:, i, :width] = fitted, vb, y_c, b
-        if i > 0:
-            prev = mom.nodes[i - 1]
-            target = y_c @ prev.fit_next.T  # the fit on node i-1 of yc . phi_i
+        u[:, i], v[:, i], yc[:, i], beta[:, i] = fitted, vb, y_c, b
+        # the fit on node i-1 of yc . phi_i; node 0's one live row is kept
+        # alone, since a product of all W rows would round it otherwise
+        if i > 1:
+            target = y_c @ fit_next[i - 1].T
+        elif i == 1:
+            target = np.zeros((K, W))
+            target[:, :1] = y_c @ fit_next[0, :1].T
 
     mean_z[:, N] = mean_z[:, N - 1]  # Z_N is the last cell's field
     if not all(np.isfinite(a).all() for a in (u, v, yc, mean_y)):

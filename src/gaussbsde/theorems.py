@@ -126,6 +126,16 @@ def _require_gaussian_family(scn: ScenarioSpec):
         )
 
 
+def _require_t2_time(t: float):
+    if not t > 0.0:  # sigma^2 = b^2 e^(2 c2 (V_T - V_t)) V_t is 0 at V_0 = 0
+        raise HypothesisUnsatisfied("t2 needs t > 0: Y_0 has a Dirac law, with no finite relative entropy")
+
+
+def _require_t2_spread(scn: ScenarioSpec):
+    if scn.terminal.b == 0.0:
+        raise HypothesisUnsatisfied("t2 needs b != 0: Y_t then has a Dirac law, with no finite relative entropy")
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -459,8 +469,10 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, cfg: SolverConfig, seed: i
     Under the adopted convention W2^2 <= C * H; the definitional ratio
     W2 / sqrt(H) is reported alongside.  Horizons with V_T > 1 run in
     report-only mode (the stated constant can then fall below the sharp
-    Gaussian one).
+    Gaussian one).  A Dirac law of Y_t (t = 0 or b = 0) is refused.
     """
+    _require_t2_time(t)
+    _require_t2_spread(scn)
     clock, law, c_tr, _ = _gaussian_family(scn, t, cfg, seed)
 
     rows = []

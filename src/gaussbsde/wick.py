@@ -24,12 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .drivers import GaussianDriverSpec, PathBatch, VarianceClock, covariance
 from .errors import DegenerateIncrement, GridMismatch
 from .scenario import ScenarioSpec, generator_dv_on_paths, terminal_on_paths
-from .solver import SolutionField
+from .solver import SolutionField, _derivative, _polyval
 
 _GRID_TOL = 1e-9
 
@@ -114,9 +113,9 @@ def wick_product_first_chaos(poly_coeffs, x_samples, increment_samples, correcti
         raise ValueError("x_samples and increment_samples must be paired")
     if dx.size and np.any(np.var(dx, axis=0) == 0.0):
         raise DegenerateIncrement("driver increment has zero variance")
-    coeffs = np.asarray(poly_coeffs, dtype=float).T  # degree along the first axis
-    p_vals = npoly.polyval(x, coeffs, tensor=False)
-    dp_vals = npoly.polyval(x, npoly.polyder(coeffs), tensor=False) if coeffs.shape[0] > 1 else np.zeros_like(x)
+    coeffs = np.asarray(poly_coeffs, dtype=float)  # degree along the last axis
+    p_vals = _polyval(x, coeffs.T)
+    dp_vals = _polyval(x, _derivative(coeffs, 1.0).T) if coeffs.shape[-1] > 1 else np.zeros_like(x)
     return p_vals * dx - dp_vals * correction
 
 
@@ -254,7 +253,7 @@ def s_transform_factorization_check(
     wick_samples = wick_product_first_chaos(poly_coeffs, x_i, dx_i, correction)
 
     a = wick_samples * weights
-    b = npoly.polyval(x_i, np.asarray(poly_coeffs, dtype=float)) * weights
+    b = _polyval(x_i, np.asarray(poly_coeffs, dtype=float)) * weights
     c = dx_i * weights
     mean_a, mean_b, mean_c = float(np.mean(a)), float(np.mean(b)), float(np.mean(c))
     gap_samples = a - mean_c * b - mean_b * c

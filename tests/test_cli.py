@@ -238,6 +238,20 @@ class TestConfigParsing:
         # the same config, gate aside, is valid
         parse_config_payload(kind_config(kind, params))
 
+    @pytest.mark.parametrize(
+        "params, scenario, key",
+        [
+            ({"t": 0.0, "shift_list": [1.0]}, BASE_CONFIG["scenario"], "params.t"),
+            ({"t": 0.5, "shift_list": [1.0]}, {"terminal": {"b": 0.0}, "generator": {}}, "scenario.terminal.b"),
+        ],
+    )
+    def test_t2_dirac_law_refused_at_parse(self, tmp_path, capsys, params, scenario, key):
+        # sigma^2 = 0: the report would hold an infinite relative entropy
+        path = write_config(tmp_path, dict(kind_config("t2", params), scenario=scenario))
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"config error: {key}: t2 needs")
+
     def test_bad_param_value_fails_validate(self, tmp_path, capsys):
         path = write_config(tmp_path, kind_config("comparison", {"t_list": 5}))
         assert main(["validate", str(path)]) == 1
@@ -369,6 +383,23 @@ class TestCliRun:
         for rel in listed:
             assert (out / rel).exists()
         assert manifest["wall_clock_ms"] is None
+
+    def test_out_dir(self, tmp_path, capsys):
+        # run writes to a config's out_dir without --out, --out overrides it,
+        # and the config has one digest either way: so has its manifest
+        configured = tmp_path / "configured"
+        with_out_dir = write_config(tmp_path, dict(BASE_CONFIG, out_dir=str(configured)), "with_out_dir.json")
+        plain = write_config(tmp_path, BASE_CONFIG, "plain.json")
+        assert main(["run", str(with_out_dir), "--quiet"]) == 0
+        assert main(["run", str(with_out_dir), "--out", str(tmp_path / "override"), "--quiet"]) == 0
+        assert main(["run", str(plain), "--out", str(tmp_path / "plain"), "--quiet"]) == 0
+        manifests = {(tmp_path / d / "manifest.json").read_bytes() for d in ("configured", "override", "plain")}
+        assert len(manifests) == 1
+        capsys.readouterr()
+        for path in (with_out_dir, plain):
+            assert main(["validate", str(path)]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
 
     def test_solve_report_step_margin(self, tmp_path):
         # the report carries the grid's max ds * L_f, the margin to the

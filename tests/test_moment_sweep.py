@@ -4,7 +4,7 @@
 particle arrays: every sweep freezes the law at the previous sweep's node
 means, every node fits its targets on the basis block of that node's
 particles, and Y and Z are (K, N+1, n) matrices.  Run until the node means
-change by less than 1e-13, it reaches the fixed point that the solver's one
+of Y and Z change by less than 1e-13, it reaches the fixed point that the solver's one
 sweep, on per-node moment matrices, solves for node by node; both must give
 the same coefficients, means and representation values to rounding.
 """
@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaussbsde import solver
 from gaussbsde.drivers import GaussianDriverSpec, build_clock
@@ -35,8 +35,14 @@ from test_solver import _pairs, _state_free
 BROWNIAN = GaussianDriverSpec.brownian(1.0)
 FBM03 = GaussianDriverSpec.fbm(0.3, 1.0)
 TOL = 1e-12
-ORACLE_TOL = 1e-13  # the oracle's stop: the sup change of the node means of Y
+ORACLE_TOL = 1e-13  # the oracle's stop: the sup change of the node means of Y and Z
 ORACLE_MAX_SWEEPS = 200
+
+
+def oracle_basis(w, scales, i, degree):
+    """The oracle's basis block at node i: the first node's state is 0, so
+    it keeps the constant alone there."""
+    return _basis(w, scales, i, degree)[: degree + 1 if i > 0 else 1]
 
 
 def particle_sweep(gens, grid_s, grid_t, w, dw, x_states, terminal_values, features, scales, grams, out):
@@ -49,12 +55,12 @@ def particle_sweep(gens, grid_s, grid_t, w, dw, x_states, terminal_values, featu
     degree = out["u"].shape[-1] - 1
     y, z = out["y"], out["z"]
     y[:, N] = terminal_values
-    phi = _basis(w, scales, N, degree)
+    phi = oracle_basis(w, scales, N, degree)
     out["u"][:, N, : phi.shape[0]] = _fit(phi, grams[N], terminal_values)
     for i in range(N - 1, -1, -1):
         ds = grid_s[i + 1] - grid_s[i]
         t_i = float(grid_t[i])
-        phi = _basis(w, scales, i, degree)
+        phi = oracle_basis(w, scales, i, degree)
         width = phi.shape[0]
         target = y[:, i + 1]
         if i + 1 < N:
@@ -97,11 +103,12 @@ def particle_sweep(gens, grid_s, grid_t, w, dw, x_states, terminal_values, featu
 def particle_picard(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states):
     """The Picard iteration on the flow of laws on particle rows, from the
     law of the f = 0, Z = 0 sweep (mean g and Z = 0 at every node), until the
-    node means of Y change by less than ``ORACLE_TOL``."""
+    node means of Y and Z change by less than ``ORACLE_TOL``: the law's Z
+    term can move the means of Y only from the second sweep on."""
     K, N, n = len(gens), len(grid_s) - 1, w.shape[1]
     W = cfg.basis_degree + 1
     scales = _basis_scales(grid_s)
-    phis = [_basis(w, scales, i, cfg.basis_degree) for i in range(N + 1)]
+    phis = [oracle_basis(w, scales, i, cfg.basis_degree) for i in range(N + 1)]
     grams = [_regularized(phi @ phi.T, solver._RIDGE)[0] for phi in phis]
     out = {
         "u": np.zeros((K, N + 1, W)), "v": np.zeros((K, N, W)),
@@ -114,9 +121,9 @@ def particle_picard(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
     )
     for _ in range(ORACLE_MAX_SWEEPS):
         particle_sweep(gens, grid_s, grid_t, w, dw, x_states, terminal_values, feats, scales, grams, out)
-        mean_y = out["y"].mean(axis=2)
-        change = np.abs(mean_y - feats.mean_y).max()
-        feats = LawFeatures(feats.mean_x, mean_y, out["z"].mean(axis=2))
+        mean_y, mean_z = out["y"].mean(axis=2), out["z"].mean(axis=2)
+        change = max(np.abs(mean_y - feats.mean_y).max(), np.abs(mean_z - feats.mean_z).max())
+        feats = LawFeatures(feats.mean_x, mean_y, mean_z)
         if change < ORACLE_TOL:
             return out
     raise AssertionError(f"the oracle's Picard iteration did not reach {ORACLE_TOL} in {ORACLE_MAX_SWEEPS} sweeps")
@@ -140,7 +147,7 @@ def assert_sweeps_agree(out, mom, ref, gens):
     np.testing.assert_allclose(out.mean_z, ref["z"].mean(axis=2), rtol=0, atol=TOL)
     # the Y rows built from the coefficients are the reference's Y
     for k, gen in enumerate(gens):
-        for i in range(1, len(mom.nodes) - 1):
+        for i in range(1, len(mom.sums) - 1):
             np.testing.assert_allclose(solver._y_row(mom, gen, out, k, i), ref["y"][k, i], rtol=0, atol=TOL)
 
 
@@ -251,6 +258,13 @@ def scenarios(draw):
     n_steps=st.sampled_from([1, 2, 17]),
     seed=st.integers(0, 2**16),
 )
+# g = 0 and f = 0.5 x + 0.25 mean_z on one step: the first sweep leaves the
+# means of Y at 0 with the law's Z term frozen at mean_z = 0, while the fixed
+# point has Z_0 = 0.5 and Y_0 = 0.125
+@example(
+    scns=[ScenarioSpec(TerminalSpec(), GeneratorSpec(c1=0.5, kappa_z=0.25), BROWNIAN)],
+    driver=BROWNIAN, degree=1, n_steps=1, seed=0,
+)
 def test_random_stacks_match_particle_sweep(scns, driver, degree, n_steps, seed):
     # the one sweep against the oracle's fixed point, on the clock grid of
     # a Brownian or an fBm driver (the generators read t on it); the solve
@@ -278,17 +292,25 @@ def test_law_free_stack_keeps_no_particle_matrix():
 @pytest.mark.parametrize("degree", [1, 4, 6])
 @pytest.mark.parametrize("n_steps", [1, 2, 17])
 def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
-    # each node's statistics, built from one product per node and one batched
-    # solve, against the explicit basis products phi phi^T, phi phi_{i+1}^T
-    # and phi diag(dW) phi^T; the products are summed over particle blocks
+    # each node's row of the moment table, built from one product per node
+    # and one batched solve, against the explicit basis products phi phi^T,
+    # phi phi_{i+1}^T and phi diag(dW) phi^T; the products are summed over
+    # particle blocks
     monkeypatch.setattr(solver, "_PARTICLE_BLOCK", 768)
     grid_s = build_clock(BROWNIAN, n_steps + 1).grid_V
     dw = solver._brownian_increments(grid_s, 2000, 7, "nodes")
     w = solver._paths(dw)
     terminal = np.array([1.0 + w[-1], np.sin(w[-1])])
-    mom = solver._moments(grid_s, grid_s, w, dw, terminal, degree)
+    solves = []
+    with monkeypatch.context() as patch:
+        solve = np.linalg.solve
+        patch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+        mom = solver._moments(grid_s, grid_s, w, dw, terminal, degree)
+    assert solves == [1]
+    W, n = degree + 1, w.shape[1]
     scales = _basis_scales(grid_s)
     phis = [_basis(w, scales, i, degree) for i in range(n_steps + 1)]
+    assert not phis[0][1:].any()  # the first node's state is 0
 
     def close(actual, expected, scale=None, cond=1.0):
         # sums in another order differ in the last bits, and a solve scales a
@@ -297,22 +319,32 @@ def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
         np.testing.assert_allclose(actual, expected, rtol=0, atol=max(1e-12, 1e-16 * cond) * scale)
 
     conds = []
-    for i, (node, phi) in enumerate(zip(mom.nodes, phis)):
-        gram, cond = _regularized(phi @ phi.T, solver._RIDGE)
+    for i, phi in enumerate(phis):
+        if i == 0:
+            # the constant basis: the identity but for the constant's n + ridge
+            gram = np.eye(W)
+            gram[0, 0] = n + solver._RIDGE
+            cond = np.linalg.cond(gram)
+        else:
+            gram, cond = _regularized(phi @ phi.T, solver._RIDGE)
         conds.append(cond)
-        close(node.gram, gram)
-        close(node.sums, phi.sum(axis=1))
-        close(node.fit_self, np.linalg.solve(gram, phi @ phi.T), cond=cond)
+        fits = mom.fits[i]
+        close(mom.grams[i], gram)
+        close(mom.sums[i], phi.sum(axis=1))
+        close(fits[:, :W], np.linalg.solve(gram, phi @ phi.T), cond=cond)
+        if i < n_steps - 1:  # the fits of g sit on the last two nodes
+            assert not fits[:, 3 * W :].any()
         if i == n_steps:
-            assert node.fit_next is None and node.fit_cv is None and node.dw_sums is None
+            assert not fits[:, W : 3 * W].any() and not mom.dw_sums[i].any()
             continue
-        close(node.fit_next, np.linalg.solve(gram, phi @ phis[i + 1].T), cond=cond)
+        close(fits[:, W : 2 * W], np.linalg.solve(gram, phi @ phis[i + 1].T), cond=cond)
         # relative to the sums of |x**k dW|: at the first node, whose basis
         # is the constant, the centred increments sum to 0
         dw_scale = (np.abs(phi) @ np.abs(dw[i])).max()
-        close(node.dw_sums, phi @ dw[i], dw_scale)
-        close(node.fit_cv, np.linalg.solve(gram, (phi * dw[i]) @ phi.T), dw_scale / len(dw[i]), cond)
-    close(mom.g_fit, _fit(phis[-1], mom.nodes[-1].gram, terminal), cond=conds[-1])
-    close(mom.g_fit_prev, _fit(phis[-2], mom.nodes[-2].gram, terminal), cond=conds[-2])
+        close(mom.dw_sums[i], phi @ dw[i], dw_scale)
+        close(fits[:, 2 * W : 3 * W], np.linalg.solve(gram, (phi * dw[i]) @ phi.T), dw_scale / len(dw[i]), cond)
+    for i in (n_steps, n_steps - 1):
+        close(mom.fits[i, :, 3 * W :].T, _fit(phis[i], mom.grams[i], terminal), cond=conds[i])
     close(mom.g_dw, terminal @ dw[-1])
-    np.testing.assert_allclose(mom.gram_cond_max, max(conds), rtol=1e-9)
+    # the first node's normal matrix has no condition to guard
+    np.testing.assert_allclose(mom.gram_cond_max, max(conds[1:]), rtol=1e-9)

@@ -163,8 +163,9 @@ def test_emit_parse_keeps_digest(data):
         except ConfigInvalid as exc:
             # read at the emitted 12 digits, a draw at the horizon may pass
             # T, or two close eps merge: such a config is refused outright;
-            # so is a short-horizon check at t = 0 on an fBm clock
-            assert re.search(r"is past T|strictly decreasing|differentiable at t", str(exc))
+            # so is a short-horizon check at t = 0 on an fBm clock, and a t2
+            # check of a Dirac law (t = 0 or b = 0)
+            assert re.search(r"is past T|strictly decreasing|differentiable at t|Dirac law", str(exc))
             continue
         again = parse_config_payload(json.loads(emit_config(cfg)))
         assert again.digest == cfg.digest

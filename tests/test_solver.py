@@ -224,7 +224,7 @@ class TestSolveOracles:
 
         def counting_moments(*args):
             mom = moments(*args)
-            built.append(len(mom.nodes))
+            built.append(len(mom.fits))
             return mom
 
         monkeypatch.setattr(solver, "_moments", counting_moments)

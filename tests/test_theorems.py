@@ -279,6 +279,12 @@ class TestGaussianFamilyChecks:
         assert report.passed is None
         assert any("report-only" in note for note in report.notes)
 
+    @pytest.mark.parametrize("t, lam", [(0.0, 1.0), (0.5, 0.0)])
+    def test_t2_refuses_dirac_law(self, t, lam):
+        # sigma^2 = 0 at t = 0 or with b = 0: no relative entropy is finite
+        with pytest.raises(HypothesisUnsatisfied, match="Dirac law"):
+            t2_check(gaussian_scenario(BROWNIAN, lam=lam), t, [0.0, 1.0], SMALL, seed=25)
+
     def test_t2_rejects_non_gaussian_family(self):
         scn = mean_field_scenario(BROWNIAN)
         with pytest.raises(UnsupportedScenario):

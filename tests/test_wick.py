@@ -4,8 +4,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 import pytest
 
+from gaussbsde.config import parse_config_payload
 from gaussbsde.drivers import GaussianDriverSpec, build_clock, covariance, sample_paths
 from gaussbsde.errors import DegenerateIncrement, GridMismatch
+from gaussbsde.experiments import _default_h_functions, run_single
 from gaussbsde.pack import identity_scenario, linear_scenario
 from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec
 from gaussbsde.solver import SolverConfig, solve_auxiliary
@@ -264,3 +266,28 @@ class TestIntegrandConversion:
         for i in (1, 8, 15):
             x = cloud.w[:100, i]
             np.testing.assert_allclose(npoly.polyval(x, integrand.coeffs[i]), z[:, i], atol=1e-10)
+
+
+def test_wick_validate_on_a_brownian_driver(tmp_path):
+    # the sections a Brownian driver adds: the S-transform of the driver
+    # against h's integral, and the quadratic identity's variance V_T^2 / 2.
+    # Their verdicts are Monte Carlo gates and are not asserted here
+    tree = {
+        "kind": "wick_validate", "seed": 5, "driver": {"kind": "brownian", "T": 1.5},
+        "solver": {"n_time": 16}, "params": {"n_paths": 4000},
+    }
+    cfg = parse_config_payload(tree)
+    measurements = run_single(cfg, tmp_path).reports[0].measurements
+    clock = build_clock(cfg.driver, 17)
+    h_list = _default_h_functions(1.5)
+    rows = measurements["s_transform_of_driver"]
+    assert len(rows) == 2 * len(h_list)
+    for row in rows:
+        assert row["expected"] == h_list[row["h"]].value(row["t"], clock)
+        assert math.isfinite(row["value"]) and row["std_error"] > 0
+    assert {row["t"] for row in rows} == {float(clock.grid_t[8]), float(clock.grid_t[16])}
+    quadratic = measurements["quadratic_identity"]
+    assert quadratic["variance_target"] == clock.V_T ** 2 / 2.0
+    for key in ("variance", "mean_gap", "gap_std_error"):
+        assert math.isfinite(quadratic[key])
+    assert quadratic["gap_std_error"] > 0
