@@ -15,7 +15,7 @@ import numpy as np
 
 from .drivers import _DOMAIN_TOL, GaussianDriverSpec
 from .errors import ConfigInvalid, HypothesisUnsatisfied, UnsupportedScenario
-from .reporting import canonical_json, digest_payload, fmt_float
+from .reporting import digest_payload, fmt_float
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
 from .solver import SolverConfig
 
@@ -324,7 +324,3 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config: not valid JSON ({exc})") from exc
     return parse_config_payload(tree, base_dir=path.parent)
-
-
-def emit_config(cfg: ExperimentConfig) -> str:
-    return canonical_json(cfg.payload()) + "\n"

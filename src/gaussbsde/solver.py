@@ -21,20 +21,20 @@ least-squares coefficients of a particle row r.  Each node's moments
     A_i = phi_i phi_i^T    C_i = phi_i phi_{i+1}^T    M_i = phi_i diag(dW_i) phi_i^T
     s_i = phi_i 1          q_i = phi_i dW_i
 
-are built once per solve, from one BLAS product per node: A_i and M_i are
-Hankel matrices of the sums of x_i**k and x_i**k dW_i, k <= 2 degree, and
-the product of the node's powers with [dW_i; phi_{i+1}] gives those sums and
-C_i at once.  They fill one table with a row for every node, 0 to N.  The
-first node's state is 0, so its basis rows past the constant are 0 and G_0
-is the identity but for n + 1e-8 at (0, 0).  Every other G_i is checked,
-every node's normal equations are solved in one batched call, and the table
-keeps the fit operators G_i^-1 A_i, G_i^-1 C_i and G_i^-1 M_i, beside the
-fits of the solve's one fixed particle row, g(W_N), on the last two nodes.
-A generator is its first-order expansion at (x, y, z) = 0 plus a remainder
-r(y) of its nonlinear terms.  Its state is the node's Brownian state,
-x_i = W_i = sqrt(s_i - s_0) phi_i[1] (0 at the first node), so the state
-term ds f_x x_i is a multiple of the basis' linear term, and scenario k's Y
-row at node i < N is
+are built once per solve, from two BLAS products per node: A_i and M_i are
+Hankel matrices of the sums of x_i**k and x_i**k dW_i, k <= 2 degree, which
+phi_i [x_i**degree; dW_i; x_i**degree dW_i]^T gives past degree and
+phi_i phi_{i+1}^T, with C_i, up to it.  They fill one table with a row for
+every node, 0 to N.  The first node's state is 0, so its basis rows past the
+constant are 0 and G_0 is the identity but for n + 1e-8 at (0, 0).  Every
+other G_i is checked, every node's normal equations are solved in one
+batched call, and the table keeps the fit operators G_i^-1 A_i, G_i^-1 C_i
+and G_i^-1 M_i, beside the fits of the solve's one fixed particle row,
+g(W_N), on the last two nodes.  A generator is its first-order expansion at
+(x, y, z) = 0 plus a remainder r(y) of its nonlinear terms.  Its state is
+the node's Brownian state, x_i = W_i = sqrt(s_i - s_0) phi_i[1] (0 at the
+first node), so the state term ds f_x x_i is a multiple of the basis' linear
+term, and scenario k's Y row at node i < N is
 
     Y_i = yc_i . phi_i + ds_i r(P_i)        (r = 0 for an affine f)
 
@@ -251,9 +251,8 @@ class _Moments:
     fit of c . phi_i is fits[i, :, :W] @ c, of c . phi_{i+1} and of
     (c . phi_i) dW_i the next two W-column blocks, and the fits of g sit on
     the last two nodes.  The first node's rows and columns past the constant
-    are 0, and so are the last node's C and M.  g_dw holds the sums
-    g dW_{N-1}, the slope at the first node of a one-step grid;
-    gram_cond_max the largest condition estimate of G_1 .. G_N."""
+    are 0, and so are the last node's C and M.  gram_cond_max is the largest
+    condition estimate of G_1 .. G_N."""
 
     grid_s: np.ndarray
     grid_t: np.ndarray
@@ -265,7 +264,6 @@ class _Moments:
     fits: np.ndarray  # (N+1, W, 3W+K): G_i^-1 [A_i | C_i | M_i | phi_i g]
     sums: np.ndarray  # (N+1, W): phi_i 1
     dw_sums: np.ndarray  # (N+1, W): phi_i dW_i
-    g_dw: np.ndarray
     gram_cond_max: float
 
     @property
@@ -284,18 +282,17 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
-    """Every node's moments and terminal fits: one product per node, then one
-    batched condition guard and one batched solve over the nodes.
+    """Every node's moments and terminal fits: two products per node, then
+    one batched condition guard and one batched solve over the nodes.
 
-    Node i > 0 fills a (2 degree + 2, n) block: the increment dW_{i-1} into
-    the node, then its scaled state x_i to the powers 0 .. 2 degree (the
-    first degree + 1 of them are phi_i).  Walking back with two blocks,
-    block_i[1:] @ block_{i+1}[:W + 1].T holds in column 0 the sums of
-    x_i**k dW_i and in column 1 the sums of x_i**k, the Hankel sums of M_i
-    and A_i, and C_i in columns 1 .. W of its first W rows.  The last node
-    has no C or M.  The first node, whose basis is the constant, reads its
-    moments off node 1's sums; its normal matrix is the identity but for
-    G_0[0, 0] = n + ridge, which has no condition to guard."""
+    Node i > 0 fills a (degree + 3, n) block: phi_i, the scaled state x_i to
+    the powers 0 .. degree (the constant row is written once per solve),
+    then dW_i and x_i**degree dW_i.  phi_i @ block[degree:].T holds the
+    Hankel sums of A_i past degree and every sum of x_i**k dW_i, those of
+    M_i; walking back with two blocks, phi_i @ phi_{i+1}.T is C_i, and its
+    column 0 the sums of x_i**k up to degree.  The last node has no C or M.
+    The first node, whose basis is the constant, reads its moments off node
+    1's sums; its normal matrix is the identity but for G_0[0, 0] = n + ridge."""
     N = len(grid_s) - 1
     W, K, n = degree + 1, len(terminal), w.shape[1]
     scales = _basis_scales(grid_s)
@@ -304,24 +301,25 @@ def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
     # the terminal rows' moments, on the last two nodes only
     sums, dw_sums = np.zeros((N + 1, 2 * W - 1)), np.zeros((N + 1, 2 * W - 1))
     rhs = np.zeros((N + 1, W, 3 * W + K))
-    block, following = np.empty((2 * W, n)), np.empty((2 * W, n))
+    block, following = np.empty((W + 2, n)), np.empty((W + 2, n))
+    block[0] = following[0] = 1.0
     for i in range(N, 0, -1):
-        block[0] = dw[i - 1]
-        block[1] = 1.0
-        np.divide(w[i], scales[i], out=block[2])
-        for k in range(3, 2 * W):
-            np.multiply(block[k - 1], block[2], out=block[k])
+        np.divide(w[i], scales[i], out=block[1])
+        for k in range(2, W):
+            np.multiply(block[k - 1], block[1], out=block[k])
         if i == N:
-            sums[i] = block[1:].sum(axis=1)
-            terminal_moments = _product(block[: W + 1], terminal)
-            g_dw = terminal_moments[0]  # the sums g dW_{N-1}
-            rhs[i, :, 3 * W :] = terminal_moments[1:]
+            sums[i, :W] = block[:W].sum(axis=1)
+            sums[i, W:] = _product(block[1:W], block[degree:W])[:, 0]
         else:
-            prod = _product(block[1:], following[: W + 1])
-            dw_sums[i], sums[i] = prod[:, 0], prod[:, 1]
-            rhs[i, :, W : 2 * W] = prod[:W, 1:]
-            if i == N - 1:
-                rhs[i, :, 3 * W :] = _product(block[1 : W + 1], terminal)
+            block[W] = dw[i]
+            np.multiply(block[degree], dw[i], out=block[W + 1])
+            high = _product(block[:W], block[degree:])
+            prod = _product(block[:W], following[:W])
+            sums[i, :W], sums[i, W:] = prod[:, 0], high[1:, 0]
+            dw_sums[i, :W], dw_sums[i, W:] = high[:, 1], high[1:, 2]
+            rhs[i, :, W : 2 * W] = prod
+        if i >= N - 1:
+            rhs[i, :, 3 * W :] = _product(block[:W], terminal)
         block, following = following, block
     # the first node: A_0 = n e_0 e_0^T, C_0 holds node 1's sums of its basis
     # in its first row and M_0 the sum of dW_0
@@ -337,7 +335,7 @@ def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
     return _Moments(
         grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree,
         w=w, terminal=terminal, grams=grams, fits=np.linalg.solve(grams, rhs),
-        sums=sums[:, :W], dw_sums=dw_sums[:, :W], g_dw=g_dw, gram_cond_max=float(cond.max()),
+        sums=sums[:, :W], dw_sums=dw_sums[:, :W], gram_cond_max=float(cond.max()),
     )
 
 
@@ -369,7 +367,8 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
     once per scenario for every node at once, and through the particle rows
     of its nonlinear remainder, if any.  The state x_i = W_i is scales[i]
     times the basis' linear term, so the state term ds f_x x_i is a
-    coefficient of the Y row.
+    coefficient of the Y row.  Every node's operators are built from the
+    moment table in one batched step before the loop.
     """
     N = len(mom.grid_s) - 1
     n = mom.w.shape[1]
@@ -390,10 +389,27 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
             f"a node's law needs ds * rho * kappa_y < 1; got {implicit.max():.3g} (refine the grid)"
         )
 
+    # a node applies each operator to its (K, W) coefficient rows as rows @ op[i]
+    fit_self, fit_next, fit_cv = (mom.fits[:, :, k * W : (k + 1) * W] for k in range(3))
+    self_op, next_op = fit_self.swapaxes(1, 2), fit_next.swapaxes(1, 2)
+    means = mom.sums / n  # the particle mean of c . phi_i is c @ means[i]
+    # martingale control variate: subtracting z(W_i) dW_i leaves the
+    # conditional expectation unchanged and shrinks the regression residual
+    # from O(sqrt(ds)) to O((Z - z_hat) sqrt(ds)); centering keeps the
+    # particle mean of the fit exactly equal to the target's.  z(W_i) is the
+    # next node's Z field, read in this node's variable
+    centred = fit_cv[:-1] - fit_self[:-1, :, :1] * mom.dw_sums[:-1, None, :] / n
+    cv_op = _rescaled(centred, (mom.scales[:-1] / mom.scales[1:])[:, None, None]).swapaxes(1, 2)
+    # the fit of the w-derivative of b . phi_i
+    z_op = _derivative(np.eye(W), mom.scales[:, None, None]) @ self_op[:, :-1]
+    ds_f0, ds_fx, ds_fy, ds_fz, ds_law_z = (
+        ds_all[:, None, None] * a[:, :-1].T[:, :, None] for a in (f0, f_x, f_y, f_z, law_z)
+    )
+    z_gain = 1.0 + ds_fy + ds_fz
+
     u, yc, beta = (np.zeros((K, N + 1, W)) for _ in range(3))
     v = np.zeros((K, N, W))
     mean_y, mean_z = np.empty((K, N + 1)), np.empty((K, N + 1))
-    fit_self, fit_next, fit_cv = (mom.fits[:, :, k * W : (k + 1) * W] for k in range(3))
     u[:, N] = mom.fits[N, :, 3 * W :].T
     mean_y[:, N] = mom.terminal.mean(axis=1)
     target = mom.fits[N - 1, :, 3 * W :].T  # the fit on node N-1 of Y_N = g
@@ -404,55 +420,45 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
             phi = _basis(mom.w, mom.scales, i, mom.degree)
             if carry is not None:
                 target = target + _fit(phi, mom.grams[i], carry)
-        b = target
-        if i + 1 < N:
-            # martingale control variate: subtracting z(W_i) dW_i leaves the
-            # conditional expectation unchanged and shrinks the regression
-            # residual from O(sqrt(ds)) to O((Z - z_hat) sqrt(ds)); centering
-            # keeps the particle mean of the fit exactly equal to the target's.
-            # z(W_i) is the next node's Z field, read in this node's variable
-            rv = _rescaled(v[:, i + 1], mom.scales[i] / mom.scales[i + 1])
-            b = b - (rv @ fit_cv[i].T - np.outer(rv @ mom.dw_sums[i] / n, fit_self[i, :, 0]))
+        b = target - v[:, i + 1] @ cv_op[i] if i + 1 < N else target
 
         # the control field is the derivative of the full one-step value
         # P + f ds; the first-order generator correction keeps Z accurate
         # to O(ds^2) instead of O(ds), and is 0 for a state-free generator
-        dz = np.zeros((K, W))
         if i > 0:
-            dz[:, :-1] = _derivative(b, mom.scales[i])
-        elif N > 1:
-            # slope of w -> E[Y_{i+1} | W_i = w] at the collapsed node:
-            # smoothing the next field gives E[dY_{i+1}/dw]
-            dz[:, 0] = mean_z[:, 1]
+            vb = z_gain[i] * (b @ z_op[i])
+            if with_x:
+                vb += ds_fx[i] * self_op[i, 0]
         else:
-            dz[:, 0] = (mom.g_dw - b[:, 0] * mom.dw_sums[0, 0]) / (n * ds)
-        zc = dz + ds * (f_y[:, i, None] + f_z[:, i, None]) * dz
-        zc[:, 0] += ds * f_x[:, i]
-        # the first node's Z is the particle mean of its (constant) field
-        vb = zc @ fit_self[i].T if i > 0 else zc
+            # the first node's Z is the particle mean of its (constant) field,
+            # from the slope of w -> E[Y_{i+1} | W_i = w] at the collapsed
+            # node: smoothing the next field gives E[dY_{i+1}/dw]
+            if N > 1:
+                slope = mean_z[:, 1, None]
+            else:  # one step: the regression slope of g on W_1 = dW_0
+                slope = (mom.terminal @ mom.w[1] - b[:, 0] * mom.dw_sums[0, 0])[:, None] / (n * ds)
+            vb = np.zeros((K, W))
+            vb[:, :1] = z_gain[0] * slope + ds_fx[0]
         if nonlinear:
             r, dr = np.empty((K, n)), np.empty((K, n))
             for j, (g, p) in enumerate(zip(gens, b @ phi)):
                 r[j], dr[j] = generator_remainder(g, mom.grid_t[i], p)
-            z_rows = ds * dr * (dz @ phi)
             if i > 0:
-                vb = vb + _fit(phi, mom.grams[i], z_rows)
+                vb = vb + _fit(phi, mom.grams[i], ds * dr * (_derivative(b, mom.scales[i]) @ phi[:-1]))
             else:
-                vb[:, 0] += z_rows.mean(axis=1)
+                vb[:, 0] += (ds * dr * slope).mean(axis=1)
 
-        mean_z[:, i] = vb @ mom.sums[i] / n
+        mean_z[:, i] = vb @ means[i]
 
-        step = np.zeros((K, W))
-        step[:, 0] = f0[:, i]
+        step = ds_fy[i] * b + ds_fz[i] * vb
+        step[:, :1] += ds_f0[i]
         if with_law:
-            step[:, 0] += law_z[:, i] * mean_z[:, i]
-        step += f_y[:, i, None] * b + f_z[:, i, None] * vb
-        step *= ds
+            step[:, :1] += ds_law_z[i] * mean_z[:, i, None]
         y_c = b + step
         if with_x and i > 0:  # the first node's state is 0
-            y_c[:, 1] += ds * f_x[:, i] * mom.scales[i]
-        fitted = y_c @ fit_self[i].T
-        mean = y_c @ mom.sums[i] / n
+            y_c[:, 1:2] += ds_fx[i] * mom.scales[i]
+        fitted = y_c @ self_op[i]
+        mean = y_c @ means[i]
         if nonlinear:
             carry = ds * r
             fitted += _fit(phi, mom.grams[i], carry)
@@ -464,17 +470,12 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
             own = implicit[:, i] * mean_y[:, i]
             step[:, 0] += own
             y_c[:, 0] += own
-            fitted += own[:, None] * fit_self[i, :, 0]
+            fitted += own[:, None] * self_op[i, 0]
         else:
             mean_y[:, i] = mean
         u[:, i], v[:, i], yc[:, i], beta[:, i] = fitted, vb, y_c, b
-        # the fit on node i-1 of yc . phi_i; node 0's one live row is kept
-        # alone, since a product of all W rows would round it otherwise
-        if i > 1:
-            target = y_c @ fit_next[i - 1].T
-        elif i == 1:
-            target = np.zeros((K, W))
-            target[:, :1] = y_c @ fit_next[0, :1].T
+        if i > 0:  # the fit on node i-1 of yc . phi_i
+            target = y_c @ next_op[i - 1]
 
     mean_z[:, N] = mean_z[:, N - 1]  # Z_N is the last cell's field
     if not all(np.isfinite(a).all() for a in (u, v, yc, mean_y)):

@@ -292,7 +292,7 @@ def test_law_free_stack_keeps_no_particle_matrix():
 @pytest.mark.parametrize("degree", [1, 4, 6])
 @pytest.mark.parametrize("n_steps", [1, 2, 17])
 def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
-    # each node's row of the moment table, built from one product per node
+    # each node's row of the moment table, built from two products per node
     # and one batched solve, against the explicit basis products phi phi^T,
     # phi phi_{i+1}^T and phi diag(dW) phi^T; the products are summed over
     # particle blocks
@@ -345,6 +345,5 @@ def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
         close(fits[:, 2 * W : 3 * W], np.linalg.solve(gram, (phi * dw[i]) @ phi.T), dw_scale / len(dw[i]), cond)
     for i in (n_steps, n_steps - 1):
         close(mom.fits[i, :, 3 * W :].T, _fit(phis[i], mom.grams[i], terminal), cond=conds[i])
-    close(mom.g_dw, terminal @ dw[-1])
     # the first node's normal matrix has no condition to guard
     np.testing.assert_allclose(mom.gram_cond_max, max(conds[1:]), rtol=1e-9)

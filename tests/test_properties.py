@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from gaussbsde.config import emit_config, parse_config_payload
+from gaussbsde.config import parse_config_payload
 from gaussbsde.drivers import GaussianDriverSpec, build_clock, covariance
 from gaussbsde.errors import ConfigInvalid
 from gaussbsde.experiments import KINDS
@@ -25,6 +25,8 @@ from gaussbsde.scenario import (
     lipschitz_audit,
 )
 from gaussbsde.solver import _basis, _derivative, _fit, _regularized, _rescaled
+
+from test_cli import emit_config
 
 FEW = settings(deadline=None, max_examples=25)
 coefficient = st.floats(-3.0, 3.0, allow_nan=False)

@@ -14,7 +14,8 @@ from gaussbsde.pack import (
     shift_generator,
     shift_terminal,
 )
-from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec
+from gaussbsde.measures import LawFeatures
+from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec, eval_generator
 from gaussbsde.solver import SolverConfig, solve_auxiliary
 from gaussbsde.theorems import (
     comparison_check,
@@ -156,6 +157,21 @@ class TestRepresentationLimit:
         report = representation_limit_check(scn, 0.25, 1.0, 0.5, [0.2, 0.1, 0.05], cfg, seed=10)
         assert report.passed
         assert report.measurements["f_at_frozen_law"] == pytest.approx(-0.7)
+
+    def test_clock_integral_matches_the_cell_loop(self):
+        # f and V read at all of [a, b]'s nodes at once against the loop over
+        # its cells, on a time factor whose break falls inside (a, b)
+        gen = GeneratorSpec(c0=0.3, c2=-0.7, c3=0.2, kappa_y=0.4, rho_breaks=(0.31,), rho_values=(1.0, 2.5))
+        scn = ScenarioSpec(TerminalSpec(b=1.0), gen, GaussianDriverSpec.fbm(0.7, 1.0))
+        clock = build_clock(scn.driver, 257)
+        feats = LawFeatures(mean_x=0.0, mean_y=1.0, mean_z=0.5)
+        a, b = 0.25, 0.45
+        nodes = sorted({a, b, 0.31, *(t for t in clock.grid_t if a < t < b)})
+        expected = 0.0
+        for lo, hi in zip(nodes, nodes[1:]):
+            expected += eval_generator(gen, float(lo), 0.0, 1.0, 0.5, feats) * (clock.value(hi) - clock.value(lo))
+        assert len(nodes) > 50
+        assert theorems._integrate_f_dv(scn, clock, a, b, feats, 1.0, 0.5) == expected
 
     def test_rejects_increasing_eps(self):
         scn = identity_scenario(BROWNIAN)
@@ -349,6 +365,13 @@ class TestZBound:
         report = z_bound_check(field, scn, clock, cloud, seed=30)
         assert report.passed
         assert report.measurements["min_margin"] > 0
+
+    def test_reports_the_solve_diagnostics(self):
+        scn = linear_scenario(BROWNIAN, 0.5)
+        field, clock, cloud = self._solved(scn, 30)
+        measurements = z_bound_check(field, scn, clock, cloud, seed=30).measurements
+        assert measurements["gram_cond_max"] == field.gram_cond_max > 1.0
+        assert measurements["step_lipschitz"] == field.step_lipschitz == pytest.approx(0.5 / 16)
 
     def test_constant_terminal_zero_control(self):
         scn = ScenarioSpec(TerminalSpec(a=2.0), GeneratorSpec(), BROWNIAN)
