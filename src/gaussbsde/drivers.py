@@ -11,6 +11,7 @@ solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -210,6 +211,12 @@ class PathBatch:
     @property
     def n_paths(self) -> int:
         return self.samples.shape[0]
+
+    @cached_property
+    def increments(self) -> np.ndarray:
+        """(n_paths, n_times - 1) increments X(t_{i+1}) - X(t_i), one column
+        per cell, computed on first use and kept with the batch."""
+        return np.diff(self.samples, axis=1)
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:

@@ -61,8 +61,9 @@ the sweep.
 The law in place.  The generators read the law only through the node's own
 means: f(0, 0, 0, law_i) is its value at the law (mean x_i, 0, 0) plus
 rho_i (kappa_y mean_y_i + kappa_z mean_z_i), with the law partials rho kappa
-from ``scenario``.  mean x_i is the paths' mean, and mean_z_i = vb_i . s_i / n
-is known before the Y step.  mean_y_i enters Y_i only through the constant
+from ``scenario``.  mean x_i = sqrt(s_i - s_0) (phi_i 1)[1] / n is read off
+the moment table (0 at the first node), and mean_z_i = vb_i . s_i / n is
+known before the Y step.  mean_y_i enters Y_i only through the constant
 ds_i rho_i kappa_y mean_y_i, so with m_i the mean of Y_i without that term
 
     mean_y_i = m_i / (1 - ds_i rho_i kappa_y)
@@ -75,11 +76,14 @@ laws through which the equation is proved well posed.  The step guard
 more; ``_solve_on_grid``, which skips the guard, refuses a node where
 ds rho kappa_y reaches 1 (``StepTooCoarse``).
 
-One solve path serves every entry point: ``_solve_on_grid`` draws the
-increments once, builds the moments and solves K scenarios on them as a
-stack, in one sweep.  A single solve is the stack of one; the paired checks
-(comparison, converse, stability) solve both scenarios of a pair as one
-stack, on common random numbers.
+One solve path serves every entry point: ``_solve_on_grid`` takes the
+increments of one draw, builds the paths and their moments and solves K
+scenarios on them as a stack, in one sweep.  A single solve is the stack of
+one; the paired checks (comparison, converse, stability) solve both
+scenarios of a pair as one stack, on common random numbers.  A grid and its
+refinement (comparison and stability) share the draw of the finest grid, of
+which a grid of N steps reads the first n N normals: its own draw's.
+Particle arrays stream through cache-sized blocks (``_particle_blocks``).
 """
 
 from __future__ import annotations
@@ -115,6 +119,7 @@ _COND_LIMIT = 1e12
 _MAX_STEP_LIPSCHITZ = 0.5
 _RIDGE = 1e-8
 _PARTICLE_BLOCK = 8192
+_BLOCK_ELEMENTS = 32768  # float64 values of a streamed particle block: 256 KiB, inside L2
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,15 @@ class ParticleCloud:
     @property
     def n_particles(self) -> int:
         return self.w.shape[0]
+
+
+def _particle_blocks(n: int, width: int) -> list[slice]:
+    """Consecutive slices of the n particles, each holding at most
+    ``_BLOCK_ELEMENTS`` values of a row ``width`` values wide (one particle
+    at least): a pass over a block stays in cache instead of streaming a
+    whole particle array from memory once per operation."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _polyval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -186,10 +200,17 @@ class SolutionField:
 
     def on_paths(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Y, Z) on an (n, N+1) array of states at the grid nodes; Z has one
-        column per cell.  Every node is evaluated in one Horner pass, column
-        i with node i's coefficients, as ``transfer_evaluate`` reads a node."""
-        scaled = np.asarray(x, dtype=float) / self.scales
-        return _polyval(scaled, self.u_coeffs.T), _polyval(scaled[:, :-1], self.v_coeffs.T)
+        column per cell.  Every node is evaluated by Horner's rule, column i
+        with node i's coefficients, as ``transfer_evaluate`` reads a node,
+        one cache-sized block of particles at a time: each value is the one
+        a single pass over the whole array gives."""
+        x = np.asarray(x, dtype=float)
+        y, z = np.empty(x.shape), np.empty((x.shape[0], x.shape[1] - 1))
+        for rows in _particle_blocks(*x.shape):
+            scaled = x[rows] / self.scales
+            y[rows] = _polyval(scaled, self.u_coeffs.T)
+            z[rows] = _polyval(scaled[:, :-1], self.v_coeffs.T)
+        return y, z
 
 
 def _regularized(a: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
@@ -377,7 +398,8 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
     with_x = any(g.c1 != 0.0 for g in gens)
     with_law = not all(g.is_law_free for g in gens)
     ds_all = mom.ds
-    base = LawFeatures(mean_x=mom.w.mean(axis=1)) if with_law else LawFeatures()
+    # the paths' mean, from the moment table's sum of x_i
+    base = LawFeatures(mean_x=mom.sums[:, 1] * mom.scales / n) if with_law else LawFeatures()
     f0, f_x, f_y, f_z, law_y, law_z = (np.empty((K, N + 1)) for _ in range(6))
     for j, g in enumerate(gens):
         f0[j] = eval_generator(g, mom.grid_t, 0.0, 0.0, 0.0, base)
@@ -495,13 +517,26 @@ def _y_row(mom: _Moments, spec, out: _Stack, k: int, i: int) -> np.ndarray:
     return y
 
 
-def _brownian_increments(grid_s, n_particles, seed, tag):
-    """(N, n) centred Brownian increments; row i is the step from s_i to
-    s_{i+1} of every particle."""
+def _brownian_increments(normals: np.ndarray, grid_s) -> np.ndarray:
+    """(N, n) centred Brownian increments on grid_s; row i is the step from
+    s_i to s_{i+1} of every particle.  They are read from the first n N
+    values of the (n, N_max) draw ``normals`` as an (n, N) array: a Philox
+    stream fills a draw in C order, so these are the normals an (n, N) draw
+    of the same stream gives.  The centring, the scaling and the
+    transposition run one cache-sized block of particles at a time.  A grid
+    that reads the whole draw centres and scales it in place, so it must be
+    the draw's last reader; a coarser grid leaves the draw as it is."""
     ds = np.diff(grid_s)
-    z = standard_normals(seed, (n_particles, ds.size), tag)
-    z -= z.mean(axis=0)  # exact zero-mean increments
-    return np.multiply(z.T, np.sqrt(ds)[:, None], order="C")
+    n = normals.shape[0]
+    z = normals.reshape(-1)[: n * ds.size].reshape(n, ds.size)
+    mean, root = z.mean(axis=0), np.sqrt(ds)  # exact zero-mean increments
+    in_place = ds.size == normals.shape[1]
+    dw = np.empty((ds.size, n))
+    for rows in _particle_blocks(n, ds.size):
+        block = np.subtract(z[rows], mean, out=z[rows] if in_place else None)
+        block *= root  # in the draw's layout; the block is transposed once, in cache
+        dw[:, rows] = block.T
+    return dw
 
 
 def _paths(dw: np.ndarray) -> np.ndarray:
@@ -526,68 +561,81 @@ def _check_step(scns, grid_s) -> np.ndarray:
     return margins
 
 
-def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, seed, tag):
-    """The one solve path: draw the increments of every particle once, build
-    the paths from 0 and their moments, and run the one backward sweep of
-    the K generators on them.  ``terminal(w_end)`` gives the K rows of
-    terminal values at the last node's state; the generators read ``w`` in
-    their state slot.  Returns (moments, stack)."""
-    dw = _brownian_increments(grid_s, cfg.n_particles, seed, tag)
+def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, dw):
+    """The one solve path: from the increments ``dw`` of every particle
+    (``_brownian_increments``), build the paths from 0 and their moments,
+    and run the one backward sweep of the K generators on them.
+    ``terminal(w_end)`` gives the K rows of terminal values at the last
+    node's state; the generators read ``w`` in their state slot.  Returns
+    (moments, stack)."""
     w = _paths(dw)
     terminal_values = np.array(terminal(w[-1]), dtype=float)
     # an overflowing solve is reported once, by the finiteness check after
     # the sweep, not by numpy warnings along the way
     with np.errstate(over="ignore", invalid="ignore"):
         mom = _moments(grid_s, grid_t, w, dw, terminal_values, cfg.basis_degree)
-        del dw  # the sweep reads the moments, not the increments
+        del dw  # the sweep reads the moments, not the increments (released
+        # here unless the caller keeps them)
         return mom, _backward_pass(gens, mom)
 
 
 def solve_auxiliary_stack(
-    scns, clock: VarianceClock, cfg: SolverConfig, seed: int
-) -> list[tuple[SolutionField, ParticleCloud]]:
-    """Solve the auxiliary Brownian equations of several scenarios on the
-    clock's grid as one stack, on one shared draw (common random numbers):
-    each scenario's (field, cloud) is the one ``solve_auxiliary`` gives alone.
+    scns, clocks: list[VarianceClock], cfg: SolverConfig, seed: int
+) -> list[list[tuple[SolutionField, ParticleCloud]]]:
+    """Solve the auxiliary Brownian equations of several scenarios as one
+    stack on each of ``clocks`` (one clock, or a grid and then its
+    refinements, in strictly increasing step counts): one list of each
+    scenario's (field, cloud) per clock, in their order, each the one
+    ``solve_auxiliary`` gives for that scenario on that clock alone.
 
-    The time grid is taken from the clock (its image of [0, T]); ``cfg.n_time``
-    governs clock construction in the orchestration layer, not here.
+    The scenarios share one draw (common random numbers), and so do the
+    clocks: the normals of the finest grid are drawn once, and a grid of N
+    steps reads the first n N of them, which are the normals of its own
+    draw.  A coarse grid's increments are not sums of a fine grid's,
+    so the grids are not coupled.  The Lipschitz audit runs once per
+    scenario and the step guard on every grid, before the draw.
+
+    The time grids are taken from the clocks (their images of [0, T]);
+    ``cfg.n_time`` governs clock construction in the orchestration layer, not
+    here.
     """
-    grid_s = clock.grid_V
-    grid_t = clock.grid_t
+    steps = [clock.grid_V.size - 1 for clock in clocks]
+    if any(a >= b for a, b in zip(steps, steps[1:])):
+        raise ValueError("clocks must have strictly increasing step counts: a grid, then its refinements")
     for scn in scns:  # probes the symbolic constants the step guard reads
         lipschitz_audit(scn, seed=seed)
-    margins = _check_step(scns, grid_s)
+    margins = [_check_step(scns, clock.grid_V) for clock in clocks]
+    gens = [scn.generator for scn in scns]
 
     def terminal(w_end):
         return [terminal_on_paths(scn.terminal, w_end) for scn in scns]
 
-    mom, out = _solve_on_grid([scn.generator for scn in scns], terminal, grid_s, grid_t, cfg, seed, "solver-increments")
-    cloud = ParticleCloud(w=mom.w.T)
-    return [
-        (
+    normals = standard_normals(seed, (cfg.n_particles, steps[-1]), "solver-increments")
+    # coarse to fine: the finest grid, which reads the whole draw, reads it last
+    increments = [_brownian_increments(normals, clock.grid_V) for clock in clocks]
+    del normals
+    solved = []
+    for clock, margin in zip(clocks, margins):
+        # popped, so each grid's increments are released once its moments are built
+        mom, out = _solve_on_grid(gens, terminal, clock.grid_V, clock.grid_t, cfg, increments.pop(0))
+        cloud = ParticleCloud(w=mom.w.T)
+        fields = (
             SolutionField(
-                clock=clock,
-                grid_s=grid_s,
-                grid_t=grid_t,
-                scales=mom.scales,
-                u_coeffs=out.u[k],
-                v_coeffs=out.v[k],
-                gram_cond_max=mom.gram_cond_max,
-                step_lipschitz=float(margins[k]),
-            ),
-            cloud,
+                clock=clock, grid_s=clock.grid_V, grid_t=clock.grid_t, scales=mom.scales, u_coeffs=out.u[k],
+                v_coeffs=out.v[k], gram_cond_max=mom.gram_cond_max, step_lipschitz=float(margin[k]),
+            )
+            for k in range(len(scns))
         )
-        for k in range(len(scns))
-    ]
+        solved.append([(field, cloud) for field in fields])
+    return solved
 
 
 def solve_auxiliary(
     scn: ScenarioSpec, clock: VarianceClock, cfg: SolverConfig, seed: int
 ) -> tuple[SolutionField, ParticleCloud]:
     """Solve the auxiliary Brownian equation on the clock's grid: the stack
-    of one scenario."""
-    return solve_auxiliary_stack([scn], clock, cfg, seed)[0]
+    of one scenario on one clock."""
+    return solve_auxiliary_stack([scn], [clock], cfg, seed)[0][0]
 
 
 def transfer_evaluate(field: SolutionField, t: float, x) -> tuple:
@@ -675,7 +723,12 @@ def representation_solve_stack(
         return [y + z * w_end] * len(scns)
 
     gens = [scn.generator for scn in scns]
-    mom, out = _solve_on_grid(gens, terminal, grid_s, grid_t_sub, cfg, seed, "repr-increments")
+    # passed on, not kept: the solve releases the increments once its
+    # moments are built
+    mom, out = _solve_on_grid(
+        gens, terminal, grid_s, grid_t_sub, cfg,
+        _brownian_increments(standard_normals(seed, (cfg.n_particles, N), "repr-increments"), grid_s),
+    )
     candidates = _candidates(gens, mom, out)
     n = cfg.n_particles
     return [

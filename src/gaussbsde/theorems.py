@@ -136,6 +136,14 @@ def _require_t2_spread(scn: ScenarioSpec):
         raise HypothesisUnsatisfied("t2 needs b != 0: Y_t then has a Dirac law, with no finite relative entropy")
 
 
+def _refined_fields(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, seed: int):
+    """Both scenarios' fields on the grid of ``cfg.n_time`` steps and on its
+    refinement of twice as many, solved as one stack on one draw.  Only the
+    fields are kept, so the solves' paths are released."""
+    clocks = [build_clock(scn1.driver, m * cfg.n_time + 1) for m in (1, 2)]
+    return [[field for field, _ in stack] for stack in solve_auxiliary_stack([scn1, scn2], clocks, cfg, seed)]
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -167,14 +175,8 @@ def comparison_check(
         raise HypothesisUnsatisfied(f"terminal ordering fails at probe {probe_g.counterexample}")
 
     t_list = [float(t) for t in t_list]
-    clock = build_clock(scn1.driver, cfg.n_time + 1)
-    clock2 = build_clock(scn1.driver, 2 * cfg.n_time + 1)
-    # keep the fields only, so a solve's paths are released before the next one
-    fields = {}
-    for suffix, grid in (("", clock), ("fine", clock2)):
-        fields["1" + suffix], fields["2" + suffix] = (
-            field for field, _ in solve_auxiliary_stack([scn1, scn2], grid, cfg, seed)
-        )
+    (f1, f2), (f1_fine, f2_fine) = _refined_fields(scn1, scn2, cfg, seed)
+    fields = {"1": f1, "2": f2, "1fine": f1_fine, "2fine": f2_fine}
 
     grid_t = sorted({0.0, *t_list})
     paths = sample_paths(scn1.driver, grid_t, cfg.n_particles, derived_seed(seed, "cmp-eval"))
@@ -357,10 +359,11 @@ def converse_comparison_check(
 # stability
 
 
-def _stability_ratio(scn1, scn2, cfg, n_time, seed):
-    clock = build_clock(scn1.driver, n_time + 1)
-    f1, f2 = (field for field, _ in solve_auxiliary_stack([scn1, scn2], clock, cfg, seed))
-    x = sample_paths(scn1.driver, clock.grid_t, cfg.n_particles, derived_seed(seed, "stability-eval", n_time)).samples
+def _stability_ratio(scn1, scn2, f1: SolutionField, f2: SolutionField, n_particles: int, seed: int):
+    """(lhs, rhs) of the stability estimate for the two solved fields, on
+    evaluation paths of their clock."""
+    clock = f1.clock
+    x = sample_paths(scn1.driver, clock.grid_t, n_particles, derived_seed(seed, "stability-eval", f1.n_steps)).samples
     # both fields share the grid, so their gap is the field of the coefficient gaps
     gap = replace(f1, u_coeffs=f1.u_coeffs - f2.u_coeffs, v_coeffs=f1.v_coeffs - f2.v_coeffs)
     dy, dz = gap.on_paths(x)
@@ -384,8 +387,9 @@ def stability_check(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, s
     required finite and stable (within 20%) under time-grid refinement."""
     _require_same_driver(scn1, scn2)
     _require_refinable(scn1.driver)
-    lhs1, rhs1 = _stability_ratio(scn1, scn2, cfg, cfg.n_time, seed)
-    lhs2, rhs2 = _stability_ratio(scn1, scn2, cfg, 2 * cfg.n_time, seed)
+    (lhs1, rhs1), (lhs2, rhs2) = (
+        _stability_ratio(scn1, scn2, f1, f2, cfg.n_particles, seed) for f1, f2 in _refined_fields(scn1, scn2, cfg, seed)
+    )
 
     if rhs1 <= _EXACT_TOL and lhs1 <= _EXACT_TOL:
         return TheoremReport(

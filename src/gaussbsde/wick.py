@@ -15,7 +15,9 @@ Every product goes through `wick_product_first_chaos`, one cell or all cells
 of a grid at once.  The corrections E[X_{t_i} (X_{t_{i+1}} - X_{t_i})] of the
 cells come from one array call of the driver's covariance kernel, and
 `_wick_cells` gives the (n, N) products of an integrand along a path batch:
-the Riemann-Wick integral sums them and the residual suffix-sums them.
+the Riemann-Wick integral sums them and the residual suffix-sums them.  The
+weights, the cells and the factorization check read the batch's increments,
+computed once per batch (`PathBatch.increments`).
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ def _wick_corrections(driver: GaussianDriverSpec, grid: np.ndarray) -> np.ndarra
 def _wick_cells(coeffs: np.ndarray, paths: PathBatch) -> np.ndarray:
     """(n, N) products v(t_i, X_{t_i}) <> (X_{t_{i+1}} - X_{t_i}) along the
     paths, for raw-x coefficient rows ``coeffs`` (one per cell)."""
-    x = paths.samples
-    return wick_product_first_chaos(coeffs, x[:, :-1], np.diff(x, axis=1), _wick_corrections(paths.driver, paths.grid_t))
+    corrections = _wick_corrections(paths.driver, paths.grid_t)
+    return wick_product_first_chaos(coeffs, paths.samples[:, :-1], paths.increments, corrections)
 
 
 def _check_grid_alignment(grid_a: np.ndarray, grid_b: np.ndarray):
@@ -201,7 +203,7 @@ def wick_exponential_weights(h: StepFunctionH, paths: PathBatch) -> np.ndarray:
     """
     grid = paths.grid_t
     hdot_left = np.asarray(h.hdot(grid[:-1]))
-    i_h = np.diff(paths.samples, axis=1) @ hdot_left
+    i_h = paths.increments @ hdot_left
     var_exact = float(hdot_left @ _increment_covariance(paths.driver, grid) @ hdot_left)
     return np.exp(i_h - 0.5 * var_exact)
 
@@ -248,7 +250,7 @@ def s_transform_factorization_check(
     if not 0 <= i < grid.size - 1:
         raise ValueError("cell_index outside the grid")
     x_i = x[:, i]
-    dx_i = x[:, i + 1] - x[:, i]
+    dx_i = paths.increments[:, i]
     correction = _wick_corrections(paths.driver, grid[i : i + 2])[0]
     wick_samples = wick_product_first_chaos(poly_coeffs, x_i, dx_i, correction)
 

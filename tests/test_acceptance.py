@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from gaussbsde import drivers, solver
 from gaussbsde.config import parse_config_payload
 from gaussbsde.drivers import GaussianDriverSpec, VarianceClock, build_clock, sample_paths
 from gaussbsde.errors import HypothesisUnsatisfied
@@ -235,7 +236,17 @@ class TestAcceptance:
         cfg = parse_config_payload({"kind": "full_suite", "seed": SEED})
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         monkeypatch.setenv("GAUSSBSDE_THREADS", "1")
-        _, passed1 = run_config(cfg, out1, quiet=True)
+        # the first pass also counts its Philox normals: the paired checks'
+        # grid and its refinement share one draw
+        draws = []
+        with monkeypatch.context() as patch:
+            for module in (solver, drivers):
+                def counting(seed, shape, *tags, _draw=module.standard_normals):
+                    draws.append(math.prod(shape))
+                    return _draw(seed, shape, *tags)
+
+                patch.setattr(module, "standard_normals", counting)
+            _, passed1 = run_config(cfg, out1, quiet=True)
         # the second pass runs the suite's thread pool: outputs must not depend on it
         monkeypatch.setenv("GAUSSBSDE_THREADS", "2")
         _, passed2 = run_config(cfg, out2, quiet=True)
@@ -244,11 +255,13 @@ class TestAcceptance:
         )
         identical = all((out2 / rel).read_bytes() == (out1 / rel).read_bytes() for rel in files)
         manifest = json.loads((out1 / "manifest.json").read_text())
-        ok = passed1 and passed2 and identical and len(manifest["experiments"]) >= 8
+        counted = (len(draws), sum(draws)) == (25, 6_176_000)
+        ok = passed1 and passed2 and identical and len(manifest["experiments"]) >= 8 and counted
         announce(
             9, ok,
             f"full_suite passes twice, {len(files)} manifest/report/series files byte-identical, "
-            f"{len(manifest['experiments'])} experiments (>= 8)",
+            f"{len(manifest['experiments'])} experiments (>= 8), "
+            f"{sum(draws)} normals in {len(draws)} draws (6176000 in 25)",
         )
 
     def test_10_clock_equivariance(self):

@@ -20,6 +20,7 @@ from gaussbsde.drivers import GaussianDriverSpec, build_clock
 from gaussbsde.errors import UnsupportedScenario
 from gaussbsde.measures import LawFeatures
 from gaussbsde.pack import identity_scenario, linear_scenario, mean_field_scenario, shift_terminal
+from gaussbsde.rng import standard_normals
 from gaussbsde.scenario import (
     GeneratorSpec,
     ScenarioSpec,
@@ -133,8 +134,8 @@ def both_sweeps(gens, grid_s, grid_t, terminal, cfg, seed):
     """(moment stack, moments, particle reference) of one stack solve.  The
     reference evaluates f at the particles' states x = w, so its c1 x term is
     a particle row, not a basis coefficient."""
-    mom, out = solver._solve_on_grid(gens, terminal, grid_s, grid_t, cfg, seed, "oracle")
-    dw = solver._brownian_increments(grid_s, cfg.n_particles, seed, "oracle")
+    dw = solver._brownian_increments(standard_normals(seed, (cfg.n_particles, len(grid_s) - 1), "oracle"), grid_s)
+    mom, out = solver._solve_on_grid(gens, terminal, grid_s, grid_t, cfg, dw)
     w = solver._paths(dw)
     ref = particle_picard(gens, grid_s, grid_t, w, dw, mom.terminal, cfg, x_states=w)
     return out, mom, ref
@@ -282,7 +283,7 @@ def test_law_free_stack_keeps_no_particle_matrix():
     scns = [linear_scenario(BROWNIAN, 0.5), identity_scenario(BROWNIAN)]
     tracemalloc.start()
     try:
-        solver.solve_auxiliary_stack(scns, clock, cfg, seed=3)
+        solver.solve_auxiliary_stack(scns, [clock], cfg, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -298,7 +299,7 @@ def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
     # particle blocks
     monkeypatch.setattr(solver, "_PARTICLE_BLOCK", 768)
     grid_s = build_clock(BROWNIAN, n_steps + 1).grid_V
-    dw = solver._brownian_increments(grid_s, 2000, 7, "nodes")
+    dw = solver._brownian_increments(standard_normals(7, (2000, n_steps), "nodes"), grid_s)
     w = solver._paths(dw)
     terminal = np.array([1.0 + w[-1], np.sin(w[-1])])
     solves = []

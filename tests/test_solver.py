@@ -23,6 +23,7 @@ from gaussbsde.pack import (
     shift_generator,
     shift_terminal,
 )
+from gaussbsde.rng import standard_normals
 from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec
 from gaussbsde.solver import (
     SolverConfig,
@@ -235,7 +236,7 @@ class TestSolveOracles:
         # a stack of two scenarios shares the normal matrices of its one draw
         built.clear()
         scn = mean_field_scenario(BROWNIAN)
-        (field, _), _ = solve_auxiliary_stack([scn, shift_terminal(scn, 1.0)], clock, cfg, seed=5)
+        [[(field, _), _]] = solve_auxiliary_stack([scn, shift_terminal(scn, 1.0)], [clock], cfg, seed=5)
         assert built == [field.n_steps + 1]
 
     def test_step_stability_guard(self):
@@ -263,7 +264,8 @@ class TestSolveOracles:
         grid_s = np.linspace(0.0, 1.0, 3)  # ds = 0.5
 
         def solve(gen):
-            return solver._solve_on_grid([gen], lambda w_end: [1.0 + w_end], grid_s, grid_s, cfg, 1, "guard")
+            dw = solver._brownian_increments(standard_normals(1, (cfg.n_particles, 2), "guard"), grid_s)
+            return solver._solve_on_grid([gen], lambda w_end: [1.0 + w_end], grid_s, grid_s, cfg, dw)
 
         with pytest.raises(StepTooCoarse, match="kappa_y"):
             solve(GeneratorSpec(kappa_y=2.0))
@@ -310,7 +312,7 @@ class TestStackedSolves:
         scns = _pairs()[pair]
         clock = build_clock(BROWNIAN, 17)
         cfg = SolverConfig(n_time=16, n_particles=2000)
-        stacked = solve_auxiliary_stack(scns, clock, cfg, seed=11)
+        [stacked] = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
         for scn, (field, cloud) in zip(scns, stacked):
             alone, alone_cloud = solve_auxiliary(scn, clock, cfg, seed=11)
             np.testing.assert_allclose(field.u_coeffs, alone.u_coeffs, rtol=0, atol=1e-11)
@@ -350,7 +352,7 @@ class TestStackedSolves:
         scns = (mf, identity_scenario(BROWNIAN), shift_terminal(mf, 1.0))
         clock = build_clock(BROWNIAN, 17)
         cfg = SolverConfig(n_time=16, n_particles=2000)
-        stacked = solve_auxiliary_stack(scns, clock, cfg, seed=11)
+        [stacked] = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
         assert passes == [3]
         for scn, (field, cloud) in zip(scns, stacked):
             alone, alone_cloud = solve_auxiliary(scn, clock, cfg, seed=11)
@@ -359,6 +361,91 @@ class TestStackedSolves:
             for stacked_rows, alone_rows in zip(field.on_paths(cloud.w), alone.on_paths(alone_cloud.w)):
                 np.testing.assert_allclose(stacked_rows, alone_rows, rtol=0, atol=1e-11)
         assert passes == [3, 1, 1, 1]
+
+
+class TestRefinedDraw:
+    """The grids of a refinement read prefixes of one draw: each grid gets
+    the normals a draw of its own would give."""
+
+    @pytest.mark.parametrize("n, n_steps", [(8000, 32), (16000, 16), (8000, 100)])
+    def test_philox_fills_a_draw_in_c_order(self, n, n_steps):
+        # the first n N normals of an (n, 2N) draw are the (n, N) draw of the same stream
+        fine = standard_normals(5, (n, 2 * n_steps), "prefix")
+        coarse = standard_normals(5, (n, n_steps), "prefix")
+        assert np.array_equal(fine.reshape(-1)[: n * n_steps].reshape(n, n_steps), coarse)
+
+    def test_refined_grids_equal_solves_alone(self):
+        mf = mean_field_scenario(BROWNIAN)
+        scns = [mf, shift_terminal(mf, 1.0)]
+        clocks = [build_clock(BROWNIAN, 17), build_clock(BROWNIAN, 33)]
+        cfg = SolverConfig(n_time=16, n_particles=2000)
+        refined = solve_auxiliary_stack(scns, clocks, cfg, seed=11)
+        assert len(refined) == 2
+        for clock, stacked in zip(clocks, refined):
+            [alone] = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
+            for (field, cloud), (field_alone, cloud_alone) in zip(stacked, alone):
+                assert field.clock is clock
+                for name in ("u_coeffs", "v_coeffs", "scales", "grid_s"):
+                    assert np.array_equal(getattr(field, name), getattr(field_alone, name))
+                assert field.gram_cond_max == field_alone.gram_cond_max
+                assert field.step_lipschitz == field_alone.step_lipschitz
+                assert np.array_equal(cloud.w, cloud_alone.w)
+
+    def test_refined_call_audits_once_and_guards_every_grid(self, monkeypatch):
+        audits, draws = [], []
+        audit, draw = solver.lipschitz_audit, solver.standard_normals
+        monkeypatch.setattr(solver, "lipschitz_audit", lambda scn, seed: audits.append(scn) or audit(scn, seed=seed))
+        monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
+        scns = [linear_scenario(BROWNIAN, beta=3.0), identity_scenario(BROWNIAN)]
+        cfg = SolverConfig(n_time=8, n_particles=2000)
+        solve_auxiliary_stack(scns, [build_clock(BROWNIAN, 9), build_clock(BROWNIAN, 17)], cfg, seed=1)
+        assert len(audits) == len(scns)
+        assert [args[1] for args in draws] == [(2000, 16)]
+        # L_f = 3: a step of 1/4 fails the guard on either grid, before any draw
+        draws.clear()
+        uneven = np.concatenate([[0.0], 0.25 + np.linspace(0.0, 0.75, 16)])  # 16 steps, the first 1/4
+        for clocks in (
+            [build_clock(BROWNIAN, 5), build_clock(BROWNIAN, 9)],
+            [build_clock(BROWNIAN, 9), VarianceClock(grid_t=uneven, grid_V=uneven.copy())],
+        ):
+            with pytest.raises(StepTooCoarse, match="max step"):
+                solve_auxiliary_stack(scns, clocks, cfg, seed=1)
+        assert draws == []
+        # the finest grid reads the whole draw, so it comes last
+        clock = build_clock(BROWNIAN, 9)
+        for clocks in ([build_clock(BROWNIAN, 17), clock], [clock, clock]):
+            with pytest.raises(ValueError, match="increasing step counts"):
+                solve_auxiliary_stack(scns, clocks, cfg, seed=1)
+
+    def test_blocked_increments_are_the_one_shot_formula(self, monkeypatch):
+        # 2000 particles in blocks of 100 // 16 = 6 and 100 // 32 = 3: the
+        # last block holds 2
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 100)
+        normals = standard_normals(3, (2000, 32), "blocks")
+        drawn = normals.copy()
+        for n_steps in (16, 32):  # the grid reading the whole draw comes last
+            grid_s = np.sort(np.random.default_rng(n_steps).uniform(0.0, 1.0, n_steps + 1))
+            grid_s[0] = 0.0
+            z = standard_normals(3, (2000, n_steps), "blocks")
+            z -= z.mean(axis=0)
+            expected = np.multiply(z.T, np.sqrt(np.diff(grid_s))[:, None], order="C")
+            dw = solver._brownian_increments(normals, grid_s)
+            assert dw.flags.c_contiguous and np.array_equal(dw, expected)
+            if n_steps == 16:  # a prefix leaves the draw as it is
+                assert np.array_equal(normals, drawn)
+
+    def test_blocked_on_paths_is_the_one_shot_formula(self, monkeypatch):
+        scn = ScenarioSpec(TerminalSpec(b=2.0, phi="sin", c=1.0), GeneratorSpec(c2=0.3, kappa_y=0.2), BROWNIAN)
+        field, cloud = solve_auxiliary(scn, build_clock(BROWNIAN, 17), SolverConfig(n_time=16, n_particles=2000), seed=6)
+        assert cloud.w.flags.f_contiguous  # a view of the solver's time-major paths
+        # 2000 particles in blocks of 100 // 17 = 5 (the last full), then 7 (the last holds 5)
+        for width in (100, 120):
+            monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", width)
+            for x in (cloud.w, np.ascontiguousarray(cloud.w)):
+                scaled = x / field.scales
+                y, z = field.on_paths(x)
+                assert np.array_equal(y, solver._polyval(scaled, field.u_coeffs.T))
+                assert np.array_equal(z, solver._polyval(scaled[:, :-1], field.v_coeffs.T))
 
 
 def _node_field(coeffs, scales, w, i):

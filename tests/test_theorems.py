@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaussbsde import theorems
+from gaussbsde import solver, theorems
 from gaussbsde.drivers import GaussianDriverSpec, build_clock
 from gaussbsde.errors import HypothesisUnobserved, HypothesisUnsatisfied, UnsupportedScenario
 from gaussbsde.pack import (
@@ -103,6 +103,15 @@ class TestComparison:
         scn = mean_field_scenario(BROWNIAN)
         comparison_check(scn, shift_terminal(scn, 1.0), SMALL, [0.0, 0.5, 1.0], seed=3)
         assert len(calls) == 12
+
+    def test_one_draw_for_both_grids(self, monkeypatch):
+        # the coarse grid reads the first n N normals of the refined grid's draw
+        draws = []
+        draw = solver.standard_normals
+        monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
+        scn = mean_field_scenario(BROWNIAN)
+        comparison_check(scn, shift_terminal(scn, 1.0), SMALL, [0.0, 0.5, 1.0], seed=3)
+        assert [(shape, tags) for _, shape, *tags in draws] == [((4000, 32), ["solver-increments"])]
 
     def test_refuses_z_law_dependence(self):
         scn1 = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(kappa_z=0.5), BROWNIAN)
@@ -258,6 +267,14 @@ class TestStability:
         scn = linear_scenario(BROWNIAN, 0.5)
         assert stability_check(scn, shift(scn, 0.5), SMALL, seed=19).passed
         assert len(seen) == calls
+
+    def test_one_draw_for_both_grids(self, monkeypatch):
+        draws = []
+        draw = solver.standard_normals
+        monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
+        scn = linear_scenario(BROWNIAN, 0.5)
+        stability_check(scn, shift_terminal(scn, 0.5), SMALL, seed=19)
+        assert [(shape, tags) for _, shape, *tags in draws] == [((4000, 32), ["solver-increments"])]
 
     def test_refuses_custom_driver(self):
         # the refined grid would be the coarse one again: a ratio drift of 0

@@ -268,6 +268,21 @@ class TestIntegrandConversion:
             np.testing.assert_allclose(npoly.polyval(x, integrand.coeffs[i]), z[:, i], atol=1e-10)
 
 
+def test_path_increments_taken_once_per_batch(monkeypatch):
+    # the weights, the Riemann-Wick cells and the factorization check read
+    # one increments array, the one np.diff gives
+    clock, paths = make_paths(FBM07, 8, 500, seed=4)
+    expected = np.diff(paths.samples, axis=1)
+    diffs = []
+    diff = np.diff
+    monkeypatch.setattr(np, "diff", lambda a, *args, **kwargs: diffs.append(np.shape(a)) or diff(a, *args, **kwargs))
+    weights = [wick_exponential_weights(h, paths) for h in _default_h_functions(1.0)]
+    riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, np.tile([0.0, 1.0], (8, 1))), paths, clock)
+    s_transform_factorization_check([0.0, 0.0, 1.0], 4, weights[0], paths)
+    assert diffs.count(paths.samples.shape) == 1
+    assert np.array_equal(paths.increments, expected)
+
+
 def test_wick_validate_on_a_brownian_driver(tmp_path):
     # the sections a Brownian driver adds: the S-transform of the driver
     # against h's integral, and the quadratic identity's variance V_T^2 / 2.
