@@ -62,7 +62,7 @@ class DegenerateIncrement(GaussBsdeError):
 
 
 class GridMismatch(GaussBsdeError):
-    """Integrand, paths and clock are not on the same grid."""
+    """Paths and integrand are not on the same grid."""
 
 
 # --- theorem checks ---------------------------------------------------------

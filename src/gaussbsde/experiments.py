@@ -45,10 +45,12 @@ from .theorems import (
     TheoremReport,
     _require_clock_differentiable,
     _require_gaussian_family,
+    _require_generator_order,
     _require_mean_coupling,
     _require_refinable,
     _require_t2_spread,
     _require_t2_time,
+    _require_terminal_order,
     _require_z_law_free,
     comparison_check,
     converse_comparison_check,
@@ -75,14 +77,14 @@ _QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)  # of the solution series
 class ExperimentOutcome:
     name: str
     kind: str
-    reports: list
+    report: TheoremReport
     report_paths: list[Path]
     series_paths: list[Path]
     wall_clock_ms: float
 
     @property
     def passed(self) -> bool:
-        return all(r.passed is not False for r in self.reports)
+        return self.report.passed is not False
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +107,11 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
     tags = [f"q{int(round(q * 100)):02d}" for q in _QUANTILES]
     normal_quantiles = np.array([NormalDist().inv_cdf(q) for q in _QUANTILES])
     # the states at the quantiles of N(0, V_t) at every node (+ 0.0: no -0.0 at t = 0)
-    x = np.outer(normal_quantiles, np.sqrt(field.grid_s)) + 0.0
+    x = np.outer(normal_quantiles, np.sqrt(clock.grid_V)) + 0.0
     y_vals, z_vals = field.on_paths(x)
     z_vals = np.column_stack([z_vals, transfer_evaluate(field, clock.T, x[:, -1])[1]])  # Z at T: the last cell's
     rows = []
-    for i, (t, v) in enumerate(zip(field.grid_t.tolist(), field.grid_s.tolist())):
+    for i, (t, v) in enumerate(zip(clock.grid_t.tolist(), clock.grid_V.tolist())):
         rows.extend((t, v, tag, y, z) for tag, y, z in zip(tags, y_vals[:, i].tolist(), z_vals[:, i].tolist()))
     series_path = out_dir / "series" / f"{name}__solution.csv"
     series_path.parent.mkdir(parents=True, exist_ok=True)
@@ -120,8 +122,8 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
         scenario_digest=scenario_digest(scn),
         passed=True,
         measurements={
-            "grid_t": [float(v) for v in field.grid_t],
-            "grid_V": [float(v) for v in field.grid_s],
+            "grid_t": [float(v) for v in clock.grid_t],
+            "grid_V": [float(v) for v in clock.grid_V],
             "u_coeffs": field.u_coeffs.tolist(),
             "v_coeffs": field.v_coeffs.tolist(),
             "basis_scales": [float(v) for v in field.scales],
@@ -198,7 +200,7 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
 
     linear_rows = np.tile(np.array([0.0, 1.0]), (clock.grid_t.size - 1, 1))
     integrand = FirstChaosIntegrand.from_rows(clock.grid_t, linear_rows)
-    integral = riemann_wick_integral(integrand, paths, clock)
+    integral = riemann_wick_integral(integrand, paths)
     mean_se = float(np.std(integral) / np.sqrt(n_paths))
     centered_ok = abs(float(np.mean(integral))) <= 3.0 * mean_se
     ok = ok and centered_ok
@@ -272,7 +274,7 @@ def _run_lsi(cfg: ExperimentConfig, out_dir: Path, name: str):
 def _run_zbound(cfg: ExperimentConfig, out_dir: Path, name: str):
     clock = build_clock(cfg.scenario.driver, cfg.solver.n_time + 1)
     field, cloud = solve_auxiliary(cfg.scenario, clock, cfg.solver, cfg.seed)
-    return z_bound_check(field, cfg.scenario, clock, cloud, seed=cfg.seed), []
+    return z_bound_check(field, cfg.scenario, cloud, seed=cfg.seed), []
 
 
 @dataclass(frozen=True)
@@ -309,6 +311,9 @@ KINDS = {
             _generator_gate("scenario", "kappa_z", _require_z_law_free),
             _generator_gate("scenario_2", "kappa_z", _require_z_law_free),
             ("scenario.generator.kappa_y", lambda cfg: _require_mean_coupling(cfg.scenario, cfg.scenario_2)),
+            # the order probes draw from the run's seed, so validate and run draw the same points
+            ("scenario_2.generator", lambda cfg: _require_generator_order(cfg.scenario, cfg.scenario_2, cfg.seed)),
+            ("scenario_2.terminal", lambda cfg: _require_terminal_order(cfg.scenario, cfg.scenario_2, cfg.seed)),
         ),
     ),
     "representation": Kind(
@@ -348,9 +353,9 @@ def run_single(cfg: ExperimentConfig, out_dir: Path, name: str | None = None) ->
     name = name or cfg.kind
     t0 = time.perf_counter()
     report, series_paths = KINDS[cfg.kind].run(cfg, out_dir, name)
-    paths = emit_report([report], out_dir / "reports", prefix=f"{name}__")
+    paths = emit_report(report, out_dir / "reports", prefix=f"{name}__")
     return ExperimentOutcome(
-        name=name, kind=cfg.kind, reports=[report], report_paths=paths,
+        name=name, kind=cfg.kind, report=report, report_paths=paths,
         series_paths=series_paths, wall_clock_ms=(time.perf_counter() - t0) * 1e3,
     )
 

@@ -71,31 +71,26 @@ def _cell(value) -> str:
     return str(value)
 
 
-def emit_report(reports, out_dir, prefix: str = "") -> list[Path]:
-    """Write one JSON file per report plus a flat CSV of all measurements.
+def emit_report(report, out_dir, prefix: str = "") -> list[Path]:
+    """Write the report as JSON, ``{prefix}00_{theorem}.json``, and its
+    measurements as a flat CSV, ``{prefix}measurements.csv``.
 
-    File contents are a pure function of the report payloads.
+    File contents are a pure function of the report payload.
     """
-    if not reports:
-        raise ValueError("no reports to emit")
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
+        payload = report.payload()
+        json_path = out_dir / f"{prefix}00_{report.theorem}.json"
+        json_path.write_text(canonical_json(payload) + "\n")
         csv_buf = io.StringIO()
         writer = csv.writer(csv_buf, lineterminator="\n")
         writer.writerow(["theorem", "scenario_digest", "key", "value"])
-        for idx, report in enumerate(reports):
-            payload = report.payload()
-            path = out_dir / f"{prefix}{idx:02d}_{report.theorem}.json"
-            path.write_text(canonical_json(payload) + "\n")
-            written.append(path)
-            for key, value in _flat_items("", payload["measurements"]):
-                writer.writerow([report.theorem, report.scenario_digest, key, _cell(value)])
+        for key, value in _flat_items("", payload["measurements"]):
+            writer.writerow([report.theorem, report.scenario_digest, key, _cell(value)])
         csv_path = out_dir / f"{prefix}measurements.csv"
         csv_path.write_text(csv_buf.getvalue())
-        written.append(csv_path)
-        return written
+        return [json_path, csv_path]
     except OSError as exc:
         raise IoFailure(f"could not write reports under {out_dir}: {exc}") from exc
 

@@ -111,7 +111,6 @@ from .scenario import (
     generator_law_partials,
     generator_partials,
     generator_remainder,
-    lipschitz_audit,
     terminal_on_paths,
 )
 
@@ -184,9 +183,7 @@ class SolutionField:
     in time, so there is one row fewer than for u).
     """
 
-    clock: VarianceClock
-    grid_s: np.ndarray
-    grid_t: np.ndarray
+    clock: VarianceClock  # its grid_V and grid_t are the field's nodes
     scales: np.ndarray
     u_coeffs: np.ndarray  # (N+1) x (degree+1)
     v_coeffs: np.ndarray  # N x (degree+1)
@@ -196,7 +193,7 @@ class SolutionField:
 
     @property
     def n_steps(self) -> int:
-        return len(self.grid_s) - 1
+        return self.clock.grid_V.size - 1
 
     def on_paths(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Y, Z) on an (n, N+1) array of states at the grid nodes; Z has one
@@ -592,8 +589,8 @@ def solve_auxiliary_stack(
     clocks: the normals of the finest grid are drawn once, and a grid of N
     steps reads the first n N of them, which are the normals of its own
     draw.  A coarse grid's increments are not sums of a fine grid's,
-    so the grids are not coupled.  The Lipschitz audit runs once per
-    scenario and the step guard on every grid, before the draw.
+    so the grids are not coupled.  The step guard runs on every grid, with
+    each generator's symbolic constant, before the draw.
 
     The time grids are taken from the clocks (their images of [0, T]);
     ``cfg.n_time`` governs clock construction in the orchestration layer, not
@@ -602,8 +599,6 @@ def solve_auxiliary_stack(
     steps = [clock.grid_V.size - 1 for clock in clocks]
     if any(a >= b for a, b in zip(steps, steps[1:])):
         raise ValueError("clocks must have strictly increasing step counts: a grid, then its refinements")
-    for scn in scns:  # probes the symbolic constants the step guard reads
-        lipschitz_audit(scn, seed=seed)
     margins = [_check_step(scns, clock.grid_V) for clock in clocks]
     gens = [scn.generator for scn in scns]
 
@@ -621,8 +616,8 @@ def solve_auxiliary_stack(
         cloud = ParticleCloud(w=mom.w.T)
         fields = (
             SolutionField(
-                clock=clock, grid_s=clock.grid_V, grid_t=clock.grid_t, scales=mom.scales, u_coeffs=out.u[k],
-                v_coeffs=out.v[k], gram_cond_max=mom.gram_cond_max, step_lipschitz=float(margin[k]),
+                clock=clock, scales=mom.scales, u_coeffs=out.u[k], v_coeffs=out.v[k],
+                gram_cond_max=mom.gram_cond_max, step_lipschitz=float(margin[k]),
             )
             for k in range(len(scns))
         )
@@ -642,7 +637,7 @@ def transfer_evaluate(field: SolutionField, t: float, x) -> tuple:
     """(Y, Z) at original time t and state x (floats for a scalar x): Y blended
     linearly between nodes, Z from the left node (dV-a.e. convention)."""
     s = field.clock.value(t)
-    grid_s = field.grid_s
+    grid_s = field.clock.grid_V
     if s < grid_s[0] - 1e-12 or s > grid_s[-1] + 1e-12:
         raise OutOfRange(f"clock value {s} outside [{grid_s[0]}, {grid_s[-1]}]")
     j = int(np.searchsorted(grid_s, s, side="right")) - 1

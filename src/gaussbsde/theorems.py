@@ -29,7 +29,6 @@ from .scenario import (
     eval_generator,
     generator_dv_on_paths,
     generator_order_probe,
-    lipschitz_audit,
     terminal_on_paths,
     terminal_order_probe,
 )
@@ -110,6 +109,18 @@ def _require_mean_coupling(scn1: ScenarioSpec, scn2: ScenarioSpec):
         raise HypothesisUnsatisfied("comparison requires a nonnegative mean-coupling in Y for one generator")
 
 
+def _require_generator_order(scn1: ScenarioSpec, scn2: ScenarioSpec, seed: int):
+    probe = generator_order_probe(scn1.generator, scn2.generator, seed=derived_seed(seed, "cmp-f"), T=scn1.driver.T)
+    if not probe.ordered:
+        raise HypothesisUnsatisfied(f"generator ordering fails at probe {probe.counterexample}")
+
+
+def _require_terminal_order(scn1: ScenarioSpec, scn2: ScenarioSpec, seed: int):
+    probe = terminal_order_probe(scn1.terminal, scn2.terminal, seed=derived_seed(seed, "cmp-g"))
+    if not probe.ordered:
+        raise HypothesisUnsatisfied(f"terminal ordering fails at probe {probe.counterexample}")
+
+
 def _require_gaussian_family(scn: ScenarioSpec):
     gen, term = scn.generator, scn.terminal
     if not (
@@ -167,12 +178,8 @@ def comparison_check(
     _require_z_law_free(scn1)
     _require_z_law_free(scn2)
     _require_mean_coupling(scn1, scn2)
-    probe_f = generator_order_probe(scn1.generator, scn2.generator, seed=derived_seed(seed, "cmp-f"), T=scn1.driver.T)
-    if not probe_f.ordered:
-        raise HypothesisUnsatisfied(f"generator ordering fails at probe {probe_f.counterexample}")
-    probe_g = terminal_order_probe(scn1.terminal, scn2.terminal, seed=derived_seed(seed, "cmp-g"))
-    if not probe_g.ordered:
-        raise HypothesisUnsatisfied(f"terminal ordering fails at probe {probe_g.counterexample}")
+    _require_generator_order(scn1, scn2, seed)
+    _require_terminal_order(scn1, scn2, seed)
 
     t_list = [float(t) for t in t_list]
     (f1, f2), (f1_fine, f2_fine) = _refined_fields(scn1, scn2, cfg, seed)
@@ -216,16 +223,17 @@ def comparison_check(
 # representation and converse comparison
 
 
-def _integrate_f_dv(scn: ScenarioSpec, clock: VarianceClock, a: float, b: float, feats: LawFeatures, y: float, z: float) -> float:
-    """int_a^b f(r, 0, y, z, frozen law) dV_r, exact for piecewise-constant
-    time factors and the piecewise-linear clock."""
+def _integrate_f_dv(scn: ScenarioSpec, clock: VarianceClock, a: float, b: float, y: float, z: float) -> float:
+    """int_a^b f(r, 0, y, z, frozen law) dV_r, the frozen law the Dirac mass
+    at (0, y, z); exact for piecewise-constant time factors and the
+    piecewise-linear clock."""
     gen = scn.generator
     nodes = [a, b]
     nodes.extend(t for t in clock.grid_t if a < t < b)
     if gen.rho_breaks:
         nodes.extend(t for t in gen.rho_breaks if a < t < b)
     nodes = np.array(sorted(set(nodes)))
-    f_vals = eval_generator(gen, nodes[:-1], 0.0, y, z, feats)
+    f_vals = eval_generator(gen, nodes[:-1], 0.0, y, z, LawFeatures(mean_x=0.0, mean_y=y, mean_z=z))
     total = 0.0
     for cell in (f_vals * np.diff(clock.value(nodes))).tolist():  # left to right: sum() compensates
         total += cell
@@ -261,7 +269,7 @@ def representation_limit_check(
     for k, eps in enumerate(eps_list):
         rep = representation_solve(scn, clock, t, eps, y, z, cfg, derived_seed(seed, "repr", k))
         a_vals.append((rep.value - y) / eps)
-        b_vals.append(_integrate_f_dv(scn, clock, t, t + eps, frozen, y, z) / eps)
+        b_vals.append(_integrate_f_dv(scn, clock, t, t + eps, y, z) / eps)
         gaps.append(abs(a_vals[-1] - b_vals[-1]))
         ses.append(rep.std_error / eps)
 
@@ -438,10 +446,10 @@ def transport_constants(l_g: float, l_f: float, clock: VarianceClock, t: float) 
     return 2.0 * base ** 2 * growth, 2.0 * clock.V_T * base ** 2 * growth
 
 
-def _gaussian_family(scn: ScenarioSpec, t: float, cfg: SolverConfig, seed: int):
+def _gaussian_family(scn: ScenarioSpec, t: float, cfg: SolverConfig):
     """(clock, law, C_Tr, C_LS) of the T2 and LSI checks: the closed-form
     marginal law of Y_t for law-free affine scenarios, and the constants at
-    the audited Lipschitz constants."""
+    the scenario's symbolic Lipschitz constants."""
     _require_gaussian_family(scn)
     clock = build_clock(scn.driver, max(cfg.n_time, 64) + 1)
     gen, term = scn.generator, scn.terminal
@@ -453,8 +461,7 @@ def _gaussian_family(scn: ScenarioSpec, t: float, cfg: SolverConfig, seed: int):
     else:
         shift = gen.c0 * lam
     law = GaussianLaw1D(mean=factor * term.a + shift, variance=(term.b * factor) ** 2 * v_t)
-    audit = lipschitz_audit(scn, seed=seed)
-    return (clock, law, *transport_constants(audit.l_g, audit.l_f, clock, t))
+    return (clock, law, *transport_constants(term.lipschitz, gen.lipschitz, clock, t))
 
 
 @contextmanager
@@ -477,7 +484,7 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, cfg: SolverConfig, seed: i
     """
     _require_t2_time(t)
     _require_t2_spread(scn)
-    clock, law, c_tr, _ = _gaussian_family(scn, t, cfg, seed)
+    clock, law, c_tr, _ = _gaussian_family(scn, t, cfg)
 
     rows = []
     ok = True
@@ -528,7 +535,7 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, cfg: SolverConfig, seed:
     """Log-Sobolev inequality on the Gaussian family with the exponential test
     family f_lam(x) = exp(lam x / 2); entropies are cross-checked by
     quadrature, to a relative error of 1e-6 (absolute below an entropy of 1)."""
-    _, law, _, c_ls = _gaussian_family(scn, t, cfg, seed)
+    _, law, _, c_ls = _gaussian_family(scn, t, cfg)
 
     m, s2 = law.mean, law.variance
     rows = []
@@ -579,25 +586,19 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, cfg: SolverConfig, seed:
 # Z bound
 
 
-def z_bound_check(
-    field: SolutionField,
-    scn: ScenarioSpec,
-    clock: VarianceClock,
-    cloud: ParticleCloud,
-    seed: int = 0,
-) -> TheoremReport:
-    """Pathwise bound on the control field with audited constants:
+def z_bound_check(field: SolutionField, scn: ScenarioSpec, cloud: ParticleCloud, seed: int = 0) -> TheoremReport:
+    """Pathwise bound on the control field on its clock, with the scenario's
+    symbolic Lipschitz constants:
     |Z(s)| <= (1 + slack) * exp(L_f (V_T - s)) (L_g + L_f (V_T - s)), slack 5%."""
-    audit = lipschitz_audit(scn, seed=seed)
-    v_total = clock.V_T
+    l_f, l_g = scn.generator.lipschitz, scn.terminal.lipschitz
+    grid_s, v_total = field.clock.grid_V, field.clock.V_T
     _, z = field.on_paths(cloud.w)
     margins, observed, bounds = [], [], []
     ok = True
     atol = 1e-8  # absolute floor so a bound of exactly 0 tolerates roundoff
     for i in range(field.n_steps):
-        s = field.grid_s[i]
-        lam = v_total - s
-        bound = math.exp(audit.l_f * lam) * (audit.l_g + audit.l_f * lam)
+        lam = v_total - grid_s[i]
+        bound = math.exp(l_f * lam) * (l_g + l_f * lam)
         obs = float(np.max(np.abs(z[:, i])))
         margin = (1.0 + _Z_BOUND_SLACK) * bound + atol - obs
         ok = ok and margin >= 0.0
@@ -609,7 +610,7 @@ def z_bound_check(
         scenario_digest=scenario_digest(scn),
         passed=ok,
         measurements={
-            "grid_s": [float(v) for v in field.grid_s[: field.n_steps]],
+            "grid_s": [float(v) for v in grid_s[: field.n_steps]],
             "bound": bounds,
             "observed_max": observed,
             "margin": margins,

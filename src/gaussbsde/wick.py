@@ -97,7 +97,7 @@ class FirstChaosIntegrand:
     def from_field(cls, field: SolutionField) -> "FirstChaosIntegrand":
         """Convert the solver's scaled-basis Z representation to raw-x rows."""
         powers = np.arange(field.v_coeffs.shape[1])
-        return cls.from_rows(field.grid_t, field.v_coeffs / field.scales[: field.n_steps, None] ** powers)
+        return cls.from_rows(field.clock.grid_t, field.v_coeffs / field.scales[: field.n_steps, None] ** powers)
 
 
 def wick_product_first_chaos(poly_coeffs, x_samples, increment_samples, correction) -> np.ndarray:
@@ -137,15 +137,12 @@ def _wick_cells(coeffs: np.ndarray, paths: PathBatch) -> np.ndarray:
 
 def _check_grid_alignment(grid_a: np.ndarray, grid_b: np.ndarray):
     if grid_a.size != grid_b.size or np.max(np.abs(grid_a - grid_b)) > _GRID_TOL:
-        raise GridMismatch("integrand, paths and clock must share one grid")
+        raise GridMismatch("paths and integrand must share one grid")
 
 
-def riemann_wick_integral(
-    integrand: FirstChaosIntegrand, paths: PathBatch, clock: VarianceClock
-) -> np.ndarray:
+def riemann_wick_integral(integrand: FirstChaosIntegrand, paths: PathBatch) -> np.ndarray:
     """Per-path Riemann-Wick sum of v(t_i, X_{t_i}) <> dX over all grid cells."""
     _check_grid_alignment(paths.grid_t, integrand.grid_t)
-    _check_grid_alignment(integrand.grid_t, clock.grid_t)
     return _wick_cells(integrand.coeffs, paths).sum(axis=1)
 
 
@@ -165,13 +162,11 @@ def _suffix_sums(cells: np.ndarray) -> np.ndarray:
     return np.concatenate([suffix, np.zeros((cells.shape[0], 1))], axis=1)
 
 
-def bsde_residual(
-    field: SolutionField, scn: ScenarioSpec, paths: PathBatch, clock: VarianceClock
-) -> ResidualStats:
-    """R_t = u(t, X_t) - g(X_T, .) - sum f dV + RiemannWick(v) over [t, T]."""
-    x = paths.samples
+def bsde_residual(field: SolutionField, scn: ScenarioSpec, paths: PathBatch) -> ResidualStats:
+    """R_t = u(t, X_t) - g(X_T, .) - sum f dV + RiemannWick(v) over [t, T],
+    on paths sampled on the field's clock."""
+    x, clock = paths.samples, field.clock
     _check_grid_alignment(paths.grid_t, clock.grid_t)
-    _check_grid_alignment(clock.grid_t, field.grid_t)
     u_vals, v_vals = field.on_paths(x)
     g_vals = terminal_on_paths(scn.terminal, x[:, -1])
     f_cells = generator_dv_on_paths(scn.generator, clock, x, u_vals, v_vals)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from gaussbsde import drivers, solver
+from gaussbsde import drivers, scenario, solver
 from gaussbsde.config import parse_config_payload
 from gaussbsde.drivers import GaussianDriverSpec, VarianceClock, build_clock, sample_paths
 from gaussbsde.errors import HypothesisUnsatisfied
@@ -79,10 +79,10 @@ class TestAcceptance:
         field, cloud = solve_auxiliary(scn, clock, cfg, SEED)
         worst = 0.0
         for i in range(field.n_steps + 1):
-            target = math.exp(beta * (v_total - field.grid_s[i]))
+            target = math.exp(beta * (v_total - clock.grid_V[i]))
             coef = field.v_coeffs[0][0] if i == 0 else field.u_coeffs[i][1] / field.scales[i]
             worst = max(worst, abs(coef / target - 1.0))
-        zb = z_bound_check(field, scn, clock, cloud, seed=SEED)
+        zb = z_bound_check(field, scn, cloud, seed=SEED)
         ok = worst <= 0.02 and zb.passed and zb.measurements["min_margin"] > 0
         announce(2, ok, f"coef rel err <= {worst:.4f} (tol 0.02), z-bound min margin {zb.measurements['min_margin']:.4f} > 0")
 
@@ -95,7 +95,7 @@ class TestAcceptance:
         y, _ = field.on_paths(cloud.w)
         worst_sigma = 0.0
         for i in range(field.n_steps + 1):
-            target = math.exp(0.3 * (clock.V_T - field.grid_s[i]))
+            target = math.exp(0.3 * (clock.V_T - clock.grid_V[i]))
             mean = float(np.mean(y[:, i]))
             spread = float(np.std(y[:, max(i, 1)]))
             se = spread / math.sqrt(n)
@@ -128,7 +128,7 @@ class TestAcceptance:
         clock_b = build_clock(BROWNIAN, 129)
         paths_b = sample_paths(BROWNIAN, clock_b.grid_t, 100_000, SEED + 1)
         rows = np.tile(np.array([0.0, 1.0]), (128, 1))
-        integral = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock_b.grid_t, rows), paths_b, clock_b)
+        integral = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock_b.grid_t, rows), paths_b)
         closed = 0.5 * (paths_b.samples[:, -1] ** 2 - 1.0)
         gap = integral - closed
         mean_ok = abs(np.mean(gap)) <= 3 * np.std(gap) / math.sqrt(gap.size)
@@ -146,7 +146,7 @@ class TestAcceptance:
             clock = build_clock(BROWNIAN, n_time + 1)
             field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=n_time, n_particles=20000), SEED)
             paths = sample_paths(BROWNIAN, clock.grid_t, n_paths, SEED + 2)
-            stats = bsde_residual(field, scn, paths, clock)
+            stats = bsde_residual(field, scn, paths)
             rms.append(stats.rms)
             # delta method on the mean of R^2 with Gaussian-scale fourth moment
             se_rms.append(stats.rms * math.sqrt(0.5 / n_paths))
@@ -236,9 +236,11 @@ class TestAcceptance:
         cfg = parse_config_payload({"kind": "full_suite", "seed": SEED})
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         monkeypatch.setenv("GAUSSBSDE_THREADS", "1")
-        # the first pass also counts its Philox normals: the paired checks'
-        # grid and its refinement share one draw
-        draws = []
+        # the first pass also counts its Philox normals (the paired checks'
+        # grid and its refinement share one draw) and the scenario DSL's
+        # probe streams: the run reads the symbolic Lipschitz constants and
+        # draws no audit probe
+        draws, probes = [], []
         with monkeypatch.context() as patch:
             for module in (solver, drivers):
                 def counting(seed, shape, *tags, _draw=module.standard_normals):
@@ -246,6 +248,12 @@ class TestAcceptance:
                     return _draw(seed, shape, *tags)
 
                 patch.setattr(module, "standard_normals", counting)
+
+            def probing(seed, *tags, _rng=scenario.generator):
+                probes.append(tags)
+                return _rng(seed, *tags)
+
+            patch.setattr(scenario, "generator", probing)
             _, passed1 = run_config(cfg, out1, quiet=True)
         # the second pass runs the suite's thread pool: outputs must not depend on it
         monkeypatch.setenv("GAUSSBSDE_THREADS", "2")
@@ -256,12 +264,14 @@ class TestAcceptance:
         identical = all((out2 / rel).read_bytes() == (out1 / rel).read_bytes() for rel in files)
         manifest = json.loads((out1 / "manifest.json").read_text())
         counted = (len(draws), sum(draws)) == (25, 6_176_000)
-        ok = passed1 and passed2 and identical and len(manifest["experiments"]) >= 8 and counted
+        audits = probes.count(("lipschitz-audit",))
+        ok = passed1 and passed2 and identical and len(manifest["experiments"]) >= 8 and counted and audits == 0
         announce(
             9, ok,
             f"full_suite passes twice, {len(files)} manifest/report/series files byte-identical, "
             f"{len(manifest['experiments'])} experiments (>= 8), "
-            f"{sum(draws)} normals in {len(draws)} draws (6176000 in 25)",
+            f"{sum(draws)} normals in {len(draws)} draws (6176000 in 25), "
+            f"{audits} Lipschitz-audit streams (0) of {len(probes)} probe streams",
         )
 
     def test_10_clock_equivariance(self):

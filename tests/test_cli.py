@@ -234,6 +234,9 @@ class TestConfigParsing:
                 "comparison", {"t_list": [0.5]},
                 {"scenario": NEGATIVE_COUPLING, "scenario_2": NEGATIVE_COUPLING}, "scenario.generator.kappa_y",
             ),
+            # and the coefficient ordering f1 <= f2, g1 <= g2 at the probes the run draws
+            ("comparison", {"t_list": [0.5]}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c0": 1.0}}}, "scenario_2.generator"),
+            ("comparison", {"t_list": [0.5]}, {"scenario": {"terminal": {"a": 1.0, "b": 1.0}, "generator": {}}}, "scenario_2.terminal"),
         ],
     )
     def test_run_time_refusals_named_at_parse(self, tmp_path, capsys, kind, params, update, key):
@@ -505,9 +508,9 @@ class TestCliRun:
         )
 
         def fake_run_single(cfg, out_dir, name=None):
-            paths = emit_report([failing], Path(out_dir) / "reports", prefix="stub__")
+            paths = emit_report(failing, Path(out_dir) / "reports", prefix="stub__")
             return experiments.ExperimentOutcome(
-                name="stub", kind=cfg.kind, reports=[failing],
+                name="stub", kind=cfg.kind, report=failing,
                 report_paths=paths, series_paths=[], wall_clock_ms=0.0,
             )
 
@@ -552,23 +555,20 @@ class TestEmitReport:
         )
 
     def test_single_report(self, tmp_path):
-        paths = emit_report([self._report()], tmp_path)
+        paths = emit_report(self._report(), tmp_path, prefix="run__")
+        assert [path.name for path in paths] == ["run__00_demo.json", "run__measurements.csv"]
         payload = json.loads(paths[0].read_text())
         assert payload["pass"] is True
         assert payload["runtime_ms"] is None
 
     def test_rerun_identical_bytes(self, tmp_path):
-        a = emit_report([self._report()], tmp_path / "a")
-        b = emit_report([self._report()], tmp_path / "b")
+        a = emit_report(self._report(), tmp_path / "a")
+        b = emit_report(self._report(), tmp_path / "b")
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
-    def test_empty_list_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report([], tmp_path)
-
     def test_csv_flattening(self, tmp_path):
-        paths = emit_report([self._report()], tmp_path)
+        paths = emit_report(self._report(), tmp_path)
         csv_text = paths[-1].read_text()
         assert "list[0]" in csv_text and "nested.a" in csv_text
 

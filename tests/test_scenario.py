@@ -101,20 +101,23 @@ class TestGeneratorStack:
 
 class TestAudit:
     def test_linear_y_generator(self):
-        report = lipschitz_audit(scn(generator=GeneratorSpec(c2=-1.0)), seed=0)
-        assert report.l_f == 1.0
-        assert report.k_min == report.k_max == 0.0
+        gen = GeneratorSpec(c2=-1.0)
+        report = lipschitz_audit(scn(generator=gen), seed=0)
+        assert gen.lipschitz == 1.0
+        assert gen.mean_y_sensitivity == (0.0, 0.0)
         assert report.max_ratio_f <= 1.0 + 1e-9
 
     def test_mean_field_generator(self):
-        report = lipschitz_audit(scn(generator=GeneratorSpec(kappa_y=0.3)), seed=0)
-        assert report.l_f == pytest.approx(0.3)
-        assert report.k_max == pytest.approx(0.3)
+        gen = GeneratorSpec(kappa_y=0.3)
+        report = lipschitz_audit(scn(generator=gen), seed=0)
+        assert gen.lipschitz == pytest.approx(0.3)
+        assert gen.mean_y_sensitivity[1] == pytest.approx(0.3)
         assert report.max_ratio_f <= 0.3 + 1e-9
 
     def test_identity_terminal_constant(self):
-        report = lipschitz_audit(scn(terminal=TerminalSpec(b=1.0)), seed=0)
-        assert report.l_g == 1.0
+        term = TerminalSpec(b=1.0)
+        report = lipschitz_audit(scn(terminal=term), seed=0)
+        assert term.lipschitz == 1.0
         assert report.max_ratio_g <= 1.0 + 1e-9
 
     def test_constants_monotone_under_added_terms(self):

@@ -110,7 +110,7 @@ class TestSolveOracles:
         clock = build_clock(BROWNIAN, 33)
         field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=32, n_particles=40000), seed=9)
         for i in range(1, field.n_steps + 1):
-            target = math.exp(beta * (clock.V_T - field.grid_s[i]))
+            target = math.exp(beta * (clock.V_T - clock.grid_V[i]))
             raw_linear = field.u_coeffs[i][1] / field.scales[i]
             assert raw_linear == pytest.approx(target, rel=0.02)
         y_val, _ = transfer_evaluate(field, 0.0, 0.0)
@@ -124,7 +124,7 @@ class TestSolveOracles:
         field, cloud = solve_auxiliary(scn, clock, cfg, seed=14)
         y, _ = field.on_paths(cloud.w)
         for i in range(field.n_steps + 1):
-            target = math.exp(0.3 * (clock.V_T - field.grid_s[i]))
+            target = math.exp(0.3 * (clock.V_T - clock.grid_V[i]))
             mean = float(np.mean(y[:, i]))
             se = float(np.std(y[:, i]) / math.sqrt(cloud.n_particles))
             assert abs(mean - target) <= 3 * se + 0.3 / cfg.n_time
@@ -189,7 +189,7 @@ class TestSolveOracles:
         clock = build_clock(BROWNIAN, 33)
         field, cloud = solve_auxiliary(scn, clock, SolverConfig(n_time=32, n_particles=2000), seed=1)
         mean_g = float(np.mean(1.0 + cloud.w[:, -1]))
-        factors = np.cumprod(1.0 / (1.0 - 3.0 * np.diff(field.grid_s))[::-1])[::-1]
+        factors = np.cumprod(1.0 / (1.0 - 3.0 * np.diff(clock.grid_V))[::-1])[::-1]
         y, _ = field.on_paths(cloud.w)
         np.testing.assert_allclose(y[:, :-1].mean(axis=0), mean_g * factors, rtol=1e-9, atol=0)
 
@@ -385,21 +385,19 @@ class TestRefinedDraw:
             [alone] = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
             for (field, cloud), (field_alone, cloud_alone) in zip(stacked, alone):
                 assert field.clock is clock
-                for name in ("u_coeffs", "v_coeffs", "scales", "grid_s"):
+                for name in ("u_coeffs", "v_coeffs", "scales"):
                     assert np.array_equal(getattr(field, name), getattr(field_alone, name))
                 assert field.gram_cond_max == field_alone.gram_cond_max
                 assert field.step_lipschitz == field_alone.step_lipschitz
                 assert np.array_equal(cloud.w, cloud_alone.w)
 
-    def test_refined_call_audits_once_and_guards_every_grid(self, monkeypatch):
-        audits, draws = [], []
-        audit, draw = solver.lipschitz_audit, solver.standard_normals
-        monkeypatch.setattr(solver, "lipschitz_audit", lambda scn, seed: audits.append(scn) or audit(scn, seed=seed))
+    def test_refined_call_draws_once_and_guards_every_grid(self, monkeypatch):
+        draws = []
+        draw = solver.standard_normals
         monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
         scns = [linear_scenario(BROWNIAN, beta=3.0), identity_scenario(BROWNIAN)]
         cfg = SolverConfig(n_time=8, n_particles=2000)
         solve_auxiliary_stack(scns, [build_clock(BROWNIAN, 9), build_clock(BROWNIAN, 17)], cfg, seed=1)
-        assert len(audits) == len(scns)
         assert [args[1] for args in draws] == [(2000, 16)]
         # L_f = 3: a step of 1/4 fails the guard on either grid, before any draw
         draws.clear()

@@ -180,7 +180,7 @@ class TestRepresentationLimit:
         for lo, hi in zip(nodes, nodes[1:]):
             expected += eval_generator(gen, float(lo), 0.0, 1.0, 0.5, feats) * (clock.value(hi) - clock.value(lo))
         assert len(nodes) > 50
-        assert theorems._integrate_f_dv(scn, clock, a, b, feats, 1.0, 0.5) == expected
+        assert theorems._integrate_f_dv(scn, clock, a, b, 1.0, 0.5) == expected
 
     def test_rejects_increasing_eps(self):
         scn = identity_scenario(BROWNIAN)
@@ -366,34 +366,34 @@ class TestZBound:
         field, cloud = solve_auxiliary(
             scn, clock, SolverConfig(n_time=16, n_particles=8000, basis_degree=degree), seed=seed
         )
-        return field, clock, cloud
+        return field, cloud
 
     def test_identity_passes_at_equality(self):
         scn = identity_scenario(BROWNIAN)
-        field, clock, cloud = self._solved(scn, 29)
-        report = z_bound_check(field, scn, clock, cloud, seed=29)
+        field, cloud = self._solved(scn, 29)
+        report = z_bound_check(field, scn, cloud, seed=29)
         assert report.passed
         # |Z| = 1 vs bound L_g = 1: margin is the 5% slack minus noise
         assert report.measurements["min_margin"] == pytest.approx(0.05, abs=0.04)
 
     def test_linear_scenario_margin(self):
         scn = linear_scenario(BROWNIAN, 0.5)
-        field, clock, cloud = self._solved(scn, 30)
-        report = z_bound_check(field, scn, clock, cloud, seed=30)
+        field, cloud = self._solved(scn, 30)
+        report = z_bound_check(field, scn, cloud, seed=30)
         assert report.passed
         assert report.measurements["min_margin"] > 0
 
     def test_reports_the_solve_diagnostics(self):
         scn = linear_scenario(BROWNIAN, 0.5)
-        field, clock, cloud = self._solved(scn, 30)
-        measurements = z_bound_check(field, scn, clock, cloud, seed=30).measurements
+        field, cloud = self._solved(scn, 30)
+        measurements = z_bound_check(field, scn, cloud, seed=30).measurements
         assert measurements["gram_cond_max"] == field.gram_cond_max > 1.0
         assert measurements["step_lipschitz"] == field.step_lipschitz == pytest.approx(0.5 / 16)
 
     def test_constant_terminal_zero_control(self):
         scn = ScenarioSpec(TerminalSpec(a=2.0), GeneratorSpec(), BROWNIAN)
-        field, clock, cloud = self._solved(scn, 31)
-        report = z_bound_check(field, scn, clock, cloud, seed=31)
+        field, cloud = self._solved(scn, 31)
+        report = z_bound_check(field, scn, cloud, seed=31)
         assert report.passed
         assert max(report.measurements["observed_max"]) < 1e-8
 

@@ -90,7 +90,7 @@ class TestRiemannWick:
         clock, paths = make_paths(FBM07, 16, 500, seed=3)
         rows = np.tile(np.array([1.0, 0.0]), (16, 1))
         integrand = FirstChaosIntegrand.from_rows(clock.grid_t, rows)
-        out = riemann_wick_integral(integrand, paths, clock)
+        out = riemann_wick_integral(integrand, paths)
         np.testing.assert_allclose(out, paths.samples[:, -1], atol=1e-12)
 
     def test_linear_integrand_brownian_moments(self):
@@ -98,7 +98,7 @@ class TestRiemannWick:
         clock, paths = make_paths(BROWNIAN, 128, 100_000, seed=4)
         rows = np.tile(np.array([0.0, 1.0]), (128, 1))
         integrand = FirstChaosIntegrand.from_rows(clock.grid_t, rows)
-        out = riemann_wick_integral(integrand, paths, clock)
+        out = riemann_wick_integral(integrand, paths)
         se = np.std(out) / math.sqrt(out.size)
         assert abs(np.mean(out)) <= 3 * se
         assert np.var(out) == pytest.approx(0.5, rel=0.05)
@@ -112,7 +112,7 @@ class TestRiemannWick:
         clock, paths = make_paths(BROWNIAN, 32, 2000, seed=5)
         rows = np.tile(np.array([0.0, 1.0]), (32, 1))
         integrand = FirstChaosIntegrand.from_rows(clock.grid_t, rows)
-        out = riemann_wick_integral(integrand, paths, clock)
+        out = riemann_wick_integral(integrand, paths)
         x = paths.samples
         forward = np.sum(x[:, :-1] * np.diff(x, axis=1), axis=1)
         np.testing.assert_allclose(out, forward, atol=1e-12)
@@ -122,7 +122,7 @@ class TestRiemannWick:
         fine_clock, fine = make_paths(BROWNIAN, 32, 400, seed=6)
         for clock, paths, n in ((coarse_clock, coarse, 16), (fine_clock, fine, 32)):
             rows = np.tile(np.array([1.0, 0.0]), (n, 1))
-            out = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, rows), paths, clock)
+            out = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, rows), paths)
             np.testing.assert_allclose(out, paths.samples[:, -1], atol=1e-12)
 
     @pytest.mark.parametrize("spec", [BROWNIAN, FBM07], ids=["brownian", "fbm"])
@@ -131,7 +131,7 @@ class TestRiemannWick:
         # correction from scalar kernel calls
         clock, paths = make_paths(spec, 16, 500, seed=19)
         rows = np.random.default_rng(20).normal(size=(16, 4))
-        out = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, rows), paths, clock)
+        out = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, rows), paths)
         grid, x = paths.grid_t, paths.samples
         reference = np.zeros(paths.n_paths)
         for i in range(16):
@@ -146,7 +146,7 @@ class TestRiemannWick:
         rows = np.tile(np.array([1.0, 0.0]), (8, 1))
         integrand = FirstChaosIntegrand.from_rows(other.grid_t, rows)
         with pytest.raises(GridMismatch):
-            riemann_wick_integral(integrand, paths, clock)
+            riemann_wick_integral(integrand, paths)
 
 
 class TestSTransform:
@@ -200,12 +200,20 @@ class TestSTransform:
 
 
 class TestBsdeResidual:
+    def test_paths_off_the_field_clock_refused(self):
+        # the residual reads the field's own clock; paths on another grid are refused
+        scn = identity_scenario(BROWNIAN)
+        field, _ = solve_auxiliary(scn, build_clock(BROWNIAN, 9), SolverConfig(n_time=8, n_particles=200), seed=12)
+        _, paths = make_paths(BROWNIAN, 16, 100, seed=13)
+        with pytest.raises(GridMismatch):
+            bsde_residual(field, scn, paths)
+
     def test_identity_scenario_zero_residual(self):
         scn = identity_scenario(BROWNIAN)
         clock = build_clock(BROWNIAN, 17)
         field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=16, n_particles=4000), seed=12)
         paths = sample_paths(BROWNIAN, clock.grid_t, 2000, seed=13)
-        stats = bsde_residual(field, scn, paths, clock)
+        stats = bsde_residual(field, scn, paths)
         assert np.max(stats.rms) < 0.01
 
     def test_linear_scenario_rms_decreases_with_refinement(self):
@@ -217,7 +225,7 @@ class TestBsdeResidual:
                 scn_base, clock, SolverConfig(n_time=n_time, n_particles=20000), seed=14
             )
             paths = sample_paths(BROWNIAN, clock.grid_t, 20000, seed=15)
-            stats = bsde_residual(field, scn_base, paths, clock)
+            stats = bsde_residual(field, scn_base, paths)
             rms_at_0.append(float(stats.rms[0]))
         assert rms_at_0[1] <= rms_at_0[0] + 2 * 1e-3
         assert rms_at_0[2] <= rms_at_0[1] + 2 * 1e-3
@@ -231,7 +239,7 @@ class TestBsdeResidual:
         clock = build_clock(FBM07, 33)
         field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=32, n_particles=20000), seed=16)
         paths = sample_paths(FBM07, clock.grid_t, 50_000, seed=17)
-        stats = bsde_residual(field, scn, paths, clock)
+        stats = bsde_residual(field, scn, paths)
         assert abs(stats.mean[0]) <= 3 * stats.mean_std_error[0] + 5e-3
 
     def test_rms_pinned(self):
@@ -246,7 +254,7 @@ class TestBsdeResidual:
         )
         clock = build_clock(FBM07, 9)
         field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=8, n_particles=2000), seed=41)
-        stats = bsde_residual(field, scn, sample_paths(FBM07, clock.grid_t, 1000, seed=42), clock)
+        stats = bsde_residual(field, scn, sample_paths(FBM07, clock.grid_t, 1000, seed=42))
         np.testing.assert_allclose(
             stats.rms,
             [0.12571318536686082, 0.11996033789029437, 0.11254627866677146, 0.10167207734174723,
@@ -277,7 +285,7 @@ def test_path_increments_taken_once_per_batch(monkeypatch):
     diff = np.diff
     monkeypatch.setattr(np, "diff", lambda a, *args, **kwargs: diffs.append(np.shape(a)) or diff(a, *args, **kwargs))
     weights = [wick_exponential_weights(h, paths) for h in _default_h_functions(1.0)]
-    riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, np.tile([0.0, 1.0], (8, 1))), paths, clock)
+    riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, np.tile([0.0, 1.0], (8, 1))), paths)
     s_transform_factorization_check([0.0, 0.0, 1.0], 4, weights[0], paths)
     assert diffs.count(paths.samples.shape) == 1
     assert np.array_equal(paths.increments, expected)
@@ -292,7 +300,7 @@ def test_wick_validate_on_a_brownian_driver(tmp_path):
         "solver": {"n_time": 16}, "params": {"n_paths": 4000},
     }
     cfg = parse_config_payload(tree)
-    measurements = run_single(cfg, tmp_path).reports[0].measurements
+    measurements = run_single(cfg, tmp_path).report.measurements
     clock = build_clock(cfg.driver, 17)
     h_list = _default_h_functions(1.5)
     rows = measurements["s_transform_of_driver"]
