@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .drivers import _DOMAIN_TOL, GaussianDriverSpec
-from .errors import ConfigInvalid, HypothesisUnsatisfied, UnsupportedScenario
+from .errors import ConfigInvalid, GaussBsdeError
 from .reporting import digest_payload, fmt_float
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
 from .solver import SolverConfig
@@ -34,8 +35,8 @@ def _check_keys(tree: dict, allowed, path: str):
 
 
 def _is_number(value) -> bool:
-    """A finite int or float: JSON's NaN and Infinity fail the comparison."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < np.inf
+    """A finite int or float: NaN, Infinity and an int past the float range fail the comparison."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _numbers(value) -> bool:
@@ -65,6 +66,7 @@ _PARAM_CHECKS = {
         lambda v: isinstance(v, list) and len(v) > 0 and all(_numbers(row) and len(row) == 3 for row in v),
         "must be a nonempty list of [t, y, z] rows of 3 finite numbers",
     ),
+    "n_time": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 2, "must be an integer of at least 2"),
     "n_paths": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0, "must be a positive integer"),
 }
 
@@ -233,7 +235,7 @@ class ExperimentConfig:
     kind: str
     seed: int
     driver: GaussianDriverSpec | None  # None for the suite, whose entries bring their own
-    solver: SolverConfig | None
+    solver: SolverConfig | None  # None for a kind that solves nothing
     scenario: ScenarioSpec | None = None
     scenario_2: ScenarioSpec | None = None
     params: dict = field(default_factory=dict)
@@ -241,9 +243,9 @@ class ExperimentConfig:
 
     def payload(self) -> dict:
         out = {"kind": self.kind, "seed": self.seed, "params": self.params}
-        if self.driver is not None:
-            out["driver"] = self.driver.payload()
-            out["solver"] = self.solver.payload()
+        for key in ("driver", "solver"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key).payload()
         for key, scn in (("scenario", self.scenario), ("scenario_2", self.scenario_2)):
             if scn is not None:
                 out[key] = {"terminal": scn.terminal.payload(), "generator": scn.generator.payload()}
@@ -267,15 +269,13 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
         _fail("kind", f"must be one of {tuple(KINDS)}")
     kind = KINDS[kind_name]
     scenario_keys = ("scenario", "scenario_2")[: kind.scenarios]
-    # the suite's entries bring their own drivers and solvers
-    settings = ("driver", "solver") if kind.run is not None else ()
-    _check_keys(tree, ("kind", "seed", "params", "out_dir", *settings, *scenario_keys), "")
+    _check_keys(tree, ("kind", "seed", "params", "out_dir", *kind.settings, *scenario_keys), "")
     seed = _integer(tree, "seed", "")
 
     params = tree.get("params", {})
     if not isinstance(params, dict):
         _fail("params", "must be an object")
-    _check_keys(params, kind.required + kind.optional, "params")
+    _check_keys(params, kind.required, "params")
     for key in kind.required:
         if key not in params:
             _fail(f"params.{key}", f"required for kind={kind_name}")
@@ -286,10 +286,11 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
             _fail(f"params.{key}", requirement)
 
     driver = solver = None
-    if settings:
+    if "driver" in kind.settings:
         driver = parse_driver(_get(tree, "driver", ""), base_dir=base_dir)
-        solver = parse_solver(tree.get("solver"))
         _check_horizon(params, driver.T)
+    if "solver" in kind.settings:
+        solver = parse_solver(tree.get("solver"))
     scenarios = {key: parse_scenario(_get(tree, key, ""), driver, path=key) for key in scenario_keys}
 
     out_dir = tree.get("out_dir")
@@ -308,7 +309,7 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
     for key, gate in kind.gates:
         try:
             gate(cfg)
-        except (UnsupportedScenario, HypothesisUnsatisfied) as exc:
+        except GaussBsdeError as exc:
             _fail(key, str(exc))
     return cfg
 

@@ -40,7 +40,7 @@ from .pack import (
 from .reporting import canonical_json, digest_payload, emit_report, write_series_csv
 from .rng import derived_seed
 from .scenario import terminal_on_paths
-from .solver import SolverConfig, _require_x_free, solve_auxiliary, transfer_evaluate
+from .solver import SolverConfig, _check_step, _require_x_free, _short_horizon_grid, solve_auxiliary, transfer_evaluate
 from .theorems import (
     TheoremReport,
     _require_clock_differentiable,
@@ -52,6 +52,7 @@ from .theorems import (
     _require_t2_time,
     _require_terminal_order,
     _require_z_law_free,
+    _short_horizon_clock,
     comparison_check,
     converse_comparison_check,
     lsi_check,
@@ -147,9 +148,8 @@ def _default_h_functions(T: float) -> list[StepFunctionH]:
 
 
 def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
-    driver = cfg.driver
-    clock = build_clock(driver, cfg.solver.n_time + 1)
-    n_paths = int(cfg.params.get("n_paths", 20000))
+    driver, n_paths = cfg.driver, cfg.params["n_paths"]
+    clock = build_clock(driver, cfg.params["n_time"] + 1)
     paths = sample_paths(driver, clock.grid_t, n_paths, derived_seed(cfg.seed, "wick-paths"))
     h_list = _default_h_functions(driver.T)
     weights = [wick_exponential_weights(h, paths) for h in h_list]
@@ -262,13 +262,11 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path, name: str):
 
 
 def _run_t2(cfg: ExperimentConfig, out_dir: Path, name: str):
-    p = cfg.params
-    return t2_check(cfg.scenario, float(p["t"]), p["shift_list"], cfg.solver, cfg.seed), []
+    return t2_check(cfg.scenario, float(cfg.params["t"]), cfg.params["shift_list"], cfg.seed), []
 
 
 def _run_lsi(cfg: ExperimentConfig, out_dir: Path, name: str):
-    p = cfg.params
-    return lsi_check(cfg.scenario, float(p["t"]), p["lambda_list"], cfg.solver, cfg.seed), []
+    return lsi_check(cfg.scenario, float(cfg.params["t"]), cfg.params["lambda_list"], cfg.seed), []
 
 
 def _run_zbound(cfg: ExperimentConfig, out_dir: Path, name: str):
@@ -279,17 +277,17 @@ def _run_zbound(cfg: ExperimentConfig, out_dir: Path, name: str):
 
 @dataclass(frozen=True)
 class Kind:
-    """An experiment kind: how many scenarios its config carries, the
-    ``params`` it requires and accepts, its runner, and its gates: (config
-    key, check) pairs, each check raising ``UnsupportedScenario`` or
-    ``HypothesisUnsatisfied`` on a parsed config that its runner would
-    refuse.  The suite has no runner: it runs the entries of
-    ``_suite_entries``."""
+    """An experiment kind: how many scenarios its config carries, its runner,
+    the ``params`` it requires, the top-level sections besides the scenarios
+    that its runner reads (``settings``; a config with any other is
+    refused), and its gates: (config key, check) pairs, each check raising
+    the error its runner would raise on the parsed config.  The suite has
+    no runner and no settings: it runs the entries of ``_suite_entries``."""
 
     scenarios: int
     run: Callable | None
     required: tuple[str, ...] = ()
-    optional: tuple[str, ...] = ()
+    settings: tuple[str, ...] = ("driver", "solver")
     gates: tuple[tuple[str, Callable], ...] = ()
 
 
@@ -298,12 +296,29 @@ def _generator_gate(key: str, coefficient: str, check: Callable):
     return f"{key}.generator.{coefficient}", lambda cfg: check(getattr(cfg, key))
 
 
+def _step_gate(horizons: Callable | None = None):
+    """The gate of the explicit scheme's step guard on each grid a run
+    solves on: the grid of ``solver.n_time`` steps (a refined grid's cells
+    lie inside its cells), or, for a short-horizon check, the sub-grid of
+    each (t, eps) in ``horizons(params)``."""
+    def check(cfg: ExperimentConfig):
+        scns, n_time = [scn for scn in (cfg.scenario, cfg.scenario_2) if scn is not None], cfg.solver.n_time
+        if horizons is None:
+            return _check_step(scns, build_clock(cfg.driver, n_time + 1).grid_V)
+        clock = _short_horizon_clock(cfg.driver, n_time)
+        for t, eps in horizons(cfg.params):
+            _check_step(scns, _short_horizon_grid(clock, float(t), float(eps), n_time))
+
+    return "solver.n_time", check
+
+
 _REFINABLE = ("driver.kind", lambda cfg: _require_refinable(cfg.driver))
+_STEP = _step_gate()
 _GAUSSIAN_FAMILY = ("scenario", lambda cfg: _require_gaussian_family(cfg.scenario))
 
 KINDS = {
-    "solve": Kind(1, _run_solve),
-    "wick_validate": Kind(0, _run_wick_validate, optional=("n_paths",)),
+    "solve": Kind(1, _run_solve, gates=(_STEP,)),
+    "wick_validate": Kind(0, _run_wick_validate, ("n_time", "n_paths"), settings=("driver",)),
     "comparison": Kind(
         2, _run_comparison, ("t_list",),
         gates=(
@@ -314,6 +329,7 @@ KINDS = {
             # the order probes draw from the run's seed, so validate and run draw the same points
             ("scenario_2.generator", lambda cfg: _require_generator_order(cfg.scenario, cfg.scenario_2, cfg.seed)),
             ("scenario_2.terminal", lambda cfg: _require_terminal_order(cfg.scenario, cfg.scenario_2, cfg.seed)),
+            _STEP,
         ),
     ),
     "representation": Kind(
@@ -321,6 +337,7 @@ KINDS = {
         gates=(
             ("params.t", lambda cfg: _require_clock_differentiable(cfg.driver, cfg.params["t"])),
             _generator_gate("scenario", "c1", _require_x_free),
+            _step_gate(lambda p: [(p["t"], eps) for eps in p["eps_list"]]),
         ),
     ),
     "converse": Kind(
@@ -332,20 +349,21 @@ KINDS = {
             ),
             _generator_gate("scenario", "c1", _require_x_free),
             _generator_gate("scenario_2", "c1", _require_x_free),
+            _step_gate(lambda p: [(row[0], p["eps"]) for row in p["probe_grid"]]),
         ),
     ),
-    "stability": Kind(2, _run_stability, gates=(_REFINABLE,)),
+    "stability": Kind(2, _run_stability, gates=(_REFINABLE, _STEP)),
     "t2": Kind(
-        1, _run_t2, ("t", "shift_list"),
+        1, _run_t2, ("t", "shift_list"), ("driver",),
         gates=(
             _GAUSSIAN_FAMILY,
             ("params.t", lambda cfg: _require_t2_time(cfg.params["t"])),
             ("scenario.terminal.b", lambda cfg: _require_t2_spread(cfg.scenario)),
         ),
     ),
-    "lsi": Kind(1, _run_lsi, ("t", "lambda_list"), gates=(_GAUSSIAN_FAMILY,)),
-    "zbound": Kind(1, _run_zbound),
-    "full_suite": Kind(0, None),
+    "lsi": Kind(1, _run_lsi, ("t", "lambda_list"), ("driver",), gates=(_GAUSSIAN_FAMILY,)),
+    "zbound": Kind(1, _run_zbound, gates=(_STEP,)),
+    "full_suite": Kind(0, None, settings=()),
 }
 
 
@@ -390,7 +408,7 @@ def _suite_entries(seed: int) -> list[ExperimentConfig]:
     add("solve_identity_fbm", "solve", identity_scenario(fbm07), driver=fbm07)
     add("solve_linear", "solve", linear_scenario(brownian))
     add("solve_mean_field", "solve", mean_field_scenario(brownian))
-    add("wick_validate", "wick_validate", driver=fbm07, params={"n_paths": 20000})
+    add("wick_validate", "wick_validate", driver=fbm07, solver=None, params={"n_time": 32, "n_paths": 20000})
     add(
         "comparison_constant", "comparison",
         constant_generator_scenario(brownian, 0.0), constant_generator_scenario(brownian, 1.0),
@@ -414,8 +432,8 @@ def _suite_entries(seed: int) -> list[ExperimentConfig]:
     )
     add("stability", "stability", linear_scenario(brownian), shift_terminal(linear_scenario(brownian), 0.5))
     gauss = gaussian_scenario(brownian)
-    add("t2", "t2", gauss, params={"t": 1.0, "shift_list": [0.0, 0.5, 1.0, 2.0]})
-    add("lsi", "lsi", gauss, params={"t": 1.0, "lambda_list": [0.0, 0.5, 1.0]})
+    add("t2", "t2", gauss, solver=None, params={"t": 1.0, "shift_list": [0.0, 0.5, 1.0, 2.0]})
+    add("lsi", "lsi", gauss, solver=None, params={"t": 1.0, "lambda_list": [0.0, 0.5, 1.0]})
     add("zbound", "zbound", linear_scenario(brownian))
     return entries
 

@@ -680,6 +680,15 @@ def _require_x_free(scn: ScenarioSpec):
         raise UnsupportedScenario("representation solves need a state-free generator (c1 = 0)")
 
 
+def _short_horizon_grid(clock: VarianceClock, t: float, eps: float, n_time: int) -> np.ndarray:
+    """The clock values of a short-horizon solve: ``n_time`` equal steps from V_t to V_{t+eps}."""
+    v_a = clock.value(t)
+    v_b = clock.value(min(t + eps, clock.T))
+    if v_b - v_a <= 1e-14:
+        raise DegenerateInterval(f"variance clock does not move on [{t}, {t + eps}]")
+    return np.linspace(v_a, v_b, n_time + 1)
+
+
 def representation_solve_stack(
     scns,
     clock: VarianceClock,
@@ -704,13 +713,8 @@ def representation_solve_stack(
         _require_x_free(scn)
     if not (0.0 <= t and eps > 0.0 and t + eps <= clock.T + 1e-12):
         raise ValueError("need 0 <= t < t + eps <= T")
-    v_a = clock.value(t)
-    v_b = clock.value(min(t + eps, clock.T))
-    if v_b - v_a <= 1e-14:
-        raise DegenerateInterval(f"variance clock does not move on [{t}, {t + eps}]")
-
     N = cfg.n_time
-    grid_s = np.linspace(v_a, v_b, N + 1)
+    grid_s = _short_horizon_grid(clock, t, eps, N)
     _check_step(scns, grid_s)
     grid_t_sub = np.asarray(clock.invert(grid_s))
 

@@ -211,20 +211,19 @@ class TestAcceptance:
         announce(7, ok, f"9 probes: Y-ordering and generator ordering both confirmed, f margins {set(margins)}")
 
     def test_08_functional_inequalities(self):
-        cfg = SolverConfig(n_time=64, n_particles=20000)
         clock = build_clock(BROWNIAN, 65)
         ok = True
         details = []
         for lam in (0.5, 1.0):
             scn = gaussian_scenario(BROWNIAN, lam=lam)
-            t2_terminal = t2_check(scn, 1.0, [0.0, 0.5, 1.0, 2.0], cfg, SEED)
-            t2_mid = t2_check(scn, 0.5, [1.0], cfg, SEED)
+            t2_terminal = t2_check(scn, 1.0, [0.0, 0.5, 1.0, 2.0], SEED)
+            t2_mid = t2_check(scn, 0.5, [1.0], SEED)
             ratio = t2_terminal.measurements["sharp_constant"] / t2_terminal.measurements["c_tr_y"]
             ok = ok and t2_terminal.passed and t2_mid.passed and ratio <= 1.0 + 1e-12
             if lam == 1.0:
                 ok = ok and abs(t2_terminal.measurements["slack"]) <= 1e-10
             details.append(f"t2(lam={lam}) ratio {ratio:.3f}")
-            lsi = lsi_check(scn, 1.0, [0.0, 0.5, 1.0], cfg, SEED)
+            lsi = lsi_check(scn, 1.0, [0.0, 0.5, 1.0], SEED)
             ok = ok and lsi.passed and lsi.measurements["max_quadrature_error"] <= 1e-6
             details.append(f"lsi quad err {lsi.measurements['max_quadrature_error']:.1e}")
         c_tr, c_ls = transport_constants(1.0, 0.0, clock, t=0.0)

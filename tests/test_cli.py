@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import gaussbsde
 from gaussbsde.cli import main
 from gaussbsde.config import load_config, parse_config_payload
-from gaussbsde.errors import ConfigInvalid
+from gaussbsde.errors import ConfigInvalid, StepTooCoarse
 from gaussbsde.experiments import KINDS, run_config
 from gaussbsde.reporting import canonical_json, emit_report
 from gaussbsde.scenario import GeneratorSpec, TerminalSpec
@@ -34,8 +35,9 @@ def emit_config(cfg):
 
 
 def kind_config(kind, params):
-    """BASE_CONFIG turned into a config of ``kind`` with the given params."""
-    tree = {k: v for k, v in BASE_CONFIG.items() if k != "scenario"}
+    """BASE_CONFIG turned into a config of ``kind`` with the given params,
+    with only the settings sections the kind reads."""
+    tree = {k: v for k, v in BASE_CONFIG.items() if k in ("seed", *KINDS[kind].settings)}
     for key in ("scenario", "scenario_2")[: KINDS[kind].scenarios]:
         tree[key] = BASE_CONFIG["scenario"]
     return dict(tree, kind=kind, params=params)
@@ -121,6 +123,29 @@ class TestConfigParsing:
         assert cfg.driver is None and cfg.solver is None
         assert set(cfg.payload()) == {"kind", "seed", "params"}
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("t2", {"t": 1.0, "shift_list": [1.0]}),
+            ("lsi", {"t": 1.0, "lambda_list": [1.0]}),
+            ("wick_validate", {"n_time": 8, "n_paths": 100}),
+        ],
+    )
+    def test_kinds_that_solve_nothing_take_no_solver(self, tmp_path, capsys, kind, params):
+        # t2 and lsi read a closed-form law, wick_validate its own params:
+        # none of them reads a solver section, so none accepts one
+        tree = dict(kind_config(kind, params), solver=BASE_CONFIG["solver"])
+        assert main(["validate", str(write_config(tmp_path, tree))]) == 1
+        assert capsys.readouterr().err.startswith("config error: solver: unknown key")
+        cfg = parse_config_payload(kind_config(kind, params))
+        assert cfg.solver is None and "solver" not in cfg.payload()
+
+    @pytest.mark.parametrize("params, key", [({"n_paths": 100}, "n_time"), ({"n_time": 8}, "n_paths")])
+    def test_wick_validate_params_required(self, params, key):
+        # the run has no default path count or grid
+        with pytest.raises(ConfigInvalid, match=rf"^params\.{key}: required"):
+            parse_config_payload(kind_config("wick_validate", params))
+
     def test_typo_config_fails_validate(self, tmp_path, capsys):
         tree = dict(
             BASE_CONFIG,
@@ -148,8 +173,8 @@ class TestConfigParsing:
             ("t2", {"t": float("nan"), "shift_list": [1.0]}, "t"),
             ("t2", {"t": 1.0, "shift_list": [0.0, float("inf")]}, "shift_list"),
             ("lsi", {"t": 1.0, "lambda_list": {"0": 1.0}}, "lambda_list"),
-            ("wick_validate", {"n_paths": 0}, "n_paths"),
-            ("wick_validate", {"n_paths": 2.5}, "n_paths"),
+            ("wick_validate", {"n_time": 8, "n_paths": 0}, "n_paths"),
+            ("wick_validate", {"n_time": 8, "n_paths": 2.5}, "n_paths"),
             # an empty list would fail at run time, or measure nothing
             ("comparison", {"t_list": []}, "t_list"),
             ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": []}, "eps_list"),
@@ -171,6 +196,9 @@ class TestConfigParsing:
             ("representation", {"t": 0.9, "y": 1.0, "z": 0.5, "eps_list": [0.2, 0.1]}, "eps_list"),
             # checked as emitted: at 12 digits this eps_list reads [0.2, 0.2]
             ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.2000000000001, 0.2]}, "eps_list"),
+            # the steps of wick_validate's path grid
+            ("wick_validate", {"n_time": 1, "n_paths": 100}, "n_time"),
+            ("wick_validate", {"n_time": 8.0, "n_paths": 100}, "n_time"),
         ],
     )
     def test_param_values_checked(self, kind, params, key):
@@ -205,6 +233,8 @@ class TestConfigParsing:
             ("scenario", {"terminal": {}, "generator": {"phi": "cos"}}, "scenario.generator.phi: must be one of"),
             ("solver", {"basis_degree": -1}, "solver: basis_degree must be at least 1"),
             ("solver", {"basis_degree": 0}, "solver: basis_degree must be at least 1"),
+            # an integer past the float range is not a finite number
+            ("scenario", {"terminal": {"b": 10 ** 400}, "generator": {}}, "scenario.terminal.b: must be a finite number"),
         ],
     )
     def test_spec_value_types_named(self, section, update, message):
@@ -237,6 +267,16 @@ class TestConfigParsing:
             # and the coefficient ordering f1 <= f2, g1 <= g2 at the probes the run draws
             ("comparison", {"t_list": [0.5]}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c0": 1.0}}}, "scenario_2.generator"),
             ("comparison", {"t_list": [0.5]}, {"scenario": {"terminal": {"a": 1.0, "b": 1.0}, "generator": {}}}, "scenario_2.terminal"),
+            # the explicit scheme's step guard, max step * L_f <= 0.5: on the grid of
+            # n_time = 8 steps (20 / 8 = 2.5), and on each short-horizon sub-grid
+            # (eps = 0.5 in 4 steps: 40 / 8 = 5)
+            ("solve", {}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 20.0}}}, "solver.n_time"),
+            ("zbound", {}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 20.0}}}, "solver.n_time"),
+            (
+                "representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.5, 0.25]},
+                {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": -40.0}}, "solver": {"n_time": 4}},
+                "solver.n_time",
+            ),
         ],
     )
     def test_run_time_refusals_named_at_parse(self, tmp_path, capsys, kind, params, update, key):
@@ -305,6 +345,20 @@ class TestConfigParsing:
     def test_unknown_kind(self):
         with pytest.raises(ConfigInvalid, match="kind"):
             parse_config_payload(dict(BASE_CONFIG, kind="dance"))
+
+    @pytest.mark.parametrize(
+        "kind, params, update, message",
+        [
+            # the clock does not move on [t, t + eps]
+            ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [1e-15]}, {}, "variance clock does not move"),
+            # a custom covariance whose diagonal falls has no clock
+            ("solve", {}, {"driver": dict(CUSTOM, cov_matrix=[[1.0, 0.5], [0.5, 0.8]])}, "covariance diagonal"),
+        ],
+    )
+    def test_step_gate_errors_named_at_parse(self, tmp_path, capsys, kind, params, update, message):
+        path = write_config(tmp_path, dict(kind_config(kind, params), **update))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: solver.n_time: {message}")
 
     def test_missing_params_named(self):
         tree = dict(BASE_CONFIG, kind="comparison", scenario_2=BASE_CONFIG["scenario"])
@@ -427,17 +481,20 @@ class TestCliRun:
         assert "hurst must be in (0,1)" in capsys.readouterr().err
 
     def test_runtime_error_exit_one_no_manifest(self, tmp_path, capsys):
-        # explicit-scheme stability guard trips at runtime, not at parse time
-        tree = dict(
-            BASE_CONFIG,
-            scenario={"terminal": {"b": 1.0}, "generator": {"c2": 30.0}},
-        )
-        path = write_config(tmp_path, tree)
+        # the explicit-scheme stability guard: `run` refuses the config when
+        # it is parsed, as `validate` does, and writes nothing
+        unstable = {"terminal": {"b": 1.0}, "generator": {"c2": 30.0}}
+        path = write_config(tmp_path, dict(BASE_CONFIG, scenario=unstable))
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
         assert not (out / "manifest.json").exists()
-        # a named error, not a stray ValueError
-        assert capsys.readouterr().err.startswith("error: explicit scheme needs max step * L_f <= 0.5")
+        assert capsys.readouterr().err.startswith("config error: solver.n_time: explicit scheme needs max step * L_f")
+        # past the parse, the run raises the named error, not a stray ValueError
+        cfg = parse_config_payload(BASE_CONFIG)
+        cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, generator=GeneratorSpec(c2=30.0)))
+        with pytest.raises(StepTooCoarse, match=r"explicit scheme needs max step \* L_f <= 0.5"):
+            run_config(cfg, out, quiet=True)
+        assert not (out / "manifest.json").exists()
 
     def test_non_finite_solution_exit_one_no_manifest(self, tmp_path, capsys):
         tree = dict(

@@ -48,6 +48,8 @@ def param_values(draw, keys, T):
         "t_list": st.lists(st.floats(0.0, T), min_size=1, max_size=4),
         "eps_list": st.just(eps_list),
         "probe_grid": st.lists(st.tuples(time, coefficient, coefficient).map(list), min_size=1, max_size=3),
+        "n_time": st.integers(2, 128),
+        "n_paths": st.integers(1, 10 ** 6),
     }
     return {key: draw(values[key]) for key in keys}
 
@@ -129,17 +131,15 @@ def scenarios(draw, coefficient=coefficient):
 def configs(draw, kind):
     spec = KINDS[kind]
     tree = {"kind": kind, "seed": draw(st.integers(0, 2 ** 62))}
-    if spec.run is None:
+    if "driver" not in spec.settings:
         return tree  # the suite's entries bring their own drivers and solvers
     driver = draw(
         st.sampled_from([{"kind": "brownian"}, {"kind": "fbm", "hurst": draw(st.floats(0.01, 0.99))}])
     )
     T = draw(st.floats(0.1, 5.0))
-    tree.update(
-        driver=dict(driver, T=T),
-        solver={"n_time": draw(st.integers(2, 128))},
-        params=draw(param_values(spec.required, T)),
-    )
+    tree.update(driver=dict(driver, T=T), params=draw(param_values(spec.required, T)))
+    if "solver" in spec.settings:
+        tree["solver"] = {"n_time": draw(st.integers(2, 128))}
     for key in ("scenario", "scenario_2")[: spec.scenarios]:
         if kind == "comparison" and key == "scenario_2":
             # and the coefficient ordering f1 <= f2, g1 <= g2: the first
@@ -171,9 +171,13 @@ def test_emit_parse_keeps_digest(data):
         except ConfigInvalid as exc:
             # read at the emitted 12 digits, a draw at the horizon may pass
             # T, or two close eps merge: such a config is refused outright;
-            # so is a short-horizon check at t = 0 on an fBm clock, and a t2
-            # check of a Dirac law (t = 0 or b = 0)
-            assert re.search(r"is past T|strictly decreasing|differentiable at t|Dirac law", str(exc))
+            # so is a short-horizon check at t = 0 on an fBm clock, a t2
+            # check of a Dirac law (t = 0 or b = 0), and a grid that the
+            # explicit scheme's step guard refuses, or a horizon too short
+            # for the clock to move
+            assert re.search(
+                r"is past T|strictly decreasing|differentiable at t|Dirac law|explicit scheme|does not move", str(exc)
+            )
             continue
         again = parse_config_payload(json.loads(emit_config(cfg)))
         assert again.digest == cfg.digest

@@ -1,6 +1,6 @@
-"""The README against the code it documents: the kind table against
-``experiments.KINDS``, the param value table against
-``config._PARAM_CHECKS``, the schema's solver section against
+"""The README against the code it documents: the kind table (scenarios,
+settings sections, params) against ``experiments.KINDS``, the param value
+table against ``config._PARAM_CHECKS``, the schema's solver section against
 ``SolverConfig``, and the library example, which is run."""
 
 import json
@@ -18,11 +18,11 @@ def test_kind_table_matches_kinds():
     rows = {}
     for line in README.splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if len(cells) == 3 and cells[0] in KINDS:
-            rows[cells[0]] = (int(cells[1]), set(re.findall(r"`(\w+)`", cells[2])))
+        if len(cells) == 4 and cells[0] in KINDS:
+            rows[cells[0]] = (int(cells[1]), *(re.findall(r"`(\w+)`", cell) for cell in cells[2:]))
     assert set(rows) == set(KINDS)
     for name, kind in KINDS.items():
-        assert rows[name] == (kind.scenarios, set(kind.required + kind.optional)), name
+        assert rows[name] == (kind.scenarios, list(kind.settings), list(kind.required)), name
 
 
 def test_param_table_matches_param_checks():

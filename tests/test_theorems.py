@@ -286,7 +286,7 @@ class TestStability:
 class TestGaussianFamilyChecks:
     def test_t2_sharp_at_terminal_time(self):
         scn = gaussian_scenario(BROWNIAN, lam=1.0)
-        report = t2_check(scn, 1.0, [0.0, 0.5, 1.0, 2.0], SMALL, seed=21)
+        report = t2_check(scn, 1.0, [0.0, 0.5, 1.0, 2.0], seed=21)
         assert report.passed
         assert report.measurements["c_tr_y"] == pytest.approx(2.0, abs=1e-12)
         assert report.measurements["slack"] == pytest.approx(0.0, abs=1e-10)
@@ -295,20 +295,20 @@ class TestGaussianFamilyChecks:
 
     def test_t2_interior_time_has_slack(self):
         scn = gaussian_scenario(BROWNIAN, lam=1.0)
-        report = t2_check(scn, 0.5, [1.0], SMALL, seed=22)
+        report = t2_check(scn, 0.5, [1.0], seed=22)
         assert report.passed
         assert report.measurements["sharp_constant"] == pytest.approx(1.0)
         assert report.measurements["c_tr_y"] == pytest.approx(2.0)
 
     def test_t2_zero_shift(self):
         scn = gaussian_scenario(BROWNIAN)
-        report = t2_check(scn, 1.0, [0.0], SMALL, seed=23)
+        report = t2_check(scn, 1.0, [0.0], seed=23)
         row = report.measurements["shifts"][0]
         assert row["w2_squared"] == 0.0 and row["relative_entropy"] == 0.0
 
     def test_t2_report_only_beyond_unit_horizon(self):
         scn = gaussian_scenario(GaussianDriverSpec.brownian(2.0))
-        report = t2_check(scn, 2.0, [1.0], SMALL, seed=24)
+        report = t2_check(scn, 2.0, [1.0], seed=24)
         assert report.passed is None
         assert any("report-only" in note for note in report.notes)
 
@@ -316,16 +316,16 @@ class TestGaussianFamilyChecks:
     def test_t2_refuses_dirac_law(self, t, lam):
         # sigma^2 = 0 at t = 0 or with b = 0: no relative entropy is finite
         with pytest.raises(HypothesisUnsatisfied, match="Dirac law"):
-            t2_check(gaussian_scenario(BROWNIAN, lam=lam), t, [0.0, 1.0], SMALL, seed=25)
+            t2_check(gaussian_scenario(BROWNIAN, lam=lam), t, [0.0, 1.0], seed=25)
 
     def test_t2_rejects_non_gaussian_family(self):
         scn = mean_field_scenario(BROWNIAN)
         with pytest.raises(UnsupportedScenario):
-            t2_check(scn, 1.0, [1.0], SMALL, seed=25)
+            t2_check(scn, 1.0, [1.0], seed=25)
 
     def test_lsi_exact_ratio(self):
         scn = gaussian_scenario(BROWNIAN, lam=1.0)
-        report = lsi_check(scn, 1.0, [0.0, 0.5, 1.0], SMALL, seed=26)
+        report = lsi_check(scn, 1.0, [0.0, 0.5, 1.0], seed=26)
         assert report.passed
         assert report.measurements["c_ls_y"] == pytest.approx(2.0, abs=1e-12)
         assert report.measurements["max_quadrature_error"] < 1e-6
@@ -335,7 +335,7 @@ class TestGaussianFamilyChecks:
 
     def test_lsi_interior_time(self):
         scn = gaussian_scenario(BROWNIAN, lam=1.0)
-        report = lsi_check(scn, 0.25, [1.0], SMALL, seed=27)
+        report = lsi_check(scn, 0.25, [1.0], seed=27)
         assert report.passed
         assert report.measurements["lambdas"][0]["ratio"] == pytest.approx(0.5, abs=1e-10)
 
@@ -343,7 +343,7 @@ class TestGaussianFamilyChecks:
         # at lambda = 10 the entropy is 50 e^50 = 2.6e23 and the quadrature
         # agrees to 1e-15 relative, an absolute error far above 1e-6
         scn = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(), BROWNIAN)
-        report = lsi_check(scn, 1.0, [10.0], SMALL, seed=29)
+        report = lsi_check(scn, 1.0, [10.0], seed=29)
         row = report.measurements["lambdas"][0]
         assert row["entropy_exact"] == pytest.approx(50.0 * np.exp(50.0), rel=1e-12)
         assert report.measurements["max_quadrature_error"] > 1.0
@@ -352,7 +352,7 @@ class TestGaussianFamilyChecks:
 
     def test_lsi_with_drifted_family(self):
         scn = ScenarioSpec(TerminalSpec(a=0.5, b=2.0), GeneratorSpec(c0=0.3, c2=-0.4), BROWNIAN)
-        report = lsi_check(scn, 0.5, [0.5, 1.0], SMALL, seed=28)
+        report = lsi_check(scn, 0.5, [0.5, 1.0], seed=28)
         assert report.passed
         assert report.measurements["max_quadrature_error"] < 1e-6
 
@@ -401,8 +401,8 @@ class TestZBound:
 class TestReportDeterminism:
     def test_reports_identical_across_runs(self):
         scn = gaussian_scenario(BROWNIAN)
-        r1 = t2_check(scn, 1.0, [0.5, 1.0], SMALL, seed=32)
-        r2 = t2_check(scn, 1.0, [0.5, 1.0], SMALL, seed=32)
+        r1 = t2_check(scn, 1.0, [0.5, 1.0], seed=32)
+        r2 = t2_check(scn, 1.0, [0.5, 1.0], seed=32)
         assert r1.payload() == r2.payload()
 
         scn2 = mean_field_scenario(BROWNIAN)

@@ -297,7 +297,7 @@ def test_wick_validate_on_a_brownian_driver(tmp_path):
     # Their verdicts are Monte Carlo gates and are not asserted here
     tree = {
         "kind": "wick_validate", "seed": 5, "driver": {"kind": "brownian", "T": 1.5},
-        "solver": {"n_time": 16}, "params": {"n_paths": 4000},
+        "params": {"n_time": 16, "n_paths": 4000},
     }
     cfg = parse_config_payload(tree)
     measurements = run_single(cfg, tmp_path).report.measurements
