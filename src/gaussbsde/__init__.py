@@ -52,7 +52,6 @@ from .theorems import (
     z_bound_check,
 )
 from .wick import (
-    FirstChaosIntegrand,
     StepFunctionH,
     bsde_residual,
     riemann_wick_integral,

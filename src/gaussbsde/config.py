@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .drivers import _DOMAIN_TOL, GaussianDriverSpec
+from .drivers import _DOMAIN_TOL, GaussianDriverSpec, build_clock
 from .errors import ConfigInvalid, GaussBsdeError
 from .reporting import digest_payload, fmt_float
 from .scenario import GeneratorSpec, NONLINEARITIES, ScenarioSpec, TerminalSpec
@@ -52,6 +52,8 @@ def _emitted(value):
 
 _NUMBER = (_is_number, "must be a finite number")
 _NUMBER_LIST = (lambda v: _numbers(v) and len(v) > 0, "must be a nonempty list of finite numbers")
+# the steps of a path grid, and its paths: one path has no sample variance
+_AT_LEAST_TWO = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 2, "must be an integer of at least 2")
 
 #: params key -> (check of its value, what the check asks for)
 _PARAM_CHECKS = {
@@ -66,8 +68,7 @@ _PARAM_CHECKS = {
         lambda v: isinstance(v, list) and len(v) > 0 and all(_numbers(row) and len(row) == 3 for row in v),
         "must be a nonempty list of [t, y, z] rows of 3 finite numbers",
     ),
-    "n_time": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 2, "must be an integer of at least 2"),
-    "n_paths": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0, "must be a positive integer"),
+    "n_time": _AT_LEAST_TWO, "n_paths": _AT_LEAST_TWO,
 }
 
 
@@ -124,21 +125,21 @@ def _spec_fields(tree: dict, spec_class, path: str) -> dict:
     }
 
 
-def _load_covariance_file(path: Path, T: float) -> GaussianDriverSpec:
+def _load_covariance_file(path: Path, T: float, key: str) -> GaussianDriverSpec:
     try:
         with open(path, newline="") as handle:
             rows = [[float(v) for v in row if v.strip() != ""] for row in csv.reader(handle)]
     except (OSError, ValueError) as exc:
-        _fail("driver.covariance_file", f"cannot read covariance table: {exc}")
+        _fail(key, f"cannot read covariance table: {exc}")
     rows = [row for row in rows if row]
     n = len(rows)
     if n == 0:
-        _fail("driver.covariance_file", "covariance table is empty")
+        _fail(key, "covariance table is empty")
     grid = np.array([(i + 1) * T / n for i in range(n)])
     try:
         return GaussianDriverSpec.custom(grid, rows, T)
     except ValueError as exc:
-        _fail("driver.covariance_file", str(exc))
+        _fail(key, str(exc))
 
 
 def parse_driver(tree, path: str = "driver", base_dir: Path | None = None) -> GaussianDriverSpec:
@@ -166,17 +167,23 @@ def parse_driver(tree, path: str = "driver", base_dir: Path | None = None) -> Ga
         return GaussianDriverSpec.fbm(hurst, T)
     if table:
         grid, matrix = (_get(tree, key, path) for key in _TABLE_KEYS)
+        key = f"{path}.cov_matrix"
         try:
-            return GaussianDriverSpec(
+            spec = GaussianDriverSpec(
                 kind="custom", T=T, cov_grid=np.asarray(grid, dtype=float), cov_matrix=np.asarray(matrix, dtype=float)
             )
         except (ValueError, TypeError) as exc:
-            _fail(f"{path}.cov_matrix", str(exc))
-    file_name = _get(tree, "covariance_file", path)
-    file_path = Path(file_name)
-    if base_dir is not None and not file_path.is_absolute():
-        file_path = base_dir / file_path
-    return _load_covariance_file(file_path, T)
+            _fail(key, str(exc))
+    else:
+        key, file_path = f"{path}.covariance_file", Path(_get(tree, "covariance_file", path))
+        if base_dir is not None and not file_path.is_absolute():
+            file_path = base_dir / file_path
+        spec = _load_covariance_file(file_path, T, key)
+    try:
+        build_clock(spec, 2)  # a custom clock is its table's diagonal, which must increase
+    except GaussBsdeError as exc:
+        _fail(key, str(exc))
+    return spec
 
 
 def _parse_terminal(tree, path: str) -> TerminalSpec:

@@ -219,7 +219,9 @@ class PathBatch:
         return np.diff(self.samples, axis=1)
 
 
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
+def _path_factor(spec: GaussianDriverSpec, times: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the covariance matrix at ``times``, with one jitter retry."""
+    cov = covariance(spec, times[:, None], times[None, :])
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -248,7 +250,7 @@ def sample_paths(spec: GaussianDriverSpec, grid_t: np.ndarray, n_paths: int, see
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     times = grid_t[1:]
-    chol = _cholesky_with_jitter(covariance(spec, times[:, None], times[None, :]))
+    chol = _path_factor(spec, times)
     z = standard_normals(seed, (n_paths, times.size), "driver-paths")
     samples = np.zeros((n_paths, grid_t.size))
     np.matmul(z, chol.T, out=samples[:, 1:])

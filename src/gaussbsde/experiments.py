@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .drivers import GaussianDriverSpec, build_clock, sample_paths
+from .drivers import GaussianDriverSpec, _path_factor, build_clock, covariance, sample_paths
 from .errors import ConfigInvalid, IoFailure
 from .pack import (
     constant_generator_scenario,
@@ -43,8 +43,8 @@ from .scenario import terminal_on_paths
 from .solver import SolverConfig, _check_step, _require_x_free, _short_horizon_grid, solve_auxiliary, transfer_evaluate
 from .theorems import (
     TheoremReport,
+    _gaussian_family,
     _require_clock_differentiable,
-    _require_gaussian_family,
     _require_generator_order,
     _require_mean_coupling,
     _require_refinable,
@@ -63,7 +63,6 @@ from .theorems import (
     z_bound_check,
 )
 from .wick import (
-    FirstChaosIntegrand,
     StepFunctionH,
     riemann_wick_integral,
     s_transform_factorization_check,
@@ -171,7 +170,8 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
             for node in (clock.grid_t.size // 2, clock.grid_t.size - 1):
                 t_node = float(clock.grid_t[node])
                 res = s_transform_mc(paths.samples[:, node], h_weights)
-                expected = h.value(t_node, clock)
+                # Cov(X_t, I_h) of the I_h the weights form on the batch's grid
+                expected = float(h.hdot(clock.grid_t[:-1]) @ np.diff(covariance(driver, t_node, clock.grid_t)))
                 within = abs(res.value - expected) <= 3.0 * res.std_error
                 ok = ok and within
                 sxt_rows.append(
@@ -198,9 +198,7 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
         "Monte Carlo factorization over finitely many step functions is evidence, not proof"
     )
 
-    linear_rows = np.tile(np.array([0.0, 1.0]), (clock.grid_t.size - 1, 1))
-    integrand = FirstChaosIntegrand.from_rows(clock.grid_t, linear_rows)
-    integral = riemann_wick_integral(integrand, paths)
+    integral = riemann_wick_integral(np.tile([0.0, 1.0], (clock.grid_t.size - 1, 1)), paths)
     mean_se = float(np.std(integral) / np.sqrt(n_paths))
     centered_ok = abs(float(np.mean(integral))) <= 3.0 * mean_se
     ok = ok and centered_ok
@@ -314,11 +312,13 @@ def _step_gate(horizons: Callable | None = None):
 
 _REFINABLE = ("driver.kind", lambda cfg: _require_refinable(cfg.driver))
 _STEP = _step_gate()
-_GAUSSIAN_FAMILY = ("scenario", lambda cfg: _require_gaussian_family(cfg.scenario))
+_GAUSSIAN_FAMILY = ("scenario", lambda cfg: _gaussian_family(cfg.scenario, cfg.params["t"]))
+# the factorization sample_paths runs on the path grid: a custom table may not be PSD
+_SAMPLEABLE = ("driver", lambda cfg: _path_factor(cfg.driver, build_clock(cfg.driver, cfg.params["n_time"] + 1).grid_t[1:]))
 
 KINDS = {
     "solve": Kind(1, _run_solve, gates=(_STEP,)),
-    "wick_validate": Kind(0, _run_wick_validate, ("n_time", "n_paths"), settings=("driver",)),
+    "wick_validate": Kind(0, _run_wick_validate, ("n_time", "n_paths"), ("driver",), gates=(_SAMPLEABLE,)),
     "comparison": Kind(
         2, _run_comparison, ("t_list",),
         gates=(

@@ -79,11 +79,9 @@ def gaussian_kl(nu: GaussianLaw1D, mu: GaussianLaw1D) -> float:
         return 0.0 if (nu.variance == 0.0 and nu.mean == mu.mean) else math.inf
     if nu.variance == 0.0:
         return math.inf
-    return (
-        math.log(mu.std / nu.std)
-        + (nu.variance + (nu.mean - mu.mean) ** 2) / (2.0 * mu.variance)
-        - 0.5
-    )
+    # the mean's term apart: added to the variance's, one below its rounding would be lost
+    r = nu.variance / mu.variance
+    return 0.5 * (r - 1.0 - math.log(r)) + (nu.mean - mu.mean) ** 2 / (2.0 * mu.variance)
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .errors import (
     HypothesisUnobserved,
     HypothesisUnsatisfied,
     NonFiniteSolution,
+    NonpositiveMass,
     UnsupportedScenario,
 )
 from .measures import GaussianLaw1D, LawFeatures, entropy_functional, gaussian_kl, gaussian_w2
@@ -454,19 +455,22 @@ def transport_constants(l_g: float, l_f: float, clock: VarianceClock, t: float) 
 def _gaussian_family(scn: ScenarioSpec, t: float):
     """(clock, law, C_Tr, C_LS) of the T2 and LSI checks: the closed-form
     marginal law of Y_t for law-free affine scenarios, and the constants at
-    the scenario's symbolic Lipschitz constants.  V_t is read from a fixed clock table of 64 steps."""
+    the scenario's symbolic Lipschitz constants.  V_t is read from a fixed
+    clock table of 64 steps.  A value past the float range raises
+    ``NonFiniteSolution``."""
     _require_gaussian_family(scn)
     clock = build_clock(scn.driver, 65)
     gen, term = scn.generator, scn.terminal
-    v_t = clock.value(t)
-    lam = clock.V_T - v_t
-    factor = math.exp(gen.c2 * lam)
-    if gen.c2 != 0.0:
-        shift = gen.c0 * (factor - 1.0) / gen.c2
-    else:
-        shift = gen.c0 * lam
-    law = GaussianLaw1D(mean=factor * term.a + shift, variance=(term.b * factor) ** 2 * v_t)
-    return (clock, law, *transport_constants(term.lipschitz, gen.lipschitz, clock, t))
+    with _overflow_named(f"the Gaussian family at t {float(t)!r}"):
+        v_t = clock.value(t)
+        lam = clock.V_T - v_t
+        factor = math.exp(gen.c2 * lam)
+        shift = gen.c0 * (factor - 1.0) / gen.c2 if gen.c2 != 0.0 else gen.c0 * lam
+        law = GaussianLaw1D(mean=factor * term.a + shift, variance=(term.b * factor) ** 2 * v_t)
+        constants = transport_constants(term.lipschitz, gen.lipschitz, clock, t)
+        if not all(map(math.isfinite, (law.mean, law.variance, *constants))):
+            raise OverflowError("past the float range")  # a float product does not raise
+    return (clock, law, *constants)
 
 
 @contextmanager
@@ -552,7 +556,10 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, seed: int = 0) -> Theore
             mgf = math.exp(lam * m + 0.5 * lam ** 2 * s2)
             ent_exact = 0.5 * lam ** 2 * s2 * mgf
             dirichlet = 0.25 * lam ** 2 * mgf
-            ent_quad = entropy_functional(law, lambda x, _l=lam: np.exp(_l * x))
+            try:
+                ent_quad = entropy_functional(law, lambda x, _l=lam: np.exp(_l * x))
+            except NonpositiveMass:  # exp(lam x) > 0: its integral is below the float range
+                raise FloatingPointError("the test function's integral underflows") from None
         quad_err = abs(ent_quad - ent_exact)
         max_quad_error = max(max_quad_error, quad_err)
         ratio = ent_exact / dirichlet if dirichlet > 0 else 0.0

@@ -11,13 +11,16 @@ explicit Monte Carlo gate for it (`s_transform_factorization_check`) rather
 than treating the rule as an axiom.  A Monte Carlo check over finitely many
 step functions is evidence, not proof; reports label it as such.
 
-Every product goes through `wick_product_first_chaos`, one cell or all cells
-of a grid at once.  The corrections E[X_{t_i} (X_{t_{i+1}} - X_{t_i})] of the
-cells come from one array call of the driver's covariance kernel, and
-`_wick_cells` gives the (n, N) products of an integrand along a path batch:
-the Riemann-Wick integral sums them and the residual suffix-sums them.  The
-weights, the cells and the factorization check read the batch's increments,
-computed once per batch (`PathBatch.increments`).
+The layer reads one grid, the path batch's.  An integrand is an (N, d + 1)
+array of raw-x monomial coefficient rows, one per cell of the batch; a
+different row count is refused (`GridMismatch`).  Every product goes through
+`wick_product_first_chaos`, one cell or all cells of the grid at once.  The
+corrections E[X_{t_i} (X_{t_{i+1}} - X_{t_i})] of the cells come from one
+array call of the driver's covariance kernel, and `_wick_cells` gives the
+(n, N) products of an integrand along the batch: the Riemann-Wick integral
+sums them and the residual suffix-sums them.  The weights, the cells and the
+factorization check read the batch's increments, computed once per batch
+(`PathBatch.increments`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import GaussianDriverSpec, PathBatch, VarianceClock, covariance
+from .drivers import GaussianDriverSpec, PathBatch, covariance
 from .errors import DegenerateIncrement, GridMismatch
 from .scenario import ScenarioSpec, generator_dv_on_paths, terminal_on_paths
 from .solver import SolutionField, _derivative, _polyval
@@ -63,43 +66,6 @@ class StepFunctionH:
         out = self.values[idx]
         return float(out) if out.ndim == 0 else out
 
-    def value(self, t: float, clock: VarianceClock) -> float:
-        """h(t) = int_0^t hdot dV, exact for piecewise-linear V."""
-        total = 0.0
-        for k in range(self.values.size):
-            a, b = self.edges[k], min(self.edges[k + 1], t)
-            if b <= a:
-                break
-            total += self.values[k] * (clock.value(b) - clock.value(a))
-        return total
-
-
-@dataclass(frozen=True, eq=False)
-class FirstChaosIntegrand:
-    """Per-grid-node polynomial representation of an integrand v(t_i, x).
-
-    ``coeffs[i]`` are raw-x monomial coefficients at node i (one row per cell,
-    nodes 0 .. N-1).
-    """
-
-    grid_t: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape[0] != self.grid_t.size - 1:
-            raise ValueError("need one coefficient row per grid cell")
-
-    @classmethod
-    def from_rows(cls, grid_t, rows) -> "FirstChaosIntegrand":
-        return cls(grid_t=np.asarray(grid_t, dtype=float), coeffs=np.atleast_2d(np.asarray(rows, dtype=float)))
-
-    @classmethod
-    def from_field(cls, field: SolutionField) -> "FirstChaosIntegrand":
-        """Convert the solver's scaled-basis Z representation to raw-x rows."""
-        powers = np.arange(field.v_coeffs.shape[1])
-        return cls.from_rows(field.clock.grid_t, field.v_coeffs / field.scales[: field.n_steps, None] ** powers)
-
-
 def wick_product_first_chaos(poly_coeffs, x_samples, increment_samples, correction) -> np.ndarray:
     """Pathwise p(X_{t_i}) <> (X_{t_{i+1}} - X_{t_i}), where ``correction`` is
     E[X_{t_i} (X_{t_{i+1}} - X_{t_i})].
@@ -113,7 +79,7 @@ def wick_product_first_chaos(poly_coeffs, x_samples, increment_samples, correcti
     dx = np.asarray(increment_samples, dtype=float)
     if x.shape != dx.shape:
         raise ValueError("x_samples and increment_samples must be paired")
-    if dx.size and np.any(np.var(dx, axis=0) == 0.0):
+    if dx.size and np.any(np.ptp(dx, axis=0) == 0.0):  # all equal: exact where a variance underflows
         raise DegenerateIncrement("driver increment has zero variance")
     coeffs = np.asarray(poly_coeffs, dtype=float)  # degree along the last axis
     p_vals = _polyval(x, coeffs.T)
@@ -130,27 +96,23 @@ def _wick_corrections(driver: GaussianDriverSpec, grid: np.ndarray) -> np.ndarra
 
 def _wick_cells(coeffs: np.ndarray, paths: PathBatch) -> np.ndarray:
     """(n, N) products v(t_i, X_{t_i}) <> (X_{t_{i+1}} - X_{t_i}) along the
-    paths, for raw-x coefficient rows ``coeffs`` (one per cell)."""
+    paths, for raw-x coefficient rows ``coeffs``, one per cell of the batch."""
+    if np.shape(coeffs)[0] != paths.grid_t.size - 1:
+        raise GridMismatch(f"need one coefficient row per cell of the paths' grid, got {np.shape(coeffs)[0]}")
     corrections = _wick_corrections(paths.driver, paths.grid_t)
     return wick_product_first_chaos(coeffs, paths.samples[:, :-1], paths.increments, corrections)
 
 
-def _check_grid_alignment(grid_a: np.ndarray, grid_b: np.ndarray):
-    if grid_a.size != grid_b.size or np.max(np.abs(grid_a - grid_b)) > _GRID_TOL:
-        raise GridMismatch("paths and integrand must share one grid")
-
-
-def riemann_wick_integral(integrand: FirstChaosIntegrand, paths: PathBatch) -> np.ndarray:
-    """Per-path Riemann-Wick sum of v(t_i, X_{t_i}) <> dX over all grid cells."""
-    _check_grid_alignment(paths.grid_t, integrand.grid_t)
-    return _wick_cells(integrand.coeffs, paths).sum(axis=1)
+def riemann_wick_integral(coeffs, paths: PathBatch) -> np.ndarray:
+    """Per-path Riemann-Wick sum of v(t_i, X_{t_i}) <> dX over the cells of
+    the batch's grid, for raw-x coefficient rows ``coeffs``, one per cell."""
+    return _wick_cells(np.atleast_2d(np.asarray(coeffs, dtype=float)), paths).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class ResidualStats:
-    """Mean and RMS of the backward-identity residual at every grid node."""
+    """Mean and RMS of the backward-identity residual at every node of the field's clock."""
 
-    grid_t: np.ndarray
     mean: np.ndarray
     rms: np.ndarray
     mean_std_error: np.ndarray
@@ -166,15 +128,17 @@ def bsde_residual(field: SolutionField, scn: ScenarioSpec, paths: PathBatch) -> 
     """R_t = u(t, X_t) - g(X_T, .) - sum f dV + RiemannWick(v) over [t, T],
     on paths sampled on the field's clock."""
     x, clock = paths.samples, field.clock
-    _check_grid_alignment(paths.grid_t, clock.grid_t)
+    if paths.grid_t.size != clock.grid_t.size or np.max(np.abs(paths.grid_t - clock.grid_t)) > _GRID_TOL:
+        raise GridMismatch("paths must be sampled on the field's clock")
     u_vals, v_vals = field.on_paths(x)
     g_vals = terminal_on_paths(scn.terminal, x[:, -1])
     f_cells = generator_dv_on_paths(scn.generator, clock, x, u_vals, v_vals)
-    wick_cells = _wick_cells(FirstChaosIntegrand.from_field(field).coeffs, paths)
+    # Z's rows in the scaled variable x / scales[i], turned into raw-x rows
+    z_rows = field.v_coeffs / field.scales[:-1, None] ** np.arange(field.v_coeffs.shape[1])
+    wick_cells = _wick_cells(z_rows, paths)
 
     residual = u_vals - g_vals[:, None] - _suffix_sums(f_cells) + _suffix_sums(wick_cells)
     return ResidualStats(
-        grid_t=clock.grid_t,
         mean=residual.mean(axis=0),
         rms=np.sqrt(np.mean(residual ** 2, axis=0)),
         mean_std_error=residual.std(axis=0) / math.sqrt(paths.n_paths),
@@ -188,13 +152,15 @@ def _increment_covariance(driver: GaussianDriverSpec, grid: np.ndarray) -> np.nd
 
 
 def wick_exponential_weights(h: StepFunctionH, paths: PathBatch) -> np.ndarray:
-    """Per-path realization of exp(I_h - Var(I_h)/2), with I_h = sum hdot dX.
+    """Per-path realization of exp(I_h - Var(I_h)/2), with
+    I_h = sum_i hdot(t_i) (X_{t_{i+1}} - X_{t_i}) on the batch's grid.
 
     The variance is computed from the exact covariance, so the weights have
-    unit mean up to Monte Carlo error only.  On the Brownian driver I_h
-    realizes the direction with density hdot exactly; for other drivers it is
-    a valid first-chaos test direction whose induced h may differ from the
-    nominal density.
+    unit mean up to Monte Carlo error only.  Under them the S-transform of
+    X_t is Cov(X_t, I_h); on the Brownian driver that is int_0^t hdot dV
+    wherever h's edges are grid nodes.  For other drivers I_h is a valid
+    first-chaos test direction whose induced h may differ from the nominal
+    density.
     """
     grid = paths.grid_t
     hdot_left = np.asarray(h.hdot(grid[:-1]))

@@ -35,7 +35,6 @@ from gaussbsde.theorems import (
     z_bound_check,
 )
 from gaussbsde.wick import (
-    FirstChaosIntegrand,
     StepFunctionH,
     bsde_residual,
     riemann_wick_integral,
@@ -128,7 +127,7 @@ class TestAcceptance:
         clock_b = build_clock(BROWNIAN, 129)
         paths_b = sample_paths(BROWNIAN, clock_b.grid_t, 100_000, SEED + 1)
         rows = np.tile(np.array([0.0, 1.0]), (128, 1))
-        integral = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock_b.grid_t, rows), paths_b)
+        integral = riemann_wick_integral(rows, paths_b)
         closed = 0.5 * (paths_b.samples[:, -1] ** 2 - 1.0)
         gap = integral - closed
         mean_ok = abs(np.mean(gap)) <= 3 * np.std(gap) / math.sqrt(gap.size)

@@ -45,6 +45,8 @@ def kind_config(kind, params):
 
 FBM = {"kind": "fbm", "hurst": 0.7, "T": 1.0}
 CUSTOM = {"kind": "custom", "T": 1.0, "cov_grid": [0.5, 1.0], "cov_matrix": [[0.5, 0.5], [0.5, 1.0]]}
+FALLING = [[1.0, 0.5], [0.5, 0.8]]  # a covariance diagonal that falls
+NOT_PSD = [[0.5, 0.9], [0.9, 1.0]]  # determinant 0.5 - 0.81 < 0
 STATE_DEPENDENT = {"terminal": {"b": 1.0}, "generator": {"c1": 0.4}}
 LAW_DEPENDENT = {"terminal": {"b": 1.0}, "generator": {"kappa_y": 0.3}}
 Z_LAW_DEPENDENT = {"terminal": {"b": 1.0}, "generator": {"kappa_z": 0.5}}
@@ -199,6 +201,8 @@ class TestConfigParsing:
             # the steps of wick_validate's path grid
             ("wick_validate", {"n_time": 1, "n_paths": 100}, "n_time"),
             ("wick_validate", {"n_time": 8.0, "n_paths": 100}, "n_time"),
+            # one path has no sample variance: every increment is degenerate
+            ("wick_validate", {"n_time": 8, "n_paths": 1}, "n_paths"),
         ],
     )
     def test_param_values_checked(self, kind, params, key):
@@ -277,6 +281,14 @@ class TestConfigParsing:
                 {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": -40.0}}, "solver": {"n_time": 4}},
                 "solver.n_time",
             ),
+            # a custom covariance whose diagonal falls has no clock, for the
+            # kinds that solve nothing too; one that is not PSD cannot be sampled
+            ("t2", {"t": 0.5, "shift_list": [1.0]}, {"driver": dict(CUSTOM, cov_matrix=FALLING)}, "driver.cov_matrix"),
+            ("wick_validate", {"n_time": 8, "n_paths": 100}, {"driver": dict(CUSTOM, cov_matrix=FALLING)}, "driver.cov_matrix"),
+            ("wick_validate", {"n_time": 8, "n_paths": 100}, {"driver": dict(CUSTOM, cov_matrix=NOT_PSD)}, "driver"),
+            # the closed-form Gaussian law past the float range: e^(2 c2 (V_T - V_t)) at c2 = 800
+            ("t2", {"t": 0.5, "shift_list": [0.5]}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 800.0}}}, "scenario"),
+            ("lsi", {"t": 0.5, "lambda_list": [0.5]}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 800.0}}}, "scenario"),
         ],
     )
     def test_run_time_refusals_named_at_parse(self, tmp_path, capsys, kind, params, update, key):
@@ -347,18 +359,25 @@ class TestConfigParsing:
             parse_config_payload(dict(BASE_CONFIG, kind="dance"))
 
     @pytest.mark.parametrize(
-        "kind, params, update, message",
+        "kind, params, update, message, key",
         [
             # the clock does not move on [t, t + eps]
-            ("representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [1e-15]}, {}, "variance clock does not move"),
-            # a custom covariance whose diagonal falls has no clock
-            ("solve", {}, {"driver": dict(CUSTOM, cov_matrix=[[1.0, 0.5], [0.5, 0.8]])}, "covariance diagonal"),
+            (
+                "representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [1e-15]}, {},
+                "variance clock does not move", "solver.n_time",
+            ),
+            # a custom covariance whose diagonal falls has no clock: the driver
+            # refuses it, under the key of its table, before the step gate
+            (
+                "solve", {}, {"driver": dict(CUSTOM, cov_matrix=FALLING)},
+                "covariance diagonal", "driver.cov_matrix",
+            ),
         ],
     )
-    def test_step_gate_errors_named_at_parse(self, tmp_path, capsys, kind, params, update, message):
+    def test_step_gate_errors_named_at_parse(self, tmp_path, capsys, kind, params, update, message, key):
         path = write_config(tmp_path, dict(kind_config(kind, params), **update))
         assert main(["validate", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(f"config error: solver.n_time: {message}")
+        assert capsys.readouterr().err.startswith(f"config error: {key}: {message}")
 
     def test_missing_params_named(self):
         tree = dict(BASE_CONFIG, kind="comparison", scenario_2=BASE_CONFIG["scenario"])
@@ -376,6 +395,12 @@ class TestConfigParsing:
         # embedded form round-trips
         again = parse_config_payload(json.loads(emit_config(cfg)))
         assert again.payload() == cfg.payload()
+
+    def test_covariance_file_without_a_clock_named(self, tmp_path, capsys):
+        (tmp_path / "cov.csv").write_text("1.0\n0.5,0.8\n")
+        tree = dict(kind_config("t2", {"t": 0.5, "shift_list": [1.0]}), driver={"kind": "custom", "covariance_file": "cov.csv"})
+        assert main(["validate", str(write_config(tmp_path, tree))]) == 1
+        assert capsys.readouterr().err.startswith("config error: driver.covariance_file: covariance diagonal")
 
     def test_custom_driver_runs_end_to_end(self, tmp_path):
         # Brownian min-table provided as a custom covariance: full solve works

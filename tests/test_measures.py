@@ -107,6 +107,11 @@ class TestGaussianKL:
         assert gaussian_kl(nu, mu) == pytest.approx(expected, abs=1e-12)
         assert gaussian_kl(nu, mu) == pytest.approx(kl_by_quadrature(nu, mu), abs=1e-9)
 
+    def test_mean_shift_kept_at_large_variance(self):
+        # (sigma^2 + d^2) / (2 sigma^2) - 0.5 rounds d^2 / (2 sigma^2) = 5e-21 away
+        nu, mu = GaussianLaw1D(1, 1e20), GaussianLaw1D(0, 1e20)
+        assert gaussian_kl(nu, mu) == pytest.approx(5e-21, rel=1e-15, abs=0.0)
+
     def test_nonnegative_zero_iff_equal(self):
         rng = np.random.default_rng(4)
         for _ in range(50):

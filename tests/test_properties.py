@@ -1,9 +1,12 @@
-"""Property tests: the covariance kernel, the variance clock, the config round trip, the regression
+"""Property tests: the covariance kernel, the variance clock, the config round trip, a run of
+each config that validates (for the kinds that solve nothing), the regression
 fit and its basis-block products, the sorted W2 distance, the Lipschitz
 audit and the generator's coefficient form."""
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -11,8 +14,8 @@ from numpy.polynomial import polynomial as npoly
 
 from gaussbsde.config import parse_config_payload
 from gaussbsde.drivers import GaussianDriverSpec, build_clock, covariance
-from gaussbsde.errors import ConfigInvalid
-from gaussbsde.experiments import KINDS
+from gaussbsde.errors import ConfigInvalid, NonFiniteSolution
+from gaussbsde.experiments import KINDS, run_single
 from gaussbsde.measures import LawFeatures, sorted_w2
 from gaussbsde.scenario import (
     NONLINEARITIES,
@@ -49,7 +52,7 @@ def param_values(draw, keys, T):
         "eps_list": st.just(eps_list),
         "probe_grid": st.lists(st.tuples(time, coefficient, coefficient).map(list), min_size=1, max_size=3),
         "n_time": st.integers(2, 128),
-        "n_paths": st.integers(1, 10 ** 6),
+        "n_paths": st.integers(2, 10 ** 6),
     }
     return {key: draw(values[key]) for key in keys}
 
@@ -182,6 +185,52 @@ def test_emit_parse_keeps_digest(data):
         again = parse_config_payload(json.loads(emit_config(cfg)))
         assert again.digest == cfg.digest
         assert emit_config(again) == emit_config(cfg)
+
+
+@st.composite
+def unsolved_kind_configs(draw):
+    """A t2, lsi or wick_validate config on a Brownian, fBm or custom driver
+    (a symmetric table of 1 to 3 nodes), at most 8 steps and 64 paths."""
+    kind = draw(st.sampled_from(("t2", "lsi", "wick_validate")))
+    T = draw(st.floats(0.1, 5.0))
+    driver = {"kind": draw(st.sampled_from(("brownian", "fbm", "custom"))), "T": T}
+    if driver["kind"] == "fbm":
+        driver["hurst"] = draw(st.floats(0.01, 0.99))
+    if driver["kind"] == "custom":
+        grid = sorted(draw(st.sets(st.floats(0.0, T, exclude_min=True), min_size=1, max_size=3)))
+        rows = [[draw(coefficient) for _ in range(i + 1)] for i in range(len(grid))]
+        if draw(st.booleans()):  # a diagonal that increases, as a clock needs; the rest may not be PSD
+            for i, v in enumerate(np.cumsum([draw(st.floats(0.01, 3.0)) for _ in grid])):
+                rows[i][i] = float(v)
+        matrix = [[rows[max(i, j)][min(i, j)] for j in range(len(grid))] for i in range(len(grid))]
+        driver.update(cov_grid=grid, cov_matrix=matrix)
+    tree = {"kind": kind, "seed": draw(st.integers(0, 2 ** 62)), "driver": driver}
+    if kind == "wick_validate":
+        tree["params"] = {"n_time": draw(st.integers(2, 8)), "n_paths": draw(st.integers(1, 64))}
+        return tree
+    tree["params"] = draw(param_values(KINDS[kind].required, T))
+    # the closed-form family: f = c0 + c2 y and g = a + b x, with c2 far past
+    # the range where e^(2 c2 V_T) stays finite
+    c2 = draw(coefficient | st.floats(-1000.0, 1000.0))
+    tree["scenario"] = {
+        "terminal": {"a": draw(coefficient), "b": draw(coefficient)}, "generator": {"c0": draw(coefficient), "c2": c2},
+    }
+    return tree
+
+
+@settings(deadline=None, max_examples=150)
+@given(tree=unsolved_kind_configs())
+def test_what_validate_accepts_runs(tree):
+    # a config that parses runs to its report, or to a named non-finite value
+    try:
+        cfg = parse_config_payload(tree)
+    except ConfigInvalid:
+        return
+    with tempfile.TemporaryDirectory() as out_dir:
+        try:
+            run_single(cfg, Path(out_dir))
+        except NonFiniteSolution:
+            pass
 
 
 @FEW

@@ -3,7 +3,7 @@ import pytest
 
 from gaussbsde import solver, theorems
 from gaussbsde.drivers import GaussianDriverSpec, build_clock
-from gaussbsde.errors import HypothesisUnobserved, HypothesisUnsatisfied, UnsupportedScenario
+from gaussbsde.errors import HypothesisUnobserved, HypothesisUnsatisfied, NonFiniteSolution, UnsupportedScenario
 from gaussbsde.pack import (
     constant_generator_scenario,
     contraction_mean_field_scenario,
@@ -305,6 +305,29 @@ class TestGaussianFamilyChecks:
         report = t2_check(scn, 1.0, [0.0], seed=23)
         row = report.measurements["shifts"][0]
         assert row["w2_squared"] == 0.0 and row["relative_entropy"] == 0.0
+
+    def test_t2_at_large_variance(self):
+        # c2 = 400: sigma^2 = e^400 / 2, so H = 0.5^2 / (2 sigma^2) is far
+        # below the rounding of 1, and C_Tr * H is still about 2e4 >= W2^2
+        scn = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=400.0), BROWNIAN)
+        report = t2_check(scn, 0.5, [0.5], seed=26)
+        (row,) = report.measurements["shifts"]
+        assert row["relative_entropy"] == pytest.approx(0.125 / report.measurements["sigma_sq"], rel=1e-12, abs=0.0)
+        assert report.measurements["c_tr_y"] * row["relative_entropy"] == pytest.approx(2e4, rel=0.1)
+        assert report.passed
+
+    @pytest.mark.parametrize("check, values", [(t2_check, [0.5]), (lsi_check, [0.5])])
+    def test_family_past_the_float_range_named(self, check, values):
+        # c2 = 800: e^(2 c2 (V_T - V_t)) overflows, as does a product past it
+        scn = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=800.0), BROWNIAN)
+        with pytest.raises(NonFiniteSolution, match=r"non-finite value in the Gaussian family at t 0\.5"):
+            check(scn, 0.5, values, seed=27)
+
+    def test_lsi_test_function_underflow_named(self):
+        # mean -e^7 and a variance near 0: exp(x) is 0 at every quadrature node
+        scn = ScenarioSpec(TerminalSpec(a=-1.0, b=1.0), GeneratorSpec(c2=7.0), BROWNIAN)
+        with pytest.raises(NonFiniteSolution, match="lsi at lambda 1.0: the test function's integral underflows"):
+            lsi_check(scn, 1e-300, [1.0], seed=28)
 
     def test_t2_report_only_beyond_unit_horizon(self):
         scn = gaussian_scenario(GaussianDriverSpec.brownian(2.0))

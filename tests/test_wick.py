@@ -12,7 +12,6 @@ from gaussbsde.pack import identity_scenario, linear_scenario
 from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec
 from gaussbsde.solver import SolverConfig, solve_auxiliary
 from gaussbsde.wick import (
-    FirstChaosIntegrand,
     StepFunctionH,
     bsde_residual,
     riemann_wick_integral,
@@ -72,6 +71,14 @@ class TestWickProduct:
         with pytest.raises(DegenerateIncrement):
             wick_product_first_chaos(np.array([1.0]), np.ones(10), np.ones(10), 0.0)
 
+    def test_tiny_increments_are_not_degenerate(self):
+        # a covariance of 5e-324: the two samples differ, though their sample
+        # variance underflows to 0
+        spec = GaussianDriverSpec.custom(np.array([1.0]), [[5e-324]], 1.0)
+        paths = sample_paths(spec, np.array([0.0, 1.0]), 2, seed=0)
+        assert np.var(paths.increments) == 0.0 and np.ptp(paths.increments) > 0.0
+        assert np.all(np.isfinite(riemann_wick_integral([[0.0, 1.0]], paths)))
+
     def test_all_cells_at_once_match_each_cell(self):
         # one row of coefficients and one correction per column
         rng = np.random.default_rng(3)
@@ -89,16 +96,14 @@ class TestRiemannWick:
     def test_constant_integrand_telescopes(self):
         clock, paths = make_paths(FBM07, 16, 500, seed=3)
         rows = np.tile(np.array([1.0, 0.0]), (16, 1))
-        integrand = FirstChaosIntegrand.from_rows(clock.grid_t, rows)
-        out = riemann_wick_integral(integrand, paths)
+        out = riemann_wick_integral(rows, paths)
         np.testing.assert_allclose(out, paths.samples[:, -1], atol=1e-12)
 
     def test_linear_integrand_brownian_moments(self):
         # sums approximate (X_T^2 - V_T)/2: mean 0 (3 sigma), variance V_T^2/2 (5%)
         clock, paths = make_paths(BROWNIAN, 128, 100_000, seed=4)
         rows = np.tile(np.array([0.0, 1.0]), (128, 1))
-        integrand = FirstChaosIntegrand.from_rows(clock.grid_t, rows)
-        out = riemann_wick_integral(integrand, paths)
+        out = riemann_wick_integral(rows, paths)
         se = np.std(out) / math.sqrt(out.size)
         assert abs(np.mean(out)) <= 3 * se
         assert np.var(out) == pytest.approx(0.5, rel=0.05)
@@ -111,8 +116,7 @@ class TestRiemannWick:
         # zero correction term: pathwise equality with the forward sum
         clock, paths = make_paths(BROWNIAN, 32, 2000, seed=5)
         rows = np.tile(np.array([0.0, 1.0]), (32, 1))
-        integrand = FirstChaosIntegrand.from_rows(clock.grid_t, rows)
-        out = riemann_wick_integral(integrand, paths)
+        out = riemann_wick_integral(rows, paths)
         x = paths.samples
         forward = np.sum(x[:, :-1] * np.diff(x, axis=1), axis=1)
         np.testing.assert_allclose(out, forward, atol=1e-12)
@@ -122,7 +126,7 @@ class TestRiemannWick:
         fine_clock, fine = make_paths(BROWNIAN, 32, 400, seed=6)
         for clock, paths, n in ((coarse_clock, coarse, 16), (fine_clock, fine, 32)):
             rows = np.tile(np.array([1.0, 0.0]), (n, 1))
-            out = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, rows), paths)
+            out = riemann_wick_integral(rows, paths)
             np.testing.assert_allclose(out, paths.samples[:, -1], atol=1e-12)
 
     @pytest.mark.parametrize("spec", [BROWNIAN, FBM07], ids=["brownian", "fbm"])
@@ -131,7 +135,7 @@ class TestRiemannWick:
         # correction from scalar kernel calls
         clock, paths = make_paths(spec, 16, 500, seed=19)
         rows = np.random.default_rng(20).normal(size=(16, 4))
-        out = riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, rows), paths)
+        out = riemann_wick_integral(rows, paths)
         grid, x = paths.grid_t, paths.samples
         reference = np.zeros(paths.n_paths)
         for i in range(16):
@@ -141,12 +145,11 @@ class TestRiemannWick:
         np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
 
     def test_grid_mismatch(self):
+        # 8 rows on a 16-cell batch: an integrand of another grid
         clock, paths = make_paths(BROWNIAN, 16, 100, seed=7)
-        other = build_clock(BROWNIAN, 9)
         rows = np.tile(np.array([1.0, 0.0]), (8, 1))
-        integrand = FirstChaosIntegrand.from_rows(other.grid_t, rows)
-        with pytest.raises(GridMismatch):
-            riemann_wick_integral(integrand, paths)
+        with pytest.raises(GridMismatch, match="one coefficient row per cell"):
+            riemann_wick_integral(rows, paths)
 
 
 class TestSTransform:
@@ -159,13 +162,17 @@ class TestSTransform:
             s_transform_mc(np.ones(paths.n_paths - 1), weights)
 
     def test_driver_transform_matches_clock_integral(self):
-        # Brownian driver: (S X_t)(h) = int_0^t hdot dV
+        # Brownian driver: (S X_t)(h) = Cov(X_t, I_h), which is int_0^t hdot dV
+        # when h's edges are grid nodes, as here
         clock, paths = make_paths(BROWNIAN, 32, 100_000, seed=9)
-        for h in (full_h(), StepFunctionH(edges=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, -1.0]))):
+        grid = clock.grid_t
+        two_step = StepFunctionH(edges=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, -1.0]))
+        for h, integral in ((full_h(), lambda t: t), (two_step, lambda t: min(2 * t, 1.5 - t))):
             weights = wick_exponential_weights(h, paths)
             for node in (16, 32):
                 res = s_transform_mc(paths.samples[:, node], weights)
-                expected = h.value(float(clock.grid_t[node]), clock)
+                expected = h.hdot(grid[:-1]) @ np.diff(covariance(BROWNIAN, grid[node], grid))
+                assert expected == pytest.approx(integral(grid[node]), abs=1e-15)
                 assert abs(res.value - expected) <= 3 * res.std_error
 
     def test_factorization_all_degrees(self):
@@ -264,18 +271,6 @@ class TestBsdeResidual:
         )
 
 
-class TestIntegrandConversion:
-    def test_field_conversion_matches_eval(self):
-        scn = linear_scenario(BROWNIAN, 0.5)
-        clock = build_clock(BROWNIAN, 17)
-        field, cloud = solve_auxiliary(scn, clock, SolverConfig(n_time=16, n_particles=4000), seed=18)
-        integrand = FirstChaosIntegrand.from_field(field)
-        _, z = field.on_paths(cloud.w[:100])
-        for i in (1, 8, 15):
-            x = cloud.w[:100, i]
-            np.testing.assert_allclose(npoly.polyval(x, integrand.coeffs[i]), z[:, i], atol=1e-10)
-
-
 def test_path_increments_taken_once_per_batch(monkeypatch):
     # the weights, the Riemann-Wick cells and the factorization check read
     # one increments array, the one np.diff gives
@@ -285,7 +280,7 @@ def test_path_increments_taken_once_per_batch(monkeypatch):
     diff = np.diff
     monkeypatch.setattr(np, "diff", lambda a, *args, **kwargs: diffs.append(np.shape(a)) or diff(a, *args, **kwargs))
     weights = [wick_exponential_weights(h, paths) for h in _default_h_functions(1.0)]
-    riemann_wick_integral(FirstChaosIntegrand.from_rows(clock.grid_t, np.tile([0.0, 1.0], (8, 1))), paths)
+    riemann_wick_integral(np.tile([0.0, 1.0], (8, 1)), paths)
     s_transform_factorization_check([0.0, 0.0, 1.0], 4, weights[0], paths)
     assert diffs.count(paths.samples.shape) == 1
     assert np.array_equal(paths.increments, expected)
@@ -302,11 +297,13 @@ def test_wick_validate_on_a_brownian_driver(tmp_path):
     cfg = parse_config_payload(tree)
     measurements = run_single(cfg, tmp_path).report.measurements
     clock = build_clock(cfg.driver, 17)
+    grid = clock.grid_t
     h_list = _default_h_functions(1.5)
     rows = measurements["s_transform_of_driver"]
     assert len(rows) == 2 * len(h_list)
     for row in rows:
-        assert row["expected"] == h_list[row["h"]].value(row["t"], clock)
+        # Cov(X_t, I_h) of the I_h the weights form on the paths' grid
+        assert row["expected"] == h_list[row["h"]].hdot(grid[:-1]) @ np.diff(covariance(cfg.driver, row["t"], grid))
         assert math.isfinite(row["value"]) and row["std_error"] > 0
     assert {row["t"] for row in rows} == {float(clock.grid_t[8]), float(clock.grid_t[16])}
     quadratic = measurements["quadratic_identity"]
@@ -314,3 +311,17 @@ def test_wick_validate_on_a_brownian_driver(tmp_path):
     for key in ("variance", "mean_gap", "gap_std_error"):
         assert math.isfinite(quadratic[key])
     assert quadratic["gap_std_error"] > 0
+
+
+def test_wick_validate_oracle_is_the_weights_covariance(tmp_path):
+    # h 2 has edges T/3 and 2T/3, off the 64-step grid: its weights see
+    # hdot 0.5 on the 22 cells left of 1/3 and 1.5 on the next 10 before
+    # t = 0.5, so S(X_t) = (22 * 0.5 + 10 * 1.5) / 64 = 26 / 64, not the
+    # nominal int_0^t hdot dV = 5 / 12
+    tree = {
+        "kind": "wick_validate", "seed": 5, "driver": {"kind": "brownian", "T": 1.0},
+        "params": {"n_time": 64, "n_paths": 200},
+    }
+    rows = run_single(parse_config_payload(tree), tmp_path).report.measurements["s_transform_of_driver"]
+    (row,) = [row for row in rows if row["h"] == 2 and row["t"] == 0.5]
+    assert row["expected"] == 0.40625
