@@ -72,16 +72,20 @@ _PARAM_CHECKS = {
 }
 
 
-def _check_horizon(params: dict, T: float):
-    """Refuse a time outside [0, T], and a short horizon t + eps past T."""
+def _check_horizon(params: dict, driver: GaussianDriverSpec):
+    """Refuse a time outside [0, end], and a short horizon t + eps past T.
+    ``end`` is where the driver's clock ends: T, or the last time of a custom
+    driver's table, which may end before T."""
+    T = driver.T
+    end, span = (float(driver.cov_grid[-1]), "the driver's table") if driver.kind == "custom" else (T, "T")
     times = [("t", params["t"])] if "t" in params else []
     times += [("t_list", t) for t in params.get("t_list", ())]
     times += [("probe_grid", row[0]) for row in params.get("probe_grid", ())]
     eps_key = "eps" if "eps" in params else "eps_list"
     eps = np.max(params.get(eps_key, 0.0))  # the longest horizon
     for key, t in times:
-        if not 0.0 <= t <= T + _DOMAIN_TOL:
-            _fail(f"params.{key}", f"time {t} is outside [0, T], T = {T}")
+        if not 0.0 <= t <= end + _DOMAIN_TOL:
+            _fail(f"params.{key}", f"time {t} is outside [0, {end}], the span of {span}")
         if t + eps > T + _DOMAIN_TOL:
             _fail(f"params.{eps_key}", f"t + eps = {t} + {eps} is past T = {T}")
 
@@ -295,7 +299,7 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
     driver = solver = None
     if "driver" in kind.settings:
         driver = parse_driver(_get(tree, "driver", ""), base_dir=base_dir)
-        _check_horizon(params, driver.T)
+        _check_horizon(params, driver)
     if "solver" in kind.settings:
         solver = parse_solver(tree.get("solver"))
     scenarios = {key: parse_scenario(_get(tree, key, ""), driver, path=key) for key in scenario_keys}

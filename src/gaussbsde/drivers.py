@@ -11,15 +11,15 @@ solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import CholeskyFailure, NonMonotoneVariance, OutOfRange
-from .rng import standard_normals
+from .rng import standard_normal_blocks
 
 _DOMAIN_TOL = 1e-12
 _NODE_TOL = 1e-9
+_BLOCK_ELEMENTS = 32768  # float64 values of a streamed particle block: 256 KiB, inside L2
 
 KINDS = ("brownian", "fbm", "custom")
 
@@ -212,11 +212,16 @@ class PathBatch:
     def n_paths(self) -> int:
         return self.samples.shape[0]
 
-    @cached_property
-    def increments(self) -> np.ndarray:
-        """(n_paths, n_times - 1) increments X(t_{i+1}) - X(t_i), one column
-        per cell, computed on first use and kept with the batch."""
-        return np.diff(self.samples, axis=1)
+
+def _particle_blocks(n: int, width: int) -> list[slice]:
+    """Consecutive slices of the n particles, each holding at most
+    ``_BLOCK_ELEMENTS`` values of a row ``width`` values wide (one particle
+    at least; a row of no values counts as one): a pass over a block stays
+    in cache instead of streaming a whole particle array from memory once
+    per operation.  The last slice may reach past n, so a block's row count
+    is read from the array it slices."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _path_factor(spec: GaussianDriverSpec, times: np.ndarray) -> np.ndarray:
@@ -240,7 +245,9 @@ def sample_paths(spec: GaussianDriverSpec, grid_t: np.ndarray, n_paths: int, see
     clock's ``grid_t`` as it is); column 0 of the samples is the origin.
 
     Deterministic given the seed; independent of path ordering (one
-    counter-based stream keyed by the seed).
+    counter-based stream keyed by the seed).  The normals are drawn one
+    particle block at a time and each block is multiplied by the factor at
+    once, so the whole draw never sits beside the samples.
     """
     grid_t = np.asarray(grid_t, dtype=float)
     if grid_t.ndim != 1 or grid_t.size == 0:
@@ -251,7 +258,8 @@ def sample_paths(spec: GaussianDriverSpec, grid_t: np.ndarray, n_paths: int, see
         raise ValueError("n_paths must be positive")
     times = grid_t[1:]
     chol = _path_factor(spec, times)
-    z = standard_normals(seed, (n_paths, times.size), "driver-paths")
     samples = np.zeros((n_paths, grid_t.size))
-    np.matmul(z, chol.T, out=samples[:, 1:])
+    blocks = _particle_blocks(n_paths, times.size)
+    for rows, z in standard_normal_blocks(seed, (n_paths, times.size), blocks, "driver-paths"):
+        np.matmul(z, chol.T, out=samples[rows, 1:])
     return PathBatch(grid_t=grid_t, samples=samples, driver=spec)

@@ -10,6 +10,7 @@ Every stochastic routine in the package draws from a Philox generator whose
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -31,3 +32,16 @@ def generator(seed: int, *tags: object) -> np.random.Generator:
 
 def standard_normals(seed: int, shape: tuple[int, ...], *tags: object) -> np.ndarray:
     return generator(seed, *tags).standard_normal(shape)
+
+
+def standard_normal_blocks(
+    seed: int, shape: tuple[int, int], blocks: list[slice], *tags: object
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The rows of ``standard_normals(seed, shape, *tags)``, drawn one block
+    of rows at a time from one generator: yields (rows, normals) for each of
+    ``blocks``, consecutive slices that cover the rows.  A Philox stream
+    fills a draw in C order, so these are the one-shot draw's values."""
+    gen = generator(seed, *tags)
+    n, width = shape
+    for rows in blocks:
+        yield rows, gen.standard_normal((len(range(n)[rows]), width))

@@ -83,7 +83,7 @@ one; the paired checks (comparison, converse, stability) solve both
 scenarios of a pair as one stack, on common random numbers.  A grid and its
 refinement (comparison and stability) share the draw of the finest grid, of
 which a grid of N steps reads the first n N normals: its own draw's.
-Particle arrays stream through cache-sized blocks (``_particle_blocks``).
+Particle arrays stream through cache-sized blocks (``drivers._particle_blocks``).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .drivers import VarianceClock
+from .drivers import VarianceClock, _particle_blocks
 from .errors import (
     DegenerateInterval,
     NonFiniteSolution,
@@ -118,7 +118,6 @@ _COND_LIMIT = 1e12
 _MAX_STEP_LIPSCHITZ = 0.5
 _RIDGE = 1e-8
 _PARTICLE_BLOCK = 8192
-_BLOCK_ELEMENTS = 32768  # float64 values of a streamed particle block: 256 KiB, inside L2
 
 
 @dataclass(frozen=True)
@@ -150,15 +149,6 @@ class ParticleCloud:
     @property
     def n_particles(self) -> int:
         return self.w.shape[0]
-
-
-def _particle_blocks(n: int, width: int) -> list[slice]:
-    """Consecutive slices of the n particles, each holding at most
-    ``_BLOCK_ELEMENTS`` values of a row ``width`` values wide (one particle
-    at least): a pass over a block stays in cache instead of streaming a
-    whole particle array from memory once per operation."""
-    step = max(1, _BLOCK_ELEMENTS // width)
-    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _polyval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -578,12 +568,14 @@ def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, dw):
 
 def solve_auxiliary_stack(
     scns, clocks: list[VarianceClock], cfg: SolverConfig, seed: int
-) -> list[list[tuple[SolutionField, ParticleCloud]]]:
+) -> tuple[list[list[SolutionField]], ParticleCloud]:
     """Solve the auxiliary Brownian equations of several scenarios as one
     stack on each of ``clocks`` (one clock, or a grid and then its
-    refinements, in strictly increasing step counts): one list of each
-    scenario's (field, cloud) per clock, in their order, each the one
-    ``solve_auxiliary`` gives for that scenario on that clock alone.
+    refinements, in strictly increasing step counts).  Returns one list of
+    the scenarios' fields per clock, in their order, each the field
+    ``solve_auxiliary`` gives for that scenario on that clock alone, and the
+    particle cloud of the last clock, which the scenarios share.  A coarser
+    grid's paths and moments are released before the next grid is solved.
 
     The scenarios share one draw (common random numbers), and so do the
     clocks: the normals of the finest grid are drawn once, and a grid of N
@@ -609,20 +601,19 @@ def solve_auxiliary_stack(
     # coarse to fine: the finest grid, which reads the whole draw, reads it last
     increments = [_brownian_increments(normals, clock.grid_V) for clock in clocks]
     del normals
-    solved = []
+    fields = []
     for clock, margin in zip(clocks, margins):
+        mom = None  # the previous grid's moments and paths, released before this grid solves
         # popped, so each grid's increments are released once its moments are built
         mom, out = _solve_on_grid(gens, terminal, clock.grid_V, clock.grid_t, cfg, increments.pop(0))
-        cloud = ParticleCloud(w=mom.w.T)
-        fields = (
+        fields.append([
             SolutionField(
                 clock=clock, scales=mom.scales, u_coeffs=out.u[k], v_coeffs=out.v[k],
                 gram_cond_max=mom.gram_cond_max, step_lipschitz=float(margin[k]),
             )
             for k in range(len(scns))
-        )
-        solved.append([(field, cloud) for field in fields])
-    return solved
+        ])
+    return fields, ParticleCloud(w=mom.w.T)
 
 
 def solve_auxiliary(
@@ -630,7 +621,8 @@ def solve_auxiliary(
 ) -> tuple[SolutionField, ParticleCloud]:
     """Solve the auxiliary Brownian equation on the clock's grid: the stack
     of one scenario on one clock."""
-    return solve_auxiliary_stack([scn], [clock], cfg, seed)[0][0]
+    [[field]], cloud = solve_auxiliary_stack([scn], [clock], cfg, seed)
+    return field, cloud
 
 
 def transfer_evaluate(field: SolutionField, t: float, x) -> tuple:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drivers import GaussianDriverSpec, VarianceClock, build_clock, sample_paths
+from .drivers import GaussianDriverSpec, VarianceClock, _particle_blocks, build_clock, sample_paths
 from .errors import (
     HypothesisUnobserved,
     HypothesisUnsatisfied,
@@ -155,10 +155,12 @@ def _short_horizon_clock(driver: GaussianDriverSpec, n_time: int) -> VarianceClo
 
 def _refined_fields(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, seed: int):
     """Both scenarios' fields on the grid of ``cfg.n_time`` steps and on its
-    refinement of twice as many, solved as one stack on one draw.  Only the
-    fields are kept, so the solves' paths are released."""
+    refinement of twice as many, solved as one stack on one draw: one list
+    per grid.  The fine grid's cloud is dropped, so no solve's paths
+    outlive the call."""
     clocks = [build_clock(scn1.driver, m * cfg.n_time + 1) for m in (1, 2)]
-    return [[field for field, _ in stack] for stack in solve_auxiliary_stack([scn1, scn2], clocks, cfg, seed)]
+    fields, _ = solve_auxiliary_stack([scn1, scn2], clocks, cfg, seed)
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +382,16 @@ def _stability_ratio(scn1, scn2, f1: SolutionField, f2: SolutionField, n_particl
     x = sample_paths(scn1.driver, clock.grid_t, n_particles, derived_seed(seed, "stability-eval", f1.n_steps)).samples
     # both fields share the grid, so their gap is the field of the coefficient gaps
     gap = replace(f1, u_coeffs=f1.u_coeffs - f2.u_coeffs, v_coeffs=f1.v_coeffs - f2.v_coeffs)
-    dy, dz = gap.on_paths(x)
     dv = np.diff(clock.grid_V)
-
-    lhs = float(np.mean(np.max(dy ** 2, axis=1) + (dz ** 2 * dv).sum(axis=1)))
+    # each path's max dy^2 + sum dz^2 dv, one cache-sized block of paths at a time
+    per_path = np.empty(x.shape[0])
+    for rows in _particle_blocks(*x.shape):
+        dy, dz = gap.on_paths(x[rows])
+        dy *= dy
+        dz *= dz
+        dz *= dv
+        per_path[rows] = np.max(dy, axis=1) + dz.sum(axis=1)
+    lhs = float(np.mean(per_path))
 
     g1, g2 = (terminal_on_paths(scn.terminal, x[:, -1]) for scn in (scn1, scn2))
     f_gap = 0.0  # exactly, for equal generators

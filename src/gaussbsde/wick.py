@@ -13,14 +13,17 @@ step functions is evidence, not proof; reports label it as such.
 
 The layer reads one grid, the path batch's.  An integrand is an (N, d + 1)
 array of raw-x monomial coefficient rows, one per cell of the batch; a
-different row count is refused (`GridMismatch`).  Every product goes through
-`wick_product_first_chaos`, one cell or all cells of the grid at once.  The
-corrections E[X_{t_i} (X_{t_{i+1}} - X_{t_i})] of the cells come from one
-array call of the driver's covariance kernel, and `_wick_cells` gives the
-(n, N) products of an integrand along the batch: the Riemann-Wick integral
-sums them and the residual suffix-sums them.  The weights, the cells and the
-factorization check read the batch's increments, computed once per batch
-(`PathBatch.increments`).
+different row count is refused (`GridMismatch`).  Every product is one
+formula, `_wick_cells`; `wick_product_first_chaos` is its guarded public
+form, for one cell or all cells of the grid at once.  The corrections
+E[X_{t_i} (X_{t_{i+1}} - X_{t_i})] of the cells come from one array call of
+the driver's covariance kernel.  The Riemann-Wick integral and the Wick exponential weights reduce each path
+to one number, so they run one cache-sized block of paths at a time: a
+block's increments, products and row sums are formed in cache and only the
+per-path vector is kept; the cells' degeneracy guard reads each cell's
+running minimum and maximum over the blocks.  The residual suffix-sums the
+products of the whole batch, and the factorization check takes the
+increments of its one cell.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import GaussianDriverSpec, PathBatch, covariance
+from .drivers import GaussianDriverSpec, PathBatch, _particle_blocks, covariance
 from .errors import DegenerateIncrement, GridMismatch
 from .scenario import ScenarioSpec, generator_dv_on_paths, terminal_on_paths
 from .solver import SolutionField, _derivative, _polyval
@@ -79,9 +82,22 @@ def wick_product_first_chaos(poly_coeffs, x_samples, increment_samples, correcti
     dx = np.asarray(increment_samples, dtype=float)
     if x.shape != dx.shape:
         raise ValueError("x_samples and increment_samples must be paired")
-    if dx.size and np.any(np.ptp(dx, axis=0) == 0.0):  # all equal: exact where a variance underflows
+    if dx.size:
+        _require_spread(dx.min(axis=0), dx.max(axis=0))
+    return _wick_cells(np.asarray(poly_coeffs, dtype=float), x, dx, correction)
+
+
+def _require_spread(low, high):
+    """Refuse a cell whose increments, with these per-cell extremes over all
+    the samples, are all equal: exact where a sample variance underflows."""
+    if np.any(low == high):
         raise DegenerateIncrement("driver increment has zero variance")
-    coeffs = np.asarray(poly_coeffs, dtype=float)  # degree along the last axis
+
+
+def _wick_cells(coeffs: np.ndarray, x: np.ndarray, dx: np.ndarray, correction) -> np.ndarray:
+    """p * dx - p' * correction, the Wick products of the states ``x`` and
+    their increments ``dx``, for coefficients with the degree along the last
+    axis: the formula of ``wick_product_first_chaos``, for a block of paths."""
     p_vals = _polyval(x, coeffs.T)
     dp_vals = _polyval(x, _derivative(coeffs, 1.0).T) if coeffs.shape[-1] > 1 else np.zeros_like(x)
     return p_vals * dx - dp_vals * correction
@@ -94,19 +110,31 @@ def _wick_corrections(driver: GaussianDriverSpec, grid: np.ndarray) -> np.ndarra
     return cov[0] - cov[1]
 
 
-def _wick_cells(coeffs: np.ndarray, paths: PathBatch) -> np.ndarray:
-    """(n, N) products v(t_i, X_{t_i}) <> (X_{t_{i+1}} - X_{t_i}) along the
-    paths, for raw-x coefficient rows ``coeffs``, one per cell of the batch."""
+def _cell_corrections(coeffs: np.ndarray, paths: PathBatch) -> np.ndarray:
+    """The corrections of the batch's cells, for raw-x coefficient rows
+    ``coeffs`` that must hold one row per cell."""
     if np.shape(coeffs)[0] != paths.grid_t.size - 1:
         raise GridMismatch(f"need one coefficient row per cell of the paths' grid, got {np.shape(coeffs)[0]}")
-    corrections = _wick_corrections(paths.driver, paths.grid_t)
-    return wick_product_first_chaos(coeffs, paths.samples[:, :-1], paths.increments, corrections)
+    return _wick_corrections(paths.driver, paths.grid_t)
 
 
 def riemann_wick_integral(coeffs, paths: PathBatch) -> np.ndarray:
     """Per-path Riemann-Wick sum of v(t_i, X_{t_i}) <> dX over the cells of
-    the batch's grid, for raw-x coefficient rows ``coeffs``, one per cell."""
-    return _wick_cells(np.atleast_2d(np.asarray(coeffs, dtype=float)), paths).sum(axis=1)
+    the batch's grid, for raw-x coefficient rows ``coeffs``, one per cell.
+    Each block of paths stores its row sums, which are the whole array's."""
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    corrections = _cell_corrections(coeffs, paths)
+    x = paths.samples
+    sums = np.empty(paths.n_paths)
+    low, high = np.full(corrections.size, np.inf), np.full(corrections.size, -np.inf)
+    for rows in _particle_blocks(*x.shape):
+        xb = x[rows]
+        dx = xb[:, 1:] - xb[:, :-1]
+        np.minimum(low, dx.min(axis=0), out=low)
+        np.maximum(high, dx.max(axis=0), out=high)
+        sums[rows] = _wick_cells(coeffs, xb[:, :-1], dx, corrections).sum(axis=1)
+    _require_spread(low, high)
+    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +163,8 @@ def bsde_residual(field: SolutionField, scn: ScenarioSpec, paths: PathBatch) -> 
     f_cells = generator_dv_on_paths(scn.generator, clock, x, u_vals, v_vals)
     # Z's rows in the scaled variable x / scales[i], turned into raw-x rows
     z_rows = field.v_coeffs / field.scales[:-1, None] ** np.arange(field.v_coeffs.shape[1])
-    wick_cells = _wick_cells(z_rows, paths)
+    corrections = _cell_corrections(z_rows, paths)
+    wick_cells = wick_product_first_chaos(z_rows, x[:, :-1], x[:, 1:] - x[:, :-1], corrections)
 
     residual = u_vals - g_vals[:, None] - _suffix_sums(f_cells) + _suffix_sums(wick_cells)
     return ResidualStats(
@@ -162,9 +191,12 @@ def wick_exponential_weights(h: StepFunctionH, paths: PathBatch) -> np.ndarray:
     first-chaos test direction whose induced h may differ from the nominal
     density.
     """
-    grid = paths.grid_t
+    grid, x = paths.grid_t, paths.samples
     hdot_left = np.asarray(h.hdot(grid[:-1]))
-    i_h = paths.increments @ hdot_left
+    i_h = np.empty(paths.n_paths)
+    for rows in _particle_blocks(*x.shape):
+        xb = x[rows]
+        i_h[rows] = (xb[:, 1:] - xb[:, :-1]) @ hdot_left
     var_exact = float(hdot_left @ _increment_covariance(paths.driver, grid) @ hdot_left)
     return np.exp(i_h - 0.5 * var_exact)
 
@@ -211,7 +243,7 @@ def s_transform_factorization_check(
     if not 0 <= i < grid.size - 1:
         raise ValueError("cell_index outside the grid")
     x_i = x[:, i]
-    dx_i = paths.increments[:, i]
+    dx_i = x[:, i + 1] - x[:, i]
     correction = _wick_corrections(paths.driver, grid[i : i + 2])[0]
     wick_samples = wick_product_first_chaos(poly_coeffs, x_i, dx_i, correction)
 

@@ -240,12 +240,14 @@ class TestAcceptance:
         # draws no audit probe
         draws, probes = [], []
         with monkeypatch.context() as patch:
-            for module in (solver, drivers):
-                def counting(seed, shape, *tags, _draw=module.standard_normals):
+            # the solver draws at once, the path sampler block by block: one
+            # stream either way
+            for module, name in ((solver, "standard_normals"), (drivers, "standard_normal_blocks")):
+                def counting(seed, shape, *args, _draw=getattr(module, name)):
                     draws.append(math.prod(shape))
-                    return _draw(seed, shape, *tags)
+                    return _draw(seed, shape, *args)
 
-                patch.setattr(module, "standard_normals", counting)
+                patch.setattr(module, name, counting)
 
             def probing(seed, *tags, _rng=scenario.generator):
                 probes.append(tags)

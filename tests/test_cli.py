@@ -45,6 +45,7 @@ def kind_config(kind, params):
 
 FBM = {"kind": "fbm", "hurst": 0.7, "T": 1.0}
 CUSTOM = {"kind": "custom", "T": 1.0, "cov_grid": [0.5, 1.0], "cov_matrix": [[0.5, 0.5], [0.5, 1.0]]}
+SHORT_TABLE = {"kind": "custom", "T": 1.0, "cov_grid": [0.5], "cov_matrix": [[0.5]]}
 FALLING = [[1.0, 0.5], [0.5, 0.8]]  # a covariance diagonal that falls
 NOT_PSD = [[0.5, 0.9], [0.9, 1.0]]  # determinant 0.5 - 0.81 < 0
 STATE_DEPENDENT = {"terminal": {"b": 1.0}, "generator": {"c1": 0.4}}
@@ -289,6 +290,9 @@ class TestConfigParsing:
             # the closed-form Gaussian law past the float range: e^(2 c2 (V_T - V_t)) at c2 = 800
             ("t2", {"t": 0.5, "shift_list": [0.5]}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 800.0}}}, "scenario"),
             ("lsi", {"t": 0.5, "lambda_list": [0.5]}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 800.0}}}, "scenario"),
+            # a custom driver's clock ends with its table, here at 0.5 < T
+            ("t2", {"t": 0.8, "shift_list": [1.0]}, {"driver": SHORT_TABLE}, "params.t"),
+            ("lsi", {"t": 0.8, "lambda_list": [1.0]}, {"driver": SHORT_TABLE}, "params.t"),
         ],
     )
     def test_run_time_refusals_named_at_parse(self, tmp_path, capsys, kind, params, update, key):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from gaussbsde import drivers
 from gaussbsde.drivers import (
     GaussianDriverSpec,
     VarianceClock,
@@ -10,7 +11,7 @@ from gaussbsde.drivers import (
     sample_paths,
 )
 from gaussbsde.errors import CholeskyFailure, NonMonotoneVariance, OutOfRange
-from gaussbsde.rng import standard_normals
+from gaussbsde.rng import standard_normal_blocks, standard_normals
 
 
 def bisect_inverse(clock, s, lo=0.0, hi=None, iters=80):
@@ -208,6 +209,25 @@ class TestSamplePaths:
         assert np.array_equal(paths.samples[:, 1:], z @ chol.T)
         # the origin alone: paths that never leave it
         assert np.array_equal(sample_paths(spec, np.array([0.0]), 5, seed=4).samples, np.zeros((5, 1)))
+
+    @pytest.mark.parametrize("n, m", [(500, 8), (37, 3), (10, 1), (1, 4), (7, 0)])
+    def test_blocked_draw_is_the_one_shot_draw(self, monkeypatch, n, m):
+        # blocks of 30 // m paths (30 for m = 0), the last one partial or
+        # past n: the blocks' normals are the one-shot draw's, bit for bit,
+        # and their product with the factor is the one-shot product to
+        # rounding (OpenBLAS may sum a short block in another order)
+        monkeypatch.setattr(drivers, "_BLOCK_ELEMENTS", 30)
+        spec = GaussianDriverSpec.fbm(0.7, 1.0)
+        grid = np.linspace(0.0, 1.0, m + 1)
+        z = standard_normals(6, (n, m), "driver-paths")
+        blocks = drivers._particle_blocks(n, m)
+        drawn = list(standard_normal_blocks(6, (n, m), blocks, "driver-paths"))
+        assert [rows for rows, _ in drawn] == blocks and blocks[-1].stop >= n
+        assert np.array_equal(np.concatenate([block for _, block in drawn]), z)
+        samples = sample_paths(spec, grid, n, seed=6).samples
+        assert samples.shape == (n, m + 1) and np.all(samples[:, 0] == 0.0)
+        chol = np.linalg.cholesky(covariance(spec, grid[1:, None], grid[None, 1:])) if m else np.zeros((0, 0))
+        np.testing.assert_allclose(samples[:, 1:], z @ chol.T, rtol=1e-14, atol=1e-15)
 
 
 class TestSpecValidation:

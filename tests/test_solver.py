@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from gaussbsde import solver
+from gaussbsde import drivers, solver
 from gaussbsde.drivers import GaussianDriverSpec, VarianceClock, build_clock
 from gaussbsde.errors import (
     DegenerateInterval,
@@ -236,7 +236,7 @@ class TestSolveOracles:
         # a stack of two scenarios shares the normal matrices of its one draw
         built.clear()
         scn = mean_field_scenario(BROWNIAN)
-        [[(field, _), _]] = solve_auxiliary_stack([scn, shift_terminal(scn, 1.0)], [clock], cfg, seed=5)
+        [[field, _]], _ = solve_auxiliary_stack([scn, shift_terminal(scn, 1.0)], [clock], cfg, seed=5)
         assert built == [field.n_steps + 1]
 
     def test_step_stability_guard(self):
@@ -312,8 +312,8 @@ class TestStackedSolves:
         scns = _pairs()[pair]
         clock = build_clock(BROWNIAN, 17)
         cfg = SolverConfig(n_time=16, n_particles=2000)
-        [stacked] = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
-        for scn, (field, cloud) in zip(scns, stacked):
+        [stacked], cloud = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
+        for scn, field in zip(scns, stacked):
             alone, alone_cloud = solve_auxiliary(scn, clock, cfg, seed=11)
             np.testing.assert_allclose(field.u_coeffs, alone.u_coeffs, rtol=0, atol=1e-11)
             np.testing.assert_allclose(field.v_coeffs, alone.v_coeffs, rtol=0, atol=1e-11)
@@ -352,9 +352,9 @@ class TestStackedSolves:
         scns = (mf, identity_scenario(BROWNIAN), shift_terminal(mf, 1.0))
         clock = build_clock(BROWNIAN, 17)
         cfg = SolverConfig(n_time=16, n_particles=2000)
-        [stacked] = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
+        [stacked], cloud = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
         assert passes == [3]
-        for scn, (field, cloud) in zip(scns, stacked):
+        for scn, field in zip(scns, stacked):
             alone, alone_cloud = solve_auxiliary(scn, clock, cfg, seed=11)
             np.testing.assert_allclose(field.u_coeffs, alone.u_coeffs, rtol=0, atol=1e-11)
             np.testing.assert_allclose(field.v_coeffs, alone.v_coeffs, rtol=0, atol=1e-11)
@@ -379,17 +379,19 @@ class TestRefinedDraw:
         scns = [mf, shift_terminal(mf, 1.0)]
         clocks = [build_clock(BROWNIAN, 17), build_clock(BROWNIAN, 33)]
         cfg = SolverConfig(n_time=16, n_particles=2000)
-        refined = solve_auxiliary_stack(scns, clocks, cfg, seed=11)
+        refined, cloud = solve_auxiliary_stack(scns, clocks, cfg, seed=11)
         assert len(refined) == 2
         for clock, stacked in zip(clocks, refined):
-            [alone] = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
-            for (field, cloud), (field_alone, cloud_alone) in zip(stacked, alone):
+            [alone], cloud_alone = solve_auxiliary_stack(scns, [clock], cfg, seed=11)
+            for field, field_alone in zip(stacked, alone):
                 assert field.clock is clock
                 for name in ("u_coeffs", "v_coeffs", "scales"):
                     assert np.array_equal(getattr(field, name), getattr(field_alone, name))
                 assert field.gram_cond_max == field_alone.gram_cond_max
                 assert field.step_lipschitz == field_alone.step_lipschitz
-                assert np.array_equal(cloud.w, cloud_alone.w)
+        # the cloud is the last grid's: a refined call keeps no coarse paths
+        assert np.array_equal(cloud.w, cloud_alone.w)
+        assert cloud.w.shape == (cfg.n_particles, clocks[-1].grid_t.size)
 
     def test_refined_call_draws_once_and_guards_every_grid(self, monkeypatch):
         draws = []
@@ -418,7 +420,7 @@ class TestRefinedDraw:
     def test_blocked_increments_are_the_one_shot_formula(self, monkeypatch):
         # 2000 particles in blocks of 100 // 16 = 6 and 100 // 32 = 3: the
         # last block holds 2
-        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 100)
+        monkeypatch.setattr(drivers, "_BLOCK_ELEMENTS", 100)
         normals = standard_normals(3, (2000, 32), "blocks")
         drawn = normals.copy()
         for n_steps in (16, 32):  # the grid reading the whole draw comes last
@@ -438,7 +440,7 @@ class TestRefinedDraw:
         assert cloud.w.flags.f_contiguous  # a view of the solver's time-major paths
         # 2000 particles in blocks of 100 // 17 = 5 (the last full), then 7 (the last holds 5)
         for width in (100, 120):
-            monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", width)
+            monkeypatch.setattr(drivers, "_BLOCK_ELEMENTS", width)
             for x in (cloud.w, np.ascontiguousarray(cloud.w)):
                 scaled = x / field.scales
                 y, z = field.on_paths(x)

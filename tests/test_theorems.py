@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from gaussbsde import solver, theorems
-from gaussbsde.drivers import GaussianDriverSpec, build_clock
+from gaussbsde import drivers, solver, theorems
+from gaussbsde.drivers import GaussianDriverSpec, build_clock, sample_paths
 from gaussbsde.errors import HypothesisUnobserved, HypothesisUnsatisfied, NonFiniteSolution, UnsupportedScenario
 from gaussbsde.pack import (
     constant_generator_scenario,
@@ -29,6 +29,7 @@ from gaussbsde.theorems import (
 )
 
 BROWNIAN = GaussianDriverSpec.brownian(1.0)
+FBM = GaussianDriverSpec.fbm(0.7, 1.0)
 SMALL = SolverConfig(n_time=16, n_particles=4000)
 # the Brownian covariance min(s, t) as a table: a clock the node count cannot refine
 _GRID = [0.125 * (i + 1) for i in range(8)]
@@ -275,6 +276,23 @@ class TestStability:
         scn = linear_scenario(BROWNIAN, 0.5)
         stability_check(scn, shift_terminal(scn, 0.5), SMALL, seed=19)
         assert [(shape, tags) for _, shape, *tags in draws] == [((4000, 32), ["solver-increments"])]
+
+    @pytest.mark.parametrize("driver", [BROWNIAN, FBM], ids=["brownian", "fbm"])
+    def test_blocked_lhs_is_the_full_array_formula(self, monkeypatch, driver):
+        # the left side runs one block of paths at a time: with blocks of
+        # 200 // 17 = 11 paths, the last one partial, it is the mean of the
+        # full arrays' per-path max dy^2 + sum dz^2 dv
+        monkeypatch.setattr(drivers, "_BLOCK_ELEMENTS", 200)
+        scn = ScenarioSpec(TerminalSpec(b=2.0, phi="sin", c=1.0), GeneratorSpec(c2=0.3), driver)
+        cfg = SolverConfig(n_time=16, n_particles=1000)
+        [(f1, f2), _] = theorems._refined_fields(scn, shift_terminal(scn, 0.5), cfg, seed=8)
+        lhs, _ = theorems._stability_ratio(scn, shift_terminal(scn, 0.5), f1, f2, 1000, seed=8)
+        clock = f1.clock
+        x = sample_paths(driver, clock.grid_t, 1000, theorems.derived_seed(8, "stability-eval", 16)).samples
+        scaled = x / f1.scales  # the gap field, by Horner's rule on the whole arrays
+        dy = solver._polyval(scaled, (f1.u_coeffs - f2.u_coeffs).T)
+        dz = solver._polyval(scaled[:, :-1], (f1.v_coeffs - f2.v_coeffs).T)
+        assert lhs == float(np.mean(np.max(dy ** 2, axis=1) + (dz ** 2 * np.diff(clock.grid_V)).sum(axis=1)))
 
     def test_refuses_custom_driver(self):
         # the refined grid would be the coarse one again: a ratio drift of 0

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 import pytest
 
+from gaussbsde import drivers
 from gaussbsde.config import parse_config_payload
 from gaussbsde.drivers import GaussianDriverSpec, build_clock, covariance, sample_paths
 from gaussbsde.errors import DegenerateIncrement, GridMismatch
@@ -76,7 +79,8 @@ class TestWickProduct:
         # variance underflows to 0
         spec = GaussianDriverSpec.custom(np.array([1.0]), [[5e-324]], 1.0)
         paths = sample_paths(spec, np.array([0.0, 1.0]), 2, seed=0)
-        assert np.var(paths.increments) == 0.0 and np.ptp(paths.increments) > 0.0
+        increments = np.diff(paths.samples, axis=1)
+        assert np.var(increments) == 0.0 and np.ptp(increments) > 0.0
         assert np.all(np.isfinite(riemann_wick_integral([[0.0, 1.0]], paths)))
 
     def test_all_cells_at_once_match_each_cell(self):
@@ -271,19 +275,74 @@ class TestBsdeResidual:
         )
 
 
-def test_path_increments_taken_once_per_batch(monkeypatch):
-    # the weights, the Riemann-Wick cells and the factorization check read
-    # one increments array, the one np.diff gives
-    clock, paths = make_paths(FBM07, 8, 500, seed=4)
-    expected = np.diff(paths.samples, axis=1)
-    diffs = []
-    diff = np.diff
-    monkeypatch.setattr(np, "diff", lambda a, *args, **kwargs: diffs.append(np.shape(a)) or diff(a, *args, **kwargs))
-    weights = [wick_exponential_weights(h, paths) for h in _default_h_functions(1.0)]
-    riemann_wick_integral(np.tile([0.0, 1.0], (8, 1)), paths)
-    s_transform_factorization_check([0.0, 0.0, 1.0], 4, weights[0], paths)
-    assert diffs.count(paths.samples.shape) == 1
-    assert np.array_equal(paths.increments, expected)
+class TestBlockedSums:
+    """The per-path sums run one block of paths at a time; with blocks of a
+    few paths (the last one partial) they give the one-shot formulas."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # 17 values a path: blocks of 120 // 17 = 7 paths, 500 = 71 * 7 + 3
+        monkeypatch.setattr(drivers, "_BLOCK_ELEMENTS", 120)
+
+    @pytest.mark.parametrize("spec", [BROWNIAN, FBM07], ids=["brownian", "fbm"])
+    def test_riemann_wick_sum_is_the_one_shot_formula(self, spec):
+        clock, paths = make_paths(spec, 16, 500, seed=21)
+        x = paths.samples
+        corrections = covariance(spec, clock.grid_t[:-1], clock.grid_t[1:]) - covariance(
+            spec, clock.grid_t[:-1], clock.grid_t[:-1]
+        )
+        for rows in (np.random.default_rng(22).normal(size=(16, 4)), np.tile([1.0], (16, 1))):
+            one_shot = wick_product_first_chaos(rows, x[:, :-1], np.diff(x, axis=1), corrections).sum(axis=1)
+            assert np.array_equal(riemann_wick_integral(rows, paths), one_shot)
+
+    def test_weights_are_the_one_shot_formula(self):
+        # I_h is a matrix-vector product on each block: OpenBLAS may sum a
+        # short block's rows in another order than the whole array's, so the
+        # weights agree to rounding, not bit for bit
+        clock, paths = make_paths(FBM07, 16, 500, seed=23)
+        grid = clock.grid_t
+        cov = covariance(FBM07, grid[:, None], grid[None, :])
+        cell_cov = cov[1:, 1:] - cov[1:, :-1] - cov[:-1, 1:] + cov[:-1, :-1]
+        for h in _default_h_functions(1.0):
+            hdot = h.hdot(grid[:-1])
+            one_shot = np.exp(np.diff(paths.samples, axis=1) @ hdot - 0.5 * hdot @ cell_cov @ hdot)
+            np.testing.assert_allclose(wick_exponential_weights(h, paths), one_shot, rtol=1e-14, atol=0)
+
+    def test_constant_cell_across_blocks_is_degenerate(self):
+        # cell 2's increment is 0 on every path: each block sees a constant
+        # cell, but only the whole column makes it degenerate
+        _, paths = make_paths(BROWNIAN, 16, 500, seed=24)
+        samples = paths.samples.copy()
+        samples[:, 3] = samples[:, 2]
+        degenerate = replace(paths, samples=samples)
+        with pytest.raises(DegenerateIncrement):
+            riemann_wick_integral(np.tile([0.0, 1.0], (16, 1)), degenerate)
+        # a last block of one path has every cell constant, and is not degenerate
+        one_left = replace(paths, samples=paths.samples[: 7 * 71 + 1])
+        assert np.isfinite(riemann_wick_integral(np.tile([0.0, 1.0], (16, 1)), one_left)).all()
+
+
+def test_path_sums_keep_no_full_size_array():
+    # the weights, the Riemann-Wick sum and the factorization check read
+    # the paths in blocks: none of them holds an (n, N) array, 5.1 MB here
+    _, paths = make_paths(FBM07, 32, 20000, seed=4)
+    full = paths.samples[:, 1:].nbytes
+    h_list = _default_h_functions(1.0)
+    tracemalloc.start()
+    try:
+        peaks = []
+        for run in (
+            lambda: wick_exponential_weights(h_list[2], paths),
+            lambda: riemann_wick_integral(np.random.default_rng(5).normal(size=(32, 5)), paths),
+            lambda: s_transform_factorization_check([0.0, 0.0, 1.0], 16, np.ones(paths.n_paths), paths),
+        ):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < full / 2, peaks
 
 
 def test_wick_validate_on_a_brownian_driver(tmp_path):
