@@ -261,14 +261,12 @@ def terminal_on_paths(spec: TerminalSpec, x_end) -> np.ndarray:
     return eval_terminal(spec, x_end, law_features(x_end, 0.0, 0.0))
 
 
-def generator_dv_on_paths(spec: GeneratorSpec, clock: VarianceClock, x, y, z) -> np.ndarray:
+def generator_dv_on_paths(spec: GeneratorSpec, clock: VarianceClock, x, y, z, law: LawFeatures) -> np.ndarray:
     """(n, N) left-point terms f(t_i, X_i, Y_i, Z_i, law_i) (V_{i+1} - V_i)
-    along n paths, with law_i the law of (X_i, Y_i, Z_i) across the paths:
-    x and y are (n, N+1) states at the clock's nodes, z has one column per
-    cell."""
-    x, y = x[:, :-1], y[:, :-1]
-    feats = LawFeatures(*(a.mean(axis=0) for a in (x, y, z)))
-    return eval_generator(spec, clock.grid_t[:-1], x, y, z, feats) * np.diff(clock.grid_V)
+    along n paths: x and y are (n, N+1) states at the clock's nodes, z has
+    one column per cell, and law_i is the node's means of (X_i, Y_i, Z_i) in
+    ``law``, taken across all the paths, of which these may be a block."""
+    return eval_generator(spec, clock.grid_t[:-1], x[:, :-1], y[:, :-1], z, law) * np.diff(clock.grid_V)
 
 
 def _two_atom_w2_3d(cloud_a: np.ndarray, cloud_b: np.ndarray) -> np.ndarray:

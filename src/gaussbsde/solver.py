@@ -77,13 +77,16 @@ more; ``_solve_on_grid``, which skips the guard, refuses a node where
 ds rho kappa_y reaches 1 (``StepTooCoarse``).
 
 One solve path serves every entry point: ``_solve_on_grid`` takes the
-increments of one draw, builds the paths and their moments and solves K
-scenarios on them as a stack, in one sweep.  A single solve is the stack of
-one; the paired checks (comparison, converse, stability) solve both
-scenarios of a pair as one stack, on common random numbers.  A grid and its
-refinement (comparison and stability) share the draw of the finest grid, of
-which a grid of N steps reads the first n N normals: its own draw's.
-Particle arrays stream through cache-sized blocks (``drivers._particle_blocks``).
+centred, unscaled, time-major rows of one draw (``_centred_rows``), builds
+the paths and their moments, scaling row i by sqrt(ds_i) as it reads it,
+and solves K scenarios on them as a stack, in one sweep.  A single solve is
+the stack of one; the paired checks (comparison, converse, stability) solve
+both scenarios of a pair as one stack, on common random numbers.  A grid
+and its refinement (comparison and stability) share the draw of the finest
+grid, of which a grid of N steps reads the first n N normals: its own
+draw's.  A short-horizon check draws once (``short_horizon_draw``), and each
+of its solves reads those rows on its own sub-grid.  Particle arrays stream
+through cache-sized blocks (``drivers._particle_blocks``).
 """
 
 from __future__ import annotations
@@ -201,12 +204,18 @@ class SolutionField:
 
 
 def _regularized(a: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """(a + ridge I, its condition estimates) for one matrix or a stack of
-    them, refused when an estimate is above the limit.  The message quotes
-    the failing matrix of highest index: the first a backward sweep meets."""
+    """(a + ridge I, its condition numbers) for one matrix or a stack of
+    them, refused when a condition number is above the limit.  The matrices
+    are symmetric, so the condition is the ratio of the extreme eigenvalues;
+    a matrix with a non-finite entry or a smallest eigenvalue that is not
+    positive has an infinite condition.  The message quotes the failing
+    matrix of highest index: the first a backward sweep meets."""
     gram = a + ridge * np.eye(a.shape[-1])
-    cond = np.linalg.cond(gram)
-    bad = ~(cond <= _COND_LIMIT)  # NaN fails too
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    eig = np.linalg.eigvalsh(np.where(finite[..., None, None], gram, np.eye(a.shape[-1])))
+    low, high = eig[..., 0], eig[..., -1]
+    cond = np.divide(high, low, out=np.full(low.shape, np.inf), where=finite & (low > 0))
+    bad = ~(cond <= _COND_LIMIT)
     if bad.any():
         raise RegressionIllConditioned(
             f"normal-equations condition estimate {np.asarray(cond)[bad][-1]:.3e} exceeds {_COND_LIMIT:.0e}"
@@ -289,9 +298,11 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
+def _moments(grid_s, grid_t, w, rows, terminal, degree: int) -> _Moments:
     """Every node's moments and terminal fits: two products per node, then
     one batched condition guard and one batched solve over the nodes.
+    ``rows`` are the draw's centred rows (``_centred_rows``): node i's
+    increments are rows[i] sqrt(ds_i), scaled as they are read.
 
     Node i > 0 fills a (degree + 3, n) block: phi_i, the scaled state x_i to
     the powers 0 .. degree (the constant row is written once per solve),
@@ -303,7 +314,7 @@ def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
     1's sums; its normal matrix is the identity but for G_0[0, 0] = n + ridge."""
     N = len(grid_s) - 1
     W, K, n = degree + 1, len(terminal), w.shape[1]
-    scales = _basis_scales(grid_s)
+    scales, root = _basis_scales(grid_s), np.sqrt(np.diff(grid_s))
     hankel = np.add.outer(np.arange(W), np.arange(W))
     # row i is node i; the right-hand sides [A | C | M | phi g] hold phi g,
     # the terminal rows' moments, on the last two nodes only
@@ -319,8 +330,8 @@ def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
             sums[i, :W] = block[:W].sum(axis=1)
             sums[i, W:] = _product(block[1:W], block[degree:W])[:, 0]
         else:
-            block[W] = dw[i]
-            np.multiply(block[degree], dw[i], out=block[W + 1])
+            np.multiply(rows[i], root[i], out=block[W])
+            np.multiply(block[degree], block[W], out=block[W + 1])
             high = _product(block[:W], block[degree:])
             prod = _product(block[:W], following[:W])
             sums[i, :W], sums[i, W:] = prod[:, 0], high[1:, 0]
@@ -331,7 +342,7 @@ def _moments(grid_s, grid_t, w, dw, terminal, degree: int) -> _Moments:
         block, following = following, block
     # the first node: A_0 = n e_0 e_0^T, C_0 holds node 1's sums of its basis
     # in its first row and M_0 the sum of dW_0
-    sums[0, 0], dw_sums[0, 0] = n, dw[0].sum()
+    sums[0, 0], dw_sums[0, 0] = n, np.multiply(rows[0], root[0], out=block[W]).sum()
     rhs[0, 0, W : 2 * W] = sums[1, :W]
     if N == 1:
         rhs[0, 0, 3 * W :] = terminal.sum(axis=1)
@@ -504,35 +515,38 @@ def _y_row(mom: _Moments, spec, out: _Stack, k: int, i: int) -> np.ndarray:
     return y
 
 
-def _brownian_increments(normals: np.ndarray, grid_s) -> np.ndarray:
-    """(N, n) centred Brownian increments on grid_s; row i is the step from
-    s_i to s_{i+1} of every particle.  They are read from the first n N
-    values of the (n, N_max) draw ``normals`` as an (n, N) array: a Philox
-    stream fills a draw in C order, so these are the normals an (n, N) draw
-    of the same stream gives.  The centring, the scaling and the
+def _centred_rows(normals: np.ndarray, n_steps: int) -> np.ndarray:
+    """(n_steps, n) centred standard normals, time-major: row i holds every
+    particle's normal for step i, and a grid's increments from s_i to
+    s_{i+1} are row i times sqrt(s_{i+1} - s_i), scaled as ``_paths`` and
+    ``_moments`` read them.  The rows are never written, so every sub-grid of
+    a short-horizon check reads the same rows.  They are read from the first
+    n n_steps values of the (n, N_max) draw ``normals`` as an (n, n_steps)
+    array: a Philox stream fills a draw in C order, so these are the normals
+    an (n, n_steps) draw of the same stream gives.  The centring and the
     transposition run one cache-sized block of particles at a time.  A grid
-    that reads the whole draw centres and scales it in place, so it must be
-    the draw's last reader; a coarser grid leaves the draw as it is."""
-    ds = np.diff(grid_s)
+    that reads the whole draw centres it in place, so it must be the draw's
+    last reader; a coarser grid leaves the draw as it is."""
     n = normals.shape[0]
-    z = normals.reshape(-1)[: n * ds.size].reshape(n, ds.size)
-    mean, root = z.mean(axis=0), np.sqrt(ds)  # exact zero-mean increments
-    in_place = ds.size == normals.shape[1]
-    dw = np.empty((ds.size, n))
-    for rows in _particle_blocks(n, ds.size):
-        block = np.subtract(z[rows], mean, out=z[rows] if in_place else None)
-        block *= root  # in the draw's layout; the block is transposed once, in cache
-        dw[:, rows] = block.T
-    return dw
+    z = normals.reshape(-1)[: n * n_steps].reshape(n, n_steps)
+    mean = z.mean(axis=0)  # exact zero-mean increments
+    in_place = n_steps == normals.shape[1]
+    rows = np.empty((n_steps, n))
+    for block in _particle_blocks(n, n_steps):
+        rows[:, block] = np.subtract(z[block], mean, out=z[block] if in_place else None).T
+    return rows
 
 
-def _paths(dw: np.ndarray) -> np.ndarray:
-    """(N+1, n) partial sums of the increments, starting from 0."""
-    w = np.zeros((dw.shape[0] + 1, dw.shape[1]))
+def _paths(rows: np.ndarray, grid_s) -> np.ndarray:
+    """(N+1, n) partial sums of the increments rows[i] sqrt(ds_i), starting
+    from 0."""
+    root = np.sqrt(np.diff(grid_s))
+    w = np.zeros((rows.shape[0] + 1, rows.shape[1]))
     # a running sum over contiguous rows adds in the order np.cumsum does
     # along axis 0, without its strided walk over a time-major block
-    for i, step in enumerate(dw):
-        np.add(w[i], step, out=w[i + 1])
+    for i, row in enumerate(rows):
+        np.multiply(row, root[i], out=w[i + 1])
+        w[i + 1] += w[i]
     return w
 
 
@@ -548,21 +562,19 @@ def _check_step(scns, grid_s) -> np.ndarray:
     return margins
 
 
-def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, dw):
-    """The one solve path: from the increments ``dw`` of every particle
-    (``_brownian_increments``), build the paths from 0 and their moments,
-    and run the one backward sweep of the K generators on them.
+def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, rows):
+    """The one solve path: from the centred rows of a draw
+    (``_centred_rows``), build the paths from 0 on ``grid_s`` and their
+    moments, and run the one backward sweep of the K generators on them.
     ``terminal(w_end)`` gives the K rows of terminal values at the last
     node's state; the generators read ``w`` in their state slot.  Returns
     (moments, stack)."""
-    w = _paths(dw)
+    w = _paths(rows, grid_s)
     terminal_values = np.array(terminal(w[-1]), dtype=float)
     # an overflowing solve is reported once, by the finiteness check after
     # the sweep, not by numpy warnings along the way
     with np.errstate(over="ignore", invalid="ignore"):
-        mom = _moments(grid_s, grid_t, w, dw, terminal_values, cfg.basis_degree)
-        del dw  # the sweep reads the moments, not the increments (released
-        # here unless the caller keeps them)
+        mom = _moments(grid_s, grid_t, w, rows, terminal_values, cfg.basis_degree)
         return mom, _backward_pass(gens, mom)
 
 
@@ -574,8 +586,9 @@ def solve_auxiliary_stack(
     refinements, in strictly increasing step counts).  Returns one list of
     the scenarios' fields per clock, in their order, each the field
     ``solve_auxiliary`` gives for that scenario on that clock alone, and the
-    particle cloud of the last clock, which the scenarios share.  A coarser
-    grid's paths and moments are released before the next grid is solved.
+    particle cloud of the last clock, which the scenarios share.  Each
+    grid's rows are built just before its own solve, and a coarser grid's
+    rows, paths and moments are released before the next grid's are built.
 
     The scenarios share one draw (common random numbers), and so do the
     clocks: the normals of the finest grid are drawn once, and a grid of N
@@ -598,14 +611,15 @@ def solve_auxiliary_stack(
         return [terminal_on_paths(scn.terminal, w_end) for scn in scns]
 
     normals = standard_normals(seed, (cfg.n_particles, steps[-1]), "solver-increments")
-    # coarse to fine: the finest grid, which reads the whole draw, reads it last
-    increments = [_brownian_increments(normals, clock.grid_V) for clock in clocks]
-    del normals
     fields = []
-    for clock, margin in zip(clocks, margins):
-        mom = None  # the previous grid's moments and paths, released before this grid solves
-        # popped, so each grid's increments are released once its moments are built
-        mom, out = _solve_on_grid(gens, terminal, clock.grid_V, clock.grid_t, cfg, increments.pop(0))
+    for clock, n_steps, margin in zip(clocks, steps, margins):
+        # the previous grid's rows, paths and moments, released before this
+        # grid's rows are built
+        mom = rows = None
+        rows = _centred_rows(normals, n_steps)
+        if n_steps == steps[-1]:  # the finest grid, solved last, centred the draw in place
+            del normals
+        mom, out = _solve_on_grid(gens, terminal, clock.grid_V, clock.grid_t, cfg, rows)
         fields.append([
             SolutionField(
                 clock=clock, scales=mom.scales, u_coeffs=out.u[k], v_coeffs=out.v[k],
@@ -664,7 +678,8 @@ def _candidates(gens, mom: _Moments, out: _Stack) -> np.ndarray:
     """(K, n) unprojected first-node values Y_1 + f ds of every scenario; they
     have the same particle mean as the first node's Y."""
     y1 = np.array([_y_row(mom, gen, out, k, 1) for k, gen in enumerate(gens)])
-    return y1 + out.step0[:, None]
+    y1 += out.step0[:, None]
+    return y1
 
 
 def _require_x_free(scn: ScenarioSpec):
@@ -681,19 +696,25 @@ def _short_horizon_grid(clock: VarianceClock, t: float, eps: float, n_time: int)
     return np.linspace(v_a, v_b, n_time + 1)
 
 
+def short_horizon_draw(cfg: SolverConfig, seed: int) -> np.ndarray:
+    """The one draw of a short-horizon check: the (n_time, n_particles)
+    centred rows (``_centred_rows``) that each of its solves reads on its own
+    sub-grid of ``cfg.n_time`` steps (common random numbers)."""
+    return _centred_rows(standard_normals(seed, (cfg.n_particles, cfg.n_time), "repr-increments"), cfg.n_time)
+
+
 def representation_solve_stack(
-    scns,
+    starts,
     clock: VarianceClock,
     t: float,
     eps: float,
-    y: float,
-    z: float,
     cfg: SolverConfig,
-    seed: int,
+    draw: np.ndarray,
 ) -> list[RepresentationValue]:
-    """Solve each scenario on [V_t, V_{t+eps}] with terminal
-    y + z * (W_{V_{t+eps}} - W_{V_t}), as one stack on one shared draw
-    (common random numbers).
+    """Solve each (scenario, y, z) of ``starts`` on [V_t, V_{t+eps}] with
+    terminal y + z * (W_{V_{t+eps}} - W_{V_t}), as one stack on the check's
+    draw (``short_horizon_draw``), whose unscaled rows the solve reads with
+    its own steps and leaves as they are.
 
     Every particle starts from the same (y, z) at time t, and regressions
     run on the Brownian increment from V_t (the Markov state of this
@@ -701,25 +722,23 @@ def representation_solve_stack(
     time-t value is deterministic by construction.  The generators must not
     read the state (c1 = 0; ``UnsupportedScenario`` otherwise).
     """
+    scns = [scn for scn, _, _ in starts]
     for scn in scns:
         _require_x_free(scn)
+    shape = (cfg.n_time, cfg.n_particles)
+    if draw.shape != shape:
+        raise ValueError(f"the draw must have the shape (n_time, n_particles) {shape}; got {draw.shape}")
     if not (0.0 <= t and eps > 0.0 and t + eps <= clock.T + 1e-12):
         raise ValueError("need 0 <= t < t + eps <= T")
-    N = cfg.n_time
-    grid_s = _short_horizon_grid(clock, t, eps, N)
+    grid_s = _short_horizon_grid(clock, t, eps, cfg.n_time)
     _check_step(scns, grid_s)
     grid_t_sub = np.asarray(clock.invert(grid_s))
 
     def terminal(w_end):
-        return [y + z * w_end] * len(scns)
+        return [y + z * w_end for _, y, z in starts]
 
     gens = [scn.generator for scn in scns]
-    # passed on, not kept: the solve releases the increments once its
-    # moments are built
-    mom, out = _solve_on_grid(
-        gens, terminal, grid_s, grid_t_sub, cfg,
-        _brownian_increments(standard_normals(seed, (cfg.n_particles, N), "repr-increments"), grid_s),
-    )
+    mom, out = _solve_on_grid(gens, terminal, grid_s, grid_t_sub, cfg, draw)
     candidates = _candidates(gens, mom, out)
     n = cfg.n_particles
     return [
@@ -743,5 +762,5 @@ def representation_solve(
     seed: int,
 ) -> RepresentationValue:
     """Solve on [V_t, V_{t+eps}] with terminal y + z * (W_{V_{t+eps}} - W_{V_t}):
-    ``representation_solve_stack`` of one scenario."""
-    return representation_solve_stack([scn], clock, t, eps, y, z, cfg, seed)[0]
+    ``representation_solve_stack`` of one row, on a draw of its own."""
+    return representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, short_horizon_draw(cfg, seed))[0]

@@ -37,8 +37,8 @@ from .solver import (
     SolverConfig,
     SolutionField,
     ParticleCloud,
-    representation_solve,
     representation_solve_stack,
+    short_horizon_draw,
     solve_auxiliary_stack,
     transfer_evaluate,
 )
@@ -261,8 +261,9 @@ def representation_limit_check(
     the clock integral B(eps) of the generator at the frozen law.
 
     Asserts |A - B| decreasing (the proof-level quantity) and the final
-    closeness of A to the generator value.  The solves refuse a generator
-    that reads the state (c1 != 0).
+    closeness of A to the generator value.  Every eps is solved on the
+    check's one draw.  The solves refuse a generator that reads the state
+    (c1 != 0).
     """
     _require_clock_differentiable(scn.driver, t)
     eps_list = [float(e) for e in eps_list]
@@ -273,9 +274,10 @@ def representation_limit_check(
     frozen = LawFeatures(mean_x=0.0, mean_y=y, mean_z=z)
     f_target = eval_generator(scn.generator, t, 0.0, y, z, frozen)
 
+    draw = short_horizon_draw(cfg, derived_seed(seed, "repr"))
     a_vals, b_vals, gaps, ses = [], [], [], []
-    for k, eps in enumerate(eps_list):
-        rep = representation_solve(scn, clock, t, eps, y, z, cfg, derived_seed(seed, "repr", k))
+    for eps in eps_list:
+        [rep] = representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, draw)
         a_vals.append((rep.value - y) / eps)
         b_vals.append(_integrate_f_dv(scn, clock, t, t + eps, y, z) / eps)
         gaps.append(abs(a_vals[-1] - b_vals[-1]))
@@ -325,18 +327,27 @@ def converse_comparison_check(
     generators must be ordered there too; reports both directions.
 
     Raises HypothesisUnobserved (with the partial report attached) when the
-    solution ordering fails at some probe.  The solves refuse a generator
-    that reads the state (c1 != 0).
+    solution ordering fails at some probe.  The probes at one time are one
+    stack, with the rows (scn1, y, z) and (scn2, y, z) of each, and every
+    stack reads the check's one draw.  The solves refuse a generator that
+    reads the state (c1 != 0).
     """
     _require_same_driver(scn1, scn2)
+    for t, _, _ in probe_grid:
+        _require_clock_differentiable(scn1.driver, t)
     clock = _short_horizon_clock(scn1.driver, cfg.n_time)
+    draw = short_horizon_draw(cfg, derived_seed(seed, "converse"))
+    solved = {}  # probe index -> (scn1's value, scn2's value)
+    for time in dict.fromkeys(t for t, _, _ in probe_grid):
+        group = [k for k, (t, _, _) in enumerate(probe_grid) if t == time]
+        starts = [(scn, *probe_grid[k][1:]) for k in group for scn in (scn1, scn2)]
+        values = representation_solve_stack(starts, clock, time, eps, cfg, draw)
+        solved.update((k, values[2 * j : 2 * j + 2]) for j, k in enumerate(group))
 
     rows = []
     ordering_ok = True
     for k, (t, y, z) in enumerate(probe_grid):
-        _require_clock_differentiable(scn1.driver, t)
-        probe_seed = derived_seed(seed, "converse", k)
-        rep1, rep2 = representation_solve_stack([scn1, scn2], clock, t, eps, y, z, cfg, probe_seed)
+        rep1, rep2 = solved[k]
         mc_tol = 3.0 * (rep1.std_error + rep2.std_error)
         frozen = LawFeatures(mean_x=0.0, mean_y=y, mean_z=z)
         f1 = eval_generator(scn1.generator, t, 0.0, y, z, frozen)
@@ -396,10 +407,20 @@ def _stability_ratio(scn1, scn2, f1: SolutionField, f2: SolutionField, n_particl
     g1, g2 = (terminal_on_paths(scn.terminal, x[:, -1]) for scn in (scn1, scn2))
     f_gap = 0.0  # exactly, for equal generators
     if scn1.generator != scn2.generator:
-        # both generators along the first solution
-        y1, z1 = f1.on_paths(x)
-        fdv1, fdv2 = (generator_dv_on_paths(scn.generator, clock, x, y1, z1) for scn in (scn1, scn2))
-        f_gap = np.abs(fdv1 - fdv2).sum(axis=1) ** 2
+        # both generators along the first solution, at its law over all the
+        # paths.  Each block's rows are summed after the running sums, in the
+        # order np.mean sums a whole array's columns (row after row), so the
+        # means are its bits
+        n, width = x.shape
+        sums = np.zeros(2 * width - 1)  # Y at every node, then Z on every cell
+        for rows in _particle_blocks(n, 2 * width):
+            sums = np.vstack([sums, np.hstack(f1.on_paths(x[rows]))]).sum(axis=0)
+        law = LawFeatures(x[:, :-1].mean(axis=0), sums[: width - 1] / n, sums[width:] / n)
+        f_gap = np.empty(n)
+        for rows in _particle_blocks(n, width):
+            y1, z1 = f1.on_paths(x[rows])
+            fdv1, fdv2 = (generator_dv_on_paths(scn.generator, clock, x[rows], y1, z1, law) for scn in (scn1, scn2))
+            f_gap[rows] = np.abs(fdv1 - fdv2).sum(axis=1) ** 2
     rhs = float(np.mean((g1 - g2) ** 2 + f_gap))
     return lhs, rhs
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from .drivers import GaussianDriverSpec, PathBatch, _particle_blocks, covariance
 from .errors import DegenerateIncrement, GridMismatch
+from .measures import LawFeatures
 from .scenario import ScenarioSpec, generator_dv_on_paths, terminal_on_paths
 from .solver import SolutionField, _derivative, _polyval
 
@@ -160,7 +161,8 @@ def bsde_residual(field: SolutionField, scn: ScenarioSpec, paths: PathBatch) -> 
         raise GridMismatch("paths must be sampled on the field's clock")
     u_vals, v_vals = field.on_paths(x)
     g_vals = terminal_on_paths(scn.terminal, x[:, -1])
-    f_cells = generator_dv_on_paths(scn.generator, clock, x, u_vals, v_vals)
+    law = LawFeatures(*(a.mean(axis=0) for a in (x[:, :-1], u_vals[:, :-1], v_vals)))
+    f_cells = generator_dv_on_paths(scn.generator, clock, x, u_vals, v_vals, law)
     # Z's rows in the scaled variable x / scales[i], turned into raw-x rows
     z_rows = field.v_coeffs / field.scales[:-1, None] ** np.arange(field.v_coeffs.shape[1])
     corrections = _cell_corrections(z_rows, paths)

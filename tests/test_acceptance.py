@@ -235,7 +235,8 @@ class TestAcceptance:
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         monkeypatch.setenv("GAUSSBSDE_THREADS", "1")
         # the first pass also counts its Philox normals (the paired checks'
-        # grid and its refinement share one draw) and the scenario DSL's
+        # grid and its refinement share one draw, and so do all the solves of
+        # a short-horizon check) and the scenario DSL's
         # probe streams: the run reads the symbolic Lipschitz constants and
         # draws no audit probe
         draws, probes = [], []
@@ -263,14 +264,14 @@ class TestAcceptance:
         )
         identical = all((out2 / rel).read_bytes() == (out1 / rel).read_bytes() for rel in files)
         manifest = json.loads((out1 / "manifest.json").read_text())
-        counted = (len(draws), sum(draws)) == (25, 6_176_000)
+        counted = (len(draws), sum(draws)) == (15, 4_640_000)
         audits = probes.count(("lipschitz-audit",))
         ok = passed1 and passed2 and identical and len(manifest["experiments"]) >= 8 and counted and audits == 0
         announce(
             9, ok,
             f"full_suite passes twice, {len(files)} manifest/report/series files byte-identical, "
             f"{len(manifest['experiments'])} experiments (>= 8), "
-            f"{sum(draws)} normals in {len(draws)} draws (6176000 in 25), "
+            f"{sum(draws)} normals in {len(draws)} draws (4640000 in 15), "
             f"{audits} Lipschitz-audit streams (0) of {len(probes)} probe streams",
         )
 

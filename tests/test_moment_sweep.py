@@ -134,9 +134,10 @@ def both_sweeps(gens, grid_s, grid_t, terminal, cfg, seed):
     """(moment stack, moments, particle reference) of one stack solve.  The
     reference evaluates f at the particles' states x = w, so its c1 x term is
     a particle row, not a basis coefficient."""
-    dw = solver._brownian_increments(standard_normals(seed, (cfg.n_particles, len(grid_s) - 1), "oracle"), grid_s)
-    mom, out = solver._solve_on_grid(gens, terminal, grid_s, grid_t, cfg, dw)
-    w = solver._paths(dw)
+    rows = solver._centred_rows(standard_normals(seed, (cfg.n_particles, len(grid_s) - 1), "oracle"), len(grid_s) - 1)
+    mom, out = solver._solve_on_grid(gens, terminal, grid_s, grid_t, cfg, rows)
+    w = solver._paths(rows, grid_s)
+    dw = rows * np.sqrt(np.diff(grid_s))[:, None]
     ref = particle_picard(gens, grid_s, grid_t, w, dw, mom.terminal, cfg, x_states=w)
     return out, mom, ref
 
@@ -170,7 +171,8 @@ def representation(scns, cfg, seed=3, t=0.25, eps=0.1):
         # a representation solve refuses a state-dependent generator; the
         # rest of the scenario (a clip term, say) is checked with c1 = 0
         with pytest.raises(UnsupportedScenario):
-            solver.representation_solve_stack(scns, clock, t, eps, 1.0, 0.5, cfg, seed)
+            starts = [(scn, 1.0, 0.5) for scn in scns]
+            solver.representation_solve_stack(starts, clock, t, eps, cfg, solver.short_horizon_draw(cfg, seed))
         scns = _state_free(scns)
     v_a, v_b = clock.value(t), clock.value(t + eps)
     grid_s = np.linspace(v_a, v_b, cfg.n_time + 1)
@@ -299,14 +301,15 @@ def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
     # particle blocks
     monkeypatch.setattr(solver, "_PARTICLE_BLOCK", 768)
     grid_s = build_clock(BROWNIAN, n_steps + 1).grid_V
-    dw = solver._brownian_increments(standard_normals(7, (2000, n_steps), "nodes"), grid_s)
-    w = solver._paths(dw)
+    rows = solver._centred_rows(standard_normals(7, (2000, n_steps), "nodes"), n_steps)
+    w = solver._paths(rows, grid_s)
+    dw = rows * np.sqrt(np.diff(grid_s))[:, None]
     terminal = np.array([1.0 + w[-1], np.sin(w[-1])])
     solves = []
     with monkeypatch.context() as patch:
         solve = np.linalg.solve
         patch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
-        mom = solver._moments(grid_s, grid_s, w, dw, terminal, degree)
+        mom = solver._moments(grid_s, grid_s, w, rows, terminal, degree)
     assert solves == [1]
     W, n = degree + 1, w.shape[1]
     scales = _basis_scales(grid_s)

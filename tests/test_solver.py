@@ -31,6 +31,7 @@ from gaussbsde.solver import (
     _regularized,
     representation_solve,
     representation_solve_stack,
+    short_horizon_draw,
     solve_auxiliary,
     solve_auxiliary_stack,
     transfer_evaluate,
@@ -80,6 +81,23 @@ class TestRegressConditional:
         cfg = SolverConfig(n_time=4, n_particles=2000, basis_degree=14)
         with pytest.raises(RegressionIllConditioned):
             solve_auxiliary(identity_scenario(BROWNIAN), build_clock(BROWNIAN, 5), cfg, seed=3)
+
+    def test_condition_guard_refuses_nan_and_singular_grams(self):
+        # the condition is the ratio of the extreme eigenvalues: a matrix with
+        # a non-finite entry or no positive smallest eigenvalue has none
+        good = np.diag([1.0, 2.0, 4.0])
+        nan, inf = good.copy(), good.copy()
+        nan[1, 1], inf[0, 2] = np.nan, np.inf
+        singular = np.ones((3, 3))
+        for bad in (nan, inf, singular, np.stack([good, nan, good]), np.stack([singular, good])):
+            with pytest.raises(RegressionIllConditioned):
+                _regularized(bad, 0.0)
+        _, cond = _regularized(np.stack([good, 2.0 * good]), 0.0)
+        assert np.array_equal(cond, [4.0, 4.0])
+        # a stack of Gram matrices: the SVD's condition numbers to rounding
+        phi = np.random.default_rng(4).normal(size=(6, 5, 200)) ** np.arange(5)[:, None]
+        gram, cond = _regularized(phi @ phi.swapaxes(1, 2), 1e-8)
+        np.testing.assert_allclose(cond, np.linalg.cond(gram), rtol=1e-12)
 
 
 class TestSolveOracles:
@@ -264,8 +282,8 @@ class TestSolveOracles:
         grid_s = np.linspace(0.0, 1.0, 3)  # ds = 0.5
 
         def solve(gen):
-            dw = solver._brownian_increments(standard_normals(1, (cfg.n_particles, 2), "guard"), grid_s)
-            return solver._solve_on_grid([gen], lambda w_end: [1.0 + w_end], grid_s, grid_s, cfg, dw)
+            rows = solver._centred_rows(standard_normals(1, (cfg.n_particles, 2), "guard"), 2)
+            return solver._solve_on_grid([gen], lambda w_end: [1.0 + w_end], grid_s, grid_s, cfg, rows)
 
         with pytest.raises(StepTooCoarse, match="kappa_y"):
             solve(GeneratorSpec(kappa_y=2.0))
@@ -326,11 +344,12 @@ class TestStackedSolves:
         scns = _pairs()[pair]
         clock = build_clock(BROWNIAN, 33)
         cfg = SolverConfig(n_time=8, n_particles=2000)
+        draw = short_horizon_draw(cfg, 3)
         if any(scn.generator.c1 != 0.0 for scn in scns):
             with pytest.raises(UnsupportedScenario):
-                representation_solve_stack(scns, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
+                representation_solve_stack([(scn, 1.0, 0.5) for scn in scns], clock, 0.25, 0.1, cfg, draw)
             scns = _state_free(scns)
-        stacked = representation_solve_stack(scns, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
+        stacked = representation_solve_stack([(scn, 1.0, 0.5) for scn in scns], clock, 0.25, 0.1, cfg, draw)
         for scn, rep in zip(scns, stacked):
             alone = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
             for name in ("value", "std_error"):
@@ -361,6 +380,41 @@ class TestStackedSolves:
             for stacked_rows, alone_rows in zip(field.on_paths(cloud.w), alone.on_paths(alone_cloud.w)):
                 np.testing.assert_allclose(stacked_rows, alone_rows, rtol=0, atol=1e-11)
         assert passes == [3, 1, 1, 1]
+
+
+class TestSharedDraw:
+    """The solves of a short-horizon check read its one draw, whatever their
+    sub-grids, and leave it as it is."""
+
+    def test_sub_grids_read_the_draw_unchanged(self):
+        # sub-grid a, then b, then a again: a's values bit for bit
+        clock = build_clock(BROWNIAN, 65)
+        cfg = SolverConfig(n_time=8, n_particles=2000)
+        draw = short_horizon_draw(cfg, 9)
+        drawn = draw.copy()
+        tanh = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
+        starts = [(mean_field_scenario(BROWNIAN), 1.0, 0.5), (tanh, -0.5, 0.2)]
+        first = representation_solve_stack(starts, clock, 0.25, 0.2, cfg, draw)
+        representation_solve_stack(starts, clock, 0.5, 0.05, cfg, draw)
+        assert representation_solve_stack(starts, clock, 0.25, 0.2, cfg, draw) == first
+        assert np.array_equal(draw, drawn)
+        # a draw of another shape is refused, not read as one of this solve's
+        for other in (SolverConfig(n_time=16, n_particles=2000), SolverConfig(n_time=8, n_particles=1000)):
+            with pytest.raises(ValueError, match="draw"):
+                representation_solve_stack(starts, clock, 0.25, 0.2, cfg, short_horizon_draw(other, 9))
+
+    def test_a_solve_alone_draws_its_own(self, monkeypatch):
+        draws = []
+        draw = solver.standard_normals
+        monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
+        cfg = SolverConfig(n_time=8, n_particles=2000)
+        clock = build_clock(BROWNIAN, 33)
+        alone = representation_solve(mean_field_scenario(BROWNIAN), clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
+        assert [(shape, tags) for _, shape, *tags in draws] == [((2000, 8), ["repr-increments"])]
+        [stacked] = representation_solve_stack(
+            [(mean_field_scenario(BROWNIAN), 1.0, 0.5)], clock, 0.25, 0.1, cfg, short_horizon_draw(cfg, 3)
+        )
+        assert stacked == alone
 
 
 class TestRefinedDraw:
@@ -428,9 +482,11 @@ class TestRefinedDraw:
             grid_s[0] = 0.0
             z = standard_normals(3, (2000, n_steps), "blocks")
             z -= z.mean(axis=0)
+            rows = solver._centred_rows(normals, n_steps)
+            assert rows.flags.c_contiguous and np.array_equal(rows, z.T)
+            # read with the grid's steps, they are the one-shot increments
             expected = np.multiply(z.T, np.sqrt(np.diff(grid_s))[:, None], order="C")
-            dw = solver._brownian_increments(normals, grid_s)
-            assert dw.flags.c_contiguous and np.array_equal(dw, expected)
+            assert np.array_equal(solver._paths(rows, grid_s)[1:], np.cumsum(expected, axis=0))
             if n_steps == 16:  # a prefix leaves the draw as it is
                 assert np.array_equal(normals, drawn)
 
@@ -486,7 +542,7 @@ def test_transfer_evaluate_at_the_nodes_is_on_paths(driver):
 
 def test_paths_running_sum_is_cumsum():
     dw = np.random.default_rng(12).normal(size=(24, 500))
-    w = solver._paths(dw)
+    w = solver._paths(dw, np.arange(25.0))  # unit steps: the rows are the increments
     assert np.array_equal(w[0], np.zeros(500))
     assert np.array_equal(w[1:], np.cumsum(dw, axis=0))
 
