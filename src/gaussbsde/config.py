@@ -29,9 +29,13 @@ def _fail(key: str, message: str):
     raise ConfigInvalid(f"{key}: {message}")
 
 
-def _check_keys(tree: dict, allowed, path: str):
+def _object(tree, path: str, allowed) -> dict:
+    """``tree``, refused unless it is a JSON object whose keys are all in ``allowed``."""
+    if not isinstance(tree, dict):
+        _fail(path, "must be an object")
     for key in sorted(set(tree) - set(allowed)):
         _fail(f"{path}.{key}" if path else key, "unknown key")
+    return tree
 
 
 def _is_number(value) -> bool:
@@ -117,16 +121,24 @@ def _nonlinearity(tree: dict, key: str, path: str) -> str:
     return value
 
 
-def _spec_fields(tree: dict, spec_class, path: str) -> dict:
-    """The fields of the dataclass ``spec_class`` that ``tree`` sets, each
-    read as the type of its default: an int, a float, or (for a string) a
-    nonlinearity tag.  The keys ``tree`` leaves out keep the defaults."""
-    read = {int: _integer, float: _number, str: _nonlinearity}
-    return {
-        f.name: read[type(f.default)](tree, f.name, path)
-        for f in fields(spec_class)
-        if type(f.default) in read and f.name in tree
-    }
+_READERS = {int: _integer, float: _number, str: _nonlinearity}  # by the type of a field's default
+
+
+def _spec(tree, spec_class, path: str, **extra):
+    """The dataclass ``spec_class`` read from the object ``tree``.  Its keys
+    are the class's int, float and string fields, each read as the type of
+    its default (a string as a nonlinearity tag), and those of ``extra``,
+    each read by its function into more fields; the keys ``tree`` leaves out
+    keep the defaults.  The class's own refusal is named by ``path``."""
+    readers = {f.name: _READERS[type(f.default)] for f in fields(spec_class) if type(f.default) in _READERS}
+    tree = _object(tree, path, (*readers, *extra))
+    kwargs = {key: read(tree, key, path) for key, read in readers.items() if key in tree}
+    for key, read in extra.items():
+        kwargs.update(read(tree.get(key), f"{path}.{key}"))
+    try:
+        return spec_class(**kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _load_covariance_file(path: Path, T: float, key: str) -> GaussianDriverSpec:
@@ -147,9 +159,7 @@ def _load_covariance_file(path: Path, T: float, key: str) -> GaussianDriverSpec:
 
 
 def parse_driver(tree, path: str = "driver", base_dir: Path | None = None) -> GaussianDriverSpec:
-    if not isinstance(tree, dict):
-        _fail(path, "must be an object")
-    _check_keys(tree, ("kind", "T", *{key for keys in _DRIVER_KEYS.values() for key in keys}), path)
+    tree = _object(tree, path, ("kind", "T", *{key for keys in _DRIVER_KEYS.values() for key in keys}))
     kind = _get(tree, "kind", path)
     if kind not in _DRIVER_KEYS:
         _fail(f"{path}.kind", "must be one of 'brownian', 'fbm', 'custom'")
@@ -190,55 +200,24 @@ def parse_driver(tree, path: str = "driver", base_dir: Path | None = None) -> Ga
     return spec
 
 
-def _parse_terminal(tree, path: str) -> TerminalSpec:
-    if not isinstance(tree, dict):
-        _fail(path, "must be an object")
-    _check_keys(tree, TerminalSpec().payload(), path)
-    try:
-        return TerminalSpec(**_spec_fields(tree, TerminalSpec, path))
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
-def _parse_generator(tree, path: str) -> GeneratorSpec:
-    if not isinstance(tree, dict):
-        _fail(path, "must be an object")
-    _check_keys(tree, (*GeneratorSpec().payload(), "rho_table"), path)
-    kwargs = _spec_fields(tree, GeneratorSpec, path)
-    rho = tree.get("rho_table")
-    if rho is not None:
-        if not isinstance(rho, dict) or set(rho) != {"breaks", "values"}:
-            _fail(f"{path}.rho_table", "must be an object with exactly 'breaks' and 'values'")
-        if not (_numbers(rho["breaks"]) and _numbers(rho["values"])):
-            _fail(f"{path}.rho_table", "'breaks' and 'values' must be lists of finite numbers")
-        kwargs["rho_breaks"] = tuple(_emitted(float(v)) for v in rho["breaks"])
-        kwargs["rho_values"] = tuple(_emitted(float(v)) for v in rho["values"])
-    try:
-        return GeneratorSpec(**kwargs)
-    except ValueError as exc:
-        _fail(path, str(exc))
+def _rho_table(rho, path: str) -> dict:
+    """A generator's ``rho_table`` read into its ``rho_breaks`` and ``rho_values`` (none if absent)."""
+    if rho is None:
+        return {}
+    if not isinstance(rho, dict) or set(rho) != {"breaks", "values"}:
+        _fail(path, "must be an object with exactly 'breaks' and 'values'")
+    if not (_numbers(rho["breaks"]) and _numbers(rho["values"])):
+        _fail(path, "'breaks' and 'values' must be lists of finite numbers")
+    return {f"rho_{key}": tuple(_emitted(float(v)) for v in rho[key]) for key in ("breaks", "values")}
 
 
 def parse_scenario(tree, driver: GaussianDriverSpec, path: str = "scenario") -> ScenarioSpec:
-    if not isinstance(tree, dict):
-        _fail(path, "must be an object")
-    _check_keys(tree, ("terminal", "generator"), path)
+    tree = _object(tree, path, ("terminal", "generator"))
     return ScenarioSpec(
-        terminal=_parse_terminal(_get(tree, "terminal", path), f"{path}.terminal"),
-        generator=_parse_generator(_get(tree, "generator", path), f"{path}.generator"),
+        terminal=_spec(_get(tree, "terminal", path), TerminalSpec, f"{path}.terminal"),
+        generator=_spec(_get(tree, "generator", path), GeneratorSpec, f"{path}.generator", rho_table=_rho_table),
         driver=driver,
     )
-
-
-def parse_solver(tree, path: str = "solver") -> SolverConfig:
-    tree = tree if tree is not None else {}
-    if not isinstance(tree, dict):
-        _fail(path, "must be an object")
-    _check_keys(tree, SolverConfig().payload(), path)
-    try:
-        return SolverConfig(**_spec_fields(tree, SolverConfig, path))
-    except ValueError as exc:
-        _fail(path, str(exc))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,13 +259,10 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
         _fail("kind", f"must be one of {tuple(KINDS)}")
     kind = KINDS[kind_name]
     scenario_keys = ("scenario", "scenario_2")[: kind.scenarios]
-    _check_keys(tree, ("kind", "seed", "params", "out_dir", *kind.settings, *scenario_keys), "")
+    _object(tree, "", ("kind", "seed", "params", "out_dir", *kind.settings, *scenario_keys))
     seed = _integer(tree, "seed", "")
 
-    params = tree.get("params", {})
-    if not isinstance(params, dict):
-        _fail("params", "must be an object")
-    _check_keys(params, kind.required, "params")
+    params = _object(tree.get("params", {}), "params", kind.required)
     for key in kind.required:
         if key not in params:
             _fail(f"params.{key}", f"required for kind={kind_name}")
@@ -301,7 +277,7 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
         driver = parse_driver(_get(tree, "driver", ""), base_dir=base_dir)
         _check_horizon(params, driver)
     if "solver" in kind.settings:
-        solver = parse_solver(tree.get("solver"))
+        solver = _spec({} if tree.get("solver") is None else tree["solver"], SolverConfig, "solver")
     scenarios = {key: parse_scenario(_get(tree, key, ""), driver, path=key) for key in scenario_keys}
 
     out_dir = tree.get("out_dir")

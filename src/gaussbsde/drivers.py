@@ -99,12 +99,19 @@ class GaussianDriverSpec:
         return out
 
 
+def _require_within(values: np.ndarray, end: float, what: str):
+    """Refuse values outside [0, end], naming the first as a plain number."""
+    outside = values[(values < -_DOMAIN_TOL) | (values > end + _DOMAIN_TOL)]
+    if outside.size:
+        raise OutOfRange(f"{what} {float(outside.flat[0])} outside [0, {end}]")
+
+
 def _custom_indices(spec: GaussianDriverSpec, times: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(spec.cov_grid, times - _NODE_TOL)
     ok = (idx < spec.cov_grid.size) & (np.abs(spec.cov_grid[np.minimum(idx, spec.cov_grid.size - 1)] - times) <= _NODE_TOL)
     if not np.all(ok):
         bad = np.asarray(times)[~ok]
-        raise OutOfRange(f"time {bad.flat[0]!r} is not a node of the custom covariance grid")
+        raise OutOfRange(f"time {float(bad.flat[0])} is not a node of the custom covariance grid")
     return idx
 
 
@@ -117,9 +124,9 @@ def covariance(spec: GaussianDriverSpec, s, t):
     # scalars too are computed as arrays: numpy's scalar power can differ
     # from its array power in the last bit
     s, t = np.atleast_1d(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    for times in (s, t):
+        _require_within(times, spec.T, "time")
     lo = np.minimum(s, t)
-    if np.any(lo < -_DOMAIN_TOL) or np.any(np.maximum(s, t) > spec.T + _DOMAIN_TOL):
-        raise OutOfRange(f"times ({s}, {t}) outside [0, {spec.T}]")
     pos = lo > 0
     if spec.kind == "brownian":
         cov = lo
@@ -167,16 +174,14 @@ class VarianceClock:
     def value(self, t):
         """V(t), linear between nodes."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < -_DOMAIN_TOL) or np.any(t > self.T + _DOMAIN_TOL):
-            raise OutOfRange(f"time {t!r} outside [0, {self.T}]")
+        _require_within(t, self.T, "time")
         out = np.interp(t, self.grid_t, self.grid_V)
         return float(out) if out.ndim == 0 else out
 
     def invert(self, s):
         """U(s) = inf{r : V(r) >= s}, linear between nodes."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < -_DOMAIN_TOL) or np.any(s > self.V_T + _DOMAIN_TOL):
-            raise OutOfRange(f"variance value {s!r} outside [0, {self.V_T}]")
+        _require_within(s, self.V_T, "variance value")
         out = np.interp(s, self.grid_V, self.grid_t)
         return float(out) if out.ndim == 0 else out
 

@@ -131,8 +131,6 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
             "step_lipschitz": field.step_lipschitz,
             "terminal_residual_max": terminal_residual,
         },
-        tolerances={},
-        std_errors={},
         seed=cfg.seed,
     )
     return report, [series_path]
@@ -228,7 +226,6 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
         passed=ok,
         measurements=measurements,
         tolerances={"statistic_over_se": 3.0, "variance_rel": 0.05},
-        std_errors={},
         seed=cfg.seed,
     )
     return report, []

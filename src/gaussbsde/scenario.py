@@ -24,7 +24,7 @@ evaluates a generator at every node of a grid in one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -88,10 +88,7 @@ class TerminalSpec:
         return abs(self.b) + abs(self.c) + abs(self.lambda_mean)
 
     def payload(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "phi": self.phi,
-            "c": self.c, "lambda_mean": self.lambda_mean,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -157,11 +154,7 @@ class GeneratorSpec:
         return self.kappa_x == 0.0 and self.kappa_y == 0.0 and self.kappa_z == 0.0
 
     def payload(self) -> dict:
-        out = {
-            "c0": self.c0, "c1": self.c1, "c2": self.c2, "c3": self.c3,
-            "phi": self.phi, "c4": self.c4,
-            "kappa_x": self.kappa_x, "kappa_y": self.kappa_y, "kappa_z": self.kappa_z,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("rho_")}
         if self.rho_values is not None:
             out["rho_table"] = {"breaks": list(self.rho_breaks), "values": list(self.rho_values)}
         return out

@@ -101,7 +101,6 @@ from .drivers import VarianceClock, _particle_blocks
 from .errors import (
     DegenerateInterval,
     NonFiniteSolution,
-    OutOfRange,
     RegressionIllConditioned,
     StepTooCoarse,
     UnsupportedScenario,
@@ -642,12 +641,9 @@ def solve_auxiliary(
 def transfer_evaluate(field: SolutionField, t: float, x) -> tuple:
     """(Y, Z) at original time t and state x (floats for a scalar x): Y blended
     linearly between nodes, Z from the left node (dV-a.e. convention)."""
-    s = field.clock.value(t)
+    s = field.clock.value(t)  # in [V_0, V_T]: the clock refuses a time outside [0, T]
     grid_s = field.clock.grid_V
-    if s < grid_s[0] - 1e-12 or s > grid_s[-1] + 1e-12:
-        raise OutOfRange(f"clock value {s} outside [{grid_s[0]}, {grid_s[-1]}]")
     j = int(np.searchsorted(grid_s, s, side="right")) - 1
-    j = max(0, min(j, field.n_steps))
     x = np.asarray(x, dtype=float)
     if j == field.n_steps or abs(s - grid_s[j]) <= 1e-12:
         y_val = _polyval(x / field.scales[j], field.u_coeffs[j])

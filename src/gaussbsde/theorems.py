@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,9 +57,9 @@ class TheoremReport:
     scenario_digest: str
     passed: bool | None
     measurements: dict
-    tolerances: dict
-    std_errors: dict
     seed: int
+    tolerances: dict = field(default_factory=dict)
+    std_errors: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
     def payload(self) -> dict:
@@ -222,7 +222,6 @@ def comparison_check(
             "scheme_error_estimate": scheme_err,
         },
         tolerances={"max_violation_fraction": 1e-3},
-        std_errors={},
         seed=seed,
     )
 
@@ -371,7 +370,6 @@ def converse_comparison_check(
         passed=(f_ordered if ordering_ok else None),
         measurements={"probes": rows, "y_ordering_observed": ordering_ok, "f_ordered": f_ordered},
         tolerances={"f_margin": -1e-9},
-        std_errors={},
         seed=seed,
     )
     if not ordering_ok:
@@ -440,8 +438,6 @@ def stability_check(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, s
             scenario_digest=scenario_digest(scn1, scn2),
             passed=True,
             measurements={"lhs": [lhs1, lhs2], "rhs": [rhs1, rhs2], "ratio": "undefined-zero"},
-            tolerances={},
-            std_errors={},
             seed=seed,
             notes=("identical coefficients: both sides vanish; ratio undefined",),
         )
@@ -461,7 +457,6 @@ def stability_check(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, s
             "ratio_drift": abs(ratio2 / ratio1 - 1.0) if ratio1 > 0 else math.inf,
         },
         tolerances={"ratio_drift": 0.2},
-        std_errors={},
         seed=seed,
     )
 
@@ -559,7 +554,6 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, seed: int = 0) -> TheoremR
             "shifts": rows,
         },
         tolerances={"w2_squared_vs_c_times_h": _EXACT_TOL},
-        std_errors={},
         seed=seed,
         notes=(
             ("report-only: V_T > 1, stated constant may fall below the sharp one",)
@@ -618,7 +612,6 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, seed: int = 0) -> Theore
             "lambdas": rows,
         },
         tolerances={"quadrature_error": _QUADRATURE_TOL, "ratio_vs_c": _EXACT_TOL},
-        std_errors={},
         seed=seed,
     )
 
@@ -660,6 +653,5 @@ def z_bound_check(field: SolutionField, scn: ScenarioSpec, cloud: ParticleCloud,
             "step_lipschitz": field.step_lipschitz,
         },
         tolerances={"slack": _Z_BOUND_SLACK},
-        std_errors={},
         seed=seed,
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,9 @@ import pytest
 import gaussbsde
 from gaussbsde.cli import main
 from gaussbsde.config import load_config, parse_config_payload
-from gaussbsde.errors import ConfigInvalid, StepTooCoarse
+from gaussbsde.errors import ConfigInvalid, IoFailure, StepTooCoarse
 from gaussbsde.experiments import KINDS, run_config
-from gaussbsde.reporting import canonical_json, emit_report
+from gaussbsde.reporting import canonical_json, emit_report, write_series_csv
 from gaussbsde.scenario import GeneratorSpec, TerminalSpec
 from gaussbsde.solver import SolverConfig
 from gaussbsde.theorems import TheoremReport
@@ -423,11 +424,107 @@ class TestConfigParsing:
         coef = report["measurements"]["u_coeffs"][4][1] / scales[4]
         assert coef == pytest.approx(1.0, abs=0.05)
 
+    def test_spec_payload_writes_every_field(self):
+        # a spec's emitted keys are its dataclass's fields, so no field is
+        # read from a config and then dropped from its emitted form
+        timed = GeneratorSpec(c2=0.5, rho_breaks=(0.5,), rho_values=(1.0, 2.0))
+        assert set(TerminalSpec().payload()) == {f.name for f in dataclasses.fields(TerminalSpec)}
+        names = {f.name for f in dataclasses.fields(GeneratorSpec)} - {"rho_breaks", "rho_values"}
+        assert set(GeneratorSpec().payload()) == names
+        assert set(timed.payload()) == names | {"rho_table"}
+        assert timed.payload()["rho_table"] == {"breaks": [0.5], "values": [1.0, 2.0]}
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         with pytest.raises(ConfigInvalid, match="JSON"):
             load_config(path)
+
+
+def _generator(**generator):
+    return dict(BASE_CONFIG, scenario={"terminal": {"b": 1.0}, "generator": generator})
+
+
+# config -> the line `gaussbsde validate` prints for it; "{dir}" stands for
+# the config's directory, which holds empty.csv and ragged.csv
+REFUSALS = {
+    "top_level": ([1, 2], "config: top level must be an object"),
+    "params": (dict(BASE_CONFIG, params=[1]), "params: must be an object"),
+    "driver": (dict(BASE_CONFIG, driver="brownian"), "driver: must be an object"),
+    "scenario": (dict(BASE_CONFIG, scenario=[]), "scenario: must be an object"),
+    "terminal": (
+        dict(BASE_CONFIG, scenario={"terminal": 1.0, "generator": {}}), "scenario.terminal: must be an object"
+    ),
+    "generator": (
+        dict(BASE_CONFIG, scenario={"terminal": {}, "generator": "tanh"}), "scenario.generator: must be an object"
+    ),
+    "solver": (dict(BASE_CONFIG, solver=[8]), "solver: must be an object"),
+    "solver_false": (dict(BASE_CONFIG, solver=False), "solver: must be an object"),
+    "driver_kind": (
+        dict(BASE_CONFIG, driver={"kind": "levy", "T": 1.0}), "driver.kind: must be one of 'brownian', 'fbm', 'custom'"
+    ),
+    "driver_T": (dict(BASE_CONFIG, driver={"kind": "brownian", "T": 0}), "driver.T: horizon must be positive"),
+    "out_dir": (dict(BASE_CONFIG, out_dir=3), "out_dir: must be a string path"),
+    "rho_table_keys": (
+        _generator(rho_table={"breaks": [0.5]}),
+        "scenario.generator.rho_table: must be an object with exactly 'breaks' and 'values'",
+    ),
+    "rho_table_lengths": (
+        _generator(rho_table={"breaks": [0.5], "values": [1.0]}),
+        "scenario.generator: rho_values must have one more entry than rho_breaks",
+    ),
+    "terminal_phi": (
+        dict(BASE_CONFIG, scenario={"terminal": {"phi": "none", "c": 1}, "generator": {}}),
+        "scenario.terminal: nonlinearity coefficient must be 0 when phi is 'none'",
+    ),
+    "solver_n_time": (dict(BASE_CONFIG, solver={"n_time": 1}), "solver: n_time must be at least 2"),
+    "covariance_missing": (
+        dict(BASE_CONFIG, driver={"kind": "custom", "covariance_file": "missing.csv"}),
+        "driver.covariance_file: cannot read covariance table: [Errno 2] No such file or directory: "
+        "'{dir}/missing.csv'",
+    ),
+    "covariance_empty": (
+        dict(BASE_CONFIG, driver={"kind": "custom", "covariance_file": "empty.csv"}),
+        "driver.covariance_file: covariance table is empty",
+    ),
+    "covariance_ragged": (
+        dict(BASE_CONFIG, driver={"kind": "custom", "covariance_file": "ragged.csv"}),
+        "driver.covariance_file: covariance table row 1 must have 2 entries",
+    ),
+    # a section's checks run in one order: its keys, its field values, its
+    # rho_table, then the spec's own checks
+    "order_keys_first": (_generator(c9=1.0, c2="x", rho_table=3), "scenario.generator.c9: unknown key"),
+    "order_values_next": (_generator(c2="x", rho_table=3), "scenario.generator.c2: must be a finite number"),
+    "order_rho_table_next": (
+        _generator(phi="none", c4=1.0, rho_table=3),
+        "scenario.generator.rho_table: must be an object with exactly 'breaks' and 'values'",
+    ),
+    "order_spec_last": (
+        _generator(phi="none", c4=1.0, rho_table={"breaks": [0.5], "values": [1.0]}),
+        "scenario.generator: nonlinearity coefficient must be 0 when phi is 'none'",
+    ),
+}
+
+
+class TestRefusalCatalogue:
+    @pytest.mark.parametrize("tree, message", REFUSALS.values(), ids=REFUSALS)
+    def test_validate_prints_the_refusal(self, tmp_path, capsys, tree, message):
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "ragged.csv").write_text("0.5\n0.5\n")
+        assert main(["validate", str(write_config(tmp_path, tree))]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message.replace('{dir}', str(tmp_path))}\n")
+
+    def test_null_solver_reads_as_the_defaults(self, tmp_path, capsys):
+        for solver in (None, {}):
+            assert main(["validate", str(write_config(tmp_path, dict(BASE_CONFIG, solver=solver)))]) == 0
+            assert capsys.readouterr().out == "ok: kind=solve digest=72b1f1f7c850dc24\n"
+        assert parse_config_payload(dict(BASE_CONFIG, solver=None)).solver == SolverConfig()
+
+    def test_missing_config_file(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigInvalid) as info:
+            load_config(path)
+        assert str(info.value) == f"config: cannot read {path}: [Errno 2] No such file or directory: '{path}'"
 
 
 class TestCliRun:
@@ -632,6 +729,50 @@ class TestCliRun:
             assert (o1 / rel).read_bytes() == (o2 / rel).read_bytes(), rel
 
 
+def _bare_report():
+    return TheoremReport(theorem="demo", scenario_digest="abc", passed=True, measurements={"value": 1.0}, seed=5)
+
+
+class TestBlockedOutputs:
+    """Each output path blocked by a file or directory made before the run."""
+
+    def test_report_under_a_file(self, tmp_path):
+        (tmp_path / "reports").write_text("")
+        with pytest.raises(IoFailure, match=f"^could not write reports under {tmp_path / 'reports'}: "):
+            emit_report(_bare_report(), tmp_path / "reports")
+
+    def test_report_path_is_a_directory(self, tmp_path):
+        (tmp_path / "00_demo.json").mkdir()
+        with pytest.raises(IoFailure, match=f"^could not write reports under {tmp_path}: "):
+            emit_report(_bare_report(), tmp_path)
+
+    def test_series_path_is_a_directory(self, tmp_path):
+        with pytest.raises(IoFailure, match=f"^could not write series {tmp_path}: "):
+            write_series_csv(tmp_path, ["t"], [(0.5,)])
+
+    def test_manifest_path_is_a_directory(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        with pytest.raises(IoFailure, match=f"^could not write manifest under {out}: "):
+            run_config(parse_config_payload(BASE_CONFIG), out, quiet=True)
+        path = write_config(tmp_path, BASE_CONFIG)
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+
+    def test_out_dir_is_a_file_runtime_error(self, tmp_path, capsys):
+        # an OSError outside the package's own writes: exit 1, named as such
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["run", str(write_config(tmp_path, BASE_CONFIG)), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"runtime error: [Errno 17] File exists: '{out}'\n")
+
+    def test_console_lines(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, BASE_CONFIG)), "--out", str(out)]) == 0
+        passed, manifest = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"\[PASS\] solve \(\d+ ms\)", passed)
+        assert manifest == f"manifest: {out / 'manifest.json'}"
+
+
 class TestEmitReport:
     def _report(self, passed=True):
         return TheoremReport(
@@ -652,6 +793,10 @@ class TestEmitReport:
         b = emit_report(self._report(), tmp_path / "b")
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_empty_sections_by_default(self, tmp_path):
+        payload = json.loads(emit_report(_bare_report(), tmp_path)[0].read_text())
+        assert payload["tolerances"] == {} and payload["std_errors"] == {}
 
     def test_csv_flattening(self, tmp_path):
         paths = emit_report(self._report(), tmp_path)

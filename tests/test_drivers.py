@@ -242,3 +242,75 @@ class TestSpecValidation:
     def test_clock_rejects_flat_variance(self):
         with pytest.raises(NonMonotoneVariance):
             VarianceClock(grid_t=np.array([0.0, 0.5, 1.0]), grid_V=np.array([0.0, 0.5, 0.5]))
+
+
+class TestErrorBranches:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kind": "levy"}, "unknown driver kind 'levy'"),
+            ({"kind": "brownian", "T": 0.0}, "horizon T must be positive"),
+            ({"kind": "custom", "cov_grid": np.array([1.0])}, "custom driver needs cov_grid and cov_matrix"),
+            (
+                {"kind": "custom", "cov_grid": np.array([]), "cov_matrix": np.zeros((0, 0))},
+                "cov_grid must be a nonempty 1-d array",
+            ),
+            (
+                {"kind": "custom", "cov_grid": np.array([0.5, 1.5]), "cov_matrix": np.eye(2)},
+                r"cov_grid must be strictly increasing inside \(0, T\]",
+            ),
+            (
+                {"kind": "custom", "cov_grid": np.array([0.5, 1.0]), "cov_matrix": np.eye(3)},
+                "cov_matrix shape does not match cov_grid",
+            ),
+            (
+                {"kind": "custom", "cov_grid": np.array([0.5, 1.0]), "cov_matrix": np.array([[0.5, 0.5], [0.4, 1.0]])},
+                "cov_matrix must be symmetric",
+            ),
+        ],
+    )
+    def test_driver_spec_refusals(self, kwargs, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            GaussianDriverSpec(**kwargs)
+
+    def test_ragged_custom_row(self):
+        with pytest.raises(ValueError, match=r"^covariance table row 1 must have 2 entries$"):
+            GaussianDriverSpec.custom(np.array([0.5, 1.0]), [[0.5], [0.5]], T=1.0)
+
+    @pytest.mark.parametrize(
+        "grid_t, grid_V, message",
+        [
+            ([0.0, 1.0], [0.0, 0.5, 1.0], "clock needs matching 1-d grids with at least two nodes"),
+            ([0.0], [0.0], "clock needs matching 1-d grids with at least two nodes"),
+            ([0.1, 1.0], [0.0, 1.0], "clock grids must start at 0"),
+            ([0.0, 0.6, 0.5], [0.0, 0.5, 1.0], "time grid must be strictly increasing"),
+        ],
+    )
+    def test_clock_grid_refusals(self, grid_t, grid_V, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            VarianceClock(grid_t=np.array(grid_t), grid_V=np.array(grid_V))
+
+    def test_too_few_nodes_and_paths(self):
+        spec = GaussianDriverSpec.brownian(1.0)
+        with pytest.raises(ValueError, match="^n_nodes must be at least 2$"):
+            build_clock(spec, 1)
+        with pytest.raises(ValueError, match="^n_paths must be positive$"):
+            sample_paths(spec, np.array([0.0, 1.0]), 0, seed=1)
+
+    def test_out_of_range_names_the_first_value(self):
+        # the first value outside the span, as a plain number
+        clock = build_clock(GaussianDriverSpec.brownian(1.0), 9)
+        spec = GaussianDriverSpec.brownian(1.0)
+        custom = GaussianDriverSpec.custom(np.array([0.5, 1.0]), [[0.5], [0.5, 1.0]], T=1.0)
+        cases = [
+            (lambda: clock.value(1.5), "time 1.5 outside [0, 1.0]"),
+            (lambda: clock.value(np.array([0.5, -0.25, 2.0])), "time -0.25 outside [0, 1.0]"),
+            (lambda: clock.invert(2.0), "variance value 2.0 outside [0, 1.0]"),
+            (lambda: covariance(spec, np.array([0.5]), np.array([1.5])), "time 1.5 outside [0, 1.0]"),
+            (lambda: covariance(spec, -0.5, 0.5), "time -0.5 outside [0, 1.0]"),
+            (lambda: covariance(custom, 0.3, 0.5), "time 0.3 is not a node of the custom covariance grid"),
+        ]
+        for call, message in cases:
+            with pytest.raises(OutOfRange) as info:
+                call()
+            assert str(info.value) == message

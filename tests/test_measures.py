@@ -146,3 +146,9 @@ class TestEntropyFunctional:
     def test_nonpositive_mass(self):
         with pytest.raises(NonpositiveMass):
             entropy_functional(GaussianLaw1D(1.0, 2.0), lambda x: np.zeros_like(x))
+
+
+class TestGaussianLaw:
+    def test_negative_variance(self):
+        with pytest.raises(ValueError, match="^variance must be nonnegative$"):
+            GaussianLaw1D(0.0, -1.0)

@@ -560,8 +560,9 @@ class TestTransferEvaluate:
         scn = identity_scenario(BROWNIAN)
         clock = build_clock(BROWNIAN, 9)
         field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=8, n_particles=2000), seed=8)
-        with pytest.raises(OutOfRange):
-            transfer_evaluate(field, 1.5, 0.0)
+        for t in (1.5, -0.5):
+            with pytest.raises(OutOfRange):
+                transfer_evaluate(field, t, 0.0)
 
     def test_blend_between_nodes(self):
         scn = constant_generator_scenario(BROWNIAN, 2.0)

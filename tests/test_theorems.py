@@ -521,3 +521,14 @@ class TestReportDeterminism:
         c1 = comparison_check(scn2, shift_terminal(scn2, 1.0), SMALL, [0.5], seed=33)
         c2 = comparison_check(scn2, shift_terminal(scn2, 1.0), SMALL, [0.5], seed=33)
         assert c1.payload() == c2.payload()
+
+
+class TestFamilyOverflow:
+    def test_lsi_constants_past_the_float_range(self):
+        # c2 = 700 at t = 0.5: the law is finite (mean e^350 1e10, variance
+        # e^700 / 2), but C_LS = 2 (1 + 350)^2 e^700 is a product past the
+        # float range, which raises nothing until the finiteness check
+        scn = ScenarioSpec(TerminalSpec(a=1e10, b=1.0), GeneratorSpec(c2=700.0), BROWNIAN)
+        with pytest.raises(NonFiniteSolution) as info:
+            lsi_check(scn, 0.5, [1.0], seed=29)
+        assert str(info.value) == "non-finite value in the Gaussian family at t 0.5: past the float range"

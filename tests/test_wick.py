@@ -384,3 +384,29 @@ def test_wick_validate_oracle_is_the_weights_covariance(tmp_path):
     rows = run_single(parse_config_payload(tree), tmp_path).report.measurements["s_transform_of_driver"]
     (row,) = [row for row in rows if row["h"] == 2 and row["t"] == 0.5]
     assert row["expected"] == 0.40625
+
+
+class TestErrorBranches:
+    @pytest.mark.parametrize(
+        "edges, values, message",
+        [
+            ([0.0, 1.0], [1.0, 2.0], r"need n\+1 edges for n density values"),
+            ([0.0], [], r"need n\+1 edges for n density values"),
+            ([0.5, 1.0], [1.0], "edges must start at 0 and increase strictly"),
+            ([0.0, 0.6, 0.5], [1.0, 2.0], "edges must start at 0 and increase strictly"),
+        ],
+    )
+    def test_step_function_edges(self, edges, values, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            StepFunctionH(edges=np.array(edges), values=np.array(values))
+
+    def test_unpaired_wick_product(self):
+        with pytest.raises(ValueError, match="^x_samples and increment_samples must be paired$"):
+            wick_product_first_chaos([0.0, 1.0], np.zeros(4), np.ones(5), 0.0)
+
+    @pytest.mark.parametrize("cell", [-1, 8])
+    def test_factorization_cell_outside_the_grid(self, cell):
+        _, paths = make_paths(BROWNIAN, 8, 100, seed=12)
+        weights = wick_exponential_weights(full_h(), paths)
+        with pytest.raises(ValueError, match="^cell_index outside the grid$"):
+            s_transform_factorization_check([0.0, 1.0], cell, weights, paths)
