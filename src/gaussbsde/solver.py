@@ -76,17 +76,35 @@ laws through which the equation is proved well posed.  The step guard
 more; ``_solve_on_grid``, which skips the guard, refuses a node where
 ds rho kappa_y reaches 1 (``StepTooCoarse``).
 
-One solve path serves every entry point: ``_solve_on_grid`` takes the
+One sweep serves every entry point.  ``_solve_on_grid`` takes the
 centred, unscaled, time-major rows of one draw (``_centred_rows``), builds
 the paths and their moments, scaling row i by sqrt(ds_i) as it reads it,
-and solves K scenarios on them as a stack, in one sweep.  A single solve is
+and solves K scenarios on them as a stack, in one sweep; a short-horizon
+solve reads its moments off its check's table (below).  A single solve is
 the stack of one; the paired checks (comparison, converse, stability) solve
 both scenarios of a pair as one stack, on common random numbers.  A grid
 and its refinement (comparison and stability) share the draw of the finest
 grid, of which a grid of N steps reads the first n N normals: its own
-draw's.  A short-horizon check draws once (``short_horizon_draw``), and each
-of its solves reads those rows on its own sub-grid.  Particle arrays stream
-through cache-sized blocks (``drivers._particle_blocks``).
+draw's.  Particle arrays stream through cache-sized blocks
+(``drivers._particle_blocks``).
+
+One moment table per short-horizon draw.  A short-horizon check solves on
+sub-grids [V_t, V_{t+eps}] of N = n_time equal steps h, all on one draw.
+The check builds that draw's moment table once, on the unit-step clock
+0, 1, .., N, with the paths w~_i (partial sums of the rows) and the two
+terminal rows 1 and w~_N (``short_horizon_draw``).  On a sub-grid the draw's
+Brownian state is W_i = sqrt(h) w~_i (Brownian scaling), so the regression
+state W_i / sqrt(s_i - s_0) = w~_i / sqrt(i) is the table's, whatever t and
+eps: so are the basis blocks phi_i, the normal matrices and A_i, C_i and
+s_i, and M_i and q_i, linear in dW_i = sqrt(h) (w~_{i+1} - w~_i), are the
+table's times sqrt(h).  A terminal row y + z W_N is y 1 + z sqrt(h) w~_N, so
+its fits are y fit(1) + z sqrt(h) fit(w~_N).  A sub-grid's moments are
+therefore read off the table (``_sub_grid_moments``) by products on its
+(N+1, W, 3W+2) fit operators, and its K terminal rows, whose means the
+sweep reads, are mixed from the table's two; the grid, its times and its
+scales are the sub-grid's own.  The sweep reads each node's basis state off
+the table's paths, w~_i / sqrt(i), and no path array of the sub-grid is
+built.
 """
 
 from __future__ import annotations
@@ -261,9 +279,13 @@ def _derivative(coeffs: np.ndarray, scale: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Moments:
-    """What the sweep of one solve reads: the grid, the (N+1, n) paths w
-    (the generators' states), the K terminal rows g, and the moment table,
-    one row per node i = 0 .. N.  fits[i] holds node i's fit operators: the
+    """What the sweep of one solve reads: the grid and its scales, the
+    (N+1, n) paths w with the divisors ``state_scales`` that give node i's
+    basis state w[i] / state_scales[i], the K terminal rows g, and the moment
+    table, one row per node i = 0 .. N.  A solve on its own paths has the
+    paths W and state_scales = scales; a sub-grid of a short-horizon table
+    (``_sub_grid_moments``) has the table's unit-step paths and scales
+    sqrt(i).  fits[i] holds node i's fit operators: the
     fit of c . phi_i is fits[i, :, :W] @ c, of c . phi_{i+1} and of
     (c . phi_i) dW_i the next two W-column blocks, and the fits of g sit on
     the last two nodes.  The first node's rows and columns past the constant
@@ -275,6 +297,7 @@ class _Moments:
     scales: np.ndarray
     degree: int
     w: np.ndarray
+    state_scales: np.ndarray
     terminal: np.ndarray
     grams: np.ndarray  # (N+1, W, W): G_i
     fits: np.ndarray  # (N+1, W, 3W+K): G_i^-1 [A_i | C_i | M_i | phi_i g]
@@ -352,7 +375,7 @@ def _moments(grid_s, grid_t, w, rows, terminal, degree: int) -> _Moments:
     grams[1:], cond = _regularized(rhs[1:, :, :W], _RIDGE)
     return _Moments(
         grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree,
-        w=w, terminal=terminal, grams=grams, fits=np.linalg.solve(grams, rhs),
+        w=w, state_scales=scales, terminal=terminal, grams=grams, fits=np.linalg.solve(grams, rhs),
         sums=sums[:, :W], dw_sums=dw_sums[:, :W], gram_cond_max=float(cond.max()),
     )
 
@@ -436,7 +459,7 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
     for i in range(N - 1, -1, -1):
         ds = ds_all[i]
         if nonlinear:
-            phi = _basis(mom.w, mom.scales, i, mom.degree)
+            phi = _basis(mom.w, mom.state_scales, i, mom.degree)
             if carry is not None:
                 target = target + _fit(phi, mom.grams[i], carry)
         b = target - v[:, i + 1] @ cv_op[i] if i + 1 < N else target
@@ -506,7 +529,7 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
 def _y_row(mom: _Moments, spec, out: _Stack, k: int, i: int) -> np.ndarray:
     """Scenario k's Y row at a node i < N, built from the coefficients of the
     sweep, with the generator ``spec`` for its nonlinear remainder."""
-    scaled = mom.w[i] / mom.scales[i]
+    scaled = mom.w[i] / mom.state_scales[i]
     y = _polyval(scaled, out.yc[k, i])
     if spec.c4 != 0.0:
         r, _ = generator_remainder(spec, mom.grid_t[i], _polyval(scaled, out.beta[k, i]))
@@ -518,8 +541,7 @@ def _centred_rows(normals: np.ndarray, n_steps: int) -> np.ndarray:
     """(n_steps, n) centred standard normals, time-major: row i holds every
     particle's normal for step i, and a grid's increments from s_i to
     s_{i+1} are row i times sqrt(s_{i+1} - s_i), scaled as ``_paths`` and
-    ``_moments`` read them.  The rows are never written, so every sub-grid of
-    a short-horizon check reads the same rows.  They are read from the first
+    ``_moments`` read them, which never write them.  They are read from the first
     n n_steps values of the (n, N_max) draw ``normals`` as an (n, n_steps)
     array: a Philox stream fills a draw in C order, so these are the normals
     an (n, n_steps) draw of the same stream gives.  The centring and the
@@ -562,7 +584,7 @@ def _check_step(scns, grid_s) -> np.ndarray:
 
 
 def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, rows):
-    """The one solve path: from the centred rows of a draw
+    """A solve on its own paths: from the centred rows of a draw
     (``_centred_rows``), build the paths from 0 on ``grid_s`` and their
     moments, and run the one backward sweep of the K generators on them.
     ``terminal(w_end)`` gives the K rows of terminal values at the last
@@ -660,13 +682,15 @@ def transfer_evaluate(field: SolutionField, t: float, x) -> tuple:
 class RepresentationValue:
     """Short-horizon solution value started from (y, z) at time t.
 
-    value      cross-particle mean of the time-t values
-    std_error  Monte Carlo standard error of that mean
+    value           cross-particle mean of the time-t values
+    std_error       Monte Carlo standard error of that mean
+    step_lipschitz  the sub-grid's max ds * L_f: the margin to the step guard's 0.5
     """
 
     value: float
     std_error: float
     n_particles: int
+    step_lipschitz: float
     n_iterations: ClassVar[int] = 1  # backward sweeps run: a solve runs one
 
 
@@ -692,11 +716,47 @@ def _short_horizon_grid(clock: VarianceClock, t: float, eps: float, n_time: int)
     return np.linspace(v_a, v_b, n_time + 1)
 
 
-def short_horizon_draw(cfg: SolverConfig, seed: int) -> np.ndarray:
-    """The one draw of a short-horizon check: the (n_time, n_particles)
-    centred rows (``_centred_rows``) that each of its solves reads on its own
-    sub-grid of ``cfg.n_time`` steps (common random numbers)."""
-    return _centred_rows(standard_normals(seed, (cfg.n_particles, cfg.n_time), "repr-increments"), cfg.n_time)
+def short_horizon_draw(cfg: SolverConfig, seed: int) -> _Moments:
+    """The one moment table of a short-horizon check, which each of its
+    solves reads on its own sub-grid of ``cfg.n_time`` equal steps (common
+    random numbers): the moments of the draw's centred rows
+    (``_centred_rows``) on the unit-step clock 0, 1, .., ``cfg.n_time``, whose
+    paths are the rows' partial sums w~_i, with the two terminal rows 1 and
+    w~_N.  The rows are released once the table is built; the table keeps
+    the paths, from which the sweep reads each node's basis state."""
+    # the terminal rows are allocated before the draw's arrays: on glibc's
+    # heap that leaves the holes of the previous check's draw to this one's
+    # (peak RSS of the short-horizon pass 0.6 MB lower, on a 2-vCPU host)
+    terminal = np.ones((2, cfg.n_particles))
+    rows = _centred_rows(standard_normals(seed, (cfg.n_particles, cfg.n_time), "repr-increments"), cfg.n_time)
+    unit = np.arange(cfg.n_time + 1.0)
+    w = _paths(rows, unit)
+    terminal[1] = w[-1]
+    return _moments(unit, unit, w, rows, terminal, cfg.basis_degree)
+
+
+def _sub_grid_moments(table: _Moments, grid_s, grid_t, y: np.ndarray, z: np.ndarray) -> _Moments:
+    """The moments of the table's draw on a sub-grid ``grid_s`` of equal
+    steps h, with the K terminal rows y + z W_N, read off the table by
+    Brownian scaling (W_i = sqrt(h) w~_i): the normal matrices, the sums and
+    the A and C fits are the table's, the M fits and the sums of x**k dW are
+    its times sqrt(h), and a row's terminal fits are y fit(1) + z sqrt(h)
+    fit(w~_N).  The grid, its times and its scales are the sub-grid's own;
+    the paths and the divisors of the basis states are the table's.  A
+    table has at least two steps (``SolverConfig``), so the sweep's one-step
+    branch, which reads the paths as W, never reads a table's."""
+    W = table.degree + 1
+    root = math.sqrt((grid_s[-1] - grid_s[0]) / (len(grid_s) - 1))
+    mix = np.stack([y, z * root], axis=1)  # (K, 2): the weights of the terminal rows 1 and w~_N
+    fits = np.concatenate(
+        [table.fits[:, :, : 2 * W], table.fits[:, :, 2 * W : 3 * W] * root, table.fits[:, :, 3 * W :] @ mix.T],
+        axis=2,
+    )
+    return _Moments(
+        grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=_basis_scales(grid_s), degree=table.degree,
+        w=table.w, state_scales=table.scales, terminal=mix @ table.terminal, grams=table.grams, fits=fits,
+        sums=table.sums, dw_sums=table.dw_sums * root, gram_cond_max=table.gram_cond_max,
+    )
 
 
 def representation_solve_stack(
@@ -705,12 +765,12 @@ def representation_solve_stack(
     t: float,
     eps: float,
     cfg: SolverConfig,
-    draw: np.ndarray,
+    table: _Moments,
 ) -> list[RepresentationValue]:
     """Solve each (scenario, y, z) of ``starts`` on [V_t, V_{t+eps}] with
     terminal y + z * (W_{V_{t+eps}} - W_{V_t}), as one stack on the check's
-    draw (``short_horizon_draw``), whose unscaled rows the solve reads with
-    its own steps and leaves as they are.
+    moment table (``short_horizon_draw``), whose moments the solve reads on
+    its own sub-grid (``_sub_grid_moments``) and leaves as they are.
 
     Every particle starts from the same (y, z) at time t, and regressions
     run on the Brownian increment from V_t (the Markov state of this
@@ -721,20 +781,21 @@ def representation_solve_stack(
     scns = [scn for scn, _, _ in starts]
     for scn in scns:
         _require_x_free(scn)
-    shape = (cfg.n_time, cfg.n_particles)
-    if draw.shape != shape:
-        raise ValueError(f"the draw must have the shape (n_time, n_particles) {shape}; got {draw.shape}")
+    shape = (cfg.n_time, cfg.n_particles, cfg.basis_degree)
+    got = (len(table.grid_s) - 1, table.w.shape[1], table.degree)
+    if got != shape:
+        raise ValueError(f"the table must have the (n_time, n_particles, basis_degree) {shape} of the config; got {got}")
     if not (0.0 <= t and eps > 0.0 and t + eps <= clock.T + 1e-12):
         raise ValueError("need 0 <= t < t + eps <= T")
     grid_s = _short_horizon_grid(clock, t, eps, cfg.n_time)
-    _check_step(scns, grid_s)
-    grid_t_sub = np.asarray(clock.invert(grid_s))
-
-    def terminal(w_end):
-        return [y + z * w_end for _, y, z in starts]
-
+    margins = _check_step(scns, grid_s)
+    y, z = np.array([start[1:] for start in starts], dtype=float).T
     gens = [scn.generator for scn in scns]
-    mom, out = _solve_on_grid(gens, terminal, grid_s, grid_t_sub, cfg, draw)
+    # an overflowing solve is reported once, by the finiteness check after
+    # the sweep, not by numpy warnings along the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom = _sub_grid_moments(table, grid_s, clock.invert(grid_s), y, z)
+        out = _backward_pass(gens, mom)
     candidates = _candidates(gens, mom, out)
     n = cfg.n_particles
     return [
@@ -742,6 +803,7 @@ def representation_solve_stack(
             value=float(out.mean_y[k, 0]),
             std_error=float(np.std(candidates[k]) / math.sqrt(n)),
             n_particles=n,
+            step_lipschitz=float(margins[k]),
         )
         for k in range(len(scns))
     ]
@@ -758,5 +820,5 @@ def representation_solve(
     seed: int,
 ) -> RepresentationValue:
     """Solve on [V_t, V_{t+eps}] with terminal y + z * (W_{V_{t+eps}} - W_{V_t}):
-    ``representation_solve_stack`` of one row, on a draw of its own."""
+    ``representation_solve_stack`` of one row, on a table of its own."""
     return representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, short_horizon_draw(cfg, seed))[0]

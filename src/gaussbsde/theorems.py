@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drivers import GaussianDriverSpec, VarianceClock, _particle_blocks, build_clock, sample_paths
+from .drivers import GaussianDriverSpec, VarianceClock, _particle_blocks, build_clock, covariance, sample_paths
 from .errors import (
     HypothesisUnobserved,
     HypothesisUnsatisfied,
@@ -261,8 +261,9 @@ def representation_limit_check(
 
     Asserts |A - B| decreasing (the proof-level quantity) and the final
     closeness of A to the generator value.  Every eps is solved on the
-    check's one draw.  The solves refuse a generator that reads the state
-    (c1 != 0).
+    check's one moment table, whose largest normal-matrix condition the
+    report gives with the largest step margin max ds * L_f of its solves.
+    The solves refuse a generator that reads the state (c1 != 0).
     """
     _require_clock_differentiable(scn.driver, t)
     eps_list = [float(e) for e in eps_list]
@@ -273,10 +274,11 @@ def representation_limit_check(
     frozen = LawFeatures(mean_x=0.0, mean_y=y, mean_z=z)
     f_target = eval_generator(scn.generator, t, 0.0, y, z, frozen)
 
-    draw = short_horizon_draw(cfg, derived_seed(seed, "repr"))
-    a_vals, b_vals, gaps, ses = [], [], [], []
+    table = short_horizon_draw(cfg, derived_seed(seed, "repr"))
+    a_vals, b_vals, gaps, ses, margins = [], [], [], [], []
     for eps in eps_list:
-        [rep] = representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, draw)
+        [rep] = representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, table)
+        margins.append(rep.step_lipschitz)
         a_vals.append((rep.value - y) / eps)
         b_vals.append(_integrate_f_dv(scn, clock, t, t + eps, y, z) / eps)
         gaps.append(abs(a_vals[-1] - b_vals[-1]))
@@ -303,6 +305,8 @@ def representation_limit_check(
             "f_at_frozen_law": f_target,
             "final_error": abs(a_vals[-1] - f_target),
             "gap_decreasing": decreasing,
+            "gram_cond_max": table.gram_cond_max,
+            "step_lipschitz": max(margins),
         },
         tolerances={"final_error": final_tol},
         std_errors={"A": ses},
@@ -328,19 +332,20 @@ def converse_comparison_check(
     Raises HypothesisUnobserved (with the partial report attached) when the
     solution ordering fails at some probe.  The probes at one time are one
     stack, with the rows (scn1, y, z) and (scn2, y, z) of each, and every
-    stack reads the check's one draw.  The solves refuse a generator that
-    reads the state (c1 != 0).
+    stack reads the check's one moment table; the report gives its largest
+    normal-matrix condition and the largest step margin max ds * L_f of the
+    stacks.  The solves refuse a generator that reads the state (c1 != 0).
     """
     _require_same_driver(scn1, scn2)
     for t, _, _ in probe_grid:
         _require_clock_differentiable(scn1.driver, t)
     clock = _short_horizon_clock(scn1.driver, cfg.n_time)
-    draw = short_horizon_draw(cfg, derived_seed(seed, "converse"))
+    table = short_horizon_draw(cfg, derived_seed(seed, "converse"))
     solved = {}  # probe index -> (scn1's value, scn2's value)
     for time in dict.fromkeys(t for t, _, _ in probe_grid):
         group = [k for k, (t, _, _) in enumerate(probe_grid) if t == time]
         starts = [(scn, *probe_grid[k][1:]) for k in group for scn in (scn1, scn2)]
-        values = representation_solve_stack(starts, clock, time, eps, cfg, draw)
+        values = representation_solve_stack(starts, clock, time, eps, cfg, table)
         solved.update((k, values[2 * j : 2 * j + 2]) for j, k in enumerate(group))
 
     rows = []
@@ -368,7 +373,13 @@ def converse_comparison_check(
         theorem="converse_comparison",
         scenario_digest=scenario_digest(scn1, scn2),
         passed=(f_ordered if ordering_ok else None),
-        measurements={"probes": rows, "y_ordering_observed": ordering_ok, "f_ordered": f_ordered},
+        measurements={
+            "probes": rows,
+            "y_ordering_observed": ordering_ok,
+            "f_ordered": f_ordered,
+            "gram_cond_max": table.gram_cond_max,
+            "step_lipschitz": max(rep.step_lipschitz for pair in solved.values() for rep in pair),
+        },
         tolerances={"f_margin": -1e-9},
         seed=seed,
     )
@@ -476,14 +487,29 @@ def transport_constants(l_g: float, l_f: float, clock: VarianceClock, t: float) 
     return 2.0 * base ** 2 * growth, 2.0 * clock.V_T * base ** 2 * growth
 
 
+def _family_clock(driver: GaussianDriverSpec, t: float) -> VarianceClock:
+    """The clock the Gaussian family reads V_t and V_T off.  For a brownian
+    or fbm driver its nodes are 0, t and T, at the driver's exact variances,
+    so V_t is exact: a chord of a coarser table is not, where V is curved
+    (fbm at small t).  A t at an end, or whose variance rounds
+    to an end's, is not a node.  A custom driver's clock is its table."""
+    if driver.kind == "custom":
+        return build_clock(driver, 2)  # the node count is the table's
+    grid_t = np.array([0.0, t, driver.T])
+    grid_V = covariance(driver, grid_t, grid_t)
+    if not grid_V[0] < grid_V[1] < grid_V[2]:
+        grid_t, grid_V = grid_t[::2], grid_V[::2]
+    return VarianceClock(grid_t=grid_t, grid_V=grid_V)
+
+
 def _gaussian_family(scn: ScenarioSpec, t: float):
     """(clock, law, C_Tr, C_LS) of the T2 and LSI checks: the closed-form
     marginal law of Y_t for law-free affine scenarios, and the constants at
-    the scenario's symbolic Lipschitz constants.  V_t is read from a fixed
-    clock table of 64 steps.  A value past the float range raises
+    the scenario's symbolic Lipschitz constants, with V_t and V_T read off
+    ``_family_clock``.  A value past the float range raises
     ``NonFiniteSolution``."""
     _require_gaussian_family(scn)
-    clock = build_clock(scn.driver, 65)
+    clock = _family_clock(scn.driver, t)
     gen, term = scn.generator, scn.terminal
     with _overflow_named(f"the Gaussian family at t {float(t)!r}"):
         v_t = clock.value(t)

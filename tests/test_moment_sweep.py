@@ -35,6 +35,7 @@ from test_solver import _pairs, _state_free
 
 BROWNIAN = GaussianDriverSpec.brownian(1.0)
 FBM03 = GaussianDriverSpec.fbm(0.3, 1.0)
+FBM07 = GaussianDriverSpec.fbm(0.7, 1.0)
 TOL = 1e-12
 ORACLE_TOL = 1e-13  # the oracle's stop: the sup change of the node means of Y and Z
 ORACLE_MAX_SWEEPS = 200
@@ -274,6 +275,40 @@ def test_random_stacks_match_particle_sweep(scns, driver, degree, n_steps, seed)
     # reads its grid off the clock, not n_time, which must be at least 2
     cfg = SolverConfig(n_time=max(n_steps, 2), n_particles=500, basis_degree=degree)
     auxiliary(scns, n_steps + 1, cfg, seed=seed, driver=driver)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    scns=st.lists(scenarios(), min_size=1, max_size=3),
+    driver=st.sampled_from([BROWNIAN, FBM03, FBM07]),
+    degree=st.integers(1, 4),
+    n_time=st.integers(2, 16),
+    t=st.sampled_from([0.0, 0.25, 0.6]),
+    eps=st.sampled_from([0.02, 0.1]),
+    starts=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_sub_grid_of_the_table_is_the_solve_on_its_own_paths(scns, driver, degree, n_time, t, eps, starts, seed):
+    # a short-horizon sub-grid read off the check's unit-step table, against
+    # the solve that builds the sub-grid's own paths and moments from the
+    # same centred rows
+    scns = _state_free(scns)
+    cfg = SolverConfig(n_time=n_time, n_particles=500, basis_degree=degree)
+    clock = build_clock(driver, 257)
+    grid_s = solver._short_horizon_grid(clock, t, eps, n_time)
+    grid_t = clock.invert(grid_s)
+    gens = [scn.generator for scn in scns]
+    y, z = np.array(starts[: len(scns)]).T
+    rows = solver._centred_rows(standard_normals(seed, (cfg.n_particles, n_time), "repr-increments"), n_time)
+    own, own_out = solver._solve_on_grid(gens, lambda w_end: [a + b * w_end for a, b in zip(y, z)], grid_s, grid_t, cfg, rows)
+    table = solver.short_horizon_draw(cfg, seed)
+    mom = solver._sub_grid_moments(table, grid_s, grid_t, y, z)
+    out = solver._backward_pass(gens, mom)
+    for name in ("u", "v", "yc", "beta", "mean_y", "mean_z", "step0"):
+        np.testing.assert_allclose(getattr(out, name), getattr(own_out, name), rtol=0, atol=TOL)
+    np.testing.assert_allclose(solver._candidates(gens, mom, out), solver._candidates(gens, own, own_out), rtol=0, atol=TOL)
+    values = solver.representation_solve_stack(list(zip(scns, y, z)), clock, t, eps, cfg, table)
+    np.testing.assert_allclose([v.value for v in values], own_out.mean_y[:, 0], rtol=0, atol=TOL)
 
 
 def test_law_free_stack_keeps_no_particle_matrix():

@@ -383,25 +383,42 @@ class TestStackedSolves:
 
 
 class TestSharedDraw:
-    """The solves of a short-horizon check read its one draw, whatever their
-    sub-grids, and leave it as it is."""
+    """The solves of a short-horizon check read its one moment table,
+    whatever their sub-grids, and leave it as it is."""
 
     def test_sub_grids_read_the_draw_unchanged(self):
-        # sub-grid a, then b, then a again: a's values bit for bit
+        # sub-grid a, then b, then a again: a's values bit for bit, and the
+        # table's arrays as they were built
         clock = build_clock(BROWNIAN, 65)
         cfg = SolverConfig(n_time=8, n_particles=2000)
-        draw = short_horizon_draw(cfg, 9)
-        drawn = draw.copy()
+        table = short_horizon_draw(cfg, 9)
+        names = ("w", "state_scales", "terminal", "grams", "fits", "sums", "dw_sums")
+        built = {name: getattr(table, name).copy() for name in names}
         tanh = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
         starts = [(mean_field_scenario(BROWNIAN), 1.0, 0.5), (tanh, -0.5, 0.2)]
-        first = representation_solve_stack(starts, clock, 0.25, 0.2, cfg, draw)
-        representation_solve_stack(starts, clock, 0.5, 0.05, cfg, draw)
-        assert representation_solve_stack(starts, clock, 0.25, 0.2, cfg, draw) == first
-        assert np.array_equal(draw, drawn)
-        # a draw of another shape is refused, not read as one of this solve's
-        for other in (SolverConfig(n_time=16, n_particles=2000), SolverConfig(n_time=8, n_particles=1000)):
-            with pytest.raises(ValueError, match="draw"):
-                representation_solve_stack(starts, clock, 0.25, 0.2, cfg, short_horizon_draw(other, 9))
+        first = representation_solve_stack(starts, clock, 0.25, 0.2, cfg, table)
+        representation_solve_stack(starts, clock, 0.5, 0.05, cfg, table)
+        assert representation_solve_stack(starts, clock, 0.25, 0.2, cfg, table) == first
+        for name in names:
+            assert np.array_equal(getattr(table, name), built[name])
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            SolverConfig(n_time=16, n_particles=2000),
+            SolverConfig(n_time=8, n_particles=1000),
+            SolverConfig(n_time=8, n_particles=2000, basis_degree=3),
+        ],
+    )
+    def test_a_table_of_another_config_is_refused(self, other):
+        # a table of another n_time, n_particles or basis_degree is not read
+        # as one of this solve's
+        cfg = SolverConfig(n_time=8, n_particles=2000)
+        with pytest.raises(ValueError, match="table"):
+            representation_solve_stack(
+                [(mean_field_scenario(BROWNIAN), 1.0, 0.5)], build_clock(BROWNIAN, 65), 0.25, 0.2, cfg,
+                short_horizon_draw(other, 9),
+            )
 
     def test_a_solve_alone_draws_its_own(self, monkeypatch):
         draws = []

@@ -248,6 +248,19 @@ class TestShortHorizonDraw:
         expected = [(derived_seed(4, tag), (4000, 16), "repr-increments") for tag in ("repr", "converse")]
         assert draws == expected
 
+    def test_one_moment_table_per_check(self, monkeypatch):
+        # every sub-grid of a check reads the check's one table: one _moments
+        # for the three eps of representation, one for the three probe times
+        # of converse
+        built = []
+        moments = solver._moments
+        monkeypatch.setattr(solver, "_moments", lambda *args: built.append(len(args[0])) or moments(*args))
+        scn = contraction_mean_field_scenario(BROWNIAN)
+        representation_limit_check(scn, 0.25, 1.0, 0.5, [0.2, 0.1, 0.05], SMALL, seed=4)
+        assert built == [SMALL.n_time + 1]
+        converse_comparison_check(scn, shift_generator(scn, 0.1), SMALL, TestConverseComparison.PROBES, 0.1, seed=4)
+        assert built == [SMALL.n_time + 1] * 2
+
     @pytest.mark.parametrize("pair", ["mean_field", "tanh"])
     def test_converse_rows_are_the_probe_stacks(self, pair):
         # the probes at one time are one stack on the check's draw; each of
@@ -260,10 +273,10 @@ class TestShortHorizonDraw:
         probes = [(0.4, -1.0, 0.5), (0.1, 0.5, 0.5), (0.4, 0.5, -0.3), (0.4, 2.0, 0.5)]
         rows = converse_comparison_check(scn1, scn2, SMALL, probes, 0.1, seed=21).measurements["probes"]
         clock = theorems._short_horizon_clock(BROWNIAN, SMALL.n_time)
-        draw = short_horizon_draw(SMALL, derived_seed(21, "converse"))
+        table = short_horizon_draw(SMALL, derived_seed(21, "converse"))
         for row, (t, y, z) in zip(rows, probes):
             assert (row["t"], row["y"], row["z"]) == (t, y, z)  # probe_grid order
-            rep1, rep2 = representation_solve_stack([(scn1, y, z), (scn2, y, z)], clock, t, 0.1, SMALL, draw)
+            rep1, rep2 = representation_solve_stack([(scn1, y, z), (scn2, y, z)], clock, t, 0.1, SMALL, table)
             assert row["y_eps_1"] == pytest.approx(rep1.value, rel=0, abs=1e-11)
             assert row["y_eps_2"] == pytest.approx(rep2.value, rel=0, abs=1e-11)
             assert row["mc_tol"] == pytest.approx(3.0 * (rep1.std_error + rep2.std_error), rel=0, abs=1e-11)
@@ -429,6 +442,16 @@ class TestGaussianFamilyChecks:
         # sigma^2 = 0 at t = 0 or with b = 0: no relative entropy is finite
         with pytest.raises(HypothesisUnsatisfied, match="Dirac law"):
             t2_check(gaussian_scenario(BROWNIAN, lam=lam), t, [0.0, 1.0], seed=25)
+
+    @pytest.mark.parametrize("check, values", [(t2_check, [0.5]), (lsi_check, [0.5])])
+    def test_family_reads_the_exact_variance(self, check, values):
+        # fbm H = 0.3 at t = 0.003: V_t = t^0.6, where the chord of a 64-step
+        # clock table read 48% below it
+        b, c2, t = 1.5, 0.4, 0.003
+        scn = ScenarioSpec(TerminalSpec(a=0.2, b=b), GeneratorSpec(c0=0.1, c2=c2), GaussianDriverSpec.fbm(0.3, 1.0))
+        v_t = t ** 0.6
+        sigma_sq = check(scn, t, values, seed=30).measurements["sigma_sq"]
+        assert sigma_sq == pytest.approx(b ** 2 * np.exp(2.0 * c2 * (1.0 - v_t)) * v_t, rel=1e-12, abs=0.0)
 
     def test_t2_rejects_non_gaussian_family(self):
         scn = mean_field_scenario(BROWNIAN)
