@@ -83,10 +83,12 @@ and solves K scenarios on them as a stack, in one sweep; a short-horizon
 solve reads its moments off its check's table (below).  A single solve is
 the stack of one; the paired checks (comparison, converse, stability) solve
 both scenarios of a pair as one stack, on common random numbers.  A grid
-and its refinement (comparison and stability) share the draw of the finest
-grid, of which a grid of N steps reads the first n N normals: its own
-draw's.  Particle arrays stream through cache-sized blocks
-(``drivers._particle_blocks``).
+and its refinement (comparison and stability) share the time-major draw of
+the finest grid, one row per step.  A grid of N steps reads its first N
+rows, which are its own draw's, in reverse: a coarse step i meets the fine
+grid's step N + i, the same particle's normals of the fine grid's second
+half.  ``SolutionField.on_paths`` streams through cache-sized blocks of
+particles (``drivers._particle_blocks``).
 
 One moment table per short-horizon draw.  A short-horizon check solves on
 sub-grids [V_t, V_{t+eps}] of N = n_time equal steps h, all on one draw.
@@ -541,21 +543,18 @@ def _centred_rows(normals: np.ndarray, n_steps: int) -> np.ndarray:
     """(n_steps, n) centred standard normals, time-major: row i holds every
     particle's normal for step i, and a grid's increments from s_i to
     s_{i+1} are row i times sqrt(s_{i+1} - s_i), scaled as ``_paths`` and
-    ``_moments`` read them, which never write them.  They are read from the first
-    n n_steps values of the (n, N_max) draw ``normals`` as an (n, n_steps)
-    array: a generator fills a draw in C order, so these are the normals
-    an (n, n_steps) draw of the same stream gives.  The centring and the
-    transposition run one cache-sized block of particles at a time.  A grid
-    that reads the whole draw centres it in place, so it must be the draw's
-    last reader; a coarser grid leaves the draw as it is."""
-    n = normals.shape[0]
-    z = normals.reshape(-1)[: n * n_steps].reshape(n, n_steps)
-    mean = z.mean(axis=0)  # exact zero-mean increments
-    in_place = n_steps == normals.shape[1]
-    rows = np.empty((n_steps, n))
-    for block in _particle_blocks(n, n_steps):
-        rows[:, block] = np.subtract(z[block], mean, out=z[block] if in_place else None).T
-    return rows
+    ``_moments`` read them, which never write them.  They are the first
+    n_steps rows of the (N_max, n) draw ``normals``, each centred over the
+    particles and read in reverse: step i reads row n_steps - 1 - i.  A
+    generator fills a draw in C order, so these rows are an (n_steps, n)
+    draw of the same stream, and a coarse grid of N steps on a draw of 2N
+    meets, at its step i, the normals of the fine grid's step N + i.  A grid
+    that reads the whole draw centres it in place and returns a view of it,
+    so it must be the draw's last reader; a coarser grid leaves the draw as
+    it is."""
+    z = normals[:n_steps]
+    mean = z.mean(axis=1, keepdims=True)  # exact zero-mean increments
+    return np.subtract(z, mean, out=z if n_steps == len(normals) else None)[::-1]
 
 
 def _paths(rows: np.ndarray, grid_s) -> np.ndarray:
@@ -612,11 +611,14 @@ def solve_auxiliary_stack(
     rows, paths and moments are released before the next grid's are built.
 
     The scenarios share one draw (common random numbers), and so do the
-    clocks: the normals of the finest grid are drawn once, and a grid of N
-    steps reads the first n N of them, which are the normals of its own
-    draw.  A coarse grid's increments are not sums of a fine grid's,
-    so the grids are not coupled.  The step guard runs on every grid, with
-    each generator's symbolic constant, before the draw.
+    clocks: the (N_max, n) normals of the finest grid are drawn once, one
+    row per step, and a grid of N steps reads the first N rows, which are
+    the normals of its own draw, in reverse (``_centred_rows``).  So a
+    coarse grid of N steps meets, at its step i, the fine grid's step
+    N + i: the same particle's normals of the fine grid's second half.  The
+    finest grid, which comes last, centres the draw in place.  The step
+    guard runs on every grid, with each generator's symbolic constant,
+    before the draw.
 
     The time grids are taken from the clocks (their images of [0, T]);
     ``cfg.n_time`` governs clock construction in the orchestration layer, not
@@ -631,15 +633,13 @@ def solve_auxiliary_stack(
     def terminal(w_end):
         return [terminal_on_paths(scn.terminal, w_end) for scn in scns]
 
-    normals = standard_normals(seed, (cfg.n_particles, steps[-1]), "solver-increments")
+    normals = standard_normals(seed, (steps[-1], cfg.n_particles), "solver-increments")
     fields = []
     for clock, n_steps, margin in zip(clocks, steps, margins):
         # the previous grid's rows, paths and moments, released before this
         # grid's rows are built
         mom = rows = None
         rows = _centred_rows(normals, n_steps)
-        if n_steps == steps[-1]:  # the finest grid, solved last, centred the draw in place
-            del normals
         mom, out = _solve_on_grid(gens, terminal, clock.grid_V, clock.grid_t, cfg, rows)
         fields.append([
             SolutionField(
@@ -722,17 +722,13 @@ def short_horizon_draw(cfg: SolverConfig, seed: int) -> _Moments:
     random numbers): the moments of the draw's centred rows
     (``_centred_rows``) on the unit-step clock 0, 1, .., ``cfg.n_time``, whose
     paths are the rows' partial sums w~_i, with the two terminal rows 1 and
-    w~_N.  The rows are released once the table is built; the table keeps
-    the paths, from which the sweep reads each node's basis state."""
-    # the terminal rows are allocated before the draw's arrays: on glibc's
-    # heap that leaves the holes of the previous check's draw to this one's
-    # (peak RSS of the short-horizon pass 0.6 MB lower, on a 2-vCPU host)
-    terminal = np.ones((2, cfg.n_particles))
-    rows = _centred_rows(standard_normals(seed, (cfg.n_particles, cfg.n_time), "repr-increments"), cfg.n_time)
+    w~_N.  The draw is centred in place, so the rows are the draw itself,
+    released once the table is built; the table keeps the paths, from which
+    the sweep reads each node's basis state."""
+    rows = _centred_rows(standard_normals(seed, (cfg.n_time, cfg.n_particles), "repr-increments"), cfg.n_time)
     unit = np.arange(cfg.n_time + 1.0)
     w = _paths(rows, unit)
-    terminal[1] = w[-1]
-    return _moments(unit, unit, w, rows, terminal, cfg.basis_degree)
+    return _moments(unit, unit, w, rows, np.stack([np.ones_like(w[-1]), w[-1]]), cfg.basis_degree)
 
 
 def _sub_grid_moments(table: _Moments, grid_s, grid_t, y: np.ndarray, z: np.ndarray) -> _Moments:

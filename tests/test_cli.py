@@ -674,13 +674,13 @@ class TestCliRun:
             # so any change of summation order moves their sixth digit
             (
                 [0.0],
-                '{"delta":2.02334815569e-10,"max_violation_fraction":0,'
-                '"scheme_error_estimate":6.7444938523e-11,"t_list":[0],"violation_fraction":[0]}',
+                '{"delta":1.99247951471e-10,"max_violation_fraction":0,'
+                '"scheme_error_estimate":6.64159838237e-11,"t_list":[0],"violation_fraction":[0]}',
             ),
             (
                 [1.0, 0.5],
-                '{"delta":0.260973742884,"max_violation_fraction":0,'
-                '"scheme_error_estimate":0.0869912476279,"t_list":[1,0.5],"violation_fraction":[0,0]}',
+                '{"delta":0.00544183717851,"max_violation_fraction":0,'
+                '"scheme_error_estimate":0.00181394572617,"t_list":[1,0.5],"violation_fraction":[0,0]}',
             ),
         ],
     )

@@ -135,7 +135,7 @@ def both_sweeps(gens, grid_s, grid_t, terminal, cfg, seed):
     """(moment stack, moments, particle reference) of one stack solve.  The
     reference evaluates f at the particles' states x = w, so its c1 x term is
     a particle row, not a basis coefficient."""
-    rows = solver._centred_rows(standard_normals(seed, (cfg.n_particles, len(grid_s) - 1), "oracle"), len(grid_s) - 1)
+    rows = solver._centred_rows(standard_normals(seed, (len(grid_s) - 1, cfg.n_particles), "oracle"), len(grid_s) - 1)
     mom, out = solver._solve_on_grid(gens, terminal, grid_s, grid_t, cfg, rows)
     w = solver._paths(rows, grid_s)
     dw = rows * np.sqrt(np.diff(grid_s))[:, None]
@@ -299,7 +299,7 @@ def test_sub_grid_of_the_table_is_the_solve_on_its_own_paths(scns, driver, degre
     grid_t = clock.invert(grid_s)
     gens = [scn.generator for scn in scns]
     y, z = np.array(starts[: len(scns)]).T
-    rows = solver._centred_rows(standard_normals(seed, (cfg.n_particles, n_time), "repr-increments"), n_time)
+    rows = solver._centred_rows(standard_normals(seed, (n_time, cfg.n_particles), "repr-increments"), n_time)
     own, own_out = solver._solve_on_grid(gens, lambda w_end: [a + b * w_end for a, b in zip(y, z)], grid_s, grid_t, cfg, rows)
     table = solver.short_horizon_draw(cfg, seed)
     mom = solver._sub_grid_moments(table, grid_s, grid_t, y, z)
@@ -336,7 +336,7 @@ def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
     # particle blocks
     monkeypatch.setattr(solver, "_PARTICLE_BLOCK", 768)
     grid_s = build_clock(BROWNIAN, n_steps + 1).grid_V
-    rows = solver._centred_rows(standard_normals(7, (2000, n_steps), "nodes"), n_steps)
+    rows = solver._centred_rows(standard_normals(7, (n_steps, 2000), "nodes"), n_steps)
     w = solver._paths(rows, grid_s)
     dw = rows * np.sqrt(np.diff(grid_s))[:, None]
     terminal = np.array([1.0 + w[-1], np.sin(w[-1])])

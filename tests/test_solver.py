@@ -196,8 +196,8 @@ class TestSolveOracles:
         field, _ = solve_auxiliary(
             mean_field_scenario(BROWNIAN), build_clock(BROWNIAN, 17), SolverConfig(n_time=16, n_particles=2000), seed=1
         )
-        np.testing.assert_allclose(field.u_coeffs[0], [1.3537088990822699, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(field.v_coeffs[0], [1.0001934232168568, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(field.u_coeffs[0], [1.3537088990823352, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(field.v_coeffs[0], [0.9993479870302637, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
 
     def test_strong_law_coupling_in_one_sweep(self):
         # f = 3 E[Y]: each node's mean Y is the next node's over 1 - 3 ds,
@@ -427,7 +427,7 @@ class TestSharedDraw:
         cfg = SolverConfig(n_time=8, n_particles=2000)
         clock = build_clock(BROWNIAN, 33)
         alone = representation_solve(mean_field_scenario(BROWNIAN), clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
-        assert [(shape, tags) for _, shape, *tags in draws] == [((2000, 8), ["repr-increments"])]
+        assert [(shape, tags) for _, shape, *tags in draws] == [((8, 2000), ["repr-increments"])]
         [stacked] = representation_solve_stack(
             [(mean_field_scenario(BROWNIAN), 1.0, 0.5)], clock, 0.25, 0.1, cfg, short_horizon_draw(cfg, 3)
         )
@@ -435,12 +435,15 @@ class TestSharedDraw:
 
 
 class TestRefinedDraw:
-    """The grids of a refinement read prefixes of one draw: each grid gets
-    the normals a draw of its own would give."""
+    """The grids of a refinement read the first rows of one time-major
+    draw: each grid gets the normals a draw of its own would give, and
+    reads them in reverse, so a coarse step i meets the fine grid's step
+    N + i."""
 
     @pytest.mark.parametrize("n, n_steps", [(8000, 32), (16000, 16), (8000, 100)])
     def test_stream_fills_a_draw_in_c_order(self, n, n_steps):
-        # the first n N normals of an (n, 2N) draw are the (n, N) draw of the same stream
+        # a draw's first values are a smaller draw of the same stream: so the
+        # first N rows of a (2N, n) draw are the (N, n) draw of a grid alone
         fine = standard_normals(5, (n, 2 * n_steps), "prefix")
         coarse = standard_normals(5, (n, n_steps), "prefix")
         assert np.array_equal(fine.reshape(-1)[: n * n_steps].reshape(n, n_steps), coarse)
@@ -471,7 +474,7 @@ class TestRefinedDraw:
         scns = [linear_scenario(BROWNIAN, beta=3.0), identity_scenario(BROWNIAN)]
         cfg = SolverConfig(n_time=8, n_particles=2000)
         solve_auxiliary_stack(scns, [build_clock(BROWNIAN, 9), build_clock(BROWNIAN, 17)], cfg, seed=1)
-        assert [args[1] for args in draws] == [(2000, 16)]
+        assert [args[1] for args in draws] == [(16, 2000)]
         # L_f = 3: a step of 1/4 fails the guard on either grid, before any draw
         draws.clear()
         uneven = np.concatenate([[0.0], 0.25 + np.linspace(0.0, 0.75, 16)])  # 16 steps, the first 1/4
@@ -488,24 +491,26 @@ class TestRefinedDraw:
             with pytest.raises(ValueError, match="increasing step counts"):
                 solve_auxiliary_stack(scns, clocks, cfg, seed=1)
 
-    def test_blocked_increments_are_the_one_shot_formula(self, monkeypatch):
-        # 2000 particles in blocks of 100 // 16 = 6 and 100 // 32 = 3: the
-        # last block holds 2
-        monkeypatch.setattr(drivers, "_BLOCK_ELEMENTS", 100)
-        normals = standard_normals(3, (2000, 32), "blocks")
+    def test_rows_are_the_draw_reversed_and_centred(self):
+        normals = standard_normals(3, (32, 2000), "layout")
         drawn = normals.copy()
-        for n_steps in (16, 32):  # the grid reading the whole draw comes last
+        coarse = solver._centred_rows(normals, 16)
+        assert np.array_equal(normals, drawn)  # a coarse grid leaves the draw as it is
+        fine = solver._centred_rows(normals, 32)  # the grid reading the whole draw comes last
+        assert np.shares_memory(fine, normals)  # centred in place, with no second array
+        for n_steps, rows in ((16, coarse), (32, fine)):
+            assert rows.shape == (n_steps, 2000)
+            for i, row in enumerate(rows):
+                assert row.flags.c_contiguous
+                assert np.array_equal(row, drawn[n_steps - 1 - i] - drawn[n_steps - 1 - i].mean())
+            # read with the grid's steps, they are the increments of the paths
             grid_s = np.sort(np.random.default_rng(n_steps).uniform(0.0, 1.0, n_steps + 1))
             grid_s[0] = 0.0
-            z = standard_normals(3, (2000, n_steps), "blocks")
-            z -= z.mean(axis=0)
-            rows = solver._centred_rows(normals, n_steps)
-            assert rows.flags.c_contiguous and np.array_equal(rows, z.T)
-            # read with the grid's steps, they are the one-shot increments
-            expected = np.multiply(z.T, np.sqrt(np.diff(grid_s))[:, None], order="C")
-            assert np.array_equal(solver._paths(rows, grid_s)[1:], np.cumsum(expected, axis=0))
-            if n_steps == 16:  # a prefix leaves the draw as it is
-                assert np.array_equal(normals, drawn)
+            increments = np.multiply(rows, np.sqrt(np.diff(grid_s))[:, None], order="C")
+            assert np.array_equal(solver._paths(rows, grid_s)[1:], np.cumsum(increments, axis=0))
+        # the coarse grid's step i meets the fine grid's step 16 + i: the
+        # same particle's second-half normals
+        assert np.array_equal(coarse, fine[16:])
 
     def test_blocked_on_paths_is_the_one_shot_formula(self, monkeypatch):
         scn = ScenarioSpec(TerminalSpec(b=2.0, phi="sin", c=1.0), GeneratorSpec(c2=0.3, kappa_y=0.2), BROWNIAN)

@@ -108,13 +108,14 @@ class TestComparison:
         assert len(calls) == 12
 
     def test_one_draw_for_both_grids(self, monkeypatch):
-        # the coarse grid reads the first n N normals of the refined grid's draw
+        # the coarse grid reads the first N rows of the refined grid's (2N, n)
+        # draw, in reverse: its step i meets the fine grid's step N + i
         draws = []
         draw = solver.standard_normals
         monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
         scn = mean_field_scenario(BROWNIAN)
         comparison_check(scn, shift_terminal(scn, 1.0), SMALL, [0.0, 0.5, 1.0], seed=3)
-        assert [(shape, tags) for _, shape, *tags in draws] == [((4000, 32), ["solver-increments"])]
+        assert [(shape, tags) for _, shape, *tags in draws] == [((32, 4000), ["solver-increments"])]
 
     def test_refuses_z_law_dependence(self):
         scn1 = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(kappa_z=0.5), BROWNIAN)
@@ -245,7 +246,7 @@ class TestShortHorizonDraw:
         scn = contraction_mean_field_scenario(BROWNIAN)
         representation_limit_check(scn, 0.25, 1.0, 0.5, [0.2, 0.1, 0.05], SMALL, seed=4)
         converse_comparison_check(scn, shift_generator(scn, 0.1), SMALL, TestConverseComparison.PROBES * 2, 0.1, seed=4)
-        expected = [(derived_seed(4, tag), (4000, 16), "repr-increments") for tag in ("repr", "converse")]
+        expected = [(derived_seed(4, tag), (16, 4000), "repr-increments") for tag in ("repr", "converse")]
         assert draws == expected
 
     def test_one_moment_table_per_check(self, monkeypatch):
@@ -359,7 +360,7 @@ class TestStability:
         monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
         scn = linear_scenario(BROWNIAN, 0.5)
         stability_check(scn, shift_terminal(scn, 0.5), SMALL, seed=19)
-        assert [(shape, tags) for _, shape, *tags in draws] == [((4000, 32), ["solver-increments"])]
+        assert [(shape, tags) for _, shape, *tags in draws] == [((32, 4000), ["solver-increments"])]
 
     @pytest.mark.parametrize("driver", [BROWNIAN, FBM], ids=["brownian", "fbm"])
     def test_blocked_lhs_is_the_full_array_formula(self, monkeypatch, driver):

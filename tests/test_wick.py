@@ -268,9 +268,9 @@ class TestBsdeResidual:
         stats = bsde_residual(field, scn, sample_paths(FBM07, clock.grid_t, 1000, seed=42))
         np.testing.assert_allclose(
             stats.rms,
-            [0.1168317232549752, 0.11271219061480882, 0.10617025555811797, 0.0988904424273448,
-             0.08924254042305788, 0.07676862994941469, 0.062457698365613594, 0.05305505827081788,
-             0.03298689974722365],
+            [0.1183454824734125, 0.11386174448991192, 0.10674743165816865, 0.09950953654802853,
+             0.08789004362542945, 0.07322753023797186, 0.05861859389793412, 0.04494386673016825,
+             0.021924797456884054],
             rtol=0, atol=1e-12,
         )
 
