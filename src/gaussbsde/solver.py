@@ -83,12 +83,12 @@ and solves K scenarios on them as a stack, in one sweep; a short-horizon
 solve reads its moments off its check's table (below).  A single solve is
 the stack of one; the paired checks (comparison, converse, stability) solve
 both scenarios of a pair as one stack, on common random numbers.  A grid
-and its refinement (comparison and stability) share the time-major draw of
-the finest grid, one row per step.  A grid of N steps reads its first N
-rows, which are its own draw's, in reverse: a coarse step i meets the fine
-grid's step N + i, the same particle's normals of the fine grid's second
-half.  ``SolutionField.on_paths`` streams through cache-sized blocks of
-particles (``drivers._particle_blocks``).
+of N steps and its refinement of 2N (comparison and stability) share the
+time-major draw of the fine grid, one row per step.  A grid of N steps
+reads its first N rows, which are its own draw's, in reverse: a coarse
+step i meets the fine grid's step N + i, the same particle's normals of
+the fine grid's second half.  ``SolutionField.on_paths`` streams through
+cache-sized blocks of particles (``drivers._particle_blocks``).
 
 One moment table per short-horizon draw.  A short-horizon check solves on
 sub-grids [V_t, V_{t+eps}] of N = n_time equal steps h, all on one draw.
@@ -614,8 +614,9 @@ def solve_auxiliary_stack(
     clocks: the (N_max, n) normals of the finest grid are drawn once, one
     row per step, and a grid of N steps reads the first N rows, which are
     the normals of its own draw, in reverse (``_centred_rows``).  So a
-    coarse grid of N steps meets, at its step i, the fine grid's step
-    N + i: the same particle's normals of the fine grid's second half.  The
+    coarse grid of N steps meets, at its step i, the finest grid's step
+    N_max - N + i, the same particle's normals: for a refinement of 2N
+    steps, step N + i, in the fine grid's second half.  The
     finest grid, which comes last, centres the draw in place.  The step
     guard runs on every grid, with each generator's symbolic constant,
     before the draw.

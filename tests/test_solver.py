@@ -282,7 +282,7 @@ class TestSolveOracles:
         grid_s = np.linspace(0.0, 1.0, 3)  # ds = 0.5
 
         def solve(gen):
-            rows = solver._centred_rows(standard_normals(1, (cfg.n_particles, 2), "guard"), 2)
+            rows = solver._centred_rows(standard_normals(1, (2, cfg.n_particles), "guard"), 2)
             return solver._solve_on_grid([gen], lambda w_end: [1.0 + w_end], grid_s, grid_s, cfg, rows)
 
         with pytest.raises(StepTooCoarse, match="kappa_y"):
@@ -437,8 +437,8 @@ class TestSharedDraw:
 class TestRefinedDraw:
     """The grids of a refinement read the first rows of one time-major
     draw: each grid gets the normals a draw of its own would give, and
-    reads them in reverse, so a coarse step i meets the fine grid's step
-    N + i."""
+    reads them in reverse, so a coarse step i of N meets step N + i of a
+    refinement of 2N."""
 
     @pytest.mark.parametrize("n, n_steps", [(8000, 32), (16000, 16), (8000, 100)])
     def test_stream_fills_a_draw_in_c_order(self, n, n_steps):
