@@ -71,17 +71,6 @@ class HypothesisUnsatisfied(GaussBsdeError):
     """A check refused to run because a theorem hypothesis fails on the inputs."""
 
 
-class HypothesisUnobserved(GaussBsdeError):
-    """Observed solutions violate the ordering hypothesis; conclusion not asserted.
-
-    The partial report is attached as the ``report`` attribute.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class UnsupportedScenario(GaussBsdeError):
     """Scenario outside the closed-form family required by the check."""
 

@@ -69,6 +69,7 @@ from .wick import (
 )
 
 _QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)  # of the solution series
+_MARKERS = {True: "PASS", False: "FAIL", None: "N/A"}  # the console's mark of a verdict
 
 
 @dataclass
@@ -79,10 +80,6 @@ class ExperimentOutcome:
     report_paths: list[Path]
     series_paths: list[Path]
     wall_clock_ms: float
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed is not False
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +446,10 @@ def _thread_count() -> int:
 def run_config(cfg: ExperimentConfig, out_root, quiet: bool = False) -> tuple[Path, bool]:
     """Run the configured experiment(s); write manifest.json last.
 
-    Returns (manifest_path, all_passed).  No manifest is written when an
-    experiment raises.
+    Returns (manifest_path, all_passed): all_passed is False when some
+    report's verdict is False, not when it is None.  The manifest, the
+    console and run.log print each verdict as it is.  No manifest is
+    written when an experiment raises.
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -479,7 +478,7 @@ def run_config(cfg: ExperimentConfig, out_root, quiet: bool = False) -> tuple[Pa
             {
                 "name": o.name,
                 "kind": o.kind,
-                "pass": o.passed,
+                "pass": o.report.passed,
                 "reports": sorted(str(p.relative_to(out_root)) for p in o.report_paths),
                 "series": sorted(str(p.relative_to(out_root)) for p in o.series_paths),
                 "wall_clock_ms": None,
@@ -492,16 +491,16 @@ def run_config(cfg: ExperimentConfig, out_root, quiet: bool = False) -> tuple[Pa
     try:
         manifest_path.write_text(canonical_json(manifest) + "\n")
         log_lines = [
-            f"{o.name}: {o.wall_clock_ms:.1f} ms, pass={o.passed}" for o in outcomes
+            f"{o.name}: {o.wall_clock_ms:.1f} ms, pass={o.report.passed}" for o in outcomes
         ]
         log_lines.append(f"total: {(time.perf_counter() - t0) * 1e3:.1f} ms")
         (out_root / "run.log").write_text("\n".join(log_lines) + "\n")
     except OSError as exc:
         raise IoFailure(f"could not write manifest under {out_root}: {exc}") from exc
 
-    all_passed = all(o.passed for o in outcomes)
+    all_passed = all(o.report.passed is not False for o in outcomes)
     if not quiet:
         for o in outcomes:
-            print(f"[{'PASS' if o.passed else 'FAIL'}] {o.name} ({o.wall_clock_ms:.0f} ms)")
+            print(f"[{_MARKERS[o.report.passed]}] {o.name} ({o.wall_clock_ms:.0f} ms)")
         print(f"manifest: {manifest_path}")
     return manifest_path, all_passed

@@ -31,7 +31,7 @@ def canonical_json(obj) -> str:
     """Render with sorted keys and fixed float formatting."""
     if obj is None:
         return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -46,7 +46,7 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         return "[" + ",".join(canonical_json(v) for v in seq) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def digest_payload(payload) -> str:

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drivers import GaussianDriverSpec, VarianceClock, _particle_blocks, build_clock, covariance, sample_paths
-from .errors import (
-    HypothesisUnobserved,
-    HypothesisUnsatisfied,
-    NonFiniteSolution,
-    NonpositiveMass,
-    UnsupportedScenario,
-)
+from .errors import HypothesisUnsatisfied, NonFiniteSolution, NonpositiveMass, UnsupportedScenario
 from .measures import GaussianLaw1D, LawFeatures, entropy_functional, gaussian_kl, gaussian_w2
 from .reporting import digest_payload
 from .rng import derived_seed
@@ -46,12 +40,16 @@ from .solver import (
 _EXACT_TOL = 1e-12
 _REPRESENTATION_REL_TOL = 0.05  # final |A - f| allowed, relative to 1 + |f|
 _Z_BOUND_SLACK = 0.05  # the Z bound's relative slack
+_Z_BAND_SD = 2.3263478740408408  # the 99% quantile of N(0, 1): the Z bound reads the 1%-99% band of W
 _QUADRATURE_TOL = 1e-6  # the LSI entropies' quadrature error, relative to max(1, |entropy|)
 
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Outcome of one check.  ``passed`` is None for report-only runs."""
+    """Outcome of one check.  ``passed`` is the one verdict that reports,
+    the manifest, the console and the exit code print: True or False where
+    the check asserts its conclusion, None where it does not (a report-only
+    run, an unobserved hypothesis).  Any other value is refused."""
 
     theorem: str
     scenario_digest: str
@@ -61,6 +59,10 @@ class TheoremReport:
     tolerances: dict = field(default_factory=dict)
     std_errors: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.passed is not None and type(self.passed) is not bool:
+            raise TypeError(f"{self.theorem}: passed must be True, False or None, not {type(self.passed)!r}")
 
     def payload(self) -> dict:
         return {
@@ -329,12 +331,13 @@ def converse_comparison_check(
     """If the short-horizon solutions are ordered at every probe, the
     generators must be ordered there too; reports both directions.
 
-    Raises HypothesisUnobserved (with the partial report attached) when the
-    solution ordering fails at some probe.  The probes at one time are one
-    stack, with the rows (scn1, y, z) and (scn2, y, z) of each, and every
-    stack reads the check's one moment table; the report gives its largest
-    normal-matrix condition and the largest step margin max ds * L_f of the
-    stacks.  The solves refuse a generator that reads the state (c1 != 0).
+    Where the solution ordering fails at some probe, the conclusion is not
+    asserted: the report's verdict is None, with a note.  The probes at one
+    time are one stack, with the rows (scn1, y, z) and (scn2, y, z) of each,
+    and every stack reads the check's one moment table; the report gives its
+    largest normal-matrix condition and the largest step margin
+    max ds * L_f of the stacks.  The solves refuse a generator that reads
+    the state (c1 != 0).
     """
     _require_same_driver(scn1, scn2)
     for t, _, _ in probe_grid:
@@ -369,7 +372,7 @@ def converse_comparison_check(
         )
 
     f_ordered = all(r["f_margin"] >= -1e-9 for r in rows)
-    report = TheoremReport(
+    return TheoremReport(
         theorem="converse_comparison",
         scenario_digest=scenario_digest(scn1, scn2),
         passed=(f_ordered if ordering_ok else None),
@@ -382,13 +385,8 @@ def converse_comparison_check(
         },
         tolerances={"f_margin": -1e-9},
         seed=seed,
+        notes=() if ordering_ok else ("solution ordering fails at a probe; generator ordering not asserted",),
     )
-    if not ordering_ok:
-        raise HypothesisUnobserved(
-            "solution ordering fails at a probe; generator ordering not asserted",
-            report=report,
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -649,35 +647,36 @@ def lsi_check(scn: ScenarioSpec, t: float, lambda_list, seed: int = 0) -> Theore
 def z_bound_check(field: SolutionField, scn: ScenarioSpec, cloud: ParticleCloud, seed: int = 0) -> TheoremReport:
     """Pathwise bound on the control field on its clock, with the scenario's
     symbolic Lipschitz constants:
-    |Z(s)| <= (1 + slack) * exp(L_f (V_T - s)) (L_g + L_f (V_T - s)), slack 5%."""
+    |Z(s)| <= (1 + slack) * exp(L_f (V_T - s)) (L_g + L_f (V_T - s)), slack 5%.
+
+    At node i the observed |Z| is the largest over the particles inside the
+    1%-99% band of W_i's law, |W_i| <= 2.326 sqrt(s_i - s_0): outside it the
+    fitted polynomial's derivative is an extrapolation.  Node 0, where W is
+    0, keeps every particle."""
     l_f, l_g = scn.generator.lipschitz, scn.terminal.lipschitz
-    grid_s, v_total = field.clock.grid_V, field.clock.V_T
+    grid_s = field.clock.grid_V[: field.n_steps]
     _, z = field.on_paths(cloud.w)
-    margins, observed, bounds = [], [], []
-    ok = True
+    band = _Z_BAND_SD * np.sqrt(grid_s - grid_s[0])
+    inside = np.abs(cloud.w[:, : field.n_steps]) <= band
+    observed = np.max(np.abs(z), axis=0, where=inside, initial=0.0).tolist()
     atol = 1e-8  # absolute floor so a bound of exactly 0 tolerates roundoff
-    for i in range(field.n_steps):
-        lam = v_total - grid_s[i]
-        bound = math.exp(l_f * lam) * (l_g + l_f * lam)
-        obs = float(np.max(np.abs(z[:, i])))
-        margin = (1.0 + _Z_BOUND_SLACK) * bound + atol - obs
-        ok = ok and margin >= 0.0
-        observed.append(obs)
-        bounds.append(bound)
-        margins.append(margin)
+    bounds = [math.exp(l_f * lam) * (l_g + l_f * lam) for lam in (field.clock.V_T - grid_s).tolist()]
+    margins = [(1.0 + _Z_BOUND_SLACK) * bound + atol - obs for bound, obs in zip(bounds, observed)]
     return TheoremReport(
         theorem="z_bound",
         scenario_digest=scenario_digest(scn),
-        passed=ok,
+        passed=min(margins) >= 0.0,
         measurements={
-            "grid_s": [float(v) for v in grid_s[: field.n_steps]],
+            "grid_s": grid_s.tolist(),
             "bound": bounds,
+            "band": band.tolist(),
+            "band_cut_fraction": float(np.mean(~inside)),
             "observed_max": observed,
             "margin": margins,
             "min_margin": min(margins),
             "gram_cond_max": field.gram_cond_max,
             "step_lipschitz": field.step_lipschitz,
         },
-        tolerances={"slack": _Z_BOUND_SLACK},
+        tolerances={"slack": _Z_BOUND_SLACK, "band_sd": _Z_BAND_SD},
         seed=seed,
     )

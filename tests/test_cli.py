@@ -13,7 +13,7 @@ import gaussbsde
 from gaussbsde.cli import main
 from gaussbsde.config import load_config, parse_config_payload
 from gaussbsde.errors import ConfigInvalid, IoFailure, StepTooCoarse
-from gaussbsde.experiments import KINDS, run_config
+from gaussbsde.experiments import KINDS, _suite_entries, run_config
 from gaussbsde.reporting import canonical_json, emit_report, write_series_csv
 from gaussbsde.scenario import GeneratorSpec, TerminalSpec
 from gaussbsde.solver import SolverConfig
@@ -55,6 +55,12 @@ Z_LAW_DEPENDENT = {"terminal": {"b": 1.0}, "generator": {"kappa_z": 0.5}}
 NEGATIVE_COUPLING = {"terminal": {"b": 1.0}, "generator": {"kappa_y": -0.5}}
 REPRESENTATION = {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.2, 0.1]}
 CONVERSE = {"probe_grid": [[0.5, 1.0, 0.5]], "eps": 0.1}
+# small params of every kind, for kind_config
+KIND_PARAMS = {
+    "solve": {}, "wick_validate": {"n_time": 8, "n_paths": 200}, "comparison": {"t_list": [0.5]},
+    "representation": REPRESENTATION, "converse": CONVERSE, "stability": {},
+    "t2": {"t": 1.0, "shift_list": [1.0]}, "lsi": {"t": 1.0, "lambda_list": [1.0]}, "zbound": {}, "full_suite": {},
+}
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
@@ -730,6 +736,46 @@ class TestCliRun:
         assert m1["seed"] == 4242 and m2["seed"] == 99
         assert m1["config_digest"] != m2["config_digest"]
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_verdict_printed_as_reported(self, tmp_path, monkeypatch, kind):
+        # every verdict is a builtin True, False or None, and the manifest
+        # and the exit code read it as the report holds it
+        import gaussbsde.experiments as experiments
+
+        run_single, reports = experiments.run_single, {}
+
+        def recording(*args):
+            outcome = run_single(*args)
+            reports[outcome.name] = outcome.report
+            return outcome
+
+        monkeypatch.setattr(experiments, "run_single", recording)
+        path, all_passed = run_config(parse_config_payload(kind_config(kind, KIND_PARAMS[kind])), tmp_path, quiet=True)
+        entries = json.loads(path.read_text())["experiments"]
+        assert sorted(entry["name"] for entry in entries) == sorted(reports)
+        for entry in entries:
+            verdict = reports[entry["name"]].passed
+            assert type(verdict) is bool or verdict is None
+            assert entry["pass"] is verdict
+        assert all_passed is all(report.passed is not False for report in reports.values())
+
+    def test_unasserted_verdict_marked(self, tmp_path, capsys):
+        # t2 on a horizon with V_T > 1 is report-only: its verdict is None
+        tree = dict(kind_config("t2", KIND_PARAMS["t2"]), driver={"kind": "brownian", "T": 2.0})
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, tree)), "--out", str(out)]) == 0
+        assert re.fullmatch(r"\[N/A\] t2 \(\d+ ms\)", capsys.readouterr().out.splitlines()[0])
+        assert re.fullmatch(r"t2: [\d.]+ ms, pass=None", (out / "run.log").read_text().splitlines()[0])
+        assert json.loads((out / "manifest.json").read_text())["experiments"][0]["pass"] is None
+
+    def test_suite_zbound_verdict_in_manifest(self, tmp_path):
+        # at suite seed 4 the largest |Z| over all particles exceeds the
+        # bound's slack; the largest inside the band does not
+        path, all_passed = run_config(dict(_suite_entries(4))["zbound"], tmp_path, quiet=True)
+        [entry] = json.loads(path.read_text())["experiments"]
+        report = json.loads((tmp_path / "reports" / "zbound__00_z_bound.json").read_text())
+        assert entry["pass"] is report["pass"] is all_passed is True
+
     def test_rerun_byte_identical(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)
         o1, o2 = tmp_path / "o1", tmp_path / "o2"
@@ -793,6 +839,10 @@ class TestEmitReport:
             tolerances={"value": 0.1}, std_errors={}, seed=5,
         )
 
+    def test_numpy_verdict_refused(self):
+        with pytest.raises(TypeError, match="^demo: passed must be True, False or None, not <class 'numpy.bool'>$"):
+            self._report(passed=np.False_)
+
     def test_single_report(self, tmp_path):
         paths = emit_report(self._report(), tmp_path, prefix="run__")
         assert [path.name for path in paths] == ["run__00_demo.json", "run__measurements.csv"]
@@ -824,6 +874,11 @@ class TestCanonicalJson:
     def test_non_finite(self):
         assert canonical_json(float("inf")) == '"Infinity"'
         assert canonical_json(float("nan")) == '"NaN"'
+
+    def test_numpy_bool_refused(self):
+        # a numpy bool is no builtin bool: it fails loudly, not as a flag
+        with pytest.raises(TypeError, match="^cannot serialize <class 'numpy.bool'>$"):
+            canonical_json(np.True_)
 
     def test_numpy_types(self):
         out = canonical_json({"x": np.float64(2.5), "n": np.int64(3), "arr": np.array([1.0, 2.0])})

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from gaussbsde import drivers, solver, theorems
+from gaussbsde.cli import main
 from gaussbsde.drivers import GaussianDriverSpec, build_clock, sample_paths
-from gaussbsde.errors import HypothesisUnobserved, HypothesisUnsatisfied, NonFiniteSolution, UnsupportedScenario
+from gaussbsde.errors import HypothesisUnsatisfied, NonFiniteSolution, UnsupportedScenario
 from gaussbsde.pack import (
     constant_generator_scenario,
     contraction_mean_field_scenario,
@@ -226,13 +229,29 @@ class TestConverseComparison:
         report = converse_comparison_check(scn1, scn2, SMALL, self.PROBES, 0.1, seed=16)
         assert report.passed
 
-    def test_hypothesis_unobserved(self):
+    def test_unordered_solutions_not_asserted(self, tmp_path):
+        # Y^1 > Y^2 at every probe: the hypothesis is unobserved, so the
+        # verdict is None, and a run writes it as null and exits 0
         scn1 = constant_generator_scenario(BROWNIAN, 2.0)
         scn2 = constant_generator_scenario(BROWNIAN, 0.0)
-        with pytest.raises(HypothesisUnobserved) as err:
-            converse_comparison_check(scn1, scn2, SMALL, self.PROBES, 0.1, seed=17)
-        assert err.value.report is not None
-        assert err.value.report.passed is None
+        report = converse_comparison_check(scn1, scn2, SMALL, self.PROBES, 0.1, seed=17)
+        assert report.passed is None
+        assert report.notes == ("solution ordering fails at a probe; generator ordering not asserted",)
+        assert not report.measurements["y_ordering_observed"]
+        tree = {
+            "kind": "converse", "seed": 17, "driver": {"kind": "brownian", "T": 1.0},
+            "scenario": {"terminal": {"b": 1.0}, "generator": {"c0": 2.0}},
+            "scenario_2": {"terminal": {"b": 1.0}, "generator": {"c0": 0.0}},
+            "solver": {"n_time": SMALL.n_time, "n_particles": SMALL.n_particles},
+            "params": {"probe_grid": [list(p) for p in self.PROBES], "eps": 0.1},
+        }
+        (tmp_path / "converse.json").write_text(json.dumps(tree))
+        out = tmp_path / "out"
+        assert main(["run", str(tmp_path / "converse.json"), "--out", str(out), "--quiet"]) == 0
+        [entry] = json.loads((out / "manifest.json").read_text())["experiments"]
+        written = json.loads((out / "reports" / "converse__00_converse_comparison.json").read_text())
+        assert entry["pass"] is None and written["pass"] is None
+        assert written["notes"] == list(report.notes)
 
 
 class TestShortHorizonDraw:

@@ -2,9 +2,10 @@
 
 Runs every entry of ``configs/full_suite.json``'s suite in this process at
 suite seeds 1..K, each entry on the seed the suite derives for it, and
-prints, for each entry, the seeds at which its report's verdict failed and
-the errors it raised, then the mean and quantiles of ``comparison``'s
-``scheme_error_estimate`` over the seeds.  Run from the repository root:
+prints, for each entry, the seeds at which its report's verdict was False,
+those at which it was None (not asserted) and the errors it raised, then
+the mean and quantiles of ``comparison``'s ``scheme_error_estimate`` over
+the seeds.  Run from the repository root:
 
     python3 tools/seed_sweep.py --seeds 40
     python3 tools/seed_sweep.py --seeds 160 --only comparison_constant comparison_mean_field
@@ -41,6 +42,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown suite entries {unknown}; the suite has {list(kinds)}")
 
     failed = {name: [] for name in only}
+    unasserted = {name: [] for name in only}
     raised = {name: [] for name in only}
     scheme_error = {name: [] for name in only if kinds[name] == "comparison"}
     with tempfile.TemporaryDirectory() as tmp:
@@ -53,15 +55,19 @@ def main(argv=None) -> int:
                 except GaussBsdeError as exc:
                     raised[name].append((seed, type(exc).__name__))
                     continue
-                # bool(): a verdict may be a numpy bool
-                if not bool(report.passed):
+                if report.passed is False:
                     failed[name].append(seed)
+                elif report.passed is None:
+                    unasserted[name].append(seed)
                 if name in scheme_error:
                     scheme_error[name].append(report.measurements["scheme_error_estimate"])
 
     print(f"suite seeds 1-{args.seeds}")
     for name in only:
-        print(f"{name}: verdict failed {len(failed[name])}/{args.seeds} {failed[name]}; raised {len(raised[name])} {raised[name]}")
+        print(
+            f"{name}: verdict failed {len(failed[name])}/{args.seeds} {failed[name]};"
+            f" not asserted {len(unasserted[name])} {unasserted[name]}; raised {len(raised[name])} {raised[name]}"
+        )
     for name, values in scheme_error.items():
         if values:
             q50, q90, q97 = np.quantile(values, [0.5, 0.9, 0.97])
