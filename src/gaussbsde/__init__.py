@@ -36,7 +36,7 @@ from .solver import (
     SolverConfig,
     representation_solve,
     representation_solve_stack,
-    short_horizon_draw,
+    short_horizon_table,
     solve_auxiliary,
     solve_auxiliary_stack,
     transfer_evaluate,

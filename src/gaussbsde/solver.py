@@ -30,7 +30,13 @@ constant are 0 and G_0 is the identity but for n + 1e-8 at (0, 0).  Every
 other G_i is checked, every node's normal equations are solved in one
 batched call, and the table keeps the fit operators G_i^-1 A_i, G_i^-1 C_i
 and G_i^-1 M_i, beside the fits of the solve's one fixed particle row,
-g(W_N), on the last two nodes.  A generator is its first-order expansion at
+g(W_N), on the last two nodes.  The same table has a noise-free twin
+(``_gaussian_moments``): the expectations of these sums for the Brownian
+state, times n, in closed form, with s_i the sums of E[x_i**k], and M_i and
+q_i zero.  An affine stack's sweep reads only the table, so on the twin it
+returns the scheme's values with no Monte Carlo error; a generator that
+does not read z has the same mean on the twin as on any draw, since the
+increments are centred.  A generator is its first-order expansion at
 (x, y, z) = 0 plus a remainder r(y) of its nonlinear terms.  Its state is
 the node's Brownian state, x_i = W_i = sqrt(s_i - s_0) phi_i[1] (0 at the
 first node), so the state term ds f_x x_i is a multiple of the basis' linear
@@ -90,23 +96,24 @@ step i meets the fine grid's step N + i, the same particle's normals of
 the fine grid's second half.  ``SolutionField.on_paths`` streams through
 cache-sized blocks of particles (``drivers._particle_blocks``).
 
-One moment table per short-horizon draw.  A short-horizon check solves on
-sub-grids [V_t, V_{t+eps}] of N = n_time equal steps h, all on one draw.
-The check builds that draw's moment table once, on the unit-step clock
-0, 1, .., N, with the paths w~_i (partial sums of the rows) and the two
-terminal rows 1 and w~_N (``short_horizon_draw``).  On a sub-grid the draw's
-Brownian state is W_i = sqrt(h) w~_i (Brownian scaling), so the regression
-state W_i / sqrt(s_i - s_0) = w~_i / sqrt(i) is the table's, whatever t and
-eps: so are the basis blocks phi_i, the normal matrices and A_i, C_i and
+One moment table per short-horizon check.  A short-horizon check solves on
+sub-grids [V_t, V_{t+eps}] of N = n_time equal steps h, all on one table,
+built once on the unit-step clock 0, 1, .., N with the two terminal rows 1
+and w~_N (``short_horizon_table``).  For affine generators it is the exact
+twin, and nothing is drawn; otherwise it is one draw's, with the paths w~_i
+(partial sums of the rows), common to every solve of the check.  On a
+sub-grid the Brownian state is W_i = sqrt(h) w~_i (Brownian scaling), so
+the regression state W_i / sqrt(s_i - s_0) = w~_i / sqrt(i) is the table's,
+whatever t and eps: so are the basis blocks phi_i, the normal matrices and A_i, C_i and
 s_i, and M_i and q_i, linear in dW_i = sqrt(h) (w~_{i+1} - w~_i), are the
 table's times sqrt(h).  A terminal row y + z W_N is y 1 + z sqrt(h) w~_N, so
 its fits are y fit(1) + z sqrt(h) fit(w~_N).  A sub-grid's moments are
 therefore read off the table (``_sub_grid_moments``) by products on its
-(N+1, W, 3W+2) fit operators, and its K terminal rows, whose means the
-sweep reads, are mixed from the table's two; the grid, its times and its
-scales are the sub-grid's own.  The sweep reads each node's basis state off
-the table's paths, w~_i / sqrt(i), and no path array of the sub-grid is
-built.
+(N+1, W, 3W+2) fit operators, and the means of its K terminal rows, which
+the sweep reads, are mixed from the table's two; the grid, its times and
+its scales are the sub-grid's own.  A nonlinear sweep reads each node's
+basis state off the table's paths, w~_i / sqrt(i), and no path array of
+the sub-grid is built.
 """
 
 from __future__ import annotations
@@ -282,12 +289,16 @@ def _derivative(coeffs: np.ndarray, scale: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Moments:
     """What the sweep of one solve reads: the grid and its scales, the
-    (N+1, n) paths w with the divisors ``state_scales`` that give node i's
-    basis state w[i] / state_scales[i], the K terminal rows g, and the moment
-    table, one row per node i = 0 .. N.  A solve on its own paths has the
-    paths W and state_scales = scales; a sub-grid of a short-horizon table
+    particle count n, the (N+1, n) paths w with the divisors
+    ``state_scales`` that give node i's basis state w[i] / state_scales[i],
+    the K terminal rows g and their means, and the moment table, one row per
+    node i = 0 .. N.  A solve on its own paths has the paths W and
+    state_scales = scales; a sub-grid of a short-horizon table
     (``_sub_grid_moments``) has the table's unit-step paths and scales
-    sqrt(i).  fits[i] holds node i's fit operators: the
+    sqrt(i), and no terminal rows.  A table of exact moments
+    (``_gaussian_moments``) has neither paths nor terminal rows: only a
+    nonlinear generator and the one-step slope read them.  fits[i] holds
+    node i's fit operators: the
     fit of c . phi_i is fits[i, :, :W] @ c, of c . phi_{i+1} and of
     (c . phi_i) dW_i the next two W-column blocks, and the fits of g sit on
     the last two nodes.  The first node's rows and columns past the constant
@@ -298,9 +309,11 @@ class _Moments:
     grid_t: np.ndarray
     scales: np.ndarray
     degree: int
-    w: np.ndarray
+    n: int
+    w: np.ndarray | None
     state_scales: np.ndarray
-    terminal: np.ndarray
+    terminal: np.ndarray | None
+    terminal_mean: np.ndarray  # (K,): the means of the terminal rows
     grams: np.ndarray  # (N+1, W, W): G_i
     fits: np.ndarray  # (N+1, W, 3W+K): G_i^-1 [A_i | C_i | M_i | phi_i g]
     sums: np.ndarray  # (N+1, W): phi_i 1
@@ -310,6 +323,11 @@ class _Moments:
     @property
     def ds(self) -> np.ndarray:
         return np.diff(self.grid_s)
+
+    @property
+    def exact(self) -> bool:
+        """Whether the moments are the law's own, with no draw behind them."""
+        return self.w is None
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -372,14 +390,71 @@ def _moments(grid_s, grid_t, w, rows, terminal, degree: int) -> _Moments:
         rhs[0, 0, 3 * W :] = terminal.sum(axis=1)
     rhs[:, :, :W] = sums[:, hankel]
     rhs[:, :, 2 * W : 3 * W] = dw_sums[:, hankel]
-    grams = np.empty((N + 1, W, W))
-    grams[0] = np.diag([n + _RIDGE] + [1.0] * degree)
-    grams[1:], cond = _regularized(rhs[1:, :, :W], _RIDGE)
-    return _Moments(
-        grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree,
-        w=w, state_scales=scales, terminal=terminal, grams=grams, fits=np.linalg.solve(grams, rhs),
-        sums=sums[:, :W], dw_sums=dw_sums[:, :W], gram_cond_max=float(cond.max()),
+    return _solved_table(
+        rhs, n, grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree, w=w,
+        state_scales=scales, terminal=terminal, terminal_mean=terminal.mean(axis=1),
+        sums=sums[:, :W], dw_sums=dw_sums[:, :W],
     )
+
+
+def _gaussian_moments(grid_s, grid_t, terminal_coeffs, degree: int, n: int) -> _Moments:
+    """The moment table of ``_moments`` in closed form: the expectations of
+    its sums for the auxiliary Brownian motion on ``grid_s``, times n, with
+    the K affine terminal rows a + b W_N of the (K, 2) ``terminal_coeffs``.
+    The sums are scaled by n so that the absolute ridge weighs on each fit
+    as it does on a draw of n particles.
+
+    With x_i = W_i / sigma_i, sigma_i = sqrt(s_i - s_0), and m_p = E[xi**p]
+    for a standard normal xi (a double factorial, 0 for odd p): A_i[j, k] is
+    n m_(j+k); x_(i+1) = a_i x_i + b_i xi with a_i = sigma_i / sigma_(i+1)
+    and b_i = sqrt(ds_i) / sigma_(i+1), so C_i[j, k] is
+    n sum_q binom(k, q) a_i**q b_i**(k-q) m_(j+q) m_(k-q); M_i and the sums
+    of x**k dW_i are 0, dW_i being centred and independent of x_i; and the
+    terminal rows' sums are n (a m_j + b sigma_i m_(j+1)) on nodes N-1 and N.
+    The first node's state is 0, so its moments of x are those of 0: its A
+    is n e_0 e_0^T, its C holds node 1's sums in its first row.  The table
+    has no paths: a solve on it must have affine generators and at least two
+    steps (``_backward_pass``)."""
+    N, W = len(grid_s) - 1, degree + 1
+    scales = _basis_scales(grid_s)
+    sigma = np.sqrt(np.asarray(grid_s, dtype=float) - grid_s[0])
+    hankel = np.add.outer(np.arange(W), np.arange(W))
+    gauss = np.zeros(2 * W)  # m_p for p = 0 .. 2 degree + 1
+    gauss[::2] = np.cumprod(np.r_[1.0, np.arange(1.0, 2 * W - 2, 2)])
+    moments = np.tile(gauss, (N + 1, 1))  # E[x_i**p], row i
+    moments[0, 1:] = 0.0
+    a, b = sigma[:-1] / sigma[1:], np.sqrt(np.diff(grid_s)) / sigma[1:]
+    # C_i[j, k] = n sum_q E[x_i**(j+q)] weights[i, k, q], zero past q = k
+    k, q = np.arange(W)[:, None], np.arange(W)
+    rest = np.maximum(k - q, 0)
+    weights = np.array([[math.comb(kk, qq) for qq in range(W)] for kk in range(W)]) * gauss[rest]
+    weights = weights * a[:, None, None] ** q * b[:, None, None] ** rest
+    alpha, beta = np.asarray(terminal_coeffs, dtype=float).T
+    rhs = np.zeros((N + 1, W, 3 * W + len(alpha)))
+    rhs[:, :, :W] = n * moments[:, hankel]
+    rhs[:-1, :, W : 2 * W] = n * np.einsum("ijq,ikq->ijk", moments[:-1, hankel], weights)
+    ends = slice(N - 1, N + 1)
+    rhs[ends, :, 3 * W :] = n * (
+        moments[ends, :W, None] * alpha + (sigma[ends, None] * moments[ends, 1 : W + 1])[:, :, None] * beta
+    )
+    return _solved_table(
+        rhs, n, grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree,
+        w=None, state_scales=scales, terminal=None, terminal_mean=alpha,
+        sums=n * moments[:, :W], dw_sums=np.zeros((N + 1, W)),
+    )
+
+
+def _solved_table(rhs: np.ndarray, n: int, **fields) -> _Moments:
+    """The table of every node's right-hand sides ``rhs``,
+    [A_i | C_i | M_i | phi_i g], with one batched condition guard over
+    G_1 .. G_N and one batched solve.  The first node's basis is the
+    constant, so its normal matrix is the identity but for
+    G_0[0, 0] = n + ridge, with no condition to guard."""
+    W = rhs.shape[1]
+    grams = np.empty((len(rhs), W, W))
+    grams[0] = np.diag([n + _RIDGE] + [1.0] * (W - 1))
+    grams[1:], cond = _regularized(rhs[1:, :, :W], _RIDGE)
+    return _Moments(n=n, grams=grams, fits=np.linalg.solve(grams, rhs), gram_cond_max=float(cond.max()), **fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,10 +488,11 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
     coefficient of the Y row.  Every node's operators are built from the
     moment table in one batched step before the loop.
     """
-    N = len(mom.grid_s) - 1
-    n = mom.w.shape[1]
+    N, n = len(mom.grid_s) - 1, mom.n
     K, W = len(gens), mom.degree + 1
     nonlinear = any(g.c4 != 0.0 for g in gens)
+    if mom.exact and (nonlinear or N == 1):
+        raise UnsupportedScenario("a solve on exact moments needs affine generators and at least two steps")
     with_x = any(g.c1 != 0.0 for g in gens)
     with_law = not all(g.is_law_free for g in gens)
     ds_all = mom.ds
@@ -455,7 +531,7 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
     v = np.zeros((K, N, W))
     mean_y, mean_z = np.empty((K, N + 1)), np.empty((K, N + 1))
     u[:, N] = mom.fits[N, :, 3 * W :].T
-    mean_y[:, N] = mom.terminal.mean(axis=1)
+    mean_y[:, N] = mom.terminal_mean
     target = mom.fits[N - 1, :, 3 * W :].T  # the fit on node N-1 of Y_N = g
     carry = None  # the nonlinear-remainder rows of the next node's Y
     for i in range(N - 1, -1, -1):
@@ -683,8 +759,10 @@ def transfer_evaluate(field: SolutionField, t: float, x) -> tuple:
 class RepresentationValue:
     """Short-horizon solution value started from (y, z) at time t.
 
-    value           cross-particle mean of the time-t values
-    std_error       Monte Carlo standard error of that mean
+    value           cross-particle mean of the time-t values; on exact
+                    moments, the scheme's value itself
+    std_error       Monte Carlo standard error of that mean; 0.0 on exact
+                    moments, where the value has no Monte Carlo error
     step_lipschitz  the sub-grid's max ds * L_f: the margin to the step guard's 0.5
     """
 
@@ -717,31 +795,42 @@ def _short_horizon_grid(clock: VarianceClock, t: float, eps: float, n_time: int)
     return np.linspace(v_a, v_b, n_time + 1)
 
 
-def short_horizon_draw(cfg: SolverConfig, seed: int) -> _Moments:
-    """The one moment table of a short-horizon check, which each of its
-    solves reads on its own sub-grid of ``cfg.n_time`` equal steps (common
-    random numbers): the moments of the draw's centred rows
-    (``_centred_rows``) on the unit-step clock 0, 1, .., ``cfg.n_time``, whose
-    paths are the rows' partial sums w~_i, with the two terminal rows 1 and
-    w~_N.  The draw is centred in place, so the rows are the draw itself,
-    released once the table is built; the table keeps the paths, from which
-    the sweep reads each node's basis state."""
-    rows = _centred_rows(standard_normals(seed, (cfg.n_time, cfg.n_particles), "repr-increments"), cfg.n_time)
+def short_horizon_table(cfg: SolverConfig, seed: int, gens) -> _Moments:
+    """The one moment table of a short-horizon check of the generators
+    ``gens``, which each of its solves reads on its own sub-grid of
+    ``cfg.n_time`` equal steps, on the unit-step clock 0, 1, .., ``cfg.n_time``
+    with the two terminal rows 1 and w~_N.
+
+    When every generator is affine (c4 = 0), the table is exact
+    (``_gaussian_moments``, at ``cfg.n_particles``) and nothing is drawn:
+    the sweep on it gives the scheme's values with no Monte Carlo error,
+    which for a generator that does not read z is the mean any draw gives,
+    the increments being centred.  Otherwise
+    it holds the moments of one draw's centred rows (``_centred_rows``),
+    whose paths are the rows' partial sums w~_i, for common random numbers
+    across the solves.  The draw is centred in place, so the rows are the
+    draw itself, released once the table is built; the table keeps the
+    paths, from which the sweep reads each node's basis state."""
     unit = np.arange(cfg.n_time + 1.0)
+    if all(g.c4 == 0.0 for g in gens):
+        return _gaussian_moments(unit, unit, np.eye(2), cfg.basis_degree, cfg.n_particles)
+    rows = _centred_rows(standard_normals(seed, (cfg.n_time, cfg.n_particles), "repr-increments"), cfg.n_time)
     w = _paths(rows, unit)
     return _moments(unit, unit, w, rows, np.stack([np.ones_like(w[-1]), w[-1]]), cfg.basis_degree)
 
 
 def _sub_grid_moments(table: _Moments, grid_s, grid_t, y: np.ndarray, z: np.ndarray) -> _Moments:
-    """The moments of the table's draw on a sub-grid ``grid_s`` of equal
-    steps h, with the K terminal rows y + z W_N, read off the table by
-    Brownian scaling (W_i = sqrt(h) w~_i): the normal matrices, the sums and
-    the A and C fits are the table's, the M fits and the sums of x**k dW are
-    its times sqrt(h), and a row's terminal fits are y fit(1) + z sqrt(h)
-    fit(w~_N).  The grid, its times and its scales are the sub-grid's own;
-    the paths and the divisors of the basis states are the table's.  A
-    table has at least two steps (``SolverConfig``), so the sweep's one-step
-    branch, which reads the paths as W, never reads a table's."""
+    """The moments of the table on a sub-grid ``grid_s`` of equal steps h,
+    with the K terminal rows y + z W_N, read off the table by Brownian
+    scaling (W_i = sqrt(h) w~_i): the normal matrices, the sums and the A
+    and C fits are the table's, the M fits and the sums of x**k dW are its
+    times sqrt(h), and a row's terminal fits and mean are y fit(1) +
+    z sqrt(h) fit(w~_N) and y mean(1) + z sqrt(h) mean(w~_N).  The grid, its
+    times and its scales are the sub-grid's own; the paths, if any, and the
+    divisors of the basis states are the table's, and the terminal rows are
+    not built.  A table has at least two steps (``SolverConfig``), so the
+    sweep's one-step branch, which reads the terminal rows, never runs on
+    it."""
     W = table.degree + 1
     root = math.sqrt((grid_s[-1] - grid_s[0]) / (len(grid_s) - 1))
     mix = np.stack([y, z * root], axis=1)  # (K, 2): the weights of the terminal rows 1 and w~_N
@@ -751,8 +840,9 @@ def _sub_grid_moments(table: _Moments, grid_s, grid_t, y: np.ndarray, z: np.ndar
     )
     return _Moments(
         grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=_basis_scales(grid_s), degree=table.degree,
-        w=table.w, state_scales=table.scales, terminal=mix @ table.terminal, grams=table.grams, fits=fits,
-        sums=table.sums, dw_sums=table.dw_sums * root, gram_cond_max=table.gram_cond_max,
+        n=table.n, w=table.w, state_scales=table.scales, terminal=None, terminal_mean=mix @ table.terminal_mean,
+        grams=table.grams, fits=fits, sums=table.sums, dw_sums=table.dw_sums * root,
+        gram_cond_max=table.gram_cond_max,
     )
 
 
@@ -766,8 +856,10 @@ def representation_solve_stack(
 ) -> list[RepresentationValue]:
     """Solve each (scenario, y, z) of ``starts`` on [V_t, V_{t+eps}] with
     terminal y + z * (W_{V_{t+eps}} - W_{V_t}), as one stack on the check's
-    moment table (``short_horizon_draw``), whose moments the solve reads on
-    its own sub-grid (``_sub_grid_moments``) and leaves as they are.
+    moment table (``short_horizon_table``), whose moments the solve reads on
+    its own sub-grid (``_sub_grid_moments``) and leaves as they are.  On an
+    exact table the values have no Monte Carlo error: each reports a
+    standard error of 0.0, and no particle row is built.
 
     Every particle starts from the same (y, z) at time t, and regressions
     run on the Brownian increment from V_t (the Markov state of this
@@ -779,7 +871,7 @@ def representation_solve_stack(
     for scn in scns:
         _require_x_free(scn)
     shape = (cfg.n_time, cfg.n_particles, cfg.basis_degree)
-    got = (len(table.grid_s) - 1, table.w.shape[1], table.degree)
+    got = (len(table.grid_s) - 1, table.n, table.degree)
     if got != shape:
         raise ValueError(f"the table must have the (n_time, n_particles, basis_degree) {shape} of the config; got {got}")
     if not (0.0 <= t and eps > 0.0 and t + eps <= clock.T + 1e-12):
@@ -793,12 +885,15 @@ def representation_solve_stack(
     with np.errstate(over="ignore", invalid="ignore"):
         mom = _sub_grid_moments(table, grid_s, clock.invert(grid_s), y, z)
         out = _backward_pass(gens, mom)
-    candidates = _candidates(gens, mom, out)
     n = cfg.n_particles
+    if table.exact:
+        std_errors = [0.0] * len(scns)
+    else:
+        std_errors = [float(np.std(row) / math.sqrt(n)) for row in _candidates(gens, mom, out)]
     return [
         RepresentationValue(
             value=float(out.mean_y[k, 0]),
-            std_error=float(np.std(candidates[k]) / math.sqrt(n)),
+            std_error=std_errors[k],
             n_particles=n,
             step_lipschitz=float(margins[k]),
         )
@@ -818,4 +913,5 @@ def representation_solve(
 ) -> RepresentationValue:
     """Solve on [V_t, V_{t+eps}] with terminal y + z * (W_{V_{t+eps}} - W_{V_t}):
     ``representation_solve_stack`` of one row, on a table of its own."""
-    return representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, short_horizon_draw(cfg, seed))[0]
+    table = short_horizon_table(cfg, seed, [scn.generator])
+    return representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, table)[0]

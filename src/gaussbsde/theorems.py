@@ -32,7 +32,7 @@ from .solver import (
     SolutionField,
     ParticleCloud,
     representation_solve_stack,
-    short_horizon_draw,
+    short_horizon_table,
     solve_auxiliary_stack,
     transfer_evaluate,
 )
@@ -40,7 +40,7 @@ from .solver import (
 _EXACT_TOL = 1e-12
 _REPRESENTATION_REL_TOL = 0.05  # final |A - f| allowed, relative to 1 + |f|
 _Z_BOUND_SLACK = 0.05  # the Z bound's relative slack
-_Z_BAND_SD = 2.3263478740408408  # the 99% quantile of N(0, 1): the Z bound reads the 1%-99% band of W
+_BAND_SD = 2.3263478740408408  # the 99% quantile of N(0, 1): tail statistics read the 1%-99% band of a state
 _QUADRATURE_TOL = 1e-6  # the LSI entropies' quadrature error, relative to max(1, |entropy|)
 
 
@@ -155,6 +155,16 @@ def _short_horizon_clock(driver: GaussianDriverSpec, n_time: int) -> VarianceClo
     return build_clock(driver, max(4 * n_time, 256) + 1)
 
 
+def _band(x: np.ndarray, variances) -> tuple[np.ndarray, np.ndarray]:
+    """(band, inside): the 1%-99% band 2.326 sqrt(V) of a centred Gaussian
+    state of variance V in each column of the states ``x``, and the mask of
+    the states inside it.  Outside the band a fitted polynomial is an
+    extrapolation.  A column of variance 0 holds the state 0, which every
+    path keeps."""
+    band = _BAND_SD * np.sqrt(variances)
+    return band, np.abs(x) <= band
+
+
 def _refined_fields(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, seed: int):
     """Both scenarios' fields on the grid of ``cfg.n_time`` steps and on its
     refinement of twice as many, solved as one stack on one draw: one list
@@ -176,7 +186,10 @@ def comparison_check(
     t_list,
     seed: int,
 ) -> TheoremReport:
-    """Pointwise ordering of the two solutions under the ordering hypotheses.
+    """Pointwise ordering of the two solutions under the ordering hypotheses,
+    up to delta, three times the scheme-error estimate: the largest gap
+    between each field and its refinement over the evaluation paths inside
+    the 1%-99% band of X_t's law at each time (every path at t = 0).
 
     Refuses to run (HypothesisUnsatisfied) when the generators depend on the
     law of Z, when the mean coupling in Y can be negative for both scenarios,
@@ -197,16 +210,19 @@ def comparison_check(
 
     grid_t = sorted({0.0, *t_list})
     paths = sample_paths(scn1.driver, grid_t, cfg.n_particles, derived_seed(seed, "cmp-eval"))
+    x = paths.samples[:, [grid_t.index(t) for t in t_list]]
+    band, inside = _band(x, covariance(scn1.driver, t_list, t_list))
     # Y of every field at every time, evaluated once for both loops below
     y_at = {
-        (name, t): transfer_evaluate(field, t, paths.samples[:, grid_t.index(t)])[0]
+        (name, t): transfer_evaluate(field, t, x[:, j])[0]
         for name, field in fields.items()
-        for t in t_list
+        for j, t in enumerate(t_list)
     }
     scheme_err = 0.0
     for tag in ("1", "2"):
-        for t in t_list:
-            scheme_err = max(scheme_err, float(np.max(np.abs(y_at[tag, t] - y_at[tag + "fine", t]))))
+        for j, t in enumerate(t_list):
+            gap = np.abs(y_at[tag, t] - y_at[tag + "fine", t])
+            scheme_err = max(scheme_err, float(np.max(gap, where=inside[:, j], initial=0.0)))
     delta = 3.0 * scheme_err
 
     fractions = [float(np.mean(y_at["1", t] > y_at["2", t] + delta)) for t in t_list]
@@ -222,8 +238,10 @@ def comparison_check(
             "max_violation_fraction": max_fraction,
             "delta": delta,
             "scheme_error_estimate": scheme_err,
+            "band": band.tolist(),
+            "band_cut_fraction": float(np.mean(~inside)),
         },
-        tolerances={"max_violation_fraction": 1e-3},
+        tolerances={"max_violation_fraction": 1e-3, "band_sd": _BAND_SD},
         seed=seed,
     )
 
@@ -262,10 +280,13 @@ def representation_limit_check(
     the clock integral B(eps) of the generator at the frozen law.
 
     Asserts |A - B| decreasing (the proof-level quantity) and the final
-    closeness of A to the generator value.  Every eps is solved on the
-    check's one moment table, whose largest normal-matrix condition the
-    report gives with the largest step margin max ds * L_f of its solves.
-    The solves refuse a generator that reads the state (c1 != 0).
+    closeness of A to the generator value, each up to the quotients' Monte
+    Carlo standard errors.  Every eps is solved on the check's one moment
+    table (``short_horizon_table``), whose largest normal-matrix condition
+    the report gives with the largest step margin max ds * L_f of its
+    solves.  An affine generator's table is exact, so its A has no Monte
+    Carlo error, and nothing is drawn.  The solves refuse a generator that
+    reads the state (c1 != 0).
     """
     _require_clock_differentiable(scn.driver, t)
     eps_list = [float(e) for e in eps_list]
@@ -276,7 +297,7 @@ def representation_limit_check(
     frozen = LawFeatures(mean_x=0.0, mean_y=y, mean_z=z)
     f_target = eval_generator(scn.generator, t, 0.0, y, z, frozen)
 
-    table = short_horizon_draw(cfg, derived_seed(seed, "repr"))
+    table = short_horizon_table(cfg, derived_seed(seed, "repr"), [scn.generator])
     a_vals, b_vals, gaps, ses, margins = [], [], [], [], []
     for eps in eps_list:
         [rep] = representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, table)
@@ -316,6 +337,7 @@ def representation_limit_check(
         notes=(
             "B integrates the generator against dV on [t, t+eps] (proof-level reading); "
             "the dr reading differs by the clock density when V'(t) != 1",
+            *(("the affine stack was solved on exact Gaussian moments, with no draw",) if table.exact else ()),
         ),
     )
 
@@ -332,18 +354,21 @@ def converse_comparison_check(
     generators must be ordered there too; reports both directions.
 
     Where the solution ordering fails at some probe, the conclusion is not
-    asserted: the report's verdict is None, with a note.  The probes at one
-    time are one stack, with the rows (scn1, y, z) and (scn2, y, z) of each,
-    and every stack reads the check's one moment table; the report gives its
-    largest normal-matrix condition and the largest step margin
-    max ds * L_f of the stacks.  The solves refuse a generator that reads
-    the state (c1 != 0).
+    asserted: the report's verdict is None, with a note.  The solutions are
+    ordered up to mc_tol, three times the sum of their standard errors.  The
+    probes at one time are one stack, with the rows (scn1, y, z) and
+    (scn2, y, z) of each, and every stack reads the check's one moment table
+    (``short_horizon_table``); the report gives its largest normal-matrix
+    condition and the largest step margin max ds * L_f of the stacks.  When
+    both generators are affine the table is exact: nothing is drawn, and
+    mc_tol is 0.  The solves refuse a generator that reads the state
+    (c1 != 0).
     """
     _require_same_driver(scn1, scn2)
     for t, _, _ in probe_grid:
         _require_clock_differentiable(scn1.driver, t)
     clock = _short_horizon_clock(scn1.driver, cfg.n_time)
-    table = short_horizon_draw(cfg, derived_seed(seed, "converse"))
+    table = short_horizon_table(cfg, derived_seed(seed, "converse"), [scn1.generator, scn2.generator])
     solved = {}  # probe index -> (scn1's value, scn2's value)
     for time in dict.fromkeys(t for t, _, _ in probe_grid):
         group = [k for k, (t, _, _) in enumerate(probe_grid) if t == time]
@@ -656,8 +681,7 @@ def z_bound_check(field: SolutionField, scn: ScenarioSpec, cloud: ParticleCloud,
     l_f, l_g = scn.generator.lipschitz, scn.terminal.lipschitz
     grid_s = field.clock.grid_V[: field.n_steps]
     _, z = field.on_paths(cloud.w)
-    band = _Z_BAND_SD * np.sqrt(grid_s - grid_s[0])
-    inside = np.abs(cloud.w[:, : field.n_steps]) <= band
+    band, inside = _band(cloud.w[:, : field.n_steps], grid_s - grid_s[0])
     observed = np.max(np.abs(z), axis=0, where=inside, initial=0.0).tolist()
     atol = 1e-8  # absolute floor so a bound of exactly 0 tolerates roundoff
     bounds = [math.exp(l_f * lam) * (l_g + l_f * lam) for lam in (field.clock.V_T - grid_s).tolist()]
@@ -677,6 +701,6 @@ def z_bound_check(field: SolutionField, scn: ScenarioSpec, cloud: ParticleCloud,
             "gram_cond_max": field.gram_cond_max,
             "step_lipschitz": field.step_lipschitz,
         },
-        tolerances={"slack": _Z_BOUND_SLACK, "band_sd": _Z_BAND_SD},
+        tolerances={"slack": _Z_BOUND_SLACK, "band_sd": _BAND_SD},
         seed=seed,
     )

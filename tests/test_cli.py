@@ -675,20 +675,24 @@ class TestCliRun:
     @pytest.mark.parametrize(
         "t_list, measurements",
         [
-            # the origin alone, where every path starts: delta and the scheme
-            # error are the ridge and round-off gap of the coarse and fine Y_0,
-            # so any change of summation order moves their sixth digit
+            # the origin alone, where every path starts and the band cuts
+            # none: delta and the scheme error are the ridge and round-off gap
+            # of the coarse and fine Y_0, so any change of summation order
+            # moves their sixth digit
             (
                 [0.0],
-                '{"delta":1.99247951471e-10,"max_violation_fraction":0,'
+                '{"band":[0],"band_cut_fraction":0,"delta":1.99247951471e-10,"max_violation_fraction":0,'
                 '"scheme_error_estimate":6.64159838237e-11,"t_list":[0],"violation_fraction":[0]}',
             ),
+            # the scheme error is read inside the band 2.3263 sqrt(V_t)
             (
                 [1.0, 0.5],
-                '{"delta":0.00544183717851,"max_violation_fraction":0,'
-                '"scheme_error_estimate":0.00181394572617,"t_list":[1,0.5],"violation_fraction":[0,0]}',
+                '{"band":[2.32634787404,1.64497635713],"band_cut_fraction":0.0175,"delta":0.00378715825619,'
+                '"max_violation_fraction":0,"scheme_error_estimate":0.0012623860854,"t_list":[1,0.5],'
+                '"violation_fraction":[0,0]}',
             ),
         ],
+        ids=["origin", "two_times"],
     )
     def test_comparison_report_pinned(self, tmp_path, t_list, measurements):
         tree = dict(

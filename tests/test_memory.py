@@ -3,10 +3,9 @@ allocations exactly, so the peaks repeat from run to run; the bounds are
 about 1.5 times the peak of the blocked per-path sums, and far below the
 peaks the entries reached when they built full-size (n, N) temporaries
 (31.6 MB, 20.8 MB and 11.7 MB).  ``representation`` and ``converse``
-each build one moment table, which keeps the draw's unit-step paths and
-releases its rows; their peak is the table's build, with the rows, the
-paths and the moment blocks alive at once (6.3 MB and 3.2 MB).  A solve on
-a sub-grid of the table builds no path array of its own."""
+solve the suite's affine stacks on exact moments, so they hold no particle
+array at all (0.145 MB and 0.157 MB), where the table of a draw peaked at
+7.0 MB and 3.2 MB with its rows, paths and moment blocks alive at once."""
 
 import tracemalloc
 from dataclasses import replace
@@ -35,14 +34,14 @@ def _peak(cfg, tmp_path, name) -> float:
         ("wick_validate", 10.0),
         ("stability", 15.0),
         ("comparison_mean_field", 15.0),
-        ("representation", 9.5),
-        ("converse", 5.0),
+        ("representation", 0.22),
+        ("converse", 0.24),
     ],
 )
 def test_suite_entry_peak_memory(tmp_path, name, bound_mb):
     (cfg,) = [cfg for entry, cfg in _suite_entries(20260809) if entry == name]
     peak = _peak(cfg, tmp_path, name)
-    assert peak < bound_mb * _MB, f"{name} peaked at {peak / _MB:.1f} MB"
+    assert peak < bound_mb * _MB, f"{name} peaked at {peak / _MB:.3f} MB"
 
 
 def test_generator_gap_peak_memory(tmp_path):

@@ -19,7 +19,7 @@ from gaussbsde import solver
 from gaussbsde.drivers import GaussianDriverSpec, build_clock
 from gaussbsde.errors import UnsupportedScenario
 from gaussbsde.measures import LawFeatures
-from gaussbsde.pack import identity_scenario, linear_scenario, mean_field_scenario, shift_terminal
+from gaussbsde.pack import identity_scenario, linear_scenario, mean_field_scenario, shift_generator, shift_terminal
 from gaussbsde.rng import standard_normals
 from gaussbsde.scenario import (
     GeneratorSpec,
@@ -31,7 +31,7 @@ from gaussbsde.scenario import (
 )
 from gaussbsde.solver import SolverConfig, _basis, _basis_scales, _derivative, _fit, _regularized, _rescaled
 
-from test_solver import _pairs, _state_free
+from test_solver import _drawn_table, _pairs, _state_free
 
 BROWNIAN = GaussianDriverSpec.brownian(1.0)
 FBM03 = GaussianDriverSpec.fbm(0.3, 1.0)
@@ -173,7 +173,8 @@ def representation(scns, cfg, seed=3, t=0.25, eps=0.1):
         # rest of the scenario (a clip term, say) is checked with c1 = 0
         with pytest.raises(UnsupportedScenario):
             starts = [(scn, 1.0, 0.5) for scn in scns]
-            solver.representation_solve_stack(starts, clock, t, eps, cfg, solver.short_horizon_draw(cfg, seed))
+            table = solver.short_horizon_table(cfg, seed, [scn.generator for scn in scns])
+            solver.representation_solve_stack(starts, clock, t, eps, cfg, table)
         scns = _state_free(scns)
     v_a, v_b = clock.value(t), clock.value(t + eps)
     grid_s = np.linspace(v_a, v_b, cfg.n_time + 1)
@@ -301,7 +302,7 @@ def test_sub_grid_of_the_table_is_the_solve_on_its_own_paths(scns, driver, degre
     y, z = np.array(starts[: len(scns)]).T
     rows = solver._centred_rows(standard_normals(seed, (n_time, cfg.n_particles), "repr-increments"), n_time)
     own, own_out = solver._solve_on_grid(gens, lambda w_end: [a + b * w_end for a, b in zip(y, z)], grid_s, grid_t, cfg, rows)
-    table = solver.short_horizon_draw(cfg, seed)
+    table = _drawn_table(cfg, seed)
     mom = solver._sub_grid_moments(table, grid_s, grid_t, y, z)
     out = solver._backward_pass(gens, mom)
     for name in ("u", "v", "yc", "beta", "mean_y", "mean_z", "step0"):
@@ -386,3 +387,96 @@ def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
         close(mom.fits[i, :, 3 * W :].T, _fit(phis[i], mom.grams[i], terminal), cond=conds[i])
     # the first node's normal matrix has no condition to guard
     np.testing.assert_allclose(mom.gram_cond_max, max(conds[1:]), rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the exact-moment twin of the table
+
+
+def twin_solve(scn, clock, n, degree=4):
+    """The sweep of one affine scenario on the clock's exact moments."""
+    terminal = [[scn.terminal.a, scn.terminal.b]]
+    mom = solver._gaussian_moments(clock.grid_V, clock.grid_t, terminal, degree, n)
+    return solver._backward_pass([scn.generator], mom)
+
+
+@pytest.mark.parametrize("degree", [1, 4, 6])
+@pytest.mark.parametrize("n_steps", [8, 15, 32, 64])
+def test_twin_mean_field_closed_form(n_steps, degree):
+    # g = x + c, f = alpha E[Y]: each node's mean Y is the next node's over
+    # 1 - alpha ds, so the scheme's Y_0 is c (1 - alpha / N)^-N; what is left
+    # is the ridge's share, about ridge / n a node
+    alpha, c = 0.3, 1.0
+    scn = mean_field_scenario(BROWNIAN, alpha=alpha, c=c)
+    out = twin_solve(scn, build_clock(BROWNIAN, n_steps + 1), 8000, degree)
+    exact = c * (1.0 - alpha / n_steps) ** -n_steps
+    assert out.mean_y[0, 0] == pytest.approx(exact, rel=1e-10, abs=0.0)
+    assert out.u[0, 0, 0] == pytest.approx(exact, rel=1e-10, abs=0.0)
+    np.testing.assert_allclose(out.u[0, 0, 1:], 0.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scn",
+    [
+        mean_field_scenario(BROWNIAN, alpha=0.3, c=1.0),
+        mean_field_scenario(FBM03, alpha=0.3, c=1.0),
+        linear_scenario(BROWNIAN, 0.5),
+        ScenarioSpec(
+            TerminalSpec(a=0.5, b=-1.0),
+            GeneratorSpec(c0=0.2, c2=-0.4, kappa_y=0.2, rho_breaks=(0.5,), rho_values=(1.0, 2.0)),
+            FBM07,
+        ),
+    ],
+    ids=["mean_field", "mean_field_fbm", "linear", "law_with_rho"],
+)
+def test_sampled_affine_solves_match_the_twin(scn):
+    # the increments are centred, so the sampled Y_0 of an affine generator
+    # that does not read z is the scheme's mean whatever the draw: the
+    # twin's, to rounding (Y_0 = 0 for the linear scenario)
+    clock = build_clock(scn.driver, 16)
+    cfg = SolverConfig(n_time=15, n_particles=8000)
+    twin = twin_solve(scn, clock, cfg.n_particles).u[0, 0, 0]
+    for seed in (1, 2, 3):
+        field, _ = solver.solve_auxiliary(scn, clock, cfg, seed)
+        assert field.u_coeffs[0, 0] == pytest.approx(twin, rel=1e-12, abs=1e-12)
+
+
+def test_twin_moments_within_the_sampled_table_errors():
+    # the twin's A_i / n and C_i / n against a sampled table at n = 200000:
+    # every entry within 4 standard errors of the sample's own products
+    n, degree, n_steps = 200_000, 4, 4
+    grid_s = build_clock(FBM03, n_steps + 1).grid_V
+    rows = solver._centred_rows(standard_normals(12, (n_steps, n), "twin-moments"), n_steps)
+    w = solver._paths(rows, grid_s)
+    sampled = solver._moments(grid_s, grid_s, w, rows, np.stack([np.ones(n), w[-1]]), degree)
+    twin = solver._gaussian_moments(grid_s, grid_s, np.eye(2), degree, n)
+    W, ridge = degree + 1, solver._RIDGE * np.eye(degree + 1)
+    scales = _basis_scales(grid_s)
+    phis = [_basis(w, scales, i, degree) for i in range(n_steps + 1)]
+    for i, phi in enumerate(phis):
+        pairs = [("A", twin.grams[i] - ridge, sampled.grams[i] - ridge, phi)]
+        if i < n_steps:
+            pairs.append(("C", twin.grams[i] @ twin.fits[i, :, W : 2 * W], sampled.grams[i] @ sampled.fits[i, :, W : 2 * W], phis[i + 1]))
+        for name, exact, drawn, other in pairs:
+            products = phi[:, None, :] * other[None, :, :]
+            se = products.std(axis=2) / np.sqrt(n)
+            assert np.all(np.abs(drawn / n - exact / n) <= 4.0 * se + 1e-12), (name, i)
+    assert twin.gram_cond_max == pytest.approx(344.450163799, rel=1e-9)
+
+
+def test_nonlinear_stack_draws_as_before(monkeypatch):
+    # a tanh generator's short-horizon table is a draw, and its values are
+    # the ones the table of drawn moments gave before exact tables existed
+    draws = []
+    draw = solver.standard_normals
+    monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
+    tanh = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
+    starts = [(tanh, 1.0, 0.5), (shift_generator(tanh, 0.1), 1.0, 0.5)]
+    cfg = SolverConfig(n_time=8, n_particles=2000)
+    table = solver.short_horizon_table(cfg, 5, [scn.generator for scn, _, _ in starts])
+    assert not table.exact and [args[1:] for args in draws] == [((8, 2000), "repr-increments")]
+    values = solver.representation_solve_stack(starts, build_clock(BROWNIAN, 257), 0.25, 0.1, cfg, table)
+    assert [(v.value, v.std_error) for v in values] == [
+        (1.0307643378659828, 0.001242233663210761),
+        (1.0408009614315532, 0.001242029475067161),
+    ]

@@ -31,7 +31,7 @@ from gaussbsde.solver import (
     _regularized,
     representation_solve,
     representation_solve_stack,
-    short_horizon_draw,
+    short_horizon_table,
     solve_auxiliary,
     solve_auxiliary_stack,
     transfer_evaluate,
@@ -218,8 +218,13 @@ class TestSolveOracles:
         cfg = SolverConfig(n_time=8, n_particles=2000)
         with pytest.raises(NonFiniteSolution):
             solve_auxiliary(scn, clock, cfg, seed=1)
+        # a short-horizon solve of an affine stack sums no particles: its
+        # value 1e308 + 0.1 c0 is finite (to the ridge's share, ridge / n a
+        # node), and one past the float range raises
+        rep = representation_solve(scn, clock, 0.25, 0.1, 1e308, 0.0, cfg, seed=1)
+        assert rep.value == pytest.approx(1.1e308, rel=1e-10)
         with pytest.raises(NonFiniteSolution):
-            representation_solve(scn, clock, 0.25, 0.1, 1e308, 0.0, cfg, seed=1)
+            representation_solve(scn, clock, 0.25, 0.1, 1.7e308, 0.0, cfg, seed=1)
         # a law-dependent scenario's node means overflow too
         law = ScenarioSpec(terminal=TerminalSpec(a=1e308), generator=GeneratorSpec(kappa_y=0.3), driver=BROWNIAN)
         with pytest.raises(NonFiniteSolution):
@@ -322,6 +327,12 @@ def _state_free(scns):
     return [replace(scn, generator=replace(scn.generator, c1=0.0)) for scn in scns]
 
 
+def _drawn_table(cfg, seed):
+    """The short-horizon table of a draw, whatever stack reads it: the table
+    ``short_horizon_table`` builds for a nonlinear generator."""
+    return short_horizon_table(cfg, seed, [GeneratorSpec(phi="tanh", c4=0.8)])
+
+
 class TestStackedSolves:
     """A stack of scenarios on one draw gives each scenario its own solve."""
 
@@ -344,14 +355,16 @@ class TestStackedSolves:
         scns = _pairs()[pair]
         clock = build_clock(BROWNIAN, 33)
         cfg = SolverConfig(n_time=8, n_particles=2000)
-        draw = short_horizon_draw(cfg, 3)
+        draw = short_horizon_table(cfg, 3, [scn.generator for scn in scns])
         if any(scn.generator.c1 != 0.0 for scn in scns):
             with pytest.raises(UnsupportedScenario):
                 representation_solve_stack([(scn, 1.0, 0.5) for scn in scns], clock, 0.25, 0.1, cfg, draw)
             scns = _state_free(scns)
         stacked = representation_solve_stack([(scn, 1.0, 0.5) for scn in scns], clock, 0.25, 0.1, cfg, draw)
         for scn, rep in zip(scns, stacked):
-            alone = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
+            # alone on the stack's table: an affine row stacked with a
+            # nonlinear one reads the stack's draw, not its own exact table
+            [alone] = representation_solve_stack([(scn, 1.0, 0.5)], clock, 0.25, 0.1, cfg, draw)
             for name in ("value", "std_error"):
                 assert getattr(rep, name) == pytest.approx(getattr(alone, name), rel=0, abs=1e-11)
             assert rep.n_particles == alone.n_particles
@@ -391,11 +404,11 @@ class TestSharedDraw:
         # table's arrays as they were built
         clock = build_clock(BROWNIAN, 65)
         cfg = SolverConfig(n_time=8, n_particles=2000)
-        table = short_horizon_draw(cfg, 9)
-        names = ("w", "state_scales", "terminal", "grams", "fits", "sums", "dw_sums")
-        built = {name: getattr(table, name).copy() for name in names}
         tanh = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
         starts = [(mean_field_scenario(BROWNIAN), 1.0, 0.5), (tanh, -0.5, 0.2)]
+        table = short_horizon_table(cfg, 9, [scn.generator for scn, _, _ in starts])
+        names = ("w", "state_scales", "terminal", "grams", "fits", "sums", "dw_sums")
+        built = {name: getattr(table, name).copy() for name in names}
         first = representation_solve_stack(starts, clock, 0.25, 0.2, cfg, table)
         representation_solve_stack(starts, clock, 0.5, 0.05, cfg, table)
         assert representation_solve_stack(starts, clock, 0.25, 0.2, cfg, table) == first
@@ -417,21 +430,26 @@ class TestSharedDraw:
         with pytest.raises(ValueError, match="table"):
             representation_solve_stack(
                 [(mean_field_scenario(BROWNIAN), 1.0, 0.5)], build_clock(BROWNIAN, 65), 0.25, 0.2, cfg,
-                short_horizon_draw(other, 9),
+                short_horizon_table(other, 9, [mean_field_scenario(BROWNIAN).generator]),
             )
 
     def test_a_solve_alone_draws_its_own(self, monkeypatch):
+        # a nonlinear generator's solve draws its own table; an affine one's
+        # table is exact, and draws nothing
         draws = []
         draw = solver.standard_normals
         monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
         cfg = SolverConfig(n_time=8, n_particles=2000)
         clock = build_clock(BROWNIAN, 33)
-        alone = representation_solve(mean_field_scenario(BROWNIAN), clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
-        assert [(shape, tags) for _, shape, *tags in draws] == [((8, 2000), ["repr-increments"])]
-        [stacked] = representation_solve_stack(
-            [(mean_field_scenario(BROWNIAN), 1.0, 0.5)], clock, 0.25, 0.1, cfg, short_horizon_draw(cfg, 3)
-        )
-        assert stacked == alone
+        tanh = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
+        for scn, drawn in ((tanh, [((8, 2000), ["repr-increments"])]), (mean_field_scenario(BROWNIAN), [])):
+            draws.clear()
+            alone = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
+            assert [(shape, tags) for _, shape, *tags in draws] == drawn
+            [stacked] = representation_solve_stack(
+                [(scn, 1.0, 0.5)], clock, 0.25, 0.1, cfg, short_horizon_table(cfg, 3, [scn.generator])
+            )
+            assert stacked == alone
 
 
 class TestRefinedDraw:

@@ -20,8 +20,9 @@ from gaussbsde.pack import (
 from gaussbsde.measures import LawFeatures
 from gaussbsde.scenario import GeneratorSpec, ScenarioSpec, TerminalSpec, eval_generator
 from gaussbsde.experiments import _suite_entries
+from gaussbsde.reporting import canonical_json
 from gaussbsde.rng import derived_seed
-from gaussbsde.solver import SolverConfig, representation_solve_stack, short_horizon_draw, solve_auxiliary
+from gaussbsde.solver import SolverConfig, representation_solve_stack, short_horizon_table, solve_auxiliary
 from gaussbsde.theorems import (
     comparison_check,
     converse_comparison_check,
@@ -32,6 +33,8 @@ from gaussbsde.theorems import (
     transport_constants,
     z_bound_check,
 )
+
+from test_solver import _drawn_table
 
 BROWNIAN = GaussianDriverSpec.brownian(1.0)
 FBM = GaussianDriverSpec.fbm(0.7, 1.0)
@@ -254,9 +257,14 @@ class TestConverseComparison:
         assert written["notes"] == list(report.notes)
 
 
+TANH = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
+
+
 class TestShortHorizonDraw:
-    """A short-horizon check draws once: every eps of ``representation`` and
-    every probe of ``converse`` reads that draw."""
+    """A short-horizon check of affine generators draws nothing: its one
+    moment table is exact.  A check of a nonlinear generator draws once, and
+    every eps of ``representation`` and every probe of ``converse`` reads
+    that draw."""
 
     def test_one_draw_per_check(self, monkeypatch):
         draws = []
@@ -265,21 +273,23 @@ class TestShortHorizonDraw:
         scn = contraction_mean_field_scenario(BROWNIAN)
         representation_limit_check(scn, 0.25, 1.0, 0.5, [0.2, 0.1, 0.05], SMALL, seed=4)
         converse_comparison_check(scn, shift_generator(scn, 0.1), SMALL, TestConverseComparison.PROBES * 2, 0.1, seed=4)
-        expected = [(derived_seed(4, tag), (16, 4000), "repr-increments") for tag in ("repr", "converse")]
-        assert draws == expected
+        assert draws == []
+        converse_comparison_check(TANH, shift_generator(TANH, 0.1), SMALL, TestConverseComparison.PROBES * 2, 0.1, seed=4)
+        assert draws == [(derived_seed(4, "converse"), (16, 4000), "repr-increments")]
 
     def test_one_moment_table_per_check(self, monkeypatch):
-        # every sub-grid of a check reads the check's one table: one _moments
-        # for the three eps of representation, one for the three probe times
-        # of converse
+        # an affine check builds no particle moments; every sub-grid of a
+        # nonlinear check reads the check's one table: one _moments for the
+        # three probe times of converse
         built = []
         moments = solver._moments
         monkeypatch.setattr(solver, "_moments", lambda *args: built.append(len(args[0])) or moments(*args))
         scn = contraction_mean_field_scenario(BROWNIAN)
         representation_limit_check(scn, 0.25, 1.0, 0.5, [0.2, 0.1, 0.05], SMALL, seed=4)
-        assert built == [SMALL.n_time + 1]
         converse_comparison_check(scn, shift_generator(scn, 0.1), SMALL, TestConverseComparison.PROBES, 0.1, seed=4)
-        assert built == [SMALL.n_time + 1] * 2
+        assert built == []
+        converse_comparison_check(TANH, shift_generator(TANH, 0.1), SMALL, TestConverseComparison.PROBES, 0.1, seed=4)
+        assert built == [SMALL.n_time + 1]
 
     @pytest.mark.parametrize("pair", ["mean_field", "tanh"])
     def test_converse_rows_are_the_probe_stacks(self, pair):
@@ -293,7 +303,7 @@ class TestShortHorizonDraw:
         probes = [(0.4, -1.0, 0.5), (0.1, 0.5, 0.5), (0.4, 0.5, -0.3), (0.4, 2.0, 0.5)]
         rows = converse_comparison_check(scn1, scn2, SMALL, probes, 0.1, seed=21).measurements["probes"]
         clock = theorems._short_horizon_clock(BROWNIAN, SMALL.n_time)
-        table = short_horizon_draw(SMALL, derived_seed(21, "converse"))
+        table = short_horizon_table(SMALL, derived_seed(21, "converse"), [scn1.generator, scn2.generator])
         for row, (t, y, z) in zip(rows, probes):
             assert (row["t"], row["y"], row["z"]) == (t, y, z)  # probe_grid order
             rep1, rep2 = representation_solve_stack([(scn1, y, z), (scn2, y, z)], clock, t, 0.1, SMALL, table)
@@ -303,7 +313,8 @@ class TestShortHorizonDraw:
 
     def test_affine_values_do_not_depend_on_the_draw(self):
         # on an affine stack the short-horizon values are the scheme's exact
-        # values: two seeds give them to 1e-12, which makes one shared draw safe
+        # values: two seeds give them bit for bit, and a solve on a drawn
+        # table gives them to 1e-12
         entries = dict(_suite_entries(20260809))
         rep, conv = entries["representation"], entries["converse"]
         p, q = rep.params, conv.params
@@ -311,14 +322,51 @@ class TestShortHorizonDraw:
             representation_limit_check(rep.scenario, p["t"], p["y"], p["z"], p["eps_list"], rep.solver, seed)
             for seed in (1, 2)
         ]
-        np.testing.assert_allclose(reps[0].measurements["A"], reps[1].measurements["A"], rtol=1e-12, atol=0)
+        assert reps[0].measurements["A"] == reps[1].measurements["A"]
+        clock = theorems._short_horizon_clock(rep.scenario.driver, rep.solver.n_time)
+        drawn = _drawn_table(rep.solver, 1)
+        a_drawn = [
+            (representation_solve_stack([(rep.scenario, p["y"], p["z"])], clock, p["t"], eps, rep.solver, drawn)[0].value
+             - p["y"]) / eps
+            for eps in p["eps_list"]
+        ]
+        np.testing.assert_allclose(reps[0].measurements["A"], a_drawn, rtol=1e-12, atol=0)
         convs = [
             converse_comparison_check(conv.scenario, conv.scenario_2, conv.solver, q["probe_grid"], q["eps"], seed)
             for seed in (1, 2)
         ]
+        clock = theorems._short_horizon_clock(conv.scenario.driver, conv.solver.n_time)
+        drawn = _drawn_table(conv.solver, 1)
         for key in ("y_eps_1", "y_eps_2"):
             values = [[row[key] for row in c.measurements["probes"]] for c in convs]
-            np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=0)
+            assert values[0] == values[1]
+        for row in convs[0].measurements["probes"]:
+            starts = [(scn, row["y"], row["z"]) for scn in (conv.scenario, conv.scenario_2)]
+            rep1, rep2 = representation_solve_stack(starts, clock, row["t"], q["eps"], conv.solver, drawn)
+            np.testing.assert_allclose([row["y_eps_1"], row["y_eps_2"]], [rep1.value, rep2.value], rtol=1e-12, atol=0)
+
+    def test_affine_reports_identical_across_seeds(self):
+        # the suite's affine checks solve on exact moments: their reports,
+        # printed as a run writes them, differ by seed in the seed alone,
+        # even for values that sit at rounding ties of their 12-digit prints
+        entries = dict(_suite_entries(20260809))
+        rep, conv = entries["representation"], entries["converse"]
+        p, q = rep.params, conv.params
+        printed = {"representation": set(), "converse": set()}
+        for seed in range(1, 6):
+            reports = {
+                "representation": representation_limit_check(
+                    rep.scenario, p["t"], p["y"], p["z"], p["eps_list"], rep.solver, seed
+                ),
+                "converse": converse_comparison_check(
+                    conv.scenario, conv.scenario_2, conv.solver, q["probe_grid"], q["eps"], seed
+                ),
+            }
+            for name, report in reports.items():
+                payload = report.payload()
+                assert payload.pop("seed") == seed
+                printed[name].add(canonical_json(payload))
+        assert {name: len(texts) for name, texts in printed.items()} == {"representation": 1, "converse": 1}
 
     def test_suite_checks_pass_over_40_seeds(self):
         # the suite's representation and converse entries (the benchmark's
