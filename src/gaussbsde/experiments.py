@@ -13,6 +13,7 @@ Output layout under the chosen directory:
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -70,6 +71,8 @@ from .wick import (
 
 _QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)  # of the solution series
 _MARKERS = {True: "PASS", False: "FAIL", None: "N/A"}  # the console's mark of a verdict
+# the false-failure rate of a two-sided gate at 3 standard errors of a normal statistic
+_RATE_3SE = math.erfc(3.0 / math.sqrt(2.0))
 
 
 @dataclass
@@ -150,11 +153,16 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
     ones = np.ones(n_paths)
     measurements: dict = {}
     ok = True
+    rates = []  # the nominal false-failure rate of each sub-test, for the family's
+
+    def gate(within: bool, rate: float = _RATE_3SE) -> bool:
+        rates.append(rate)
+        return within
 
     norm_rows = []
     for k, h_weights in enumerate(weights):
         res = s_transform_mc(ones, h_weights)
-        within = abs(res.value - 1.0) <= 3.0 * res.std_error
+        within = gate(abs(res.value - 1.0) <= 3.0 * res.std_error)
         ok = ok and within
         norm_rows.append({"h": k, "value": res.value, "std_error": res.std_error, "within_3se": within})
     measurements["wick_exponential_normalization"] = norm_rows
@@ -167,7 +175,7 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
                 res = s_transform_mc(paths.samples[:, node], h_weights)
                 # Cov(X_t, I_h) of the I_h the weights form on the batch's grid
                 expected = float(h.hdot(clock.grid_t[:-1]) @ np.diff(covariance(driver, t_node, clock.grid_t)))
-                within = abs(res.value - expected) <= 3.0 * res.std_error
+                within = gate(abs(res.value - expected) <= 3.0 * res.std_error)
                 ok = ok and within
                 sxt_rows.append(
                     {"h": k, "t": t_node, "value": res.value, "expected": expected,
@@ -182,7 +190,7 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
         poly[degree] = 1.0
         for k, h_weights in enumerate(weights):
             chk = s_transform_factorization_check(poly, cell, h_weights, paths)
-            within = chk.within <= 3.0
+            within = gate(chk.within <= 3.0)
             ok = ok and within
             fact_rows.append(
                 {"degree": degree, "h": k, "gap": chk.gap, "std_error": chk.std_error,
@@ -195,7 +203,7 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
 
     integral = riemann_wick_integral(np.tile([0.0, 1.0], (clock.grid_t.size - 1, 1)), paths)
     mean_se = float(np.std(integral) / np.sqrt(n_paths))
-    centered_ok = abs(float(np.mean(integral))) <= 3.0 * mean_se
+    centered_ok = gate(abs(float(np.mean(integral))) <= 3.0 * mean_se)
     ok = ok and centered_ok
     measurements["linear_integrand_mean"] = {
         "mean": float(np.mean(integral)), "std_error": mean_se, "within_3se": centered_ok,
@@ -205,12 +213,17 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
         v_total = clock.V_T
         target_var = v_total ** 2 / 2.0
         var_obs = float(np.var(integral))
-        var_ok = abs(var_obs - target_var) <= 0.05 * target_var
+        # the sample variance of (X_T^2 - V_T) / 2 has standard error
+        # V_T^2 sqrt(3.5 / n): the 5% gate sits at z = 0.025 sqrt(n / 3.5) of
+        # them, a two-sided rate of erfc(z / sqrt(2))
+        var_ok = gate(
+            abs(var_obs - target_var) <= 0.05 * target_var, math.erfc(0.025 * math.sqrt(n_paths / 7.0))
+        )
         x_T = paths.samples[:, -1]
         closed_form = 0.5 * (x_T ** 2 - v_total)
         gap = integral - closed_form
         gap_se = float(np.std(gap) / np.sqrt(n_paths))
-        mean_ok = abs(float(np.mean(gap))) <= 3.0 * gap_se
+        mean_ok = gate(abs(float(np.mean(gap))) <= 3.0 * gap_se)
         ok = ok and var_ok and mean_ok
         measurements["quadratic_identity"] = {
             "variance": var_obs, "variance_target": target_var, "variance_ok": var_ok,
@@ -222,7 +235,11 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
         scenario_digest=digest_payload(driver.payload()),
         passed=ok,
         measurements=measurements,
-        tolerances={"statistic_over_se": 3.0, "variance_rel": 0.05},
+        # the sub-tests' count and their nominal family-wise (Sidak) rate
+        tolerances={
+            "statistic_over_se": 3.0, "variance_rel": 0.05,
+            "n_subtests": len(rates), "family_rate": 1.0 - math.prod(1.0 - rate for rate in rates),
+        },
         seed=cfg.seed,
     )
     return report, []

@@ -24,9 +24,13 @@ least-squares coefficients of a particle row r.  Each node's moments
 are built once per solve, from two BLAS products per node: A_i and M_i are
 Hankel matrices of the sums of x_i**k and x_i**k dW_i, k <= 2 degree, which
 phi_i [x_i**degree; dW_i; x_i**degree dW_i]^T gives past degree and
-phi_i phi_{i+1}^T, with C_i, up to it.  They fill one table with a row for
-every node, 0 to N.  The first node's state is 0, so its basis rows past the
-constant are 0 and G_0 is the identity but for n + 1e-8 at (0, 0).  Every
+phi_i phi_{i+1}^T, with C_i, up to it.  The particles are antithetic pairs
+(below): a particle's pair has x_i, x_{i+1} and dW_i negated, so a sum of
+total odd degree in them is exactly 0 and one of even degree is twice the
+sum over half the particles, and the products run on that half.  They fill
+one table with a row for every node, 0 to N.  The first node's state is 0,
+so its basis rows past the constant are 0 and G_0 is the identity but for
+n + 1e-8 at (0, 0).  Every
 other G_i is checked, every node's normal equations are solved in one
 batched call, and the table keeps the fit operators G_i^-1 A_i, G_i^-1 C_i
 and G_i^-1 M_i, beside the fits of the solve's one fixed particle row,
@@ -36,7 +40,7 @@ state, times n, in closed form, with s_i the sums of E[x_i**k], and M_i and
 q_i zero.  An affine stack's sweep reads only the table, so on the twin it
 returns the scheme's values with no Monte Carlo error; a generator that
 does not read z has the same mean on the twin as on any draw, since the
-increments are centred.  A generator is its first-order expansion at
+increments sum to 0.  A generator is its first-order expansion at
 (x, y, z) = 0 plus a remainder r(y) of its nonlinear terms.  Its state is
 the node's Brownian state, x_i = W_i = sqrt(s_i - s_0) phi_i[1] (0 at the
 first node), so the state term ds f_x x_i is a multiple of the basis' linear
@@ -82,27 +86,31 @@ laws through which the equation is proved well posed.  The step guard
 more; ``_solve_on_grid``, which skips the guard, refuses a node where
 ds rho kappa_y reaches 1 (``StepTooCoarse``).
 
-One sweep serves every entry point.  ``_solve_on_grid`` takes the
-centred, unscaled, time-major rows of one draw (``_centred_rows``), builds
-the paths and their moments, scaling row i by sqrt(ds_i) as it reads it,
-and solves K scenarios on them as a stack, in one sweep; a short-horizon
-solve reads its moments off its check's table (below).  A single solve is
-the stack of one; the paired checks (comparison, converse, stability) solve
-both scenarios of a pair as one stack, on common random numbers.  A grid
-of N steps and its refinement of 2N (comparison and stability) share the
-time-major draw of the fine grid, one row per step.  A grid of N steps
-reads its first N rows, which are its own draw's, in reverse: a coarse
-step i meets the fine grid's step N + i, the same particle's normals of
-the fine grid's second half.  ``SolutionField.on_paths`` streams through
-cache-sized blocks of particles (``drivers._particle_blocks``).
+One sweep serves every entry point.  A draw is antithetic (Glasserman
+2003, section 4.2): n/2 standard normals a step, each used with its
+negation, so particle j + n/2 is particle j negated, and every odd moment
+of the sample is 0, as it is for the Gaussian law.  ``_solve_on_grid``
+takes the unscaled, time-major (N, n/2) rows of one draw, builds the paths
+(``_paths``: the rows' partial sums on the left half, negated on the right)
+and their moments, scaling row i by sqrt(ds_i) as it reads it, and solves K
+scenarios on them as a stack, in one sweep; a short-horizon solve reads its
+moments off its check's table (below).  A single solve is the stack of one;
+the paired checks (comparison, converse, stability) solve both scenarios of
+a pair as one stack, on common random numbers.  A grid of N steps and its
+refinement of 2N (comparison and stability) share the time-major draw of
+the fine grid, one row per step.  A grid of N steps reads its first N rows,
+which are its own draw's, in reverse: a coarse step i meets the fine grid's
+step N + i, the same particle's normals of the fine grid's second half.
+``SolutionField.on_paths`` streams through cache-sized blocks of particles
+(``drivers._particle_blocks``).
 
 One moment table per short-horizon check.  A short-horizon check solves on
 sub-grids [V_t, V_{t+eps}] of N = n_time equal steps h, all on one table,
 built once on the unit-step clock 0, 1, .., N with the two terminal rows 1
 and w~_N (``short_horizon_table``).  For affine generators it is the exact
-twin, and nothing is drawn; otherwise it is one draw's, with the paths w~_i
-(partial sums of the rows), common to every solve of the check.  On a
-sub-grid the Brownian state is W_i = sqrt(h) w~_i (Brownian scaling), so
+twin, and nothing is drawn; otherwise it is one antithetic draw's, with the
+paths w~_i (partial sums of the rows, and their negation), common to every
+solve of the check.  On a sub-grid the Brownian state is W_i = sqrt(h) w~_i (Brownian scaling), so
 the regression state W_i / sqrt(s_i - s_0) = w~_i / sqrt(i) is the table's,
 whatever t and eps: so are the basis blocks phi_i, the normal matrices and A_i, C_i and
 s_i, and M_i and q_i, linear in dW_i = sqrt(h) (w~_{i+1} - w~_i), are the
@@ -162,6 +170,8 @@ class SolverConfig:
             raise ValueError("basis_degree must be at least 1")
         if self.n_particles < 10 * (self.basis_degree + 1):
             raise ValueError("n_particles must be at least 10 * (basis_degree + 1)")
+        if self.n_particles % 2:
+            raise ValueError("n_particles must be even: the solver draws antithetic pairs")
 
     def payload(self) -> dict:
         return asdict(self)
@@ -289,7 +299,8 @@ def _derivative(coeffs: np.ndarray, scale: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Moments:
     """What the sweep of one solve reads: the grid and its scales, the
-    particle count n, the (N+1, n) paths w with the divisors
+    particle count n, the (N+1, n) antithetic paths w (particle j + n/2 is
+    particle j negated, ``_paths``) with the divisors
     ``state_scales`` that give node i's basis state w[i] / state_scales[i],
     the K terminal rows g and their means, and the moment table, one row per
     node i = 0 .. N.  A solve on its own paths has the paths W and
@@ -340,14 +351,33 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moments(grid_s, grid_t, w, rows, terminal, degree: int) -> _Moments:
-    """Every node's moments and terminal fits: two products per node, then
-    one batched condition guard and one batched solve over the nodes.
-    ``rows`` are the draw's centred rows (``_centred_rows``): node i's
-    increments are rows[i] sqrt(ds_i), scaled as they are read.
+def _paired(sums: np.ndarray, degree) -> np.ndarray:
+    """Sums over the left half of antithetic pairs read as sums over every
+    particle: a product of total ``degree`` in the states and increments,
+    which a particle's pair negates together, sums to twice the half's when
+    the degree is even and to exactly 0 when it is odd."""
+    return np.where(np.asarray(degree) % 2 == 0, 2.0 * sums, 0.0)
 
-    Node i > 0 fills a (degree + 3, n) block: phi_i, the scaled state x_i to
-    the powers 0 .. degree (the constant row is written once per solve),
+
+def _moments(grid_s, grid_t, w, rows, terminal, degree: int) -> _Moments:
+    """Every node's moments and terminal fits: two products per node on half
+    the particles, then one batched condition guard and one batched solve
+    over the nodes.  ``rows`` are the draw's (N, n/2) time-major normals in
+    step order, and ``w`` the (N+1, n) antithetic paths they make
+    (``_paths``): node i's increments are rows[i] sqrt(ds_i), scaled as they
+    are read, on the left half, and their negation on the right.
+
+    Every product runs on the left half alone (``_paired``): a sum of
+    x_i**j x_(i+1)**k, or of x_i**j dW_i**k, is twice the half's when j + k is
+    even and exactly 0 when it is odd.  The K terminal rows g enter the even
+    basis rows as g(x) + g(-x) and the odd ones as g(x) - g(-x).  Each is
+    first scaled by the power of two that brings its largest magnitude into
+    [1, 2), and its fits and mean are scaled back after the solve: the solve
+    is linear in g, so the scaling is exact, and no sum of g overflows where
+    the values themselves are finite.
+
+    Node i > 0 fills a (degree + 3, n/2) block: phi_i, the scaled state x_i
+    to the powers 0 .. degree (the constant row is written once per solve),
     then dW_i and x_i**degree dW_i.  phi_i @ block[degree:].T holds the
     Hankel sums of A_i past degree and every sum of x_i**k dW_i, those of
     M_i; walking back with two blocks, phi_i @ phi_{i+1}.T is C_i, and its
@@ -355,17 +385,20 @@ def _moments(grid_s, grid_t, w, rows, terminal, degree: int) -> _Moments:
     The first node, whose basis is the constant, reads its moments off node
     1's sums; its normal matrix is the identity but for G_0[0, 0] = n + ridge."""
     N = len(grid_s) - 1
-    W, K, n = degree + 1, len(terminal), w.shape[1]
+    W, K, n, half = degree + 1, len(terminal), w.shape[1], rows.shape[1]
     scales, root = _basis_scales(grid_s), np.sqrt(np.diff(grid_s))
     hankel = np.add.outer(np.arange(W), np.arange(W))
+    scale = np.ldexp(1.0, np.frexp(np.abs(terminal).max(axis=1))[1] - 1)
+    left, right = terminal[:, :half] / scale[:, None], terminal[:, half:] / scale[:, None]
+    even, odd = left + right, left - right
     # row i is node i; the right-hand sides [A | C | M | phi g] hold phi g,
     # the terminal rows' moments, on the last two nodes only
     sums, dw_sums = np.zeros((N + 1, 2 * W - 1)), np.zeros((N + 1, 2 * W - 1))
     rhs = np.zeros((N + 1, W, 3 * W + K))
-    block, following = np.empty((W + 2, n)), np.empty((W + 2, n))
+    block, following = np.empty((W + 2, half)), np.empty((W + 2, half))
     block[0] = following[0] = 1.0
     for i in range(N, 0, -1):
-        np.divide(w[i], scales[i], out=block[1])
+        np.divide(w[i, :half], scales[i], out=block[1])
         for k in range(2, W):
             np.multiply(block[k - 1], block[1], out=block[k])
         if i == N:
@@ -380,21 +413,26 @@ def _moments(grid_s, grid_t, w, rows, terminal, degree: int) -> _Moments:
             dw_sums[i, :W], dw_sums[i, W:] = high[:, 1], high[1:, 2]
             rhs[i, :, W : 2 * W] = prod
         if i >= N - 1:
-            rhs[i, :, 3 * W :] = _product(block[:W], terminal)
+            rhs[i, ::2, 3 * W :] = _product(block[:W:2], even)
+            rhs[i, 1::2, 3 * W :] = _product(block[1:W:2], odd)
         block, following = following, block
+    sums, dw_sums = _paired(sums, np.arange(2 * W - 1)), _paired(dw_sums, np.arange(1, 2 * W))
+    rhs[:, :, W : 2 * W] = _paired(rhs[:, :, W : 2 * W], hankel)
     # the first node: A_0 = n e_0 e_0^T, C_0 holds node 1's sums of its basis
-    # in its first row and M_0 the sum of dW_0
-    sums[0, 0], dw_sums[0, 0] = n, np.multiply(rows[0], root[0], out=block[W]).sum()
+    # in its first row, and M_0 the sum of dW_0, which is 0
+    sums[0, 0] = n
     rhs[0, 0, W : 2 * W] = sums[1, :W]
     if N == 1:
-        rhs[0, 0, 3 * W :] = terminal.sum(axis=1)
+        rhs[0, 0, 3 * W :] = even.sum(axis=1)
     rhs[:, :, :W] = sums[:, hankel]
     rhs[:, :, 2 * W : 3 * W] = dw_sums[:, hankel]
-    return _solved_table(
+    mom = _solved_table(
         rhs, n, grid_s=grid_s, grid_t=np.asarray(grid_t, dtype=float), scales=scales, degree=degree, w=w,
-        state_scales=scales, terminal=terminal, terminal_mean=terminal.mean(axis=1),
+        state_scales=scales, terminal=terminal, terminal_mean=even.sum(axis=1) / n * scale,
         sums=sums[:, :W], dw_sums=dw_sums[:, :W],
     )
+    mom.fits[:, :, 3 * W :] *= scale  # the terminal fits at their rows' own scale
+    return mom
 
 
 def _gaussian_moments(grid_s, grid_t, terminal_coeffs, degree: int, n: int) -> _Moments:
@@ -555,8 +593,8 @@ def _backward_pass(gens, mom: _Moments) -> _Stack:
             # node: smoothing the next field gives E[dY_{i+1}/dw]
             if N > 1:
                 slope = mean_z[:, 1, None]
-            else:  # one step: the regression slope of g on W_1 = dW_0
-                slope = (mom.terminal @ mom.w[1] - b[:, 0] * mom.dw_sums[0, 0])[:, None] / (n * ds)
+            else:  # one step: the regression slope of g on W_1 = dW_0, whose sum is 0
+                slope = (mom.terminal @ mom.w[1])[:, None] / (n * ds)
             vb = np.zeros((K, W))
             vb[:, :1] = z_gain[0] * slope + ds_fx[0]
         if nonlinear:
@@ -615,34 +653,21 @@ def _y_row(mom: _Moments, spec, out: _Stack, k: int, i: int) -> np.ndarray:
     return y
 
 
-def _centred_rows(normals: np.ndarray, n_steps: int) -> np.ndarray:
-    """(n_steps, n) centred standard normals, time-major: row i holds every
-    particle's normal for step i, and a grid's increments from s_i to
-    s_{i+1} are row i times sqrt(s_{i+1} - s_i), scaled as ``_paths`` and
-    ``_moments`` read them, which never write them.  They are the first
-    n_steps rows of the (N_max, n) draw ``normals``, each centred over the
-    particles and read in reverse: step i reads row n_steps - 1 - i.  A
-    generator fills a draw in C order, so these rows are an (n_steps, n)
-    draw of the same stream, and a coarse grid of N steps on a draw of 2N
-    meets, at its step i, the normals of the fine grid's step N + i.  A grid
-    that reads the whole draw centres it in place and returns a view of it,
-    so it must be the draw's last reader; a coarser grid leaves the draw as
-    it is."""
-    z = normals[:n_steps]
-    mean = z.mean(axis=1, keepdims=True)  # exact zero-mean increments
-    return np.subtract(z, mean, out=z if n_steps == len(normals) else None)[::-1]
-
-
 def _paths(rows: np.ndarray, grid_s) -> np.ndarray:
-    """(N+1, n) partial sums of the increments rows[i] sqrt(ds_i), starting
-    from 0."""
+    """(N+1, n) antithetic paths from 0 for the (N, n/2) normals ``rows`` in
+    step order: the left half holds the partial sums of the increments
+    rows[i] sqrt(ds_i), and the right half, particle j + n/2, is particle j
+    negated, written in place."""
     root = np.sqrt(np.diff(grid_s))
-    w = np.zeros((rows.shape[0] + 1, rows.shape[1]))
+    half = rows.shape[1]
+    w = np.zeros((rows.shape[0] + 1, 2 * half))
+    left = w[:, :half]
     # a running sum over contiguous rows adds in the order np.cumsum does
     # along axis 0, without its strided walk over a time-major block
     for i, row in enumerate(rows):
-        np.multiply(row, root[i], out=w[i + 1])
-        w[i + 1] += w[i]
+        np.multiply(row, root[i], out=left[i + 1])
+        left[i + 1] += left[i]
+    np.negative(left, out=w[:, half:])
     return w
 
 
@@ -659,9 +684,9 @@ def _check_step(scns, grid_s) -> np.ndarray:
 
 
 def _solve_on_grid(gens, terminal, grid_s, grid_t, cfg, rows):
-    """A solve on its own paths: from the centred rows of a draw
-    (``_centred_rows``), build the paths from 0 on ``grid_s`` and their
-    moments, and run the one backward sweep of the K generators on them.
+    """A solve on its own paths: from the (N, n/2) normals ``rows`` of a
+    draw, in step order, build the antithetic paths from 0 on ``grid_s`` and
+    their moments, and run the one backward sweep of the K generators on them.
     ``terminal(w_end)`` gives the K rows of terminal values at the last
     node's state; the generators read ``w`` in their state slot.  Returns
     (moments, stack)."""
@@ -683,19 +708,19 @@ def solve_auxiliary_stack(
     the scenarios' fields per clock, in their order, each the field
     ``solve_auxiliary`` gives for that scenario on that clock alone, and the
     particle cloud of the last clock, which the scenarios share.  Each
-    grid's rows are built just before its own solve, and a coarser grid's
-    rows, paths and moments are released before the next grid's are built.
+    grid's paths are built just before its own solve, and a coarser grid's
+    paths and moments are released before the next grid's are built.
 
     The scenarios share one draw (common random numbers), and so do the
-    clocks: the (N_max, n) normals of the finest grid are drawn once, one
+    clocks: the (N_max, n/2) normals of the finest grid are drawn once, one
     row per step, and a grid of N steps reads the first N rows, which are
-    the normals of its own draw, in reverse (``_centred_rows``).  So a
-    coarse grid of N steps meets, at its step i, the finest grid's step
-    N_max - N + i, the same particle's normals: for a refinement of 2N
-    steps, step N + i, in the fine grid's second half.  The
-    finest grid, which comes last, centres the draw in place.  The step
-    guard runs on every grid, with each generator's symbolic constant,
-    before the draw.
+    the normals of its own draw, in reverse, as a view that no solve
+    writes.  Each normal and its negation are an antithetic pair of
+    particles (``_paths``).  So a coarse grid of N steps meets, at its step
+    i, the finest grid's step N_max - N + i, the same particle's normals:
+    for a refinement of 2N steps, step N + i, in the fine grid's second
+    half.  The step guard runs on every grid, with each generator's
+    symbolic constant, before the draw.
 
     The time grids are taken from the clocks (their images of [0, T]);
     ``cfg.n_time`` governs clock construction in the orchestration layer, not
@@ -710,14 +735,12 @@ def solve_auxiliary_stack(
     def terminal(w_end):
         return [terminal_on_paths(scn.terminal, w_end) for scn in scns]
 
-    normals = standard_normals(seed, (steps[-1], cfg.n_particles), "solver-increments")
+    normals = standard_normals(seed, (steps[-1], cfg.n_particles // 2), "solver-increments")
     fields = []
     for clock, n_steps, margin in zip(clocks, steps, margins):
-        # the previous grid's rows, paths and moments, released before this
-        # grid's rows are built
-        mom = rows = None
-        rows = _centred_rows(normals, n_steps)
-        mom, out = _solve_on_grid(gens, terminal, clock.grid_V, clock.grid_t, cfg, rows)
+        # the previous grid's paths and moments, released before this grid's are built
+        mom = None
+        mom, out = _solve_on_grid(gens, terminal, clock.grid_V, clock.grid_t, cfg, normals[:n_steps][::-1])
         fields.append([
             SolutionField(
                 clock=clock, scales=mom.scales, u_coeffs=out.u[k], v_coeffs=out.v[k],
@@ -761,8 +784,10 @@ class RepresentationValue:
 
     value           cross-particle mean of the time-t values; on exact
                     moments, the scheme's value itself
-    std_error       Monte Carlo standard error of that mean; 0.0 on exact
-                    moments, where the value has no Monte Carlo error
+    std_error       Monte Carlo standard error of that mean over the n/2
+                    antithetic pairs: the standard deviation of the pair
+                    means over sqrt(n/2); 0.0 on exact moments, where the
+                    value has no Monte Carlo error
     step_lipschitz  the sub-grid's max ds * L_f: the margin to the step guard's 0.5
     """
 
@@ -805,16 +830,16 @@ def short_horizon_table(cfg: SolverConfig, seed: int, gens) -> _Moments:
     (``_gaussian_moments``, at ``cfg.n_particles``) and nothing is drawn:
     the sweep on it gives the scheme's values with no Monte Carlo error,
     which for a generator that does not read z is the mean any draw gives,
-    the increments being centred.  Otherwise
-    it holds the moments of one draw's centred rows (``_centred_rows``),
-    whose paths are the rows' partial sums w~_i, for common random numbers
-    across the solves.  The draw is centred in place, so the rows are the
-    draw itself, released once the table is built; the table keeps the
-    paths, from which the sweep reads each node's basis state."""
+    the increments summing to 0.  Otherwise it holds the moments of one
+    antithetic draw of (n_time, n/2) normals, read in reverse like a
+    solve's, whose paths are the rows' partial sums w~_i and their negation
+    (``_paths``), for common random numbers across the solves.  The draw is
+    released once the table is built; the table keeps the paths, from which
+    the sweep reads each node's basis state."""
     unit = np.arange(cfg.n_time + 1.0)
     if all(g.c4 == 0.0 for g in gens):
         return _gaussian_moments(unit, unit, np.eye(2), cfg.basis_degree, cfg.n_particles)
-    rows = _centred_rows(standard_normals(seed, (cfg.n_time, cfg.n_particles), "repr-increments"), cfg.n_time)
+    rows = standard_normals(seed, (cfg.n_time, cfg.n_particles // 2), "repr-increments")[::-1]
     w = _paths(rows, unit)
     return _moments(unit, unit, w, rows, np.stack([np.ones_like(w[-1]), w[-1]]), cfg.basis_degree)
 
@@ -859,7 +884,10 @@ def representation_solve_stack(
     moment table (``short_horizon_table``), whose moments the solve reads on
     its own sub-grid (``_sub_grid_moments``) and leaves as they are.  On an
     exact table the values have no Monte Carlo error: each reports a
-    standard error of 0.0, and no particle row is built.
+    standard error of 0.0, and no particle row is built.  On a drawn table
+    the standard error is the antithetic pairs': the standard deviation of
+    the pair means of the first-node values (``_candidates``) over
+    sqrt(n/2).
 
     Every particle starts from the same (y, z) at time t, and regressions
     run on the Brownian increment from V_t (the Markov state of this
@@ -889,7 +917,10 @@ def representation_solve_stack(
     if table.exact:
         std_errors = [0.0] * len(scns)
     else:
-        std_errors = [float(np.std(row) / math.sqrt(n)) for row in _candidates(gens, mom, out)]
+        # the n/2 antithetic pairs are the independent samples: a pair's mean
+        # is one draw of the value
+        pairs = [(row[: n // 2] + row[n // 2 :]) / 2.0 for row in _candidates(gens, mom, out)]
+        std_errors = [float(np.std(pair) / math.sqrt(n // 2)) for pair in pairs]
     return [
         RepresentationValue(
             value=float(out.mean_y[k, 0]),

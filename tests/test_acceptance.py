@@ -234,8 +234,9 @@ class TestAcceptance:
         cfg = parse_config_payload({"kind": "full_suite", "seed": SEED})
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         monkeypatch.setenv("GAUSSBSDE_THREADS", "1")
-        # the first pass also counts its SFC64 normals (the paired checks'
-        # grid and its refinement share one draw; the suite's short-horizon
+        # the first pass also counts its SFC64 normals (the solver draws n/2
+        # a step, for antithetic pairs; the paired checks' grid and its
+        # refinement share one draw; the suite's short-horizon
         # checks are affine, so they solve on exact moments and draw none)
         # and the scenario DSL's probe streams: the run reads the symbolic
         # Lipschitz constants and draws no audit probe
@@ -264,14 +265,14 @@ class TestAcceptance:
         )
         identical = all((out2 / rel).read_bytes() == (out1 / rel).read_bytes() for rel in files)
         manifest = json.loads((out1 / "manifest.json").read_text())
-        counted = (len(draws), sum(draws)) == (13, 4_256_000)
+        counted = (len(draws), sum(draws)) == (13, 2_848_000)
         audits = probes.count(("lipschitz-audit",))
         ok = passed1 and passed2 and identical and len(manifest["experiments"]) >= 8 and counted and audits == 0
         announce(
             9, ok,
             f"full_suite passes twice, {len(files)} manifest/report/series files byte-identical, "
             f"{len(manifest['experiments'])} experiments (>= 8), "
-            f"{sum(draws)} normals in {len(draws)} draws (4256000 in 13), "
+            f"{sum(draws)} normals in {len(draws)} draws (2848000 in 13), "
             f"{audits} Lipschitz-audit streams (0) of {len(probes)} probe streams",
         )
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -484,6 +485,10 @@ REFUSALS = {
         "scenario.terminal: nonlinearity coefficient must be 0 when phi is 'none'",
     ),
     "solver_n_time": (dict(BASE_CONFIG, solver={"n_time": 1}), "solver: n_time must be at least 2"),
+    "solver_odd_particles": (
+        dict(BASE_CONFIG, solver={"n_particles": 1201}),
+        "solver: n_particles must be even: the solver draws antithetic pairs",
+    ),
     "covariance_missing": (
         dict(BASE_CONFIG, driver={"kind": "custom", "covariance_file": "missing.csv"}),
         "driver.covariance_file: cannot read covariance table: [Errno 2] No such file or directory: "
@@ -681,14 +686,14 @@ class TestCliRun:
             # moves their sixth digit
             (
                 [0.0],
-                '{"band":[0],"band_cut_fraction":0,"delta":1.99247951471e-10,"max_violation_fraction":0,'
-                '"scheme_error_estimate":6.64159838237e-11,"t_list":[0],"violation_fraction":[0]}',
+                '{"band":[0],"band_cut_fraction":0,"delta":1.99999350414e-10,"max_violation_fraction":0,'
+                '"scheme_error_estimate":6.66664501381e-11,"t_list":[0],"violation_fraction":[0]}',
             ),
             # the scheme error is read inside the band 2.3263 sqrt(V_t)
             (
                 [1.0, 0.5],
-                '{"band":[2.32634787404,1.64497635713],"band_cut_fraction":0.0175,"delta":0.00378715825619,'
-                '"max_violation_fraction":0,"scheme_error_estimate":0.0012623860854,"t_list":[1,0.5],'
+                '{"band":[2.32634787404,1.64497635713],"band_cut_fraction":0.0175,"delta":0.00401870059192,'
+                '"max_violation_fraction":0,"scheme_error_estimate":0.00133956686397,"t_list":[1,0.5],'
                 '"violation_fraction":[0,0]}',
             ),
         ],
@@ -771,6 +776,20 @@ class TestCliRun:
         assert re.fullmatch(r"\[N/A\] t2 \(\d+ ms\)", capsys.readouterr().out.splitlines()[0])
         assert re.fullmatch(r"t2: [\d.]+ ms, pass=None", (out / "run.log").read_text().splitlines()[0])
         assert json.loads((out / "manifest.json").read_text())["experiments"][0]["pass"] is None
+
+    @pytest.mark.parametrize("driver, n_subtests", [(FBM, 19), (BASE_CONFIG["driver"], 27)], ids=["fbm", "brownian"])
+    def test_wick_validate_family_rate(self, tmp_path, driver, n_subtests):
+        # the sub-tests at 3 standard errors, and on a Brownian driver the
+        # quadratic identity's variance gate at 0.025 sqrt(n / 3.5) of them
+        tree = dict(kind_config("wick_validate", {"n_time": 8, "n_paths": 2000}), driver=driver)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, tree)), "--out", str(out), "--quiet"]) in (0, 2)
+        tolerances = json.loads(next((out / "reports").glob("*.json")).read_text())["tolerances"]
+        rates = [math.erfc(3.0 / math.sqrt(2.0))] * 19
+        if n_subtests == 27:
+            rates += [math.erfc(0.025 * math.sqrt(2000 / 3.5) / math.sqrt(2.0))] + rates[:7]
+        assert tolerances["n_subtests"] == n_subtests
+        assert tolerances["family_rate"] == pytest.approx(1.0 - np.prod(1.0 - np.array(rates)), rel=1e-12)
 
     def test_suite_zbound_verdict_in_manifest(self, tmp_path):
         # at suite seed 4 the largest |Z| over all particles exceeds the

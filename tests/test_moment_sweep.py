@@ -131,15 +131,22 @@ def particle_picard(gens, grid_s, grid_t, w, dw, terminal_values, cfg, x_states)
     raise AssertionError(f"the oracle's Picard iteration did not reach {ORACLE_TOL} in {ORACLE_MAX_SWEEPS} sweeps")
 
 
+def increments(rows, grid_s):
+    """(N, n) increments of every particle of the antithetic paths of the
+    (N, n/2) normals ``rows``: particle j + n/2's are particle j's negated."""
+    half = rows * np.sqrt(np.diff(grid_s))[:, None]
+    return np.hstack([half, -half])
+
+
 def both_sweeps(gens, grid_s, grid_t, terminal, cfg, seed):
-    """(moment stack, moments, particle reference) of one stack solve.  The
-    reference evaluates f at the particles' states x = w, so its c1 x term is
-    a particle row, not a basis coefficient."""
-    rows = solver._centred_rows(standard_normals(seed, (len(grid_s) - 1, cfg.n_particles), "oracle"), len(grid_s) - 1)
+    """(moment stack, moments, particle reference) of one stack solve, the
+    reference on every particle of the symmetric paths.  The reference
+    evaluates f at the particles' states x = w, so its c1 x term is a
+    particle row, not a basis coefficient."""
+    rows = standard_normals(seed, (len(grid_s) - 1, cfg.n_particles // 2), "oracle")[::-1]
     mom, out = solver._solve_on_grid(gens, terminal, grid_s, grid_t, cfg, rows)
     w = solver._paths(rows, grid_s)
-    dw = rows * np.sqrt(np.diff(grid_s))[:, None]
-    ref = particle_picard(gens, grid_s, grid_t, w, dw, mom.terminal, cfg, x_states=w)
+    ref = particle_picard(gens, grid_s, grid_t, w, increments(rows, grid_s), mom.terminal, cfg, x_states=w)
     return out, mom, ref
 
 
@@ -292,7 +299,7 @@ def test_random_stacks_match_particle_sweep(scns, driver, degree, n_steps, seed)
 def test_sub_grid_of_the_table_is_the_solve_on_its_own_paths(scns, driver, degree, n_time, t, eps, starts, seed):
     # a short-horizon sub-grid read off the check's unit-step table, against
     # the solve that builds the sub-grid's own paths and moments from the
-    # same centred rows
+    # same draw
     scns = _state_free(scns)
     cfg = SolverConfig(n_time=n_time, n_particles=500, basis_degree=degree)
     clock = build_clock(driver, 257)
@@ -300,7 +307,7 @@ def test_sub_grid_of_the_table_is_the_solve_on_its_own_paths(scns, driver, degre
     grid_t = clock.invert(grid_s)
     gens = [scn.generator for scn in scns]
     y, z = np.array(starts[: len(scns)]).T
-    rows = solver._centred_rows(standard_normals(seed, (n_time, cfg.n_particles), "repr-increments"), n_time)
+    rows = standard_normals(seed, (n_time, cfg.n_particles // 2), "repr-increments")[::-1]
     own, own_out = solver._solve_on_grid(gens, lambda w_end: [a + b * w_end for a, b in zip(y, z)], grid_s, grid_t, cfg, rows)
     table = _drawn_table(cfg, seed)
     mom = solver._sub_grid_moments(table, grid_s, grid_t, y, z)
@@ -332,15 +339,17 @@ def test_law_free_stack_keeps_no_particle_matrix():
 @pytest.mark.parametrize("n_steps", [1, 2, 17])
 def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
     # each node's row of the moment table, built from two products per node
-    # and one batched solve, against the explicit basis products phi phi^T,
-    # phi phi_{i+1}^T and phi diag(dW) phi^T; the products are summed over
-    # particle blocks
+    # on half the particles and one batched solve, against the explicit
+    # basis products phi phi^T, phi phi_{i+1}^T and phi diag(dW) phi^T over
+    # every particle of the symmetric paths [w, -w]; the products are summed
+    # over particle blocks, and the terminal rows are 1 + x (neither odd nor
+    # even), sin x (odd) and 3 cos x (even)
     monkeypatch.setattr(solver, "_PARTICLE_BLOCK", 768)
     grid_s = build_clock(BROWNIAN, n_steps + 1).grid_V
-    rows = solver._centred_rows(standard_normals(7, (n_steps, 2000), "nodes"), n_steps)
+    rows = standard_normals(7, (n_steps, 1000), "nodes")[::-1]
     w = solver._paths(rows, grid_s)
-    dw = rows * np.sqrt(np.diff(grid_s))[:, None]
-    terminal = np.array([1.0 + w[-1], np.sin(w[-1])])
+    dw = increments(rows, grid_s)
+    terminal = np.array([1.0 + w[-1], np.sin(w[-1]), 3.0 * np.cos(w[-1])])
     solves = []
     with monkeypatch.context() as patch:
         solve = np.linalg.solve
@@ -369,6 +378,9 @@ def test_node_moments_match_basis_products(monkeypatch, degree, n_steps):
             gram, cond = _regularized(phi @ phi.T, solver._RIDGE)
         conds.append(cond)
         fits = mom.fits[i]
+        # a sum of odd total degree in x and dW is 0 on symmetric paths, exactly
+        assert (mom.sums[i, 1::2] == 0.0).all() and (mom.dw_sums[i, ::2] == 0.0).all()
+        assert (mom.grams[i][np.add.outer(np.arange(W), np.arange(W)) % 2 == 1] == 0.0).all()
         close(mom.grams[i], gram)
         close(mom.sums[i], phi.sum(axis=1))
         close(fits[:, :W], np.linalg.solve(gram, phi @ phi.T), cond=cond)
@@ -446,7 +458,7 @@ def test_twin_moments_within_the_sampled_table_errors():
     # every entry within 4 standard errors of the sample's own products
     n, degree, n_steps = 200_000, 4, 4
     grid_s = build_clock(FBM03, n_steps + 1).grid_V
-    rows = solver._centred_rows(standard_normals(12, (n_steps, n), "twin-moments"), n_steps)
+    rows = standard_normals(12, (n_steps, n // 2), "twin-moments")[::-1]
     w = solver._paths(rows, grid_s)
     sampled = solver._moments(grid_s, grid_s, w, rows, np.stack([np.ones(n), w[-1]]), degree)
     twin = solver._gaussian_moments(grid_s, grid_s, np.eye(2), degree, n)
@@ -465,8 +477,8 @@ def test_twin_moments_within_the_sampled_table_errors():
 
 
 def test_nonlinear_stack_draws_as_before(monkeypatch):
-    # a tanh generator's short-horizon table is a draw, and its values are
-    # the ones the table of drawn moments gave before exact tables existed
+    # a tanh generator's short-horizon table is a draw of n/2 normals a
+    # step, and its values and pair-aware standard errors are pinned
     draws = []
     draw = solver.standard_normals
     monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
@@ -474,9 +486,9 @@ def test_nonlinear_stack_draws_as_before(monkeypatch):
     starts = [(tanh, 1.0, 0.5), (shift_generator(tanh, 0.1), 1.0, 0.5)]
     cfg = SolverConfig(n_time=8, n_particles=2000)
     table = solver.short_horizon_table(cfg, 5, [scn.generator for scn, _, _ in starts])
-    assert not table.exact and [args[1:] for args in draws] == [((8, 2000), "repr-increments")]
+    assert not table.exact and [args[1:] for args in draws] == [((8, 1000), "repr-increments")]
     values = solver.representation_solve_stack(starts, build_clock(BROWNIAN, 257), 0.25, 0.1, cfg, table)
     assert [(v.value, v.std_error) for v in values] == [
-        (1.0307643378659828, 0.001242233663210761),
-        (1.0408009614315532, 0.001242029475067161),
+        (1.030762497378406, 2.698276777762706e-06),
+        (1.0407991237759417, 2.687973663274657e-06),
     ]

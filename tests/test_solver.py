@@ -134,6 +134,16 @@ class TestSolveOracles:
         y_val, _ = transfer_evaluate(field, 0.0, 0.0)
         assert abs(y_val) < 0.02
 
+    @pytest.mark.parametrize("driver", [BROWNIAN, GaussianDriverSpec.fbm(0.3, 1.0)], ids=["brownian", "fbm"])
+    def test_odd_affine_solves_are_odd_exactly(self, driver):
+        # on antithetic paths every odd moment is 0, so an odd g with an
+        # affine f that keeps it odd gives an odd Y and an even Z, with no
+        # rounding left: Y_0 is 0.0
+        for scn in (identity_scenario(driver), linear_scenario(driver, 0.5)):
+            field, _ = solve_auxiliary(scn, build_clock(driver, 17), SolverConfig(n_time=16, n_particles=2000), seed=1)
+            assert field.u_coeffs[0, 0] == 0.0
+            assert not field.u_coeffs[:, ::2].any() and not field.v_coeffs[:, 1::2].any()
+
     def test_mean_field_oracle(self):
         # particle mean of Y at clock time s is exp(alpha (V_T - s))
         scn = mean_field_scenario(BROWNIAN, alpha=0.3, c=1.0)
@@ -196,8 +206,8 @@ class TestSolveOracles:
         field, _ = solve_auxiliary(
             mean_field_scenario(BROWNIAN), build_clock(BROWNIAN, 17), SolverConfig(n_time=16, n_particles=2000), seed=1
         )
-        np.testing.assert_allclose(field.u_coeffs[0], [1.3537088990823352, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(field.v_coeffs[0], [0.9993479870302637, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(field.u_coeffs[0], [1.3537088990820756, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(field.v_coeffs[0], [0.9969958133305403, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
 
     def test_strong_law_coupling_in_one_sweep(self):
         # f = 3 E[Y]: each node's mean Y is the next node's over 1 - 3 ds,
@@ -225,10 +235,22 @@ class TestSolveOracles:
         assert rep.value == pytest.approx(1.1e308, rel=1e-10)
         with pytest.raises(NonFiniteSolution):
             representation_solve(scn, clock, 0.25, 0.1, 1.7e308, 0.0, cfg, seed=1)
-        # a law-dependent scenario's node means overflow too
-        law = ScenarioSpec(terminal=TerminalSpec(a=1e308), generator=GeneratorSpec(kappa_y=0.3), driver=BROWNIAN)
+        # a law-dependent scenario's node means overflow too: Y_0 is about
+        # 1.5e308 (1 - 0.3 / 8)^-8, past the float range
+        law = ScenarioSpec(terminal=TerminalSpec(a=1.5e308), generator=GeneratorSpec(kappa_y=0.3), driver=BROWNIAN)
         with pytest.raises(NonFiniteSolution):
             solve_auxiliary(law, clock, cfg, seed=1)
+
+    @pytest.mark.parametrize("a", [1e305, 1e308])
+    def test_terminal_near_the_float_range(self, a):
+        # the sums of the terminal rows over the particles would pass the
+        # float range; each row is scaled by a power of two before it is
+        # summed, so a solve whose values are finite returns them
+        scn = ScenarioSpec(terminal=TerminalSpec(a=a), generator=GeneratorSpec(), driver=BROWNIAN)
+        clock = build_clock(BROWNIAN, 9)
+        field, _ = solve_auxiliary(scn, clock, SolverConfig(n_time=8, n_particles=2000), seed=1)
+        assert np.isfinite(field.u_coeffs).all() and np.isfinite(field.v_coeffs).all()
+        assert field.u_coeffs[0, 0] == pytest.approx(a, rel=1e-10)
 
     def test_affine_law_test_builds_no_particle_row(self, monkeypatch):
         # an affine law-dependent solve reads each node's law off the
@@ -287,7 +309,7 @@ class TestSolveOracles:
         grid_s = np.linspace(0.0, 1.0, 3)  # ds = 0.5
 
         def solve(gen):
-            rows = solver._centred_rows(standard_normals(1, (2, cfg.n_particles), "guard"), 2)
+            rows = standard_normals(1, (2, cfg.n_particles // 2), "guard")[::-1]
             return solver._solve_on_grid([gen], lambda w_end: [1.0 + w_end], grid_s, grid_s, cfg, rows)
 
         with pytest.raises(StepTooCoarse, match="kappa_y"):
@@ -442,7 +464,7 @@ class TestSharedDraw:
         cfg = SolverConfig(n_time=8, n_particles=2000)
         clock = build_clock(BROWNIAN, 33)
         tanh = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
-        for scn, drawn in ((tanh, [((8, 2000), ["repr-increments"])]), (mean_field_scenario(BROWNIAN), [])):
+        for scn, drawn in ((tanh, [((8, 1000), ["repr-increments"])]), (mean_field_scenario(BROWNIAN), [])):
             draws.clear()
             alone = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
             assert [(shape, tags) for _, shape, *tags in draws] == drawn
@@ -454,9 +476,9 @@ class TestSharedDraw:
 
 class TestRefinedDraw:
     """The grids of a refinement read the first rows of one time-major
-    draw: each grid gets the normals a draw of its own would give, and
-    reads them in reverse, so a coarse step i of N meets step N + i of a
-    refinement of 2N."""
+    draw of n/2 normals a step: each grid gets the normals a draw of its own
+    would give, and reads them in reverse, so a coarse step i of N meets
+    step N + i of a refinement of 2N."""
 
     @pytest.mark.parametrize("n, n_steps", [(8000, 32), (16000, 16), (8000, 100)])
     def test_stream_fills_a_draw_in_c_order(self, n, n_steps):
@@ -492,7 +514,7 @@ class TestRefinedDraw:
         scns = [linear_scenario(BROWNIAN, beta=3.0), identity_scenario(BROWNIAN)]
         cfg = SolverConfig(n_time=8, n_particles=2000)
         solve_auxiliary_stack(scns, [build_clock(BROWNIAN, 9), build_clock(BROWNIAN, 17)], cfg, seed=1)
-        assert [args[1] for args in draws] == [(16, 2000)]
+        assert [args[1] for args in draws] == [(16, 1000)]
         # L_f = 3: a step of 1/4 fails the guard on either grid, before any draw
         draws.clear()
         uneven = np.concatenate([[0.0], 0.25 + np.linspace(0.0, 0.75, 16)])  # 16 steps, the first 1/4
@@ -509,26 +531,28 @@ class TestRefinedDraw:
             with pytest.raises(ValueError, match="increasing step counts"):
                 solve_auxiliary_stack(scns, clocks, cfg, seed=1)
 
-    def test_rows_are_the_draw_reversed_and_centred(self):
-        normals = standard_normals(3, (32, 2000), "layout")
-        drawn = normals.copy()
-        coarse = solver._centred_rows(normals, 16)
-        assert np.array_equal(normals, drawn)  # a coarse grid leaves the draw as it is
-        fine = solver._centred_rows(normals, 32)  # the grid reading the whole draw comes last
-        assert np.shares_memory(fine, normals)  # centred in place, with no second array
-        for n_steps, rows in ((16, coarse), (32, fine)):
-            assert rows.shape == (n_steps, 2000)
-            for i, row in enumerate(rows):
-                assert row.flags.c_contiguous
-                assert np.array_equal(row, drawn[n_steps - 1 - i] - drawn[n_steps - 1 - i].mean())
-            # read with the grid's steps, they are the increments of the paths
-            grid_s = np.sort(np.random.default_rng(n_steps).uniform(0.0, 1.0, n_steps + 1))
-            grid_s[0] = 0.0
-            increments = np.multiply(rows, np.sqrt(np.diff(grid_s))[:, None], order="C")
-            assert np.array_equal(solver._paths(rows, grid_s)[1:], np.cumsum(increments, axis=0))
+    def test_grids_read_the_draw_reversed(self, monkeypatch):
+        # each grid's rows are the first N rows of the (2N, n/2) draw in
+        # reverse, a view of it that no solve writes, and the cloud is the
+        # finest grid's antithetic paths
+        draws, seen = [], []
+        draw, solve_on_grid = solver.standard_normals, solver._solve_on_grid
+        monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(draw(*args)) or draws[-1])
+        monkeypatch.setattr(solver, "_solve_on_grid", lambda *args: seen.append(args[5]) or solve_on_grid(*args))
+        clocks = [build_clock(BROWNIAN, 17), build_clock(BROWNIAN, 33)]
+        cfg = SolverConfig(n_time=16, n_particles=2000)
+        _, cloud = solve_auxiliary_stack([mean_field_scenario(BROWNIAN)], clocks, cfg, seed=3)
+        [normals] = draws
+        assert normals.shape == (32, 1000)
+        assert np.array_equal(normals, draw(3, (32, 1000), "solver-increments"))  # left as it was drawn
+        for rows, n_steps in zip(seen, (16, 32)):
+            assert np.shares_memory(rows, normals)
+            assert np.array_equal(rows, normals[:n_steps][::-1])
+            assert all(row.flags.c_contiguous for row in rows)
         # the coarse grid's step i meets the fine grid's step 16 + i: the
         # same particle's second-half normals
-        assert np.array_equal(coarse, fine[16:])
+        assert np.array_equal(seen[0], seen[1][16:])
+        assert np.array_equal(cloud.w.T, solver._paths(seen[1], clocks[1].grid_V))
 
     def test_blocked_on_paths_is_the_one_shot_formula(self, monkeypatch):
         scn = ScenarioSpec(TerminalSpec(b=2.0, phi="sin", c=1.0), GeneratorSpec(c2=0.3, kappa_y=0.2), BROWNIAN)
@@ -581,10 +605,14 @@ def test_transfer_evaluate_at_the_nodes_is_on_paths(driver):
 
 
 def test_paths_running_sum_is_cumsum():
+    # the left half is the running sum of the increments, and particle
+    # j + 500 is particle j negated
     dw = np.random.default_rng(12).normal(size=(24, 500))
     w = solver._paths(dw, np.arange(25.0))  # unit steps: the rows are the increments
-    assert np.array_equal(w[0], np.zeros(500))
-    assert np.array_equal(w[1:], np.cumsum(dw, axis=0))
+    assert w.shape == (25, 1000)
+    assert np.array_equal(w[0], np.zeros(1000))
+    assert np.array_equal(w[1:, :500], np.cumsum(dw, axis=0))
+    assert np.array_equal(w[:, 500:], -w[:, :500])
 
 
 class TestTransferEvaluate:
@@ -625,6 +653,20 @@ class TestRepresentationSolve:
         clock = build_clock(BROWNIAN, 33)
         rep = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, SolverConfig(n_time=8, n_particles=2000), seed=3)
         assert rep.value == pytest.approx(1.0 + 2.0 * 0.1, abs=1e-9)
+
+    def test_drawn_std_error_is_over_antithetic_pairs(self, monkeypatch):
+        # on a drawn table the n/2 pairs are the independent samples: the
+        # standard error is the standard deviation of the candidates' pair
+        # means over sqrt(n/2)
+        rows = []
+        candidates = solver._candidates
+        monkeypatch.setattr(solver, "_candidates", lambda *args: rows.append(candidates(*args)) or rows[-1])
+        tanh = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(c2=-0.5, phi="tanh", c4=0.8, kappa_y=0.2), BROWNIAN)
+        cfg = SolverConfig(n_time=8, n_particles=2000)
+        rep = representation_solve(tanh, build_clock(BROWNIAN, 33), 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
+        [[row]] = rows
+        pairs = (row[:1000] + row[1000:]) / 2.0
+        assert rep.std_error == float(np.std(pairs) / math.sqrt(1000))
 
     def test_refuses_state_dependent_generator(self):
         # the time-t value is deterministic only when f does not read the state
@@ -669,6 +711,11 @@ class TestSolverConfigValidation:
     def test_particle_minimum(self):
         with pytest.raises(ValueError):
             SolverConfig(n_particles=30, basis_degree=4)
+
+    def test_odd_particle_count(self):
+        # the solver draws antithetic pairs
+        with pytest.raises(ValueError, match="n_particles must be even"):
+            SolverConfig(n_particles=2001)
 
     def test_negative_basis_degree(self):
         # a degree-0 basis cannot hold the generator's state, and its Z is 0

@@ -114,14 +114,14 @@ class TestComparison:
         assert len(calls) == 12
 
     def test_one_draw_for_both_grids(self, monkeypatch):
-        # the coarse grid reads the first N rows of the refined grid's (2N, n)
-        # draw, in reverse: its step i meets the fine grid's step N + i
+        # the coarse grid reads the first N rows of the refined grid's
+        # (2N, n/2) draw, in reverse: its step i meets the fine grid's step N + i
         draws = []
         draw = solver.standard_normals
         monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
         scn = mean_field_scenario(BROWNIAN)
         comparison_check(scn, shift_terminal(scn, 1.0), SMALL, [0.0, 0.5, 1.0], seed=3)
-        assert [(shape, tags) for _, shape, *tags in draws] == [((32, 4000), ["solver-increments"])]
+        assert [(shape, tags) for _, shape, *tags in draws] == [((32, 2000), ["solver-increments"])]
 
     def test_refuses_z_law_dependence(self):
         scn1 = ScenarioSpec(TerminalSpec(b=1.0), GeneratorSpec(kappa_z=0.5), BROWNIAN)
@@ -275,7 +275,7 @@ class TestShortHorizonDraw:
         converse_comparison_check(scn, shift_generator(scn, 0.1), SMALL, TestConverseComparison.PROBES * 2, 0.1, seed=4)
         assert draws == []
         converse_comparison_check(TANH, shift_generator(TANH, 0.1), SMALL, TestConverseComparison.PROBES * 2, 0.1, seed=4)
-        assert draws == [(derived_seed(4, "converse"), (16, 4000), "repr-increments")]
+        assert draws == [(derived_seed(4, "converse"), (16, 2000), "repr-increments")]
 
     def test_one_moment_table_per_check(self, monkeypatch):
         # an affine check builds no particle moments; every sub-grid of a
@@ -427,7 +427,7 @@ class TestStability:
         monkeypatch.setattr(solver, "standard_normals", lambda *args: draws.append(args) or draw(*args))
         scn = linear_scenario(BROWNIAN, 0.5)
         stability_check(scn, shift_terminal(scn, 0.5), SMALL, seed=19)
-        assert [(shape, tags) for _, shape, *tags in draws] == [((32, 4000), ["solver-increments"])]
+        assert [(shape, tags) for _, shape, *tags in draws] == [((32, 2000), ["solver-increments"])]
 
     @pytest.mark.parametrize("driver", [BROWNIAN, FBM], ids=["brownian", "fbm"])
     def test_blocked_lhs_is_the_full_array_formula(self, monkeypatch, driver):

@@ -268,9 +268,9 @@ class TestBsdeResidual:
         stats = bsde_residual(field, scn, sample_paths(FBM07, clock.grid_t, 1000, seed=42))
         np.testing.assert_allclose(
             stats.rms,
-            [0.1183454824734125, 0.11386174448991192, 0.10674743165816865, 0.09950953654802853,
-             0.08789004362542945, 0.07322753023797186, 0.05861859389793412, 0.04494386673016825,
-             0.021924797456884054],
+            [0.13303998483558577, 0.1276855436151997, 0.11929478896819393, 0.11042057712882034,
+             0.09825108832338421, 0.08405302203906657, 0.06885790910808143, 0.05900994139270415,
+             0.0245790275127455],
             rtol=0, atol=1e-12,
         )
 

@@ -3,6 +3,8 @@
 Runs every entry of ``configs/full_suite.json``'s suite in this process at
 suite seeds 1..K, each entry on the seed the suite derives for it, and
 prints, for each entry, the seeds at which its report's verdict was False,
+beside the failures its nominal family-wise rate predicts where the report
+gives one (``tolerances["family_rate"]``, of ``n_subtests`` sub-tests),
 those at which it was None (not asserted) and the errors it raised, then
 the mean and quantiles of ``comparison``'s ``scheme_error_estimate`` over
 the seeds.  Run from the repository root:
@@ -44,6 +46,7 @@ def main(argv=None) -> int:
     failed = {name: [] for name in only}
     unasserted = {name: [] for name in only}
     raised = {name: [] for name in only}
+    rates = {}  # name -> (n_subtests, family_rate), for a report that gives them
     scheme_error = {name: [] for name in only if kinds[name] == "comparison"}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in range(1, args.seeds + 1):
@@ -55,6 +58,8 @@ def main(argv=None) -> int:
                 except GaussBsdeError as exc:
                     raised[name].append((seed, type(exc).__name__))
                     continue
+                if "family_rate" in report.tolerances:
+                    rates[name] = (report.tolerances["n_subtests"], report.tolerances["family_rate"])
                 if report.passed is False:
                     failed[name].append(seed)
                 elif report.passed is None:
@@ -64,8 +69,15 @@ def main(argv=None) -> int:
 
     print(f"suite seeds 1-{args.seeds}")
     for name in only:
+        nominal = ""
+        if name in rates:
+            n_subtests, rate = rates[name]
+            nominal = (
+                f" (nominal family-wise rate {rate:.4f} of {n_subtests} sub-tests:"
+                f" {rate * args.seeds:.2f} expected)"
+            )
         print(
-            f"{name}: verdict failed {len(failed[name])}/{args.seeds} {failed[name]};"
+            f"{name}: verdict failed {len(failed[name])}/{args.seeds} {failed[name]}{nominal};"
             f" not asserted {len(unasserted[name])} {unasserted[name]}; raised {len(raised[name])} {raised[name]}"
         )
     for name, values in scheme_error.items():
