@@ -14,7 +14,6 @@ Output layout under the chosen directory:
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .drivers import GaussianDriverSpec, _path_factor, build_clock, covariance, sample_paths
-from .errors import ConfigInvalid, IoFailure
+from .errors import IoFailure
 from .pack import (
     constant_generator_scenario,
     contraction_mean_field_scenario,
@@ -449,19 +448,9 @@ def _suite_entries(seed: int) -> list[ExperimentConfig]:
     return entries
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GAUSSBSDE_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigInvalid(f"GAUSSBSDE_THREADS: must be a positive integer, got {raw!r}")
-    return threads
-
-
 def run_config(cfg: ExperimentConfig, out_root, quiet: bool = False) -> tuple[Path, bool]:
-    """Run the configured experiment(s); write manifest.json last.
+    """Run the configured experiment, or the suite's entries in order, in
+    this thread; write manifest.json last.
 
     Returns (manifest_path, all_passed): all_passed is False when some
     report's verdict is False, not when it is None.  The manifest, the
@@ -472,19 +461,8 @@ def run_config(cfg: ExperimentConfig, out_root, quiet: bool = False) -> tuple[Pa
     out_root.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
-    if KINDS[cfg.kind].run is None:
-        entries = _suite_entries(cfg.seed)
-        threads = _thread_count()
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor  # a serial run does not import it
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(run_single, sub, out_root, name) for name, sub in entries]
-                outcomes = [f.result() for f in futures]
-        else:
-            outcomes = [run_single(sub, out_root, name) for name, sub in entries]
-    else:
-        outcomes = [run_single(cfg, out_root)]
+    entries = _suite_entries(cfg.seed) if KINDS[cfg.kind].run is None else [(cfg.kind, cfg)]
+    outcomes = [run_single(sub, out_root, name) for name, sub in entries]
 
     manifest = {
         "artifact_version": __version__,

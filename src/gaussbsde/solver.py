@@ -876,13 +876,13 @@ def representation_solve_stack(
     clock: VarianceClock,
     t: float,
     eps: float,
-    cfg: SolverConfig,
     table: _Moments,
 ) -> list[RepresentationValue]:
     """Solve each (scenario, y, z) of ``starts`` on [V_t, V_{t+eps}] with
     terminal y + z * (W_{V_{t+eps}} - W_{V_t}), as one stack on the check's
     moment table (``short_horizon_table``), whose moments the solve reads on
-    its own sub-grid (``_sub_grid_moments``) and leaves as they are.  On an
+    its own sub-grid of the table's step count (``_sub_grid_moments``) and
+    leaves as they are; the particle count is the table's too.  On an
     exact table the values have no Monte Carlo error: each reports a
     standard error of 0.0, and no particle row is built.  On a drawn table
     the standard error is the antithetic pairs': the standard deviation of
@@ -898,13 +898,9 @@ def representation_solve_stack(
     scns = [scn for scn, _, _ in starts]
     for scn in scns:
         _require_x_free(scn)
-    shape = (cfg.n_time, cfg.n_particles, cfg.basis_degree)
-    got = (len(table.grid_s) - 1, table.n, table.degree)
-    if got != shape:
-        raise ValueError(f"the table must have the (n_time, n_particles, basis_degree) {shape} of the config; got {got}")
     if not (0.0 <= t and eps > 0.0 and t + eps <= clock.T + 1e-12):
         raise ValueError("need 0 <= t < t + eps <= T")
-    grid_s = _short_horizon_grid(clock, t, eps, cfg.n_time)
+    grid_s = _short_horizon_grid(clock, t, eps, len(table.grid_s) - 1)
     margins = _check_step(scns, grid_s)
     y, z = np.array([start[1:] for start in starts], dtype=float).T
     gens = [scn.generator for scn in scns]
@@ -913,7 +909,7 @@ def representation_solve_stack(
     with np.errstate(over="ignore", invalid="ignore"):
         mom = _sub_grid_moments(table, grid_s, clock.invert(grid_s), y, z)
         out = _backward_pass(gens, mom)
-    n = cfg.n_particles
+    n = table.n
     if table.exact:
         std_errors = [0.0] * len(scns)
     else:
@@ -945,4 +941,4 @@ def representation_solve(
     """Solve on [V_t, V_{t+eps}] with terminal y + z * (W_{V_{t+eps}} - W_{V_t}):
     ``representation_solve_stack`` of one row, on a table of its own."""
     table = short_horizon_table(cfg, seed, [scn.generator])
-    return representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, table)[0]
+    return representation_solve_stack([(scn, y, z)], clock, t, eps, table)[0]

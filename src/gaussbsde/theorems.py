@@ -300,7 +300,7 @@ def representation_limit_check(
     table = short_horizon_table(cfg, derived_seed(seed, "repr"), [scn.generator])
     a_vals, b_vals, gaps, ses, margins = [], [], [], [], []
     for eps in eps_list:
-        [rep] = representation_solve_stack([(scn, y, z)], clock, t, eps, cfg, table)
+        [rep] = representation_solve_stack([(scn, y, z)], clock, t, eps, table)
         margins.append(rep.step_lipschitz)
         a_vals.append((rep.value - y) / eps)
         b_vals.append(_integrate_f_dv(scn, clock, t, t + eps, y, z) / eps)
@@ -373,7 +373,7 @@ def converse_comparison_check(
     for time in dict.fromkeys(t for t, _, _ in probe_grid):
         group = [k for k, (t, _, _) in enumerate(probe_grid) if t == time]
         starts = [(scn, *probe_grid[k][1:]) for k in group for scn in (scn1, scn2)]
-        values = representation_solve_stack(starts, clock, time, eps, cfg, table)
+        values = representation_solve_stack(starts, clock, time, eps, table)
         solved.update((k, values[2 * j : 2 * j + 2]) for j, k in enumerate(group))
 
     rows = []

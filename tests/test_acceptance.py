@@ -3,6 +3,7 @@ prints one pass/fail line per criterion (visible with pytest -s)."""
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -233,7 +234,6 @@ class TestAcceptance:
     def test_09_full_suite_determinism(self, tmp_path, monkeypatch):
         cfg = parse_config_payload({"kind": "full_suite", "seed": SEED})
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
-        monkeypatch.setenv("GAUSSBSDE_THREADS", "1")
         # the first pass also counts its SFC64 normals (the solver draws n/2
         # a step, for antithetic pairs; the paired checks' grid and its
         # refinement share one draw; the suite's short-horizon
@@ -257,9 +257,18 @@ class TestAcceptance:
 
             patch.setattr(scenario, "generator", probing)
             _, passed1 = run_config(cfg, out1, quiet=True)
-        # the second pass runs the suite's thread pool: outputs must not depend on it
+        # the second pass runs with GAUSSBSDE_THREADS=2 set, which nothing
+        # reads: the suite runs its entries in order, in this thread, and
+        # writes the first pass's bytes
         monkeypatch.setenv("GAUSSBSDE_THREADS", "2")
-        _, passed2 = run_config(cfg, out2, quiet=True)
+        started = []
+        with monkeypatch.context() as patch:
+            def counting_start(thread, _start=threading.Thread.start):
+                started.append(thread)
+                return _start(thread)
+
+            patch.setattr(threading.Thread, "start", counting_start)
+            _, passed2 = run_config(cfg, out2, quiet=True)
         files = sorted(
             p.relative_to(out1) for p in out1.rglob("*") if p.is_file() and p.name != "run.log"
         )
@@ -267,10 +276,14 @@ class TestAcceptance:
         manifest = json.loads((out1 / "manifest.json").read_text())
         counted = (len(draws), sum(draws)) == (13, 2_848_000)
         audits = probes.count(("lipschitz-audit",))
-        ok = passed1 and passed2 and identical and len(manifest["experiments"]) >= 8 and counted and audits == 0
+        ok = (
+            passed1 and passed2 and identical and not started
+            and len(manifest["experiments"]) >= 8 and counted and audits == 0
+        )
         announce(
             9, ok,
             f"full_suite passes twice, {len(files)} manifest/report/series files byte-identical, "
+            f"{len(started)} threads started (0), "
             f"{len(manifest['experiments'])} experiments (>= 8), "
             f"{sum(draws)} normals in {len(draws)} draws (2848000 in 13), "
             f"{audits} Lipschitz-audit streams (0) of {len(probes)} probe streams",

@@ -558,8 +558,8 @@ class TestCliRun:
         assert result.stdout.strip() == "[]"
 
     def test_start_defers_run_time_imports(self):
-        # the thread pool, the normal quantiles and the Gauss-Hermite rule
-        # are imported by the code that uses them, not at start-up
+        # the normal quantiles and the Gauss-Hermite rule are imported by
+        # the code that uses them, and nothing imports a thread pool at start-up
         deferred = ["concurrent.futures", "numpy.polynomial.hermite_e", "statistics"]
         probe = (
             "import sys, gaussbsde.cli, gaussbsde.experiments\n"
@@ -727,13 +727,6 @@ class TestCliRun:
         monkeypatch.setattr(experiments, "run_single", fake_run_single)
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
-
-    @pytest.mark.parametrize("threads", ["two", "0", "-3", ""])
-    def test_bad_thread_count(self, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("GAUSSBSDE_THREADS", threads)
-        cfg = parse_config_payload({"kind": "full_suite", "seed": 1})
-        with pytest.raises(ConfigInvalid, match="GAUSSBSDE_THREADS"):
-            run_config(cfg, tmp_path / "out", quiet=True)
 
     def test_seed_override_changes_digest(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)

@@ -181,7 +181,7 @@ def representation(scns, cfg, seed=3, t=0.25, eps=0.1):
         with pytest.raises(UnsupportedScenario):
             starts = [(scn, 1.0, 0.5) for scn in scns]
             table = solver.short_horizon_table(cfg, seed, [scn.generator for scn in scns])
-            solver.representation_solve_stack(starts, clock, t, eps, cfg, table)
+            solver.representation_solve_stack(starts, clock, t, eps, table)
         scns = _state_free(scns)
     v_a, v_b = clock.value(t), clock.value(t + eps)
     grid_s = np.linspace(v_a, v_b, cfg.n_time + 1)
@@ -315,7 +315,7 @@ def test_sub_grid_of_the_table_is_the_solve_on_its_own_paths(scns, driver, degre
     for name in ("u", "v", "yc", "beta", "mean_y", "mean_z", "step0"):
         np.testing.assert_allclose(getattr(out, name), getattr(own_out, name), rtol=0, atol=TOL)
     np.testing.assert_allclose(solver._candidates(gens, mom, out), solver._candidates(gens, own, own_out), rtol=0, atol=TOL)
-    values = solver.representation_solve_stack(list(zip(scns, y, z)), clock, t, eps, cfg, table)
+    values = solver.representation_solve_stack(list(zip(scns, y, z)), clock, t, eps, table)
     np.testing.assert_allclose([v.value for v in values], own_out.mean_y[:, 0], rtol=0, atol=TOL)
 
 
@@ -487,7 +487,7 @@ def test_nonlinear_stack_draws_as_before(monkeypatch):
     cfg = SolverConfig(n_time=8, n_particles=2000)
     table = solver.short_horizon_table(cfg, 5, [scn.generator for scn, _, _ in starts])
     assert not table.exact and [args[1:] for args in draws] == [((8, 1000), "repr-increments")]
-    values = solver.representation_solve_stack(starts, build_clock(BROWNIAN, 257), 0.25, 0.1, cfg, table)
+    values = solver.representation_solve_stack(starts, build_clock(BROWNIAN, 257), 0.25, 0.1, table)
     assert [(v.value, v.std_error) for v in values] == [
         (1.030762497378406, 2.698276777762706e-06),
         (1.0407991237759417, 2.687973663274657e-06),

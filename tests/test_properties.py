@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from gaussbsde.config import parse_config_payload
@@ -263,16 +263,18 @@ def test_intercept_fit_keeps_mean(n, degree, a, b, c, phi, seed):
     scale=st.floats(0.1, 10.0),
     seed=st.integers(0, 2 ** 32 - 1),
 )
+@example(degree=1, coeffs=[0.0, 2.2250738585e-313, 0.0, 0.0, 0.0, 0.0, 0.0], ratio=0.25, scale=1.0, seed=0)
 def test_basis_block_products_match_polyval(degree, coeffs, ratio, scale, seed):
     # the sweep reads the next node's Z field and the derivative of the P fit
     # off the node's basis block instead of evaluating polynomials on
-    # rescaled states
+    # rescaled states; a subnormal coefficient carries fewer significant
+    # bits, so the rounding scale is floored at the smallest normal float
     c = np.array(coeffs[: degree + 1])
     w = np.zeros((2, 500))
     w[1] = scale * np.random.default_rng(seed).normal(size=500)
     scales = np.array([1.0, scale])
     phi = _basis(w, scales, 1, degree)
-    magnitude = np.abs(c) @ np.abs(phi)  # sum of |terms|, the rounding scale
+    magnitude = np.maximum(np.abs(c) @ np.abs(phi), np.finfo(float).tiny)  # sum of |terms|, the rounding scale
     next_field = npoly.polyval(w[1] / (scale / ratio), c)
     np.testing.assert_allclose(_rescaled(c, ratio) @ phi, next_field, rtol=1e-12, atol=1e-12 * magnitude.max())
     slope = npoly.polyval(w[1] / scale, npoly.polyder(c) / scale)

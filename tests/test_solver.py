@@ -380,13 +380,13 @@ class TestStackedSolves:
         draw = short_horizon_table(cfg, 3, [scn.generator for scn in scns])
         if any(scn.generator.c1 != 0.0 for scn in scns):
             with pytest.raises(UnsupportedScenario):
-                representation_solve_stack([(scn, 1.0, 0.5) for scn in scns], clock, 0.25, 0.1, cfg, draw)
+                representation_solve_stack([(scn, 1.0, 0.5) for scn in scns], clock, 0.25, 0.1, draw)
             scns = _state_free(scns)
-        stacked = representation_solve_stack([(scn, 1.0, 0.5) for scn in scns], clock, 0.25, 0.1, cfg, draw)
+        stacked = representation_solve_stack([(scn, 1.0, 0.5) for scn in scns], clock, 0.25, 0.1, draw)
         for scn, rep in zip(scns, stacked):
             # alone on the stack's table: an affine row stacked with a
             # nonlinear one reads the stack's draw, not its own exact table
-            [alone] = representation_solve_stack([(scn, 1.0, 0.5)], clock, 0.25, 0.1, cfg, draw)
+            [alone] = representation_solve_stack([(scn, 1.0, 0.5)], clock, 0.25, 0.1, draw)
             for name in ("value", "std_error"):
                 assert getattr(rep, name) == pytest.approx(getattr(alone, name), rel=0, abs=1e-11)
             assert rep.n_particles == alone.n_particles
@@ -431,29 +431,11 @@ class TestSharedDraw:
         table = short_horizon_table(cfg, 9, [scn.generator for scn, _, _ in starts])
         names = ("w", "state_scales", "terminal", "grams", "fits", "sums", "dw_sums")
         built = {name: getattr(table, name).copy() for name in names}
-        first = representation_solve_stack(starts, clock, 0.25, 0.2, cfg, table)
-        representation_solve_stack(starts, clock, 0.5, 0.05, cfg, table)
-        assert representation_solve_stack(starts, clock, 0.25, 0.2, cfg, table) == first
+        first = representation_solve_stack(starts, clock, 0.25, 0.2, table)
+        representation_solve_stack(starts, clock, 0.5, 0.05, table)
+        assert representation_solve_stack(starts, clock, 0.25, 0.2, table) == first
         for name in names:
             assert np.array_equal(getattr(table, name), built[name])
-
-    @pytest.mark.parametrize(
-        "other",
-        [
-            SolverConfig(n_time=16, n_particles=2000),
-            SolverConfig(n_time=8, n_particles=1000),
-            SolverConfig(n_time=8, n_particles=2000, basis_degree=3),
-        ],
-    )
-    def test_a_table_of_another_config_is_refused(self, other):
-        # a table of another n_time, n_particles or basis_degree is not read
-        # as one of this solve's
-        cfg = SolverConfig(n_time=8, n_particles=2000)
-        with pytest.raises(ValueError, match="table"):
-            representation_solve_stack(
-                [(mean_field_scenario(BROWNIAN), 1.0, 0.5)], build_clock(BROWNIAN, 65), 0.25, 0.2, cfg,
-                short_horizon_table(other, 9, [mean_field_scenario(BROWNIAN).generator]),
-            )
 
     def test_a_solve_alone_draws_its_own(self, monkeypatch):
         # a nonlinear generator's solve draws its own table; an affine one's
@@ -469,7 +451,7 @@ class TestSharedDraw:
             alone = representation_solve(scn, clock, 0.25, 0.1, 1.0, 0.5, cfg, seed=3)
             assert [(shape, tags) for _, shape, *tags in draws] == drawn
             [stacked] = representation_solve_stack(
-                [(scn, 1.0, 0.5)], clock, 0.25, 0.1, cfg, short_horizon_table(cfg, 3, [scn.generator])
+                [(scn, 1.0, 0.5)], clock, 0.25, 0.1, short_horizon_table(cfg, 3, [scn.generator])
             )
             assert stacked == alone
 

@@ -306,7 +306,7 @@ class TestShortHorizonDraw:
         table = short_horizon_table(SMALL, derived_seed(21, "converse"), [scn1.generator, scn2.generator])
         for row, (t, y, z) in zip(rows, probes):
             assert (row["t"], row["y"], row["z"]) == (t, y, z)  # probe_grid order
-            rep1, rep2 = representation_solve_stack([(scn1, y, z), (scn2, y, z)], clock, t, 0.1, SMALL, table)
+            rep1, rep2 = representation_solve_stack([(scn1, y, z), (scn2, y, z)], clock, t, 0.1, table)
             assert row["y_eps_1"] == pytest.approx(rep1.value, rel=0, abs=1e-11)
             assert row["y_eps_2"] == pytest.approx(rep2.value, rel=0, abs=1e-11)
             assert row["mc_tol"] == pytest.approx(3.0 * (rep1.std_error + rep2.std_error), rel=0, abs=1e-11)
@@ -326,7 +326,7 @@ class TestShortHorizonDraw:
         clock = theorems._short_horizon_clock(rep.scenario.driver, rep.solver.n_time)
         drawn = _drawn_table(rep.solver, 1)
         a_drawn = [
-            (representation_solve_stack([(rep.scenario, p["y"], p["z"])], clock, p["t"], eps, rep.solver, drawn)[0].value
+            (representation_solve_stack([(rep.scenario, p["y"], p["z"])], clock, p["t"], eps, drawn)[0].value
              - p["y"]) / eps
             for eps in p["eps_list"]
         ]
@@ -342,7 +342,7 @@ class TestShortHorizonDraw:
             assert values[0] == values[1]
         for row in convs[0].measurements["probes"]:
             starts = [(scn, row["y"], row["z"]) for scn in (conv.scenario, conv.scenario_2)]
-            rep1, rep2 = representation_solve_stack(starts, clock, row["t"], q["eps"], conv.solver, drawn)
+            rep1, rep2 = representation_solve_stack(starts, clock, row["t"], q["eps"], drawn)
             np.testing.assert_allclose([row["y_eps_1"], row["y_eps_2"]], [rep1.value, rep2.value], rtol=1e-12, atol=0)
 
     def test_affine_reports_identical_across_seeds(self):
