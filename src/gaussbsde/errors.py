@@ -82,4 +82,4 @@ class ConfigInvalid(GaussBsdeError):
 
 
 class IoFailure(GaussBsdeError):
-    """Report or manifest could not be written."""
+    """A file of a run (report, series, manifest or log) could not be written."""

@@ -1,14 +1,6 @@
-"""Experiment orchestration: dispatch configured experiment kinds, write
-reports, series and the run manifest.
-
-Output layout under the chosen directory:
-
-    manifest.json       deterministic; lists every emitted file
-    reports/*.json      one per TheoremReport (canonical serialization)
-    reports/*.csv       flat measurement tables
-    series/*.csv        solution series (t, V_t, x_quantile_tag, Y, Z)
-    run.log             wall-clock timings (not listed in the manifest; the
-                        manifest and reports stay byte-identical across reruns)
+"""Experiment orchestration: dispatch configured experiment kinds, and
+write their reports, series and the run manifest through ``reporting``,
+which owns the output layout.
 """
 
 from __future__ import annotations
@@ -24,7 +16,6 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .drivers import GaussianDriverSpec, _path_factor, build_clock, covariance, sample_paths
-from .errors import IoFailure
 from .pack import (
     constant_generator_scenario,
     contraction_mean_field_scenario,
@@ -35,7 +26,7 @@ from .pack import (
     shift_generator,
     shift_terminal,
 )
-from .reporting import canonical_json, digest_payload, emit_report, write_series_csv
+from .reporting import canonical_json, digest_payload, emit_report, write_file, write_series_csv
 from .rng import derived_seed
 from .scenario import terminal_on_paths
 from .solver import SolverConfig, _check_step, _require_x_free, _short_horizon_grid, solve_auxiliary, transfer_evaluate
@@ -69,6 +60,7 @@ from .wick import (
 )
 
 _QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)  # of the solution series
+_SERIES_HEADER = ("t", "V_t", "x_quantile_tag", "Y", "Z")
 _MARKERS = {True: "PASS", False: "FAIL", None: "N/A"}  # the console's mark of a verdict
 # the false-failure rate of a two-sided gate at 3 standard errors of a normal statistic
 _RATE_3SE = math.erfc(3.0 / math.sqrt(2.0))
@@ -87,13 +79,13 @@ class ExperimentOutcome:
 # ---------------------------------------------------------------------------
 # individual experiments
 #
-# A runner takes (cfg, out_dir, name) and returns its report and the series
-# paths it wrote; run_single emits the report.  Runners look the theorem
-# functions up by module-global name at call time, so a wrapper installed on
-# this module, such as a tracer, sees every call.
+# A runner takes a config and returns its report and the rows of its
+# solution series, or None; it writes nothing: run_single writes both.
+# Runners look the theorem functions up by module-global name at call time,
+# so a wrapper installed on this module, such as a tracer, sees every call.
 
 
-def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
+def _run_solve(cfg: ExperimentConfig):
     from statistics import NormalDist  # imported here: start-up does not pay for it
 
     scn = cfg.scenario
@@ -112,9 +104,6 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
     rows = []
     for i, (t, v) in enumerate(zip(clock.grid_t.tolist(), clock.grid_V.tolist())):
         rows.extend((t, v, tag, y, z) for tag, y, z in zip(tags, y_vals[:, i].tolist(), z_vals[:, i].tolist()))
-    series_path = out_dir / "series" / f"{name}__solution.csv"
-    series_path.parent.mkdir(parents=True, exist_ok=True)
-    write_series_csv(series_path, ["t", "V_t", "x_quantile_tag", "Y", "Z"], rows)
 
     report = TheoremReport(
         theorem="solve",
@@ -132,7 +121,7 @@ def _run_solve(cfg: ExperimentConfig, out_dir: Path, name: str):
         },
         seed=cfg.seed,
     )
-    return report, [series_path]
+    return report, rows
 
 
 def _default_h_functions(T: float) -> list[StepFunctionH]:
@@ -143,7 +132,7 @@ def _default_h_functions(T: float) -> list[StepFunctionH]:
     ]
 
 
-def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
+def _run_wick_validate(cfg: ExperimentConfig):
     driver, n_paths = cfg.driver, cfg.params["n_paths"]
     clock = build_clock(driver, cfg.params["n_time"] + 1)
     paths = sample_paths(driver, clock.grid_t, n_paths, derived_seed(cfg.seed, "wick-paths"))
@@ -151,18 +140,16 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
     weights = [wick_exponential_weights(h, paths) for h in h_list]
     ones = np.ones(n_paths)
     measurements: dict = {}
-    ok = True
-    rates = []  # the nominal false-failure rate of each sub-test, for the family's
+    gates = []  # (within, nominal false-failure rate) of each sub-test
 
     def gate(within: bool, rate: float = _RATE_3SE) -> bool:
-        rates.append(rate)
+        gates.append((within, rate))
         return within
 
     norm_rows = []
     for k, h_weights in enumerate(weights):
         res = s_transform_mc(ones, h_weights)
         within = gate(abs(res.value - 1.0) <= 3.0 * res.std_error)
-        ok = ok and within
         norm_rows.append({"h": k, "value": res.value, "std_error": res.std_error, "within_3se": within})
     measurements["wick_exponential_normalization"] = norm_rows
 
@@ -175,7 +162,6 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
                 # Cov(X_t, I_h) of the I_h the weights form on the batch's grid
                 expected = float(h.hdot(clock.grid_t[:-1]) @ np.diff(covariance(driver, t_node, clock.grid_t)))
                 within = gate(abs(res.value - expected) <= 3.0 * res.std_error)
-                ok = ok and within
                 sxt_rows.append(
                     {"h": k, "t": t_node, "value": res.value, "expected": expected,
                      "std_error": res.std_error, "within_3se": within}
@@ -190,7 +176,6 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
         for k, h_weights in enumerate(weights):
             chk = s_transform_factorization_check(poly, cell, h_weights, paths)
             within = gate(chk.within <= 3.0)
-            ok = ok and within
             fact_rows.append(
                 {"degree": degree, "h": k, "gap": chk.gap, "std_error": chk.std_error,
                  "gap_over_se": chk.within, "within_3se": within}
@@ -203,7 +188,6 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
     integral = riemann_wick_integral(np.tile([0.0, 1.0], (clock.grid_t.size - 1, 1)), paths)
     mean_se = float(np.std(integral) / np.sqrt(n_paths))
     centered_ok = gate(abs(float(np.mean(integral))) <= 3.0 * mean_se)
-    ok = ok and centered_ok
     measurements["linear_integrand_mean"] = {
         "mean": float(np.mean(integral)), "std_error": mean_se, "within_3se": centered_ok,
     }
@@ -223,7 +207,6 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
         gap = integral - closed_form
         gap_se = float(np.std(gap) / np.sqrt(n_paths))
         mean_ok = gate(abs(float(np.mean(gap))) <= 3.0 * gap_se)
-        ok = ok and var_ok and mean_ok
         measurements["quadratic_identity"] = {
             "variance": var_obs, "variance_target": target_var, "variance_ok": var_ok,
             "mean_gap": float(np.mean(gap)), "gap_std_error": gap_se, "mean_ok": mean_ok,
@@ -232,65 +215,67 @@ def _run_wick_validate(cfg: ExperimentConfig, out_dir: Path, name: str):
     report = TheoremReport(
         theorem="wick_validate",
         scenario_digest=digest_payload(driver.payload()),
-        passed=ok,
+        passed=all(within for within, _ in gates),
         measurements=measurements,
         # the sub-tests' count and their nominal family-wise (Sidak) rate
         tolerances={
             "statistic_over_se": 3.0, "variance_rel": 0.05,
-            "n_subtests": len(rates), "family_rate": 1.0 - math.prod(1.0 - rate for rate in rates),
+            "n_subtests": len(gates), "family_rate": 1.0 - math.prod(1.0 - rate for _, rate in gates),
         },
         seed=cfg.seed,
     )
-    return report, []
+    return report, None
 
 
-def _run_comparison(cfg: ExperimentConfig, out_dir: Path, name: str):
+def _run_comparison(cfg: ExperimentConfig):
     p = cfg.params
-    return comparison_check(cfg.scenario, cfg.scenario_2, cfg.solver, p["t_list"], cfg.seed), []
+    return comparison_check(cfg.scenario, cfg.scenario_2, cfg.solver, p["t_list"], cfg.seed), None
 
 
-def _run_representation(cfg: ExperimentConfig, out_dir: Path, name: str):
+def _run_representation(cfg: ExperimentConfig):
     p = cfg.params
     report = representation_limit_check(
         cfg.scenario, float(p["t"]), float(p["y"]), float(p["z"]), p["eps_list"], cfg.solver, cfg.seed
     )
-    return report, []
+    return report, None
 
 
-def _run_converse(cfg: ExperimentConfig, out_dir: Path, name: str):
+def _run_converse(cfg: ExperimentConfig):
     probe_grid = [tuple(float(v) for v in row) for row in cfg.params["probe_grid"]]
     report = converse_comparison_check(
         cfg.scenario, cfg.scenario_2, cfg.solver, probe_grid, float(cfg.params["eps"]), cfg.seed
     )
-    return report, []
+    return report, None
 
 
-def _run_stability(cfg: ExperimentConfig, out_dir: Path, name: str):
-    return stability_check(cfg.scenario, cfg.scenario_2, cfg.solver, cfg.seed), []
+def _run_stability(cfg: ExperimentConfig):
+    return stability_check(cfg.scenario, cfg.scenario_2, cfg.solver, cfg.seed), None
 
 
-def _run_t2(cfg: ExperimentConfig, out_dir: Path, name: str):
-    return t2_check(cfg.scenario, float(cfg.params["t"]), cfg.params["shift_list"], cfg.seed), []
+def _run_t2(cfg: ExperimentConfig):
+    return t2_check(cfg.scenario, float(cfg.params["t"]), cfg.params["shift_list"], cfg.seed), None
 
 
-def _run_lsi(cfg: ExperimentConfig, out_dir: Path, name: str):
-    return lsi_check(cfg.scenario, float(cfg.params["t"]), cfg.params["lambda_list"], cfg.seed), []
+def _run_lsi(cfg: ExperimentConfig):
+    return lsi_check(cfg.scenario, float(cfg.params["t"]), cfg.params["lambda_list"], cfg.seed), None
 
 
-def _run_zbound(cfg: ExperimentConfig, out_dir: Path, name: str):
+def _run_zbound(cfg: ExperimentConfig):
     clock = build_clock(cfg.scenario.driver, cfg.solver.n_time + 1)
     field, cloud = solve_auxiliary(cfg.scenario, clock, cfg.solver, cfg.seed)
-    return z_bound_check(field, cfg.scenario, cloud, seed=cfg.seed), []
+    return z_bound_check(field, cfg.scenario, cloud, seed=cfg.seed), None
 
 
 @dataclass(frozen=True)
 class Kind:
-    """An experiment kind: how many scenarios its config carries, its runner,
-    the ``params`` it requires, the top-level sections besides the scenarios
-    that its runner reads (``settings``; a config with any other is
-    refused), and its gates: (config key, check) pairs, each check raising
-    the error its runner would raise on the parsed config.  The suite has
-    no runner and no settings: it runs the entries of ``_suite_entries``."""
+    """An experiment kind: how many scenarios its config carries, its runner
+    (``run(cfg) -> (report, series rows or None)``, which only computes:
+    ``run_single`` writes), the ``params`` it requires, the top-level
+    sections besides the scenarios that its runner reads (``settings``; a
+    config with any other is refused), and its gates: (config key, check)
+    pairs, each check raising the error its runner would raise on the
+    parsed config.  The suite has no runner and no settings: it runs the
+    entries of ``_suite_entries``."""
 
     scenarios: int
     run: Callable | None
@@ -378,10 +363,15 @@ KINDS = {
 
 
 def run_single(cfg: ExperimentConfig, out_dir: Path, name: str | None = None) -> ExperimentOutcome:
+    """Run one configured check and write its report, and its solution
+    series if it has one, under ``out_dir``."""
     name = name or cfg.kind
     t0 = time.perf_counter()
-    report, series_paths = KINDS[cfg.kind].run(cfg, out_dir, name)
+    report, series = KINDS[cfg.kind].run(cfg)
     paths = emit_report(report, out_dir / "reports", prefix=f"{name}__")
+    series_paths = []
+    if series is not None:
+        series_paths.append(write_series_csv(out_dir / "series" / f"{name}__solution.csv", _SERIES_HEADER, series))
     return ExperimentOutcome(
         name=name, kind=cfg.kind, report=report, report_paths=paths,
         series_paths=series_paths, wall_clock_ms=(time.perf_counter() - t0) * 1e3,
@@ -482,16 +472,10 @@ def run_config(cfg: ExperimentConfig, out_root, quiet: bool = False) -> tuple[Pa
         ],
         "wall_clock_ms": None,
     }
-    manifest_path = out_root / "manifest.json"
-    try:
-        manifest_path.write_text(canonical_json(manifest) + "\n")
-        log_lines = [
-            f"{o.name}: {o.wall_clock_ms:.1f} ms, pass={o.report.passed}" for o in outcomes
-        ]
-        log_lines.append(f"total: {(time.perf_counter() - t0) * 1e3:.1f} ms")
-        (out_root / "run.log").write_text("\n".join(log_lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"could not write manifest under {out_root}: {exc}") from exc
+    manifest_path = write_file(out_root / "manifest.json", canonical_json(manifest) + "\n")
+    log_lines = [f"{o.name}: {o.wall_clock_ms:.1f} ms, pass={o.report.passed}" for o in outcomes]
+    log_lines.append(f"total: {(time.perf_counter() - t0) * 1e3:.1f} ms")
+    write_file(out_root / "run.log", "\n".join(log_lines) + "\n")
 
     all_passed = all(o.report.passed is not False for o in outcomes)
     if not quiet:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import gaussbsde
+from gaussbsde import reporting
 from gaussbsde.cli import main
 from gaussbsde.config import load_config, parse_config_payload
 from gaussbsde.errors import ConfigInvalid, IoFailure, StepTooCoarse
@@ -812,22 +814,33 @@ class TestBlockedOutputs:
 
     def test_report_under_a_file(self, tmp_path):
         (tmp_path / "reports").write_text("")
-        with pytest.raises(IoFailure, match=f"^could not write reports under {tmp_path / 'reports'}: "):
+        with pytest.raises(IoFailure, match=f"^could not write {re.escape(str(tmp_path / 'reports' / '00_demo.json'))}: "):
             emit_report(_bare_report(), tmp_path / "reports")
 
     def test_report_path_is_a_directory(self, tmp_path):
         (tmp_path / "00_demo.json").mkdir()
-        with pytest.raises(IoFailure, match=f"^could not write reports under {tmp_path}: "):
+        with pytest.raises(IoFailure, match=f"^could not write {re.escape(str(tmp_path / '00_demo.json'))}: "):
             emit_report(_bare_report(), tmp_path)
 
     def test_series_path_is_a_directory(self, tmp_path):
-        with pytest.raises(IoFailure, match=f"^could not write series {tmp_path}: "):
+        with pytest.raises(IoFailure, match=f"^could not write {re.escape(str(tmp_path))}: "):
             write_series_csv(tmp_path, ["t"], [(0.5,)])
+
+    def test_series_under_a_file(self, tmp_path, capsys):
+        # the series directory is made by the same guarded writer as the file
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "series").write_text("")
+        assert main(["run", str(write_config(tmp_path, BASE_CONFIG)), "--out", str(out), "--quiet"]) == 1
+        series = out / "series"
+        assert capsys.readouterr() == (
+            "", f"error: could not write {series / 'solve__solution.csv'}: [Errno 17] File exists: '{series}'\n"
+        )
 
     def test_manifest_path_is_a_directory(self, tmp_path):
         out = tmp_path / "out"
         (out / "manifest.json").mkdir(parents=True)
-        with pytest.raises(IoFailure, match=f"^could not write manifest under {out}: "):
+        with pytest.raises(IoFailure, match=f"^could not write {re.escape(str(out / 'manifest.json'))}: "):
             run_config(parse_config_payload(BASE_CONFIG), out, quiet=True)
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
@@ -880,6 +893,66 @@ class TestEmitReport:
         paths = emit_report(self._report(), tmp_path)
         csv_text = paths[-1].read_text()
         assert "list[0]" in csv_text and "nested.a" in csv_text
+
+    def test_each_float_formatted_once(self, tmp_path, monkeypatch):
+        # the JSON and the CSV come from one rendering of the payload
+        formatted = []
+        monkeypatch.setattr(reporting, "fmt_float", lambda x, _fmt=reporting.fmt_float: formatted.append(x) or _fmt(x))
+        emit_report(self._report(), tmp_path)
+        assert sorted(formatted) == [0.1, 1.0, 1.25, 2.0, 3.5]
+
+
+def _json_leaves(value, key=""):
+    """(key, text) of each leaf of a JSON value read with its numbers as
+    their text, keyed as the measurements CSV keys them."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _json_leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _json_leaves(v, f"{key}[{i}]")
+    else:
+        yield key, str(value)
+
+
+def _float_leaves(value) -> int:
+    if isinstance(value, dict):
+        return sum(_float_leaves(v) for v in value.values())
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return sum(_float_leaves(v) for v in (value.tolist() if isinstance(value, np.ndarray) else value))
+    return int(isinstance(value, (float, np.floating)))
+
+
+def test_suite_csvs_hold_the_json_leaves(tmp_path, monkeypatch):
+    # over every report of one suite run: each measurements CSV holds the
+    # JSON measurements' leaves in order, each cell the text of the JSON
+    # token, and emit_report formats each float leaf of a payload once
+    import gaussbsde.experiments as experiments
+
+    formatted, counts = [], []
+    monkeypatch.setattr(reporting, "fmt_float", lambda x, _fmt=reporting.fmt_float: formatted.append(x) or _fmt(x))
+
+    def emitting(report, *args, _emit=experiments.emit_report, **kwargs):
+        before = len(formatted)
+        paths = _emit(report, *args, **kwargs)
+        counts.append((len(formatted) - before, _float_leaves(report.payload())))
+        return paths
+
+    monkeypatch.setattr(experiments, "emit_report", emitting)
+    path, _ = run_config(parse_config_payload({"kind": "full_suite", "seed": 1}), tmp_path, quiet=True)
+    entries = json.loads(path.read_text())["experiments"]
+    assert len(entries) == len(counts) == 13
+    assert all(calls == leaves for calls, leaves in counts), counts
+    for entry in entries:
+        json_rel, csv_rel = entry["reports"]
+        assert json_rel.endswith(".json") and csv_rel.endswith("__measurements.csv")
+        report = json.loads((tmp_path / json_rel).read_text(), parse_float=str, parse_int=str)
+        with open(tmp_path / csv_rel, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["theorem", "scenario_digest", "key", "value"]
+        assert rows, entry["name"]
+        assert {tuple(row[:2]) for row in rows} == {(report["theorem"], report["scenario_digest"])}
+        assert [(key, value) for _, _, key, value in rows] == list(_json_leaves(report["measurements"]))
 
 
 class TestCanonicalJson:

@@ -7,21 +7,19 @@ beside the failures its nominal family-wise rate predicts where the report
 gives one (``tolerances["family_rate"]``, of ``n_subtests`` sub-tests),
 those at which it was None (not asserted) and the errors it raised, then
 the mean and quantiles of ``comparison``'s ``scheme_error_estimate`` over
-the seeds.  Run from the repository root:
+the seeds.  It writes no file.  Run from the repository root:
 
     python3 tools/seed_sweep.py --seeds 40
     python3 tools/seed_sweep.py --seeds 160 --only comparison_constant comparison_mean_field
 
 A verdict is a Monte Carlo test at three standard errors, so some seeds fail
-by design; this sweep measures those rates, outside the tier-1 tests.  The
-reports and series the entries write go to a temporary directory.
+by design; this sweep measures those rates, outside the tier-1 tests.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -48,24 +46,23 @@ def main(argv=None) -> int:
     raised = {name: [] for name in only}
     rates = {}  # name -> (n_subtests, family_rate), for a report that gives them
     scheme_error = {name: [] for name in only if kinds[name] == "comparison"}
-    with tempfile.TemporaryDirectory() as tmp:
-        for seed in range(1, args.seeds + 1):
-            for name, sub in _suite_entries(seed):
-                if name not in failed:
-                    continue
-                try:
-                    report, _ = KINDS[sub.kind].run(sub, Path(tmp), name)
-                except GaussBsdeError as exc:
-                    raised[name].append((seed, type(exc).__name__))
-                    continue
-                if "family_rate" in report.tolerances:
-                    rates[name] = (report.tolerances["n_subtests"], report.tolerances["family_rate"])
-                if report.passed is False:
-                    failed[name].append(seed)
-                elif report.passed is None:
-                    unasserted[name].append(seed)
-                if name in scheme_error:
-                    scheme_error[name].append(report.measurements["scheme_error_estimate"])
+    for seed in range(1, args.seeds + 1):
+        for name, sub in _suite_entries(seed):
+            if name not in failed:
+                continue
+            try:
+                report, _ = KINDS[sub.kind].run(sub)
+            except GaussBsdeError as exc:
+                raised[name].append((seed, type(exc).__name__))
+                continue
+            if "family_rate" in report.tolerances:
+                rates[name] = (report.tolerances["n_subtests"], report.tolerances["family_rate"])
+            if report.passed is False:
+                failed[name].append(seed)
+            elif report.passed is None:
+                unasserted[name].append(seed)
+            if name in scheme_error:
+                scheme_error[name].append(report.measurements["scheme_error_estimate"])
 
     print(f"suite seeds 1-{args.seeds}")
     for name in only:
