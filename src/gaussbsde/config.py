@@ -292,12 +292,11 @@ def parse_config_payload(tree: dict, base_dir: Path | None = None) -> Experiment
         params=params,
         out_dir=out_dir,
     )
-    # the runner's own refusals, named by key, so `validate` agrees with `run`
-    for key, gate in kind.gates:
-        try:
-            gate(cfg)
-        except GaussBsdeError as exc:
-            _fail(key, str(exc))
+    # the kind's refusals, each named by the key of its cause: `validate` refuses what `run` would
+    try:
+        kind.refuse(cfg)
+    except GaussBsdeError as exc:
+        _fail(exc.key, str(exc))
     return cfg
 
 

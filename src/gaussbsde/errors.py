@@ -2,7 +2,14 @@
 
 
 class GaussBsdeError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  A check's refusal names in
+    ``key`` the config key of its cause (``solver.n_time``,
+    ``scenario.generator.kappa_z``, ..), which ``validate`` prints; any
+    other error's ``key`` is None."""
+
+    def __init__(self, *args, key: str | None = None):
+        super().__init__(*args)
+        self.key = key
 
 
 # --- driver / clock ---------------------------------------------------------

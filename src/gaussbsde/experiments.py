@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, theorems
 from .config import ExperimentConfig
 from .drivers import GaussianDriverSpec, _path_factor, build_clock, covariance, sample_paths
 from .pack import (
@@ -29,28 +29,8 @@ from .pack import (
 from .reporting import canonical_json, digest_payload, emit_report, write_file, write_series_csv
 from .rng import derived_seed
 from .scenario import terminal_on_paths
-from .solver import SolverConfig, _check_step, _require_x_free, _short_horizon_grid, solve_auxiliary, transfer_evaluate
-from .theorems import (
-    TheoremReport,
-    _gaussian_family,
-    _require_clock_differentiable,
-    _require_generator_order,
-    _require_mean_coupling,
-    _require_refinable,
-    _require_t2_spread,
-    _require_t2_time,
-    _require_terminal_order,
-    _require_z_law_free,
-    _short_horizon_clock,
-    comparison_check,
-    converse_comparison_check,
-    lsi_check,
-    representation_limit_check,
-    scenario_digest,
-    stability_check,
-    t2_check,
-    z_bound_check,
-)
+from .solver import SolverConfig, solve_auxiliary, transfer_evaluate
+from .theorems import TheoremReport, _cause, _step_refusal, scenario_digest, z_bound_check
 from .wick import (
     StepFunctionH,
     riemann_wick_integral,
@@ -81,8 +61,9 @@ class ExperimentOutcome:
 #
 # A runner takes a config and returns its report and the rows of its
 # solution series, or None; it writes nothing: run_single writes both.
-# Runners look the theorem functions up by module-global name at call time,
-# so a wrapper installed on this module, such as a tracer, sees every call.
+# Runners look the theorem functions up by name at call time, on this module
+# or on ``theorems``, so a wrapper installed there, such as a tracer, sees
+# every call.
 
 
 def _run_solve(cfg: ExperimentConfig):
@@ -227,39 +208,6 @@ def _run_wick_validate(cfg: ExperimentConfig):
     return report, None
 
 
-def _run_comparison(cfg: ExperimentConfig):
-    p = cfg.params
-    return comparison_check(cfg.scenario, cfg.scenario_2, cfg.solver, p["t_list"], cfg.seed), None
-
-
-def _run_representation(cfg: ExperimentConfig):
-    p = cfg.params
-    report = representation_limit_check(
-        cfg.scenario, float(p["t"]), float(p["y"]), float(p["z"]), p["eps_list"], cfg.solver, cfg.seed
-    )
-    return report, None
-
-
-def _run_converse(cfg: ExperimentConfig):
-    probe_grid = [tuple(float(v) for v in row) for row in cfg.params["probe_grid"]]
-    report = converse_comparison_check(
-        cfg.scenario, cfg.scenario_2, cfg.solver, probe_grid, float(cfg.params["eps"]), cfg.seed
-    )
-    return report, None
-
-
-def _run_stability(cfg: ExperimentConfig):
-    return stability_check(cfg.scenario, cfg.scenario_2, cfg.solver, cfg.seed), None
-
-
-def _run_t2(cfg: ExperimentConfig):
-    return t2_check(cfg.scenario, float(cfg.params["t"]), cfg.params["shift_list"], cfg.seed), None
-
-
-def _run_lsi(cfg: ExperimentConfig):
-    return lsi_check(cfg.scenario, float(cfg.params["t"]), cfg.params["lambda_list"], cfg.seed), None
-
-
 def _run_zbound(cfg: ExperimentConfig):
     clock = build_clock(cfg.scenario.driver, cfg.solver.n_time + 1)
     field, cloud = solve_auxiliary(cfg.scenario, clock, cfg.solver, cfg.seed)
@@ -270,95 +218,57 @@ def _run_zbound(cfg: ExperimentConfig):
 class Kind:
     """An experiment kind: how many scenarios its config carries, its runner
     (``run(cfg) -> (report, series rows or None)``, which only computes:
-    ``run_single`` writes), the ``params`` it requires, the top-level
-    sections besides the scenarios that its runner reads (``settings``; a
-    config with any other is refused), and its gates: (config key, check)
-    pairs, each check raising the error its runner would raise on the
-    parsed config.  The suite has no runner and no settings: it runs the
-    entries of ``_suite_entries``."""
+    ``run_single`` writes), its refusal (``refuse(cfg)``, which raises what
+    the runner would refuse on the parsed config, named in the error's
+    ``key`` by the config key of its cause), the ``params`` it requires, and
+    the top-level sections besides the scenarios that its runner reads
+    (``settings``; a config with any other is refused).  The suite has no
+    runner and no settings: it runs the entries of ``_suite_entries``."""
 
     scenarios: int
     run: Callable | None
+    refuse: Callable
     required: tuple[str, ...] = ()
     settings: tuple[str, ...] = ("driver", "solver")
-    gates: tuple[tuple[str, Callable], ...] = ()
 
 
-def _generator_gate(key: str, coefficient: str, check: Callable):
-    """The gate of ``check`` on one scenario, named by its generator's key."""
-    return f"{key}.generator.{coefficient}", lambda cfg: check(getattr(cfg, key))
+def _theorem_kind(scenarios: int, check: str, refusals: str, required=(), settings=("driver", "solver")) -> Kind:
+    """The kind of the ``theorems`` check named ``check``, whose refusals
+    the function named ``refusals`` states.  Both are called with the
+    config's scenarios, its ``params`` by keyword, its solver as ``cfg``
+    (where it has one) and its seed."""
+    def call(name: str, cfg: ExperimentConfig):
+        solver = {} if cfg.solver is None else {"cfg": cfg.solver}
+        scns = [scn for scn in (cfg.scenario, cfg.scenario_2) if scn is not None]
+        return getattr(theorems, name)(*scns, **cfg.params, **solver, seed=cfg.seed)
+
+    return Kind(scenarios, lambda cfg: (call(check, cfg), None), lambda cfg: call(refusals, cfg), required, settings)
 
 
-def _step_gate(horizons: Callable | None = None):
-    """The gate of the explicit scheme's step guard on each grid a run
-    solves on: the grid of ``solver.n_time`` steps (a refined grid's cells
-    lie inside its cells), or, for a short-horizon check, the sub-grid of
-    each (t, eps) in ``horizons(params)``."""
-    def check(cfg: ExperimentConfig):
-        scns, n_time = [scn for scn in (cfg.scenario, cfg.scenario_2) if scn is not None], cfg.solver.n_time
-        if horizons is None:
-            return _check_step(scns, build_clock(cfg.driver, n_time + 1).grid_V)
-        clock = _short_horizon_clock(cfg.driver, n_time)
-        for t, eps in horizons(cfg.params):
-            _check_step(scns, _short_horizon_grid(clock, float(t), float(eps), n_time))
-
-    return "solver.n_time", check
+def _refuse_step(cfg: ExperimentConfig):
+    """The step guard, which the solve runs too, on the grid of ``solver.n_time`` steps."""
+    _step_refusal([cfg.scenario], cfg.solver.n_time)
 
 
-_REFINABLE = ("driver.kind", lambda cfg: _require_refinable(cfg.driver))
-_STEP = _step_gate()
-_GAUSSIAN_FAMILY = ("scenario", lambda cfg: _gaussian_family(cfg.scenario, cfg.params["t"]))
-# the factorization sample_paths runs on the path grid: a custom table may not be PSD
-_SAMPLEABLE = ("driver", lambda cfg: _path_factor(cfg.driver, build_clock(cfg.driver, cfg.params["n_time"] + 1).grid_t[1:]))
+def _refuse_unsampleable(cfg: ExperimentConfig):
+    """The factorization sample_paths runs on the path grid: a custom table may not be PSD."""
+    with _cause("driver"):
+        _path_factor(cfg.driver, build_clock(cfg.driver, cfg.params["n_time"] + 1).grid_t[1:])
+
 
 KINDS = {
-    "solve": Kind(1, _run_solve, gates=(_STEP,)),
-    "wick_validate": Kind(0, _run_wick_validate, ("n_time", "n_paths"), ("driver",), gates=(_SAMPLEABLE,)),
-    "comparison": Kind(
-        2, _run_comparison, ("t_list",),
-        gates=(
-            _REFINABLE,
-            _generator_gate("scenario", "kappa_z", _require_z_law_free),
-            _generator_gate("scenario_2", "kappa_z", _require_z_law_free),
-            ("scenario.generator.kappa_y", lambda cfg: _require_mean_coupling(cfg.scenario, cfg.scenario_2)),
-            # the order probes draw from the run's seed, so validate and run draw the same points
-            ("scenario_2.generator", lambda cfg: _require_generator_order(cfg.scenario, cfg.scenario_2, cfg.seed)),
-            ("scenario_2.terminal", lambda cfg: _require_terminal_order(cfg.scenario, cfg.scenario_2, cfg.seed)),
-            _STEP,
-        ),
+    "solve": Kind(1, _run_solve, _refuse_step),
+    "wick_validate": Kind(0, _run_wick_validate, _refuse_unsampleable, ("n_time", "n_paths"), ("driver",)),
+    "comparison": _theorem_kind(2, "comparison_check", "comparison_refusals", ("t_list",)),
+    "representation": _theorem_kind(
+        1, "representation_limit_check", "representation_limit_refusals", ("t", "y", "z", "eps_list")
     ),
-    "representation": Kind(
-        1, _run_representation, ("t", "y", "z", "eps_list"),
-        gates=(
-            ("params.t", lambda cfg: _require_clock_differentiable(cfg.driver, cfg.params["t"])),
-            _generator_gate("scenario", "c1", _require_x_free),
-            _step_gate(lambda p: [(p["t"], eps) for eps in p["eps_list"]]),
-        ),
-    ),
-    "converse": Kind(
-        2, _run_converse, ("probe_grid", "eps"),
-        gates=(
-            (
-                "params.probe_grid",
-                lambda cfg: [_require_clock_differentiable(cfg.driver, row[0]) for row in cfg.params["probe_grid"]],
-            ),
-            _generator_gate("scenario", "c1", _require_x_free),
-            _generator_gate("scenario_2", "c1", _require_x_free),
-            _step_gate(lambda p: [(row[0], p["eps"]) for row in p["probe_grid"]]),
-        ),
-    ),
-    "stability": Kind(2, _run_stability, gates=(_REFINABLE, _STEP)),
-    "t2": Kind(
-        1, _run_t2, ("t", "shift_list"), ("driver",),
-        gates=(
-            _GAUSSIAN_FAMILY,
-            ("params.t", lambda cfg: _require_t2_time(cfg.params["t"])),
-            ("scenario.terminal.b", lambda cfg: _require_t2_spread(cfg.scenario)),
-        ),
-    ),
-    "lsi": Kind(1, _run_lsi, ("t", "lambda_list"), ("driver",), gates=(_GAUSSIAN_FAMILY,)),
-    "zbound": Kind(1, _run_zbound, gates=(_STEP,)),
-    "full_suite": Kind(0, None, settings=()),
+    "converse": _theorem_kind(2, "converse_comparison_check", "converse_comparison_refusals", ("probe_grid", "eps")),
+    "stability": _theorem_kind(2, "stability_check", "stability_refusals"),
+    "t2": _theorem_kind(1, "t2_check", "t2_refusals", ("t", "shift_list"), ("driver",)),
+    "lsi": _theorem_kind(1, "lsi_check", "lsi_refusals", ("t", "lambda_list"), ("driver",)),
+    "zbound": Kind(1, _run_zbound, _refuse_step),
+    "full_suite": Kind(0, None, lambda cfg: None, settings=()),
 }
 
 
@@ -448,7 +358,6 @@ def run_config(cfg: ExperimentConfig, out_root, quiet: bool = False) -> tuple[Pa
     written when an experiment raises.
     """
     out_root = Path(out_root)
-    out_root.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
     entries = _suite_entries(cfg.seed) if KINDS[cfg.kind].run is None else [(cfg.kind, cfg)]

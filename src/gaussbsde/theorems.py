@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drivers import GaussianDriverSpec, VarianceClock, _particle_blocks, build_clock, covariance, sample_paths
-from .errors import HypothesisUnsatisfied, NonFiniteSolution, NonpositiveMass, UnsupportedScenario
+from .errors import GaussBsdeError, HypothesisUnsatisfied, NonFiniteSolution, NonpositiveMass, UnsupportedScenario
 from .measures import GaussianLaw1D, LawFeatures, entropy_functional, gaussian_kl, gaussian_w2
 from .reporting import digest_payload
 from .rng import derived_seed
@@ -31,6 +31,9 @@ from .solver import (
     SolverConfig,
     SolutionField,
     ParticleCloud,
+    _check_step,
+    _require_x_free,
+    _short_horizon_grid,
     representation_solve_stack,
     short_horizon_table,
     solve_auxiliary_stack,
@@ -84,70 +87,45 @@ def scenario_digest(*scns: ScenarioSpec) -> str:
 
 def _require_same_driver(scn1: ScenarioSpec, scn2: ScenarioSpec):
     if scn1.driver.payload() != scn2.driver.payload():
-        raise HypothesisUnsatisfied("both scenarios must share the driver")
+        raise HypothesisUnsatisfied("both scenarios must share the driver", key="driver")
 
 
-def _require_clock_differentiable(driver: GaussianDriverSpec, t: float):
-    if driver.kind == "brownian":
-        return
-    if driver.kind == "fbm" and t > 0:
-        return
-    raise UnsupportedScenario(
-        "variance clock must be differentiable at t (brownian, or fbm with t > 0)"
-    )
+def _require_clock_differentiable(driver: GaussianDriverSpec, t: float, key: str):
+    if not (driver.kind == "brownian" or (driver.kind == "fbm" and t > 0)):
+        raise UnsupportedScenario("variance clock must be differentiable at t (brownian, or fbm with t > 0)", key=key)
 
 
 def _require_refinable(driver: GaussianDriverSpec):
     if driver.kind == "custom":
-        raise UnsupportedScenario("a custom driver's clock is its table's grid: a refined solve would repeat it")
-
-
-def _require_z_law_free(scn: ScenarioSpec):
-    if scn.generator.kappa_z != 0.0:
-        raise HypothesisUnsatisfied("comparison requires no dependence on the law of Z (kappa_z = 0)")
-
-
-def _require_mean_coupling(scn1: ScenarioSpec, scn2: ScenarioSpec):
-    if scn1.generator.mean_y_sensitivity[0] < 0.0 and scn2.generator.mean_y_sensitivity[0] < 0.0:
-        raise HypothesisUnsatisfied("comparison requires a nonnegative mean-coupling in Y for one generator")
-
-
-def _require_generator_order(scn1: ScenarioSpec, scn2: ScenarioSpec, seed: int):
-    probe = generator_order_probe(scn1.generator, scn2.generator, seed=derived_seed(seed, "cmp-f"), T=scn1.driver.T)
-    if not probe.ordered:
-        raise HypothesisUnsatisfied(f"generator ordering fails at probe {probe.counterexample}")
-
-
-def _require_terminal_order(scn1: ScenarioSpec, scn2: ScenarioSpec, seed: int):
-    probe = terminal_order_probe(scn1.terminal, scn2.terminal, seed=derived_seed(seed, "cmp-g"))
-    if not probe.ordered:
-        raise HypothesisUnsatisfied(f"terminal ordering fails at probe {probe.counterexample}")
-
-
-def _require_gaussian_family(scn: ScenarioSpec):
-    gen, term = scn.generator, scn.terminal
-    if not (
-        gen.is_law_free
-        and gen.c1 == 0.0
-        and gen.c3 == 0.0
-        and gen.phi == "none"
-        and gen.rho_values is None
-        and term.phi == "none"
-        and term.lambda_mean == 0.0
-    ):
         raise UnsupportedScenario(
-            "closed-form Gaussian family needs affine law-free f(t,y) and affine g(x)"
+            "a custom driver's clock is its table's grid: a refined solve would repeat it", key="driver.kind"
         )
 
 
-def _require_t2_time(t: float):
-    if not t > 0.0:  # sigma^2 = b^2 e^(2 c2 (V_T - V_t)) V_t is 0 at V_0 = 0
-        raise HypothesisUnsatisfied("t2 needs t > 0: Y_0 has a Dirac law, with no finite relative entropy")
+@contextmanager
+def _cause(key: str):
+    """Name the config key ``key`` as the cause of a refusal raised inside."""
+    try:
+        yield
+    except GaussBsdeError as exc:
+        exc.key = key
+        raise
 
 
-def _require_t2_spread(scn: ScenarioSpec):
-    if scn.terminal.b == 0.0:
-        raise HypothesisUnsatisfied("t2 needs b != 0: Y_t then has a Dirac law, with no finite relative entropy")
+def _step_refusal(scns, n_time: int, horizons=None):
+    """The explicit scheme's step guard (``solver._check_step``) on each
+    grid a check solves on: the grid of ``n_time`` steps (a refined grid's
+    cells lie inside its cells), or, given short ``horizons``, the sub-grid
+    of ``n_time`` steps of each distinct (t, eps), on the short-horizon
+    clock.  Its refusals are named by ``solver.n_time``."""
+    driver = scns[0].driver
+    with _cause("solver.n_time"):
+        if horizons is None:
+            _check_step(scns, build_clock(driver, n_time + 1).grid_V)
+            return
+        clock = _short_horizon_clock(driver, n_time)
+        for t, eps in dict.fromkeys(horizons):
+            _check_step(scns, _short_horizon_grid(clock, float(t), float(eps), n_time))
 
 
 def _short_horizon_clock(driver: GaussianDriverSpec, n_time: int) -> VarianceClock:
@@ -179,6 +157,35 @@ def _refined_fields(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, s
 # comparison
 
 
+def comparison_refusals(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, t_list, seed: int):
+    """The refusals of ``comparison_check``, each named by its config key: a
+    law of Z in either generator, a negative mean coupling in Y for both,
+    coefficients out of order at the order probes, which draw from ``seed``
+    (so ``validate`` and ``run`` probe the same points), and the step guard."""
+    _require_same_driver(scn1, scn2)
+    _require_refinable(scn1.driver)
+    for key, scn in (("scenario", scn1), ("scenario_2", scn2)):
+        if scn.generator.kappa_z != 0.0:
+            raise HypothesisUnsatisfied(
+                "comparison requires no dependence on the law of Z (kappa_z = 0)", key=f"{key}.generator.kappa_z"
+            )
+    if scn1.generator.mean_y_sensitivity[0] < 0.0 and scn2.generator.mean_y_sensitivity[0] < 0.0:
+        raise HypothesisUnsatisfied(
+            "comparison requires a nonnegative mean-coupling in Y for one generator", key="scenario.generator.kappa_y"
+        )
+    probe = generator_order_probe(scn1.generator, scn2.generator, seed=derived_seed(seed, "cmp-f"), T=scn1.driver.T)
+    if not probe.ordered:
+        raise HypothesisUnsatisfied(
+            f"generator ordering fails at probe {probe.counterexample}", key="scenario_2.generator"
+        )
+    probe = terminal_order_probe(scn1.terminal, scn2.terminal, seed=derived_seed(seed, "cmp-g"))
+    if not probe.ordered:
+        raise HypothesisUnsatisfied(
+            f"terminal ordering fails at probe {probe.counterexample}", key="scenario_2.terminal"
+        )
+    _step_refusal([scn1, scn2], cfg.n_time)
+
+
 def comparison_check(
     scn1: ScenarioSpec,
     scn2: ScenarioSpec,
@@ -191,18 +198,12 @@ def comparison_check(
     between each field and its refinement over the evaluation paths inside
     the 1%-99% band of X_t's law at each time (every path at t = 0).
 
-    Refuses to run (HypothesisUnsatisfied) when the generators depend on the
-    law of Z, when the mean coupling in Y can be negative for both scenarios,
-    or when the coefficient ordering probes fail: outside those hypotheses the
-    conclusion is known to fail in general.
+    Refuses to run (``comparison_refusals``) when the generators depend on
+    the law of Z, when the mean coupling in Y can be negative for both
+    scenarios, or when the coefficient ordering probes fail: outside those
+    hypotheses the conclusion is known to fail in general.
     """
-    _require_same_driver(scn1, scn2)
-    _require_refinable(scn1.driver)
-    _require_z_law_free(scn1)
-    _require_z_law_free(scn2)
-    _require_mean_coupling(scn1, scn2)
-    _require_generator_order(scn1, scn2, seed)
-    _require_terminal_order(scn1, scn2, seed)
+    comparison_refusals(scn1, scn2, cfg, t_list, seed)
 
     t_list = [float(t) for t in t_list]
     (f1, f2), (f1_fine, f2_fine) = _refined_fields(scn1, scn2, cfg, seed)
@@ -267,6 +268,20 @@ def _integrate_f_dv(scn: ScenarioSpec, clock: VarianceClock, a: float, b: float,
     return total
 
 
+def representation_limit_refusals(
+    scn: ScenarioSpec, t: float, y: float, z: float, eps_list, cfg: SolverConfig, seed: int
+):
+    """The refusals of ``representation_limit_check``, each named by its
+    config key: a clock with no derivative at t, a generator that reads the
+    state, and the step guard on each (t, eps) sub-grid."""
+    _require_clock_differentiable(scn.driver, t, "params.t")
+    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
+    with _cause("scenario.generator.c1"):
+        _require_x_free(scn)
+    _step_refusal([scn], cfg.n_time, [(t, eps) for eps in eps_list])
+
+
 def representation_limit_check(
     scn: ScenarioSpec,
     t: float,
@@ -288,10 +303,9 @@ def representation_limit_check(
     Carlo error, and nothing is drawn.  The solves refuse a generator that
     reads the state (c1 != 0).
     """
-    _require_clock_differentiable(scn.driver, t)
+    representation_limit_refusals(scn, t, y, z, eps_list, cfg, seed)
+    t, y, z = float(t), float(y), float(z)
     eps_list = [float(e) for e in eps_list]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
 
     clock = _short_horizon_clock(scn.driver, cfg.n_time)
     frozen = LawFeatures(mean_x=0.0, mean_y=y, mean_z=z)
@@ -342,6 +356,21 @@ def representation_limit_check(
     )
 
 
+def converse_comparison_refusals(
+    scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, probe_grid, eps: float, seed: int
+):
+    """The refusals of ``converse_comparison_check``, each named by its
+    config key: a clock with no derivative at a probe's t, a generator that
+    reads the state, and the step guard on each (t, eps) sub-grid."""
+    _require_same_driver(scn1, scn2)
+    for t, _, _ in probe_grid:
+        _require_clock_differentiable(scn1.driver, t, "params.probe_grid")
+    for key, scn in (("scenario", scn1), ("scenario_2", scn2)):
+        with _cause(f"{key}.generator.c1"):
+            _require_x_free(scn)
+    _step_refusal([scn1, scn2], cfg.n_time, [(t, eps) for t, _, _ in probe_grid])
+
+
 def converse_comparison_check(
     scn1: ScenarioSpec,
     scn2: ScenarioSpec,
@@ -364,9 +393,8 @@ def converse_comparison_check(
     mc_tol is 0.  The solves refuse a generator that reads the state
     (c1 != 0).
     """
-    _require_same_driver(scn1, scn2)
-    for t, _, _ in probe_grid:
-        _require_clock_differentiable(scn1.driver, t)
+    converse_comparison_refusals(scn1, scn2, cfg, probe_grid, eps, seed)
+    probe_grid, eps = [tuple(float(v) for v in row) for row in probe_grid], float(eps)
     clock = _short_horizon_clock(scn1.driver, cfg.n_time)
     table = short_horizon_table(cfg, derived_seed(seed, "converse"), [scn1.generator, scn2.generator])
     solved = {}  # probe index -> (scn1's value, scn2's value)
@@ -457,11 +485,18 @@ def _stability_ratio(scn1, scn2, f1: SolutionField, f2: SolutionField, n_particl
     return lhs, rhs
 
 
+def stability_refusals(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, seed: int):
+    """The refusals of ``stability_check``, each named by its config key: a
+    custom driver, whose refinement would repeat its grid, and the step guard."""
+    _require_same_driver(scn1, scn2)
+    _require_refinable(scn1.driver)
+    _step_refusal([scn1, scn2], cfg.n_time)
+
+
 def stability_check(scn1: ScenarioSpec, scn2: ScenarioSpec, cfg: SolverConfig, seed: int) -> TheoremReport:
     """Empirical ratio of the two sides of the coefficient-stability estimate,
     required finite and stable (within 20%) under time-grid refinement."""
-    _require_same_driver(scn1, scn2)
-    _require_refinable(scn1.driver)
+    stability_refusals(scn1, scn2, cfg, seed)
     (lhs1, rhs1), (lhs2, rhs2) = (
         _stability_ratio(scn1, scn2, f1, f2, cfg.n_particles, seed) for f1, f2 in _refined_fields(scn1, scn2, cfg, seed)
     )
@@ -531,9 +566,11 @@ def _gaussian_family(scn: ScenarioSpec, t: float):
     the scenario's symbolic Lipschitz constants, with V_t and V_T read off
     ``_family_clock``.  A value past the float range raises
     ``NonFiniteSolution``."""
-    _require_gaussian_family(scn)
-    clock = _family_clock(scn.driver, t)
     gen, term = scn.generator, scn.terminal
+    affine = gen.c1 == gen.c3 == term.lambda_mean == 0.0 and gen.phi == term.phi == "none" and gen.rho_values is None
+    if not (gen.is_law_free and affine):
+        raise UnsupportedScenario("closed-form Gaussian family needs affine law-free f(t,y) and affine g(x)")
+    clock = _family_clock(scn.driver, t)
     with _overflow_named(f"the Gaussian family at t {float(t)!r}"):
         v_t = clock.value(t)
         lam = clock.V_T - v_t
@@ -556,6 +593,23 @@ def _overflow_named(what: str):
         raise NonFiniteSolution(f"non-finite value in {what}: {exc.args[-1]}") from None
 
 
+def t2_refusals(scn: ScenarioSpec, t: float, shift_list, seed: int = 0):
+    """The refusals of ``t2_check``, each named by its config key: a scenario
+    outside the closed-form Gaussian family, or past the float range, and a
+    Dirac law of Y_t, with no finite relative entropy: sigma^2 =
+    b^2 e^(2 c2 (V_T - V_t)) V_t is 0 at V_0 = 0 or at b = 0."""
+    with _cause("scenario"):
+        _gaussian_family(scn, t)
+    if not t > 0.0:
+        raise HypothesisUnsatisfied(
+            "t2 needs t > 0: Y_0 has a Dirac law, with no finite relative entropy", key="params.t"
+        )
+    if scn.terminal.b == 0.0:
+        raise HypothesisUnsatisfied(
+            "t2 needs b != 0: Y_t then has a Dirac law, with no finite relative entropy", key="scenario.terminal.b"
+        )
+
+
 def t2_check(scn: ScenarioSpec, t: float, shift_list, seed: int = 0) -> TheoremReport:
     """Quadratic transportation inequality on the closed-form Gaussian family.
 
@@ -564,8 +618,8 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, seed: int = 0) -> TheoremR
     report-only mode (the stated constant can then fall below the sharp
     Gaussian one).  A Dirac law of Y_t (t = 0 or b = 0) is refused.  Nothing is solved or drawn.
     """
-    _require_t2_time(t)
-    _require_t2_spread(scn)
+    t2_refusals(scn, t, shift_list, seed)
+    t = float(t)
     clock, law, c_tr, _ = _gaussian_family(scn, t)
 
     rows = []
@@ -612,10 +666,19 @@ def t2_check(scn: ScenarioSpec, t: float, shift_list, seed: int = 0) -> TheoremR
     )
 
 
+def lsi_refusals(scn: ScenarioSpec, t: float, lambda_list, seed: int = 0):
+    """The refusal of ``lsi_check``, named ``scenario``: a scenario outside
+    the closed-form Gaussian family, or past the float range."""
+    with _cause("scenario"):
+        _gaussian_family(scn, t)
+
+
 def lsi_check(scn: ScenarioSpec, t: float, lambda_list, seed: int = 0) -> TheoremReport:
     """Log-Sobolev inequality on the Gaussian family, where nothing is solved or drawn, with the
     exponential test family f_lam(x) = exp(lam x / 2); entropies are cross-checked by
     quadrature, to a relative error of 1e-6 (absolute below an entropy of 1)."""
+    lsi_refusals(scn, t, lambda_list, seed)
+    t = float(t)
     _, law, _, c_ls = _gaussian_family(scn, t)
 
     m, s2 = law.mean, law.variance

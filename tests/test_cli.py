@@ -15,7 +15,16 @@ import gaussbsde
 from gaussbsde import reporting
 from gaussbsde.cli import main
 from gaussbsde.config import load_config, parse_config_payload
-from gaussbsde.errors import ConfigInvalid, IoFailure, StepTooCoarse
+from gaussbsde.errors import (
+    CholeskyFailure,
+    ConfigInvalid,
+    DegenerateInterval,
+    HypothesisUnsatisfied,
+    IoFailure,
+    NonFiniteSolution,
+    StepTooCoarse,
+    UnsupportedScenario,
+)
 from gaussbsde.experiments import KINDS, _suite_entries, run_config
 from gaussbsde.reporting import canonical_json, emit_report, write_series_csv
 from gaussbsde.scenario import GeneratorSpec, TerminalSpec
@@ -49,6 +58,7 @@ def kind_config(kind, params):
 
 FBM = {"kind": "fbm", "hurst": 0.7, "T": 1.0}
 CUSTOM = {"kind": "custom", "T": 1.0, "cov_grid": [0.5, 1.0], "cov_matrix": [[0.5, 0.5], [0.5, 1.0]]}
+FBM_T3 = {"kind": "fbm", "hurst": 0.7, "T": 3.0}
 SHORT_TABLE = {"kind": "custom", "T": 1.0, "cov_grid": [0.5], "cov_matrix": [[0.5]]}
 FALLING = [[1.0, 0.5], [0.5, 0.8]]  # a covariance diagonal that falls
 NOT_PSD = [[0.5, 0.9], [0.9, 1.0]]  # determinant 0.5 - 0.81 < 0
@@ -326,6 +336,113 @@ class TestConfigParsing:
         for command in ("validate", "run"):
             assert main([command, str(path)]) == 1
             assert capsys.readouterr().err.startswith(f"config error: {key}: t2 needs")
+
+    @pytest.mark.parametrize(
+        "kind, params, update, key, error",
+        [
+            ("representation", {"t": 0.0, "y": 1.0, "z": 0.5, "eps_list": [0.2, 0.1]}, {"driver": FBM}, "params.t", UnsupportedScenario),
+            (
+                "converse", {"probe_grid": [[0.5, 1.0, 0.5], [0.0, 1.0, 0.5]], "eps": 0.1}, {"driver": FBM},
+                "params.probe_grid", UnsupportedScenario,
+            ),
+            ("representation", REPRESENTATION, {"scenario": STATE_DEPENDENT}, "scenario.generator.c1", UnsupportedScenario),
+            ("converse", CONVERSE, {"scenario_2": STATE_DEPENDENT}, "scenario_2.generator.c1", UnsupportedScenario),
+            ("comparison", {"t_list": [0.5]}, {"driver": CUSTOM}, "driver.kind", UnsupportedScenario),
+            ("stability", {}, {"driver": CUSTOM}, "driver.kind", UnsupportedScenario),
+            ("t2", {"t": 0.5, "shift_list": [1.0]}, {"scenario": LAW_DEPENDENT}, "scenario", UnsupportedScenario),
+            ("lsi", {"t": 0.5, "lambda_list": [1.0]}, {"scenario": LAW_DEPENDENT}, "scenario", UnsupportedScenario),
+            (
+                "comparison", {"t_list": [0.5]}, {"scenario_2": Z_LAW_DEPENDENT},
+                "scenario_2.generator.kappa_z", HypothesisUnsatisfied,
+            ),
+            (
+                "comparison", {"t_list": [0.5]}, {"scenario": NEGATIVE_COUPLING, "scenario_2": NEGATIVE_COUPLING},
+                "scenario.generator.kappa_y", HypothesisUnsatisfied,
+            ),
+            (
+                "comparison", {"t_list": [0.5]}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c0": 1.0}}},
+                "scenario_2.generator", HypothesisUnsatisfied,
+            ),
+            (
+                "comparison", {"t_list": [0.5]}, {"scenario": {"terminal": {"a": 1.0, "b": 1.0}, "generator": {}}},
+                "scenario_2.terminal", HypothesisUnsatisfied,
+            ),
+            ("solve", {}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 20.0}}}, "solver.n_time", StepTooCoarse),
+            ("zbound", {}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 20.0}}}, "solver.n_time", StepTooCoarse),
+            (
+                "stability", {}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 20.0}}},
+                "solver.n_time", StepTooCoarse,
+            ),
+            (
+                "representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [0.5, 0.25]},
+                {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": -40.0}}, "solver": {"n_time": 4}},
+                "solver.n_time", StepTooCoarse,
+            ),
+            (
+                "representation", {"t": 0.25, "y": 1.0, "z": 0.5, "eps_list": [1e-15]}, {},
+                "solver.n_time", DegenerateInterval,
+            ),
+            ("wick_validate", {"n_time": 8, "n_paths": 100}, {"driver": dict(CUSTOM, cov_matrix=NOT_PSD)}, "driver", CholeskyFailure),
+            (
+                "t2", {"t": 0.5, "shift_list": [0.5]}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 800.0}}},
+                "scenario", NonFiniteSolution,
+            ),
+            (
+                "lsi", {"t": 0.5, "lambda_list": [0.5]}, {"scenario": {"terminal": {"b": 1.0}, "generator": {"c2": 800.0}}},
+                "scenario", NonFiniteSolution,
+            ),
+            ("t2", {"t": 0.0, "shift_list": [1.0]}, {}, "params.t", HypothesisUnsatisfied),
+            (
+                "t2", {"t": 0.5, "shift_list": [1.0]}, {"scenario": {"terminal": {"b": 0.0}, "generator": {}}},
+                "scenario.terminal.b", HypothesisUnsatisfied,
+            ),
+        ],
+    )
+    def test_run_refuses_what_validate_refuses(self, tmp_path, capsys, monkeypatch, kind, params, update, key, error):
+        # a check's refusals are one statement, which validate and run both call
+        tree = dict(kind_config(kind, params), **update)
+        assert main(["validate", str(write_config(tmp_path, tree))]) == 1
+        printed = capsys.readouterr().err
+        monkeypatch.setitem(KINDS, kind, dataclasses.replace(KINDS[kind], refuse=lambda cfg: None))
+        cfg = parse_config_payload(tree)
+        with pytest.raises(error) as refused:
+            KINDS[kind].run(cfg)
+        assert type(refused.value) is error
+        assert printed == f"config error: {key}: {refused.value}\n"
+        if kind not in ("solve", "zbound", "wick_validate"):  # their guards sit inside the solve or the sampler
+            assert refused.value.key == key
+
+    @pytest.mark.parametrize(
+        "kind, driver, integers, floats",
+        [
+            # a reported time past 12 digits: str(10 ** 12) is not 1e12 as a report writes it
+            (
+                "t2", {"kind": "brownian", "T": 1e12}, {"t": 10 ** 12, "shift_list": [0, 1, 2]},
+                {"t": 1e12, "shift_list": [0.0, 1.0, 2.0]},
+            ),
+            (
+                "converse", FBM_T3, {"probe_grid": [[1, 10 ** 12, 0], [2, -1, 1]], "eps": 1},
+                {"probe_grid": [[1.0, 1e12, 0.0], [2.0, -1.0, 1.0]], "eps": 1.0},
+            ),
+            (
+                "representation", FBM_T3, {"t": 1, "y": 1, "z": 0, "eps_list": [2, 1]},
+                {"t": 1.0, "y": 1.0, "z": 0.0, "eps_list": [2.0, 1.0]},
+            ),
+        ],
+    )
+    def test_integer_params_run_as_floats(self, tmp_path, kind, driver, integers, floats):
+        # a check reads an integer-valued param as the float of the same value
+        drawn = {"terminal": {"b": 1.0}, "generator": {"c2": -0.2, "phi": "tanh", "c4": 0.5}}  # its table is drawn
+        outputs = []
+        for name, params in (("integers", integers), ("floats", floats)):
+            tree = dict(kind_config(kind, params), driver=driver)
+            if kind == "representation":
+                tree["scenario"] = drawn
+            out = tmp_path / name
+            code = main(["run", str(write_config(tmp_path, tree, f"{name}.json")), "--out", str(out), "--quiet"])
+            outputs.append((code, {p.name: p.read_bytes() for p in (out / "reports").iterdir()}))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 2) and len(outputs[0][1]) == 2  # the report and its CSV
 
     def test_bad_param_value_fails_validate(self, tmp_path, capsys):
         path = write_config(tmp_path, kind_config("comparison", {"t_list": 5}))
@@ -845,12 +962,15 @@ class TestBlockedOutputs:
         path = write_config(tmp_path, BASE_CONFIG)
         assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
 
-    def test_out_dir_is_a_file_runtime_error(self, tmp_path, capsys):
-        # an OSError outside the package's own writes: exit 1, named as such
+    def test_out_dir_is_a_file_named(self, tmp_path, capsys):
+        # the first file's guarded writer makes the output directory, and names the file it could not write
         out = tmp_path / "out"
         out.write_text("")
         assert main(["run", str(write_config(tmp_path, BASE_CONFIG)), "--out", str(out)]) == 1
-        assert capsys.readouterr() == ("", f"runtime error: [Errno 17] File exists: '{out}'\n")
+        reports = out / "reports"
+        assert capsys.readouterr() == (
+            "", f"error: could not write {reports / 'solve__00_solve.json'}: [Errno 20] Not a directory: '{reports}'\n"
+        )
 
     def test_console_lines(self, tmp_path, capsys):
         out = tmp_path / "out"
